@@ -1,15 +1,12 @@
-"""Hot numerical kernels: numba fast path with a pure-numpy fallback.
+"""Hot numerical kernels, vectorized with numpy.
 
-The backend is picked at import time.  Numba is used when importable
-unless the environment variable ``KNAPPFLOW_NUMBA`` is set to one of
-``0/off/false/no``, in which case the vectorized numpy implementations
-run instead.  ``benchmarks/bench_kernels.py`` compares the two paths.
+``term_sums`` is the one evaluation path; ``_term_sums_loop`` is its
+scalar reference, kept for the agreement test.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -18,19 +15,9 @@ import numpy as np
 # the threshold while the 6-term series is already at roundoff there.
 MULT_SERIES_THRESHOLD = 1e-4
 
-
-def _numba_wanted() -> bool:
-    return os.environ.get("KNAPPFLOW_NUMBA", "auto").lower() not in ("0", "off", "false", "no")
-
-
+# There is no compiled backend.  The constant stays because the benchmark
+# harness (perfbench/run.py) reads it for the backend in its run record.
 NUMBA_ENABLED = False
-if _numba_wanted():
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        NUMBA_ENABLED = False
 
 
 # ---------------------------------------------------------------------------
@@ -47,9 +34,6 @@ def _mult_py(t: float, om: float) -> complex:
     s = math.sin(0.5 * x)
     c = math.cos(0.5 * x)
     return (2.0 * s / om) * complex(c, s)
-
-
-_mult = _mult_py
 
 
 def mult_values(t: float, om: np.ndarray) -> np.ndarray:
@@ -102,6 +86,7 @@ def term_weight(code: int, xi, eta, alpha: float = 1.0) -> np.ndarray:
 
 
 def _term_sums_loop(pts, wq, xi, t, alpha, code, signs, res_thr):
+    """Scalar reference for ``term_sums``, used only to check it in tests."""
     n = pts.shape[0]
     tot = np.zeros(8, dtype=np.complex128)
     res = np.zeros(8, dtype=np.complex128)
@@ -128,7 +113,7 @@ def _term_sums_loop(pts, wq, xi, t, alpha, code, signs, res_thr):
         aw = abs(w)
         for j in range(8):
             om = signs[j, 0] * nx - signs[j, 1] * nd - signs[j, 2] * ne
-            c = _mult(t, om) * w
+            c = _mult_py(t, om) * w
             tot[j] += c
             if abs(om) <= res_thr:
                 res[j] += c
@@ -137,7 +122,7 @@ def _term_sums_loop(pts, wq, xi, t, alpha, code, signs, res_thr):
     return tot, res, env
 
 
-def term_sums_numpy(pts, wq, xi, t, alpha, code, signs, res_thr):
+def term_sums(pts, wq, xi, t, alpha, code, signs, res_thr):
     """Per-sign-triple sums of m(t, omega) * weight over a quadrature grid.
 
     Returns ``(tot, res, env)``: for each of the 8 sign triples the full
@@ -165,23 +150,6 @@ def term_sums_numpy(pts, wq, xi, t, alpha, code, signs, res_thr):
         om_far = om[~mask]
         env[j] = (np.minimum(t, 2.0 / np.abs(om_far)) * aw[~mask]).sum()
     return tot, res, env
-
-
-if NUMBA_ENABLED:
-    _mult = njit(cache=True)(_mult_py)
-    _term_sums_jit = njit(cache=True)(_term_sums_loop)
-
-    def term_sums_numba(pts, wq, xi, t, alpha, code, signs, res_thr):
-        pts = np.ascontiguousarray(pts, dtype=np.float64)
-        wq = np.ascontiguousarray(wq, dtype=np.float64)
-        xi = np.ascontiguousarray(xi, dtype=np.float64)
-        signs = np.ascontiguousarray(signs, dtype=np.float64)
-        return _term_sums_jit(pts, wq, xi, float(t), float(alpha), int(code), signs, float(res_thr))
-
-    term_sums = term_sums_numba
-else:
-    term_sums_numba = None
-    term_sums = term_sums_numpy
 
 
 def overlap_lengths(vals: np.ndarray, a_lo: float, a_hi: float, b_lo: float, b_hi: float) -> np.ndarray:

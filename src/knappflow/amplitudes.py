@@ -23,12 +23,12 @@ the convolution of the transforms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from . import _kernels
 from .boxes import Box3, QuadratureGrid, admissible_eta_region, quadrature_grid
@@ -315,10 +315,10 @@ def product_norm(p: KnappParams, r: float | None = None) -> float:
 def norm_report(
     p: KnappParams,
     r: float | None = None,
-    s: float | None = None,
-    output_lower: float | None = None,
+    *,
+    output_lower: float,
 ) -> NormReport:
-    """All data norms for a configuration, plus the output lower bound.
+    """All data norms for a configuration, plus the given output lower bound.
 
     ``norm_total`` is the H^r size of the curl block contributed by the
     first datum, (0, d3 a1, -d2 a1): the quadrature sum of its two
@@ -333,13 +333,12 @@ def norm_report(
         p.neg_wprime_box, (1, 0, 0), p.slab.amplitude, r_val, p.grid
     )
     nprod = product_norm(p, r_val)
-    out = output_norm_lower(p, s=s) if output_lower is None else float(output_lower)
     return NormReport(
         norm_d2a1=nd2,
         norm_d1a2=nd1a2,
         norm_product=nprod,
         norm_total=math.hypot(nd2, nd3),
-        norm_output_lower=out,
+        norm_output_lower=float(output_lower),
     )
 
 
@@ -354,6 +353,23 @@ def sample_lattice(b: Box3, n_per_axis: int) -> tuple[list[np.ndarray], np.ndarr
     return axes, np.column_stack([g1.ravel(), g2.ravel(), g3.ravel()])
 
 
+def _trilinear(corners: np.ndarray, lo: np.ndarray, hi: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Trilinear interpolant at ``pts`` of one lattice cell ``[lo, hi]``.
+
+    ``corners[c1, c2, c3]`` is the value at the low (0) or high (1) end
+    of each axis.  The operation order is that of scipy's linear
+    ``RegularGridInterpolator``, so the two agree bit for bit.
+    """
+    y = (pts - lo) / (hi - lo)
+    out = np.zeros(len(pts))
+    for corner in itertools.product((0, 1), repeat=3):
+        w = np.ones(len(pts))
+        for axis, c in enumerate(corner):
+            w = w * (y[:, axis] if c else 1 - y[:, axis])
+        out = out + corners[corner] * w
+    return out
+
+
 def output_norm_from_samples(
     p: KnappParams,
     s: float,
@@ -362,47 +378,18 @@ def output_norm_from_samples(
 ) -> float:
     """Weighted-norm lower bound from amplitude magnitudes on a lattice.
 
-    Interpolates |amplitude| trilinearly between the lattice values and
+    Interpolates |amplitude| trilinearly within each lattice cell and
     integrates ``(2 pi)^-3 <xi>^{2s} |amp|^2`` over the sampling box by
     per-cell Gauss-Legendre (the interpolant is smooth within cells).
     """
     shape = tuple(len(ax) for ax in lattice_axes)
-    interp = RegularGridInterpolator(lattice_axes, amps.reshape(shape), method="linear")
+    vals = amps.reshape(shape)
     integral = 0.0
-    for i1 in range(shape[0] - 1):
-        for i2 in range(shape[1] - 1):
-            for i3 in range(shape[2] - 1):
-                cell = Box3(
-                    ax1=(lattice_axes[0][i1], lattice_axes[0][i1 + 1]),
-                    ax2=(lattice_axes[1][i2], lattice_axes[1][i2 + 1]),
-                    ax3=(lattice_axes[2][i3], lattice_axes[2][i3 + 1]),
-                )
-                grid = quadrature_grid(cell, (6, 6, 6))
-                vals = _bracket_sq(grid.points) ** s * interp(grid.points) ** 2
-                integral += float(grid.weights @ vals)
+    for idx in itertools.product(*(range(n - 1) for n in shape)):
+        lo = np.array([ax[i] for ax, i in zip(lattice_axes, idx)])
+        hi = np.array([ax[i + 1] for ax, i in zip(lattice_axes, idx)])
+        grid = quadrature_grid(Box3(*zip(lo, hi)), (6, 6, 6))
+        corners = vals[tuple(slice(i, i + 2) for i in idx)]
+        interp = _trilinear(corners, lo, hi, grid.points)
+        integral += float(grid.weights @ (_bracket_sq(grid.points) ** s * interp**2))
     return math.sqrt(integral / TWO_PI_CUBED)
-
-
-def output_norm_lower(
-    p: KnappParams,
-    samples: int = 27,
-    s: float | None = None,
-    amplitude_fn=None,
-) -> float:
-    """Lower bound for the H^s norm of the output over the sampling box.
-
-    ``samples`` is the total lattice size (cube-rooted to a per-axis
-    count, at least 2).  ``amplitude_fn`` replaces the amplitude
-    evaluation for tests; by default the full breakdown is computed at
-    every lattice point.
-    """
-    if samples < 8:
-        raise InvalidParameterError(f"samples must be at least 8, got {samples}")
-    s_val = p.s_exp if s is None else float(s)
-    n = max(2, round(samples ** (1.0 / 3.0)))
-    axes, pts = sample_lattice(p.samp_box, n)
-    if amplitude_fn is None:
-        amps = np.array([abs(lambda_hat(p, pt).total) for pt in pts])
-    else:
-        amps = np.array([abs(amplitude_fn(pt)) for pt in pts], dtype=float)
-    return output_norm_from_samples(p, s_val, axes, amps)

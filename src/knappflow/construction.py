@@ -16,11 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from . import _kernels
 from .boxes import Box3, box_contains, box_scale, box_w, box_w_prime
 from .errors import InvalidParameterError, SingularFrequencyError, WindowEmptyError
 
@@ -233,9 +231,9 @@ def curl_df_hat(p: KnappParams, xi) -> tuple[np.ndarray, np.ndarray]:
 class BilinearKernel:
     """One admissible-support term of the bilinear interaction.
 
-    ``weight(xi, eta)`` is the real kernel weight (signs folded in, so
-    it is nonnegative when ``xi - eta`` lies in ``support_a`` and ``eta``
-    in ``support_b``); ``code`` indexes the fast evaluation path.
+    ``_kernels.term_weight(code, xi, eta, alpha)`` is its real kernel
+    weight (signs folded in, so it is nonnegative when ``xi - eta`` lies
+    in ``support_a`` and ``eta`` in ``support_b``).
     """
 
     label: str
@@ -243,7 +241,6 @@ class BilinearKernel:
     support_a: Box3
     support_b: Box3
     alpha: float
-    weight: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def kernels(p: KnappParams, which: str = "both") -> tuple[BilinearKernel, ...]:
@@ -265,7 +262,6 @@ def kernels(p: KnappParams, which: str = "both") -> tuple[BilinearKernel, ...]:
             support_a=a,
             support_b=b,
             alpha=alpha,
-            weight=lambda xi, eta, _c=code: _kernels.term_weight(_c, xi, eta, alpha),
         )
 
     axis2 = (

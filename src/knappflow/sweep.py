@@ -118,9 +118,6 @@ def sweep_core(
     k_list,
     mode: str = "slab",
     grid: tuple[int, int, int] = DEFAULT_GRID,
-    thickness: float | None = None,
-    amplitude: float = 1.0,
-    lattice_n: int = 3,
 ) -> list[WindowSamples]:
     """Evaluate the amplitude lattice for each window index.
 
@@ -135,15 +132,7 @@ def sweep_core(
     n_empty = 0
     for k in ks:
         try:
-            p = make_params(
-                eps=eps,
-                rho=rho,
-                k=k,
-                mode=mode,
-                grid=grid,
-                thickness=thickness,
-                amplitude=amplitude,
-            )
+            p = make_params(eps=eps, rho=rho, k=k, mode=mode, grid=grid)
         except WindowEmptyError:
             n_empty += 1
             cores.append(
@@ -156,7 +145,7 @@ def sweep_core(
                 )
             )
             continue
-        axes, pts = sample_lattice(p.samp_box, lattice_n)
+        axes, pts = sample_lattice(p.samp_box, 3)
         breakdowns = tuple(lambda_hat(p, pt) for pt in pts)
         cores.append(
             WindowSamples(
@@ -208,7 +197,7 @@ def records_from_core(
         if p.slab.mode == "surface":
             flags.append("surface_norm_formal")
         out = output_norm_from_samples(p, s_exp, list(core.lattice_axes), amps)
-        norms = norm_report(p, r=r_exp, s=s_exp, output_lower=out)
+        norms = norm_report(p, r=r_exp, output_lower=out)
         records.append(
             SweepRecord(
                 k=core.k,
@@ -235,8 +224,6 @@ def run_sweep(
     k_list,
     mode: str = "slab",
     grid: tuple[int, int, int] = DEFAULT_GRID,
-    thickness: float | None = None,
-    amplitude: float = 1.0,
 ) -> list[SweepRecord]:
     """Full sweep over the window indices for one (s, r) pair."""
     ks = [int(k) for k in k_list]
@@ -244,9 +231,7 @@ def run_sweep(
         raise InvalidParameterError(
             f"need at least 3 window indices for a sweep, got {len(ks)}"
         )
-    cores = sweep_core(
-        eps, rho, ks, mode=mode, grid=grid, thickness=thickness, amplitude=amplitude
-    )
+    cores = sweep_core(eps, rho, ks, mode=mode, grid=grid)
     return records_from_core(cores, s_exp, r_exp)
 
 

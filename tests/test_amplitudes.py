@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -8,9 +9,10 @@ from knappflow import _kernels
 from knappflow.amplitudes import (
     TWO_PI_CUBED,
     ResonanceClass,
+    _trilinear,
     lambda_hat,
     norm_report,
-    output_norm_lower,
+    output_norm_from_samples,
     product_norm_boxes,
     resonance_classify,
     sample_lattice,
@@ -169,16 +171,12 @@ def test_backend_paths_agree():
     from knappflow.symbols import SIGNS_ARRAY
 
     args = (grid.points, grid.weights, xi, p.t, 1.0, kern.code, SIGNS_ARRAY, p.resonance_threshold)
-    tot_np, res_np, env_np = _kernels.term_sums_numpy(*args)
+    tot_np, res_np, env_np = _kernels.term_sums(*args)
     tot_py, res_py, env_py = _kernels._term_sums_loop(*args)
     scale = np.abs(tot_np).max()
     assert np.abs(tot_np - tot_py).max() <= 1e-12 * scale
     assert np.abs(res_np - res_py).max() <= 1e-12 * scale
     assert np.abs(env_np - env_py).max() <= 1e-12 * env_np.max()
-    if _kernels.NUMBA_ENABLED:
-        tot_nb, res_nb, env_nb = _kernels.term_sums_numba(*args)
-        assert np.abs(tot_np - tot_nb).max() <= 1e-12 * scale
-        assert np.abs(res_np - res_nb).max() <= 1e-12 * scale
 
 
 def test_sobolev_norm_closed_forms():
@@ -240,7 +238,8 @@ def test_norm_report_structure():
 
 def test_output_norm_lower_constant_hook():
     p = small_params(s_exp=0.5)
-    got = output_norm_lower(p, samples=27, amplitude_fn=lambda pt: 1.0)
+    axes, _ = sample_lattice(p.samp_box, 3)
+    got = output_norm_from_samples(p, p.s_exp, axes, np.ones(27))
     grid = quadrature_grid(p.samp_box, (12, 8, 8))
     integral = float(grid.weights @ (1.0 + (grid.points**2).sum(axis=1)) ** p.s_exp)
     want = math.sqrt(integral / TWO_PI_CUBED)
@@ -251,10 +250,35 @@ def test_output_norm_lower_constant_hook():
     )
 
 
-def test_output_norm_lower_validation():
+def _cells_with_gauss_nodes(axes):
+    for idx in itertools.product(*(range(len(ax) - 1) for ax in axes)):
+        lo = np.array([ax[i] for ax, i in zip(axes, idx)])
+        hi = np.array([ax[i + 1] for ax, i in zip(axes, idx)])
+        nodes = quadrature_grid(Box3(*zip(lo, hi)), (6, 6, 6)).points
+        yield tuple(slice(i, i + 2) for i in idx), lo, hi, nodes
+
+
+def test_trilinear_matches_scipy_and_is_exact_on_multilinear():
+    interpolate = pytest.importorskip("scipy.interpolate")
     p = small_params()
-    with pytest.raises(InvalidParameterError):
-        output_norm_lower(p, samples=7)
+    axes, _ = sample_lattice(p.samp_box, 3)
+    vals = np.random.default_rng(7).random((3, 3, 3))
+    oracle = interpolate.RegularGridInterpolator(axes, vals, method="linear")
+    for cell, lo, hi, nodes in _cells_with_gauss_nodes(axes):
+        want = oracle(nodes)
+        got = _trilinear(vals[cell], lo, hi, nodes)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    # a + b*x1 + c*x2*x3 is multilinear, so the interpolant reproduces it
+    def f(x1, x2, x3):
+        return 0.5 + 2.0 * x1 - 3.0 * x2 * x3
+
+    axes = [np.linspace(0.0, 1.0, 3), np.linspace(-1.0, 2.0, 4), np.linspace(1.0, 3.0, 3)]
+    vals = f(*np.meshgrid(*axes, indexing="ij"))
+    for cell, lo, hi, nodes in _cells_with_gauss_nodes(axes):
+        want = f(*nodes.T)
+        got = _trilinear(vals[cell], lo, hi, nodes)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_sample_lattice_shape():

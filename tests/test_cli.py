@@ -202,3 +202,19 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "EMPTY"
+
+
+def test_import_needs_no_optional_dependency():
+    # numpy is the only runtime dependency: importing the package and its
+    # CLI must not pull in scipy (a test-only oracle) or numba.
+    code = (
+        "import sys, knappflow, knappflow.cli\n"
+        "print(sorted(m for m in ('scipy', 'numba') if m in sys.modules))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(knappflow.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

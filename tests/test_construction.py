@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from knappflow._kernels import term_weight
 from knappflow.boxes import box_contains
 from knappflow.construction import (
     RHO_MIN,
@@ -177,7 +178,7 @@ def test_kernel_weight_magnitude_scale():
     kern = [t for t in kernels(p) if t.label == "axis2.t2"][0]
     xi = p.samp_box.center()
     eta = np.array([-lam, 0.0, 0.0])
-    w = float(kern.weight(xi, eta))
+    w = float(term_weight(kern.code, xi, eta, kern.alpha))
     assert w > 0.0
     scale = w * math.sqrt(lam)
     assert 1e-7 < scale < 1e-5
@@ -192,7 +193,7 @@ def test_kernel_weights_positive_at_centers():
         for kern in kernels(p):
             region = admissible_eta_region(xi, kern.support_a, kern.support_b)
             assert region is not None
-            assert float(kern.weight(xi, region.center())) > 0.0
+            assert float(term_weight(kern.code, xi, region.center(), kern.alpha)) > 0.0
 
 
 def test_amplitude_folds_into_a2_slot():
@@ -202,4 +203,6 @@ def test_amplitude_folds_into_a2_slot():
     eta = np.array([-p1.lam, 0.0, 0.0])
     k1 = [t for t in kernels(p1) if t.label == "axis2.t2"][0]
     k3 = [t for t in kernels(p3) if t.label == "axis2.t2"][0]
-    assert float(k3.weight(xi, eta)) == pytest.approx(3.0 * float(k1.weight(xi, eta)), rel=1e-15)
+    w1 = float(term_weight(k1.code, xi, eta, k1.alpha))
+    w3 = float(term_weight(k3.code, xi, eta, k3.alpha))
+    assert w3 == pytest.approx(3.0 * w1, rel=1e-15)
