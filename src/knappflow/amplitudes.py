@@ -6,8 +6,12 @@ is a sum over the 8 half-wave sign triples of phase-weighted integrals
     (1 / 4i) * exp(-i s1 t |xi|) * ∫ m(t, omega) * weight(xi, eta) d eta
 
 taken over each kernel term's admissible eta-box.  Every integral is
-evaluated on tensor Gauss-Legendre grids with node doubling until the
-per-term totals settle.  Nodes are classified resonant or nonresonant by
+evaluated on tensor Gauss-Legendre grids that start at 2 x 1 x 1 nodes
+and double until the per-term totals of successive grids agree; the
+configured ``grid`` doubled ``REFINE_CAP`` times is the ceiling, where an
+unsettled term is flagged.  Each grid is summed for all 8 sign triples
+in one pass, over fixed-size blocks of nodes, so memory does not grow
+with the grid.  Nodes are classified resonant or nonresonant by
 the empirical cut |omega| <= lam^(3/4); the resonant and nonresonant
 parts of the sum are accumulated separately, together with a rigorous
 pointwise envelope min(t, 2/|omega|) * |weight| for the nonresonant
@@ -36,8 +40,11 @@ from .construction import BilinearKernel, KnappParams, kernels
 from .errors import InvalidParameterError
 from .symbols import SIGN_TRIPLES, SIGNS_ARRAY, SignTriple, omega_all
 
-# Per-term quadrature refinement: double nodes until the 8-triple totals
-# move by less than this relative amount, up to REFINE_CAP doublings.
+# Per-term quadrature refinement: start from BASE_GRID and double nodes
+# until the 8-triple totals move by less than this relative amount.  The
+# ceiling is the configured grid doubled REFINE_CAP times per axis; a term
+# that has not settled there is flagged.
+BASE_GRID = (2, 1, 1)
 REFINE_RELTOL = 1e-6
 REFINE_CAP = 3
 
@@ -106,10 +113,6 @@ def resonance_classify(p: KnappParams, xi, eta) -> ResonanceReport:
     return ResonanceReport(empirical=empirical, sign_pattern=pattern, omegas=omegas)
 
 
-def _doubled(counts: tuple[int, int, int], factor: int) -> tuple[int, int, int]:
-    return tuple(int(n) * factor for n in counts)  # type: ignore[return-value]
-
-
 def _term_integrals(
     p: KnappParams, xi: np.ndarray, kern: BilinearKernel, t: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
@@ -119,12 +122,11 @@ def _term_integrals(
     if region is None:
         return zeros
     thr = p.resonance_threshold
+    ceiling = tuple(int(n) << REFINE_CAP for n in p.grid)
+    counts = tuple(min(b, c) for b, c in zip(BASE_GRID, ceiling))
     prev_tot = None
-    tot = res = env = None
-    flags: list[str] = []
-    factor = 1
-    for _ in range(REFINE_CAP + 1):
-        grid = quadrature_grid(region, _doubled(p.grid, factor))
+    while True:
+        grid = quadrature_grid(region, counts)
         if grid.weights.size == 0:
             return zeros
         tot, res, env = _kernels.term_sums(
@@ -133,11 +135,11 @@ def _term_integrals(
         if prev_tot is not None:
             scale = float(np.abs(tot).max())
             if scale == 0.0 or float(np.abs(tot - prev_tot).max()) <= REFINE_RELTOL * scale:
-                return tot, res, env, flags
+                return tot, res, env, []
+        if counts == ceiling:
+            return tot, res, env, [f"nonconverged_quadrature:{kern.label}"]
         prev_tot = tot
-        factor *= 2
-    flags.append(f"nonconverged_quadrature:{kern.label}")
-    return tot, res, env, flags
+        counts = tuple(min(2 * n, c) for n, c in zip(counts, ceiling))
 
 
 def lambda_hat(
@@ -371,7 +373,6 @@ def _trilinear(corners: np.ndarray, lo: np.ndarray, hi: np.ndarray, pts: np.ndar
 
 
 def output_norm_from_samples(
-    p: KnappParams,
     s: float,
     lattice_axes: list[np.ndarray],
     amps: np.ndarray,

@@ -148,7 +148,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--kmin", type=int, default=1)
     s.add_argument("--kmax", type=int, default=10)
     s.add_argument("--mode", choices=("slab", "surface"), default="slab")
-    s.add_argument("--grid", type=_parse_triple_of_ints, default=DEFAULT_GRID)
+    s.add_argument(
+        "--grid",
+        type=_parse_triple_of_ints,
+        default=DEFAULT_GRID,
+        help="nodes per axis of the norm quadrature (default 32,16,16); term "
+        "integrals double from 2,1,1 up to 8 times this grid and are summed "
+        "in fixed-size node blocks",
+    )
     s.add_argument("--out", required=True, help="CSV output path")
     s.add_argument("--json", help="optional JSON report path")
     s.set_defaults(func=cmd_sweep)

@@ -196,7 +196,7 @@ def records_from_core(
                     flags.append(f)
         if p.slab.mode == "surface":
             flags.append("surface_norm_formal")
-        out = output_norm_from_samples(p, s_exp, list(core.lattice_axes), amps)
+        out = output_norm_from_samples(s_exp, list(core.lattice_axes), amps)
         norms = norm_report(p, r=r_exp, output_lower=out)
         records.append(
             SweepRecord(

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from knappflow import _kernels
+from knappflow import _kernels, amplitudes, boxes
 from knappflow.amplitudes import (
     TWO_PI_CUBED,
     ResonanceClass,
+    _term_integrals,
     _trilinear,
     lambda_hat,
     norm_report,
@@ -21,15 +22,56 @@ from knappflow.amplitudes import (
 from knappflow.boxes import Box3, admissible_eta_region, quadrature_grid
 from knappflow.construction import kernels, make_params
 from knappflow.errors import InvalidParameterError
-from knappflow.symbols import SIGN_TRIPLES, SignTriple
+from knappflow.symbols import SIGN_TRIPLES, SIGNS_ARRAY, SignTriple
 
 EPS, RHO = 0.01, 2e-6
 SMALL_GRID = (8, 4, 4)
+# One fixed grid per term, finer than any the refinement stops at here.
+FINE_GRID = (64, 32, 32)
+# A regime where the term integrals need more than one refinement: boxes
+# 5e3 times wider along axis 1 and 1e6 times wider transversally.
+WIDE_EPS, WIDE_RHO = 0.1, 1.2e-2
 
 
 def small_params(**kw):
     kw.setdefault("grid", SMALL_GRID)
     return make_params(EPS, RHO, 1, **kw)
+
+
+def wide_boxes(monkeypatch):
+    monkeypatch.setattr(boxes, "AXIAL_HALF_WIDTH", 5e-3)
+    monkeypatch.setattr(boxes, "TRANSVERSE_HI", 1.0)
+
+
+def count_term_sums(monkeypatch) -> list[int]:
+    """Record the node count of every ``term_sums`` call from now on."""
+    nodes: list[int] = []
+    term_sums = _kernels.term_sums
+
+    def counting(pts, *args):
+        nodes.append(len(pts))
+        return term_sums(pts, *args)
+
+    monkeypatch.setattr(_kernels, "term_sums", counting)
+    return nodes
+
+
+def fixed_grid_sums(p, xi, kern, counts):
+    """One term's (tot, res, env) on a single fixed grid, without refinement."""
+    region = admissible_eta_region(xi, kern.support_a, kern.support_b)
+    grid = quadrature_grid(region, counts)
+    return _kernels.term_sums(
+        grid.points, grid.weights, xi, p.t, kern.alpha, kern.code, SIGNS_ARRAY,
+        p.resonance_threshold,
+    )
+
+
+def fixed_grid_total(p, xi, counts):
+    """``lambda_hat(p, xi).total`` assembled from one fixed grid per term."""
+    xi = np.asarray(xi, dtype=float)
+    tot = sum(fixed_grid_sums(p, xi, kern, counts)[0] for kern in kernels(p))
+    phases = np.exp(-1j * p.t * np.linalg.norm(xi) * SIGNS_ARRAY[:, 0])
+    return complex((phases * tot).sum() / 4j)
 
 
 def resonant_set(report):
@@ -154,29 +196,74 @@ def test_block_split_partitions_total():
 
 
 def test_grid_doubling_converges():
-    p = small_params()
-    p2 = dataclasses.replace(p, grid=(16, 8, 8))
-    xi = p.samp_box.center()
-    b1 = lambda_hat(p, xi)
-    b2 = lambda_hat(p2, xi)
-    assert abs(b1.total - b2.total) <= 1e-8 * abs(b2.total)
+    # the refined amplitude against one fixed fine grid per term
+    for mode in ("slab", "surface"):
+        p = small_params(mode=mode)
+        xi = p.samp_box.center()
+        want = fixed_grid_total(p, xi, FINE_GRID)
+        assert abs(lambda_hat(p, xi).total - want) <= 1e-8 * abs(want)
 
 
-def test_backend_paths_agree():
+@pytest.mark.parametrize("mode, nodes", [("slab", 72), ("surface", 40)])
+def test_default_geometry_node_budget(monkeypatch, mode, nodes):
+    # every term settles at the first comparison, (2,1,1) against (4,2,2):
+    # 4 terms x (2 + 16) nodes, or 4 x (2 + 8) when one axis is a surface
+    spent = count_term_sums(monkeypatch)
+    p = make_params(EPS, RHO, 1, mode=mode)
+    assert lambda_hat(p, p.samp_box.center()).flags == ()
+    assert sum(spent) == nodes
+
+
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_wide_boxes_refine_to_fixed_grid_reference(monkeypatch, mode):
+    wide_boxes(monkeypatch)
+    p = make_params(WIDE_EPS, WIDE_RHO, 1, mode=mode)
+    xi = np.asarray(p.samp_box.center())
+    spent = count_term_sums(monkeypatch)
+    for kern in kernels(p):
+        spent.clear()
+        tot, res, env, flags = _term_integrals(p, xi, kern, p.t)
+        assert flags == []
+        assert len(spent) > 2  # more than one comparison of successive grids
+        want_tot, want_res, want_env = fixed_grid_sums(p, xi, kern, FINE_GRID)
+        scale = np.abs(want_tot).max()
+        assert np.abs(tot - want_tot).max() <= 1e-9 * scale
+        assert np.abs(res - want_res).max() <= 1e-9 * scale
+        assert np.abs(env - want_env).max() <= 1e-9 * want_env.max()
+
+
+# Both settings put the refinement ceiling at (4,2,2): enough for the
+# default geometry, one doubling short for the wide boxes.
+@pytest.mark.parametrize("cap, grid", [(0, (4, 2, 2)), (1, (2, 1, 1))])
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_lowered_cap_flags_only_the_wide_boxes(monkeypatch, mode, cap, grid):
+    monkeypatch.setattr(amplitudes, "REFINE_CAP", cap)
+    p = make_params(EPS, RHO, 1, mode=mode, grid=grid)
+    assert lambda_hat(p, p.samp_box.center()).flags == ()
+    wide_boxes(monkeypatch)
+    p = make_params(WIDE_EPS, WIDE_RHO, 1, mode=mode, grid=grid)
+    flags = lambda_hat(p, p.samp_box.center()).flags
+    assert sorted(flags) == sorted(
+        f"nonconverged_quadrature:{kern.label}" for kern in kernels(p)
+    )
+
+
+def test_backend_paths_agree(monkeypatch):
     p = small_params()
     xi = np.asarray(p.samp_box.center())
     kern = kernels(p)[0]
     region = admissible_eta_region(xi, kern.support_a, kern.support_b)
     grid = quadrature_grid(region, (6, 5, 4))
-    from knappflow.symbols import SIGNS_ARRAY
-
     args = (grid.points, grid.weights, xi, p.t, 1.0, kern.code, SIGNS_ARRAY, p.resonance_threshold)
-    tot_np, res_np, env_np = _kernels.term_sums(*args)
     tot_py, res_py, env_py = _kernels._term_sums_loop(*args)
-    scale = np.abs(tot_np).max()
-    assert np.abs(tot_np - tot_py).max() <= 1e-12 * scale
-    assert np.abs(res_np - res_py).max() <= 1e-12 * scale
-    assert np.abs(env_np - env_py).max() <= 1e-12 * env_np.max()
+    # one block, then 18 blocks of 7 nodes with a partial last one
+    for block in (_kernels.TERM_SUMS_BLOCK, 7):
+        monkeypatch.setattr(_kernels, "TERM_SUMS_BLOCK", block)
+        tot_np, res_np, env_np = _kernels.term_sums(*args)
+        scale = np.abs(tot_np).max()
+        assert np.abs(tot_np - tot_py).max() <= 1e-12 * scale
+        assert np.abs(res_np - res_py).max() <= 1e-12 * scale
+        assert np.abs(env_np - env_py).max() <= 1e-12 * env_np.max()
 
 
 def test_sobolev_norm_closed_forms():
@@ -239,7 +326,7 @@ def test_norm_report_structure():
 def test_output_norm_lower_constant_hook():
     p = small_params(s_exp=0.5)
     axes, _ = sample_lattice(p.samp_box, 3)
-    got = output_norm_from_samples(p, p.s_exp, axes, np.ones(27))
+    got = output_norm_from_samples(p.s_exp, axes, np.ones(27))
     grid = quadrature_grid(p.samp_box, (12, 8, 8))
     integral = float(grid.weights @ (1.0 + (grid.points**2).sum(axis=1)) ** p.s_exp)
     want = math.sqrt(integral / TWO_PI_CUBED)

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from knappflow._kernels import term_weight
-from knappflow.boxes import box_contains
+from knappflow.boxes import box_contains, box_w
 from knappflow.construction import (
     RHO_MIN,
     KnappParams,
@@ -101,6 +102,33 @@ def test_window_soundness():
             phase = p.t * np.linalg.norm(xi)
             assert abs(phase - target) < EPS
             assert math.cos(phase) >= math.cos(EPS)
+
+
+@st.composite
+def window_points(draw):
+    """(eps, rho, k) with a nonempty window, and any sqrt(lam) in it."""
+    eps = draw(st.floats(1e-3, 0.1))
+    k = draw(st.integers(1, math.ceil(eps / (2 * math.pi * RHO_MIN)) - 1))
+    rho = draw(st.floats(RHO_MIN, eps / (2 * math.pi * k), exclude_max=True))
+    window = lambda_window(eps, rho, k)
+    assume(window is not None)
+    lo, hi = window
+    root = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+    return eps, k, root
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_points())
+def test_window_sound_at_every_lambda(case):
+    # W lies in the open positive octant, so |xi| over W is smallest at
+    # its low corner and largest at its high corner; the bound on
+    # |t|xi| - 2 k pi| at both covers every xi in W
+    eps, k, root = case
+    w = box_w(root * root)
+    t = eps / root
+    for corner in (0, 1):
+        xi = np.array([ax[corner] for ax in w.axes])
+        assert abs(t * np.linalg.norm(xi) - 2 * k * math.pi) <= eps
 
 
 def test_a_hat_indicators():
