@@ -19,9 +19,10 @@ MULT_SERIES_THRESHOLD = 1e-4
 # harness (perfbench/run.py) reads it for the backend in its run record.
 NUMBA_ENABLED = False
 
-# Nodes per block in ``term_sums``.  Its (8, block) complex temporaries
-# take 0.5 MB each whatever the grid size, so a ceiling grid of
-# 256 x 128 x 128 nodes needs no more memory than a small one.
+# Nodes per block in ``term_sums``.  Its 8 x block complex temporaries
+# take 0.5 MB each whatever the grid size or the number of points, so a
+# ceiling grid of 256 x 128 x 128 nodes needs no more memory than a
+# small one.
 TERM_SUMS_BLOCK = 1 << 12
 
 
@@ -128,36 +129,56 @@ def _term_sums_loop(pts, wq, xi, t, alpha, code, signs, res_thr):
 
 
 def term_sums(pts, wq, xi, t, alpha, code, signs, res_thr):
-    """Per-sign-triple sums of m(t, omega) * weight over a quadrature grid.
+    """Per-sign-triple sums of m(t, omega) * weight over quadrature grids.
 
-    Returns ``(tot, res, env)``: for each of the 8 sign triples the full
+    ``xi`` is one output frequency, shape ``(3,)``, or P of them, shape
+    ``(P, 3)``; ``pts`` ``(N, 3)`` and ``wq`` ``(N,)`` then hold P grids
+    of N / P nodes each, point j's grid in rows ``j*N/P`` to
+    ``(j+1)*N/P``.  Returns ``(tot, res, env)``, each of shape
+    ``xi.shape[:-1] + (8,)``: for each point and sign triple the full
     complex sum, the sum over resonant nodes (|omega| <= res_thr), and a
     pointwise envelope ``min(t, 2/|omega|) * |weight|`` over the rest.
-    All 8 triples are evaluated together as ``(8, block)`` arrays, over
-    blocks of at most ``TERM_SUMS_BLOCK`` nodes.
+    All 8 triples are evaluated together as ``(points, 8, nodes)`` arrays
+    over blocks of at most ``TERM_SUMS_BLOCK`` nodes: whole grids while
+    a grid fits in a block, else consecutive slices of one grid.  Each
+    point's nodes are summed along a contiguous axis, so a point's sums
+    do not depend on the other points of the call.
     """
     pts = np.asarray(pts, dtype=float)
     wq = np.asarray(wq, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    nx = float(np.sqrt(xi @ xi))
-    tot = np.zeros(8, dtype=np.complex128)
-    res = np.zeros(8, dtype=np.complex128)
-    env = np.zeros(8, dtype=np.float64)
-    for start in range(0, pts.shape[0], TERM_SUMS_BLOCK):
-        eta = pts[start : start + TERM_SUMS_BLOCK]
-        w = term_weight(code, xi, eta, alpha) * wq[start : start + TERM_SUMS_BLOCK]
-        d = xi - eta
-        nd = np.sqrt((d * d).sum(axis=-1))
-        ne = np.sqrt((eta * eta).sum(axis=-1))
-        om = signs[:, 0:1] * nx - signs[:, 1:2] * nd - signs[:, 2:3] * ne
-        contrib = mult_values(t, om) * w
-        abs_om = np.abs(om)
-        resonant = abs_om <= res_thr
-        tot += contrib.sum(axis=1)
-        res += np.where(resonant, contrib, 0.0).sum(axis=1)
-        far = np.minimum(t, 2.0 / np.where(resonant, 1.0, abs_om)) * np.abs(w)
-        env += np.where(resonant, 0.0, far).sum(axis=1)
-    return tot, res, env
+    xis = xi.reshape(-1, 3)
+    n_pts = len(xis)
+    per = len(pts) // n_pts
+    eta = pts.reshape(n_pts, per, 3)
+    wq = wq.reshape(n_pts, per)
+    # One dot product per point, as in the one-point call.
+    nx = np.array([np.sqrt(x @ x) for x in xis])[:, None, None]
+    tot = np.zeros((n_pts, 8), dtype=np.complex128)
+    res = np.zeros((n_pts, 8), dtype=np.complex128)
+    env = np.zeros((n_pts, 8), dtype=np.float64)
+    width = max(min(per, TERM_SUMS_BLOCK), 1)
+    step = max(TERM_SUMS_BLOCK // width, 1)
+    for first in range(0, n_pts, step):
+        rows = slice(first, first + step)
+        x = xis[rows, None, :]
+        for start in range(0, per, width):
+            e = eta[rows, start : start + width]
+            w = term_weight(code, x, e, alpha) * wq[rows, start : start + width]
+            d = x - e
+            nd = np.sqrt((d * d).sum(axis=-1))[:, None, :]
+            ne = np.sqrt((e * e).sum(axis=-1))[:, None, :]
+            om = signs[:, 0:1] * nx[rows] - signs[:, 1:2] * nd - signs[:, 2:3] * ne
+            contrib = mult_values(t, om) * w[:, None, :]
+            abs_om = np.abs(om)
+            resonant = abs_om <= res_thr
+            tot[rows] += contrib.sum(axis=-1)
+            res[rows] += np.where(resonant, contrib, 0.0).sum(axis=-1)
+            aw = np.abs(w)[:, None, :]
+            far = np.minimum(t, 2.0 / np.where(resonant, 1.0, abs_om)) * aw
+            env[rows] += np.where(resonant, 0.0, far).sum(axis=-1)
+    shape = xi.shape[:-1] + (8,)
+    return tot.reshape(shape), res.reshape(shape), env.reshape(shape)
 
 
 def overlap_lengths(vals: np.ndarray, a_lo: float, a_hi: float, b_lo: float, b_hi: float) -> np.ndarray:

@@ -9,13 +9,15 @@ taken over each kernel term's admissible eta-box.  Every integral is
 evaluated on tensor Gauss-Legendre grids that start at 2 x 1 x 1 nodes
 and double until the per-term totals of successive grids agree; the
 configured ``grid`` doubled ``REFINE_CAP`` times is the ceiling, where an
-unsettled term is flagged.  Each grid is summed for all 8 sign triples
-in one pass, over fixed-size blocks of nodes, so memory does not grow
-with the grid.  Nodes are classified resonant or nonresonant by
-the empirical cut |omega| <= lam^(3/4); the resonant and nonresonant
-parts of the sum are accumulated separately, together with a rigorous
-pointwise envelope min(t, 2/|omega|) * |weight| for the nonresonant
-part.
+unsettled term is flagged.  The points of one configuration (a window's
+3 x 3 x 3 lattice) are integrated together: per term and refinement
+level, one node build and one kernel call cover every point still
+refining, for all 8 sign triples, over fixed-size blocks of nodes, so
+memory does not grow with the grid.  Nodes are classified resonant or
+nonresonant by the empirical cut |omega| <= lam^(3/4); the resonant and
+nonresonant parts of the sum are accumulated separately, together with
+a rigorous pointwise envelope min(t, 2/|omega|) * |weight| for the
+nonresonant part.
 
 All Sobolev norms use the convention
 
@@ -35,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from . import _kernels
-from .boxes import Box3, QuadratureGrid, admissible_eta_region, quadrature_grid
+from .boxes import Box3, admissible_eta_region, quadrature_grid, quadrature_nodes
 from .construction import BilinearKernel, KnappParams, kernels
 from .errors import InvalidParameterError
 from .symbols import SIGN_TRIPLES, SIGNS_ARRAY, SignTriple, omega_all
@@ -114,32 +116,114 @@ def resonance_classify(p: KnappParams, xi, eta) -> ResonanceReport:
 
 
 def _term_integrals(
-    p: KnappParams, xi: np.ndarray, kern: BilinearKernel, t: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
-    """Refined per-triple integrals (total, resonant, envelope) for one term."""
-    region = admissible_eta_region(xi, kern.support_a, kern.support_b)
-    zeros = (np.zeros(8, complex), np.zeros(8, complex), np.zeros(8), [])
-    if region is None:
-        return zeros
-    thr = p.resonance_threshold
+    p: KnappParams, xis: np.ndarray, kern: BilinearKernel, t: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[str]]]:
+    """Refined per-triple integrals (total, resonant, envelope) of one term.
+
+    Returns ``(P, 8)`` arrays for the P rows of ``xis`` and each point's
+    flags.  All points still refining share one grid shape, so each
+    refinement level is one node build and one ``term_sums`` call; a
+    point leaves once its totals settle, and is flagged if that does not
+    happen by the ceiling.
+    """
+    n_pts = len(xis)
+    regions = [admissible_eta_region(xi, kern.support_a, kern.support_b) for xi in xis]
+    out = (np.zeros((n_pts, 8), complex), np.zeros((n_pts, 8), complex), np.zeros((n_pts, 8)))
+    flags: list[list[str]] = [[] for _ in range(n_pts)]
+    live = np.array(
+        [j for j, r in enumerate(regions) if r is not None and not r.has_null_axis], dtype=int
+    )
     ceiling = tuple(int(n) << REFINE_CAP for n in p.grid)
     counts = tuple(min(b, c) for b, c in zip(BASE_GRID, ceiling))
     prev_tot = None
-    while True:
-        grid = quadrature_grid(region, counts)
-        if grid.weights.size == 0:
-            return zeros
-        tot, res, env = _kernels.term_sums(
-            grid.points, grid.weights, xi, t, kern.alpha, kern.code, SIGNS_ARRAY, thr
+    while live.size:
+        pts, wq = quadrature_nodes([regions[j] for j in live], counts)
+        sums = _kernels.term_sums(
+            pts.reshape(-1, 3), wq.reshape(-1), xis[live], t, kern.alpha, kern.code,
+            SIGNS_ARRAY, p.resonance_threshold,
         )
-        if prev_tot is not None:
-            scale = float(np.abs(tot).max())
-            if scale == 0.0 or float(np.abs(tot - prev_tot).max()) <= REFINE_RELTOL * scale:
-                return tot, res, env, []
+        tot = sums[0]
+        if prev_tot is None:
+            settled = np.zeros(live.size, dtype=bool)
+        else:
+            scale = np.abs(tot).max(axis=1)
+            delta = np.abs(tot - prev_tot).max(axis=1)
+            settled = (scale == 0.0) | (delta <= REFINE_RELTOL * scale)
         if counts == ceiling:
-            return tot, res, env, [f"nonconverged_quadrature:{kern.label}"]
-        prev_tot = tot
+            for j in live[~settled]:
+                flags[j].append(f"nonconverged_quadrature:{kern.label}")
+            settled[:] = True
+        for acc, part in zip(out, sums):
+            acc[live[settled]] = part[settled]
+        live, prev_tot = live[~settled], tot[~settled]
         counts = tuple(min(2 * n, c) for n, c in zip(counts, ceiling))
+    return (*out, flags)
+
+
+def lattice_hats(
+    p: KnappParams,
+    xis,
+    which: str = "both",
+    signs: tuple[SignTriple, ...] | None = None,
+    t: float | None = None,
+) -> tuple[AmplitudeBreakdown, ...]:
+    """``lambda_hat`` at every row of ``xis``, one pass per kernel term.
+
+    Each term is integrated for all points together, with one
+    ``term_sums`` call per refinement level; every breakdown equals the
+    one-point call's bit for bit.
+    """
+    xis = np.asarray(xis, dtype=float)
+    if xis.ndim != 2 or xis.shape[1] != 3:
+        raise InvalidParameterError("xis must be an array of 3-vectors")
+    norms = [math.sqrt(float(xi @ xi)) for xi in xis]
+    if 0.0 in norms:
+        raise InvalidParameterError("xi must be nonzero")
+    t_val = p.t if t is None else float(t)
+    if t_val < 0.0:
+        raise InvalidParameterError(f"t must be nonnegative, got {t_val}")
+    active = SIGN_TRIPLES if signs is None else tuple(signs)
+    active_idx = [SIGN_TRIPLES.index(s) for s in active]
+
+    tot_acc = np.zeros((len(xis), 8), dtype=complex)
+    res_acc = np.zeros((len(xis), 8), dtype=complex)
+    env_acc = np.zeros((len(xis), 8), dtype=float)
+    flags: list[list[str]] = [[] for _ in xis]
+    for kern in kernels(p, which):
+        tot, res, env, term_flags = _term_integrals(p, xis, kern, t_val)
+        tot_acc += tot
+        res_acc += res
+        env_acc += env
+        for point_flags, new in zip(flags, term_flags):
+            point_flags.extend(new)
+    pre = 1.0 / 4.0j
+    out = []
+    for i, (xi, nx) in enumerate(zip(xis, norms)):
+        per_sign: dict[SignTriple, complex] = {}
+        total = 0.0j
+        resonant = 0.0j
+        envelope = 0.0
+        for j in active_idx:
+            sigma = SIGN_TRIPLES[j]
+            phase = np.exp(-1j * sigma.s1 * t_val * nx)
+            val = pre * phase * tot_acc[i, j]
+            per_sign[sigma] = complex(val)
+            total += val
+            resonant += pre * phase * res_acc[i, j]
+            envelope += 0.25 * env_acc[i, j]
+        out.append(
+            AmplitudeBreakdown(
+                total=complex(total),
+                per_sign=per_sign,
+                resonant_sum=complex(resonant),
+                nonresonant_sum=complex(total - resonant),
+                nonresonant_envelope=float(envelope),
+                eval_point=(float(xi[0]), float(xi[1]), float(xi[2])),
+                t=t_val,
+                flags=tuple(flags[i]),
+            )
+        )
+    return tuple(out)
 
 
 def lambda_hat(
@@ -155,54 +239,13 @@ def lambda_hat(
     ``signs`` restricts the sign triples (default: all 8); ``t`` overrides
     the configuration time (test hook).  Points outside the interaction
     support return an exact zero breakdown.  Non-convergence of a term's
-    quadrature at the refinement cap is flagged, not raised.
+    quadrature at the refinement cap is flagged, not raised.  This is
+    ``lattice_hats`` at one point.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (3,):
         raise InvalidParameterError("xi must be a 3-vector")
-    if float(xi @ xi) == 0.0:
-        raise InvalidParameterError("xi must be nonzero")
-    t_val = p.t if t is None else float(t)
-    if t_val < 0.0:
-        raise InvalidParameterError(f"t must be nonnegative, got {t_val}")
-    active = SIGN_TRIPLES if signs is None else tuple(signs)
-    active_idx = [SIGN_TRIPLES.index(s) for s in active]
-
-    tot_acc = np.zeros(8, dtype=complex)
-    res_acc = np.zeros(8, dtype=complex)
-    env_acc = np.zeros(8, dtype=float)
-    flags: list[str] = []
-    for kern in kernels(p, which):
-        tot, res, env, term_flags = _term_integrals(p, xi, kern, t_val)
-        tot_acc += tot
-        res_acc += res
-        env_acc += env
-        flags.extend(term_flags)
-
-    nx = math.sqrt(float(xi @ xi))
-    pre = 1.0 / 4.0j
-    per_sign: dict[SignTriple, complex] = {}
-    total = 0.0j
-    resonant = 0.0j
-    envelope = 0.0
-    for j in active_idx:
-        sigma = SIGN_TRIPLES[j]
-        phase = np.exp(-1j * sigma.s1 * t_val * nx)
-        val = pre * phase * tot_acc[j]
-        per_sign[sigma] = complex(val)
-        total += val
-        resonant += pre * phase * res_acc[j]
-        envelope += 0.25 * env_acc[j]
-    return AmplitudeBreakdown(
-        total=complex(total),
-        per_sign=per_sign,
-        resonant_sum=complex(resonant),
-        nonresonant_sum=complex(total - resonant),
-        nonresonant_envelope=float(envelope),
-        eval_point=(float(xi[0]), float(xi[1]), float(xi[2])),
-        t=t_val,
-        flags=tuple(flags),
-    )
+    return lattice_hats(p, xi[None, :], which, signs, t)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ per-axis interval arithmetic and is kept exact here.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -78,6 +79,11 @@ class Box3:
             if i != self.surface_axis:
                 out *= hi - lo
         return out
+
+    @property
+    def has_null_axis(self) -> bool:
+        """True when a volume axis has zero length: measure 0, no grid nodes."""
+        return any(lo == hi for i, (lo, hi) in enumerate(self.axes) if i != self.surface_axis)
 
     def center(self) -> np.ndarray:
         return np.array([(lo + hi) / 2.0 for lo, hi in self.axes])
@@ -220,6 +226,49 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
+def _node_counts(nodes_per_axis) -> tuple[int, int, int]:
+    if len(nodes_per_axis) != 3 or any(int(n) < 1 for n in nodes_per_axis):
+        raise InvalidParameterError(f"nodes_per_axis must be 3 ints >= 1, got {nodes_per_axis}")
+    return tuple(int(n) for n in nodes_per_axis)
+
+
+def quadrature_nodes(
+    boxes: Sequence[Box3], nodes_per_axis: tuple[int, int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor-product Gauss-Legendre nodes and weights of several boxes at once.
+
+    The boxes share one surface axis (or none) and have no zero-length
+    volume axis.  Returns ``points`` of shape ``(P, n, 3)`` and
+    ``weights`` of shape ``(P, n)`` for P boxes of n nodes each, every
+    box's nodes ordered with axis 1 slowest and axis 3 fastest.
+    """
+    counts = _node_counts(nodes_per_axis)
+    surface = boxes[0].surface_axis
+    if any(b.surface_axis != surface for b in boxes):
+        raise InvalidParameterError("boxes gridded together must share their surface axis")
+    bounds = np.array([b.axes for b in boxes], dtype=float)
+    lo, hi = bounds[..., 0], bounds[..., 1]
+    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+    axis_nodes = []
+    axis_weights = []
+    for i in range(3):
+        if i == surface:
+            axis_nodes.append(lo[:, i : i + 1])
+            axis_weights.append(np.ones((len(boxes), 1)))
+            continue
+        u, w = _leggauss(counts[i])
+        axis_nodes.append(mid[:, i : i + 1] + half[:, i : i + 1] * u)
+        axis_weights.append(half[:, i : i + 1] * w)
+    x1, x2, x3 = axis_nodes
+    w1, w2, w3 = axis_weights
+    points = np.empty((len(boxes), x1.shape[1], x2.shape[1], x3.shape[1], 3))
+    points[..., 0] = x1[:, :, None, None]
+    points[..., 1] = x2[:, None, :, None]
+    points[..., 2] = x3[:, None, None, :]
+    weights = (w1[:, :, None, None] * w2[:, None, :, None]) * w3[:, None, None, :]
+    return points.reshape(len(boxes), -1, 3), weights.reshape(len(boxes), -1)
+
+
 def quadrature_grid(b: Box3, nodes_per_axis: tuple[int, int, int]) -> QuadratureGrid:
     """Tensor-product Gauss-Legendre grid over a box.
 
@@ -227,24 +276,9 @@ def quadrature_grid(b: Box3, nodes_per_axis: tuple[int, int, int]) -> Quadrature
     weights integrate the 2-D measure.  A zero-length volume axis yields
     an empty grid (measure 0), not an error.
     """
-    if len(nodes_per_axis) != 3 or any(int(n) < 1 for n in nodes_per_axis):
-        raise InvalidParameterError(f"nodes_per_axis must be 3 ints >= 1, got {nodes_per_axis}")
-    axis_nodes = []
-    axis_weights = []
-    for i, (lo, hi) in enumerate(b.axes):
-        if i == b.surface_axis:
-            axis_nodes.append(np.array([lo]))
-            axis_weights.append(np.array([1.0]))
-            continue
-        if hi == lo:
-            empty = np.empty((0, 3))
-            return QuadratureGrid(points=empty, weights=np.empty(0), total_measure=0.0)
-        u, w = _leggauss(int(nodes_per_axis[i]))
-        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-        axis_nodes.append(mid + half * u)
-        axis_weights.append(half * w)
-    g1, g2, g3 = np.meshgrid(*axis_nodes, indexing="ij")
-    w1, w2, w3 = np.meshgrid(*axis_weights, indexing="ij")
-    points = np.column_stack([g1.ravel(), g2.ravel(), g3.ravel()])
-    weights = (w1 * w2 * w3).ravel()
-    return QuadratureGrid(points=points, weights=weights, total_measure=b.measure)
+    _node_counts(nodes_per_axis)
+    if b.has_null_axis:
+        empty = np.empty((0, 3))
+        return QuadratureGrid(points=empty, weights=np.empty(0), total_measure=0.0)
+    points, weights = quadrature_nodes((b,), nodes_per_axis)
+    return QuadratureGrid(points=points[0], weights=weights[0], total_measure=b.measure)

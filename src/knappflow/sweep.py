@@ -24,7 +24,8 @@ import numpy as np
 from .amplitudes import (
     AmplitudeBreakdown,
     NormReport,
-    lambda_hat,
+    lambda_hat,  # noqa: F401  (perfbench/ hooks this name; sweeps use lattice_hats)
+    lattice_hats,
     norm_report,
     output_norm_from_samples,
     sample_lattice,
@@ -146,7 +147,7 @@ def sweep_core(
             )
             continue
         axes, pts = sample_lattice(p.samp_box, 3)
-        breakdowns = tuple(lambda_hat(p, pt) for pt in pts)
+        breakdowns = lattice_hats(p, pts)
         cores.append(
             WindowSamples(
                 k=k,

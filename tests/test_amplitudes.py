@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from knappflow.amplitudes import (
     _term_integrals,
     _trilinear,
     lambda_hat,
+    lattice_hats,
     norm_report,
     output_norm_from_samples,
     product_norm_boxes,
@@ -18,9 +20,10 @@ from knappflow.amplitudes import (
     sample_lattice,
     sobolev_norm_monomial,
 )
-from knappflow.boxes import Box3, admissible_eta_region, quadrature_grid
+from knappflow.boxes import Box3, admissible_eta_region, quadrature_grid, quadrature_nodes
 from knappflow.construction import kernels, make_params
 from knappflow.errors import InvalidParameterError
+from knappflow.sweep import sweep_core
 from knappflow.symbols import SIGN_TRIPLES, SIGNS_ARRAY, SignTriple
 
 EPS, RHO = 0.01, 2e-6
@@ -53,6 +56,28 @@ def count_term_sums(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(_kernels, "term_sums", counting)
     return nodes
+
+
+def count_points_per_call(monkeypatch) -> list[int]:
+    """Record how many output frequencies every ``term_sums`` call serves."""
+    points: list[int] = []
+    term_sums = _kernels.term_sums
+
+    def counting(pts, wq, xi, *args):
+        points.append(len(np.reshape(xi, (-1, 3))))
+        return term_sums(pts, wq, xi, *args)
+
+    monkeypatch.setattr(_kernels, "term_sums", counting)
+    return points
+
+
+def spread_points(p):
+    """36 output frequencies across the transverse extent of the wide-box
+    support: admissible regions of very different widths."""
+    c = p.samp_box.center()
+    return np.array(
+        [(c[0], x2, x3) for x2 in np.linspace(0.5, 185.0, 12) for x3 in (c[2], 60.0, 120.0)]
+    )
 
 
 def fixed_grid_sums(p, xi, kern, counts):
@@ -221,8 +246,9 @@ def test_wide_boxes_refine_to_fixed_grid_reference(monkeypatch, mode):
     spent = count_term_sums(monkeypatch)
     for kern in kernels(p):
         spent.clear()
-        tot, res, env, flags = _term_integrals(p, xi, kern, p.t)
-        assert flags == []
+        tot, res, env, flags = _term_integrals(p, xi[None, :], kern, p.t)
+        tot, res, env = tot[0], res[0], env[0]
+        assert flags == [[]]
         assert len(spent) > 2  # more than one comparison of successive grids
         want_tot, want_res, want_env = fixed_grid_sums(p, xi, kern, FINE_GRID)
         scale = np.abs(want_tot).max()
@@ -247,6 +273,60 @@ def test_lowered_cap_flags_only_the_wide_boxes(monkeypatch, mode, cap, grid):
     )
 
 
+@pytest.mark.parametrize("mode, nodes", [("slab", 1944), ("surface", 1080)])
+def test_window_is_one_term_sums_call_per_term_and_level(monkeypatch, mode, nodes):
+    # 4 terms x 2 levels, each call covering all 27 lattice points
+    spent = count_term_sums(monkeypatch)
+    (core,) = sweep_core(EPS, RHO, [1], mode=mode)
+    assert len(core.breakdowns) == 27
+    assert len(spent) == 8
+    assert sum(spent) == nodes
+
+
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_lattice_hats_equal_lambda_hat_per_point(mode):
+    p = make_params(EPS, RHO, 1, mode=mode)
+    _, pts = sample_lattice(p.samp_box, 3)
+    assert lattice_hats(p, pts) == tuple(lambda_hat(p, xi) for xi in pts)
+    signs = SIGN_TRIPLES[2:5]
+    assert lattice_hats(p, pts[:5], which="axis3", signs=signs, t=0.5 * p.t) == tuple(
+        lambda_hat(p, xi, which="axis3", signs=signs, t=0.5 * p.t) for xi in pts[:5]
+    )
+
+
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_lattice_hats_equal_lambda_hat_where_points_settle_apart(monkeypatch, mode):
+    wide_boxes(monkeypatch)
+    p = make_params(WIDE_EPS, WIDE_RHO, 1, mode=mode)
+    xis = spread_points(p)
+    points = count_points_per_call(monkeypatch)
+    batched = lattice_hats(p, xis)
+    # some points leave after the second grid while the rest refine on
+    assert min(points) < max(points) == len(xis)
+    assert batched == tuple(lambda_hat(p, xi) for xi in xis)
+
+
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_lowered_cap_flags_only_unsettled_points(monkeypatch, mode):
+    wide_boxes(monkeypatch)
+    monkeypatch.setattr(amplitudes, "REFINE_CAP", 0)
+    p = make_params(WIDE_EPS, WIDE_RHO, 1, mode=mode, grid=(4, 2, 2))
+    xis = spread_points(p)
+    batched = lattice_hats(p, xis)
+    assert {len(b.flags) for b in batched} == {0, 4}
+    assert [b.flags for b in batched] == [lambda_hat(p, xi).flags for xi in xis]
+
+
+def test_lattice_hats_validation():
+    p = small_params()
+    with pytest.raises(InvalidParameterError):
+        lattice_hats(p, p.samp_box.center())
+    with pytest.raises(InvalidParameterError):
+        lattice_hats(p, [p.samp_box.center(), (0.0, 0.0, 0.0)])
+    with pytest.raises(InvalidParameterError):
+        lattice_hats(p, [p.samp_box.center()], t=-1.0)
+
+
 def test_backend_paths_agree(monkeypatch):
     p = small_params()
     xi = np.asarray(p.samp_box.center())
@@ -263,6 +343,50 @@ def test_backend_paths_agree(monkeypatch):
         assert np.abs(tot_np - tot_py).max() <= 1e-12 * scale
         assert np.abs(res_np - res_py).max() <= 1e-12 * scale
         assert np.abs(env_np - env_py).max() <= 1e-12 * env_np.max()
+
+
+@pytest.mark.parametrize("counts", [(6, 5, 4), (3, 1, 1), (2, 1, 1)])
+def test_several_points_per_call_agree_with_scalar_reference(monkeypatch, counts):
+    # with 7-node blocks each 120-node grid spans 18 blocks (the last one
+    # partial); 3-node grids go 2 to a block, and 2-node grids 3 to a
+    # block, the last block holding the one point left over
+    p = small_params()
+    _, pts = sample_lattice(p.samp_box, 3)
+    xis = pts[[0, 5, 13, 26]]
+    kern = kernels(p)[1]
+    regions = [admissible_eta_region(xi, kern.support_a, kern.support_b) for xi in xis]
+    nodes, weights = quadrature_nodes(regions, counts)
+    args = (p.t, kern.alpha, kern.code, SIGNS_ARRAY, p.resonance_threshold)
+    monkeypatch.setattr(_kernels, "TERM_SUMS_BLOCK", 7)
+    tot, res, env = _kernels.term_sums(nodes.reshape(-1, 3), weights.reshape(-1), xis, *args)
+    assert tot.shape == res.shape == env.shape == (4, 8)
+    for j, xi in enumerate(xis):
+        tot_py, res_py, env_py = _kernels._term_sums_loop(nodes[j], weights[j], xi, *args)
+        scale = np.abs(tot[j]).max()
+        assert np.abs(tot[j] - tot_py).max() <= 1e-12 * scale
+        assert np.abs(res[j] - res_py).max() <= 1e-12 * scale
+        assert np.abs(env[j] - env_py).max() <= 1e-12 * env[j].max()
+
+
+def test_several_points_per_call_memory_is_bounded():
+    # 4 points x 65,536 nodes: one (4, 8, n) complex broadcast would take
+    # 34 MB per temporary; 4,096-node blocks keep every temporary at 0.5 MB
+    p = small_params()
+    _, pts = sample_lattice(p.samp_box, 3)
+    xis = pts[[0, 5, 13, 26]]
+    kern = kernels(p)[0]
+    regions = [admissible_eta_region(xi, kern.support_a, kern.support_b) for xi in xis]
+    nodes, weights = quadrature_nodes(regions, FINE_GRID)
+    args = (p.t, kern.alpha, kern.code, SIGNS_ARRAY, p.resonance_threshold)
+    tracemalloc.start()
+    try:
+        tot, _, _ = _kernels.term_sums(nodes.reshape(-1, 3), weights.reshape(-1), xis, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nodes.shape == (4, 65536, 3)
+    assert np.all(tot != 0.0)
+    assert peak < 16 * 2**20
 
 
 def test_sobolev_norm_closed_forms():

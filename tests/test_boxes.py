@@ -10,6 +10,7 @@ from knappflow.boxes import (
     box_w,
     box_w_prime,
     quadrature_grid,
+    quadrature_nodes,
 )
 from knappflow.errors import InvalidParameterError
 
@@ -178,3 +179,41 @@ def test_quadrature_degenerate_volume_axis_is_empty():
     assert g.total_measure == 0.0
     with pytest.raises(InvalidParameterError):
         quadrature_grid(flat, (4, 0, 4))
+
+
+def _meshgrid_grid(b, counts):
+    """Tensor grid built with meshgrid and column_stack, axis by axis."""
+    nodes, weights = [], []
+    for i, (lo, hi) in enumerate(b.axes):
+        if i == b.surface_axis:
+            nodes.append(np.array([lo]))
+            weights.append(np.array([1.0]))
+            continue
+        u, w = np.polynomial.legendre.leggauss(counts[i])
+        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+        nodes.append(mid + half * u)
+        weights.append(half * w)
+    g = np.meshgrid(*nodes, indexing="ij")
+    w1, w2, w3 = np.meshgrid(*weights, indexing="ij")
+    return np.column_stack([x.ravel() for x in g]), (w1 * w2 * w3).ravel()
+
+
+@pytest.mark.parametrize("counts", [(2, 1, 1), (5, 3, 2), (6, 6, 6)])
+def test_quadrature_nodes_match_meshgrid_construction(counts):
+    volume = [box_w(LAM), box_scale(box_w(LAM), -2.0), Box3((0.0, 1.0), (-3.0, 2.0), (1.0, 1.5))]
+    surface = [box_w_prime(LAM), box_w_prime(4.0 * LAM)]
+    for group in (volume, surface):
+        points, weights = quadrature_nodes(group, counts)
+        assert points.shape[:2] == weights.shape
+        for b, pts, wts in zip(group, points, weights):
+            want_pts, want_wts = _meshgrid_grid(b, counts)
+            assert np.array_equal(pts, want_pts)
+            assert np.array_equal(wts, want_wts)
+            g = quadrature_grid(b, counts)
+            assert np.array_equal(g.points, pts)
+            assert np.array_equal(g.weights, wts)
+
+
+def test_quadrature_nodes_need_one_surface_axis():
+    with pytest.raises(InvalidParameterError):
+        quadrature_nodes([box_w(LAM), box_w_prime(LAM)], (2, 2, 2))
