@@ -37,7 +37,14 @@ from enum import Enum
 import numpy as np
 
 from . import _kernels
-from .boxes import Box3, admissible_eta_region, quadrature_grid, quadrature_nodes
+from .boxes import (
+    Box3,
+    _node_counts,
+    admissible_eta_region,
+    gauss_legendre_cells,
+    quadrature_grid,
+    quadrature_nodes,
+)
 from .construction import BilinearKernel, KnappParams, kernels
 from .errors import InvalidParameterError
 from .symbols import SIGN_TRIPLES, SIGNS_ARRAY, SignTriple, omega_all
@@ -316,8 +323,12 @@ def product_norm_boxes(
     which factorizes per axis for axis-aligned boxes; the norm integral
     over the Minkowski-sum support is done by Gauss-Legendre composite
     over the cells between the per-axis kink points of the convolution.
+    Nodes, squared coordinates, convolution factors and weights are
+    computed once per axis for all of its cells; each cell's integrand is
+    their tensor product, summed by one dot.
     """
-    axis_cells = []
+    counts = _node_counts(nodes_per_axis)
+    axis_rules = []
     for i in range(3):
         if i == a.surface_axis:
             lo, hi = a.axes[i][0] + b.axes[i][0], a.axes[i][0] + b.axes[i][1]
@@ -326,26 +337,19 @@ def product_norm_boxes(
             cuts = np.array([a.axes[i][0] + b.axes[i][0], a.axes[i][1] + b.axes[i][0]])
         else:
             cuts = _axis_breakpoints(a.axes[i], b.axes[i])
-        cells = [(cuts[j], cuts[j + 1]) for j in range(len(cuts) - 1) if cuts[j + 1] > cuts[j]]
-        if not cells:
+        keep = cuts[1:] > cuts[:-1]
+        if not keep.any():
             return 0.0
-        axis_cells.append(cells)
+        x, w = gauss_legendre_cells(cuts[:-1][keep], cuts[1:][keep], counts[i])
+        axis_rules.append(list(zip(x * x, _conv_factor(x, a, b, i), w)))
 
     integral = 0.0
-    for c1 in axis_cells[0]:
-        for c2 in axis_cells[1]:
-            for c3 in axis_cells[2]:
-                cell = Box3(ax1=c1, ax2=c2, ax3=c3)
-                grid = quadrature_grid(cell, nodes_per_axis)
-                if grid.weights.size == 0:
-                    continue
-                conv = alpha * (
-                    _conv_factor(grid.points[:, 0], a, b, 0)
-                    * _conv_factor(grid.points[:, 1], a, b, 1)
-                    * _conv_factor(grid.points[:, 2], a, b, 2)
-                )
-                vals = _bracket_sq(grid.points) ** r * (conv / TWO_PI_CUBED) ** 2
-                integral += float(grid.weights @ vals)
+    for (sq1, f1, w1), (sq2, f2, w2), (sq3, f3, w3) in itertools.product(*axis_rules):
+        bracket = 1.0 + ((sq1[:, None, None] + sq2[None, :, None]) + sq3[None, None, :])
+        conv = alpha * ((f1[:, None, None] * f2[None, :, None]) * f3[None, None, :])
+        vals = bracket**r * (conv / TWO_PI_CUBED) ** 2
+        weights = (w1[:, None, None] * w2[None, :, None]) * w3[None, None, :]
+        integral += float(weights.ravel() @ vals.ravel())
     return math.sqrt(integral / TWO_PI_CUBED)
 
 
@@ -398,20 +402,27 @@ def sample_lattice(b: Box3, n_per_axis: int) -> tuple[list[np.ndarray], np.ndarr
     return axes, np.column_stack([g1.ravel(), g2.ravel(), g3.ravel()])
 
 
-def _trilinear(corners: np.ndarray, lo: np.ndarray, hi: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Trilinear interpolant at ``pts`` of one lattice cell ``[lo, hi]``.
+def _trilinear(vals: np.ndarray, ys: list[np.ndarray]) -> np.ndarray:
+    """Trilinear interpolant of lattice values at tensor nodes in every cell.
 
-    ``corners[c1, c2, c3]`` is the value at the low (0) or high (1) end
-    of each axis.  The operation order is that of scipy's linear
+    ``vals`` has shape ``(n1, n2, n3)``; ``ys[i]`` has shape
+    ``(n_i - 1, m_i)`` and holds each cell's node positions along axis i,
+    normalised to [0, 1] within the cell.  Returns shape
+    ``(n1-1, n2-1, n3-1, m1, m2, m3)``: cell indices, then nodes.  The
+    per-element operation order is that of scipy's linear
     ``RegularGridInterpolator``, so the two agree bit for bit.
     """
-    y = (pts - lo) / (hi - lo)
-    out = np.zeros(len(pts))
+    cells = tuple(len(y) for y in ys)
+    factors = []
+    for axis, y in enumerate(ys):
+        shape = [1] * 6
+        shape[axis], shape[3 + axis] = y.shape
+        factors.append((np.reshape(1 - y, shape), np.reshape(y, shape)))
+    out = np.zeros(cells + tuple(y.shape[1] for y in ys))
     for corner in itertools.product((0, 1), repeat=3):
-        w = np.ones(len(pts))
-        for axis, c in enumerate(corner):
-            w = w * (y[:, axis] if c else 1 - y[:, axis])
-        out = out + corners[corner] * w
+        w = (factors[0][corner[0]] * factors[1][corner[1]]) * factors[2][corner[2]]
+        at_corner = vals[tuple(slice(c, c + n) for c, n in zip(corner, cells))]
+        out = out + at_corner[..., None, None, None] * w
     return out
 
 
@@ -425,15 +436,27 @@ def output_norm_from_samples(
     Interpolates |amplitude| trilinearly within each lattice cell and
     integrates ``(2 pi)^-3 <xi>^{2s} |amp|^2`` over the sampling box by
     per-cell Gauss-Legendre (the interpolant is smooth within cells).
+    Nodes and weights are built per axis for all cells; each cell's
+    integrand is summed by one dot.
     """
     shape = tuple(len(ax) for ax in lattice_axes)
-    vals = amps.reshape(shape)
+    axis_nodes, axis_weights, ys = [], [], []
+    for ax in lattice_axes:
+        lo, hi = ax[:-1], ax[1:]
+        x, w = gauss_legendre_cells(lo, hi, 6)
+        axis_nodes.append(x)
+        axis_weights.append(w)
+        ys.append((x - lo[:, None]) / (hi - lo)[:, None])
+    interp = _trilinear(amps.reshape(shape), ys)
+    sq1, sq2, sq3 = (x * x for x in axis_nodes)
+    bracket = 1.0 + (
+        (sq1[:, None, None, :, None, None] + sq2[None, :, None, None, :, None])
+        + sq3[None, None, :, None, None, :]
+    )
+    vals = bracket**s * interp**2
     integral = 0.0
     for idx in itertools.product(*(range(n - 1) for n in shape)):
-        lo = np.array([ax[i] for ax, i in zip(lattice_axes, idx)])
-        hi = np.array([ax[i + 1] for ax, i in zip(lattice_axes, idx)])
-        grid = quadrature_grid(Box3(*zip(lo, hi)), (6, 6, 6))
-        corners = vals[tuple(slice(i, i + 2) for i in idx)]
-        interp = _trilinear(corners, lo, hi, grid.points)
-        integral += float(grid.weights @ (_bracket_sq(grid.points) ** s * interp**2))
+        w1, w2, w3 = (w[i] for w, i in zip(axis_weights, idx))
+        weights = (w1[:, None, None] * w2[None, :, None]) * w3[None, None, :]
+        integral += float(weights.ravel() @ vals[idx].ravel())
     return math.sqrt(integral / TWO_PI_CUBED)

@@ -174,7 +174,9 @@ def admissible_eta_region(xi, a: Box3, b: Box3) -> Box3 | None:
     Returns ``(xi - a) ∩ b`` as a box, or ``None`` when empty.  A surface
     axis of either operand pins that coordinate; the result then carries
     2-D measure on the remaining axes.  A coincidentally zero-length axis
-    of a volume/volume intersection stays a volume axis (measure zero).
+    of a volume/volume intersection stays a volume axis (measure zero); in
+    a surface intersection it leaves no 2-D measure, and the region is
+    ``None``.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (3,):
@@ -209,7 +211,7 @@ def admissible_eta_region(xi, a: Box3, b: Box3) -> Box3 | None:
                     return None
             axes.append((point, point))
         else:
-            if lo > hi:
+            if lo > hi or (lo == hi and surface_axis is not None):
                 return None
             axes.append((lo, hi))
     return Box3(
@@ -224,6 +226,19 @@ def admissible_eta_region(xi, a: Box3, b: Box3) -> Box3 | None:
 @lru_cache(maxsize=None)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
+
+
+def gauss_legendre_cells(lo, hi, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on each interval ``[lo, hi]``.
+
+    ``lo`` and ``hi`` are arrays of interval ends; the nodes and weights
+    gain a trailing axis of length ``n``.  Every Gauss-Legendre grid of the
+    package takes its per-axis rule from here.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+    u, w = _leggauss(n)
+    return mid[..., None] + half[..., None] * u, half[..., None] * w
 
 
 def _node_counts(nodes_per_axis) -> tuple[int, int, int]:
@@ -248,7 +263,6 @@ def quadrature_nodes(
         raise InvalidParameterError("boxes gridded together must share their surface axis")
     bounds = np.array([b.axes for b in boxes], dtype=float)
     lo, hi = bounds[..., 0], bounds[..., 1]
-    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
     axis_nodes = []
     axis_weights = []
     for i in range(3):
@@ -256,9 +270,9 @@ def quadrature_nodes(
             axis_nodes.append(lo[:, i : i + 1])
             axis_weights.append(np.ones((len(boxes), 1)))
             continue
-        u, w = _leggauss(counts[i])
-        axis_nodes.append(mid[:, i : i + 1] + half[:, i : i + 1] * u)
-        axis_weights.append(half[:, i : i + 1] * w)
+        x, w = gauss_legendre_cells(lo[:, i], hi[:, i], counts[i])
+        axis_nodes.append(x)
+        axis_weights.append(w)
     x1, x2, x3 = axis_nodes
     w1, w2, w3 = axis_weights
     points = np.empty((len(boxes), x1.shape[1], x2.shape[1], x3.shape[1], 3))

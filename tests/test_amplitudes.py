@@ -9,18 +9,27 @@ from knappflow import _kernels, amplitudes, boxes
 from knappflow.amplitudes import (
     TWO_PI_CUBED,
     ResonanceClass,
+    _axis_breakpoints,
+    _conv_factor,
     _term_integrals,
     _trilinear,
     lambda_hat,
     lattice_hats,
     norm_report,
     output_norm_from_samples,
+    product_norm,
     product_norm_boxes,
     resonance_classify,
     sample_lattice,
     sobolev_norm_monomial,
 )
-from knappflow.boxes import Box3, admissible_eta_region, quadrature_grid, quadrature_nodes
+from knappflow.boxes import (
+    Box3,
+    admissible_eta_region,
+    gauss_legendre_cells,
+    quadrature_grid,
+    quadrature_nodes,
+)
 from knappflow.construction import kernels, make_params
 from knappflow.errors import InvalidParameterError
 from knappflow.sweep import sweep_core
@@ -33,6 +42,8 @@ FINE_GRID = (64, 32, 32)
 # A regime where the term integrals need more than one refinement: boxes
 # 5e3 times wider along axis 1 and 1e6 times wider transversally.
 WIDE_EPS, WIDE_RHO = 0.1, 1.2e-2
+# The Sobolev indices r of the benchmark's (s, r) scans.
+R_GRID = (-0.5, -0.25, 0.0, 0.25)
 
 
 def small_params(**kw):
@@ -179,6 +190,17 @@ def test_outside_support_is_exact_zero():
     assert b.flags == ()
     b = lambda_hat(p, (-p.lam, 0.0, 0.0))
     assert b.total == 0.0
+
+
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_support_edge_is_exact_zero(mode):
+    # xi1 = a_lo + b_lo of the first term: its region collapses to one
+    # point along axis 1, which carries no volume and no surface measure
+    p = make_params(EPS, RHO, 1, mode=mode)
+    kern = kernels(p)[0]
+    xi = p.samp_box.center()
+    xi[0] = kern.support_a.axes[0][0] + kern.support_b.axes[0][0]
+    assert lambda_hat(p, xi).total == 0
 
 
 def test_time_zero_vanishes():
@@ -437,6 +459,93 @@ def test_product_norm_surface_factor_is_indicator():
     assert got == pytest.approx(want, rel=1e-10)
 
 
+def product_norm_reference(a, b, r, nodes_per_axis=(32, 16, 16), alpha=1.0):
+    """``product_norm_boxes`` one cell at a time: a ``Box3`` and a
+    ``quadrature_grid`` per cell, convolution factors on its (n, 3) points."""
+    axis_cells = []
+    for i in range(3):
+        if i == a.surface_axis:
+            cuts = np.array([a.axes[i][0] + b.axes[i][0], a.axes[i][0] + b.axes[i][1]])
+        elif i == b.surface_axis:
+            cuts = np.array([a.axes[i][0] + b.axes[i][0], a.axes[i][1] + b.axes[i][0]])
+        else:
+            cuts = _axis_breakpoints(a.axes[i], b.axes[i])
+        axis_cells.append([(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo])
+    integral = 0.0
+    for cell in itertools.product(*axis_cells):
+        grid = quadrature_grid(Box3(*cell), nodes_per_axis)
+        pts = grid.points
+        conv = alpha * (
+            _conv_factor(pts[:, 0], a, b, 0)
+            * _conv_factor(pts[:, 1], a, b, 1)
+            * _conv_factor(pts[:, 2], a, b, 2)
+        )
+        bracket = 1.0 + (pts * pts).sum(axis=-1)
+        integral += float(grid.weights @ (bracket**r * (conv / TWO_PI_CUBED) ** 2))
+    return math.sqrt(integral / TWO_PI_CUBED)
+
+
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+@pytest.mark.parametrize("k", [1, 5, 10])
+def test_product_norm_equals_per_cell_reference(mode, k):
+    p = make_params(EPS, RHO, k, mode=mode)
+    a, b, alpha = p.w2_box, p.neg_wprime_box, p.slab.amplitude
+    for r in R_GRID:
+        assert product_norm(p, r) == product_norm_reference(a, b, r, p.grid, alpha)
+        got = product_norm_boxes(a, b, r, SMALL_GRID, alpha=2.5)
+        assert got == product_norm_reference(a, b, r, SMALL_GRID, alpha=2.5)
+
+
+def random_box(rng, surface_axis=None):
+    ends = np.sort(rng.uniform(-3.0, 3.0, (3, 2)), axis=1)
+    if surface_axis is not None:
+        ends[surface_axis, 1] = ends[surface_axis, 0]
+    return Box3(*map(tuple, ends), surface_axis=surface_axis)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_product_norm_at_steep_weight_equals_per_cell_reference(seed):
+    # At a large r the few nodes of largest |xi| decide the sum, so a
+    # change in the last bit of their integrand shows in the result
+    rng = np.random.default_rng(seed)
+    a = random_box(rng, surface_axis=2 if seed % 3 == 0 else None)
+    b = random_box(rng, surface_axis=2 if seed % 3 == 1 else None)
+    r, alpha = float(rng.uniform(8.0, 30.0)), float(rng.uniform(0.5, 2.0))
+    got = product_norm_boxes(a, b, r, SMALL_GRID, alpha=alpha)
+    assert got == product_norm_reference(a, b, r, SMALL_GRID, alpha=alpha)
+
+
+def test_product_norm_of_separated_boxes_equals_per_cell_reference():
+    # two volume boxes apart: the convolution still lives on the Minkowski sum
+    a = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.0, 1.0))
+    b = Box3(ax1=(5.0, 6.0), ax2=(5.5, 6.0), ax3=(5.0, 7.0))
+    got = product_norm_boxes(a, b, 0.3, SMALL_GRID, alpha=0.75)
+    assert got > 0.0
+    assert got == product_norm_reference(a, b, 0.3, SMALL_GRID, alpha=0.75)
+    # two parallel sheets: the product carries no 2-D measure
+    low = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.2, 0.2), surface_axis=2)
+    high = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.5, 0.5), surface_axis=2)
+    assert product_norm_boxes(low, high, 0.3) == product_norm_reference(low, high, 0.3) == 0.0
+    with pytest.raises(InvalidParameterError):
+        product_norm_boxes(a, b, 0.3, (8, 0, 4))
+
+
+def test_product_norm_working_set_is_one_cell():
+    # 27 cells of (32,16,16) nodes; one float64 array over all of them is
+    # the working set of a whole-window broadcast
+    p = make_params(EPS, RHO, 5)
+    assert p.grid == (32, 16, 16)
+    whole_window = 27 * 8192 * 8
+    product_norm(p)
+    tracemalloc.start()
+    try:
+        product_norm(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < whole_window
+
+
 def test_norm_report_structure():
     p = small_params()
     rep = norm_report(p, output_lower=1.25)
@@ -461,11 +570,21 @@ def test_output_norm_lower_constant_hook():
 
 
 def _cells_with_gauss_nodes(axes):
+    """Each lattice cell's index, bounds and (6,6,6) Gauss nodes, one cell at a time."""
     for idx in itertools.product(*(range(len(ax) - 1) for ax in axes)):
         lo = np.array([ax[i] for ax, i in zip(axes, idx)])
         hi = np.array([ax[i + 1] for ax, i in zip(axes, idx)])
         nodes = quadrature_grid(Box3(*zip(lo, hi)), (6, 6, 6)).points
-        yield tuple(slice(i, i + 2) for i in idx), lo, hi, nodes
+        yield idx, lo, hi, nodes
+
+
+def _normalised_cell_nodes(axes):
+    """Per axis, every cell's 6 Gauss nodes as fractions of the cell."""
+    ys = []
+    for ax in axes:
+        x, _ = gauss_legendre_cells(ax[:-1], ax[1:], 6)
+        ys.append((x - ax[:-1, None]) / (ax[1:] - ax[:-1])[:, None])
+    return ys
 
 
 def test_trilinear_matches_scipy_and_is_exact_on_multilinear():
@@ -474,9 +593,11 @@ def test_trilinear_matches_scipy_and_is_exact_on_multilinear():
     axes, _ = sample_lattice(p.samp_box, 3)
     vals = np.random.default_rng(7).random((3, 3, 3))
     oracle = interpolate.RegularGridInterpolator(axes, vals, method="linear")
-    for cell, lo, hi, nodes in _cells_with_gauss_nodes(axes):
+    interp = _trilinear(vals, _normalised_cell_nodes(axes))
+    assert interp.shape == (2, 2, 2, 6, 6, 6)
+    for idx, _, _, nodes in _cells_with_gauss_nodes(axes):
         want = oracle(nodes)
-        got = _trilinear(vals[cell], lo, hi, nodes)
+        got = interp[idx].ravel()
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
     # a + b*x1 + c*x2*x3 is multilinear, so the interpolant reproduces it
@@ -485,10 +606,72 @@ def test_trilinear_matches_scipy_and_is_exact_on_multilinear():
 
     axes = [np.linspace(0.0, 1.0, 3), np.linspace(-1.0, 2.0, 4), np.linspace(1.0, 3.0, 3)]
     vals = f(*np.meshgrid(*axes, indexing="ij"))
-    for cell, lo, hi, nodes in _cells_with_gauss_nodes(axes):
+    interp = _trilinear(vals, _normalised_cell_nodes(axes))
+    for idx, _, _, nodes in _cells_with_gauss_nodes(axes):
         want = f(*nodes.T)
-        got = _trilinear(vals[cell], lo, hi, nodes)
+        got = interp[idx].ravel()
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def trilinear_reference(vals, idx, lo, hi, pts):
+    """The trilinear interpolant of one lattice cell, point by point."""
+    corners = vals[tuple(slice(i, i + 2) for i in idx)]
+    y = (pts - lo) / (hi - lo)
+    out = np.zeros(len(y))
+    for corner in itertools.product((0, 1), repeat=3):
+        w = np.ones(len(y))
+        for axis, c in enumerate(corner):
+            w = w * (y[:, axis] if c else 1 - y[:, axis])
+        out = out + corners[corner] * w
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_trilinear_equals_pointwise_reference(seed):
+    rng = np.random.default_rng(seed)
+    axes = [np.sort(rng.uniform(-5.0, 5.0, n)) for n in rng.integers(2, 6, 3)]
+    vals = rng.standard_normal(tuple(len(ax) for ax in axes))
+    interp = _trilinear(vals, _normalised_cell_nodes(axes))
+    for idx, lo, hi, nodes in _cells_with_gauss_nodes(axes):
+        assert np.array_equal(interp[idx].ravel(), trilinear_reference(vals, idx, lo, hi, nodes))
+
+
+def output_norm_reference(s, axes, amps):
+    """``output_norm_from_samples`` one cell at a time: a ``quadrature_grid``
+    per cell and the interpolant evaluated point by point."""
+    vals = amps.reshape(tuple(len(ax) for ax in axes))
+    integral = 0.0
+    for idx, lo, hi, _ in _cells_with_gauss_nodes(axes):
+        grid = quadrature_grid(Box3(*zip(lo, hi)), (6, 6, 6))
+        interp = trilinear_reference(vals, idx, lo, hi, grid.points)
+        bracket = 1.0 + (grid.points * grid.points).sum(axis=-1)
+        integral += float(grid.weights @ (bracket**s * interp**2))
+    return math.sqrt(integral / TWO_PI_CUBED)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_output_norm_equals_per_cell_reference(seed):
+    rng = np.random.default_rng(seed)
+    if seed < 2:
+        p = make_params(EPS, RHO, 1 + 9 * seed, mode=("slab", "surface")[seed])
+        axes, _ = sample_lattice(p.samp_box, 3)
+        amps = rng.random(27) * 1e-20
+    else:
+        axes = [np.sort(rng.uniform(-5.0, 5.0, n)) for n in rng.integers(2, 6, 3)]
+        amps = rng.random(math.prod(len(ax) for ax in axes))
+    s = float(rng.choice([0.0, 0.5, 0.75, 1.3, 2.0]))
+    assert output_norm_from_samples(s, axes, amps) == output_norm_reference(s, axes, amps)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_output_norm_at_steep_weight_equals_per_cell_reference(seed):
+    # At a large s the few nodes of largest |xi| decide the sum, so a
+    # change in the last bit of their integrand shows in the result
+    rng = np.random.default_rng(seed)
+    axes = [np.sort(rng.uniform(-5.0, 5.0, n)) for n in rng.integers(2, 6, 3)]
+    amps = rng.random(math.prod(len(ax) for ax in axes))
+    s = float(rng.uniform(30.0, 80.0))
+    assert output_norm_from_samples(s, axes, amps) == output_norm_reference(s, axes, amps)
 
 
 def test_sample_lattice_shape():

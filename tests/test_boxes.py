@@ -130,6 +130,18 @@ def test_admissible_region_surface_pinning():
         admissible_eta_region((0.0, 0.0, 0.0), bad, surf)
 
 
+def test_admissible_region_surface_with_collapsed_axis_is_empty():
+    sheet = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.0, 0.0), surface_axis=2)
+    slab = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(-0.25, 0.25))
+    b = Box3(ax1=(2.0, 3.0), ax2=(0.0, 1.0), ax3=(0.0, 1.0))
+    # xi1 at the low end of the Minkowski sum: the axis-1 interval is one point
+    xi = (2.0, 0.5, 0.5)
+    assert admissible_eta_region(xi, sheet, b) is None
+    # the same collapse in a volume/volume intersection keeps a measure-0 box
+    region = admissible_eta_region(xi, slab, b)
+    assert region is not None and region.ax1 == (2.0, 2.0) and region.has_null_axis
+
+
 def test_minkowski_coverage():
     # every sampled xi in W with xi3 above the doubled floor admits
     # eta with xi - eta in -W' and eta in 2W

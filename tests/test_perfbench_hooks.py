@@ -1,0 +1,37 @@
+"""The names the benchmark harness wraps or polls must exist in the package.
+
+``perfbench/tracing.py`` replaces each ``(module, attr)`` of its ``TRACED``
+table with a timing wrapper, and ``perfbench/run.py`` polls its speed gauge
+after ``knappflow.sweep.lambda_hat``.  A renamed or deleted function would
+break ``--trace 1`` or every benchmark run without failing a package test.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_traced():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TRACED
+
+
+def test_traced_table_is_readable():
+    traced = load_traced()
+    assert len(traced) > 0
+    assert all(len(entry) == 3 for entry in traced)
+
+
+@pytest.mark.parametrize(
+    "module_name, attr",
+    [(module_name, attr) for _, module_name, attr in load_traced()]
+    + [("knappflow.sweep", "lambda_hat")],
+)
+def test_hooked_name_resolves(module_name, attr):
+    assert callable(getattr(importlib.import_module(module_name), attr, None))
