@@ -43,20 +43,24 @@ def _mult_py(t: float, om: float) -> complex:
 
 
 def mult_values(t: float, om: np.ndarray) -> np.ndarray:
-    """Vectorized multiplier; same two-branch rule as the scalar path."""
+    """Vectorized multiplier; same two-branch rule as the scalar path.
+
+    Each branch is evaluated only on the elements it applies to.
+    """
     om = np.asarray(om, dtype=float)
     x = t * om
     small = np.abs(x) < MULT_SERIES_THRESHOLD
-    z = 1j * x
-    series = t * (
+    out = np.empty(x.shape, dtype=complex)
+    z = 1j * x[small]
+    out[small] = t * (
         1.0 + z * (1 / 2 + z * (1 / 6 + z * (1 / 24 + z * (1 / 120 + z * (1 / 720)))))
     )
-    om_safe = np.where(small, 1.0, om)
-    half = 0.5 * x
+    big = ~small
+    half = 0.5 * x[big]
     s = np.sin(half)
     c = np.cos(half)
-    exact = (2.0 * s / om_safe) * (c + 1j * s)
-    return np.where(small, series, exact)
+    out[big] = (2.0 * s / om[big]) * (c + 1j * s)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -131,29 +135,33 @@ def _term_sums_loop(pts, wq, xi, t, alpha, code, signs, res_thr):
 def term_sums(pts, wq, xi, t, alpha, code, signs, res_thr):
     """Per-sign-triple sums of m(t, omega) * weight over quadrature grids.
 
-    ``xi`` is one output frequency, shape ``(3,)``, or P of them, shape
-    ``(P, 3)``; ``pts`` ``(N, 3)`` and ``wq`` ``(N,)`` then hold P grids
-    of N / P nodes each, point j's grid in rows ``j*N/P`` to
-    ``(j+1)*N/P``.  Returns ``(tot, res, env)``, each of shape
-    ``xi.shape[:-1] + (8,)``: for each point and sign triple the full
-    complex sum, the sum over resonant nodes (|omega| <= res_thr), and a
-    pointwise envelope ``min(t, 2/|omega|) * |weight|`` over the rest.
-    All 8 triples are evaluated together as ``(points, 8, nodes)`` arrays
-    over blocks of at most ``TERM_SUMS_BLOCK`` nodes: whole grids while
-    a grid fits in a block, else consecutive slices of one grid.  Each
-    point's nodes are summed along a contiguous axis, so a point's sums
-    do not depend on the other points of the call.
+    ``xi`` is one output frequency, shape ``(3,)``, or P rows of them,
+    shape ``(P, 3)``; ``pts`` ``(N, 3)`` and ``wq`` ``(N,)`` then hold P
+    grids of N / P nodes each, row j's grid in rows ``j*N/P`` to
+    ``(j+1)*N/P``.  ``code`` and ``alpha`` are one kernel term's, or one
+    per row, so a call may mix terms.  Returns ``(tot, res, env)``, each
+    of shape ``xi.shape[:-1] + (8,)``: for each row and sign triple the
+    full complex sum, the sum over resonant nodes (|omega| <= res_thr),
+    and a pointwise envelope ``min(t, 2/|omega|) * |weight|`` over the
+    rest.  All 8 triples are evaluated together as ``(rows, 8, nodes)``
+    arrays over blocks of at most ``TERM_SUMS_BLOCK`` nodes: whole grids
+    while a grid fits in a block, else consecutive slices of one grid.
+    Each row's nodes are summed along a contiguous axis, so a row's sums
+    do not depend on the other rows of the call.
     """
     pts = np.asarray(pts, dtype=float)
     wq = np.asarray(wq, dtype=float)
     xi = np.asarray(xi, dtype=float)
     xis = xi.reshape(-1, 3)
     n_pts = len(xis)
+    codes = np.broadcast_to(np.asarray(code), (n_pts,))
+    alphas = np.broadcast_to(np.asarray(alpha, dtype=float), (n_pts,))
     per = len(pts) // n_pts
     eta = pts.reshape(n_pts, per, 3)
     wq = wq.reshape(n_pts, per)
-    # One dot product per point, as in the one-point call.
-    nx = np.array([np.sqrt(x @ x) for x in xis])[:, None, None]
+    # |xi| per row: numpy takes each stacked (1x3) @ (3x1) product with
+    # the dot routine of ``x @ x``, so a row's norm has the one-point bits.
+    nx = np.sqrt(xis[:, None, :] @ xis[:, :, None])
     tot = np.zeros((n_pts, 8), dtype=np.complex128)
     res = np.zeros((n_pts, 8), dtype=np.complex128)
     env = np.zeros((n_pts, 8), dtype=np.float64)
@@ -162,9 +170,17 @@ def term_sums(pts, wq, xi, t, alpha, code, signs, res_thr):
     for first in range(0, n_pts, step):
         rows = slice(first, first + step)
         x = xis[rows, None, :]
+        block_codes = codes[rows]
+        # Each run of rows with one kernel code is weighted in one call.
+        cuts = [0, *(np.flatnonzero(np.diff(block_codes)) + 1), len(block_codes)]
         for start in range(0, per, width):
             e = eta[rows, start : start + width]
-            w = term_weight(code, x, e, alpha) * wq[rows, start : start + width]
+            w = np.empty(e.shape[:-1])
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                w[lo:hi] = term_weight(
+                    int(block_codes[lo]), x[lo:hi], e[lo:hi], alphas[rows][lo:hi, None]
+                )
+            w *= wq[rows, start : start + width]
             d = x - e
             nd = np.sqrt((d * d).sum(axis=-1))[:, None, :]
             ne = np.sqrt((e * e).sum(axis=-1))[:, None, :]

@@ -10,14 +10,16 @@ evaluated on tensor Gauss-Legendre grids that start at 2 x 1 x 1 nodes
 and double until the per-term totals of successive grids agree; the
 configured ``grid`` doubled ``REFINE_CAP`` times is the ceiling, where an
 unsettled term is flagged.  The points of one configuration (a window's
-3 x 3 x 3 lattice) are integrated together: per term and refinement
-level, one node build and one kernel call cover every point still
-refining, for all 8 sign triples, over fixed-size blocks of nodes, so
-memory does not grow with the grid.  Nodes are classified resonant or
-nonresonant by the empirical cut |omega| <= lam^(3/4); the resonant and
-nonresonant parts of the sum are accumulated separately, together with
-a rigorous pointwise envelope min(t, 2/|omega|) * |weight| for the
-nonresonant part.
+3 x 3 x 3 lattice) are integrated together, one row per (kernel term,
+point) pair: per refinement level, one node build and one kernel call
+cover every row still refining, for all four terms and all 8 sign
+triples, over fixed-size blocks of nodes, so memory does not grow with
+the grid.  The breakdowns of all points are then assembled as (points,
+sign triples) arrays.  Nodes are classified resonant or nonresonant by
+the empirical cut |omega| <= lam^(3/4); the resonant and nonresonant
+parts of the sum are accumulated separately, together with a rigorous
+pointwise envelope min(t, 2/|omega|) * |weight| for the nonresonant
+part.
 
 All Sobolev norms use the convention
 
@@ -123,31 +125,37 @@ def resonance_classify(p: KnappParams, xi, eta) -> ResonanceReport:
 
 
 def _term_integrals(
-    p: KnappParams, xis: np.ndarray, kern: BilinearKernel, t: float
+    p: KnappParams, xis: np.ndarray, kerns: tuple[BilinearKernel, ...], t: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[str]]]:
-    """Refined per-triple integrals (total, resonant, envelope) of one term.
+    """Refined per-triple integrals (total, resonant, envelope) of every term.
 
-    Returns ``(P, 8)`` arrays for the P rows of ``xis`` and each point's
-    flags.  All points still refining share one grid shape, so each
-    refinement level is one node build and one ``term_sums`` call; a
-    point leaves once its totals settle, and is flagged if that does not
-    happen by the ceiling.
+    Returns ``(K, P, 8)`` arrays for the K terms of ``kerns`` and the P
+    rows of ``xis``, and each point's flags in kernel order.  Each (term,
+    point) pair is one row; all rows still refining share one grid shape,
+    so each refinement level is one node build and one ``term_sums``
+    call for every term at once.  A row leaves once its totals settle,
+    and is flagged if that does not happen by the ceiling.  The terms'
+    regions share one surface axis (or none), as those of ``kernels(p)``
+    do: every term pairs the same two supports.
     """
     n_pts = len(xis)
-    regions = [admissible_eta_region(xi, kern.support_a, kern.support_b) for xi in xis]
-    out = (np.zeros((n_pts, 8), complex), np.zeros((n_pts, 8), complex), np.zeros((n_pts, 8)))
-    flags: list[list[str]] = [[] for _ in range(n_pts)]
-    live = np.array(
-        [j for j, r in enumerate(regions) if r is not None and not r.has_null_axis], dtype=int
-    )
+    regions = [admissible_eta_region(xis, k.support_a, k.support_b) for k in kerns]
+    lo = np.concatenate([r.lo for r in regions])
+    hi = np.concatenate([r.hi for r in regions])
+    row_xis = np.concatenate([xis] * len(kerns))
+    row_codes = np.repeat([k.code for k in kerns], n_pts)
+    row_alphas = np.repeat([k.alpha for k in kerns], n_pts)
+    out = tuple(np.zeros((len(kerns) * n_pts, 8), dtype) for dtype in (complex, complex, float))
+    unsettled = np.zeros(len(row_xis), dtype=bool)
+    live = np.flatnonzero(np.concatenate([r.live for r in regions]))
     ceiling = tuple(int(n) << REFINE_CAP for n in p.grid)
     counts = tuple(min(b, c) for b, c in zip(BASE_GRID, ceiling))
     prev_tot = None
     while live.size:
-        pts, wq = quadrature_nodes([regions[j] for j in live], counts)
+        pts, wq = quadrature_nodes(lo[live], hi[live], counts, regions[0].surface_axis)
         sums = _kernels.term_sums(
-            pts.reshape(-1, 3), wq.reshape(-1), xis[live], t, kern.alpha, kern.code,
-            SIGNS_ARRAY, p.resonance_threshold,
+            pts.reshape(-1, 3), wq.reshape(-1), row_xis[live], t, row_alphas[live],
+            row_codes[live], SIGNS_ARRAY, p.resonance_threshold,
         )
         tot = sums[0]
         if prev_tot is None:
@@ -157,14 +165,31 @@ def _term_integrals(
             delta = np.abs(tot - prev_tot).max(axis=1)
             settled = (scale == 0.0) | (delta <= REFINE_RELTOL * scale)
         if counts == ceiling:
-            for j in live[~settled]:
-                flags[j].append(f"nonconverged_quadrature:{kern.label}")
+            unsettled[live[~settled]] = True
             settled[:] = True
         for acc, part in zip(out, sums):
             acc[live[settled]] = part[settled]
         live, prev_tot = live[~settled], tot[~settled]
         counts = tuple(min(2 * n, c) for n, c in zip(counts, ceiling))
-    return (*out, flags)
+    unsettled = unsettled.reshape(len(kerns), n_pts)
+    flags = [
+        [f"nonconverged_quadrature:{k.label}" for k, bad in zip(kerns, unsettled[:, j]) if bad]
+        for j in range(n_pts)
+    ]
+    return (*(acc.reshape(len(kerns), n_pts, 8) for acc in out), flags)
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise complex ``a * b`` from real products, each rounded once.
+
+    numpy's array loop may fuse multiply-adds in its vector body, so its
+    complex products depend on an element's position; this is the
+    unfused product of numpy's complex scalars, whatever the array shape.
+    """
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def lattice_hats(
@@ -174,17 +199,20 @@ def lattice_hats(
     signs: tuple[SignTriple, ...] | None = None,
     t: float | None = None,
 ) -> tuple[AmplitudeBreakdown, ...]:
-    """``lambda_hat`` at every row of ``xis``, one pass per kernel term.
+    """``lambda_hat`` at every row of ``xis``, in one pass for all terms.
 
-    Each term is integrated for all points together, with one
-    ``term_sums`` call per refinement level; every breakdown equals the
-    one-point call's bit for bit.
+    Every kernel term is integrated for all points together, with one
+    ``term_sums`` call per refinement level; the breakdowns are then
+    assembled for all points and sign triples at once.  Every breakdown
+    equals the one-point call's bit for bit.
     """
     xis = np.asarray(xis, dtype=float)
     if xis.ndim != 2 or xis.shape[1] != 3:
         raise InvalidParameterError("xis must be an array of 3-vectors")
-    norms = [math.sqrt(float(xi @ xi)) for xi in xis]
-    if 0.0 in norms:
+    if not np.isfinite(xis).all():
+        raise InvalidParameterError("xi must be finite")
+    norms = np.sqrt(xis[:, None, :] @ xis[:, :, None]).reshape(-1)
+    if (norms == 0.0).any():
         raise InvalidParameterError("xi must be nonzero")
     t_val = p.t if t is None else float(t)
     if t_val < 0.0:
@@ -195,42 +223,38 @@ def lattice_hats(
     tot_acc = np.zeros((len(xis), 8), dtype=complex)
     res_acc = np.zeros((len(xis), 8), dtype=complex)
     env_acc = np.zeros((len(xis), 8), dtype=float)
-    flags: list[list[str]] = [[] for _ in xis]
-    for kern in kernels(p, which):
-        tot, res, env, term_flags = _term_integrals(p, xis, kern, t_val)
-        tot_acc += tot
-        res_acc += res
-        env_acc += env
-        for point_flags, new in zip(flags, term_flags):
-            point_flags.extend(new)
-    pre = 1.0 / 4.0j
-    out = []
-    for i, (xi, nx) in enumerate(zip(xis, norms)):
-        per_sign: dict[SignTriple, complex] = {}
-        total = 0.0j
-        resonant = 0.0j
-        envelope = 0.0
-        for j in active_idx:
-            sigma = SIGN_TRIPLES[j]
-            phase = np.exp(-1j * sigma.s1 * t_val * nx)
-            val = pre * phase * tot_acc[i, j]
-            per_sign[sigma] = complex(val)
-            total += val
-            resonant += pre * phase * res_acc[i, j]
-            envelope += 0.25 * env_acc[i, j]
-        out.append(
-            AmplitudeBreakdown(
-                total=complex(total),
-                per_sign=per_sign,
-                resonant_sum=complex(resonant),
-                nonresonant_sum=complex(total - resonant),
-                nonresonant_envelope=float(envelope),
-                eval_point=(float(xi[0]), float(xi[1]), float(xi[2])),
-                t=t_val,
-                flags=tuple(flags[i]),
-            )
+    tot, res, env, flags = _term_integrals(p, xis, kernels(p, which), t_val)
+    for k in range(len(tot)):
+        tot_acc += tot[k]
+        res_acc += res[k]
+        env_acc += env[k]
+    # (points, active signs) arrays; the sums over signs run in sign order.
+    s1 = np.array([SIGN_TRIPLES[j].s1 for j in active_idx])
+    pre_phase = 1.0 / 4.0j * np.exp(-1j * s1 * t_val * norms[:, None])
+    vals = _cmul(pre_phase, tot_acc[:, active_idx])
+    resonant_vals = _cmul(pre_phase, res_acc[:, active_idx])
+    envelope_vals = 0.25 * env_acc[:, active_idx]
+    total = np.zeros(len(xis), dtype=complex)
+    resonant = np.zeros(len(xis), dtype=complex)
+    envelope = np.zeros(len(xis))
+    for j in range(len(active_idx)):
+        total += vals[:, j]
+        resonant += resonant_vals[:, j]
+        envelope += envelope_vals[:, j]
+    nonresonant = total - resonant
+    return tuple(
+        AmplitudeBreakdown(
+            total=complex(total[i]),
+            per_sign=dict(zip(active, vals[i].tolist())),
+            resonant_sum=complex(resonant[i]),
+            nonresonant_sum=complex(nonresonant[i]),
+            nonresonant_envelope=float(envelope[i]),
+            eval_point=tuple(xis[i].tolist()),
+            t=t_val,
+            flags=tuple(flags[i]),
         )
-    return tuple(out)
+        for i in range(len(xis))
+    )
 
 
 def lambda_hat(
@@ -263,6 +287,35 @@ def _bracket_sq(pts: np.ndarray) -> np.ndarray:
     return 1.0 + (pts * pts).sum(axis=-1)
 
 
+def sobolev_norms_monomials(
+    b: Box3,
+    monomials: tuple[tuple[int, int, int], ...],
+    amplitude: float,
+    r: float,
+    nodes_per_axis: tuple[int, int, int] = (32, 16, 16),
+) -> list[float]:
+    """``sobolev_norm_monomial`` for several monomials on one box.
+
+    The grid and ``<xi>^{2r}`` are computed once for all of them; each
+    norm equals the one-monomial call's bit for bit.
+    """
+    if any(int(m) < 0 for monomial in monomials for m in monomial):
+        raise InvalidParameterError(f"monomial powers must be nonnegative, got {monomials}")
+    grid = quadrature_grid(b, nodes_per_axis)
+    if grid.weights.size == 0:
+        return [0.0] * len(monomials)
+    weight = _bracket_sq(grid.points) ** r
+    norms = []
+    for monomial in monomials:
+        vals = weight
+        for i, m in enumerate(monomial):
+            if m:
+                vals = vals * grid.points[:, i] ** (2 * int(m))
+        integral = float(grid.weights @ vals) * amplitude * amplitude
+        norms.append(math.sqrt(integral / TWO_PI_CUBED))
+    return norms
+
+
 def sobolev_norm_monomial(
     b: Box3,
     monomial: tuple[int, int, int],
@@ -276,17 +329,7 @@ def sobolev_norm_monomial(
     values are formal (a genuine 3-D norm of surface-supported data does
     not exist) and are flagged by callers.
     """
-    if any(int(m) < 0 for m in monomial):
-        raise InvalidParameterError(f"monomial powers must be nonnegative, got {monomial}")
-    grid = quadrature_grid(b, nodes_per_axis)
-    if grid.weights.size == 0:
-        return 0.0
-    vals = _bracket_sq(grid.points) ** r
-    for i, m in enumerate(monomial):
-        if m:
-            vals = vals * grid.points[:, i] ** (2 * int(m))
-    integral = float(grid.weights @ vals) * amplitude * amplitude
-    return math.sqrt(integral / TWO_PI_CUBED)
+    return sobolev_norms_monomials(b, (monomial,), amplitude, r, nodes_per_axis)[0]
 
 
 def _axis_breakpoints(a: tuple[float, float], b: tuple[float, float]) -> np.ndarray:
@@ -376,8 +419,7 @@ def norm_report(
     smoothness verdict divides by.
     """
     r_val = p.r_exp if r is None else float(r)
-    nd2 = sobolev_norm_monomial(p.w2_box, (0, 1, 0), 1.0, r_val, p.grid)
-    nd3 = sobolev_norm_monomial(p.w2_box, (0, 0, 1), 1.0, r_val, p.grid)
+    nd2, nd3 = sobolev_norms_monomials(p.w2_box, ((0, 1, 0), (0, 0, 1)), 1.0, r_val, p.grid)
     nd1a2 = sobolev_norm_monomial(
         p.neg_wprime_box, (1, 0, 0), p.slab.amplitude, r_val, p.grid
     )

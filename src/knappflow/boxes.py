@@ -11,9 +11,9 @@ per-axis interval arithmetic and is kept exact here.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -168,59 +168,90 @@ def box_contains(b: Box3, xi) -> bool:
     return True
 
 
-def admissible_eta_region(xi, a: Box3, b: Box3) -> Box3 | None:
+class EtaRegions(NamedTuple):
+    """Admissible eta-regions of P output frequencies against one support pair.
+
+    Row j is the box with per-axis bounds ``lo[j]``, ``hi[j]`` (shape
+    ``(P, 3)`` each), sharing ``surface_axis`` and ``surface_tol``; it is
+    empty, and its bounds meaningless, where ``found[j]`` is False.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    found: np.ndarray
+    surface_axis: int | None
+    surface_tol: float
+
+    @property
+    def live(self) -> np.ndarray:
+        """Rows that carry measure: found, with no zero-length volume axis."""
+        null = np.zeros(len(self.found), dtype=bool)
+        for i in range(3):
+            if i != self.surface_axis:
+                null |= self.lo[:, i] == self.hi[:, i]
+        return self.found & ~null
+
+
+def admissible_eta_region(xi, a: Box3, b: Box3) -> Box3 | EtaRegions | None:
     """The eta-set where ``xi - eta`` lies in ``a`` and ``eta`` lies in ``b``.
 
-    Returns ``(xi - a) ∩ b`` as a box, or ``None`` when empty.  A surface
-    axis of either operand pins that coordinate; the result then carries
-    2-D measure on the remaining axes.  A coincidentally zero-length axis
-    of a volume/volume intersection stays a volume axis (measure zero); in
-    a surface intersection it leaves no 2-D measure, and the region is
-    ``None``.
+    For one output frequency ``xi`` (shape ``(3,)``) returns ``(xi - a) ∩ b``
+    as a box, or ``None`` when empty.  A surface axis of either operand
+    pins that coordinate; the result then carries 2-D measure on the
+    remaining axes.  A coincidentally zero-length axis of a volume/volume
+    intersection stays a volume axis (measure zero); in a surface
+    intersection it leaves no 2-D measure, and the region is ``None``.
+
+    For P frequencies (shape ``(P, 3)``) returns the regions of all rows
+    as ``EtaRegions`` bounds arrays, by the same per-element operations;
+    the one-point result is row 0 of that.
     """
     xi = np.asarray(xi, dtype=float)
-    if xi.shape != (3,):
-        raise InvalidParameterError("xi must be a 3-vector")
+    if xi.shape == (3,):
+        rows = admissible_eta_region(xi[None, :], a, b)
+        if not rows.found[0]:
+            return None
+        return Box3(
+            *zip(rows.lo[0].tolist(), rows.hi[0].tolist()),
+            surface_axis=rows.surface_axis,
+            surface_tol=rows.surface_tol,
+        )
+    if xi.ndim != 2 or xi.shape[1] != 3:
+        raise InvalidParameterError("xi must be a 3-vector or an array of 3-vectors")
     if (
         a.surface_axis is not None
         and b.surface_axis is not None
         and a.surface_axis != b.surface_axis
     ):
         raise InvalidParameterError("operands with distinct surface axes are unsupported")
-    axes: list[tuple[float, float]] = []
     surface_axis = a.surface_axis if a.surface_axis is not None else b.surface_axis
     tol = max(a.surface_tol, b.surface_tol)
+    lo = np.empty_like(xi)
+    hi = np.empty_like(xi)
+    found = np.ones(len(xi), dtype=bool)
     for i in range(3):
         a_lo, a_hi = a.axes[i]
         b_lo, b_hi = b.axes[i]
-        # xi - a reverses the interval: [xi_i - a_hi, xi_i - a_lo].
-        lo = max(xi[i] - a_hi, b_lo)
-        hi = min(xi[i] - a_lo, b_hi)
+        x = xi[:, i]
         if i == surface_axis:
             if i == a.surface_axis and i == b.surface_axis:
-                if abs((xi[i] - a_lo) - b_lo) > tol:
-                    return None
-                point = b_lo
+                found &= ~(np.abs((x - a_lo) - b_lo) > tol)
+                point = np.full(len(xi), b_lo)
             elif i == a.surface_axis:
-                point = xi[i] - a_lo
-                if not (b_lo - tol <= point <= b_hi + tol):
-                    return None
+                point = x - a_lo
+                found &= (b_lo - tol <= point) & (point <= b_hi + tol)
             else:
-                point = b_lo
-                if not (xi[i] - a_hi - tol <= point <= xi[i] - a_lo + tol):
-                    return None
-            axes.append((point, point))
+                point = np.full(len(xi), b_lo)
+                found &= (x - a_hi - tol <= point) & (point <= x - a_lo + tol)
+            lo[:, i] = hi[:, i] = point
         else:
-            if lo > hi or (lo == hi and surface_axis is not None):
-                return None
-            axes.append((lo, hi))
-    return Box3(
-        ax1=axes[0],
-        ax2=axes[1],
-        ax3=axes[2],
-        surface_axis=surface_axis,
-        surface_tol=tol,
-    )
+            # xi - a reverses the interval: [xi_i - a_hi, xi_i - a_lo].
+            lo[:, i] = np.maximum(x - a_hi, b_lo)
+            hi[:, i] = np.minimum(x - a_lo, b_hi)
+            found &= ~(lo[:, i] > hi[:, i])
+            if surface_axis is not None:
+                found &= ~(lo[:, i] == hi[:, i])
+    return EtaRegions(lo, hi, found, surface_axis, tol)
 
 
 @lru_cache(maxsize=None)
@@ -248,39 +279,37 @@ def _node_counts(nodes_per_axis) -> tuple[int, int, int]:
 
 
 def quadrature_nodes(
-    boxes: Sequence[Box3], nodes_per_axis: tuple[int, int, int]
+    lo, hi, nodes_per_axis: tuple[int, int, int], surface_axis: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor-product Gauss-Legendre nodes and weights of several boxes at once.
+    """Tensor-product Gauss-Legendre nodes and weights of P boxes at once.
 
-    The boxes share one surface axis (or none) and have no zero-length
-    volume axis.  Returns ``points`` of shape ``(P, n, 3)`` and
-    ``weights`` of shape ``(P, n)`` for P boxes of n nodes each, every
-    box's nodes ordered with axis 1 slowest and axis 3 fastest.
+    Box j spans ``lo[j]`` to ``hi[j]`` (arrays of shape ``(P, 3)``); the
+    boxes share ``surface_axis`` (or none), whose single point ``lo[j]``
+    gets weight 1, and have no zero-length volume axis.  Returns
+    ``points`` of shape ``(P, n, 3)`` and ``weights`` of shape ``(P, n)``
+    for n nodes per box, each box's nodes ordered with axis 1 slowest and
+    axis 3 fastest.
     """
     counts = _node_counts(nodes_per_axis)
-    surface = boxes[0].surface_axis
-    if any(b.surface_axis != surface for b in boxes):
-        raise InvalidParameterError("boxes gridded together must share their surface axis")
-    bounds = np.array([b.axes for b in boxes], dtype=float)
-    lo, hi = bounds[..., 0], bounds[..., 1]
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     axis_nodes = []
     axis_weights = []
     for i in range(3):
-        if i == surface:
+        if i == surface_axis:
             axis_nodes.append(lo[:, i : i + 1])
-            axis_weights.append(np.ones((len(boxes), 1)))
+            axis_weights.append(np.ones((len(lo), 1)))
             continue
         x, w = gauss_legendre_cells(lo[:, i], hi[:, i], counts[i])
         axis_nodes.append(x)
         axis_weights.append(w)
     x1, x2, x3 = axis_nodes
     w1, w2, w3 = axis_weights
-    points = np.empty((len(boxes), x1.shape[1], x2.shape[1], x3.shape[1], 3))
+    points = np.empty((len(lo), x1.shape[1], x2.shape[1], x3.shape[1], 3))
     points[..., 0] = x1[:, :, None, None]
     points[..., 1] = x2[:, None, :, None]
     points[..., 2] = x3[:, None, None, :]
     weights = (w1[:, :, None, None] * w2[:, None, :, None]) * w3[:, None, None, :]
-    return points.reshape(len(boxes), -1, 3), weights.reshape(len(boxes), -1)
+    return points.reshape(len(lo), -1, 3), weights.reshape(len(lo), -1)
 
 
 def quadrature_grid(b: Box3, nodes_per_axis: tuple[int, int, int]) -> QuadratureGrid:
@@ -294,5 +323,8 @@ def quadrature_grid(b: Box3, nodes_per_axis: tuple[int, int, int]) -> Quadrature
     if b.has_null_axis:
         empty = np.empty((0, 3))
         return QuadratureGrid(points=empty, weights=np.empty(0), total_measure=0.0)
-    points, weights = quadrature_nodes((b,), nodes_per_axis)
+    bounds = np.array([b.axes], dtype=float)
+    points, weights = quadrature_nodes(
+        bounds[..., 0], bounds[..., 1], nodes_per_axis, b.surface_axis
+    )
     return QuadratureGrid(points=points[0], weights=weights[0], total_measure=b.measure)

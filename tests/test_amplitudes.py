@@ -268,8 +268,8 @@ def test_wide_boxes_refine_to_fixed_grid_reference(monkeypatch, mode):
     spent = count_term_sums(monkeypatch)
     for kern in kernels(p):
         spent.clear()
-        tot, res, env, flags = _term_integrals(p, xi[None, :], kern, p.t)
-        tot, res, env = tot[0], res[0], env[0]
+        tot, res, env, flags = _term_integrals(p, xi[None, :], (kern,), p.t)
+        tot, res, env = tot[0, 0], res[0, 0], env[0, 0]
         assert flags == [[]]
         assert len(spent) > 2  # more than one comparison of successive grids
         want_tot, want_res, want_env = fixed_grid_sums(p, xi, kern, FINE_GRID)
@@ -296,12 +296,12 @@ def test_lowered_cap_flags_only_the_wide_boxes(monkeypatch, mode, cap, grid):
 
 
 @pytest.mark.parametrize("mode, nodes", [("slab", 1944), ("surface", 1080)])
-def test_window_is_one_term_sums_call_per_term_and_level(monkeypatch, mode, nodes):
-    # 4 terms x 2 levels, each call covering all 27 lattice points
+def test_window_is_one_term_sums_call_per_level(monkeypatch, mode, nodes):
+    # 2 levels, each call covering all 4 terms x 27 lattice points
     spent = count_term_sums(monkeypatch)
     (core,) = sweep_core(EPS, RHO, [1], mode=mode)
     assert len(core.breakdowns) == 27
-    assert len(spent) == 8
+    assert len(spent) == 2
     assert sum(spent) == nodes
 
 
@@ -323,8 +323,9 @@ def test_lattice_hats_equal_lambda_hat_where_points_settle_apart(monkeypatch, mo
     xis = spread_points(p)
     points = count_points_per_call(monkeypatch)
     batched = lattice_hats(p, xis)
-    # some points leave after the second grid while the rest refine on
-    assert min(points) < max(points) == len(xis)
+    # some (term, point) rows leave after the second grid while the rest
+    # refine on; the first calls cover all 4 terms at every point
+    assert min(points) < max(points) == 4 * len(xis)
     assert batched == tuple(lambda_hat(p, xi) for xi in xis)
 
 
@@ -347,6 +348,8 @@ def test_lattice_hats_validation():
         lattice_hats(p, [p.samp_box.center(), (0.0, 0.0, 0.0)])
     with pytest.raises(InvalidParameterError):
         lattice_hats(p, [p.samp_box.center()], t=-1.0)
+    with pytest.raises(InvalidParameterError):
+        lattice_hats(p, [p.samp_box.center(), (np.nan, 0.0, 0.0)])
 
 
 def test_backend_paths_agree(monkeypatch):
@@ -376,8 +379,8 @@ def test_several_points_per_call_agree_with_scalar_reference(monkeypatch, counts
     _, pts = sample_lattice(p.samp_box, 3)
     xis = pts[[0, 5, 13, 26]]
     kern = kernels(p)[1]
-    regions = [admissible_eta_region(xi, kern.support_a, kern.support_b) for xi in xis]
-    nodes, weights = quadrature_nodes(regions, counts)
+    regions = admissible_eta_region(xis, kern.support_a, kern.support_b)
+    nodes, weights = quadrature_nodes(regions.lo, regions.hi, counts, regions.surface_axis)
     args = (p.t, kern.alpha, kern.code, SIGNS_ARRAY, p.resonance_threshold)
     monkeypatch.setattr(_kernels, "TERM_SUMS_BLOCK", 7)
     tot, res, env = _kernels.term_sums(nodes.reshape(-1, 3), weights.reshape(-1), xis, *args)
@@ -390,6 +393,43 @@ def test_several_points_per_call_agree_with_scalar_reference(monkeypatch, counts
         assert np.abs(env[j] - env_py).max() <= 1e-12 * env[j].max()
 
 
+@pytest.mark.parametrize("counts", [(6, 5, 4), (3, 1, 1)])
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_mixed_terms_per_call_agree_with_scalar_reference(monkeypatch, mode, counts):
+    # rows of all four terms at two points, interleaved so that the code
+    # changes from row to row, with a different alpha per term; 7-node
+    # blocks hold parts of one 120-node grid, or two 3-node grids whose
+    # codes differ
+    p = make_params(EPS, RHO, 1, mode=mode, grid=SMALL_GRID)
+    _, pts = sample_lattice(p.samp_box, 3)
+    xis = pts[[0, 13]]
+    kerns = kernels(p)
+    regions = [admissible_eta_region(xis, k.support_a, k.support_b) for k in kerns]
+    assert all(r.live.all() for r in regions)
+    order = [(j, k) for j in range(len(xis)) for k in range(len(kerns))]
+    lo = np.array([regions[k].lo[j] for j, k in order])
+    hi = np.array([regions[k].hi[j] for j, k in order])
+    nodes, weights = quadrature_nodes(lo, hi, counts, regions[0].surface_axis)
+    row_xis = xis[[j for j, _ in order]]
+    codes = np.array([kerns[k].code for _, k in order])
+    alphas = np.array([1.0 + 0.5 * k for _, k in order])
+    monkeypatch.setattr(_kernels, "TERM_SUMS_BLOCK", 7)
+    tot, res, env = _kernels.term_sums(
+        nodes.reshape(-1, 3), weights.reshape(-1), row_xis, p.t, alphas, codes, SIGNS_ARRAY,
+        p.resonance_threshold,
+    )
+    assert tot.shape == res.shape == env.shape == (8, 8)
+    for row, xi in enumerate(row_xis):
+        tot_py, res_py, env_py = _kernels._term_sums_loop(
+            nodes[row], weights[row], xi, p.t, alphas[row], codes[row], SIGNS_ARRAY,
+            p.resonance_threshold,
+        )
+        scale = np.abs(tot[row]).max()
+        assert np.abs(tot[row] - tot_py).max() <= 1e-12 * scale
+        assert np.abs(res[row] - res_py).max() <= 1e-12 * scale
+        assert np.abs(env[row] - env_py).max() <= 1e-12 * env[row].max()
+
+
 def test_several_points_per_call_memory_is_bounded():
     # 4 points x 65,536 nodes: one (4, 8, n) complex broadcast would take
     # 34 MB per temporary; 4,096-node blocks keep every temporary at 0.5 MB
@@ -397,8 +437,8 @@ def test_several_points_per_call_memory_is_bounded():
     _, pts = sample_lattice(p.samp_box, 3)
     xis = pts[[0, 5, 13, 26]]
     kern = kernels(p)[0]
-    regions = [admissible_eta_region(xi, kern.support_a, kern.support_b) for xi in xis]
-    nodes, weights = quadrature_nodes(regions, FINE_GRID)
+    regions = admissible_eta_region(xis, kern.support_a, kern.support_b)
+    nodes, weights = quadrature_nodes(regions.lo, regions.hi, FINE_GRID, regions.surface_axis)
     args = (p.t, kern.alpha, kern.code, SIGNS_ARRAY, p.resonance_threshold)
     tracemalloc.start()
     try:
@@ -553,6 +593,21 @@ def test_norm_report_structure():
     assert rep.norm_total == pytest.approx(math.sqrt(2.0) * rep.norm_d2a1, rel=1e-12)
     for v in (rep.norm_d2a1, rep.norm_d1a2, rep.norm_product):
         assert v > 0.0 and math.isfinite(v)
+
+
+@pytest.mark.parametrize("r", R_GRID)
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_norm_report_equals_one_monomial_at_a_time(mode, r):
+    # nd2 and nd3 share one grid and one <xi>^{2r}: each must equal its
+    # own sobolev_norm_monomial call bit for bit
+    p = make_params(EPS, RHO, 3, mode=mode)
+    rep = norm_report(p, r=r, output_lower=0.0)
+    nd2 = sobolev_norm_monomial(p.w2_box, (0, 1, 0), 1.0, r, p.grid)
+    nd3 = sobolev_norm_monomial(p.w2_box, (0, 0, 1), 1.0, r, p.grid)
+    nd1a2 = sobolev_norm_monomial(p.neg_wprime_box, (1, 0, 0), p.slab.amplitude, r, p.grid)
+    assert rep.norm_d2a1 == nd2
+    assert rep.norm_total == math.hypot(nd2, nd3)
+    assert rep.norm_d1a2 == nd1a2
 
 
 def test_output_norm_lower_constant_hook():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from knappflow.boxes import (
     Box3,
@@ -142,6 +142,94 @@ def test_admissible_region_surface_with_collapsed_axis_is_empty():
     assert region is not None and region.ax1 == (2.0, 2.0) and region.has_null_axis
 
 
+def _region_reference(xi, a, b):
+    """``(xi - a) ∩ b`` for one xi, axis by axis with scalar max/min."""
+    surface_axis = a.surface_axis if a.surface_axis is not None else b.surface_axis
+    tol = max(a.surface_tol, b.surface_tol)
+    axes = []
+    for i in range(3):
+        (a_lo, a_hi), (b_lo, b_hi) = a.axes[i], b.axes[i]
+        if i == surface_axis:
+            if i == a.surface_axis:
+                point = xi[i] - a_lo
+                if not (b_lo - tol <= point <= b_hi + tol):
+                    return None
+            else:
+                point = b_lo
+                if not (xi[i] - a_hi - tol <= point <= xi[i] - a_lo + tol):
+                    return None
+            axes.append((point, point))
+            continue
+        lo, hi = max(xi[i] - a_hi, b_lo), min(xi[i] - a_lo, b_hi)
+        if lo > hi or (lo == hi and surface_axis is not None):
+            return None
+        axes.append((lo, hi))
+    return Box3(*axes, surface_axis=surface_axis, surface_tol=tol)
+
+
+def _support_pairs():
+    """The kernel terms' (a, b) support pairs in surface and slab mode."""
+    w2 = box_scale(box_w(LAM), 2.0)
+    pairs = []
+    for thickness in (None, 1e-6 * RT):
+        neg_wp = box_scale(box_w_prime(LAM, thickness), -1.0)
+        pairs += [(neg_wp, w2), (w2, neg_wp)]
+    return pairs
+
+
+def _axis_values(a, b, i):
+    """xi_i near the region's edges along axis i: the four endpoint sums,
+    the surface tolerance boundaries with their neighbours, and anything
+    in between."""
+    (a_lo, a_hi), (b_lo, b_hi) = a.axes[i], b.axes[i]
+    tol = max(a.surface_tol, b.surface_tol)
+    edges = [a_lo + b_lo, a_lo + b_hi, a_hi + b_lo, a_hi + b_hi]
+    if i == a.surface_axis:
+        edges += [b_lo - tol, b_hi + tol]
+    if i == b.surface_axis:
+        edges += [a_lo - tol, a_hi + tol]
+    edges += [np.nextafter(x, s) for x in list(edges) for s in (-np.inf, np.inf)]
+    span = max(edges) - min(edges)
+    return st.one_of(
+        st.sampled_from(edges),
+        st.floats(min(edges) - 0.1 * span, max(edges) + 0.1 * span),
+    )
+
+
+@settings(deadline=None)
+@given(st.sampled_from(range(4)), st.data())
+def test_region_rows_match_one_point_regions(pair, data):
+    a, b = _support_pairs()[pair]
+    point = st.tuples(*(_axis_values(a, b, i) for i in range(3)))
+    xis = np.array(data.draw(st.lists(point, min_size=1, max_size=6)))
+    rows = admissible_eta_region(xis, a, b)
+    assert rows.lo.shape == rows.hi.shape == xis.shape
+    for j, xi in enumerate(xis):
+        region = admissible_eta_region(xi, a, b)
+        assert region == _region_reference(xi, a, b)
+        assert bool(rows.found[j]) == (region is not None)
+        if region is not None:
+            assert tuple(zip(rows.lo[j], rows.hi[j])) == region.axes
+            assert rows.surface_axis == region.surface_axis
+            assert rows.surface_tol == region.surface_tol
+        assert bool(rows.live[j]) == (region is not None and not region.has_null_axis)
+
+
+def test_region_rows_cover_collapse_and_tolerance_edges():
+    # the cases the property above must meet: a volume axis collapsed to
+    # one point (measure 0 in slab mode, no region in surface mode) and
+    # xi3 exactly on the inclusive surface tolerance boundary
+    surf_pair, _, slab_pair, _ = _support_pairs()
+    for (a, b), found in ((surf_pair, False), (slab_pair, True)):
+        xi = np.array([a.ax1[0] + b.ax1[0], 3e-7 * RT, 5e-7 * RT])
+        rows = admissible_eta_region(xi[None, :], a, b)
+        assert bool(rows.found[0]) == found and not rows.live[0]
+    a, b = surf_pair
+    edge = b.ax3[0] - a.surface_tol
+    xis = np.array([[LAM, 3e-7 * RT, x] for x in (edge, np.nextafter(edge, -np.inf))])
+    assert admissible_eta_region(xis, a, b).found.tolist() == [True, False]
+
+
 def test_minkowski_coverage():
     # every sampled xi in W with xi3 above the doubled floor admits
     # eta with xi - eta in -W' and eta in 2W
@@ -215,7 +303,10 @@ def test_quadrature_nodes_match_meshgrid_construction(counts):
     volume = [box_w(LAM), box_scale(box_w(LAM), -2.0), Box3((0.0, 1.0), (-3.0, 2.0), (1.0, 1.5))]
     surface = [box_w_prime(LAM), box_w_prime(4.0 * LAM)]
     for group in (volume, surface):
-        points, weights = quadrature_nodes(group, counts)
+        bounds = np.array([b.axes for b in group])
+        points, weights = quadrature_nodes(
+            bounds[..., 0], bounds[..., 1], counts, group[0].surface_axis
+        )
         assert points.shape[:2] == weights.shape
         for b, pts, wts in zip(group, points, weights):
             want_pts, want_wts = _meshgrid_grid(b, counts)
@@ -224,8 +315,3 @@ def test_quadrature_nodes_match_meshgrid_construction(counts):
             g = quadrature_grid(b, counts)
             assert np.array_equal(g.points, pts)
             assert np.array_equal(g.weights, wts)
-
-
-def test_quadrature_nodes_need_one_surface_axis():
-    with pytest.raises(InvalidParameterError):
-        quadrature_nodes([box_w(LAM), box_w_prime(LAM)], (2, 2, 2))

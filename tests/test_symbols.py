@@ -128,6 +128,42 @@ def test_mult_values_matches_scalar():
         assert v == duhamel_multiplier(t, float(om)).value
 
 
+def _two_branch_mult(t, om):
+    """Both branches on every element, then the threshold picks one."""
+    x = t * om
+    small = np.abs(x) < MULT_SERIES_THRESHOLD
+    z = 1j * x
+    with np.errstate(all="ignore"):  # the series overflows where it is not picked
+        series = t * (
+            1.0 + z * (1 / 2 + z * (1 / 6 + z * (1 / 24 + z * (1 / 120 + z * (1 / 720)))))
+        )
+    om_safe = np.where(small, 1.0, om)
+    half = 0.5 * x
+    s = np.sin(half)
+    c = np.cos(half)
+    exact = (2.0 * s / om_safe) * (c + 1j * s)
+    return np.where(small, series, exact)
+
+
+def test_mult_values_equals_two_branch_formula():
+    # t = 0.5 keeps t * omega exact, so the threshold itself is hit
+    t = 0.5
+    theta = MULT_SERIES_THRESHOLD
+    edges = [theta, -theta, np.nextafter(theta, 0.0), -np.nextafter(theta, 0.0), 0.0, -0.0]
+    rng = np.random.default_rng(17)
+    mixed = rng.normal(size=500) * 10.0 ** rng.integers(-9, 13, size=500)
+    oms = np.concatenate([np.array(edges) / t, mixed, [1e300, -1e300, 5e-324, -5e-324]])
+    rng.shuffle(oms)
+    for shape in (oms.shape, (2, 5, -1)):
+        om = oms.reshape(shape)
+        got, want = mult_values(t, om), _two_branch_mult(t, om)
+        assert got.shape == want.shape
+        assert np.all(got == want)
+    assert np.all(mult_values(t, np.array(edges[:2]) / t) == [
+        duhamel_multiplier(t, e / t).value for e in edges[:2]
+    ])
+
+
 def test_oracle_constant_integrand():
     assert duhamel_multiplier_oracle(1.0, 0.0, 8) == pytest.approx(1.0, rel=1e-15)
 
