@@ -5,133 +5,34 @@ second-order response amplitude over all half-wave sign combinations at
 resonance-window times, and fits the growth exponents that decide
 whether a quadratic flow-map estimate between the given Sobolev indices
 can hold.
+
+The package root exports the library entry points, the types they take
+and return, and the errors they raise; everything else is imported from
+its submodule.
 """
 
-from .amplitudes import (
-    AmplitudeBreakdown,
-    NormReport,
-    ResonanceClass,
-    ResonanceReport,
-    lambda_hat,
-    norm_report,
-    product_norm,
-    product_norm_boxes,
-    resonance_classify,
-    sobolev_norm_monomial,
-)
-from .boxes import (
-    Box3,
-    QuadratureGrid,
-    admissible_eta_region,
-    box_contains,
-    box_scale,
-    box_w,
-    box_w_prime,
-    quadrature_grid,
-)
-from .construction import (
-    DEFAULT_GRID,
-    DEFAULT_RHO,
-    BilinearKernel,
-    KnappParams,
-    SlabSpec,
-    a_hat,
-    curl_df_hat,
-    curl_parts,
-    kernels,
-    lambda_window,
-    make_params,
-)
-from .errors import (
-    FitDataError,
-    InvalidParameterError,
-    SingularFrequencyError,
-    WindowEmptyError,
-)
-from .sweep import (
-    FitResult,
-    SweepRecord,
-    Verdict,
-    WindowSamples,
-    build_report,
-    fit_exponent,
-    records_from_core,
-    run_sweep,
-    smoothness_verdict,
-    standard_fits,
-    sweep_core,
-    write_csv,
-    write_report,
-)
-from .symbols import (
-    SIGN_TRIPLES,
-    EvalBranch,
-    MultiplierValue,
-    SignTriple,
-    curl_inv_symbol,
-    duhamel_multiplier,
-    duhamel_multiplier_oracle,
-    omega,
-    omega_all,
-)
+from .amplitudes import AmplitudeBreakdown, NormReport, lambda_hat
+from .construction import KnappParams, SlabSpec, make_params
+from .errors import FitDataError, InvalidParameterError, WindowEmptyError
+from .sweep import SweepRecord, Verdict, run_sweep, smoothness_verdict
+from .symbols import SignTriple
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudeBreakdown",
-    "BilinearKernel",
-    "Box3",
-    "DEFAULT_GRID",
-    "DEFAULT_RHO",
-    "EvalBranch",
-    "FitDataError",
-    "FitResult",
-    "InvalidParameterError",
-    "KnappParams",
-    "MultiplierValue",
-    "NormReport",
-    "QuadratureGrid",
-    "ResonanceClass",
-    "ResonanceReport",
-    "SIGN_TRIPLES",
-    "SignTriple",
-    "SingularFrequencyError",
-    "SlabSpec",
-    "SweepRecord",
-    "Verdict",
-    "WindowEmptyError",
-    "WindowSamples",
-    "a_hat",
-    "admissible_eta_region",
-    "box_contains",
-    "box_scale",
-    "box_w",
-    "box_w_prime",
-    "build_report",
-    "curl_df_hat",
-    "curl_inv_symbol",
-    "curl_parts",
-    "duhamel_multiplier",
-    "duhamel_multiplier_oracle",
-    "fit_exponent",
-    "kernels",
-    "lambda_hat",
-    "lambda_window",
     "make_params",
-    "norm_report",
-    "omega",
-    "omega_all",
-    "product_norm",
-    "product_norm_boxes",
-    "quadrature_grid",
-    "records_from_core",
-    "resonance_classify",
+    "lambda_hat",
     "run_sweep",
     "smoothness_verdict",
-    "sobolev_norm_monomial",
-    "standard_fits",
-    "sweep_core",
-    "write_csv",
-    "write_report",
+    "KnappParams",
+    "SlabSpec",
+    "AmplitudeBreakdown",
+    "SignTriple",
+    "SweepRecord",
+    "NormReport",
+    "Verdict",
+    "InvalidParameterError",
+    "WindowEmptyError",
+    "FitDataError",
     "__version__",
 ]

@@ -196,9 +196,3 @@ def term_sums(pts, wq, xi, t, alpha, code, signs, res_thr):
     shape = xi.shape[:-1] + (8,)
     return tot.reshape(shape), res.reshape(shape), env.reshape(shape)
 
-
-def overlap_lengths(vals: np.ndarray, a_lo: float, a_hi: float, b_lo: float, b_hi: float) -> np.ndarray:
-    """Length of ``(v - [a_lo, a_hi]) ∩ [b_lo, b_hi]`` for each v (clipped at 0)."""
-    lo = np.maximum(vals - a_hi, b_lo)
-    hi = np.minimum(vals - a_lo, b_hi)
-    return np.maximum(hi - lo, 0.0)

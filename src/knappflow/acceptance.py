@@ -218,17 +218,12 @@ def criterion_kernel_nonnegativity() -> CriterionResult:
     min_w = math.inf
     for kern in kernels(p):
         xi = lo + rng.random((n, 3)) * (hi - lo)
-        a_lo = np.array([ax[0] for ax in kern.support_a.axes])
-        a_hi = np.array([ax[1] for ax in kern.support_a.axes])
-        b_lo = np.array([ax[0] for ax in kern.support_b.axes])
-        b_hi = np.array([ax[1] for ax in kern.support_b.axes])
-        r_lo = np.maximum(xi - a_hi, b_lo)
-        r_hi = np.minimum(xi - a_lo, b_hi)
-        if np.any(r_lo > r_hi):
+        region = admissible_eta_region(xi, kern.support_a, kern.support_b)
+        if not region.found.all():
             return CriterionResult(
                 4, "kernel-nonnegativity", False, f"empty admissible region for {kern.label}"
             )
-        eta = r_lo + rng.random((n, 3)) * (r_hi - r_lo)
+        eta = region.lo + rng.random((n, 3)) * (region.hi - region.lo)
         w = term_weight(kern.code, xi, eta, kern.alpha)
         violations += int((w < 0.0).sum())
         min_w = min(min_w, float(w.min()))
@@ -272,8 +267,8 @@ def criterion_resonance_separation() -> CriterionResult:
         p = _params(k, "slab")
         xi = p.samp_box.center()
         for kern in kernels(p):
-            region = admissible_eta_region(xi, kern.support_a, kern.support_b)
-            rep = resonance_classify(p, xi, region.center())
+            region = admissible_eta_region(xi[None, :], kern.support_a, kern.support_b)
+            rep = resonance_classify(p, xi, (region.lo[0] + region.hi[0]) / 2.0)
             for sigma, label in rep.empirical.items():
                 om = abs(rep.omegas[sigma])
                 if label.value == "resonant":

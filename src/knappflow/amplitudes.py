@@ -195,7 +195,6 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def lattice_hats(
     p: KnappParams,
     xis,
-    which: str = "both",
     signs: tuple[SignTriple, ...] | None = None,
     t: float | None = None,
 ) -> tuple[AmplitudeBreakdown, ...]:
@@ -223,7 +222,7 @@ def lattice_hats(
     tot_acc = np.zeros((len(xis), 8), dtype=complex)
     res_acc = np.zeros((len(xis), 8), dtype=complex)
     env_acc = np.zeros((len(xis), 8), dtype=float)
-    tot, res, env, flags = _term_integrals(p, xis, kernels(p, which), t_val)
+    tot, res, env, flags = _term_integrals(p, xis, kernels(p), t_val)
     for k in range(len(tot)):
         tot_acc += tot[k]
         res_acc += res[k]
@@ -260,13 +259,11 @@ def lattice_hats(
 def lambda_hat(
     p: KnappParams,
     xi,
-    which: str = "both",
     signs: tuple[SignTriple, ...] | None = None,
     t: float | None = None,
 ) -> AmplitudeBreakdown:
     """Frequency-side output amplitude at (t, xi), fully broken down.
 
-    ``which`` selects the transverse blocks ('axis2', 'axis3', 'both');
     ``signs`` restricts the sign triples (default: all 8); ``t`` overrides
     the configuration time (test hook).  Points outside the interaction
     support return an exact zero breakdown.  Non-convergence of a term's
@@ -276,7 +273,7 @@ def lambda_hat(
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (3,):
         raise InvalidParameterError("xi must be a 3-vector")
-    return lattice_hats(p, xi[None, :], which, signs, t)[0]
+    return lattice_hats(p, xi[None, :], signs, t)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +347,9 @@ def _conv_factor(vals: np.ndarray, a: Box3, b: Box3, axis: int) -> np.ndarray:
         return ((vals - a_lo >= b_lo) & (vals - a_lo <= b_hi)).astype(float)
     if axis == b.surface_axis:
         return ((vals - b_lo >= a_lo) & (vals - b_lo <= a_hi)).astype(float)
-    return _kernels.overlap_lengths(vals, a_lo, a_hi, b_lo, b_hi)
+    lo = np.maximum(vals - a_hi, b_lo)
+    hi = np.minimum(vals - a_lo, b_hi)
+    return np.maximum(hi - lo, 0.0)
 
 
 def product_norm_boxes(

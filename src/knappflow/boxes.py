@@ -68,10 +68,6 @@ class Box3:
         return (self.ax1, self.ax2, self.ax3)
 
     @property
-    def measure_mode(self) -> str:
-        return "volume" if self.surface_axis is None else "surface"
-
-    @property
     def measure(self) -> float:
         """Lebesgue measure: 3-D for volume boxes, 2-D for surface boxes."""
         out = 1.0
@@ -192,32 +188,20 @@ class EtaRegions(NamedTuple):
         return self.found & ~null
 
 
-def admissible_eta_region(xi, a: Box3, b: Box3) -> Box3 | EtaRegions | None:
-    """The eta-set where ``xi - eta`` lies in ``a`` and ``eta`` lies in ``b``.
+def admissible_eta_region(xi, a: Box3, b: Box3) -> EtaRegions:
+    """The eta-sets where ``xi - eta`` lies in ``a`` and ``eta`` lies in ``b``.
 
-    For one output frequency ``xi`` (shape ``(3,)``) returns ``(xi - a) ∩ b``
-    as a box, or ``None`` when empty.  A surface axis of either operand
-    pins that coordinate; the result then carries 2-D measure on the
-    remaining axes.  A coincidentally zero-length axis of a volume/volume
-    intersection stays a volume axis (measure zero); in a surface
-    intersection it leaves no 2-D measure, and the region is ``None``.
-
-    For P frequencies (shape ``(P, 3)``) returns the regions of all rows
-    as ``EtaRegions`` bounds arrays, by the same per-element operations;
-    the one-point result is row 0 of that.
+    For P output frequencies ``xi`` (shape ``(P, 3)``) returns each row's
+    ``(xi - a) ∩ b`` as ``EtaRegions`` bounds arrays.  A surface axis of
+    either operand pins that coordinate; the region then carries 2-D
+    measure on the remaining axes.  A coincidentally zero-length axis of
+    a volume/volume intersection stays a volume axis (measure zero); in a
+    surface intersection it leaves no 2-D measure, and the row is not
+    found.
     """
     xi = np.asarray(xi, dtype=float)
-    if xi.shape == (3,):
-        rows = admissible_eta_region(xi[None, :], a, b)
-        if not rows.found[0]:
-            return None
-        return Box3(
-            *zip(rows.lo[0].tolist(), rows.hi[0].tolist()),
-            surface_axis=rows.surface_axis,
-            surface_tol=rows.surface_tol,
-        )
     if xi.ndim != 2 or xi.shape[1] != 3:
-        raise InvalidParameterError("xi must be a 3-vector or an array of 3-vectors")
+        raise InvalidParameterError("xi must be an array of 3-vectors")
     if (
         a.surface_axis is not None
         and b.surface_axis is not None

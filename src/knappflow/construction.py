@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box3, box_contains, box_scale, box_w, box_w_prime
-from .errors import InvalidParameterError, SingularFrequencyError, WindowEmptyError
+from .boxes import Box3, box_scale, box_w, box_w_prime
+from .errors import InvalidParameterError, WindowEmptyError
 
 # rho must cover the spread of |xi|/lam over W: 1e-6 per side along
 # axis 1 plus transverse corrections bounded by 1e-12.
@@ -44,10 +44,10 @@ class SlabSpec:
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.thickness is not None and self.thickness <= 0.0:
-            raise InvalidParameterError("slab thickness must be positive")
-        if self.amplitude <= 0.0:
-            raise InvalidParameterError("slab amplitude must be positive")
+        if self.thickness is not None and not 0.0 < self.thickness < math.inf:
+            raise InvalidParameterError("slab thickness must be positive and finite")
+        if not 0.0 < self.amplitude < math.inf:
+            raise InvalidParameterError("slab amplitude must be positive and finite")
 
     @property
     def mode(self) -> str:
@@ -68,8 +68,8 @@ class KnappParams:
     grid: tuple[int, int, int] = DEFAULT_GRID
 
     def __post_init__(self) -> None:
-        if self.lam <= 1e3:
-            raise InvalidParameterError(f"lam must exceed 1e3, got {self.lam}")
+        if not 1e3 < self.lam < math.inf:
+            raise InvalidParameterError(f"lam must exceed 1e3 and be finite, got {self.lam}")
         if not (0.0 < self.eps <= 0.1):
             raise InvalidParameterError(f"eps must lie in (0, 0.1], got {self.eps}")
         if not (0.0 < self.rho < 1.0):
@@ -78,6 +78,8 @@ class KnappParams:
             raise InvalidParameterError(f"k must be a positive integer, got {self.k}")
         if len(self.grid) != 3 or any(int(n) < 1 for n in self.grid):
             raise InvalidParameterError(f"grid must be 3 ints >= 1, got {self.grid}")
+        if not (math.isfinite(self.s_exp) and math.isfinite(self.r_exp)):
+            raise InvalidParameterError("Sobolev indices s and r must be finite")
 
     @property
     def t(self) -> float:
@@ -188,16 +190,6 @@ def make_params(
     )
 
 
-def a_hat(p: KnappParams, which: str, xi) -> float:
-    """Fourier datum: indicator of 2W for ``a1``, amplitude times the
-    indicator of -W' for ``a2``."""
-    if which == "a1":
-        return 1.0 if box_contains(p.w2_box, xi) else 0.0
-    if which == "a2":
-        return p.slab.amplitude if box_contains(p.neg_wprime_box, xi) else 0.0
-    raise InvalidParameterError(f"which must be 'a1' or 'a2', got {which!r}")
-
-
 def curl_parts(xi, a1_val: complex, a2_val: complex) -> tuple[np.ndarray, np.ndarray]:
     """Polynomial symbol vectors of the linearized curvature curl.
 
@@ -219,14 +211,6 @@ def curl_parts(xi, a1_val: complex, a2_val: complex) -> tuple[np.ndarray, np.nda
     return a1_part, a2_part
 
 
-def curl_df_hat(p: KnappParams, xi) -> tuple[np.ndarray, np.ndarray]:
-    """curl_parts evaluated on the actual box data at ``xi``."""
-    xi = np.asarray(xi, dtype=float)
-    if float(xi @ xi) == 0.0:
-        raise SingularFrequencyError("curl symbol undefined at xi = 0")
-    return curl_parts(xi, a_hat(p, "a1", xi), a_hat(p, "a2", xi))
-
-
 @dataclass(frozen=True)
 class BilinearKernel:
     """One admissible-support term of the bilinear interaction.
@@ -243,13 +227,12 @@ class BilinearKernel:
     alpha: float
 
 
-def kernels(p: KnappParams, which: str = "both") -> tuple[BilinearKernel, ...]:
-    """The admissible-support terms for one or both transverse blocks.
+def kernels(p: KnappParams) -> tuple[BilinearKernel, ...]:
+    """The four admissible-support terms, two per transverse block.
 
-    ``which`` is ``"axis2"``, ``"axis3"`` or ``"both"``: the two blocks
-    are distinguished by which transverse axis enters the curvature
-    factor.  Term 1 of each block carries the planar datum on the
-    ``xi - eta`` slot; term 2 swaps the slots.
+    The two blocks are distinguished by which transverse axis enters the
+    curvature factor.  Term 1 of each block carries the planar datum on
+    the ``xi - eta`` slot; term 2 swaps the slots.
     """
     w2 = p.w2_box
     nwp = p.neg_wprime_box
@@ -264,18 +247,9 @@ def kernels(p: KnappParams, which: str = "both") -> tuple[BilinearKernel, ...]:
             alpha=alpha,
         )
 
-    axis2 = (
+    return (
         make("axis2.t1", 0, nwp, w2),
         make("axis2.t2", 1, w2, nwp),
-    )
-    axis3 = (
         make("axis3.t1", 2, nwp, w2),
         make("axis3.t2", 3, w2, nwp),
     )
-    if which == "axis2":
-        return axis2
-    if which == "axis3":
-        return axis3
-    if which == "both":
-        return axis2 + axis3
-    raise InvalidParameterError(f"which must be 'axis2', 'axis3' or 'both', got {which!r}")

@@ -5,10 +5,6 @@ class InvalidParameterError(ValueError):
     """A caller-supplied parameter is outside its documented domain."""
 
 
-class SingularFrequencyError(InvalidParameterError):
-    """An operation that divides by |xi| was called at xi = 0."""
-
-
 class WindowEmptyError(InvalidParameterError):
     """The resonance window for (eps, rho, k) is empty.
 

@@ -353,14 +353,18 @@ def csv_lines(records: list[SweepRecord]) -> list[str]:
     return lines
 
 
-def write_csv(records: list[SweepRecord], path_or_file) -> None:
-    """Write records as CSV; identical records give identical bytes."""
-    text = "\n".join(csv_lines(records)) + "\n"
+def _write_text(text: str, path_or_file) -> None:
+    """Write ``text`` to a path, with no newline translation, or to an open file."""
     if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
         with open(path_or_file, "w", newline="") as fh:
             fh.write(text)
     else:
         path_or_file.write(text)
+
+
+def write_csv(records: list[SweepRecord], path_or_file) -> None:
+    """Write records as CSV; identical records give identical bytes."""
+    _write_text("\n".join(csv_lines(records)) + "\n", path_or_file)
 
 
 def _num(x: float):
@@ -425,9 +429,4 @@ def report_json(report: dict) -> str:
 
 
 def write_report(report: dict, path_or_file) -> None:
-    text = report_json(report)
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file, "w") as fh:
-            fh.write(text)
-    else:
-        path_or_file.write(text)
+    _write_text(report_json(report), path_or_file)

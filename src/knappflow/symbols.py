@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._kernels import MULT_SERIES_THRESHOLD, _mult_py
-from .errors import InvalidParameterError, SingularFrequencyError
+from .errors import InvalidParameterError
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,6 @@ class SignTriple:
     def __post_init__(self) -> None:
         if any(s not in (1, -1) for s in (self.s1, self.s2, self.s3)):
             raise InvalidParameterError("sign components must be +1 or -1")
-
-    def neg(self) -> "SignTriple":
-        return SignTriple(-self.s1, -self.s2, -self.s3)
 
     def __str__(self) -> str:
         return "".join("+" if s > 0 else "-" for s in (self.s1, self.s2, self.s3))
@@ -141,14 +138,3 @@ def duhamel_multiplier_oracle(t: float, om: float, n_steps: int = 2048) -> compl
     vals = np.exp(1j * om * tau)
     return complex((h / 3.0) * (_simpson_weights(n_steps) @ vals))
 
-
-def curl_inv_symbol(xi, v) -> np.ndarray:
-    """Fourier symbol of the inverse-Laplacian curl: ``i (xi x v) / |xi|^2``."""
-    xi = np.asarray(xi, dtype=float)
-    v = np.asarray(v, dtype=complex)
-    if xi.shape != (3,) or v.shape != (3,):
-        raise InvalidParameterError("xi and v must be 3-vectors")
-    n2 = float(xi @ xi)
-    if n2 == 0.0:
-        raise SingularFrequencyError("curl_inv_symbol is singular at xi = 0")
-    return 1j * np.cross(xi, v) / n2

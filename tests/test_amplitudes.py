@@ -34,6 +34,7 @@ from knappflow.construction import kernels, make_params
 from knappflow.errors import InvalidParameterError
 from knappflow.sweep import sweep_core
 from knappflow.symbols import SIGN_TRIPLES, SIGNS_ARRAY, SignTriple
+from regions import one_region
 
 EPS, RHO = 0.01, 2e-6
 SMALL_GRID = (8, 4, 4)
@@ -93,7 +94,7 @@ def spread_points(p):
 
 def fixed_grid_sums(p, xi, kern, counts):
     """One term's (tot, res, env) on a single fixed grid, without refinement."""
-    region = admissible_eta_region(xi, kern.support_a, kern.support_b)
+    region = one_region(xi, kern.support_a, kern.support_b)
     grid = quadrature_grid(region, counts)
     return _kernels.term_sums(
         grid.points, grid.weights, xi, p.t, kern.alpha, kern.code, SIGNS_ARRAY,
@@ -118,7 +119,7 @@ def test_resonance_classification_by_slot_order():
     xi = p.samp_box.center()
     by_label = {kern.label: kern for kern in kernels(p)}
     # planar datum on the eta slot: |xi - eta| ~ 2 lam, |eta| ~ lam
-    region = admissible_eta_region(
+    region = one_region(
         xi, by_label["axis2.t2"].support_a, by_label["axis2.t2"].support_b
     )
     rep = resonance_classify(p, xi, region.center())
@@ -127,7 +128,7 @@ def test_resonance_classification_by_slot_order():
         SignTriple.from_string("--+"),
     }
     # slots swapped: |xi - eta| ~ lam, |eta| ~ 2 lam
-    region = admissible_eta_region(
+    region = one_region(
         xi, by_label["axis2.t1"].support_a, by_label["axis2.t1"].support_b
     )
     rep = resonance_classify(p, xi, region.center())
@@ -145,7 +146,7 @@ def test_resonance_gap_sizes():
     p = small_params()
     xi = p.samp_box.center()
     kern = kernels(p)[0]
-    region = admissible_eta_region(xi, kern.support_a, kern.support_b)
+    region = one_region(xi, kern.support_a, kern.support_b)
     rep = resonance_classify(p, xi, region.center())
     for s, om in rep.omegas.items():
         if rep.empirical[s] is ResonanceClass.RESONANT:
@@ -232,15 +233,6 @@ def test_sign_subsets_partition_total():
     assert single.total == pytest.approx(full.per_sign[SIGN_TRIPLES[0]], rel=1e-13)
 
 
-def test_block_split_partitions_total():
-    p = small_params()
-    xi = p.samp_box.center()
-    full = lambda_hat(p, xi)
-    a2 = lambda_hat(p, xi, which="axis2")
-    a3 = lambda_hat(p, xi, which="axis3")
-    assert a2.total + a3.total == pytest.approx(full.total, rel=1e-12)
-
-
 def test_grid_doubling_converges():
     # the refined amplitude against one fixed fine grid per term
     for mode in ("slab", "surface"):
@@ -311,8 +303,8 @@ def test_lattice_hats_equal_lambda_hat_per_point(mode):
     _, pts = sample_lattice(p.samp_box, 3)
     assert lattice_hats(p, pts) == tuple(lambda_hat(p, xi) for xi in pts)
     signs = SIGN_TRIPLES[2:5]
-    assert lattice_hats(p, pts[:5], which="axis3", signs=signs, t=0.5 * p.t) == tuple(
-        lambda_hat(p, xi, which="axis3", signs=signs, t=0.5 * p.t) for xi in pts[:5]
+    assert lattice_hats(p, pts[:5], signs=signs, t=0.5 * p.t) == tuple(
+        lambda_hat(p, xi, signs=signs, t=0.5 * p.t) for xi in pts[:5]
     )
 
 
@@ -356,7 +348,7 @@ def test_backend_paths_agree(monkeypatch):
     p = small_params()
     xi = np.asarray(p.samp_box.center())
     kern = kernels(p)[0]
-    region = admissible_eta_region(xi, kern.support_a, kern.support_b)
+    region = one_region(xi, kern.support_a, kern.support_b)
     grid = quadrature_grid(region, (6, 5, 4))
     args = (grid.points, grid.weights, xi, p.t, 1.0, kern.code, SIGNS_ARRAY, p.resonance_threshold)
     tot_py, res_py, env_py = _kernels._term_sums_loop(*args)

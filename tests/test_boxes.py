@@ -13,6 +13,7 @@ from knappflow.boxes import (
     quadrature_nodes,
 )
 from knappflow.errors import InvalidParameterError
+from regions import one_region
 
 LAM = 4.0e5
 RT = np.sqrt(LAM)
@@ -23,7 +24,6 @@ def test_box_w_geometry():
     assert w.ax1 == (LAM - 1e-6 * LAM, LAM + 1e-6 * LAM)
     assert w.ax2 == (1e-9 * RT, 1e-6 * RT)
     assert w.ax3 == w.ax2
-    assert w.measure_mode == "volume"
     assert w.measure == pytest.approx(2e-6 * LAM * (0.999e-6 * RT) ** 2, rel=1e-12)
 
 
@@ -97,12 +97,15 @@ def test_scale_reflection_reorders_endpoints():
 
 def test_admissible_region_volume_case():
     a = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.0, 1.0))
-    region = admissible_eta_region((2.0, 2.0, 2.0), a, a)
+    region = one_region((2.0, 2.0, 2.0), a, a)
     # single-point region at (1,1,1): zero volume, still a valid box
     assert region is not None
     assert region.ax1 == (1.0, 1.0)
     assert region.measure == 0.0
-    assert admissible_eta_region((5.0, 0.5, 0.5), a, a) is None
+    assert one_region((5.0, 0.5, 0.5), a, a) is None
+    # one frequency is a (1, 3) array; a bare 3-vector is refused
+    with pytest.raises(InvalidParameterError):
+        admissible_eta_region((2.0, 2.0, 2.0), a, a)
 
 
 def test_admissible_region_surface_pinning():
@@ -110,24 +113,24 @@ def test_admissible_region_surface_pinning():
     w2 = box_scale(box_w(LAM), 2.0)
     # xi3 far below the doubled transverse floor of 2W: axis-3 constraint fails
     xi_bad = np.array([3.0 * LAM, 3e-7 * RT, 5e-10 * RT])
-    assert admissible_eta_region(xi_bad, surf, w2) is None
+    assert one_region(xi_bad, surf, w2) is None
     # the surface tolerance is an inclusive slack on the pinned value
     xi_edge = np.array([3.0 * LAM, 3e-7 * RT, 1e-9 * RT])
-    assert admissible_eta_region(xi_edge, surf, w2) is not None
+    assert one_region(xi_edge, surf, w2) is not None
     xi = np.array([3.0 * LAM, 3e-7 * RT, 5e-7 * RT])
-    region = admissible_eta_region(xi, surf, w2)
+    region = one_region(xi, surf, w2)
     assert region is not None
     assert region.surface_axis == 2
     assert region.ax3 == (xi[2], xi[2])
     # surface axis carried by the b operand pins at the surface value;
     # the Minkowski sum 2W + (-W') sits near lam, not 3 lam
     xi_b = np.array([LAM, 3e-7 * RT, 5e-7 * RT])
-    region2 = admissible_eta_region(xi_b, w2, box_scale(surf, -1.0))
+    region2 = one_region(xi_b, w2, box_scale(surf, -1.0))
     assert region2 is not None
     assert region2.ax3 == (0.0, 0.0)
     with pytest.raises(InvalidParameterError):
         bad = Box3(ax1=(0.0, 0.0), ax2=(0.0, 1.0), ax3=(0.0, 1.0), surface_axis=0)
-        admissible_eta_region((0.0, 0.0, 0.0), bad, surf)
+        one_region((0.0, 0.0, 0.0), bad, surf)
 
 
 def test_admissible_region_surface_with_collapsed_axis_is_empty():
@@ -136,9 +139,9 @@ def test_admissible_region_surface_with_collapsed_axis_is_empty():
     b = Box3(ax1=(2.0, 3.0), ax2=(0.0, 1.0), ax3=(0.0, 1.0))
     # xi1 at the low end of the Minkowski sum: the axis-1 interval is one point
     xi = (2.0, 0.5, 0.5)
-    assert admissible_eta_region(xi, sheet, b) is None
+    assert one_region(xi, sheet, b) is None
     # the same collapse in a volume/volume intersection keeps a measure-0 box
-    region = admissible_eta_region(xi, slab, b)
+    region = one_region(xi, slab, b)
     assert region is not None and region.ax1 == (2.0, 2.0) and region.has_null_axis
 
 
@@ -205,7 +208,7 @@ def test_region_rows_match_one_point_regions(pair, data):
     rows = admissible_eta_region(xis, a, b)
     assert rows.lo.shape == rows.hi.shape == xis.shape
     for j, xi in enumerate(xis):
-        region = admissible_eta_region(xi, a, b)
+        region = one_region(xi, a, b)
         assert region == _region_reference(xi, a, b)
         assert bool(rows.found[j]) == (region is not None)
         if region is not None:
@@ -241,7 +244,7 @@ def test_minkowski_coverage():
     hi = np.array([w.ax1[1], w.ax2[1], w.ax3[1]])
     for _ in range(1000):
         xi = lo + rng.random(3) * (hi - lo)
-        assert admissible_eta_region(xi, neg_wp, w2) is not None
+        assert one_region(xi, neg_wp, w2) is not None
 
 
 def test_quadrature_unit_cube():

@@ -1,0 +1,41 @@
+"""The package root's public names, and the README's library example."""
+
+import re
+from pathlib import Path
+
+import knappflow
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+PUBLIC = {
+    "make_params",
+    "lambda_hat",
+    "run_sweep",
+    "smoothness_verdict",
+    "KnappParams",
+    "SlabSpec",
+    "AmplitudeBreakdown",
+    "SignTriple",
+    "SweepRecord",
+    "NormReport",
+    "Verdict",
+    "InvalidParameterError",
+    "WindowEmptyError",
+    "FitDataError",
+    "__version__",
+}
+
+
+def test_root_exports_exactly_the_public_names():
+    assert len(knappflow.__all__) == len(PUBLIC)
+    assert set(knappflow.__all__) == PUBLIC
+    for name in knappflow.__all__:
+        assert getattr(knappflow, name) is not None
+
+
+def test_readme_library_example_runs(capsys):
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    exec(compile(block, str(README), "exec"), {})
+    measured, fails = capsys.readouterr().out.split()
+    assert abs(float(measured)) < 0.05
+    assert fails == "False"

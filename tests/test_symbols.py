@@ -2,15 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from knappflow._kernels import MULT_SERIES_THRESHOLD, mult_values
-from knappflow.errors import InvalidParameterError, SingularFrequencyError
+from knappflow.errors import InvalidParameterError
 from knappflow.symbols import (
     SIGN_TRIPLES,
     EvalBranch,
     SignTriple,
-    curl_inv_symbol,
     duhamel_multiplier,
     duhamel_multiplier_oracle,
     omega,
@@ -30,7 +28,6 @@ def test_sign_triple_enumeration():
         SignTriple.from_string("++")
     with pytest.raises(InvalidParameterError):
         SignTriple(1, 0, 1)
-    assert SignTriple(1, -1, 1).neg() == SignTriple(-1, 1, -1)
 
 
 def test_omega_examples():
@@ -47,7 +44,7 @@ def test_omega_antisymmetry_exact():
         xi = rng.normal(size=3) * 10.0 ** rng.integers(-3, 4)
         eta = rng.normal(size=3) * 10.0 ** rng.integers(-3, 4)
         for s in SIGN_TRIPLES:
-            assert omega(xi, eta, s) == -omega(xi, eta, s.neg())
+            assert omega(xi, eta, s) == -omega(xi, eta, SignTriple(-s.s1, -s.s2, -s.s3))
 
 
 def test_omega_all_matches_scalar():
@@ -190,35 +187,3 @@ def test_oracle_fourth_order_convergence():
     with pytest.raises(InvalidParameterError):
         duhamel_multiplier_oracle(-1.0, 1.0, 16)
 
-
-def test_curl_inv_symbol():
-    out = curl_inv_symbol((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-    assert np.allclose(out, [0.0, 0.0, 1j])
-    rng = np.random.default_rng(17)
-    for _ in range(100):
-        xi = rng.normal(size=3)
-        v = rng.normal(size=3) + 1j * rng.normal(size=3)
-        out = curl_inv_symbol(xi, v)
-        # orthogonal to xi
-        assert abs(xi @ out) <= 1e-12 * np.linalg.norm(out) * np.linalg.norm(xi)
-    with pytest.raises(SingularFrequencyError):
-        curl_inv_symbol((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
-
-
-def test_curl_inv_double_application():
-    # applying the symbol twice (scaled back by |xi|^2 each time)
-    # reproduces -(xi x (xi x v)) = -xi (xi.v) + |xi|^2 v
-    rng = np.random.default_rng(18)
-    for _ in range(100):
-        xi = rng.normal(size=3)
-        v = rng.normal(size=3) + 1j * rng.normal(size=3)
-        n2 = float(xi @ xi)
-        twice = curl_inv_symbol(xi, curl_inv_symbol(xi, v) * n2) * n2
-        want = -xi * (xi @ v) + n2 * v
-        assert np.allclose(twice, want, rtol=1e-12, atol=1e-12)
-
-
-@given(st.integers(min_value=0, max_value=7))
-def test_neg_is_involution(i: int):
-    s = SIGN_TRIPLES[i]
-    assert s.neg().neg() == s
