@@ -150,20 +150,6 @@ def box_scale(b: Box3, c: float) -> Box3:
     )
 
 
-def box_contains(b: Box3, xi) -> bool:
-    """Closed-box membership; surface axes compare within ``surface_tol``."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (3,):
-        raise InvalidParameterError("xi must be a 3-vector")
-    for i, (lo, hi) in enumerate(b.axes):
-        if i == b.surface_axis:
-            if abs(xi[i] - lo) > b.surface_tol:
-                return False
-        elif not (lo <= xi[i] <= hi):
-            return False
-    return True
-
-
 class EtaRegions(NamedTuple):
     """Admissible eta-regions of P output frequencies against one support pair.
 

@@ -63,8 +63,6 @@ class KnappParams:
     rho: float
     k: int
     slab: SlabSpec
-    s_exp: float
-    r_exp: float
     grid: tuple[int, int, int] = DEFAULT_GRID
 
     def __post_init__(self) -> None:
@@ -74,12 +72,9 @@ class KnappParams:
             raise InvalidParameterError(f"eps must lie in (0, 0.1], got {self.eps}")
         if not (0.0 < self.rho < 1.0):
             raise InvalidParameterError(f"rho must lie in (0, 1), got {self.rho}")
-        if self.k < 1:
-            raise InvalidParameterError(f"k must be a positive integer, got {self.k}")
+        window_index(self.k)
         if len(self.grid) != 3 or any(int(n) < 1 for n in self.grid):
             raise InvalidParameterError(f"grid must be 3 ints >= 1, got {self.grid}")
-        if not (math.isfinite(self.s_exp) and math.isfinite(self.r_exp)):
-            raise InvalidParameterError("Sobolev indices s and r must be finite")
 
     @property
     def t(self) -> float:
@@ -125,6 +120,13 @@ class KnappParams:
         return self.lam ** 0.75
 
 
+def window_index(k) -> int:
+    """``k`` as an int; a window index is a finite whole number >= 1."""
+    if not (float(k).is_integer() and k >= 1):
+        raise InvalidParameterError(f"k must be a positive integer, got {k}")
+    return int(k)
+
+
 def lambda_window(eps: float, rho: float, k: int) -> tuple[float, float] | None:
     """Admissible open interval for sqrt(lam), or None when empty.
 
@@ -136,8 +138,7 @@ def lambda_window(eps: float, rho: float, k: int) -> tuple[float, float] | None:
         raise InvalidParameterError(f"eps must lie in (0, 0.1], got {eps}")
     if not (0.0 < rho < 1.0):
         raise InvalidParameterError(f"rho must lie in (0, 1), got {rho}")
-    if k < 1:
-        raise InvalidParameterError(f"k must be a positive integer, got {k}")
+    k = window_index(k)
     lo = (2.0 * k * math.pi - eps) / (eps * (1.0 - rho))
     hi = (2.0 * k * math.pi + eps) / (eps * (1.0 + rho))
     if lo >= hi:
@@ -150,8 +151,6 @@ def make_params(
     rho: float,
     k: int,
     mode: str = "slab",
-    s_exp: float = 0.5,
-    r_exp: float = -0.25,
     grid: tuple[int, int, int] = DEFAULT_GRID,
     thickness: float | None = None,
     amplitude: float = 1.0,
@@ -185,9 +184,7 @@ def make_params(
         slab = SlabSpec(thickness=h, amplitude=amplitude)
     else:
         raise InvalidParameterError(f"mode must be 'slab' or 'surface', got {mode!r}")
-    return KnappParams(
-        lam=lam, eps=eps, rho=rho, k=int(k), slab=slab, s_exp=s_exp, r_exp=r_exp, grid=tuple(grid)
-    )
+    return KnappParams(lam=lam, eps=eps, rho=rho, k=int(k), slab=slab, grid=tuple(grid))
 
 
 def curl_parts(xi, a1_val: complex, a2_val: complex) -> tuple[np.ndarray, np.ndarray]:

@@ -30,7 +30,7 @@ from .amplitudes import (
     output_norm_from_samples,
     sample_lattice,
 )
-from .construction import DEFAULT_GRID, KnappParams, make_params
+from .construction import DEFAULT_GRID, KnappParams, make_params, window_index
 from .errors import FitDataError, InvalidParameterError, WindowEmptyError
 
 # Flags whose presence drops a record from exponent fits.  Everything
@@ -60,7 +60,6 @@ _NAN_NORMS = NormReport(
     norm_d1a2=math.nan,
     norm_product=math.nan,
     norm_total=math.nan,
-    norm_output_lower=math.nan,
 )
 
 
@@ -124,9 +123,9 @@ def sweep_core(
 
     The expensive oscillatory quadrature happens here exactly once per
     k; records for any (s, r) pair are derived from the result without
-    re-integration.
+    re-integration.  Every k must be a whole number.
     """
-    ks = [int(k) for k in k_list]
+    ks = [window_index(k) for k in k_list]
     if not ks:
         raise InvalidParameterError("k_list must be nonempty")
     cores: list[WindowSamples] = []
@@ -198,7 +197,7 @@ def records_from_core(
         if p.slab.mode == "surface":
             flags.append("surface_norm_formal")
         out = output_norm_from_samples(s_exp, list(core.lattice_axes), amps)
-        norms = norm_report(p, r=r_exp, output_lower=out)
+        norms = norm_report(p, r_exp)
         records.append(
             SweepRecord(
                 k=core.k,
@@ -227,7 +226,7 @@ def run_sweep(
     grid: tuple[int, int, int] = DEFAULT_GRID,
 ) -> list[SweepRecord]:
     """Full sweep over the window indices for one (s, r) pair."""
-    ks = [int(k) for k in k_list]
+    ks = list(k_list)
     if len(ks) < 3:
         raise InvalidParameterError(
             f"need at least 3 window indices for a sweep, got {len(ks)}"
@@ -283,14 +282,13 @@ def smoothness_verdict(
     s_exp: float,
     r_exp: float,
     records: list[SweepRecord],
-    margin: float = VERDICT_MARGIN,
 ) -> Verdict:
     """Compare the measured growth ratio against the analytic exponent.
 
     The measured ratio exponent is slope(output_norm) - 2*slope(norm_total):
     the log-lambda growth rate of output size over squared input size.  A
-    value above ``margin`` means the quadratic flow-map bound cannot hold
-    with constants uniform in lambda.
+    value above ``VERDICT_MARGIN`` means the quadratic flow-map bound
+    cannot hold with constants uniform in lambda.
     """
     usable = _usable(records)
     if len(usable) < 3:
@@ -315,7 +313,7 @@ def smoothness_verdict(
         r_exp=r_exp,
         measured_ratio_exponent=measured,
         analytic_ratio_exponent=analytic,
-        smooth_bound_fails=bool(measured > margin),
+        smooth_bound_fails=bool(measured > VERDICT_MARGIN),
         notes=tuple(notes),
     )
 

@@ -22,6 +22,7 @@ from knappflow.amplitudes import (
     resonance_classify,
     sample_lattice,
     sobolev_norm_monomial,
+    sobolev_norms_monomials,
 )
 from knappflow.boxes import (
     Box3,
@@ -562,16 +563,59 @@ def test_product_norm_of_separated_boxes_equals_per_cell_reference():
         product_norm_boxes(a, b, 0.3, (8, 0, 4))
 
 
+def monomial_norm_reference(b, monomial, amplitude, r, nodes_per_axis=(32, 16, 16)):
+    """``sobolev_norm_monomial`` on a point grid: one ``quadrature_grid``
+    over the box, ``<xi>^{2r}`` and the monomial on its (n, 3) points."""
+    grid = quadrature_grid(b, nodes_per_axis)
+    if grid.weights.size == 0:
+        return 0.0
+    vals = (1.0 + (grid.points * grid.points).sum(axis=-1)) ** r
+    for i, m in enumerate(monomial):
+        if m:
+            vals = vals * grid.points[:, i] ** (2 * int(m))
+    integral = float(grid.weights @ vals) * amplitude * amplitude
+    return math.sqrt(integral / TWO_PI_CUBED)
+
+
+# The monomials norm_report integrates, and the constant.
+MONOMIALS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_monomial_norm_at_steep_weight_equals_point_grid_reference(seed):
+    # At a large r the few nodes of largest |xi| decide the sum, so a
+    # change in the last bit of their bracket shows in the result
+    rng = np.random.default_rng(seed)
+    b = random_box(rng, surface_axis=(None, 2, 0, None)[seed % 4])
+    r, amplitude = float(rng.uniform(8.0, 30.0)), float(rng.uniform(0.5, 2.0))
+    want = [monomial_norm_reference(b, m, amplitude, r, SMALL_GRID) for m in MONOMIALS]
+    assert [sobolev_norm_monomial(b, m, amplitude, r, SMALL_GRID) for m in MONOMIALS] == want
+    assert sobolev_norms_monomials(b, MONOMIALS, amplitude, r, SMALL_GRID) == want
+    # a monomial with several powers squares their product instead of
+    # multiplying the powers in one by one: equal to rounding
+    got = sobolev_norm_monomial(b, (2, 1, 1), amplitude, r, SMALL_GRID)
+    assert got == pytest.approx(monomial_norm_reference(b, (2, 1, 1), amplitude, r, SMALL_GRID))
+
+
+def test_monomial_norm_of_zero_length_axis_is_zero():
+    flat = Box3(ax1=(0.0, 1.0), ax2=(0.5, 0.5), ax3=(-2.0, 1.0))
+    for m in MONOMIALS:
+        assert sobolev_norm_monomial(flat, m, 1.5, 12.0) == 0.0
+        assert monomial_norm_reference(flat, m, 1.5, 12.0) == 0.0
+    with pytest.raises(InvalidParameterError):
+        sobolev_norm_monomial(flat, (1, 0, 0), 1.0, 0.0, (8, 0, 4))
+
+
 def test_product_norm_working_set_is_one_cell():
     # 27 cells of (32,16,16) nodes; one float64 array over all of them is
     # the working set of a whole-window broadcast
     p = make_params(EPS, RHO, 5)
     assert p.grid == (32, 16, 16)
     whole_window = 27 * 8192 * 8
-    product_norm(p)
+    product_norm(p, -0.25)
     tracemalloc.start()
     try:
-        product_norm(p)
+        product_norm(p, -0.25)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -580,8 +624,7 @@ def test_product_norm_working_set_is_one_cell():
 
 def test_norm_report_structure():
     p = small_params()
-    rep = norm_report(p, output_lower=1.25)
-    assert rep.norm_output_lower == 1.25
+    rep = norm_report(p, -0.25)
     assert rep.norm_total == pytest.approx(math.sqrt(2.0) * rep.norm_d2a1, rel=1e-12)
     for v in (rep.norm_d2a1, rep.norm_d1a2, rep.norm_product):
         assert v > 0.0 and math.isfinite(v)
@@ -593,7 +636,7 @@ def test_norm_report_equals_one_monomial_at_a_time(mode, r):
     # nd2 and nd3 share one grid and one <xi>^{2r}: each must equal its
     # own sobolev_norm_monomial call bit for bit
     p = make_params(EPS, RHO, 3, mode=mode)
-    rep = norm_report(p, r=r, output_lower=0.0)
+    rep = norm_report(p, r)
     nd2 = sobolev_norm_monomial(p.w2_box, (0, 1, 0), 1.0, r, p.grid)
     nd3 = sobolev_norm_monomial(p.w2_box, (0, 0, 1), 1.0, r, p.grid)
     nd1a2 = sobolev_norm_monomial(p.neg_wprime_box, (1, 0, 0), p.slab.amplitude, r, p.grid)
@@ -603,16 +646,16 @@ def test_norm_report_equals_one_monomial_at_a_time(mode, r):
 
 
 def test_output_norm_lower_constant_hook():
-    p = small_params(s_exp=0.5)
+    p, s = small_params(), 0.5
     axes, _ = sample_lattice(p.samp_box, 3)
-    got = output_norm_from_samples(p.s_exp, axes, np.ones(27))
+    got = output_norm_from_samples(s, axes, np.ones(27))
     grid = quadrature_grid(p.samp_box, (12, 8, 8))
-    integral = float(grid.weights @ (1.0 + (grid.points**2).sum(axis=1)) ** p.s_exp)
+    integral = float(grid.weights @ (1.0 + (grid.points**2).sum(axis=1)) ** s)
     want = math.sqrt(integral / TWO_PI_CUBED)
     assert got == pytest.approx(want, rel=1e-9)
     # the bound scales like lam^s for the unit hook: sanity on magnitude
     assert want == pytest.approx(
-        math.sqrt(p.lam ** (2 * p.s_exp) * p.samp_box.measure / TWO_PI_CUBED), rel=1e-3
+        math.sqrt(p.lam ** (2 * s) * p.samp_box.measure / TWO_PI_CUBED), rel=1e-3
     )
 
 

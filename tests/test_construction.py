@@ -80,7 +80,7 @@ def test_make_params_validation():
     with pytest.raises(InvalidParameterError):
         SlabSpec(amplitude=-1.0)
     with pytest.raises(InvalidParameterError):
-        KnappParams(lam=10.0, eps=EPS, rho=RHO, k=1, slab=SlabSpec(), s_exp=0.5, r_exp=0.0)
+        KnappParams(lam=10.0, eps=EPS, rho=RHO, k=1, slab=SlabSpec())
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -92,10 +92,24 @@ def test_non_finite_parameters_are_rejected(bad):
         make_params(EPS, RHO, 1, thickness=bad)
     with pytest.raises(InvalidParameterError):
         SlabSpec(thickness=bad)
-    fields = dict(lam=4e5, eps=EPS, rho=RHO, k=1, slab=SlabSpec(), s_exp=0.5, r_exp=0.0)
-    for name in ("lam", "s_exp", "r_exp"):
-        with pytest.raises(InvalidParameterError):
-            KnappParams(**{**fields, name: bad})
+    with pytest.raises(InvalidParameterError):
+        KnappParams(lam=bad, eps=EPS, rho=RHO, k=1, slab=SlabSpec())
+
+
+@pytest.mark.parametrize("bad", [1.5, 0.999, math.nan, math.inf, 0, -2])
+def test_window_index_must_be_a_positive_whole_number(bad):
+    # a fractional k would take lam from the anti-resonant window between
+    # two resonant ones
+    with pytest.raises(InvalidParameterError, match="k must be a positive integer"):
+        lambda_window(EPS, RHO, bad)
+    with pytest.raises(InvalidParameterError, match="k must be a positive integer"):
+        make_params(EPS, RHO, bad)
+    with pytest.raises(InvalidParameterError, match="k must be a positive integer"):
+        KnappParams(lam=4e5, eps=EPS, rho=RHO, k=bad, slab=SlabSpec())
+    # a whole number of another type is accepted as that int
+    p = make_params(EPS, RHO, 2)
+    assert make_params(EPS, RHO, 2.0) == make_params(EPS, RHO, np.int64(2)) == p
+    assert type(p.k) is int
 
 
 def test_window_soundness():

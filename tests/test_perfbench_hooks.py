@@ -4,6 +4,9 @@
 table with a timing wrapper, and ``perfbench/run.py`` polls its speed gauge
 after ``knappflow.sweep.lambda_hat``.  A renamed or deleted function would
 break ``--trace 1`` or every benchmark run without failing a package test.
+The harness also reads two values without calling a hooked name: the
+backend flag ``run.py`` writes into its run record, and the multiplier
+values the ``multiplier_oracle`` workload collects.
 """
 
 import importlib
@@ -35,3 +38,12 @@ def test_traced_table_is_readable():
 )
 def test_hooked_name_resolves(module_name, attr):
     assert callable(getattr(importlib.import_module(module_name), attr, None))
+
+
+def test_values_read_by_the_harness():
+    # run.py records "numba" if the flag is set, else "numpy"
+    assert importlib.import_module("knappflow._kernels").NUMBA_ENABLED is False
+    symbols = importlib.import_module("knappflow.symbols")
+    # the workload compares .value against complex numpy arrays, on both branches
+    for t, om in ((0.5, 3.0), (0.5, 1e-9), (0.5, 0.0)):
+        assert type(symbols.duhamel_multiplier(t, om).value) is complex

@@ -79,7 +79,6 @@ def test_record_invariants(records):
         assert r.sup_amp <= (r.res_amp + r.nonres_amp) * (1.0 + 1e-12)
         assert r.sup_amp >= abs(r.res_amp - r.nonres_amp) * (1.0 - 1e-12)
         assert r.output_norm > 0.0
-        assert r.norms.norm_output_lower == r.output_norm
         assert r.norms.norm_total == pytest.approx(
             math.hypot(r.norms.norm_d2a1, r.norms.norm_d2a1), rel=1e-12
         )
@@ -131,6 +130,16 @@ def test_sweep_validation():
     # every requested window empty: aborts with guidance rather than fitting nothing
     with pytest.raises(InvalidParameterError, match="decrease rho"):
         sweep_core(EPS, 1e-3, [5, 6, 7], grid=SMALL_GRID)
+
+
+def test_fractional_window_index_is_rejected_not_truncated():
+    for bad in (1.5, math.nan):
+        with pytest.raises(InvalidParameterError, match="k must be a positive integer"):
+            sweep_core(EPS, RHO, [1, bad], grid=SMALL_GRID)
+        with pytest.raises(InvalidParameterError, match="k must be a positive integer"):
+            run_sweep(EPS, RHO, 0.5, -0.25, [1, 2, bad], grid=SMALL_GRID)
+    # whole numbers of any type are stored as ints, as the CSV writes them
+    assert [c.k for c in sweep_core(EPS, RHO, [np.int64(1), 2.0], grid=SMALL_GRID)] == [1, 2]
 
 
 def test_standard_fits_slopes(records):
