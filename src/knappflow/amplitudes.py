@@ -27,7 +27,11 @@ All Sobolev norms use the convention
 
 and a product of physical-side data transforms to ``(2 pi)^-3`` times
 the convolution of the transforms.  Every norm is one ``_cell_integral``
-over per-axis Gauss-Legendre cells.
+over per-axis Gauss-Legendre cells.  On the Knapp boxes, which lie at
+distance ``lam`` along axis 1 with transverse sides ``lam^1/2``, the
+transverse squares round away in ``1 + |xi|^2`` at every node; where a
+per-axis check shows this, ``<xi>^{2r}`` is taken once per axis-1 node
+instead of once per tensor node, with the same bits.
 """
 
 from __future__ import annotations
@@ -285,6 +289,16 @@ def _tensor(op: np.ufunc, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.nda
     return op.outer(op.outer(a, b), c)
 
 
+def _transverse_rounds_away(sq1: np.ndarray, sq2: np.ndarray, sq3: np.ndarray) -> bool:
+    """Whether ``1 + ((sq1 + sq2) + sq3)`` equals ``1 + sq1`` at every node.
+
+    Float addition is monotone and squares are ``>= 0``, so if adding the
+    largest of ``sq2`` and the largest of ``sq3`` leaves every ``sq1``
+    unchanged, every smaller addend does too.
+    """
+    return bool(np.all(sq1 + sq2.max() == sq1) and np.all(sq1 + sq3.max() == sq1))
+
+
 def _cell_integral(axis_cells, r: float, integrand) -> float:
     """``∫ <xi>^{2r} |F|^2`` over a tensor product of per-axis cells.
 
@@ -294,14 +308,26 @@ def _cell_integral(axis_cells, r: float, integrand) -> float:
     once per axis; each cell's weighted integrand is summed by one dot,
     and the cells are added in ``c1, c2, c3`` order.  Every Sobolev norm
     of the package is this integral.
+
+    Where every transverse square rounds away against every axis-1
+    square (``_transverse_rounds_away``; the Knapp boxes sit at distance
+    ``lam`` along axis 1 with transverse sides ``lam^1/2``), the bracket
+    is ``1 + sq1`` bit for bit, so ``<xi>^{2r}`` is one array power per
+    axis-1 node, broadcast over each cell.  Otherwise the 3-D bracket is
+    formed and raised per cell.  Both give the same bits wherever the
+    first applies.
     """
     (x1, w1), (x2, w2), (x3, w3) = axis_cells
     sq1, sq2, sq3 = x1 * x1, x2 * x2, x3 * x3
+    axial_pow = (1.0 + sq1) ** r if _transverse_rounds_away(sq1, sq2, sq3) else None
     integral = 0.0
     for c1, c2, c3 in itertools.product(range(len(x1)), range(len(x2)), range(len(x3))):
-        bracket = 1.0 + _tensor(np.add, sq1[c1], sq2[c2], sq3[c3])
+        if axial_pow is None:
+            bracket_pow = (1.0 + _tensor(np.add, sq1[c1], sq2[c2], sq3[c3])) ** r
+        else:
+            bracket_pow = axial_pow[c1][:, None, None]
         weights = _tensor(np.multiply, w1[c1], w2[c2], w3[c3])
-        vals = bracket**r * integrand(c1, c2, c3)
+        vals = bracket_pow * integrand(c1, c2, c3)
         integral += float(weights.ravel() @ vals.ravel())
     return integral
 

@@ -46,6 +46,15 @@ def test_criterion_08_data_norm_scaling():
     _check(acceptance.criterion_norm_scaling())
 
 
+def test_criterion_08_checks_the_product_norm_slope(monkeypatch):
+    # a product norm half a power of lam off its derived slope must fail
+    product_norm = acceptance.product_norm
+    monkeypatch.setattr(acceptance, "product_norm", lambda p, r: product_norm(p, r) * p.lam**0.5)
+    result = acceptance.criterion_norm_scaling()
+    assert not result.passed
+    assert "product r=-0.25: slope 3.2500 vs 2.75" in result.detail
+
+
 def test_criterion_09_output_norm_scaling():
     _check(acceptance.criterion_output_scaling())
 

@@ -33,7 +33,7 @@ from knappflow.boxes import (
 )
 from knappflow.construction import kernels, make_params
 from knappflow.errors import InvalidParameterError
-from knappflow.sweep import sweep_core
+from knappflow.sweep import fit_exponent, records_from_core, sweep_core
 from knappflow.symbols import SIGN_TRIPLES, SIGNS_ARRAY, SignTriple
 from regions import one_region
 
@@ -44,7 +44,8 @@ FINE_GRID = (64, 32, 32)
 # A regime where the term integrals need more than one refinement: boxes
 # 5e3 times wider along axis 1 and 1e6 times wider transversally.
 WIDE_EPS, WIDE_RHO = 0.1, 1.2e-2
-# The Sobolev indices r of the benchmark's (s, r) scans.
+# The Sobolev indices s and r of the benchmark's (s, r) scans.
+S_GRID = (0.25, 0.5, 0.75, 1.0)
 R_GRID = (-0.5, -0.25, 0.0, 0.25)
 
 
@@ -82,6 +83,20 @@ def count_points_per_call(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(_kernels, "term_sums", counting)
     return points
+
+
+def log_fast_path(monkeypatch) -> list[bool]:
+    """Record, per ``_cell_integral`` call from now on, whether it takes
+    the one-power-per-axis-1-node path."""
+    taken: list[bool] = []
+    rounds_away = amplitudes._transverse_rounds_away
+
+    def logging(*squares):
+        taken.append(rounds_away(*squares))
+        return taken[-1]
+
+    monkeypatch.setattr(amplitudes, "_transverse_rounds_away", logging)
+    return taken
 
 
 def spread_points(p):
@@ -168,6 +183,9 @@ def test_breakdown_sum_invariants():
     assert abs(b.nonresonant_sum) <= b.nonresonant_envelope * (1.0 + 1e-9)
     assert b.eval_point == tuple(xi)
     assert b.t == p.t
+    # a fresh, equal key finds its entry in the per-sign dict
+    assert b.per_sign[SignTriple(1, -1, 1)] == b.per_sign[SIGN_TRIPLES[2]]
+    assert list(b.per_sign) == list(SIGN_TRIPLES)
 
 
 def test_total_purely_imaginary():
@@ -529,6 +547,16 @@ def test_product_norm_equals_per_cell_reference(mode, k):
         assert got == product_norm_reference(a, b, r, SMALL_GRID, alpha=2.5)
 
 
+@pytest.mark.parametrize("mode, offset", [("slab", 3.0), ("surface", 2.5)])
+def test_product_norm_slope_is_derived_from_the_box_sides(mode, offset):
+    # acceptance.criterion_norm_scaling derives lam^(r + 3) from a lam^2
+    # overlap volume on a lam^2 support; a surface loses the lam^1/2 side
+    ps = [make_params(EPS, RHO, k, mode=mode) for k in range(1, 11)]
+    for r in R_GRID:
+        fit = fit_exponent([(p.lam, product_norm(p, r)) for p in ps])
+        assert fit.slope == pytest.approx(r + offset, abs=1e-6)
+
+
 def random_box(rng, surface_axis=None):
     ends = np.sort(rng.uniform(-3.0, 3.0, (3, 2)), axis=1)
     if surface_axis is not None:
@@ -537,15 +565,18 @@ def random_box(rng, surface_axis=None):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_product_norm_at_steep_weight_equals_per_cell_reference(seed):
+def test_product_norm_at_steep_weight_equals_per_cell_reference(monkeypatch, seed):
     # At a large r the few nodes of largest |xi| decide the sum, so a
     # change in the last bit of their integrand shows in the result
+    taken = log_fast_path(monkeypatch)
     rng = np.random.default_rng(seed)
     a = random_box(rng, surface_axis=2 if seed % 3 == 0 else None)
     b = random_box(rng, surface_axis=2 if seed % 3 == 1 else None)
     r, alpha = float(rng.uniform(8.0, 30.0)), float(rng.uniform(0.5, 2.0))
     got = product_norm_boxes(a, b, r, SMALL_GRID, alpha=alpha)
     assert got == product_norm_reference(a, b, r, SMALL_GRID, alpha=alpha)
+    # unit-scale boxes: the transverse squares count, so the 3-D bracket ran
+    assert taken == [False]
 
 
 def test_product_norm_of_separated_boxes_equals_per_cell_reference():
@@ -582,9 +613,10 @@ MONOMIALS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_monomial_norm_at_steep_weight_equals_point_grid_reference(seed):
+def test_monomial_norm_at_steep_weight_equals_point_grid_reference(monkeypatch, seed):
     # At a large r the few nodes of largest |xi| decide the sum, so a
     # change in the last bit of their bracket shows in the result
+    taken = log_fast_path(monkeypatch)
     rng = np.random.default_rng(seed)
     b = random_box(rng, surface_axis=(None, 2, 0, None)[seed % 4])
     r, amplitude = float(rng.uniform(8.0, 30.0)), float(rng.uniform(0.5, 2.0))
@@ -595,6 +627,8 @@ def test_monomial_norm_at_steep_weight_equals_point_grid_reference(seed):
     # multiplying the powers in one by one: equal to rounding
     got = sobolev_norm_monomial(b, (2, 1, 1), amplitude, r, SMALL_GRID)
     assert got == pytest.approx(monomial_norm_reference(b, (2, 1, 1), amplitude, r, SMALL_GRID))
+    # unit-scale boxes: the transverse squares count, so the 3-D bracket ran
+    assert taken == [False] * (2 * len(MONOMIALS) + 1)
 
 
 def test_monomial_norm_of_zero_length_axis_is_zero():
@@ -754,14 +788,17 @@ def test_output_norm_equals_per_cell_reference(seed):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_output_norm_at_steep_weight_equals_per_cell_reference(seed):
+def test_output_norm_at_steep_weight_equals_per_cell_reference(monkeypatch, seed):
     # At a large s the few nodes of largest |xi| decide the sum, so a
     # change in the last bit of their integrand shows in the result
+    taken = log_fast_path(monkeypatch)
     rng = np.random.default_rng(seed)
     axes = [np.sort(rng.uniform(-5.0, 5.0, n)) for n in rng.integers(2, 6, 3)]
     amps = rng.random(math.prod(len(ax) for ax in axes))
     s = float(rng.uniform(30.0, 80.0))
     assert output_norm_from_samples(s, axes, amps) == output_norm_reference(s, axes, amps)
+    # unit-scale axes: the transverse squares count, so the 3-D bracket ran
+    assert taken == [False]
 
 
 def test_sample_lattice_shape():
@@ -773,3 +810,125 @@ def test_sample_lattice_shape():
     hi = [ax[1] for ax in p.samp_box.axes]
     assert np.allclose(pts.min(axis=0), lo)
     assert np.allclose(pts.max(axis=0), hi)
+
+
+# ---------------------------------------------------------------------------
+# <xi>^{2r} from axis 1 alone where the transverse squares round away
+# ---------------------------------------------------------------------------
+
+# Axis 1 starts at 3.8 in every case: the square of its first node (about
+# 14.7) is the only one below 16, so that node alone binds the check
+# (one ulp finer than the others), its bracket stays in its binade, and
+# the steep negative weight makes it carry most of the sum.  A last-bit
+# change of its bracket shows in the norm, and a check made only at the
+# largest axis-1 square would pass too late.
+BOUNDARY_R = -150.0
+
+
+def transverse_axes(binding, wide, narrow):
+    """Axis-2 and axis-3 intervals: ``wide`` on the ``binding`` axis (1 or
+    2), ``narrow`` on the other, whose squares stay far smaller."""
+    return (wide, narrow) if binding == 1 else (narrow, wide)
+
+
+def monomial_case(h, binding):
+    ax2, ax3 = transverse_axes(binding, (0.0, h), (-0.1 * h, 0.05 * h))
+    b = Box3(ax1=(3.8, 5.8), ax2=ax2, ax3=ax3)
+    return (
+        lambda: sobolev_norms_monomials(b, MONOMIALS, 1.5, BOUNDARY_R, SMALL_GRID),
+        lambda: [monomial_norm_reference(b, m, 1.5, BOUNDARY_R, SMALL_GRID) for m in MONOMIALS],
+    )
+
+
+def product_case(h, binding):
+    # a is a sheet across axis 1 and b across the binding axis, so both
+    # carry an indicator, not a tent that vanishes at the binding nodes
+    a2, a3 = transverse_axes(binding, (0.5 * h, h), (-0.1 * h, 0.05 * h))
+    b2, b3 = transverse_axes(binding, (0.5 * h, 0.5 * h), (0.0, 0.1 * h))
+    a = Box3(ax1=(2.0, 2.0), ax2=a2, ax3=a3, surface_axis=0)
+    b = Box3(ax1=(1.8, 3.8), ax2=b2, ax3=b3, surface_axis=binding)
+    return (
+        lambda: [product_norm_boxes(a, b, BOUNDARY_R, SMALL_GRID, alpha=1.5)],
+        lambda: [product_norm_reference(a, b, BOUNDARY_R, SMALL_GRID, alpha=1.5)],
+    )
+
+
+def output_case(h, binding):
+    ax2, ax3 = transverse_axes(binding, (0.0, h), (-0.1 * h, 0.05 * h))
+    axes = [np.linspace(3.8, 6.2, 3), np.linspace(*ax2, 3), np.linspace(*ax3, 3)]
+    amps = np.ones(27)  # every node counts by its weight and bracket alone
+    return (
+        lambda: [output_norm_from_samples(BOUNDARY_R, axes, amps)],
+        lambda: [output_norm_reference(BOUNDARY_R, axes, amps)],
+    )
+
+
+def fast_path_boundary(taken, case, binding):
+    """Adjacent floats ``h < h_next`` with ``case(h)`` on the fast path and
+    ``case(h_next)`` off it, by bisection on the bits of positive floats."""
+
+    def as_float(bits):
+        return float(np.int64(bits).view(np.float64))
+
+    def fast(bits):
+        taken.clear()
+        case(as_float(bits), binding)[0]()
+        assert len(set(taken)) == 1
+        return taken[0]
+
+    lo, hi = (int(np.float64(h).view(np.int64)) for h in (1e-300, 1.0))
+    assert fast(lo) and not fast(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fast(mid):
+            lo = mid
+        else:
+            hi = mid
+    return as_float(lo), as_float(hi)
+
+
+@pytest.mark.parametrize("binding", [1, 2])
+@pytest.mark.parametrize("case", [monomial_case, product_case, output_case])
+def test_fast_path_equals_reference_on_both_sides_of_its_boundary(monkeypatch, case, binding):
+    taken = log_fast_path(monkeypatch)
+    h, h_next = fast_path_boundary(taken, case, binding)
+    assert h_next == np.nextafter(h, np.inf)
+    for width, fast in ((h, True), (h_next, False)):
+        norm, reference = case(width, binding)
+        taken.clear()
+        assert norm() == reference()
+        assert set(taken) == {fast}
+    # the boundary is tight: one float past it, axis 1 alone is wrong
+    norm, reference = case(h_next, binding)
+    monkeypatch.setattr(amplitudes, "_transverse_rounds_away", lambda *squares: True)
+    assert norm() != reference()
+
+
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_every_sweep_norm_at_the_acceptance_geometry_takes_the_fast_path(monkeypatch, mode):
+    cores = sweep_core(EPS, RHO, range(1, 11), mode=mode)
+    taken = log_fast_path(monkeypatch)
+    for s, r in zip(S_GRID, R_GRID):
+        records_from_core(cores, s, r)
+    # per window: the output norm, three monomial norms and the product norm
+    assert taken == [True] * (5 * 10 * len(S_GRID))
+
+
+def sweep_norms(cores):
+    """Every norm a sweep takes from ``cores``, over the scans' s and r."""
+    out = []
+    for core in cores:
+        amps = np.array([abs(b.total) for b in core.breakdowns])
+        for r in R_GRID:
+            out += [product_norm(core.params, r), norm_report(core.params, r)]
+        for s in S_GRID + R_GRID:
+            out.append(output_norm_from_samples(s, list(core.lattice_axes), amps))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_general_path_gives_the_fast_path_bits(monkeypatch, mode):
+    cores = sweep_core(EPS, RHO, (1, 5, 10), mode=mode)
+    fast = sweep_norms(cores)
+    monkeypatch.setattr(amplitudes, "_transverse_rounds_away", lambda *squares: False)
+    assert sweep_norms(cores) == fast

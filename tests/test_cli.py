@@ -15,6 +15,14 @@ from knappflow.construction import make_params
 EPS, RHO = 0.01, 2e-6
 
 
+def child_env() -> dict[str, str]:
+    """This environment, with the checkout's package first on PYTHONPATH,
+    for a child interpreter (pytest's own ``pythonpath`` does not reach it)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(knappflow.__file__).resolve().parents[1])
+    return env
+
+
 def run_cli(argv, capsys):
     rv = cli.main(argv)
     out, err = capsys.readouterr()
@@ -165,9 +173,8 @@ def test_console_script_installed(tmp_path):
     )
     launcher.chmod(0o755)
 
-    env = dict(os.environ)
+    env = child_env()
     env["PATH"] = os.pathsep.join([str(tmp_path), env.get("PATH", "")])
-    env["PYTHONPATH"] = str(Path(knappflow.__file__).resolve().parents[1])
     exe = shutil.which("knappflow", path=env["PATH"])
     assert exe is not None and Path(exe) == launcher
 
@@ -199,8 +206,9 @@ def test_module_entry_point():
         capture_output=True,
         text=True,
         timeout=120,
+        env=child_env(),
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "EMPTY"
 
 
@@ -211,10 +219,8 @@ def test_import_needs_no_optional_dependency():
         "import sys, knappflow, knappflow.cli\n"
         "print(sorted(m for m in ('scipy', 'numba') if m in sys.modules))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(knappflow.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=child_env()
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -28,6 +30,20 @@ def test_sign_triple_enumeration():
         SignTriple.from_string("++")
     with pytest.raises(InvalidParameterError):
         SignTriple(1, 0, 1)
+
+
+def test_sign_triple_cached_hash_keeps_fields_and_equality():
+    s = SignTriple(1, -1, 1)
+    assert hash(s) == hash((1, -1, 1)) == hash(SIGN_TRIPLES[2])
+    assert [f.name for f in dataclasses.fields(SignTriple)] == ["s1", "s2", "s3"]
+    assert dataclasses.astuple(s) == (1, -1, 1)
+    assert repr(s) == "SignTriple(s1=1, s2=-1, s3=1)"
+    assert s == SIGN_TRIPLES[2] and s != SignTriple(1, 1, 1)
+    assert {t: i for i, t in enumerate(SIGN_TRIPLES)}[s] == 2
+    copy = pickle.loads(pickle.dumps(s))
+    assert copy == s and hash(copy) == hash(s)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.s1 = -1
 
 
 def test_omega_examples():
