@@ -28,10 +28,11 @@ All Sobolev norms use the convention
 and a product of physical-side data transforms to ``(2 pi)^-3`` times
 the convolution of the transforms.  Every norm is one ``_cell_integral``
 over per-axis Gauss-Legendre cells.  On the Knapp boxes, which lie at
-distance ``lam`` along axis 1 with transverse sides ``lam^1/2``, the
-transverse squares round away in ``1 + |xi|^2`` at every node; where a
-per-axis check shows this, ``<xi>^{2r}`` is taken once per axis-1 node
-instead of once per tensor node, with the same bits.
+distance about ``lam`` along axis 1 with transverse sides of order
+``lam^1/2``, the transverse squares round away in ``1 + |xi|^2`` at
+every node; where a per-axis check shows this, ``<xi>^{2r}`` is taken
+once per axis-1 node instead of once per tensor node, with the same
+bits.
 """
 
 from __future__ import annotations
@@ -310,12 +311,10 @@ def _cell_integral(axis_cells, r: float, integrand) -> float:
     of the package is this integral.
 
     Where every transverse square rounds away against every axis-1
-    square (``_transverse_rounds_away``; the Knapp boxes sit at distance
-    ``lam`` along axis 1 with transverse sides ``lam^1/2``), the bracket
-    is ``1 + sq1`` bit for bit, so ``<xi>^{2r}`` is one array power per
-    axis-1 node, broadcast over each cell.  Otherwise the 3-D bracket is
-    formed and raised per cell.  Both give the same bits wherever the
-    first applies.
+    square (``_transverse_rounds_away``), the bracket is ``1 + sq1`` bit
+    for bit, so ``<xi>^{2r}`` is one array power per axis-1 node,
+    broadcast over each cell; every norm on the Knapp boxes is such a
+    case.  Otherwise the 3-D bracket is formed and raised per cell.
     """
     (x1, w1), (x2, w2), (x3, w3) = axis_cells
     sq1, sq2, sq3 = x1 * x1, x2 * x2, x3 * x3
