@@ -12,7 +12,7 @@ its submodule.
 """
 
 from .amplitudes import AmplitudeBreakdown, NormReport, lambda_hat
-from .construction import KnappParams, SlabSpec, make_params
+from .construction import KnappParams, make_params
 from .errors import FitDataError, InvalidParameterError, WindowEmptyError
 from .sweep import SweepRecord, Verdict, run_sweep, smoothness_verdict
 from .symbols import SignTriple
@@ -25,7 +25,6 @@ __all__ = [
     "run_sweep",
     "smoothness_verdict",
     "KnappParams",
-    "SlabSpec",
     "AmplitudeBreakdown",
     "SignTriple",
     "SweepRecord",

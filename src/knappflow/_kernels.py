@@ -72,7 +72,7 @@ def mult_values(t: float, om: np.ndarray) -> np.ndarray:
 # is nonnegative on its own admissible set.
 # ---------------------------------------------------------------------------
 
-def term_weight(code: int, xi, eta, alpha: float = 1.0) -> np.ndarray:
+def term_weight(code: int, xi, eta) -> np.ndarray:
     """Kernel weight w(xi, eta); broadcasts over leading axes of eta."""
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
@@ -92,10 +92,10 @@ def term_weight(code: int, xi, eta, alpha: float = 1.0) -> np.ndarray:
         num = -(d1 * d[..., 2] * e1 * e1 * e1)
     else:
         raise ValueError(f"unknown kernel code {code}")
-    return alpha * num / (nx * nd * nd * ne * ne)
+    return num / (nx * nd * nd * ne * ne)
 
 
-def _term_sums_loop(pts, wq, xi, t, alpha, code, signs, res_thr):
+def _term_sums_loop(pts, wq, xi, t, code, signs, res_thr):
     """Scalar reference for ``term_sums``, used only to check it in tests."""
     n = pts.shape[0]
     tot = np.zeros(8, dtype=np.complex128)
@@ -119,7 +119,7 @@ def _term_sums_loop(pts, wq, xi, t, alpha, code, signs, res_thr):
             num = d1 * d1 * e1 * e1 * e3
         else:
             num = -(d1 * d3 * e1 * e1 * e1)
-        w = alpha * num / (nx * nd * nd * ne * ne) * wq[i]
+        w = num / (nx * nd * nd * ne * ne) * wq[i]
         aw = abs(w)
         for j in range(8):
             om = signs[j, 0] * nx - signs[j, 1] * nd - signs[j, 2] * ne
@@ -132,30 +132,28 @@ def _term_sums_loop(pts, wq, xi, t, alpha, code, signs, res_thr):
     return tot, res, env
 
 
-def term_sums(pts, wq, xi, t, alpha, code, signs, res_thr):
+def term_sums(pts, wq, xis, t, codes, signs, res_thr):
     """Per-sign-triple sums of m(t, omega) * weight over quadrature grids.
 
-    ``xi`` is one output frequency, shape ``(3,)``, or P rows of them,
-    shape ``(P, 3)``; ``pts`` ``(N, 3)`` and ``wq`` ``(N,)`` then hold P
-    grids of N / P nodes each, row j's grid in rows ``j*N/P`` to
-    ``(j+1)*N/P``.  ``code`` and ``alpha`` are one kernel term's, or one
-    per row, so a call may mix terms.  Returns ``(tot, res, env)``, each
-    of shape ``xi.shape[:-1] + (8,)``: for each row and sign triple the
-    full complex sum, the sum over resonant nodes (|omega| <= res_thr),
-    and a pointwise envelope ``min(t, 2/|omega|) * |weight|`` over the
-    rest.  All 8 triples are evaluated together as ``(rows, 8, nodes)``
-    arrays over blocks of at most ``TERM_SUMS_BLOCK`` nodes: whole grids
-    while a grid fits in a block, else consecutive slices of one grid.
-    Each row's nodes are summed along a contiguous axis, so a row's sums
-    do not depend on the other rows of the call.
+    ``xis`` holds P output frequencies, shape ``(P, 3)``; ``pts``
+    ``(N, 3)`` and ``wq`` ``(N,)`` hold P grids of N / P nodes each, row
+    j's grid in rows ``j*N/P`` to ``(j+1)*N/P``.  ``codes`` holds one
+    kernel term's code per row, so a call may mix terms.  Returns
+    ``(tot, res, env)``, each of shape ``(P, 8)``: for each row and sign
+    triple the full complex sum, the sum over resonant nodes
+    (|omega| <= res_thr), and a pointwise envelope
+    ``min(t, 2/|omega|) * |weight|`` over the rest.  All 8 triples are
+    evaluated together as ``(rows, 8, nodes)`` arrays over blocks of at
+    most ``TERM_SUMS_BLOCK`` nodes: whole grids while a grid fits in a
+    block, else consecutive slices of one grid.  Each row's nodes are
+    summed along a contiguous axis, so a row's sums do not depend on the
+    other rows of the call.
     """
     pts = np.asarray(pts, dtype=float)
     wq = np.asarray(wq, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    xis = xi.reshape(-1, 3)
+    xis = np.asarray(xis, dtype=float)
+    codes = np.asarray(codes)
     n_pts = len(xis)
-    codes = np.broadcast_to(np.asarray(code), (n_pts,))
-    alphas = np.broadcast_to(np.asarray(alpha, dtype=float), (n_pts,))
     per = len(pts) // n_pts
     eta = pts.reshape(n_pts, per, 3)
     wq = wq.reshape(n_pts, per)
@@ -177,9 +175,7 @@ def term_sums(pts, wq, xi, t, alpha, code, signs, res_thr):
             e = eta[rows, start : start + width]
             w = np.empty(e.shape[:-1])
             for lo, hi in zip(cuts[:-1], cuts[1:]):
-                w[lo:hi] = term_weight(
-                    int(block_codes[lo]), x[lo:hi], e[lo:hi], alphas[rows][lo:hi, None]
-                )
+                w[lo:hi] = term_weight(int(block_codes[lo]), x[lo:hi], e[lo:hi])
             w *= wq[rows, start : start + width]
             d = x - e
             nd = np.sqrt((d * d).sum(axis=-1))[:, None, :]
@@ -193,6 +189,5 @@ def term_sums(pts, wq, xi, t, alpha, code, signs, res_thr):
             aw = np.abs(w)[:, None, :]
             far = np.minimum(t, 2.0 / np.where(resonant, 1.0, abs_om)) * aw
             env[rows] += np.where(resonant, 0.0, far).sum(axis=-1)
-    shape = xi.shape[:-1] + (8,)
-    return tot.reshape(shape), res.reshape(shape), env.reshape(shape)
+    return tot, res, env
 

@@ -163,25 +163,25 @@ def criterion_quadrature_closed_forms() -> CriterionResult:
     sheet = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.0, 0.0), surface_axis=2)
     c = (2.0 * math.pi) ** -1.5
     cases = [
-        ("indicator r=0", lambda g: sobolev_norm_monomial(cube, (0, 0, 0), 1.0, 0.0, g), c),
+        ("indicator r=0", lambda g: sobolev_norm_monomial(cube, (0, 0, 0), 0.0, g), c),
         (
             "monomial xi1 r=0",
-            lambda g: sobolev_norm_monomial(cube, (1, 0, 0), 1.0, 0.0, g),
+            lambda g: sobolev_norm_monomial(cube, (1, 0, 0), 0.0, g),
             c / math.sqrt(3.0),
         ),
         (
             "indicator r=1",
-            lambda g: sobolev_norm_monomial(cube, (0, 0, 0), 1.0, 1.0, g),
+            lambda g: sobolev_norm_monomial(cube, (0, 0, 0), 1.0, g),
             c * math.sqrt(2.0),
         ),
         (
             "monomial xi1 r=1",
-            lambda g: sobolev_norm_monomial(cube, (1, 0, 0), 1.0, 1.0, g),
+            lambda g: sobolev_norm_monomial(cube, (1, 0, 0), 1.0, g),
             c * math.sqrt(34.0 / 45.0),
         ),
         (
             "surface indicator r=0",
-            lambda g: sobolev_norm_monomial(sheet, (0, 0, 0), 1.0, 0.0, g),
+            lambda g: sobolev_norm_monomial(sheet, (0, 0, 0), 0.0, g),
             c,
         ),
         (
@@ -224,7 +224,7 @@ def criterion_kernel_nonnegativity() -> CriterionResult:
                 4, "kernel-nonnegativity", False, f"empty admissible region for {kern.label}"
             )
         eta = region.lo + rng.random((n, 3)) * (region.hi - region.lo)
-        w = term_weight(kern.code, xi, eta, kern.alpha)
+        w = term_weight(kern.code, xi, eta)
         violations += int((w < 0.0).sum())
         min_w = min(min_w, float(w.min()))
     passed = violations == 0
@@ -329,7 +329,7 @@ def criterion_norm_scaling() -> CriterionResult:
     slopes = {}
     for r_exp in (-0.5, -0.25, 0.0):
         fit = fit_exponent(
-            [(p.lam, sobolev_norm_monomial(p.w2_box, (0, 1, 0), 1.0, r_exp, p.grid)) for p in ps]
+            [(p.lam, sobolev_norm_monomial(p.w2_box, (0, 1, 0), r_exp, p.grid)) for p in ps]
         )
         slopes[r_exp] = fit.slope
         if abs(fit.slope - (r_exp + 1.5)) > 0.05:

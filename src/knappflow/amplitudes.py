@@ -53,7 +53,7 @@ from .boxes import (
     quadrature_nodes,
 )
 from .boxes import quadrature_grid  # noqa: F401  (perfbench/ hooks this name)
-from .construction import BilinearKernel, KnappParams, kernels
+from .construction import DEFAULT_GRID, BilinearKernel, KnappParams, kernels
 from .errors import InvalidParameterError
 from .symbols import SIGN_TRIPLES, SIGNS_ARRAY, SignTriple, omega_all
 
@@ -149,18 +149,17 @@ def _term_integrals(
     hi = np.concatenate([r.hi for r in regions])
     row_xis = np.concatenate([xis] * len(kerns))
     row_codes = np.repeat([k.code for k in kerns], n_pts)
-    row_alphas = np.repeat([k.alpha for k in kerns], n_pts)
     out = tuple(np.zeros((len(kerns) * n_pts, 8), dtype) for dtype in (complex, complex, float))
     unsettled = np.zeros(len(row_xis), dtype=bool)
     live = np.flatnonzero(np.concatenate([r.live for r in regions]))
-    ceiling = tuple(int(n) << REFINE_CAP for n in p.grid)
+    ceiling = tuple(n << REFINE_CAP for n in p.grid)
     counts = tuple(min(b, c) for b, c in zip(BASE_GRID, ceiling))
     prev_tot = None
     while live.size:
         pts, wq = quadrature_nodes(lo[live], hi[live], counts, regions[0].surface_axis)
         sums = _kernels.term_sums(
-            pts.reshape(-1, 3), wq.reshape(-1), row_xis[live], t, row_alphas[live],
-            row_codes[live], SIGNS_ARRAY, p.resonance_threshold,
+            pts.reshape(-1, 3), wq.reshape(-1), row_xis[live], t, row_codes[live],
+            SIGNS_ARRAY, p.resonance_threshold,
         )
         tot = sums[0]
         if prev_tot is None:
@@ -334,9 +333,8 @@ def _cell_integral(axis_cells, r: float, integrand) -> float:
 def sobolev_norms_monomials(
     b: Box3,
     monomials: tuple[tuple[int, int, int], ...],
-    amplitude: float,
     r: float,
-    nodes_per_axis: tuple[int, int, int] = (32, 16, 16),
+    nodes_per_axis: tuple[int, int, int] = DEFAULT_GRID,
 ) -> list[float]:
     """``sobolev_norm_monomial`` for several monomials on one box.
 
@@ -357,7 +355,7 @@ def sobolev_norms_monomials(
     for monomial in monomials:
         g = [x[0] ** int(m) for (x, _), m in zip(axis_cells, monomial)]
         f_sq = _tensor(np.multiply, *g) ** 2
-        integral = _cell_integral(axis_cells, r, lambda *cell: f_sq) * amplitude * amplitude
+        integral = _cell_integral(axis_cells, r, lambda *cell: f_sq)
         norms.append(math.sqrt(integral / TWO_PI_CUBED))
     return norms
 
@@ -365,17 +363,16 @@ def sobolev_norms_monomials(
 def sobolev_norm_monomial(
     b: Box3,
     monomial: tuple[int, int, int],
-    amplitude: float,
     r: float,
-    nodes_per_axis: tuple[int, int, int] = (32, 16, 16),
+    nodes_per_axis: tuple[int, int, int] = DEFAULT_GRID,
 ) -> float:
-    """H^r norm of data whose transform is ``amplitude * xi^monomial`` on ``b``.
+    """H^r norm of data whose transform is ``xi^monomial`` on ``b``.
 
     On a surface box the integral carries the box's 2-D measure; such
     values are formal (a genuine 3-D norm of surface-supported data does
     not exist) and are flagged by callers.
     """
-    return sobolev_norms_monomials(b, (monomial,), amplitude, r, nodes_per_axis)[0]
+    return sobolev_norms_monomials(b, (monomial,), r, nodes_per_axis)[0]
 
 
 def _axis_breakpoints(a: tuple[float, float], b: tuple[float, float]) -> np.ndarray:
@@ -405,10 +402,9 @@ def product_norm_boxes(
     a: Box3,
     b: Box3,
     r: float,
-    nodes_per_axis: tuple[int, int, int] = (32, 16, 16),
-    alpha: float = 1.0,
+    nodes_per_axis: tuple[int, int, int] = DEFAULT_GRID,
 ) -> float:
-    """H^r norm of a product of data with transforms chi_a and alpha*chi_b.
+    """H^r norm of a product of data with transforms chi_a and chi_b.
 
     The transform of the product is ``(2 pi)^-3`` times the convolution,
     which factorizes per axis for axis-aligned boxes; the norm integral
@@ -436,7 +432,7 @@ def product_norm_boxes(
         factors.append(_conv_factor(x, a, b, i))
 
     def conv_sq(*cell):
-        conv = alpha * _tensor(np.multiply, *(f[c] for f, c in zip(factors, cell)))
+        conv = _tensor(np.multiply, *(f[c] for f, c in zip(factors, cell)))
         return (conv / TWO_PI_CUBED) ** 2
 
     return math.sqrt(_cell_integral(axis_cells, r, conv_sq) / TWO_PI_CUBED)
@@ -444,9 +440,7 @@ def product_norm_boxes(
 
 def product_norm(p: KnappParams, r: float) -> float:
     """H^r norm of the product datum a1 * a2 for a configuration."""
-    return product_norm_boxes(
-        p.w2_box, p.neg_wprime_box, r, nodes_per_axis=p.grid, alpha=p.slab.amplitude
-    )
+    return product_norm_boxes(p.w2_box, p.neg_wprime_box, r, nodes_per_axis=p.grid)
 
 
 def norm_report(p: KnappParams, r: float) -> NormReport:
@@ -458,8 +452,8 @@ def norm_report(p: KnappParams, r: float) -> NormReport:
     datum's block is lower order on this geometry) and is what the
     smoothness verdict divides by.
     """
-    nd2, nd3 = sobolev_norms_monomials(p.w2_box, ((0, 1, 0), (0, 0, 1)), 1.0, r, p.grid)
-    nd1a2 = sobolev_norm_monomial(p.neg_wprime_box, (1, 0, 0), p.slab.amplitude, r, p.grid)
+    nd2, nd3 = sobolev_norms_monomials(p.w2_box, ((0, 1, 0), (0, 0, 1)), r, p.grid)
+    nd1a2 = sobolev_norm_monomial(p.neg_wprime_box, (1, 0, 0), r, p.grid)
     return NormReport(
         norm_d2a1=nd2,
         norm_d1a2=nd1a2,

@@ -243,8 +243,11 @@ def gauss_legendre_cells(lo, hi, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _node_counts(nodes_per_axis) -> tuple[int, int, int]:
-    if len(nodes_per_axis) != 3 or any(int(n) < 1 for n in nodes_per_axis):
-        raise InvalidParameterError(f"nodes_per_axis must be 3 ints >= 1, got {nodes_per_axis}")
+    """A grid as 3 ints; each entry must be a finite whole number >= 1."""
+    if len(nodes_per_axis) != 3 or not all(
+        float(n).is_integer() and n >= 1 for n in nodes_per_axis
+    ):
+        raise InvalidParameterError(f"grid must be 3 whole numbers >= 1, got {nodes_per_axis}")
     return tuple(int(n) for n in nodes_per_axis)
 
 

@@ -64,7 +64,7 @@ def cmd_eval(args) -> int:
         "k": args.k,
         "lambda": p.lam,
         "t": bd.t,
-        "mode": p.slab.mode,
+        "mode": p.mode,
         "eval_point": list(bd.eval_point),
         "total": _cplx(bd.total),
         "per_sign": {str(s): _cplx(v) for s, v in bd.per_sign.items()},

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box3, box_scale, box_w, box_w_prime
+from .boxes import Box3, _node_counts, box_scale, box_w, box_w_prime
 from .errors import InvalidParameterError, WindowEmptyError
 
 # rho must cover the spread of |xi|/lam over W: 1e-6 per side along
@@ -32,37 +32,19 @@ DEFAULT_SLAB_FACTOR = 1e-6
 
 
 @dataclass(frozen=True)
-class SlabSpec:
-    """Convention for the planar box: a true surface or a thin slab.
-
-    ``thickness=None`` selects the surface convention (2-D measure);
-    otherwise the box is a volume slab of the given thickness, centered
-    on the plane, whose datum carries the given amplitude.
-    """
-
-    thickness: float | None = None
-    amplitude: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.thickness is not None and not 0.0 < self.thickness < math.inf:
-            raise InvalidParameterError("slab thickness must be positive and finite")
-        if not 0.0 < self.amplitude < math.inf:
-            raise InvalidParameterError("slab amplitude must be positive and finite")
-
-    @property
-    def mode(self) -> str:
-        return "surface" if self.thickness is None else "slab"
-
-
-@dataclass(frozen=True)
 class KnappParams:
-    """Resolved parameters of one counterexample configuration."""
+    """Resolved parameters of one counterexample configuration.
+
+    ``thickness=None`` selects the surface convention for the planar box
+    (2-D measure); otherwise the box is a volume slab of the given
+    thickness, centered on the plane.
+    """
 
     lam: float
     eps: float
     rho: float
     k: int
-    slab: SlabSpec
+    thickness: float | None
     grid: tuple[int, int, int] = DEFAULT_GRID
 
     def __post_init__(self) -> None:
@@ -73,8 +55,13 @@ class KnappParams:
         if not (0.0 < self.rho < 1.0):
             raise InvalidParameterError(f"rho must lie in (0, 1), got {self.rho}")
         window_index(self.k)
-        if len(self.grid) != 3 or any(int(n) < 1 for n in self.grid):
-            raise InvalidParameterError(f"grid must be 3 ints >= 1, got {self.grid}")
+        if self.thickness is not None and not 0.0 < self.thickness < math.inf:
+            raise InvalidParameterError("slab thickness must be positive and finite")
+        object.__setattr__(self, "grid", _node_counts(self.grid))
+
+    @property
+    def mode(self) -> str:
+        return "surface" if self.thickness is None else "slab"
 
     @property
     def t(self) -> float:
@@ -92,7 +79,7 @@ class KnappParams:
 
     @property
     def wprime_box(self) -> Box3:
-        return box_w_prime(self.lam, self.slab.thickness)
+        return box_w_prime(self.lam, self.thickness)
 
     @property
     def neg_wprime_box(self) -> Box3:
@@ -153,7 +140,6 @@ def make_params(
     mode: str = "slab",
     grid: tuple[int, int, int] = DEFAULT_GRID,
     thickness: float | None = None,
-    amplitude: float = 1.0,
 ) -> KnappParams:
     """Resolve a configuration with lam at the window midpoint.
 
@@ -178,13 +164,12 @@ def make_params(
     if mode == "surface":
         if thickness is not None:
             raise InvalidParameterError("surface mode takes no thickness")
-        slab = SlabSpec(thickness=None, amplitude=amplitude)
     elif mode == "slab":
-        h = thickness if thickness is not None else DEFAULT_SLAB_FACTOR * math.sqrt(lam)
-        slab = SlabSpec(thickness=h, amplitude=amplitude)
+        if thickness is None:
+            thickness = DEFAULT_SLAB_FACTOR * math.sqrt(lam)
     else:
         raise InvalidParameterError(f"mode must be 'slab' or 'surface', got {mode!r}")
-    return KnappParams(lam=lam, eps=eps, rho=rho, k=int(k), slab=slab, grid=tuple(grid))
+    return KnappParams(lam=lam, eps=eps, rho=rho, k=int(k), thickness=thickness, grid=grid)
 
 
 def curl_parts(xi, a1_val: complex, a2_val: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -212,16 +197,15 @@ def curl_parts(xi, a1_val: complex, a2_val: complex) -> tuple[np.ndarray, np.nda
 class BilinearKernel:
     """One admissible-support term of the bilinear interaction.
 
-    ``_kernels.term_weight(code, xi, eta, alpha)`` is its real kernel
-    weight (signs folded in, so it is nonnegative when ``xi - eta`` lies
-    in ``support_a`` and ``eta`` in ``support_b``).
+    ``_kernels.term_weight(code, xi, eta)`` is its real kernel weight
+    (signs folded in, so it is nonnegative when ``xi - eta`` lies in
+    ``support_a`` and ``eta`` in ``support_b``).
     """
 
     label: str
     code: int
     support_a: Box3
     support_b: Box3
-    alpha: float
 
 
 def kernels(p: KnappParams) -> tuple[BilinearKernel, ...]:
@@ -233,20 +217,9 @@ def kernels(p: KnappParams) -> tuple[BilinearKernel, ...]:
     """
     w2 = p.w2_box
     nwp = p.neg_wprime_box
-    alpha = p.slab.amplitude
-
-    def make(label: str, code: int, a: Box3, b: Box3) -> BilinearKernel:
-        return BilinearKernel(
-            label=label,
-            code=code,
-            support_a=a,
-            support_b=b,
-            alpha=alpha,
-        )
-
     return (
-        make("axis2.t1", 0, nwp, w2),
-        make("axis2.t2", 1, w2, nwp),
-        make("axis3.t1", 2, nwp, w2),
-        make("axis3.t2", 3, w2, nwp),
+        BilinearKernel("axis2.t1", 0, nwp, w2),
+        BilinearKernel("axis2.t2", 1, w2, nwp),
+        BilinearKernel("axis3.t1", 2, nwp, w2),
+        BilinearKernel("axis3.t2", 3, w2, nwp),
     )

@@ -194,7 +194,7 @@ def records_from_core(
             for f in b.flags:
                 if f not in flags:
                     flags.append(f)
-        if p.slab.mode == "surface":
+        if p.mode == "surface":
             flags.append("surface_norm_formal")
         out = output_norm_from_samples(s_exp, list(core.lattice_axes), amps)
         norms = norm_report(p, r_exp)
@@ -209,7 +209,7 @@ def records_from_core(
                 nonres_envelope=top.nonresonant_envelope,
                 output_norm=out,
                 norms=norms,
-                mode=p.slab.mode,
+                mode=p.mode,
                 flags=tuple(flags),
             )
         )

@@ -31,7 +31,7 @@ from knappflow.boxes import (
     quadrature_grid,
     quadrature_nodes,
 )
-from knappflow.construction import kernels, make_params
+from knappflow.construction import DEFAULT_GRID, kernels, make_params
 from knappflow.errors import InvalidParameterError
 from knappflow.sweep import fit_exponent, records_from_core, sweep_core
 from knappflow.symbols import SIGN_TRIPLES, SIGNS_ARRAY, SignTriple
@@ -112,10 +112,11 @@ def fixed_grid_sums(p, xi, kern, counts):
     """One term's (tot, res, env) on a single fixed grid, without refinement."""
     region = one_region(xi, kern.support_a, kern.support_b)
     grid = quadrature_grid(region, counts)
-    return _kernels.term_sums(
-        grid.points, grid.weights, xi, p.t, kern.alpha, kern.code, SIGNS_ARRAY,
+    sums = _kernels.term_sums(
+        grid.points, grid.weights, xi[None, :], p.t, [kern.code], SIGNS_ARRAY,
         p.resonance_threshold,
     )
+    return tuple(part[0] for part in sums)
 
 
 def fixed_grid_total(p, xi, counts):
@@ -369,12 +370,15 @@ def test_backend_paths_agree(monkeypatch):
     kern = kernels(p)[0]
     region = one_region(xi, kern.support_a, kern.support_b)
     grid = quadrature_grid(region, (6, 5, 4))
-    args = (grid.points, grid.weights, xi, p.t, 1.0, kern.code, SIGNS_ARRAY, p.resonance_threshold)
-    tot_py, res_py, env_py = _kernels._term_sums_loop(*args)
+    tail = (SIGNS_ARRAY, p.resonance_threshold)
+    tot_py, res_py, env_py = _kernels._term_sums_loop(
+        grid.points, grid.weights, xi, p.t, kern.code, *tail
+    )
     # one block, then 18 blocks of 7 nodes with a partial last one
     for block in (_kernels.TERM_SUMS_BLOCK, 7):
         monkeypatch.setattr(_kernels, "TERM_SUMS_BLOCK", block)
-        tot_np, res_np, env_np = _kernels.term_sums(*args)
+        sums = _kernels.term_sums(grid.points, grid.weights, xi[None, :], p.t, [kern.code], *tail)
+        tot_np, res_np, env_np = (part[0] for part in sums)
         scale = np.abs(tot_np).max()
         assert np.abs(tot_np - tot_py).max() <= 1e-12 * scale
         assert np.abs(res_np - res_py).max() <= 1e-12 * scale
@@ -392,12 +396,16 @@ def test_several_points_per_call_agree_with_scalar_reference(monkeypatch, counts
     kern = kernels(p)[1]
     regions = admissible_eta_region(xis, kern.support_a, kern.support_b)
     nodes, weights = quadrature_nodes(regions.lo, regions.hi, counts, regions.surface_axis)
-    args = (p.t, kern.alpha, kern.code, SIGNS_ARRAY, p.resonance_threshold)
+    tail = (SIGNS_ARRAY, p.resonance_threshold)
     monkeypatch.setattr(_kernels, "TERM_SUMS_BLOCK", 7)
-    tot, res, env = _kernels.term_sums(nodes.reshape(-1, 3), weights.reshape(-1), xis, *args)
+    tot, res, env = _kernels.term_sums(
+        nodes.reshape(-1, 3), weights.reshape(-1), xis, p.t, [kern.code] * len(xis), *tail
+    )
     assert tot.shape == res.shape == env.shape == (4, 8)
     for j, xi in enumerate(xis):
-        tot_py, res_py, env_py = _kernels._term_sums_loop(nodes[j], weights[j], xi, *args)
+        tot_py, res_py, env_py = _kernels._term_sums_loop(
+            nodes[j], weights[j], xi, p.t, kern.code, *tail
+        )
         scale = np.abs(tot[j]).max()
         assert np.abs(tot[j] - tot_py).max() <= 1e-12 * scale
         assert np.abs(res[j] - res_py).max() <= 1e-12 * scale
@@ -408,9 +416,8 @@ def test_several_points_per_call_agree_with_scalar_reference(monkeypatch, counts
 @pytest.mark.parametrize("mode", ["slab", "surface"])
 def test_mixed_terms_per_call_agree_with_scalar_reference(monkeypatch, mode, counts):
     # rows of all four terms at two points, interleaved so that the code
-    # changes from row to row, with a different alpha per term; 7-node
-    # blocks hold parts of one 120-node grid, or two 3-node grids whose
-    # codes differ
+    # changes from row to row; 7-node blocks hold parts of one 120-node
+    # grid, or two 3-node grids whose codes differ
     p = make_params(EPS, RHO, 1, mode=mode, grid=SMALL_GRID)
     _, pts = sample_lattice(p.samp_box, 3)
     xis = pts[[0, 13]]
@@ -423,17 +430,15 @@ def test_mixed_terms_per_call_agree_with_scalar_reference(monkeypatch, mode, cou
     nodes, weights = quadrature_nodes(lo, hi, counts, regions[0].surface_axis)
     row_xis = xis[[j for j, _ in order]]
     codes = np.array([kerns[k].code for _, k in order])
-    alphas = np.array([1.0 + 0.5 * k for _, k in order])
     monkeypatch.setattr(_kernels, "TERM_SUMS_BLOCK", 7)
     tot, res, env = _kernels.term_sums(
-        nodes.reshape(-1, 3), weights.reshape(-1), row_xis, p.t, alphas, codes, SIGNS_ARRAY,
+        nodes.reshape(-1, 3), weights.reshape(-1), row_xis, p.t, codes, SIGNS_ARRAY,
         p.resonance_threshold,
     )
     assert tot.shape == res.shape == env.shape == (8, 8)
     for row, xi in enumerate(row_xis):
         tot_py, res_py, env_py = _kernels._term_sums_loop(
-            nodes[row], weights[row], xi, p.t, alphas[row], codes[row], SIGNS_ARRAY,
-            p.resonance_threshold,
+            nodes[row], weights[row], xi, p.t, codes[row], SIGNS_ARRAY, p.resonance_threshold,
         )
         scale = np.abs(tot[row]).max()
         assert np.abs(tot[row] - tot_py).max() <= 1e-12 * scale
@@ -450,7 +455,7 @@ def test_several_points_per_call_memory_is_bounded():
     kern = kernels(p)[0]
     regions = admissible_eta_region(xis, kern.support_a, kern.support_b)
     nodes, weights = quadrature_nodes(regions.lo, regions.hi, FINE_GRID, regions.surface_axis)
-    args = (p.t, kern.alpha, kern.code, SIGNS_ARRAY, p.resonance_threshold)
+    args = (p.t, [kern.code] * len(xis), SIGNS_ARRAY, p.resonance_threshold)
     tracemalloc.start()
     try:
         tot, _, _ = _kernels.term_sums(nodes.reshape(-1, 3), weights.reshape(-1), xis, *args)
@@ -465,26 +470,24 @@ def test_several_points_per_call_memory_is_bounded():
 def test_sobolev_norm_closed_forms():
     cube = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.0, 1.0))
     c = (2.0 * math.pi) ** -1.5
-    assert sobolev_norm_monomial(cube, (0, 0, 0), 1.0, 0.0) == pytest.approx(c, rel=1e-12)
-    assert sobolev_norm_monomial(cube, (1, 0, 0), 1.0, 0.0) == pytest.approx(
+    assert sobolev_norm_monomial(cube, (0, 0, 0), 0.0) == pytest.approx(c, rel=1e-12)
+    assert sobolev_norm_monomial(cube, (1, 0, 0), 0.0) == pytest.approx(
         c / math.sqrt(3.0), rel=1e-12
     )
-    assert sobolev_norm_monomial(cube, (0, 0, 0), 1.0, 1.0) == pytest.approx(
+    assert sobolev_norm_monomial(cube, (0, 0, 0), 1.0) == pytest.approx(
         c * math.sqrt(2.0), rel=1e-12
     )
-    assert sobolev_norm_monomial(cube, (1, 0, 0), 1.0, 1.0) == pytest.approx(
+    assert sobolev_norm_monomial(cube, (1, 0, 0), 1.0) == pytest.approx(
         c * math.sqrt(34.0 / 45.0), rel=1e-12
     )
-    # amplitude scales the norm linearly
-    assert sobolev_norm_monomial(cube, (0, 0, 0), 2.0, 0.0) == pytest.approx(2 * c, rel=1e-12)
     with pytest.raises(InvalidParameterError):
-        sobolev_norm_monomial(cube, (-1, 0, 0), 1.0, 0.0)
+        sobolev_norm_monomial(cube, (-1, 0, 0), 0.0)
 
 
 def test_sobolev_norm_surface_is_formal_area_integral():
     sheet = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.0, 0.0), surface_axis=2, surface_tol=1e-9)
     c = (2.0 * math.pi) ** -1.5
-    assert sobolev_norm_monomial(sheet, (0, 0, 0), 1.0, 0.0) == pytest.approx(c, rel=1e-12)
+    assert sobolev_norm_monomial(sheet, (0, 0, 0), 0.0) == pytest.approx(c, rel=1e-12)
 
 
 def test_product_norm_tent_closed_form():
@@ -493,9 +496,6 @@ def test_product_norm_tent_closed_form():
     want = (2.0 * math.pi) ** -4.5 * (2.0 / 3.0) ** 1.5
     got = product_norm_boxes(cube, cube, 0.0, nodes_per_axis=(8, 8, 8))
     assert got == pytest.approx(want, rel=1e-10)
-    # alpha scales linearly
-    got2 = product_norm_boxes(cube, cube, 0.0, nodes_per_axis=(8, 8, 8), alpha=3.0)
-    assert got2 == pytest.approx(3.0 * want, rel=1e-10)
 
 
 def test_product_norm_surface_factor_is_indicator():
@@ -510,7 +510,7 @@ def test_product_norm_surface_factor_is_indicator():
     assert got == pytest.approx(want, rel=1e-10)
 
 
-def product_norm_reference(a, b, r, nodes_per_axis=(32, 16, 16), alpha=1.0):
+def product_norm_reference(a, b, r, nodes_per_axis=DEFAULT_GRID):
     """``product_norm_boxes`` one cell at a time: a ``Box3`` and a
     ``quadrature_grid`` per cell, convolution factors on its (n, 3) points."""
     axis_cells = []
@@ -526,7 +526,7 @@ def product_norm_reference(a, b, r, nodes_per_axis=(32, 16, 16), alpha=1.0):
     for cell in itertools.product(*axis_cells):
         grid = quadrature_grid(Box3(*cell), nodes_per_axis)
         pts = grid.points
-        conv = alpha * (
+        conv = (
             _conv_factor(pts[:, 0], a, b, 0)
             * _conv_factor(pts[:, 1], a, b, 1)
             * _conv_factor(pts[:, 2], a, b, 2)
@@ -540,11 +540,11 @@ def product_norm_reference(a, b, r, nodes_per_axis=(32, 16, 16), alpha=1.0):
 @pytest.mark.parametrize("k", [1, 5, 10])
 def test_product_norm_equals_per_cell_reference(mode, k):
     p = make_params(EPS, RHO, k, mode=mode)
-    a, b, alpha = p.w2_box, p.neg_wprime_box, p.slab.amplitude
+    a, b = p.w2_box, p.neg_wprime_box
     for r in R_GRID:
-        assert product_norm(p, r) == product_norm_reference(a, b, r, p.grid, alpha)
-        got = product_norm_boxes(a, b, r, SMALL_GRID, alpha=2.5)
-        assert got == product_norm_reference(a, b, r, SMALL_GRID, alpha=2.5)
+        assert product_norm(p, r) == product_norm_reference(a, b, r, p.grid)
+        got = product_norm_boxes(a, b, r, SMALL_GRID)
+        assert got == product_norm_reference(a, b, r, SMALL_GRID)
 
 
 @pytest.mark.parametrize("mode, offset", [("slab", 3.0), ("surface", 2.5)])
@@ -572,9 +572,9 @@ def test_product_norm_at_steep_weight_equals_per_cell_reference(monkeypatch, see
     rng = np.random.default_rng(seed)
     a = random_box(rng, surface_axis=2 if seed % 3 == 0 else None)
     b = random_box(rng, surface_axis=2 if seed % 3 == 1 else None)
-    r, alpha = float(rng.uniform(8.0, 30.0)), float(rng.uniform(0.5, 2.0))
-    got = product_norm_boxes(a, b, r, SMALL_GRID, alpha=alpha)
-    assert got == product_norm_reference(a, b, r, SMALL_GRID, alpha=alpha)
+    r = float(rng.uniform(8.0, 30.0))
+    got = product_norm_boxes(a, b, r, SMALL_GRID)
+    assert got == product_norm_reference(a, b, r, SMALL_GRID)
     # unit-scale boxes: the transverse squares count, so the 3-D bracket ran
     assert taken == [False]
 
@@ -583,9 +583,9 @@ def test_product_norm_of_separated_boxes_equals_per_cell_reference():
     # two volume boxes apart: the convolution still lives on the Minkowski sum
     a = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.0, 1.0))
     b = Box3(ax1=(5.0, 6.0), ax2=(5.5, 6.0), ax3=(5.0, 7.0))
-    got = product_norm_boxes(a, b, 0.3, SMALL_GRID, alpha=0.75)
+    got = product_norm_boxes(a, b, 0.3, SMALL_GRID)
     assert got > 0.0
-    assert got == product_norm_reference(a, b, 0.3, SMALL_GRID, alpha=0.75)
+    assert got == product_norm_reference(a, b, 0.3, SMALL_GRID)
     # two parallel sheets: the product carries no 2-D measure
     low = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.2, 0.2), surface_axis=2)
     high = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.5, 0.5), surface_axis=2)
@@ -594,7 +594,7 @@ def test_product_norm_of_separated_boxes_equals_per_cell_reference():
         product_norm_boxes(a, b, 0.3, (8, 0, 4))
 
 
-def monomial_norm_reference(b, monomial, amplitude, r, nodes_per_axis=(32, 16, 16)):
+def monomial_norm_reference(b, monomial, r, nodes_per_axis=DEFAULT_GRID):
     """``sobolev_norm_monomial`` on a point grid: one ``quadrature_grid``
     over the box, ``<xi>^{2r}`` and the monomial on its (n, 3) points."""
     grid = quadrature_grid(b, nodes_per_axis)
@@ -604,7 +604,7 @@ def monomial_norm_reference(b, monomial, amplitude, r, nodes_per_axis=(32, 16, 1
     for i, m in enumerate(monomial):
         if m:
             vals = vals * grid.points[:, i] ** (2 * int(m))
-    integral = float(grid.weights @ vals) * amplitude * amplitude
+    integral = float(grid.weights @ vals)
     return math.sqrt(integral / TWO_PI_CUBED)
 
 
@@ -619,14 +619,14 @@ def test_monomial_norm_at_steep_weight_equals_point_grid_reference(monkeypatch, 
     taken = log_fast_path(monkeypatch)
     rng = np.random.default_rng(seed)
     b = random_box(rng, surface_axis=(None, 2, 0, None)[seed % 4])
-    r, amplitude = float(rng.uniform(8.0, 30.0)), float(rng.uniform(0.5, 2.0))
-    want = [monomial_norm_reference(b, m, amplitude, r, SMALL_GRID) for m in MONOMIALS]
-    assert [sobolev_norm_monomial(b, m, amplitude, r, SMALL_GRID) for m in MONOMIALS] == want
-    assert sobolev_norms_monomials(b, MONOMIALS, amplitude, r, SMALL_GRID) == want
+    r = float(rng.uniform(8.0, 30.0))
+    want = [monomial_norm_reference(b, m, r, SMALL_GRID) for m in MONOMIALS]
+    assert [sobolev_norm_monomial(b, m, r, SMALL_GRID) for m in MONOMIALS] == want
+    assert sobolev_norms_monomials(b, MONOMIALS, r, SMALL_GRID) == want
     # a monomial with several powers squares their product instead of
     # multiplying the powers in one by one: equal to rounding
-    got = sobolev_norm_monomial(b, (2, 1, 1), amplitude, r, SMALL_GRID)
-    assert got == pytest.approx(monomial_norm_reference(b, (2, 1, 1), amplitude, r, SMALL_GRID))
+    got = sobolev_norm_monomial(b, (2, 1, 1), r, SMALL_GRID)
+    assert got == pytest.approx(monomial_norm_reference(b, (2, 1, 1), r, SMALL_GRID))
     # unit-scale boxes: the transverse squares count, so the 3-D bracket ran
     assert taken == [False] * (2 * len(MONOMIALS) + 1)
 
@@ -634,10 +634,10 @@ def test_monomial_norm_at_steep_weight_equals_point_grid_reference(monkeypatch, 
 def test_monomial_norm_of_zero_length_axis_is_zero():
     flat = Box3(ax1=(0.0, 1.0), ax2=(0.5, 0.5), ax3=(-2.0, 1.0))
     for m in MONOMIALS:
-        assert sobolev_norm_monomial(flat, m, 1.5, 12.0) == 0.0
-        assert monomial_norm_reference(flat, m, 1.5, 12.0) == 0.0
+        assert sobolev_norm_monomial(flat, m, 12.0) == 0.0
+        assert monomial_norm_reference(flat, m, 12.0) == 0.0
     with pytest.raises(InvalidParameterError):
-        sobolev_norm_monomial(flat, (1, 0, 0), 1.0, 0.0, (8, 0, 4))
+        sobolev_norm_monomial(flat, (1, 0, 0), 0.0, (8, 0, 4))
 
 
 def test_product_norm_working_set_is_one_cell():
@@ -671,9 +671,9 @@ def test_norm_report_equals_one_monomial_at_a_time(mode, r):
     # own sobolev_norm_monomial call bit for bit
     p = make_params(EPS, RHO, 3, mode=mode)
     rep = norm_report(p, r)
-    nd2 = sobolev_norm_monomial(p.w2_box, (0, 1, 0), 1.0, r, p.grid)
-    nd3 = sobolev_norm_monomial(p.w2_box, (0, 0, 1), 1.0, r, p.grid)
-    nd1a2 = sobolev_norm_monomial(p.neg_wprime_box, (1, 0, 0), p.slab.amplitude, r, p.grid)
+    nd2 = sobolev_norm_monomial(p.w2_box, (0, 1, 0), r, p.grid)
+    nd3 = sobolev_norm_monomial(p.w2_box, (0, 0, 1), r, p.grid)
+    nd1a2 = sobolev_norm_monomial(p.neg_wprime_box, (1, 0, 0), r, p.grid)
     assert rep.norm_d2a1 == nd2
     assert rep.norm_total == math.hypot(nd2, nd3)
     assert rep.norm_d1a2 == nd1a2
@@ -835,8 +835,8 @@ def monomial_case(h, binding):
     ax2, ax3 = transverse_axes(binding, (0.0, h), (-0.1 * h, 0.05 * h))
     b = Box3(ax1=(3.8, 5.8), ax2=ax2, ax3=ax3)
     return (
-        lambda: sobolev_norms_monomials(b, MONOMIALS, 1.5, BOUNDARY_R, SMALL_GRID),
-        lambda: [monomial_norm_reference(b, m, 1.5, BOUNDARY_R, SMALL_GRID) for m in MONOMIALS],
+        lambda: sobolev_norms_monomials(b, MONOMIALS, BOUNDARY_R, SMALL_GRID),
+        lambda: [monomial_norm_reference(b, m, BOUNDARY_R, SMALL_GRID) for m in MONOMIALS],
     )
 
 
@@ -848,8 +848,8 @@ def product_case(h, binding):
     a = Box3(ax1=(2.0, 2.0), ax2=a2, ax3=a3, surface_axis=0)
     b = Box3(ax1=(1.8, 3.8), ax2=b2, ax3=b3, surface_axis=binding)
     return (
-        lambda: [product_norm_boxes(a, b, BOUNDARY_R, SMALL_GRID, alpha=1.5)],
-        lambda: [product_norm_reference(a, b, BOUNDARY_R, SMALL_GRID, alpha=1.5)],
+        lambda: [product_norm_boxes(a, b, BOUNDARY_R, SMALL_GRID)],
+        lambda: [product_norm_reference(a, b, BOUNDARY_R, SMALL_GRID)],
     )
 
 

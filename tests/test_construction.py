@@ -9,7 +9,6 @@ from knappflow.boxes import box_w
 from knappflow.construction import (
     RHO_MIN,
     KnappParams,
-    SlabSpec,
     curl_parts,
     kernels,
     lambda_window,
@@ -54,8 +53,11 @@ def test_make_params_midpoint():
     assert p.lam == pytest.approx(mid * mid, rel=1e-15)
     assert 3.9e5 < p.lam < 4.0e5
     assert p.t * math.sqrt(p.lam) == pytest.approx(EPS, rel=1e-15)
-    assert p.slab.mode == "slab"
-    assert p.slab.thickness == pytest.approx(1e-6 * math.sqrt(p.lam))
+    assert p.mode == "slab"
+    assert p.thickness == pytest.approx(1e-6 * math.sqrt(p.lam))
+    surface = make_params(EPS, RHO, 1, mode="surface")
+    assert surface.mode == "surface"
+    assert surface.thickness is None
 
 
 def test_make_params_window_empty_carries_rho_max():
@@ -76,24 +78,20 @@ def test_make_params_validation():
     with pytest.raises(InvalidParameterError):
         make_params(EPS, RHO, 1, mode="ball")
     with pytest.raises(InvalidParameterError):
-        SlabSpec(thickness=0.0)
+        KnappParams(lam=4e5, eps=EPS, rho=RHO, k=1, thickness=0.0)
     with pytest.raises(InvalidParameterError):
-        SlabSpec(amplitude=-1.0)
-    with pytest.raises(InvalidParameterError):
-        KnappParams(lam=10.0, eps=EPS, rho=RHO, k=1, slab=SlabSpec())
+        KnappParams(lam=10.0, eps=EPS, rho=RHO, k=1, thickness=None)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_parameters_are_rejected(bad):
     # each would otherwise give nan or inf norms
     with pytest.raises(InvalidParameterError):
-        make_params(EPS, RHO, 1, amplitude=bad)
-    with pytest.raises(InvalidParameterError):
         make_params(EPS, RHO, 1, thickness=bad)
     with pytest.raises(InvalidParameterError):
-        SlabSpec(thickness=bad)
+        KnappParams(lam=4e5, eps=EPS, rho=RHO, k=1, thickness=bad)
     with pytest.raises(InvalidParameterError):
-        KnappParams(lam=bad, eps=EPS, rho=RHO, k=1, slab=SlabSpec())
+        KnappParams(lam=bad, eps=EPS, rho=RHO, k=1, thickness=None)
 
 
 @pytest.mark.parametrize("bad", [1.5, 0.999, math.nan, math.inf, 0, -2])
@@ -105,7 +103,7 @@ def test_window_index_must_be_a_positive_whole_number(bad):
     with pytest.raises(InvalidParameterError, match="k must be a positive integer"):
         make_params(EPS, RHO, bad)
     with pytest.raises(InvalidParameterError, match="k must be a positive integer"):
-        KnappParams(lam=4e5, eps=EPS, rho=RHO, k=bad, slab=SlabSpec())
+        KnappParams(lam=4e5, eps=EPS, rho=RHO, k=bad, thickness=None)
     # a whole number of another type is accepted as that int
     p = make_params(EPS, RHO, 2)
     assert make_params(EPS, RHO, 2.0) == make_params(EPS, RHO, np.int64(2)) == p
@@ -196,7 +194,7 @@ def test_kernel_weight_magnitude_scale():
     kern = [t for t in kernels(p) if t.label == "axis2.t2"][0]
     xi = p.samp_box.center()
     eta = np.array([-lam, 0.0, 0.0])
-    w = float(term_weight(kern.code, xi, eta, kern.alpha))
+    w = float(term_weight(kern.code, xi, eta))
     assert w > 0.0
     scale = w * math.sqrt(lam)
     assert 1e-7 < scale < 1e-5
@@ -209,16 +207,21 @@ def test_kernel_weights_positive_at_centers():
         for kern in kernels(p):
             region = one_region(xi, kern.support_a, kern.support_b)
             assert region is not None
-            assert float(term_weight(kern.code, xi, region.center(), kern.alpha)) > 0.0
+            assert float(term_weight(kern.code, xi, region.center())) > 0.0
 
 
-def test_amplitude_folds_into_a2_slot():
-    p1 = make_params(EPS, RHO, 1, amplitude=1.0)
-    p3 = make_params(EPS, RHO, 1, amplitude=3.0)
-    xi = p1.samp_box.center()
-    eta = np.array([-p1.lam, 0.0, 0.0])
-    k1 = [t for t in kernels(p1) if t.label == "axis2.t2"][0]
-    k3 = [t for t in kernels(p3) if t.label == "axis2.t2"][0]
-    w1 = float(term_weight(k1.code, xi, eta, k1.alpha))
-    w3 = float(term_weight(k3.code, xi, eta, k3.alpha))
-    assert w3 == pytest.approx(3.0 * w1, rel=1e-15)
+@pytest.mark.parametrize("bad", [8.5, math.nan, math.inf])
+def test_grid_entries_must_be_finite_whole_numbers(bad):
+    # a fractional count would be truncated by the norms; nan and inf
+    # would fail inside int() with a bare ValueError or OverflowError
+    with pytest.raises(InvalidParameterError, match="grid must be"):
+        make_params(EPS, RHO, 1, grid=(bad, 4, 4))
+    with pytest.raises(InvalidParameterError, match="grid must be"):
+        KnappParams(lam=4e5, eps=EPS, rho=RHO, k=1, thickness=None, grid=(bad, 4, 4))
+
+
+def test_whole_float_grid_is_stored_as_ints():
+    p = make_params(EPS, RHO, 1, grid=(8.0, np.int64(4), 4))
+    assert p.grid == (8, 4, 4)
+    assert all(type(n) is int for n in p.grid)
+    assert p == make_params(EPS, RHO, 1, grid=(8, 4, 4))

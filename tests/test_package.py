@@ -13,7 +13,6 @@ PUBLIC = {
     "run_sweep",
     "smoothness_verdict",
     "KnappParams",
-    "SlabSpec",
     "AmplitudeBreakdown",
     "SignTriple",
     "SweepRecord",
