@@ -20,12 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._kernels import term_weight
-from .amplitudes import (
-    product_norm,
-    product_norm_boxes,
-    resonance_classify,
-    sobolev_norm_monomial,
-)
+from .amplitudes import product_norm, product_norm_boxes, sobolev_norm_monomial
 from .boxes import Box3, admissible_eta_region
 from .construction import DEFAULT_GRID, KnappParams, curl_parts, kernels, make_params
 from .sweep import (
@@ -36,7 +31,7 @@ from .sweep import (
     smoothness_verdict,
     sweep_core,
 )
-from .symbols import duhamel_multiplier, duhamel_multiplier_oracle
+from .symbols import duhamel_multiplier, duhamel_multiplier_oracle, omega_all
 
 ACCEPT_EPS = 0.01
 ACCEPT_RHO = 2e-6
@@ -260,7 +255,11 @@ def criterion_realness() -> CriterionResult:
 
 
 def criterion_resonance_separation() -> CriterionResult:
-    """6: empirical resonant/nonresonant gap at box-center configurations."""
+    """6: empirical resonant/nonresonant gap at box-center configurations.
+
+    The split is the one ``term_sums`` applies to every node: a triple is
+    resonant where ``|omega| <= p.resonance_threshold``.
+    """
     max_res = 0.0
     min_nonres = math.inf
     for k in ACCEPT_KS:
@@ -268,13 +267,11 @@ def criterion_resonance_separation() -> CriterionResult:
         xi = p.samp_box.center()
         for kern in kernels(p):
             region = admissible_eta_region(xi[None, :], kern.support_a, kern.support_b)
-            rep = resonance_classify(p, xi, (region.lo[0] + region.hi[0]) / 2.0)
-            for sigma, label in rep.empirical.items():
-                om = abs(rep.omegas[sigma])
-                if label.value == "resonant":
-                    max_res = max(max_res, om / p.lam**0.75)
+            for om in np.abs(omega_all(xi, (region.lo[0] + region.hi[0]) / 2.0)):
+                if om <= p.resonance_threshold:
+                    max_res = max(max_res, float(om) / p.lam**0.75)
                 else:
-                    min_nonres = min(min_nonres, om / p.lam)
+                    min_nonres = min(min_nonres, float(om) / p.lam)
     passed = max_res <= 1.0 and min_nonres >= 0.5
     return CriterionResult(
         6,

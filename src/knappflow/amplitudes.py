@@ -40,7 +40,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -68,25 +67,6 @@ REFINE_CAP = 3
 TWO_PI_CUBED = (2.0 * math.pi) ** 3
 
 
-class ResonanceClass(str, Enum):
-    RESONANT = "resonant"
-    NONRESONANT = "nonresonant"
-
-
-@dataclass(frozen=True)
-class ResonanceReport:
-    """Both classifications of the 8 triples at one (xi, eta) pair.
-
-    ``empirical`` uses the measured cut |omega| <= lam^(3/4);
-    ``sign_pattern`` calls a triple resonant when its three signs agree.
-    The two disagree on this geometry and both are recorded.
-    """
-
-    empirical: dict[SignTriple, ResonanceClass]
-    sign_pattern: dict[SignTriple, ResonanceClass]
-    omegas: dict[SignTriple, float]
-
-
 @dataclass(frozen=True)
 class AmplitudeBreakdown:
     """Amplitude at one (t, xi) split by sign triple and resonance."""
@@ -109,24 +89,6 @@ class NormReport:
     norm_d1a2: float
     norm_product: float
     norm_total: float
-
-
-def resonance_classify(p: KnappParams, xi, eta) -> ResonanceReport:
-    """Classify all 8 sign triples at one (xi, eta) pair."""
-    oms = omega_all(xi, eta)
-    thr = p.resonance_threshold
-    empirical = {}
-    pattern = {}
-    omegas = {}
-    for s, om in zip(SIGN_TRIPLES, oms):
-        empirical[s] = (
-            ResonanceClass.RESONANT if abs(om) <= thr else ResonanceClass.NONRESONANT
-        )
-        pattern[s] = (
-            ResonanceClass.RESONANT if s.s1 == s.s2 == s.s3 else ResonanceClass.NONRESONANT
-        )
-        omegas[s] = float(om)
-    return ResonanceReport(empirical=empirical, sign_pattern=pattern, omegas=omegas)
 
 
 def _term_integrals(
@@ -197,10 +159,7 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def lattice_hats(
-    p: KnappParams,
-    xis,
-    signs: tuple[SignTriple, ...] | None = None,
-    t: float | None = None,
+    p: KnappParams, xis, signs: tuple[SignTriple, ...] | None = None
 ) -> tuple[AmplitudeBreakdown, ...]:
     """``lambda_hat`` at every row of ``xis``, in one pass for all terms.
 
@@ -217,23 +176,21 @@ def lattice_hats(
     norms = np.sqrt(xis[:, None, :] @ xis[:, :, None]).reshape(-1)
     if (norms == 0.0).any():
         raise InvalidParameterError("xi must be nonzero")
-    t_val = p.t if t is None else float(t)
-    if t_val < 0.0:
-        raise InvalidParameterError(f"t must be nonnegative, got {t_val}")
+    t = p.t
     active = SIGN_TRIPLES if signs is None else tuple(signs)
     active_idx = [SIGN_TRIPLES.index(s) for s in active]
 
     tot_acc = np.zeros((len(xis), 8), dtype=complex)
     res_acc = np.zeros((len(xis), 8), dtype=complex)
     env_acc = np.zeros((len(xis), 8), dtype=float)
-    tot, res, env, flags = _term_integrals(p, xis, kernels(p), t_val)
+    tot, res, env, flags = _term_integrals(p, xis, kernels(p), t)
     for k in range(len(tot)):
         tot_acc += tot[k]
         res_acc += res[k]
         env_acc += env[k]
     # (points, active signs) arrays; the sums over signs run in sign order.
     s1 = np.array([SIGN_TRIPLES[j].s1 for j in active_idx])
-    pre_phase = 1.0 / 4.0j * np.exp(-1j * s1 * t_val * norms[:, None])
+    pre_phase = 1.0 / 4.0j * np.exp(-1j * s1 * t * norms[:, None])
     vals = _cmul(pre_phase, tot_acc[:, active_idx])
     resonant_vals = _cmul(pre_phase, res_acc[:, active_idx])
     envelope_vals = 0.25 * env_acc[:, active_idx]
@@ -253,7 +210,7 @@ def lattice_hats(
             nonresonant_sum=complex(nonresonant[i]),
             nonresonant_envelope=float(envelope[i]),
             eval_point=tuple(xis[i].tolist()),
-            t=t_val,
+            t=t,
             flags=tuple(flags[i]),
         )
         for i in range(len(xis))
@@ -261,23 +218,20 @@ def lattice_hats(
 
 
 def lambda_hat(
-    p: KnappParams,
-    xi,
-    signs: tuple[SignTriple, ...] | None = None,
-    t: float | None = None,
+    p: KnappParams, xi, signs: tuple[SignTriple, ...] | None = None
 ) -> AmplitudeBreakdown:
     """Frequency-side output amplitude at (t, xi), fully broken down.
 
-    ``signs`` restricts the sign triples (default: all 8); ``t`` overrides
-    the configuration time (test hook).  Points outside the interaction
-    support return an exact zero breakdown.  Non-convergence of a term's
-    quadrature at the refinement cap is flagged, not raised.  This is
-    ``lattice_hats`` at one point.
+    ``t`` is the configuration's time ``p.t = eps / sqrt(lam)``; ``signs``
+    restricts the sign triples (default: all 8).  Points outside the
+    interaction support return an exact zero breakdown.  Non-convergence
+    of a term's quadrature at the refinement cap is flagged, not raised.
+    This is ``lattice_hats`` at one point.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (3,):
         raise InvalidParameterError("xi must be a 3-vector")
-    return lattice_hats(p, xi[None, :], signs, t)[0]
+    return lattice_hats(p, xi[None, :], signs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +295,9 @@ def sobolev_norms_monomials(
     The box is one cell per axis; a surface axis is its single point
     with weight 1.  The nodes are built once for all of the monomials.
     """
-    if any(int(m) < 0 for monomial in monomials for m in monomial):
-        raise InvalidParameterError(f"monomial powers must be nonnegative, got {monomials}")
+    powers = [m for monomial in monomials for m in monomial]
+    if not all(float(m).is_integer() and m >= 0 for m in powers):
+        raise InvalidParameterError(f"monomial powers must be whole numbers >= 0, got {monomials}")
     counts = _node_counts(nodes_per_axis)
     if b.has_null_axis:
         return [0.0] * len(monomials)

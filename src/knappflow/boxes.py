@@ -52,6 +52,10 @@ class Box3:
                 raise InvalidParameterError("box endpoints must be finite")
             if lo > hi:
                 raise InvalidParameterError(f"empty axis interval ({lo}, {hi})")
+        if not (np.isfinite(self.surface_tol) and self.surface_tol >= 0.0):
+            raise InvalidParameterError(
+                f"surface_tol must be finite and nonnegative, got {self.surface_tol}"
+            )
         if self.surface_axis is not None:
             if self.surface_axis not in (0, 1, 2):
                 raise InvalidParameterError("surface_axis must be 0, 1 or 2")

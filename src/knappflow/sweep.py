@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -38,22 +39,6 @@ from .errors import FitDataError, InvalidParameterError, WindowEmptyError
 EXCLUDING_FLAG_PREFIXES = ("window_empty", "nonconverged")
 
 VERDICT_MARGIN = 0.05
-
-CSV_COLUMNS = (
-    "k",
-    "lambda",
-    "t",
-    "sup_amp",
-    "res_amp",
-    "nonres_amp",
-    "norm_d2a1",
-    "norm_d1a2",
-    "norm_product",
-    "norm_total",
-    "output_norm",
-    "mode",
-    "flags",
-)
 
 _NAN_NORMS = NormReport(
     norm_d2a1=math.nan,
@@ -322,33 +307,41 @@ def smoothness_verdict(
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _num(x: float):
+    x = float(x)
+    return None if math.isnan(x) else x
+
+
+# How a record field is written: (its CSV cell, its JSON value).
+_FLOAT = (lambda x: format(float(x), ".17g"), _num)
+_PLAIN = (str, lambda v: v)
+_FLAGS = (";".join, list)
+
+# Every record field once, in output order: (name, value of a record,
+# format, whether the CSV has a column for it).  The JSON has them all.
+_RECORD_FIELDS = (
+    ("k", attrgetter("k"), _PLAIN, True),
+    ("lambda", attrgetter("lam"), _FLOAT, True),
+    ("t", attrgetter("t"), _FLOAT, True),
+    ("sup_amp", attrgetter("sup_amp"), _FLOAT, True),
+    ("res_amp", attrgetter("res_amp"), _FLOAT, True),
+    ("nonres_amp", attrgetter("nonres_amp"), _FLOAT, True),
+    ("nonres_envelope", attrgetter("nonres_envelope"), _FLOAT, False),
+    ("norm_d2a1", attrgetter("norms.norm_d2a1"), _FLOAT, True),
+    ("norm_d1a2", attrgetter("norms.norm_d1a2"), _FLOAT, True),
+    ("norm_product", attrgetter("norms.norm_product"), _FLOAT, True),
+    ("norm_total", attrgetter("norms.norm_total"), _FLOAT, True),
+    ("output_norm", attrgetter("output_norm"), _FLOAT, True),
+    ("mode", attrgetter("mode"), _PLAIN, True),
+    ("flags", attrgetter("flags"), _FLAGS, True),
+)
+CSV_COLUMNS = tuple(name for name, _, _, in_csv in _RECORD_FIELDS if in_csv)
 
 
 def csv_lines(records: list[SweepRecord]) -> list[str]:
-    lines = [",".join(CSV_COLUMNS)]
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    str(r.k),
-                    _fmt(r.lam),
-                    _fmt(r.t),
-                    _fmt(r.sup_amp),
-                    _fmt(r.res_amp),
-                    _fmt(r.nonres_amp),
-                    _fmt(r.norms.norm_d2a1),
-                    _fmt(r.norms.norm_d1a2),
-                    _fmt(r.norms.norm_product),
-                    _fmt(r.norms.norm_total),
-                    _fmt(r.output_norm),
-                    r.mode,
-                    ";".join(r.flags),
-                ]
-            )
-        )
-    return lines
+    cells = [(get, fmt[0]) for _, get, fmt, in_csv in _RECORD_FIELDS if in_csv]
+    rows = [",".join(cell(get(r)) for get, cell in cells) for r in records]
+    return [",".join(CSV_COLUMNS), *rows]
 
 
 def _write_text(text: str, path_or_file) -> None:
@@ -365,28 +358,8 @@ def write_csv(records: list[SweepRecord], path_or_file) -> None:
     _write_text("\n".join(csv_lines(records)) + "\n", path_or_file)
 
 
-def _num(x: float):
-    x = float(x)
-    return None if math.isnan(x) else x
-
-
 def record_to_dict(r: SweepRecord) -> dict:
-    return {
-        "k": r.k,
-        "lambda": _num(r.lam),
-        "t": _num(r.t),
-        "sup_amp": _num(r.sup_amp),
-        "res_amp": _num(r.res_amp),
-        "nonres_amp": _num(r.nonres_amp),
-        "nonres_envelope": _num(r.nonres_envelope),
-        "norm_d2a1": _num(r.norms.norm_d2a1),
-        "norm_d1a2": _num(r.norms.norm_d1a2),
-        "norm_product": _num(r.norms.norm_product),
-        "norm_total": _num(r.norms.norm_total),
-        "output_norm": _num(r.output_norm),
-        "mode": r.mode,
-        "flags": list(r.flags),
-    }
+    return {name: fmt[1](get(r)) for name, get, fmt, _ in _RECORD_FIELDS}
 
 
 def build_report(

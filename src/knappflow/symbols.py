@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import MULT_SERIES_THRESHOLD, _mult_py
+from ._kernels import _mult_py
 from .errors import InvalidParameterError
 
 
@@ -68,31 +67,19 @@ SIGN_TRIPLES: tuple[SignTriple, ...] = tuple(
 SIGNS_ARRAY = np.array([[s.s1, s.s2, s.s3] for s in SIGN_TRIPLES], dtype=float)
 
 
-class EvalBranch(str, Enum):
-    EXACT = "exact"
-    SERIES = "series"
-
-
 @dataclass(frozen=True)
 class MultiplierValue:
-    """Multiplier value plus the evaluation branch that produced it."""
+    """One value of m(t, omega).
+
+    A plain ``complex`` would do; the field stays because the benchmark's
+    multiplier workload (``perfbench/workloads.py``) reads ``.value``.
+    """
 
     value: complex
-    branch: EvalBranch
-
-
-def omega(xi, eta, sign: SignTriple) -> float:
-    """Resonance function s1 |xi| - s2 |xi - eta| - s3 |eta|."""
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    nx = math.sqrt(float(xi @ xi))
-    nd = math.sqrt(float((xi - eta) @ (xi - eta)))
-    ne = math.sqrt(float(eta @ eta))
-    return sign.s1 * nx - sign.s2 * nd - sign.s3 * ne
 
 
 def omega_all(xi, eta) -> np.ndarray:
-    """omega for every triple in enumeration order, sharing the norms."""
+    """omega(xi, eta) for every triple in enumeration order, sharing the norms."""
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
     nx = math.sqrt(float(xi @ xi))
@@ -104,7 +91,7 @@ def omega_all(xi, eta) -> np.ndarray:
 
 
 def duhamel_multiplier(t: float, om: float) -> MultiplierValue:
-    """Evaluate m(t, omega) with the branch recorded.
+    """Evaluate m(t, omega) for one finite pair with ``t >= 0``.
 
     The closed form is used when |t*omega| >= 1e-4, written as
     ``2 sin(t omega / 2) exp(i t omega / 2) / omega`` to avoid the
@@ -117,8 +104,7 @@ def duhamel_multiplier(t: float, om: float) -> MultiplierValue:
         raise InvalidParameterError(f"t must be finite and nonnegative, got {t}")
     if not math.isfinite(om):
         raise InvalidParameterError(f"omega must be finite, got {om}")
-    branch = EvalBranch.SERIES if abs(t * om) < MULT_SERIES_THRESHOLD else EvalBranch.EXACT
-    return MultiplierValue(value=_mult_py(t, om), branch=branch)
+    return MultiplierValue(value=_mult_py(t, om))
 
 
 @lru_cache(maxsize=64)

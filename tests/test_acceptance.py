@@ -35,7 +35,12 @@ def test_criterion_05_amplitude_realness():
 
 
 def test_criterion_06_resonance_separation():
-    _check(acceptance.criterion_resonance_separation())
+    result = acceptance.criterion_resonance_separation()
+    _check(result)
+    assert result.detail == (
+        "resonant max |omega|/lam^(3/4) = 0.000e+00 (need <= 1), "
+        "nonresonant min |omega|/lam = 2.000 (need >= 0.5), k = 1..10"
+    )
 
 
 def test_criterion_07_amplitude_scaling():

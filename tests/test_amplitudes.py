@@ -8,7 +8,6 @@ import pytest
 from knappflow import _kernels, amplitudes, boxes
 from knappflow.amplitudes import (
     TWO_PI_CUBED,
-    ResonanceClass,
     _axis_breakpoints,
     _conv_factor,
     _term_integrals,
@@ -19,7 +18,6 @@ from knappflow.amplitudes import (
     output_norm_from_samples,
     product_norm,
     product_norm_boxes,
-    resonance_classify,
     sample_lattice,
     sobolev_norm_monomial,
     sobolev_norms_monomials,
@@ -34,7 +32,7 @@ from knappflow.boxes import (
 from knappflow.construction import DEFAULT_GRID, kernels, make_params
 from knappflow.errors import InvalidParameterError
 from knappflow.sweep import fit_exponent, records_from_core, sweep_core
-from knappflow.symbols import SIGN_TRIPLES, SIGNS_ARRAY, SignTriple
+from knappflow.symbols import SIGN_TRIPLES, SIGNS_ARRAY, SignTriple, omega_all
 from regions import one_region
 
 EPS, RHO = 0.01, 2e-6
@@ -127,8 +125,10 @@ def fixed_grid_total(p, xi, counts):
     return complex((phases * tot).sum() / 4j)
 
 
-def resonant_set(report):
-    return {s for s, c in report.empirical.items() if c is ResonanceClass.RESONANT}
+def resonant_set(p, xi, eta):
+    """The triples ``term_sums`` counts as resonant at one (xi, eta) pair."""
+    oms = np.abs(omega_all(xi, eta))
+    return {s for s, om in zip(SIGN_TRIPLES, oms) if om <= p.resonance_threshold}
 
 
 def test_resonance_classification_by_slot_order():
@@ -139,8 +139,7 @@ def test_resonance_classification_by_slot_order():
     region = one_region(
         xi, by_label["axis2.t2"].support_a, by_label["axis2.t2"].support_b
     )
-    rep = resonance_classify(p, xi, region.center())
-    assert resonant_set(rep) == {
+    assert resonant_set(p, xi, region.center()) == {
         SignTriple.from_string("++-"),
         SignTriple.from_string("--+"),
     }
@@ -148,15 +147,10 @@ def test_resonance_classification_by_slot_order():
     region = one_region(
         xi, by_label["axis2.t1"].support_a, by_label["axis2.t1"].support_b
     )
-    rep = resonance_classify(p, xi, region.center())
-    assert resonant_set(rep) == {
+    assert resonant_set(p, xi, region.center()) == {
         SignTriple.from_string("+-+"),
         SignTriple.from_string("-+-"),
     }
-    # the all-signs-equal pattern never matches the empirical cut here
-    pattern_res = {s for s, c in rep.sign_pattern.items() if c is ResonanceClass.RESONANT}
-    assert pattern_res == {SignTriple.from_string("+++"), SignTriple.from_string("---")}
-    assert pattern_res.isdisjoint(resonant_set(rep))
 
 
 def test_resonance_gap_sizes():
@@ -164,13 +158,11 @@ def test_resonance_gap_sizes():
     xi = p.samp_box.center()
     kern = kernels(p)[0]
     region = one_region(xi, kern.support_a, kern.support_b)
-    rep = resonance_classify(p, xi, region.center())
-    for s, om in rep.omegas.items():
-        if rep.empirical[s] is ResonanceClass.RESONANT:
-            assert abs(om) <= p.resonance_threshold
-            assert abs(om) < 1e-2 * p.lam
+    for om in np.abs(omega_all(xi, region.center())):
+        if om <= p.resonance_threshold:
+            assert om < 1e-2 * p.lam
         else:
-            assert abs(om) > 0.5 * p.lam
+            assert om > 0.5 * p.lam
 
 
 def test_breakdown_sum_invariants():
@@ -225,10 +217,21 @@ def test_support_edge_is_exact_zero(mode):
 
 
 def test_time_zero_vanishes():
+    # m(0, omega) = 0, and so is the envelope min(0, 2/|omega|) |weight|
     p = small_params()
-    b = lambda_hat(p, p.samp_box.center(), t=0.0)
-    assert b.total == 0.0
-    assert b.nonresonant_envelope == 0.0
+    xi = p.samp_box.center()
+    for kern in kernels(p):
+        grid = quadrature_grid(one_region(xi, kern.support_a, kern.support_b), SMALL_GRID)
+
+        def sums(t):
+            return _kernels.term_sums(
+                grid.points, grid.weights, xi[None, :], t, [kern.code], SIGNS_ARRAY,
+                p.resonance_threshold,
+            )
+
+        assert all(np.all(part == 0.0) for part in sums(0.0))
+        tot, _, env = sums(p.t)
+        assert np.any(tot != 0.0) and np.any(env != 0.0)
 
 
 def test_lambda_hat_validation():
@@ -237,8 +240,6 @@ def test_lambda_hat_validation():
         lambda_hat(p, (1.0, 2.0))
     with pytest.raises(InvalidParameterError):
         lambda_hat(p, (0.0, 0.0, 0.0))
-    with pytest.raises(InvalidParameterError):
-        lambda_hat(p, p.samp_box.center(), t=-1.0)
 
 
 def test_sign_subsets_partition_total():
@@ -323,8 +324,8 @@ def test_lattice_hats_equal_lambda_hat_per_point(mode):
     _, pts = sample_lattice(p.samp_box, 3)
     assert lattice_hats(p, pts) == tuple(lambda_hat(p, xi) for xi in pts)
     signs = SIGN_TRIPLES[2:5]
-    assert lattice_hats(p, pts[:5], signs=signs, t=0.5 * p.t) == tuple(
-        lambda_hat(p, xi, signs=signs, t=0.5 * p.t) for xi in pts[:5]
+    assert lattice_hats(p, pts[:5], signs=signs) == tuple(
+        lambda_hat(p, xi, signs=signs) for xi in pts[:5]
     )
 
 
@@ -358,8 +359,6 @@ def test_lattice_hats_validation():
         lattice_hats(p, p.samp_box.center())
     with pytest.raises(InvalidParameterError):
         lattice_hats(p, [p.samp_box.center(), (0.0, 0.0, 0.0)])
-    with pytest.raises(InvalidParameterError):
-        lattice_hats(p, [p.samp_box.center()], t=-1.0)
     with pytest.raises(InvalidParameterError):
         lattice_hats(p, [p.samp_box.center(), (np.nan, 0.0, 0.0)])
 
@@ -482,6 +481,20 @@ def test_sobolev_norm_closed_forms():
     )
     with pytest.raises(InvalidParameterError):
         sobolev_norm_monomial(cube, (-1, 0, 0), 0.0)
+    # a whole float power is that power
+    assert sobolev_norm_monomial(cube, (2.0, 0, 0), 0.0) == sobolev_norm_monomial(
+        cube, (2, 0, 0), 0.0
+    )
+
+
+@pytest.mark.parametrize("power", [0.5, -0.5, math.nan, math.inf])
+def test_monomial_powers_must_be_whole_numbers(power):
+    # 0.5 and -0.5 used to truncate to the indicator's norm, nan to raise ValueError
+    cube = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.0, 1.0))
+    with pytest.raises(InvalidParameterError):
+        sobolev_norm_monomial(cube, (power, 0, 0), 0.0)
+    with pytest.raises(InvalidParameterError):
+        sobolev_norms_monomials(cube, ((0, 0, 0), (0, power, 0)), 0.0)
 
 
 def test_sobolev_norm_surface_is_formal_area_integral():
@@ -677,6 +690,74 @@ def test_norm_report_equals_one_monomial_at_a_time(mode, r):
     assert rep.norm_d2a1 == nd2
     assert rep.norm_total == math.hypot(nd2, nd3)
     assert rep.norm_d1a2 == nd1a2
+
+
+def axis_sum(x, w, factor, r=None):
+    """One axis's sum of weight times squared factor, times ``(1 + x^2)^r``
+    if ``r`` is given (axis 1 only)."""
+    vals = w * factor**2
+    if r is not None:
+        vals = vals * (1.0 + x * x) ** r
+    return float(vals.sum())
+
+
+def separable_monomial_integral(b, monomial, r, counts):
+    """``∫ <xi>^{2r} |xi^monomial|^2`` over ``b``, with ``<xi>^2`` taken as
+    ``1 + xi1^2``: the product of three 1-D sums.  A surface axis is its
+    single point with weight 1."""
+    total = 1.0
+    for i, ((lo, hi), m) in enumerate(zip(b.axes, monomial)):
+        if i == b.surface_axis:
+            x, w = np.array([lo]), np.ones(1)
+        else:
+            x, w = (v[0] for v in gauss_legendre_cells([lo], [hi], counts[i]))
+        total *= axis_sum(x, w, x**m, r if i == 0 else None)
+    return total
+
+
+def separable_product_integral(a, b, r, counts):
+    """``∫ <xi>^{2r} |chi_a * chi_b|^2``, with ``<xi>^2`` taken as
+    ``1 + xi1^2``: the product of three 1-D sums over each axis's cells
+    between the kinks of the convolution.  Along a volume axis the factor
+    is the overlap length of ``[x - a_hi, x - a_lo]`` and ``[b_lo, b_hi]``;
+    along a surface axis it is 1 inside the support."""
+    total = 1.0
+    for i, ((a_lo, a_hi), (b_lo, b_hi)) in enumerate(zip(a.axes, b.axes)):
+        cuts = np.unique([a_lo + b_lo, a_lo + b_hi, a_hi + b_lo, a_hi + b_hi])
+        x, w = (v.ravel() for v in gauss_legendre_cells(cuts[:-1], cuts[1:], counts[i]))
+        if i in (a.surface_axis, b.surface_axis):
+            overlap = np.ones_like(x)
+        else:
+            overlap = np.minimum(x - a_lo, b_hi) - np.maximum(x - a_hi, b_lo)
+        total *= axis_sum(x, w, overlap, r if i == 0 else None)
+    return total
+
+
+@pytest.mark.parametrize("r", R_GRID)
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_knapp_norms_are_products_of_three_axis_sums(mode, r):
+    # On the Knapp boxes the transverse squares round away in 1 + |xi|^2,
+    # so every norm integral factorises per axis.  The monomial and
+    # product norms of norm_report, each as its integral.
+    for k in range(1, 11):
+        p = make_params(EPS, RHO, k, mode=mode)
+        nd2, nd3 = sobolev_norms_monomials(p.w2_box, ((0, 1, 0), (0, 0, 1)), r, p.grid)
+        cases = [
+            (nd2, separable_monomial_integral(p.w2_box, (0, 1, 0), r, p.grid)),
+            (nd3, separable_monomial_integral(p.w2_box, (0, 0, 1), r, p.grid)),
+            (
+                sobolev_norm_monomial(p.neg_wprime_box, (1, 0, 0), r, p.grid),
+                separable_monomial_integral(p.neg_wprime_box, (1, 0, 0), r, p.grid),
+            ),
+            (
+                product_norm(p, r),
+                separable_product_integral(p.w2_box, p.neg_wprime_box, r, p.grid)
+                / TWO_PI_CUBED**2,
+            ),
+        ]
+        for norm, want in cases:
+            assert want > 0.0
+            assert abs(norm**2 * TWO_PI_CUBED - want) <= 1e-14 * want
 
 
 def test_output_norm_lower_constant_hook():

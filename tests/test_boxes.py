@@ -55,6 +55,18 @@ def test_box_validation():
         Box3(ax1=(0.0, 0.0), ax2=(0.0, 1.0), ax3=(0.0, 0.0), surface_axis=2)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
+def test_surface_tol_must_be_finite_and_nonnegative(tol):
+    # xi - a on the sheet xi3 = 0 never meets the sheet xi3 = 5, but a
+    # nan or infinite slack used to admit a region between the two
+    def sheet(x3, **kw):
+        return Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(x3, x3), surface_axis=2, **kw)
+
+    assert one_region((1.0, 1.0, 0.0), sheet(0.0, surface_tol=1e-9), sheet(5.0)) is None
+    with pytest.raises(InvalidParameterError):
+        sheet(0.0, surface_tol=tol)
+
+
 @given(st.integers(min_value=-6, max_value=6), st.booleans())
 def test_box_scale_round_trip_powers_of_two(e: int, neg: bool):
     # exact in floating point only for powers of two; the general case
