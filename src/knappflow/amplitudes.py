@@ -48,6 +48,7 @@ from .boxes import (
     Box3,
     _node_counts,
     admissible_eta_region,
+    axis_rule,
     gauss_legendre_cells,
     quadrature_nodes,
 )
@@ -92,7 +93,7 @@ class NormReport:
 
 
 def _term_integrals(
-    p: KnappParams, xis: np.ndarray, kerns: tuple[BilinearKernel, ...], t: float
+    p: KnappParams, xis: np.ndarray, kerns: tuple[BilinearKernel, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[str]]]:
     """Refined per-triple integrals (total, resonant, envelope) of every term.
 
@@ -120,7 +121,7 @@ def _term_integrals(
     while live.size:
         pts, wq = quadrature_nodes(lo[live], hi[live], counts, regions[0].surface_axis)
         sums = _kernels.term_sums(
-            pts.reshape(-1, 3), wq.reshape(-1), row_xis[live], t, row_codes[live],
+            pts.reshape(-1, 3), wq.reshape(-1), row_xis[live], p.t, row_codes[live],
             SIGNS_ARRAY, p.resonance_threshold,
         )
         tot = sums[0]
@@ -183,7 +184,7 @@ def lattice_hats(
     tot_acc = np.zeros((len(xis), 8), dtype=complex)
     res_acc = np.zeros((len(xis), 8), dtype=complex)
     env_acc = np.zeros((len(xis), 8), dtype=float)
-    tot, res, env, flags = _term_integrals(p, xis, kernels(p), t)
+    tot, res, env, flags = _term_integrals(p, xis, kernels(p))
     for k in range(len(tot)):
         tot_acc += tot[k]
         res_acc += res[k]
@@ -302,9 +303,7 @@ def sobolev_norms_monomials(
     if b.has_null_axis:
         return [0.0] * len(monomials)
     axis_cells = [
-        (np.array([[lo]]), np.ones((1, 1))) if i == b.surface_axis
-        else gauss_legendre_cells([lo], [hi], counts[i])
-        for i, (lo, hi) in enumerate(b.axes)
+        axis_rule([lo], [hi], counts[i], i == b.surface_axis) for i, (lo, hi) in enumerate(b.axes)
     ]
     norms = []
     for monomial in monomials:
@@ -331,8 +330,12 @@ def sobolev_norm_monomial(
 
 
 def _axis_breakpoints(a: tuple[float, float], b: tuple[float, float]) -> np.ndarray:
-    pts = np.unique(np.array([a[0] + b[0], a[0] + b[1], a[1] + b[0], a[1] + b[1]]))
-    return pts
+    """The sorted kinks of the convolution of ``[a0, a1]`` and ``[b0, b1]``.
+
+    A point interval (a surface axis) leaves the two ends of the other
+    interval, shifted by the point.
+    """
+    return np.unique(np.array([a[0] + b[0], a[0] + b[1], a[1] + b[0], a[1] + b[1]]))
 
 
 def _conv_factor(vals: np.ndarray, a: Box3, b: Box3, axis: int) -> np.ndarray:
@@ -372,17 +375,10 @@ def product_norm_boxes(
     counts = _node_counts(nodes_per_axis)
     axis_cells, factors = [], []
     for i in range(3):
-        if i == a.surface_axis:
-            lo, hi = a.axes[i][0] + b.axes[i][0], a.axes[i][0] + b.axes[i][1]
-            cuts = np.array([lo, hi])
-        elif i == b.surface_axis:
-            cuts = np.array([a.axes[i][0] + b.axes[i][0], a.axes[i][1] + b.axes[i][0]])
-        else:
-            cuts = _axis_breakpoints(a.axes[i], b.axes[i])
-        keep = cuts[1:] > cuts[:-1]
-        if not keep.any():
+        cuts = _axis_breakpoints(a.axes[i], b.axes[i])
+        if len(cuts) < 2:
             return 0.0
-        x, w = gauss_legendre_cells(cuts[:-1][keep], cuts[1:][keep], counts[i])
+        x, w = gauss_legendre_cells(cuts[:-1], cuts[1:], counts[i])
         axis_cells.append((x, w))
         factors.append(_conv_factor(x, a, b, i))
 

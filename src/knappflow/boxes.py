@@ -246,6 +246,18 @@ def gauss_legendre_cells(lo, hi, n: int) -> tuple[np.ndarray, np.ndarray]:
     return mid[..., None] + half[..., None] * u, half[..., None] * w
 
 
+def axis_rule(lo, hi, n: int, surface: bool) -> tuple[np.ndarray, np.ndarray]:
+    """One axis's nodes and weights on each interval ``[lo, hi]``.
+
+    A surface axis is each interval's single point ``lo`` with weight 1;
+    any other axis takes ``gauss_legendre_cells(lo, hi, n)``.
+    """
+    if surface:
+        point = np.asarray(lo, dtype=float)[..., None]
+        return point, np.ones_like(point)
+    return gauss_legendre_cells(lo, hi, n)
+
+
 def _node_counts(nodes_per_axis) -> tuple[int, int, int]:
     """A grid as 3 ints; each entry must be a finite whole number >= 1."""
     if len(nodes_per_axis) != 3 or not all(
@@ -269,18 +281,9 @@ def quadrature_nodes(
     """
     counts = _node_counts(nodes_per_axis)
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    axis_nodes = []
-    axis_weights = []
-    for i in range(3):
-        if i == surface_axis:
-            axis_nodes.append(lo[:, i : i + 1])
-            axis_weights.append(np.ones((len(lo), 1)))
-            continue
-        x, w = gauss_legendre_cells(lo[:, i], hi[:, i], counts[i])
-        axis_nodes.append(x)
-        axis_weights.append(w)
-    x1, x2, x3 = axis_nodes
-    w1, w2, w3 = axis_weights
+    (x1, w1), (x2, w2), (x3, w3) = (
+        axis_rule(lo[:, i], hi[:, i], counts[i], i == surface_axis) for i in range(3)
+    )
     points = np.empty((len(lo), x1.shape[1], x2.shape[1], x3.shape[1], 3))
     points[..., 0] = x1[:, :, None, None]
     points[..., 1] = x2[:, None, :, None]

@@ -1,7 +1,8 @@
 """Command-line interface: window arithmetic, point evaluation, sweeps, verify.
 
 Exit codes: 0 on success, 1 when the acceptance suite fails, 2 for
-invalid parameters (argparse errors also exit 2).
+invalid parameters or an unwritable output path (argparse errors also
+exit 2).
 """
 
 from __future__ import annotations
@@ -90,25 +91,28 @@ def cmd_sweep(args) -> int:
         mode=args.mode,
         grid=args.grid,
     )
-    write_csv(records, args.out)
-    print(f"wrote {args.out} ({len(records)} records)")
-    if args.json:
-        report = build_report(
-            records,
-            args.s,
-            args.r,
-            params={
-                "eps": args.eps,
-                "rho": args.rho,
-                "s": args.s,
-                "r": args.r,
-                "k_list": ks,
-                "mode": args.mode,
-                "grid": list(args.grid),
-            },
-        )
-        write_report(report, args.json)
-        print(f"wrote {args.json}")
+    try:
+        write_csv(records, args.out)
+        print(f"wrote {args.out} ({len(records)} records)")
+        if args.json:
+            report = build_report(
+                records,
+                args.s,
+                args.r,
+                params={
+                    "eps": args.eps,
+                    "rho": args.rho,
+                    "s": args.s,
+                    "r": args.r,
+                    "k_list": ks,
+                    "mode": args.mode,
+                    "grid": list(args.grid),
+                },
+            )
+            write_report(report, args.json)
+            print(f"wrote {args.json}")
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot write output: {exc}") from exc
     return 0
 
 

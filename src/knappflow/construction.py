@@ -139,11 +139,10 @@ def make_params(
     k: int,
     mode: str = "slab",
     grid: tuple[int, int, int] = DEFAULT_GRID,
-    thickness: float | None = None,
 ) -> KnappParams:
     """Resolve a configuration with lam at the window midpoint.
 
-    ``mode`` is ``"slab"`` (default thickness ``1e-6 sqrt(lam)``) or
+    ``mode`` is ``"slab"`` (thickness ``1e-6 sqrt(lam)``) or
     ``"surface"``.  Raises ``WindowEmptyError`` when no admissible lam
     exists, carrying the largest rho that would have worked.
     """
@@ -161,12 +160,10 @@ def make_params(
         )
     root = (window[0] + window[1]) / 2.0
     lam = root * root
-    if mode == "surface":
-        if thickness is not None:
-            raise InvalidParameterError("surface mode takes no thickness")
-    elif mode == "slab":
-        if thickness is None:
-            thickness = DEFAULT_SLAB_FACTOR * math.sqrt(lam)
+    if mode == "slab":
+        thickness = DEFAULT_SLAB_FACTOR * math.sqrt(lam)
+    elif mode == "surface":
+        thickness = None
     else:
         raise InvalidParameterError(f"mode must be 'slab' or 'surface', got {mode!r}")
     return KnappParams(lam=lam, eps=eps, rho=rho, k=int(k), thickness=thickness, grid=grid)

@@ -19,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 
@@ -94,7 +95,6 @@ class WindowSamples:
     params: KnappParams | None
     lattice_axes: tuple[np.ndarray, ...]
     breakdowns: tuple[AmplitudeBreakdown, ...]
-    flags: tuple[str, ...] = ()
 
 
 def sweep_core(
@@ -120,15 +120,7 @@ def sweep_core(
             p = make_params(eps=eps, rho=rho, k=k, mode=mode, grid=grid)
         except WindowEmptyError:
             n_empty += 1
-            cores.append(
-                WindowSamples(
-                    k=k,
-                    params=None,
-                    lattice_axes=(),
-                    breakdowns=(),
-                    flags=("window_empty",),
-                )
-            )
+            cores.append(WindowSamples(k=k, params=None, lattice_axes=(), breakdowns=()))
             continue
         axes, pts = sample_lattice(p.samp_box, 3)
         breakdowns = lattice_hats(p, pts)
@@ -166,7 +158,7 @@ def records_from_core(
                     output_norm=math.nan,
                     norms=_NAN_NORMS,
                     mode="none",
-                    flags=core.flags,
+                    flags=("window_empty",),
                 )
             )
             continue
@@ -174,11 +166,7 @@ def records_from_core(
         amps = np.array([abs(b.total) for b in core.breakdowns])
         j = int(np.argmax(amps))
         top = core.breakdowns[j]
-        flags: list[str] = list(core.flags)
-        for b in core.breakdowns:
-            for f in b.flags:
-                if f not in flags:
-                    flags.append(f)
+        flags = list(dict.fromkeys(f for b in core.breakdowns for f in b.flags))
         if p.mode == "surface":
             flags.append("surface_norm_formal")
         out = output_norm_from_samples(s_exp, list(core.lattice_axes), amps)
@@ -236,6 +224,8 @@ def fit_exponent(points) -> FitResult:
                 f"(lambda={lam!r}, value={v!r})"
             )
     x = np.log(np.array([p[0] for p in pts]))
+    if np.unique(x).size < 2:
+        raise FitDataError("exponent fit needs at least 2 distinct lambdas")
     y = np.log(np.array([p[1] for p in pts]))
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
@@ -344,18 +334,9 @@ def csv_lines(records: list[SweepRecord]) -> list[str]:
     return [",".join(CSV_COLUMNS), *rows]
 
 
-def _write_text(text: str, path_or_file) -> None:
-    """Write ``text`` to a path, with no newline translation, or to an open file."""
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        path_or_file.write(text)
-
-
-def write_csv(records: list[SweepRecord], path_or_file) -> None:
-    """Write records as CSV; identical records give identical bytes."""
-    _write_text("\n".join(csv_lines(records)) + "\n", path_or_file)
+def write_csv(records: list[SweepRecord], path) -> None:
+    """Write records as CSV to ``path``; identical records give identical bytes."""
+    Path(path).write_text("\n".join(csv_lines(records)) + "\n", newline="")
 
 
 def record_to_dict(r: SweepRecord) -> dict:
@@ -399,5 +380,5 @@ def report_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def write_report(report: dict, path_or_file) -> None:
-    _write_text(report_json(report), path_or_file)
+def write_report(report: dict, path) -> None:
+    Path(path).write_text(report_json(report), newline="")

@@ -281,7 +281,7 @@ def test_wide_boxes_refine_to_fixed_grid_reference(monkeypatch, mode):
     spent = count_term_sums(monkeypatch)
     for kern in kernels(p):
         spent.clear()
-        tot, res, env, flags = _term_integrals(p, xi[None, :], (kern,), p.t)
+        tot, res, env, flags = _term_integrals(p, xi[None, :], (kern,))
         tot, res, env = tot[0, 0], res[0, 0], env[0, 0]
         assert flags == [[]]
         assert len(spent) > 2  # more than one comparison of successive grids
@@ -523,6 +523,22 @@ def test_product_norm_surface_factor_is_indicator():
     assert got == pytest.approx(want, rel=1e-10)
 
 
+def test_axis_breakpoints_of_a_point_interval_are_the_shifted_ends():
+    # a surface axis is a point interval; in either operand order its cuts
+    # are the other interval's ends shifted by the point, summed in the
+    # same order as a cut list written out for the surface operand
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        pt = float(rng.uniform(-3.0, 3.0))
+        lo, hi = (float(v) for v in np.sort(rng.uniform(-3.0, 3.0, 2)))
+        assert _axis_breakpoints((pt, pt), (lo, hi)).tolist() == [pt + lo, pt + hi]
+        assert _axis_breakpoints((lo, hi), (pt, pt)).tolist() == [lo + pt, hi + pt]
+    # two points leave no cell, so two sheets on one axis have no product norm
+    assert _axis_breakpoints((0.5, 0.5), (-0.0, -0.0)).tolist() == [0.5]
+    sheet = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.5, 0.5), surface_axis=2)
+    assert product_norm_boxes(sheet, sheet, 0.0, SMALL_GRID) == 0.0
+
+
 def product_norm_reference(a, b, r, nodes_per_axis=DEFAULT_GRID):
     """``product_norm_boxes`` one cell at a time: a ``Box3`` and a
     ``quadrature_grid`` per cell, convolution factors on its (n, 3) points."""
@@ -756,6 +772,41 @@ def test_knapp_norms_are_products_of_three_axis_sums(mode, r):
             ),
         ]
         for norm, want in cases:
+            assert want > 0.0
+            assert abs(norm**2 * TWO_PI_CUBED - want) <= 1e-14 * want
+
+
+def separable_output_integral(s, axes, amps):
+    """``∫ <xi>^{2s} F^2`` of the trilinear interpolant ``F`` of ``amps``,
+    with ``<xi>^2`` taken as ``1 + xi1^2``.  In a cell, ``F`` is a sum of 8
+    corner values times products of per-axis hats ``1 - y`` and ``y``, so
+    ``F^2`` is 64 such terms, each integrating to a product of entries of
+    per-axis 2x2 moment matrices: on axis 1 the hats' products summed
+    against the cell's 6 Gauss-Legendre weights times ``(1 + x1^2)^s``,
+    on axes 2 and 3 their exact integrals ``h [[1/3, 1/6], [1/6, 1/3]]``."""
+    x, w = gauss_legendre_cells(axes[0][:-1], axes[0][1:], 6)
+    y = (x - axes[0][:-1, None]) / np.diff(axes[0])[:, None]
+    hats = np.stack([1.0 - y, y], axis=1)
+    moments = [np.einsum("can,cbn,cn->cab", hats, hats, w * (1.0 + x * x) ** s)]
+    for ax in axes[1:]:
+        moments.append(np.diff(ax)[:, None, None] * np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]]))
+    vals = amps.reshape(tuple(len(ax) for ax in axes))
+    n1, n2, n3 = (len(ax) - 1 for ax in axes)
+    corners = np.empty((n1, n2, n3, 2, 2, 2))
+    for a in itertools.product((0, 1), repeat=3):
+        corners[(...,) + a] = vals[a[0] : a[0] + n1, a[1] : a[1] + n2, a[2] : a[2] + n3]
+    return float(np.einsum("pqrijk,pqrlmn,pil,qjm,rkn->", corners, corners, *moments))
+
+
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_knapp_output_norms_are_sums_of_separable_terms(mode):
+    # The output norm of every window of a k = 1..10 sweep, at the scans'
+    # s, against its 64 separable terms per lattice cell.
+    for core in sweep_core(EPS, RHO, range(1, 11), mode=mode):
+        amps = np.array([abs(b.total) for b in core.breakdowns])
+        for s in S_GRID:
+            norm = output_norm_from_samples(s, list(core.lattice_axes), amps)
+            want = separable_output_integral(s, core.lattice_axes, amps)
             assert want > 0.0
             assert abs(norm**2 * TWO_PI_CUBED - want) <= 1e-14 * want
 

@@ -8,6 +8,8 @@ from knappflow.boxes import (
     box_scale,
     box_w,
     box_w_prime,
+    axis_rule,
+    gauss_legendre_cells,
     quadrature_grid,
     quadrature_nodes,
 )
@@ -300,6 +302,20 @@ def _meshgrid_grid(b, counts):
     g = np.meshgrid(*nodes, indexing="ij")
     w1, w2, w3 = np.meshgrid(*weights, indexing="ij")
     return np.column_stack([x.ravel() for x in g]), (w1 * w2 * w3).ravel()
+
+
+def test_axis_rule_is_a_point_on_a_surface_axis_and_gauss_legendre_otherwise():
+    lo, hi = np.array([-2.0, 0.0, 3.5]), np.array([1.0, 0.25, 7.0])
+    for n in (1, 4, 16):
+        x, w = axis_rule(lo, hi, n, surface=False)
+        want_x, want_w = gauss_legendre_cells(lo, hi, n)
+        assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+        # whatever n and hi, a surface axis is each lo with weight 1
+        x, w = axis_rule(lo, hi, n, surface=True)
+        assert x.shape == w.shape == (3, 1)
+        assert np.array_equal(x[:, 0], lo) and np.all(w == 1.0)
+    x, w = axis_rule([0.5], [0.5], 8, surface=True)
+    assert x.tolist() == [[0.5]] and w.tolist() == [[1.0]]
 
 
 @pytest.mark.parametrize("counts", [(2, 1, 1), (5, 3, 2), (6, 6, 6)])

@@ -132,6 +132,17 @@ def test_sweep_rejects_bad_ranges(tmp_path, capsys):
     assert rv == 2 and "at least 3" in err
 
 
+@pytest.mark.parametrize("flag", ["--out", "--json"])
+def test_sweep_unwritable_output_exits_2(tmp_path, capsys, flag):
+    # exit code 1 is the failed acceptance suite's; a traceback is not an answer
+    paths = {"--out": str(tmp_path / "x.csv"), "--json": str(tmp_path / "x.json")}
+    paths[flag] = str(tmp_path / "missing_dir" / "x")
+    args = ["sweep", "--kmin", "1", "--kmax", "3", "--grid", "8,4,4"]
+    rv, _, err = run_cli(args + [arg for item in paths.items() for arg in item], capsys)
+    assert rv == 2
+    assert err.startswith("error:") and "missing_dir" in err
+
+
 def test_sweep_bad_grid_is_argparse_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc_info:
         cli.main(["sweep", "--grid", "8,4", "--out", str(tmp_path / "x.csv")])

@@ -74,8 +74,6 @@ def test_make_params_validation():
         make_params(EPS, 1e-9, 1)  # cannot cover the box spread
     assert RHO_MIN > 1e-6
     with pytest.raises(InvalidParameterError):
-        make_params(EPS, RHO, 1, mode="surface", thickness=1.0)
-    with pytest.raises(InvalidParameterError):
         make_params(EPS, RHO, 1, mode="ball")
     with pytest.raises(InvalidParameterError):
         KnappParams(lam=4e5, eps=EPS, rho=RHO, k=1, thickness=0.0)
@@ -86,8 +84,6 @@ def test_make_params_validation():
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_parameters_are_rejected(bad):
     # each would otherwise give nan or inf norms
-    with pytest.raises(InvalidParameterError):
-        make_params(EPS, RHO, 1, thickness=bad)
     with pytest.raises(InvalidParameterError):
         KnappParams(lam=4e5, eps=EPS, rho=RHO, k=1, thickness=bad)
     with pytest.raises(InvalidParameterError):

@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import json
 import math
 
@@ -66,6 +65,18 @@ def test_fit_exponent_validation():
         fit_exponent([(10.0, 1.0), (20.0, math.nan), (30.0, 2.0)])
     with pytest.raises(FitDataError, match="lambda=-1.0"):
         fit_exponent([(-1.0, 1.0), (20.0, 1.0), (30.0, 2.0)])
+
+
+def test_fit_needs_two_distinct_lambdas():
+    # points at one lambda have no slope; a line fit would invent one
+    with pytest.raises(FitDataError, match="2 distinct lambdas"):
+        fit_exponent([(1e6, 2.0), (1e6, 3.0), (1e6, 4.0)])
+    records = run_sweep(EPS, RHO, 0.5, -0.25, [2, 2, 2], grid=SMALL_GRID)
+    with pytest.raises(FitDataError, match="2 distinct lambdas"):
+        smoothness_verdict(0.5, -0.25, records)
+    # repeats are fine once two lambdas differ
+    fit = fit_exponent([(10.0, 100.0), (10.0, 100.0), (100.0, 1e4)])
+    assert fit.slope == pytest.approx(2.0, rel=1e-12)
 
 
 def test_record_invariants(records):
@@ -193,15 +204,11 @@ def test_csv_shape_and_determinism(records, partial_records, tmp_path):
     assert empty_row[-2] == "none"
     assert empty_row[-1] == "window_empty"
 
-    buf1, buf2 = io.StringIO(), io.StringIO()
-    write_csv(records, buf1)
-    write_csv(records, buf2)
-    assert buf1.getvalue() == buf2.getvalue()
-    assert buf1.getvalue().endswith("\n")
-
-    path = tmp_path / "sweep.csv"
-    write_csv(records, path)
-    assert path.read_text() == buf1.getvalue()
+    path1, path2 = tmp_path / "sweep1.csv", tmp_path / "sweep2.csv"
+    write_csv(records, path1)
+    write_csv(records, str(path2))
+    assert path1.read_bytes() == path2.read_bytes()
+    assert path1.read_text() == "\n".join(lines) + "\n"
 
 
 def test_csv_floats_round_trip(records):
