@@ -19,11 +19,20 @@ MULT_SERIES_THRESHOLD = 1e-4
 # harness (perfbench/run.py) reads it for the backend in its run record.
 NUMBA_ENABLED = False
 
-# Nodes per block in ``term_sums``.  Its 8 x block complex temporaries
-# take 0.5 MB each whatever the grid size or the number of points, so a
+# Nodes per block in ``term_sums``.  Each of its temporaries holds at
+# most 4 complex values per node of a block (0.25 MB), whatever the grid
+# size, the number of grids or the number of terms per grid, so a
 # ceiling grid of 256 x 128 x 128 nodes needs no more memory than a
-# small one.
+# small one.  A grid's node sums are cut at the block bounds, so they
+# fix the last bits of a large grid's sums.
 TERM_SUMS_BLOCK = 1 << 12
+
+# The 8 half-wave sign triples (s1, s2, s3), lexicographic with + before
+# -: +++, ++-, +-+, +--, -++, -+-, --+, ---.  Row 7 - j is -(row j), so
+# the omega of triple 7 - j is exactly minus that of triple j.
+SIGNS_ARRAY = np.array(
+    [(s1, s2, s3) for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)], dtype=float
+)
 
 
 # ---------------------------------------------------------------------------
@@ -45,16 +54,23 @@ def _mult_py(t: float, om: float) -> complex:
 def mult_values(t: float, om: np.ndarray) -> np.ndarray:
     """Vectorized multiplier; same two-branch rule as the scalar path.
 
-    Each branch is evaluated only on the elements it applies to.
+    Each branch is evaluated only on the elements it applies to.  Both
+    branches give a real part even in omega and an imaginary part odd in
+    omega, so ``mult_values(t, -om)`` is ``conj(mult_values(t, om))`` bit
+    for bit.
     """
     om = np.asarray(om, dtype=float)
     x = t * om
     small = np.abs(x) < MULT_SERIES_THRESHOLD
     out = np.empty(x.shape, dtype=complex)
     z = 1j * x[small]
-    out[small] = t * (
+    series = t * (
         1.0 + z * (1 / 2 + z * (1 / 6 + z * (1 / 24 + z * (1 / 120 + z * (1 / 720)))))
     )
+    # Im m = (1 - cos(t omega)) / omega takes the sign of omega, which the
+    # series drops only where it is zero: at omega = -0.
+    series.imag = np.copysign(series.imag, x[small])
+    out[small] = series
     big = ~small
     half = 0.5 * x[big]
     s = np.sin(half)
@@ -72,14 +88,12 @@ def mult_values(t: float, om: np.ndarray) -> np.ndarray:
 # is nonnegative on its own admissible set.
 # ---------------------------------------------------------------------------
 
-def term_weight(code: int, xi, eta) -> np.ndarray:
-    """Kernel weight w(xi, eta); broadcasts over leading axes of eta."""
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    d = xi - eta
-    nx = np.sqrt((xi * xi).sum(axis=-1))
-    nd = np.sqrt((d * d).sum(axis=-1))
-    ne = np.sqrt((eta * eta).sum(axis=-1))
+def _weight(code: int, eta, d, nx, nd, ne):
+    """Kernel weight from ``eta``, ``d = xi - eta`` and the three norms.
+
+    This is the one weight formula: ``term_weight`` forms its arguments
+    from ``(xi, eta)``, and ``term_sums`` shares them with omega.
+    """
     d1 = d[..., 0]
     e1 = eta[..., 0]
     if code == 0:
@@ -95,7 +109,18 @@ def term_weight(code: int, xi, eta) -> np.ndarray:
     return num / (nx * nd * nd * ne * ne)
 
 
-def _term_sums_loop(pts, wq, xi, t, code, signs, res_thr):
+def term_weight(code: int, xi, eta) -> np.ndarray:
+    """Kernel weight w(xi, eta); broadcasts over leading axes of eta."""
+    xi = np.asarray(xi, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    d = xi - eta
+    nx = np.sqrt((xi * xi).sum(axis=-1))
+    nd = np.sqrt((d * d).sum(axis=-1))
+    ne = np.sqrt((eta * eta).sum(axis=-1))
+    return _weight(code, eta, d, nx, nd, ne)
+
+
+def _term_sums_loop(pts, wq, xi, t, code, res_thr):
     """Scalar reference for ``term_sums``, used only to check it in tests."""
     n = pts.shape[0]
     tot = np.zeros(8, dtype=np.complex128)
@@ -103,26 +128,15 @@ def _term_sums_loop(pts, wq, xi, t, code, signs, res_thr):
     env = np.zeros(8, dtype=np.float64)
     nx = math.sqrt(xi[0] * xi[0] + xi[1] * xi[1] + xi[2] * xi[2])
     for i in range(n):
-        e1 = pts[i, 0]
-        e2 = pts[i, 1]
-        e3 = pts[i, 2]
-        d1 = xi[0] - e1
-        d2 = xi[1] - e2
-        d3 = xi[2] - e3
-        ne = math.sqrt(e1 * e1 + e2 * e2 + e3 * e3)
-        nd = math.sqrt(d1 * d1 + d2 * d2 + d3 * d3)
-        if code == 0:
-            num = d1 * d1 * e1 * e1 * e2
-        elif code == 1:
-            num = -(d1 * d2 * e1 * e1 * e1)
-        elif code == 2:
-            num = d1 * d1 * e1 * e1 * e3
-        else:
-            num = -(d1 * d3 * e1 * e1 * e1)
-        w = num / (nx * nd * nd * ne * ne) * wq[i]
+        eta = pts[i]
+        d = xi - eta
+        ne = math.sqrt(eta[0] * eta[0] + eta[1] * eta[1] + eta[2] * eta[2])
+        nd = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+        w = _weight(code, eta, d, nx, nd, ne) * wq[i]
         aw = abs(w)
         for j in range(8):
-            om = signs[j, 0] * nx - signs[j, 1] * nd - signs[j, 2] * ne
+            s1, s2, s3 = SIGNS_ARRAY[j]
+            om = s1 * nx - s2 * nd - s3 * ne
             c = _mult_py(t, om) * w
             tot[j] += c
             if abs(om) <= res_thr:
@@ -132,62 +146,83 @@ def _term_sums_loop(pts, wq, xi, t, code, signs, res_thr):
     return tot, res, env
 
 
-def term_sums(pts, wq, xis, t, codes, signs, res_thr):
-    """Per-sign-triple sums of m(t, omega) * weight over quadrature grids.
+def term_sums(pts, wq, xis, t, codes, res_thr):
+    """Per-term, per-sign-triple sums of m(t, omega) * weight over grids.
 
     ``xis`` holds P output frequencies, shape ``(P, 3)``; ``pts``
-    ``(N, 3)`` and ``wq`` ``(N,)`` hold P grids of N / P nodes each, row
-    j's grid in rows ``j*N/P`` to ``(j+1)*N/P``.  ``codes`` holds one
-    kernel term's code per row, so a call may mix terms.  Returns
-    ``(tot, res, env)``, each of shape ``(P, 8)``: for each row and sign
-    triple the full complex sum, the sum over resonant nodes
-    (|omega| <= res_thr), and a pointwise envelope
-    ``min(t, 2/|omega|) * |weight|`` over the rest.  All 8 triples are
-    evaluated together as ``(rows, 8, nodes)`` arrays over blocks of at
-    most ``TERM_SUMS_BLOCK`` nodes: whole grids while a grid fits in a
-    block, else consecutive slices of one grid.  Each row's nodes are
-    summed along a contiguous axis, so a row's sums do not depend on the
-    other rows of the call.
+    ``(N, 3)`` and ``wq`` ``(N,)`` hold P grids of N / P nodes each, grid
+    j's in rows ``j*N/P`` to ``(j+1)*N/P``.  ``codes`` ``(P, C)`` holds
+    the codes of the C kernel terms integrated over each grid (terms on
+    one support pair share its grid), so a call may mix terms.  Returns
+    ``(tot, res, env)``, each of shape ``(P, C, 8)``: for each grid, term
+    and sign triple (in ``SIGNS_ARRAY`` order) the full complex sum, the
+    sum over resonant nodes (|omega| <= res_thr), and a pointwise
+    envelope ``min(t, 2/|omega|) * |weight|`` over the rest.
+
+    The nodes go in blocks of at most ``TERM_SUMS_BLOCK``: whole grids
+    while a grid fits in a block, else consecutive slices of one grid.
+    Per block, ``xi - eta``, ``|xi - eta|``, ``|eta|``, omega and the
+    multiplier are formed once for all C terms, and only for the four
+    ``s1 = +1`` triples: triple ``7 - j`` has omega negated exactly, so
+    its multiplier, its products with the real weights and their sums
+    are the conjugates of triple j's, and its envelope is triple j's.
+    Then each term's weights, products and sums are taken as
+    ``(grids, 4, nodes)`` arrays, one term at a time.  Each grid's nodes
+    are summed along a contiguous axis, so its sums do not depend on the
+    other grids or terms of the call.
     """
     pts = np.asarray(pts, dtype=float)
     wq = np.asarray(wq, dtype=float)
     xis = np.asarray(xis, dtype=float)
     codes = np.asarray(codes)
-    n_pts = len(xis)
+    n_pts, n_terms = codes.shape
     per = len(pts) // n_pts
     eta = pts.reshape(n_pts, per, 3)
     wq = wq.reshape(n_pts, per)
-    # |xi| per row: numpy takes each stacked (1x3) @ (3x1) product with
-    # the dot routine of ``x @ x``, so a row's norm has the one-point bits.
+    # |xi| per grid for omega: numpy takes each stacked (1x3) @ (3x1)
+    # product with the dot routine of ``x @ x``, so a grid's norm has the
+    # one-point bits.  The weight takes |xi| as ``term_weight`` does.
     nx = np.sqrt(xis[:, None, :] @ xis[:, :, None])
-    tot = np.zeros((n_pts, 8), dtype=np.complex128)
-    res = np.zeros((n_pts, 8), dtype=np.complex128)
-    env = np.zeros((n_pts, 8), dtype=np.float64)
+    half = SIGNS_ARRAY[:4, :, None]
+    tot = np.zeros((n_pts, n_terms, 8), dtype=np.complex128)
+    res = np.zeros((n_pts, n_terms, 8), dtype=np.complex128)
+    env = np.zeros((n_pts, n_terms, 8), dtype=np.float64)
     width = max(min(per, TERM_SUMS_BLOCK), 1)
     step = max(TERM_SUMS_BLOCK // width, 1)
     for first in range(0, n_pts, step):
         rows = slice(first, first + step)
         x = xis[rows, None, :]
+        nx_weight = np.sqrt((x * x).sum(axis=-1))
+        # Each run of grids with the same codes is weighted in one call
+        # per term.
         block_codes = codes[rows]
-        # Each run of rows with one kernel code is weighted in one call.
-        cuts = [0, *(np.flatnonzero(np.diff(block_codes)) + 1), len(block_codes)]
+        cuts = np.flatnonzero((block_codes[1:] != block_codes[:-1]).any(axis=1)) + 1
+        runs = list(zip([0, *cuts], [*cuts, len(block_codes)]))
         for start in range(0, per, width):
             e = eta[rows, start : start + width]
-            w = np.empty(e.shape[:-1])
-            for lo, hi in zip(cuts[:-1], cuts[1:]):
-                w[lo:hi] = term_weight(int(block_codes[lo]), x[lo:hi], e[lo:hi])
-            w *= wq[rows, start : start + width]
             d = x - e
-            nd = np.sqrt((d * d).sum(axis=-1))[:, None, :]
-            ne = np.sqrt((e * e).sum(axis=-1))[:, None, :]
-            om = signs[:, 0:1] * nx[rows] - signs[:, 1:2] * nd - signs[:, 2:3] * ne
-            contrib = mult_values(t, om) * w[:, None, :]
+            nd = np.sqrt((d * d).sum(axis=-1))
+            ne = np.sqrt((e * e).sum(axis=-1))
+            om = half[:, 0] * nx[rows] - half[:, 1] * nd[:, None, :] - half[:, 2] * ne[:, None, :]
+            m = mult_values(t, om)
             abs_om = np.abs(om)
             resonant = abs_om <= res_thr
-            tot[rows] += contrib.sum(axis=-1)
-            res[rows] += np.where(resonant, contrib, 0.0).sum(axis=-1)
-            aw = np.abs(w)[:, None, :]
-            far = np.minimum(t, 2.0 / np.where(resonant, 1.0, abs_om)) * aw
-            env[rows] += np.where(resonant, 0.0, far).sum(axis=-1)
+            # min(t, 2/|omega|) where nonresonant, 0 where resonant
+            bound = np.where(resonant, 0.0, np.minimum(t, 2.0 / np.where(resonant, 1.0, abs_om)))
+            q = wq[rows, start : start + width]
+            for c in range(n_terms):
+                w = np.empty(nd.shape)
+                for lo, hi in runs:
+                    w[lo:hi] = _weight(
+                        int(block_codes[lo, c]),
+                        e[lo:hi], d[lo:hi], nx_weight[lo:hi], nd[lo:hi], ne[lo:hi],
+                    )
+                w *= q
+                contrib = m * w[:, None, :]
+                part = contrib.sum(axis=-1)
+                tot[rows, c] += np.concatenate([part, np.conj(part[:, ::-1])], axis=1)
+                part = np.where(resonant, contrib, 0.0).sum(axis=-1)
+                res[rows, c] += np.concatenate([part, np.conj(part[:, ::-1])], axis=1)
+                part = (bound * np.abs(w)[:, None, :]).sum(axis=-1)
+                env[rows, c] += np.concatenate([part, part[:, ::-1]], axis=1)
     return tot, res, env
-

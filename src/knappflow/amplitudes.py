@@ -10,16 +10,17 @@ evaluated on tensor Gauss-Legendre grids that start at 2 x 1 x 1 nodes
 and double until the per-term totals of successive grids agree; the
 configured ``grid`` doubled ``REFINE_CAP`` times is the ceiling, where an
 unsettled term is flagged.  The points of one configuration (a window's
-3 x 3 x 3 lattice) are integrated together, one row per (kernel term,
-point) pair: per refinement level, one node build and one kernel call
-cover every row still refining, for all four terms and all 8 sign
-triples, over fixed-size blocks of nodes, so memory does not grow with
-the grid.  The breakdowns of all points are then assembled as (points,
-sign triples) arrays.  Nodes are classified resonant or nonresonant by
-the empirical cut |omega| <= lam^(3/4); the resonant and nonresonant
-parts of the sum are accumulated separately, together with a rigorous
-pointwise envelope min(t, 2/|omega|) * |weight| for the nonresonant
-part.
+3 x 3 x 3 lattice) are integrated together.  The four kernel terms come
+in two support pairs, and terms on one pair share one node grid per
+point: per refinement level, one node build and one kernel call cover
+every (support pair, point) grid still refining, for both of its terms
+and all 8 sign triples, over fixed-size blocks of nodes, so memory does
+not grow with the grid.  The breakdowns of all points are then
+assembled as (points, sign triples) arrays.  Nodes are classified
+resonant or nonresonant by the empirical cut |omega| <= lam^(3/4); the
+resonant and nonresonant parts of the sum are accumulated separately,
+together with a rigorous pointwise envelope min(t, 2/|omega|) * |weight|
+for the nonresonant part.
 
 All Sobolev norms use the convention
 
@@ -55,7 +56,7 @@ from .boxes import (
 from .boxes import quadrature_grid  # noqa: F401  (perfbench/ hooks this name)
 from .construction import DEFAULT_GRID, BilinearKernel, KnappParams, kernels
 from .errors import InvalidParameterError
-from .symbols import SIGN_TRIPLES, SIGNS_ARRAY, SignTriple, omega_all
+from .symbols import SIGN_TRIPLES, SignTriple
 
 # Per-term quadrature refinement: start from BASE_GRID and double nodes
 # until the 8-triple totals move by less than this relative amount.  The
@@ -98,52 +99,71 @@ def _term_integrals(
     """Refined per-triple integrals (total, resonant, envelope) of every term.
 
     Returns ``(K, P, 8)`` arrays for the K terms of ``kerns`` and the P
-    rows of ``xis``, and each point's flags in kernel order.  Each (term,
-    point) pair is one row; all rows still refining share one grid shape,
-    so each refinement level is one node build and one ``term_sums``
-    call for every term at once.  A row leaves once its totals settle,
-    and is flagged if that does not happen by the ceiling.  The terms'
-    regions share one surface axis (or none), as those of ``kernels(p)``
-    do: every term pairs the same two supports.
+    rows of ``xis``, and each point's flags in kernel order.  Terms on
+    one support pair have the same admissible regions, so each (support
+    pair, point) is one node grid, integrated for all of the pair's
+    terms together.  All grids still refining share one grid shape, so
+    each refinement level is one node build and one ``term_sums`` call.
+    A grid refines while any of its terms is unsettled; each term keeps
+    the sums of the level where its totals settled, and is flagged if
+    that does not happen by the ceiling.  The pairs share one surface
+    axis (or none), as those of ``kernels(p)`` do.
     """
     n_pts = len(xis)
-    regions = [admissible_eta_region(xis, k.support_a, k.support_b) for k in kerns]
+    by_pair: dict[tuple[Box3, Box3], list[int]] = {}
+    for i, k in enumerate(kerns):
+        by_pair.setdefault((k.support_a, k.support_b), []).append(i)
+    pairs, members = list(by_pair), list(by_pair.values())
+    n_terms = max(len(m) for m in members)
+    # A pair with fewer terms repeats its first; the copy is never read.
+    padded = [m + m[:1] * (n_terms - len(m)) for m in members]
+    regions = [admissible_eta_region(xis, a, b) for a, b in pairs]
     lo = np.concatenate([r.lo for r in regions])
     hi = np.concatenate([r.hi for r in regions])
-    row_xis = np.concatenate([xis] * len(kerns))
-    row_codes = np.repeat([k.code for k in kerns], n_pts)
-    out = tuple(np.zeros((len(kerns) * n_pts, 8), dtype) for dtype in (complex, complex, float))
-    unsettled = np.zeros(len(row_xis), dtype=bool)
-    live = np.flatnonzero(np.concatenate([r.live for r in regions]))
+    grid_xis = np.concatenate([xis] * len(pairs))
+    codes = np.repeat([[kerns[i].code for i in m] for m in padded], n_pts, axis=0)
+    out = tuple(np.zeros((len(grid_xis), n_terms, 8), dtype) for dtype in (complex, complex, float))
+    pending = np.repeat(np.concatenate([r.live for r in regions])[:, None], n_terms, axis=1)
+    unsettled = np.zeros(pending.shape, dtype=bool)
+    live = np.flatnonzero(pending[:, 0])
     ceiling = tuple(n << REFINE_CAP for n in p.grid)
     counts = tuple(min(b, c) for b, c in zip(BASE_GRID, ceiling))
     prev_tot = None
     while live.size:
         pts, wq = quadrature_nodes(lo[live], hi[live], counts, regions[0].surface_axis)
         sums = _kernels.term_sums(
-            pts.reshape(-1, 3), wq.reshape(-1), row_xis[live], p.t, row_codes[live],
-            SIGNS_ARRAY, p.resonance_threshold,
+            pts.reshape(-1, 3), wq.reshape(-1), grid_xis[live], p.t, codes[live],
+            p.resonance_threshold,
         )
         tot = sums[0]
         if prev_tot is None:
-            settled = np.zeros(live.size, dtype=bool)
+            settled = np.zeros(tot.shape[:2], dtype=bool)
         else:
-            scale = np.abs(tot).max(axis=1)
-            delta = np.abs(tot - prev_tot).max(axis=1)
+            scale = np.abs(tot).max(axis=-1)
+            delta = np.abs(tot - prev_tot).max(axis=-1)
             settled = (scale == 0.0) | (delta <= REFINE_RELTOL * scale)
+        waiting = pending[live]
         if counts == ceiling:
-            unsettled[live[~settled]] = True
-            settled[:] = True
+            unsettled[live] = waiting & ~settled
+            settled = waiting
+        grid, term = np.nonzero(waiting & settled)
         for acc, part in zip(out, sums):
-            acc[live[settled]] = part[settled]
-        live, prev_tot = live[~settled], tot[~settled]
+            acc[live[grid], term] = part[grid, term]
+        pending[live[grid], term] = False
+        keep = pending[live].any(axis=1)
+        live, prev_tot = live[keep], tot[keep]
         counts = tuple(min(2 * n, c) for n, c in zip(counts, ceiling))
-    unsettled = unsettled.reshape(len(kerns), n_pts)
+    # Back to kernel order: kernel i is term c of pair g's grids.
+    slot = {i: (g, c) for g, m in enumerate(members) for c, i in enumerate(m)}
+    g, c = np.array([slot[i] for i in range(len(kerns))]).T
+    tot, res, env, unsettled = (
+        acc.reshape(len(pairs), n_pts, *acc.shape[1:])[g, :, c] for acc in (*out, unsettled)
+    )
     flags = [
         [f"nonconverged_quadrature:{k.label}" for k, bad in zip(kerns, unsettled[:, j]) if bad]
         for j in range(n_pts)
     ]
-    return (*(acc.reshape(len(kerns), n_pts, 8) for acc in out), flags)
+    return tot, res, env, flags
 
 
 def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

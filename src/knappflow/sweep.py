@@ -198,11 +198,15 @@ def run_sweep(
     mode: str = "slab",
     grid: tuple[int, int, int] = DEFAULT_GRID,
 ) -> list[SweepRecord]:
-    """Full sweep over the window indices for one (s, r) pair."""
-    ks = list(k_list)
-    if len(ks) < 3:
+    """Full sweep over the window indices for one (s, r) pair.
+
+    The fits need at least 3 distinct windows, so fewer distinct
+    indices are rejected before any lattice is integrated.
+    """
+    ks = [window_index(k) for k in k_list]
+    if len(set(ks)) < 3:
         raise InvalidParameterError(
-            f"need at least 3 window indices for a sweep, got {len(ks)}"
+            f"need at least 3 distinct window indices for a sweep, got {sorted(set(ks))}"
         )
     cores = sweep_core(eps, rho, ks, mode=mode, grid=grid)
     return records_from_core(cores, s_exp, r_exp)

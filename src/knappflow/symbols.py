@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import _mult_py
+from ._kernels import SIGNS_ARRAY, _mult_py
 from .errors import InvalidParameterError
 
 
@@ -59,12 +59,11 @@ class SignTriple:
         return cls(*(1 if ch == "+" else -1 for ch in cleaned))
 
 
-# Fixed enumeration order: lexicographic with + before -, i.e.
-# +++, ++-, +-+, +--, -++, -+-, --+, ---.
+# Fixed enumeration order, that of ``SIGNS_ARRAY``: lexicographic with +
+# before -, i.e. +++, ++-, +-+, +--, -++, -+-, --+, ---.
 SIGN_TRIPLES: tuple[SignTriple, ...] = tuple(
-    SignTriple(s1, s2, s3) for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)
+    SignTriple(*(int(s) for s in row)) for row in SIGNS_ARRAY
 )
-SIGNS_ARRAY = np.array([[s.s1, s.s2, s.s3] for s in SIGN_TRIPLES], dtype=float)
 
 
 @dataclass(frozen=True)

@@ -70,17 +70,17 @@ def count_term_sums(monkeypatch) -> list[int]:
     return nodes
 
 
-def count_points_per_call(monkeypatch) -> list[int]:
-    """Record how many output frequencies every ``term_sums`` call serves."""
-    points: list[int] = []
+def record_grid_rows(monkeypatch) -> list[np.ndarray]:
+    """Record the output frequencies of every ``term_sums`` call's grids."""
+    served: list[np.ndarray] = []
     term_sums = _kernels.term_sums
 
-    def counting(pts, wq, xi, *args):
-        points.append(len(np.reshape(xi, (-1, 3))))
-        return term_sums(pts, wq, xi, *args)
+    def recording(pts, wq, xis, *args):
+        served.append(np.array(xis))
+        return term_sums(pts, wq, xis, *args)
 
-    monkeypatch.setattr(_kernels, "term_sums", counting)
-    return points
+    monkeypatch.setattr(_kernels, "term_sums", recording)
+    return served
 
 
 def log_fast_path(monkeypatch) -> list[bool]:
@@ -97,6 +97,20 @@ def log_fast_path(monkeypatch) -> list[bool]:
     return taken
 
 
+def axis2_edge_points(p):
+    """12 output frequencies near the axis-2 edge of the wide-box support.
+
+    At ``x2`` = 178 and 179 the axis-2 terms (codes 0 and 1) need one
+    doubling more than the axis-3 terms on their support pair (codes 2
+    and 3): they settle at (8,4,4) where the others settle at (4,2,2).
+    At 176 all four need (8,4,4), at 181 all settle at (4,2,2).
+    """
+    c = p.samp_box.center()
+    return np.array(
+        [(c[0], x2, x3) for x2 in (176.0, 178.0, 179.0, 181.0) for x3 in (40.0, 80.0, 120.0)]
+    )
+
+
 def spread_points(p):
     """36 output frequencies across the transverse extent of the wide-box
     support: admissible regions of very different widths."""
@@ -111,10 +125,9 @@ def fixed_grid_sums(p, xi, kern, counts):
     region = one_region(xi, kern.support_a, kern.support_b)
     grid = quadrature_grid(region, counts)
     sums = _kernels.term_sums(
-        grid.points, grid.weights, xi[None, :], p.t, [kern.code], SIGNS_ARRAY,
-        p.resonance_threshold,
+        grid.points, grid.weights, xi[None, :], p.t, [[kern.code]], p.resonance_threshold
     )
-    return tuple(part[0] for part in sums)
+    return tuple(part[0, 0] for part in sums)
 
 
 def fixed_grid_total(p, xi, counts):
@@ -225,8 +238,7 @@ def test_time_zero_vanishes():
 
         def sums(t):
             return _kernels.term_sums(
-                grid.points, grid.weights, xi[None, :], t, [kern.code], SIGNS_ARRAY,
-                p.resonance_threshold,
+                grid.points, grid.weights, xi[None, :], t, [[kern.code]], p.resonance_threshold
             )
 
         assert all(np.all(part == 0.0) for part in sums(0.0))
@@ -263,10 +275,11 @@ def test_grid_doubling_converges():
         assert abs(lambda_hat(p, xi).total - want) <= 1e-8 * abs(want)
 
 
-@pytest.mark.parametrize("mode, nodes", [("slab", 72), ("surface", 40)])
+@pytest.mark.parametrize("mode, nodes", [("slab", 36), ("surface", 20)])
 def test_default_geometry_node_budget(monkeypatch, mode, nodes):
-    # every term settles at the first comparison, (2,1,1) against (4,2,2):
-    # 4 terms x (2 + 16) nodes, or 4 x (2 + 8) when one axis is a surface
+    # every term settles at the first comparison, (2,1,1) against (4,2,2),
+    # on one grid per support pair: 2 grids x (2 + 16) nodes, or
+    # 2 x (2 + 8) when one axis is a surface
     spent = count_term_sums(monkeypatch)
     p = make_params(EPS, RHO, 1, mode=mode)
     assert lambda_hat(p, p.samp_box.center()).flags == ()
@@ -308,9 +321,9 @@ def test_lowered_cap_flags_only_the_wide_boxes(monkeypatch, mode, cap, grid):
     )
 
 
-@pytest.mark.parametrize("mode, nodes", [("slab", 1944), ("surface", 1080)])
+@pytest.mark.parametrize("mode, nodes", [("slab", 972), ("surface", 540)])
 def test_window_is_one_term_sums_call_per_level(monkeypatch, mode, nodes):
-    # 2 levels, each call covering all 4 terms x 27 lattice points
+    # 2 levels, each call covering 2 support pairs x 27 lattice points
     spent = count_term_sums(monkeypatch)
     (core,) = sweep_core(EPS, RHO, [1], mode=mode)
     assert len(core.breakdowns) == 27
@@ -334,11 +347,12 @@ def test_lattice_hats_equal_lambda_hat_where_points_settle_apart(monkeypatch, mo
     wide_boxes(monkeypatch)
     p = make_params(WIDE_EPS, WIDE_RHO, 1, mode=mode)
     xis = spread_points(p)
-    points = count_points_per_call(monkeypatch)
+    served = record_grid_rows(monkeypatch)
     batched = lattice_hats(p, xis)
-    # some (term, point) rows leave after the second grid while the rest
-    # refine on; the first calls cover all 4 terms at every point
-    assert min(points) < max(points) == 4 * len(xis)
+    points = [len(rows) for rows in served]
+    # some (support pair, point) grids leave after the second level while
+    # the rest refine on; the first calls cover both pairs at every point
+    assert min(points) < max(points) == 2 * len(xis)
     assert batched == tuple(lambda_hat(p, xi) for xi in xis)
 
 
@@ -351,6 +365,48 @@ def test_lowered_cap_flags_only_unsettled_points(monkeypatch, mode):
     batched = lattice_hats(p, xis)
     assert {len(b.flags) for b in batched} == {0, 4}
     assert [b.flags for b in batched] == [lambda_hat(p, xi).flags for xi in xis]
+
+
+# A ceiling of (8,4,4) lets the axis-2 terms of axis2_edge_points settle a
+# level after their pair's axis-3 terms; one of (4,2,2) flags them there.
+@pytest.mark.parametrize("cap", [1, 0])
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_shared_grids_equal_one_term_runs_where_pair_terms_settle_apart(
+    monkeypatch, mode, cap
+):
+    wide_boxes(monkeypatch)
+    monkeypatch.setattr(amplitudes, "REFINE_CAP", cap)
+    p = make_params(WIDE_EPS, WIDE_RHO, 1, mode=mode, grid=(4, 2, 2))
+    xis = axis2_edge_points(p)
+    kerns = kernels(p)
+    served = record_grid_rows(monkeypatch)
+    shared = _term_integrals(p, xis, kerns)
+    assert len(served[0]) == 2 * len(xis)
+    levels, alone_flags = [], []
+    for i, kern in enumerate(kerns):
+        served.clear()
+        tot, res, env, flags = _term_integrals(p, xis, (kern,))
+        for got, want in zip(shared[:3], (tot, res, env)):
+            assert got[i].tobytes() == want[0].tobytes()
+        alone_flags.append([bool(f) for f in flags])
+        # the level a point's term settled at: the calls that served it
+        levels.append([sum(any((rows == xi).all(axis=1)) for rows in served) for xi in xis])
+    assert shared[3] == [
+        [f"nonconverged_quadrature:{k.label}" for k, bad in zip(kerns, row) if bad]
+        for row in zip(*alone_flags)
+    ]
+    by_label = {k.label: i for i, k in enumerate(kerns)}
+    axis2, axis3 = by_label["axis2.t1"], by_label["axis3.t1"]
+    assert (kerns[axis2].support_a, kerns[axis2].support_b) == (
+        kerns[axis3].support_a, kerns[axis3].support_b
+    )
+    if cap == 1:
+        # 2 calls: settled at (4,2,2); 3 calls: at (8,4,4)
+        assert not any(any(row) for row in alone_flags)
+        assert levels[axis2] == [3] * 9 + [2] * 3
+        assert levels[axis3] == [3] * 3 + [2] * 9
+    else:
+        assert alone_flags[axis2] != alone_flags[axis3]
 
 
 def test_lattice_hats_validation():
@@ -369,15 +425,15 @@ def test_backend_paths_agree(monkeypatch):
     kern = kernels(p)[0]
     region = one_region(xi, kern.support_a, kern.support_b)
     grid = quadrature_grid(region, (6, 5, 4))
-    tail = (SIGNS_ARRAY, p.resonance_threshold)
+    thr = p.resonance_threshold
     tot_py, res_py, env_py = _kernels._term_sums_loop(
-        grid.points, grid.weights, xi, p.t, kern.code, *tail
+        grid.points, grid.weights, xi, p.t, kern.code, thr
     )
     # one block, then 18 blocks of 7 nodes with a partial last one
     for block in (_kernels.TERM_SUMS_BLOCK, 7):
         monkeypatch.setattr(_kernels, "TERM_SUMS_BLOCK", block)
-        sums = _kernels.term_sums(grid.points, grid.weights, xi[None, :], p.t, [kern.code], *tail)
-        tot_np, res_np, env_np = (part[0] for part in sums)
+        sums = _kernels.term_sums(grid.points, grid.weights, xi[None, :], p.t, [[kern.code]], thr)
+        tot_np, res_np, env_np = (part[0, 0] for part in sums)
         scale = np.abs(tot_np).max()
         assert np.abs(tot_np - tot_py).max() <= 1e-12 * scale
         assert np.abs(res_np - res_py).max() <= 1e-12 * scale
@@ -395,66 +451,70 @@ def test_several_points_per_call_agree_with_scalar_reference(monkeypatch, counts
     kern = kernels(p)[1]
     regions = admissible_eta_region(xis, kern.support_a, kern.support_b)
     nodes, weights = quadrature_nodes(regions.lo, regions.hi, counts, regions.surface_axis)
-    tail = (SIGNS_ARRAY, p.resonance_threshold)
+    thr = p.resonance_threshold
     monkeypatch.setattr(_kernels, "TERM_SUMS_BLOCK", 7)
     tot, res, env = _kernels.term_sums(
-        nodes.reshape(-1, 3), weights.reshape(-1), xis, p.t, [kern.code] * len(xis), *tail
+        nodes.reshape(-1, 3), weights.reshape(-1), xis, p.t, [[kern.code]] * len(xis), thr
     )
-    assert tot.shape == res.shape == env.shape == (4, 8)
+    assert tot.shape == res.shape == env.shape == (4, 1, 8)
     for j, xi in enumerate(xis):
         tot_py, res_py, env_py = _kernels._term_sums_loop(
-            nodes[j], weights[j], xi, p.t, kern.code, *tail
+            nodes[j], weights[j], xi, p.t, kern.code, thr
         )
-        scale = np.abs(tot[j]).max()
-        assert np.abs(tot[j] - tot_py).max() <= 1e-12 * scale
-        assert np.abs(res[j] - res_py).max() <= 1e-12 * scale
-        assert np.abs(env[j] - env_py).max() <= 1e-12 * env[j].max()
+        scale = np.abs(tot[j, 0]).max()
+        assert np.abs(tot[j, 0] - tot_py).max() <= 1e-12 * scale
+        assert np.abs(res[j, 0] - res_py).max() <= 1e-12 * scale
+        assert np.abs(env[j, 0] - env_py).max() <= 1e-12 * env[j, 0].max()
 
 
 @pytest.mark.parametrize("counts", [(6, 5, 4), (3, 1, 1)])
 @pytest.mark.parametrize("mode", ["slab", "surface"])
 def test_mixed_terms_per_call_agree_with_scalar_reference(monkeypatch, mode, counts):
-    # rows of all four terms at two points, interleaved so that the code
-    # changes from row to row; 7-node blocks hold parts of one 120-node
-    # grid, or two 3-node grids whose codes differ
+    # the grids of both support pairs at two points, each integrated for
+    # its pair's two terms, interleaved so that the codes change from grid
+    # to grid; 7-node blocks hold parts of one 120-node grid, or two
+    # 3-node grids whose codes differ
     p = make_params(EPS, RHO, 1, mode=mode, grid=SMALL_GRID)
     _, pts = sample_lattice(p.samp_box, 3)
     xis = pts[[0, 13]]
     kerns = kernels(p)
-    regions = [admissible_eta_region(xis, k.support_a, k.support_b) for k in kerns]
+    pair_terms = [(kerns[0], kerns[2]), (kerns[1], kerns[3])]
+    regions = [admissible_eta_region(xis, a.support_a, a.support_b) for a, _ in pair_terms]
     assert all(r.live.all() for r in regions)
-    order = [(j, k) for j in range(len(xis)) for k in range(len(kerns))]
-    lo = np.array([regions[k].lo[j] for j, k in order])
-    hi = np.array([regions[k].hi[j] for j, k in order])
+    order = [(j, g) for j in range(len(xis)) for g in range(len(pair_terms))]
+    lo = np.array([regions[g].lo[j] for j, g in order])
+    hi = np.array([regions[g].hi[j] for j, g in order])
     nodes, weights = quadrature_nodes(lo, hi, counts, regions[0].surface_axis)
-    row_xis = xis[[j for j, _ in order]]
-    codes = np.array([kerns[k].code for _, k in order])
+    grid_xis = xis[[j for j, _ in order]]
+    codes = np.array([[k.code for k in pair_terms[g]] for _, g in order])
     monkeypatch.setattr(_kernels, "TERM_SUMS_BLOCK", 7)
     tot, res, env = _kernels.term_sums(
-        nodes.reshape(-1, 3), weights.reshape(-1), row_xis, p.t, codes, SIGNS_ARRAY,
-        p.resonance_threshold,
+        nodes.reshape(-1, 3), weights.reshape(-1), grid_xis, p.t, codes, p.resonance_threshold
     )
-    assert tot.shape == res.shape == env.shape == (8, 8)
-    for row, xi in enumerate(row_xis):
+    assert tot.shape == res.shape == env.shape == (4, 2, 8)
+    for (grid, term), code in np.ndenumerate(codes):
         tot_py, res_py, env_py = _kernels._term_sums_loop(
-            nodes[row], weights[row], xi, p.t, codes[row], SIGNS_ARRAY, p.resonance_threshold,
+            nodes[grid], weights[grid], grid_xis[grid], p.t, code, p.resonance_threshold
         )
-        scale = np.abs(tot[row]).max()
-        assert np.abs(tot[row] - tot_py).max() <= 1e-12 * scale
-        assert np.abs(res[row] - res_py).max() <= 1e-12 * scale
-        assert np.abs(env[row] - env_py).max() <= 1e-12 * env[row].max()
+        at = (grid, term)
+        scale = np.abs(tot[at]).max()
+        assert np.abs(tot[at] - tot_py).max() <= 1e-12 * scale
+        assert np.abs(res[at] - res_py).max() <= 1e-12 * scale
+        assert np.abs(env[at] - env_py).max() <= 1e-12 * env[at].max()
 
 
 def test_several_points_per_call_memory_is_bounded():
-    # 4 points x 65,536 nodes: one (4, 8, n) complex broadcast would take
-    # 34 MB per temporary; 4,096-node blocks keep every temporary at 0.5 MB
+    # 4 points x 65,536 nodes, 2 terms per grid: one (4, 2, 8, n) complex
+    # broadcast would take 67 MB per temporary; 4,096-node blocks, one
+    # term at a time, keep every temporary at 0.5 MB
     p = small_params()
     _, pts = sample_lattice(p.samp_box, 3)
     xis = pts[[0, 5, 13, 26]]
-    kern = kernels(p)[0]
+    kern, twin = kernels(p)[0], kernels(p)[2]
+    assert (twin.support_a, twin.support_b) == (kern.support_a, kern.support_b)
     regions = admissible_eta_region(xis, kern.support_a, kern.support_b)
     nodes, weights = quadrature_nodes(regions.lo, regions.hi, FINE_GRID, regions.surface_axis)
-    args = (p.t, [kern.code] * len(xis), SIGNS_ARRAY, p.resonance_threshold)
+    args = (p.t, [[kern.code, twin.code]] * len(xis), p.resonance_threshold)
     tracemalloc.start()
     try:
         tot, _, _ = _kernels.term_sums(nodes.reshape(-1, 3), weights.reshape(-1), xis, *args)

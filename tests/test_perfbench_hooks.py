@@ -55,10 +55,10 @@ def test_values_read_by_the_harness():
         assert type(symbols.duhamel_multiplier(t, om).value) is complex
 
 
-@pytest.mark.parametrize("mode, nodes", [("slab", 1944), ("surface", 1080)])
+@pytest.mark.parametrize("mode, nodes", [("slab", 972), ("surface", 540)])
 def test_traced_window_counts(mode, nodes):
-    # one window: two refinement levels, each one term_sums call for all
-    # four terms at all 27 lattice points
+    # one window: two refinement levels, each one term_sums call over one
+    # grid per support pair at each of the 27 lattice points
     tracing = load_tracing()
     sweep = importlib.import_module("knappflow.sweep")
     with tracing.Tracer() as tracer:

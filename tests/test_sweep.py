@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from knappflow import sweep
 from knappflow.errors import FitDataError, InvalidParameterError
 from knappflow.sweep import (
     CSV_COLUMNS,
@@ -71,7 +72,7 @@ def test_fit_needs_two_distinct_lambdas():
     # points at one lambda have no slope; a line fit would invent one
     with pytest.raises(FitDataError, match="2 distinct lambdas"):
         fit_exponent([(1e6, 2.0), (1e6, 3.0), (1e6, 4.0)])
-    records = run_sweep(EPS, RHO, 0.5, -0.25, [2, 2, 2], grid=SMALL_GRID)
+    records = records_from_core(sweep_core(EPS, RHO, [2], grid=SMALL_GRID) * 3, 0.5, -0.25)
     with pytest.raises(FitDataError, match="2 distinct lambdas"):
         smoothness_verdict(0.5, -0.25, records)
     # repeats are fine once two lambdas differ
@@ -141,6 +142,15 @@ def test_sweep_validation():
     # every requested window empty: aborts with guidance rather than fitting nothing
     with pytest.raises(InvalidParameterError, match="decrease rho"):
         sweep_core(EPS, 1e-3, [5, 6, 7], grid=SMALL_GRID)
+
+
+def test_sweep_needs_three_distinct_windows_before_integrating(monkeypatch):
+    integrated = []
+    monkeypatch.setattr(sweep, "lattice_hats", lambda p, pts: integrated.append(p.k))
+    for ks in ([2, 2, 2], [1, 2, 2.0, np.int64(1)]):
+        with pytest.raises(InvalidParameterError, match="3 distinct window indices"):
+            run_sweep(EPS, RHO, 0.5, -0.25, ks, grid=SMALL_GRID)
+    assert integrated == []
 
 
 def test_fractional_window_index_is_rejected_not_truncated():

@@ -9,6 +9,7 @@ from knappflow._kernels import MULT_SERIES_THRESHOLD, mult_values
 from knappflow.errors import InvalidParameterError
 from knappflow.symbols import (
     SIGN_TRIPLES,
+    SIGNS_ARRAY,
     SignTriple,
     duhamel_multiplier,
     duhamel_multiplier_oracle,
@@ -68,6 +69,15 @@ def test_omega_antisymmetry_exact():
         eta = rng.normal(size=3) * 10.0 ** rng.integers(-3, 4)
         oms = omega_all(xi, eta)
         assert np.all(oms == -oms[flipped])
+
+
+def test_signs_array_is_mirrored():
+    # term_sums evaluates the multiplier for rows 0-3 (s1 = +1) only and
+    # takes row 7 - j as the conjugate of row j
+    assert [tuple(row) for row in SIGNS_ARRAY] == [(s.s1, s.s2, s.s3) for s in SIGN_TRIPLES]
+    for j in range(8):
+        assert np.all(SIGNS_ARRAY[7 - j] == -SIGNS_ARRAY[j])
+    assert np.all(SIGNS_ARRAY[:4, 0] == 1.0)
 
 
 def test_omega_all_matches_scalar():
@@ -179,6 +189,28 @@ def test_mult_values_equals_two_branch_formula():
     assert np.all(mult_values(t, np.array(edges[:2]) / t) == [
         duhamel_multiplier(t, e / t).value for e in edges[:2]
     ])
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+@pytest.mark.parametrize("t", [0.5, 0.37, 1e-3])
+def test_mult_values_is_conjugate_symmetric_bit_for_bit(t):
+    # m(t, -omega) = conj m(t, omega): term_sums takes the s1 = -1 triples
+    # from it, so it must hold in every bit, signed zeros included
+    theta = MULT_SERIES_THRESHOLD / t
+    edges = [0.0, 6e-15, theta, np.nextafter(theta, 0.0), np.nextafter(theta, np.inf)]
+    rng = np.random.default_rng(18)
+    mixed = rng.normal(size=2000) * 10.0 ** rng.integers(-12, 6, size=2000)
+    oms = np.concatenate([edges, np.negative(edges), mixed])
+    x = np.abs(t * oms)
+    assert (x < MULT_SERIES_THRESHOLD).any() and (x >= MULT_SERIES_THRESHOLD).any()
+    assert np.all(_bits(mult_values(t, -oms)) == _bits(np.conj(mult_values(t, oms))))
+    # omega = +0 and -0 give the real t and its conjugate
+    assert np.all(_bits(mult_values(t, np.array([0.0, -0.0]))) == _bits(
+        np.array([complex(t, 0.0), complex(t, -0.0)])
+    ))
 
 
 def test_oracle_constant_integrand():
