@@ -21,10 +21,11 @@ NUMBA_ENABLED = False
 
 # Nodes per block in ``term_sums``.  Each of its temporaries holds at
 # most 4 complex values per node of a block (0.25 MB), whatever the grid
-# size, the number of grids or the number of terms per grid, so a
-# ceiling grid of 256 x 128 x 128 nodes needs no more memory than a
-# small one.  A grid's node sums are cut at the block bounds, so they
-# fix the last bits of a large grid's sums.
+# size or the number of grids, so a ceiling grid of 256 x 128 x 128
+# nodes needs no more memory than a small one.  The weights take one
+# float per node and term: within that bound for up to 8 terms per grid
+# (``kernels(p)`` puts 2 on each).  A grid's node sums are cut at the
+# block bounds, so they fix the last bits of a large grid's sums.
 TERM_SUMS_BLOCK = 1 << 12
 
 # The 8 half-wave sign triples (s1, s2, s3), lexicographic with + before
@@ -82,35 +83,36 @@ def mult_values(t: float, om: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Bilinear kernel weights
 #
-# Codes index the four admissible-support terms: 0/2 put the planar data
-# on the xi-eta slot with transverse factor eta_2 / eta_3; 1/3 swap the
-# slots, with the sign of the swapped term folded in so that each weight
-# is nonnegative on its own admissible set.
+# Code ``2 * (axis - 2) + slot`` is the term labelled ``axis{axis}.t{slot
+# + 1}`` (``kernels(p)``).  ``axis`` (2 or 3) is the transverse axis of
+# the curvature factor; slot 0 puts the planar datum on the xi - eta
+# slot, slot 1 on the eta slot.  With ``(u, v) = (d1, eta_axis)`` for
+# slot 0 and ``(d_axis, eta1)`` for slot 1, the weight is
+# ``(((d1 * u) * eta1) * eta1) * v / (|xi| |d|^2 |eta|^2)``, negated for
+# slot 1 so that each weight is nonnegative on its own admissible set.
 # ---------------------------------------------------------------------------
 
-def _weight(code: int, eta, d, nx, nd, ne):
+def _weight(code, eta, d, nx, nd, ne):
     """Kernel weight from ``eta``, ``d = xi - eta`` and the three norms.
 
     This is the one weight formula: ``term_weight`` forms its arguments
     from ``(xi, eta)``, and ``term_sums`` shares them with omega.
+    ``code`` is one code or an array of codes that broadcasts against
+    the nodes.
     """
-    d1 = d[..., 0]
-    e1 = eta[..., 0]
-    if code == 0:
-        num = d1 * d1 * e1 * e1 * eta[..., 1]
-    elif code == 1:
-        num = -(d1 * d[..., 1] * e1 * e1 * e1)
-    elif code == 2:
-        num = d1 * d1 * e1 * e1 * eta[..., 2]
-    elif code == 3:
-        num = -(d1 * d[..., 2] * e1 * e1 * e1)
-    else:
+    code = np.asarray(code)
+    if np.any((code < 0) | (code > 3)):
         raise ValueError(f"unknown kernel code {code}")
-    return num / (nx * nd * nd * ne * ne)
+    slot = code & 1
+    d1, e1 = d[..., 0], eta[..., 0]
+    d_axis = np.where(code >> 1, d[..., 2], d[..., 1])
+    e_axis = np.where(code >> 1, eta[..., 2], eta[..., 1])
+    num = (((d1 * np.where(slot, d_axis, d1)) * e1) * e1) * np.where(slot, e1, e_axis)
+    return (1 - 2 * slot) * num / (nx * nd * nd * ne * ne)
 
 
-def term_weight(code: int, xi, eta) -> np.ndarray:
-    """Kernel weight w(xi, eta); broadcasts over leading axes of eta."""
+def term_weight(code, xi, eta) -> np.ndarray:
+    """Kernel weight w(xi, eta); broadcasts over leading axes of eta and code."""
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
     d = xi - eta
@@ -166,10 +168,11 @@ def term_sums(pts, wq, xis, t, codes, res_thr):
     ``s1 = +1`` triples: triple ``7 - j`` has omega negated exactly, so
     its multiplier, its products with the real weights and their sums
     are the conjugates of triple j's, and its envelope is triple j's.
-    Then each term's weights, products and sums are taken as
-    ``(grids, 4, nodes)`` arrays, one term at a time.  Each grid's nodes
-    are summed along a contiguous axis, so its sums do not depend on the
-    other grids or terms of the call.
+    One ``_weight`` call weights the block for all C terms; then each
+    term's products and sums are taken as ``(grids, 4, nodes)`` arrays,
+    one term at a time.  Each grid's nodes are summed along a contiguous
+    axis, so its sums do not depend on the other grids or terms of the
+    call.
     """
     pts = np.asarray(pts, dtype=float)
     wq = np.asarray(wq, dtype=float)
@@ -193,11 +196,6 @@ def term_sums(pts, wq, xis, t, codes, res_thr):
         rows = slice(first, first + step)
         x = xis[rows, None, :]
         nx_weight = np.sqrt((x * x).sum(axis=-1))
-        # Each run of grids with the same codes is weighted in one call
-        # per term.
-        block_codes = codes[rows]
-        cuts = np.flatnonzero((block_codes[1:] != block_codes[:-1]).any(axis=1)) + 1
-        runs = list(zip([0, *cuts], [*cuts, len(block_codes)]))
         for start in range(0, per, width):
             e = eta[rows, start : start + width]
             d = x - e
@@ -209,15 +207,10 @@ def term_sums(pts, wq, xis, t, codes, res_thr):
             resonant = abs_om <= res_thr
             # min(t, 2/|omega|) where nonresonant, 0 where resonant
             bound = np.where(resonant, 0.0, np.minimum(t, 2.0 / np.where(resonant, 1.0, abs_om)))
-            q = wq[rows, start : start + width]
-            for c in range(n_terms):
-                w = np.empty(nd.shape)
-                for lo, hi in runs:
-                    w[lo:hi] = _weight(
-                        int(block_codes[lo, c]),
-                        e[lo:hi], d[lo:hi], nx_weight[lo:hi], nd[lo:hi], ne[lo:hi],
-                    )
-                w *= q
+            # (C, grids, nodes): each grid's codes broadcast over its nodes
+            weights = _weight(codes[rows].T[..., None], e, d, nx_weight, nd, ne)
+            weights *= wq[rows, start : start + width]
+            for c, w in enumerate(weights):
                 contrib = m * w[:, None, :]
                 part = contrib.sum(axis=-1)
                 tot[rows, c] += np.concatenate([part, np.conj(part[:, ::-1])], axis=1)

@@ -255,13 +255,20 @@ def criterion_realness() -> CriterionResult:
 
 
 def criterion_resonance_separation() -> CriterionResult:
-    """6: empirical resonant/nonresonant gap at the admissible-region corners.
+    """6: resonant/nonresonant gap at the admissible-region corners.
 
     For each k and kernel term, ``omega`` of every sign triple is taken at
-    the 8 corners of the eta-region admissible at the sampling-box centre;
-    at the region's centre the resonant ``omega`` cancel to exactly 0.
-    The split is the one ``term_sums`` applies to every node: a triple is
-    resonant where ``|omega| <= p.resonance_threshold``.
+    the 8 corners of the eta-region admissible at the sampling-box centre
+    and split as ``term_sums`` splits nodes: resonant where ``|omega| <=
+    p.resonance_threshold``.  Each side has its own bound: a nonresonant
+    ``|omega|`` is at least ``lam / 2``, a resonant one at most 2 ulp of
+    ``2 lam`` (``np.spacing(2 lam)``).  On these boxes the transverse
+    squares round away, so ``|xi|``, ``|xi - eta|`` and ``|eta|`` are
+    exactly their axis-1 magnitudes.  A resonant omega then cancels
+    (``xi1 = d1 + eta1``) but for the rounding of ``d1 = xi1 - eta1`` and
+    of the two additions forming omega, each at most half an ulp of a
+    number up to about ``2 lam``: ``|omega| <= 1.5 ulp(2 lam)``, or 2 if
+    one such number passes the next power of two.
     """
     max_res = 0.0
     min_nonres = math.inf
@@ -272,15 +279,15 @@ def criterion_resonance_separation() -> CriterionResult:
             for eta in itertools.product(*zip(region.lo[0], region.hi[0])):
                 for om in np.abs(omega_all(xi, eta)):
                     if om <= p.resonance_threshold:
-                        max_res = max(max_res, float(om) / p.lam**0.75)
+                        max_res = max(max_res, float(om / np.spacing(2.0 * p.lam)))
                     else:
                         min_nonres = min(min_nonres, float(om) / p.lam)
-    passed = max_res <= 1.0 and min_nonres >= 0.5
+    passed = max_res <= 2.0 and min_nonres >= 0.5
     return CriterionResult(
         6,
         "resonance-separation",
         passed,
-        f"resonant max |omega|/lam^(3/4) = {max_res:.3e} (need <= 1), "
+        f"resonant max |omega| = {max_res:.3g} ulp(2 lam) (need <= 2), "
         f"nonresonant min |omega|/lam = {min_nonres:.3f} (need >= 0.5), k = 1..10",
     )
 

@@ -65,6 +65,7 @@ from .symbols import SIGN_TRIPLES, SignTriple
 BASE_GRID = (2, 1, 1)
 REFINE_RELTOL = 1e-6
 REFINE_CAP = 3
+SAMPLE_POINTS_PER_AXIS = 3  # a window's lattice is 3 x 3 x 3 output frequencies
 
 TWO_PI_CUBED = (2.0 * math.pi) ** 3
 
@@ -106,24 +107,22 @@ def _term_integrals(
     each refinement level is one node build and one ``term_sums`` call.
     A grid refines while any of its terms is unsettled; each term keeps
     the sums of the level where its totals settled, and is flagged if
-    that does not happen by the ceiling.  The pairs share one surface
-    axis (or none), as those of ``kernels(p)`` do.
+    that does not happen by the ceiling.  The pairs hold equally many
+    terms and share one surface axis (or none), as those of
+    ``kernels(p)`` do.
     """
     n_pts = len(xis)
     by_pair: dict[tuple[Box3, Box3], list[int]] = {}
     for i, k in enumerate(kerns):
         by_pair.setdefault((k.support_a, k.support_b), []).append(i)
     pairs, members = list(by_pair), list(by_pair.values())
-    n_terms = max(len(m) for m in members)
-    # A pair with fewer terms repeats its first; the copy is never read.
-    padded = [m + m[:1] * (n_terms - len(m)) for m in members]
     regions = [admissible_eta_region(xis, a, b) for a, b in pairs]
     lo = np.concatenate([r.lo for r in regions])
     hi = np.concatenate([r.hi for r in regions])
     grid_xis = np.concatenate([xis] * len(pairs))
-    codes = np.repeat([[kerns[i].code for i in m] for m in padded], n_pts, axis=0)
-    out = tuple(np.zeros((len(grid_xis), n_terms, 8), dtype) for dtype in (complex, complex, float))
-    pending = np.repeat(np.concatenate([r.live for r in regions])[:, None], n_terms, axis=1)
+    codes = np.repeat([[kerns[i].code for i in m] for m in members], n_pts, axis=0)
+    out = tuple(np.zeros((*codes.shape, 8), dtype) for dtype in (complex, complex, float))
+    pending = np.repeat(np.concatenate([r.found for r in regions])[:, None], codes.shape[1], 1)
     unsettled = np.zeros(pending.shape, dtype=bool)
     live = np.flatnonzero(pending[:, 0])
     ceiling = tuple(n << REFINE_CAP for n in p.grid)
@@ -199,6 +198,8 @@ def lattice_hats(
         raise InvalidParameterError("xi must be nonzero")
     t = p.t
     active = SIGN_TRIPLES if signs is None else tuple(signs)
+    if not active or not all(s in SIGN_TRIPLES for s in active) or len(set(active)) < len(active):
+        raise InvalidParameterError(f"signs must be distinct sign triples, got {signs!r}")
     active_idx = [SIGN_TRIPLES.index(s) for s in active]
 
     tot_acc = np.zeros((len(xis), 8), dtype=complex)
@@ -437,9 +438,9 @@ def norm_report(p: KnappParams, r: float) -> NormReport:
 # Output norm lower bound
 # ---------------------------------------------------------------------------
 
-def sample_lattice(b: Box3, n_per_axis: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Regular n^3 lattice over a volume box, including its corners."""
-    axes = [np.linspace(lo, hi, n_per_axis) for lo, hi in b.axes]
+def sample_lattice(b: Box3) -> tuple[list[np.ndarray], np.ndarray]:
+    """Regular 3 x 3 x 3 lattice over a volume box, including its corners."""
+    axes = [np.linspace(lo, hi, SAMPLE_POINTS_PER_AXIS) for lo, hi in b.axes]
     g1, g2, g3 = np.meshgrid(*axes, indexing="ij")
     return axes, np.column_stack([g1.ravel(), g2.ravel(), g3.ravel()])
 

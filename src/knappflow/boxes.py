@@ -158,8 +158,9 @@ class EtaRegions(NamedTuple):
     """Admissible eta-regions of P output frequencies against one support pair.
 
     Row j is the box with per-axis bounds ``lo[j]``, ``hi[j]`` (shape
-    ``(P, 3)`` each), sharing ``surface_axis`` and ``surface_tol``; it is
-    empty, and its bounds meaningless, where ``found[j]`` is False.
+    ``(P, 3)`` each), sharing ``surface_axis`` and ``surface_tol``.
+    ``found[j]`` is True exactly when the row carries measure; where it
+    is False the row's bounds are meaningless.
     """
 
     lo: np.ndarray
@@ -168,15 +169,6 @@ class EtaRegions(NamedTuple):
     surface_axis: int | None
     surface_tol: float
 
-    @property
-    def live(self) -> np.ndarray:
-        """Rows that carry measure: found, with no zero-length volume axis."""
-        null = np.zeros(len(self.found), dtype=bool)
-        for i in range(3):
-            if i != self.surface_axis:
-                null |= self.lo[:, i] == self.hi[:, i]
-        return self.found & ~null
-
 
 def admissible_eta_region(xi, a: Box3, b: Box3) -> EtaRegions:
     """The eta-sets where ``xi - eta`` lies in ``a`` and ``eta`` lies in ``b``.
@@ -184,10 +176,10 @@ def admissible_eta_region(xi, a: Box3, b: Box3) -> EtaRegions:
     For P output frequencies ``xi`` (shape ``(P, 3)``) returns each row's
     ``(xi - a) ∩ b`` as ``EtaRegions`` bounds arrays.  A surface axis of
     either operand pins that coordinate; the region then carries 2-D
-    measure on the remaining axes.  A coincidentally zero-length axis of
-    a volume/volume intersection stays a volume axis (measure zero); in a
-    surface intersection it leaves no 2-D measure, and the row is not
-    found.
+    measure on the remaining axes.  A row is found exactly when it
+    carries measure: every other axis must have ``lo < hi``, so a region
+    that is a single point along a volume axis, in a volume or a surface
+    intersection, is not found.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 2 or xi.shape[1] != 3:
@@ -222,9 +214,7 @@ def admissible_eta_region(xi, a: Box3, b: Box3) -> EtaRegions:
             # xi - a reverses the interval: [xi_i - a_hi, xi_i - a_lo].
             lo[:, i] = np.maximum(x - a_hi, b_lo)
             hi[:, i] = np.minimum(x - a_lo, b_hi)
-            found &= ~(lo[:, i] > hi[:, i])
-            if surface_axis is not None:
-                found &= ~(lo[:, i] == hi[:, i])
+            found &= lo[:, i] < hi[:, i]
     return EtaRegions(lo, hi, found, surface_axis, tol)
 
 

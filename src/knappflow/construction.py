@@ -196,7 +196,8 @@ class BilinearKernel:
 
     ``_kernels.term_weight(code, xi, eta)`` is its real kernel weight
     (signs folded in, so it is nonnegative when ``xi - eta`` lies in
-    ``support_a`` and ``eta`` in ``support_b``).
+    ``support_a`` and ``eta`` in ``support_b``); ``_kernels`` documents
+    the code layout.
     """
 
     label: str
@@ -208,9 +209,9 @@ class BilinearKernel:
 def kernels(p: KnappParams) -> tuple[BilinearKernel, ...]:
     """The four admissible-support terms, two per transverse block.
 
-    The two blocks are distinguished by which transverse axis enters the
-    curvature factor.  Term 1 of each block carries the planar datum on
-    the ``xi - eta`` slot; term 2 swaps the slots.
+    A block is the transverse axis of the curvature factor.  Term 1 of
+    each block carries the planar datum on the ``xi - eta`` slot; term 2
+    swaps the slots.  Codes and labels follow ``_kernels``' layout.
     """
     w2 = p.w2_box
     nwp = p.neg_wprime_box

@@ -122,7 +122,7 @@ def sweep_core(
             n_empty += 1
             cores.append(WindowSamples(k=k, params=None, lattice_axes=(), breakdowns=()))
             continue
-        axes, pts = sample_lattice(p.samp_box, 3)
+        axes, pts = sample_lattice(p.samp_box)
         breakdowns = lattice_hats(p, pts)
         cores.append(
             WindowSamples(

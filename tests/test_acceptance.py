@@ -8,7 +8,8 @@ so the suite pays for them once per mode.
 
 from dataclasses import replace
 
-from knappflow import acceptance
+from knappflow import acceptance, boxes
+from knappflow.construction import make_params
 
 
 def _check(result):
@@ -40,8 +41,27 @@ def test_criterion_06_resonance_separation():
     result = acceptance.criterion_resonance_separation()
     _check(result)
     assert result.detail == (
-        "resonant max |omega|/lam^(3/4) = 1.496e-14 (need <= 1), "
+        "resonant max |omega| = 0.5 ulp(2 lam) (need <= 2), "
         "nonresonant min |omega|/lam = 2.000 (need >= 0.5), k = 1..10"
+    )
+
+
+def test_criterion_06_fails_where_transverse_squares_count(monkeypatch):
+    # on boxes 5e3 times wider along axis 1 and 1e6 times wider
+    # transversally the transverse squares no longer round away, and the
+    # resonant corners sit 1.7e7 to 2.2e9 ulp(2 lam) from zero
+    monkeypatch.setattr(boxes, "AXIAL_HALF_WIDTH", 5e-3)
+    monkeypatch.setattr(boxes, "TRANSVERSE_HI", 1.0)
+    configs = [
+        make_params(acceptance.ACCEPT_EPS, acceptance.ACCEPT_RHO, k, mode="slab")
+        for k in acceptance.ACCEPT_KS
+    ]
+    monkeypatch.setattr(acceptance, "_configs", lambda mode: configs)
+    result = acceptance.criterion_resonance_separation()
+    assert not result.passed
+    assert result.detail == (
+        "resonant max |omega| = 2.16e+09 ulp(2 lam) (need <= 2), "
+        "nonresonant min |omega|/lam = 1.990 (need >= 0.5), k = 1..10"
     )
 
 

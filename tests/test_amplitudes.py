@@ -266,6 +266,19 @@ def test_sign_subsets_partition_total():
     assert single.total == pytest.approx(full.per_sign[SIGN_TRIPLES[0]], rel=1e-13)
 
 
+def test_sign_subsets_must_be_distinct_sign_triples():
+    # an empty subset read as an all-zero breakdown, a repeated triple was
+    # counted twice, and a string raised a bare ValueError from tuple.index
+    p = small_params()
+    xi = p.samp_box.center()
+    s = SIGN_TRIPLES[2]
+    for signs in ((), (s, s), ("+++",), (s, (1, -1, 1))):
+        with pytest.raises(InvalidParameterError, match="distinct sign triples"):
+            lattice_hats(p, xi[None, :], signs=signs)
+        with pytest.raises(InvalidParameterError, match="distinct sign triples"):
+            lambda_hat(p, xi, signs=signs)
+
+
 def test_grid_doubling_converges():
     # the refined amplitude against one fixed fine grid per term
     for mode in ("slab", "surface"):
@@ -334,7 +347,7 @@ def test_window_is_one_term_sums_call_per_level(monkeypatch, mode, nodes):
 @pytest.mark.parametrize("mode", ["slab", "surface"])
 def test_lattice_hats_equal_lambda_hat_per_point(mode):
     p = make_params(EPS, RHO, 1, mode=mode)
-    _, pts = sample_lattice(p.samp_box, 3)
+    _, pts = sample_lattice(p.samp_box)
     assert lattice_hats(p, pts) == tuple(lambda_hat(p, xi) for xi in pts)
     signs = SIGN_TRIPLES[2:5]
     assert lattice_hats(p, pts[:5], signs=signs) == tuple(
@@ -446,7 +459,7 @@ def test_several_points_per_call_agree_with_scalar_reference(monkeypatch, counts
     # partial); 3-node grids go 2 to a block, and 2-node grids 3 to a
     # block, the last block holding the one point left over
     p = small_params()
-    _, pts = sample_lattice(p.samp_box, 3)
+    _, pts = sample_lattice(p.samp_box)
     xis = pts[[0, 5, 13, 26]]
     kern = kernels(p)[1]
     regions = admissible_eta_region(xis, kern.support_a, kern.support_b)
@@ -475,12 +488,12 @@ def test_mixed_terms_per_call_agree_with_scalar_reference(monkeypatch, mode, cou
     # to grid; 7-node blocks hold parts of one 120-node grid, or two
     # 3-node grids whose codes differ
     p = make_params(EPS, RHO, 1, mode=mode, grid=SMALL_GRID)
-    _, pts = sample_lattice(p.samp_box, 3)
+    _, pts = sample_lattice(p.samp_box)
     xis = pts[[0, 13]]
     kerns = kernels(p)
     pair_terms = [(kerns[0], kerns[2]), (kerns[1], kerns[3])]
     regions = [admissible_eta_region(xis, a.support_a, a.support_b) for a, _ in pair_terms]
-    assert all(r.live.all() for r in regions)
+    assert all(r.found.all() for r in regions)
     order = [(j, g) for j in range(len(xis)) for g in range(len(pair_terms))]
     lo = np.array([regions[g].lo[j] for j, g in order])
     hi = np.array([regions[g].hi[j] for j, g in order])
@@ -508,7 +521,7 @@ def test_several_points_per_call_memory_is_bounded():
     # broadcast would take 67 MB per temporary; 4,096-node blocks, one
     # term at a time, keep every temporary at 0.5 MB
     p = small_params()
-    _, pts = sample_lattice(p.samp_box, 3)
+    _, pts = sample_lattice(p.samp_box)
     xis = pts[[0, 5, 13, 26]]
     kern, twin = kernels(p)[0], kernels(p)[2]
     assert (twin.support_a, twin.support_b) == (kern.support_a, kern.support_b)
@@ -873,7 +886,7 @@ def test_knapp_output_norms_are_sums_of_separable_terms(mode):
 
 def test_output_norm_lower_constant_hook():
     p, s = small_params(), 0.5
-    axes, _ = sample_lattice(p.samp_box, 3)
+    axes, _ = sample_lattice(p.samp_box)
     got = output_norm_from_samples(s, axes, np.ones(27))
     grid = quadrature_grid(p.samp_box, (12, 8, 8))
     integral = float(grid.weights @ (1.0 + (grid.points**2).sum(axis=1)) ** s)
@@ -906,7 +919,7 @@ def _normalised_cell_nodes(axes):
 def test_trilinear_matches_scipy_and_is_exact_on_multilinear():
     interpolate = pytest.importorskip("scipy.interpolate")
     p = small_params()
-    axes, _ = sample_lattice(p.samp_box, 3)
+    axes, _ = sample_lattice(p.samp_box)
     vals = np.random.default_rng(7).random((3, 3, 3))
     oracle = interpolate.RegularGridInterpolator(axes, vals, method="linear")
     interp = _trilinear(vals, _normalised_cell_nodes(axes))
@@ -970,7 +983,7 @@ def test_output_norm_equals_per_cell_reference(seed):
     rng = np.random.default_rng(seed)
     if seed < 2:
         p = make_params(EPS, RHO, 1 + 9 * seed, mode=("slab", "surface")[seed])
-        axes, _ = sample_lattice(p.samp_box, 3)
+        axes, _ = sample_lattice(p.samp_box)
         amps = rng.random(27) * 1e-20
     else:
         axes = [np.sort(rng.uniform(-5.0, 5.0, n)) for n in rng.integers(2, 6, 3)]
@@ -995,7 +1008,7 @@ def test_output_norm_at_steep_weight_equals_per_cell_reference(monkeypatch, seed
 
 def test_sample_lattice_shape():
     p = small_params()
-    axes, pts = sample_lattice(p.samp_box, 3)
+    axes, pts = sample_lattice(p.samp_box)
     assert pts.shape == (27, 3)
     assert [len(a) for a in axes] == [3, 3, 3]
     lo = [ax[0] for ax in p.samp_box.axes]

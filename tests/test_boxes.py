@@ -100,11 +100,12 @@ def test_scale_reflection_reorders_endpoints():
 
 def test_admissible_region_volume_case():
     a = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.0, 1.0))
-    region = one_region((2.0, 2.0, 2.0), a, a)
-    # single-point region at (1,1,1): zero volume, still a valid box
+    region = one_region((1.5, 1.0, 0.5), a, a)
     assert region is not None
-    assert region.ax1 == (1.0, 1.0)
-    assert region.measure == 0.0
+    assert region.axes == ((0.5, 1.0), (0.0, 1.0), (0.0, 0.5))
+    assert region.measure == 0.25
+    # the single point (1,1,1) carries no volume: no region
+    assert one_region((2.0, 2.0, 2.0), a, a) is None
     assert one_region((5.0, 0.5, 0.5), a, a) is None
     # one frequency is a (1, 3) array; a bare 3-vector is refused
     with pytest.raises(InvalidParameterError):
@@ -140,12 +141,14 @@ def test_admissible_region_surface_with_collapsed_axis_is_empty():
     sheet = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.0, 0.0), surface_axis=2)
     slab = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(-0.25, 0.25))
     b = Box3(ax1=(2.0, 3.0), ax2=(0.0, 1.0), ax3=(0.0, 1.0))
-    # xi1 at the low end of the Minkowski sum: the axis-1 interval is one point
+    # xi1 at the low end of the Minkowski sum: the axis-1 interval is one
+    # point, which carries no measure in a surface or a volume intersection
     xi = (2.0, 0.5, 0.5)
     assert one_region(xi, sheet, b) is None
-    # the same collapse in a volume/volume intersection keeps a measure-0 box
-    region = one_region(xi, slab, b)
-    assert region is not None and region.ax1 == (2.0, 2.0) and region.has_null_axis
+    assert one_region(xi, slab, b) is None
+    # one step inside, both carry measure
+    xi = (np.nextafter(2.0, np.inf), 0.5, 0.5)
+    assert one_region(xi, sheet, b) is not None and one_region(xi, slab, b) is not None
 
 
 def _region_reference(xi, a, b):
@@ -167,7 +170,7 @@ def _region_reference(xi, a, b):
             axes.append((point, point))
             continue
         lo, hi = max(xi[i] - a_hi, b_lo), min(xi[i] - a_lo, b_hi)
-        if lo > hi or (lo == hi and surface_axis is not None):
+        if not lo < hi:
             return None
         axes.append((lo, hi))
     return Box3(*axes, surface_axis=surface_axis, surface_tol=tol)
@@ -218,18 +221,18 @@ def test_region_rows_match_one_point_regions(pair, data):
             assert tuple(zip(rows.lo[j], rows.hi[j])) == region.axes
             assert rows.surface_axis == region.surface_axis
             assert rows.surface_tol == region.surface_tol
-        assert bool(rows.live[j]) == (region is not None and not region.has_null_axis)
+            assert region.measure > 0.0
 
 
 def test_region_rows_cover_collapse_and_tolerance_edges():
     # the cases the property above must meet: a volume axis collapsed to
-    # one point (measure 0 in slab mode, no region in surface mode) and
+    # one point (measure 0, no region, in surface and in slab mode) and
     # xi3 exactly on the inclusive surface tolerance boundary
     surf_pair, _, slab_pair, _ = _support_pairs()
-    for (a, b), found in ((surf_pair, False), (slab_pair, True)):
+    for a, b in (surf_pair, slab_pair):
         xi = np.array([a.ax1[0] + b.ax1[0], 3e-7 * RT, 5e-7 * RT])
         rows = admissible_eta_region(xi[None, :], a, b)
-        assert bool(rows.found[0]) == found and not rows.live[0]
+        assert rows.lo[0, 0] == rows.hi[0, 0] and not rows.found[0]
     a, b = surf_pair
     edge = b.ax3[0] - a.surface_tol
     xis = np.array([[LAM, 3e-7 * RT, x] for x in (edge, np.nextafter(edge, -np.inf))])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from knappflow._kernels import term_weight
-from knappflow.boxes import box_w
+from knappflow.boxes import admissible_eta_region, box_w
 from knappflow.construction import (
     RHO_MIN,
     KnappParams,
@@ -204,6 +204,56 @@ def test_kernel_weights_positive_at_centers():
             region = one_region(xi, kern.support_a, kern.support_b)
             assert region is not None
             assert float(term_weight(kern.code, xi, region.center())) > 0.0
+
+
+def weight_by_branch(code, xi, eta):
+    """A term's weight written out per code, independently of ``_weight``."""
+    d = xi - eta
+    nx, nd, ne = (np.sqrt((v * v).sum(axis=-1)) for v in (xi, d, eta))
+    d1, d2, d3 = d[..., 0], d[..., 1], d[..., 2]
+    e1, e2, e3 = eta[..., 0], eta[..., 1], eta[..., 2]
+    num = {
+        0: d1 * d1 * e1 * e1 * e2,
+        1: -(d1 * d2 * e1 * e1 * e1),
+        2: d1 * d1 * e1 * e1 * e3,
+        3: -(d1 * d3 * e1 * e1 * e1),
+    }[code]
+    return num / (nx * nd * nd * ne * ne)
+
+
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_kernel_weights_equal_their_written_out_formulas(mode):
+    # 6 seeded output frequencies in the sampling box, 5 etas in each one's
+    # admissible region for either support pair
+    p = make_params(EPS, RHO, 1, mode=mode)
+    rng = np.random.default_rng(7)
+    samp = np.array(p.samp_box.axes)
+    xis = samp[:, 0] + rng.random((6, 3)) * (samp[:, 1] - samp[:, 0])
+    etas = []
+    for kern in kernels(p)[:2]:
+        rows = admissible_eta_region(xis, kern.support_a, kern.support_b)
+        assert rows.found.all()
+        etas.append(rows.lo[:, None] + rng.random((6, 5, 3)) * (rows.hi - rows.lo)[:, None])
+    etas = np.concatenate(etas, axis=1)
+    xi_rows = np.broadcast_to(xis[:, None], etas.shape)
+    for code in range(4):
+        want = weight_by_branch(code, xi_rows, etas)
+        assert term_weight(code, xi_rows, etas).tobytes() == want.tobytes()
+    # one call with a mixed (P, C) code array, broadcast over each row's etas
+    codes = rng.integers(0, 4, size=(6, 3))
+    got = term_weight(codes[:, :, None], xis[:, None, None], etas[:, None])
+    assert got.shape == (6, 3, 10)
+    for (j, c), code in np.ndenumerate(codes):
+        assert got[j, c].tobytes() == weight_by_branch(code, xi_rows[j], etas[j]).tobytes()
+
+
+def test_kernel_codes_are_axis_and_slot():
+    for kern in kernels(make_params(EPS, RHO, 1)):
+        assert kern.label == f"axis{2 + (kern.code >> 1)}.t{1 + (kern.code & 1)}"
+    xi, eta = np.array([2.0, 0.1, 0.2]), np.array([1.0, 0.3, 0.1])
+    for bad in (-1, 4, np.array([0, 4])):
+        with pytest.raises(ValueError, match="unknown kernel code"):
+            term_weight(bad, xi, eta)
 
 
 @pytest.mark.parametrize("bad", [8.5, math.nan, math.inf])
