@@ -1,7 +1,10 @@
 """Hot numerical kernels, vectorized with numpy.
 
-``term_sums`` is the one evaluation path; ``_term_sums_loop`` is its
-scalar reference, kept for the agreement test.
+``term_sums`` is the one evaluation path.  One call integrates every
+grid of a refinement level: the grids of all output frequencies, support
+pairs and windows of a sweep, each with its own time ``t`` and resonance
+cut.  The tests check it against a 30-digit mpmath evaluation of one
+grid's sums, which shares no code with it.
 """
 
 from __future__ import annotations
@@ -52,9 +55,10 @@ def _mult_py(t: float, om: float) -> complex:
     return (2.0 * s / om) * complex(c, s)
 
 
-def mult_values(t: float, om: np.ndarray) -> np.ndarray:
+def mult_values(t, om: np.ndarray) -> np.ndarray:
     """Vectorized multiplier; same two-branch rule as the scalar path.
 
+    ``t`` is a time or an array of times that broadcasts against ``om``.
     Each branch is evaluated only on the elements it applies to.  Both
     branches give a real part even in omega and an imaginary part odd in
     omega, so ``mult_values(t, -om)`` is ``conj(mult_values(t, om))`` bit
@@ -62,10 +66,11 @@ def mult_values(t: float, om: np.ndarray) -> np.ndarray:
     """
     om = np.asarray(om, dtype=float)
     x = t * om
+    t, om = np.broadcast_to(t, x.shape), np.broadcast_to(om, x.shape)
     small = np.abs(x) < MULT_SERIES_THRESHOLD
     out = np.empty(x.shape, dtype=complex)
     z = 1j * x[small]
-    series = t * (
+    series = t[small] * (
         1.0 + z * (1 / 2 + z * (1 / 6 + z * (1 / 24 + z * (1 / 120 + z * (1 / 720)))))
     )
     # Im m = (1 - cos(t omega)) / omega takes the sign of omega, which the
@@ -122,43 +127,19 @@ def term_weight(code, xi, eta) -> np.ndarray:
     return _weight(code, eta, d, nx, nd, ne)
 
 
-def _term_sums_loop(pts, wq, xi, t, code, res_thr):
-    """Scalar reference for ``term_sums``, used only to check it in tests."""
-    n = pts.shape[0]
-    tot = np.zeros(8, dtype=np.complex128)
-    res = np.zeros(8, dtype=np.complex128)
-    env = np.zeros(8, dtype=np.float64)
-    nx = math.sqrt(xi[0] * xi[0] + xi[1] * xi[1] + xi[2] * xi[2])
-    for i in range(n):
-        eta = pts[i]
-        d = xi - eta
-        ne = math.sqrt(eta[0] * eta[0] + eta[1] * eta[1] + eta[2] * eta[2])
-        nd = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-        w = _weight(code, eta, d, nx, nd, ne) * wq[i]
-        aw = abs(w)
-        for j in range(8):
-            s1, s2, s3 = SIGNS_ARRAY[j]
-            om = s1 * nx - s2 * nd - s3 * ne
-            c = _mult_py(t, om) * w
-            tot[j] += c
-            if abs(om) <= res_thr:
-                res[j] += c
-            else:
-                env[j] += min(t, 2.0 / abs(om)) * aw
-    return tot, res, env
-
-
 def term_sums(pts, wq, xis, t, codes, res_thr):
     """Per-term, per-sign-triple sums of m(t, omega) * weight over grids.
 
     ``xis`` holds P output frequencies, shape ``(P, 3)``; ``pts``
     ``(N, 3)`` and ``wq`` ``(N,)`` hold P grids of N / P nodes each, grid
-    j's in rows ``j*N/P`` to ``(j+1)*N/P``.  ``codes`` ``(P, C)`` holds
-    the codes of the C kernel terms integrated over each grid (terms on
-    one support pair share its grid), so a call may mix terms.  Returns
+    j's in rows ``j*N/P`` to ``(j+1)*N/P``.  ``t`` and ``res_thr`` are
+    each grid's time and resonance cut, shape ``(P,)``, or one value for
+    every grid.  ``codes`` ``(P, C)`` holds the codes of the C kernel
+    terms integrated over each grid (terms on one support pair share its
+    grid), so a call may mix terms, points and windows.  Returns
     ``(tot, res, env)``, each of shape ``(P, C, 8)``: for each grid, term
     and sign triple (in ``SIGNS_ARRAY`` order) the full complex sum, the
-    sum over resonant nodes (|omega| <= res_thr), and a pointwise
+    sum over resonant nodes (|omega| <= the grid's cut), and a pointwise
     envelope ``min(t, 2/|omega|) * |weight|`` over the rest.
 
     The nodes go in blocks of at most ``TERM_SUMS_BLOCK``: whole grids
@@ -179,6 +160,10 @@ def term_sums(pts, wq, xis, t, codes, res_thr):
     xis = np.asarray(xis, dtype=float)
     codes = np.asarray(codes)
     n_pts, n_terms = codes.shape
+    # (grids, 1, 1): each grid's value broadcasts over its triples and nodes
+    t, res_thr = (
+        np.broadcast_to(np.asarray(v, dtype=float), (n_pts,))[:, None, None] for v in (t, res_thr)
+    )
     per = len(pts) // n_pts
     eta = pts.reshape(n_pts, per, 3)
     wq = wq.reshape(n_pts, per)
@@ -196,17 +181,20 @@ def term_sums(pts, wq, xis, t, codes, res_thr):
         rows = slice(first, first + step)
         x = xis[rows, None, :]
         nx_weight = np.sqrt((x * x).sum(axis=-1))
+        t_rows = t[rows]
         for start in range(0, per, width):
             e = eta[rows, start : start + width]
             d = x - e
             nd = np.sqrt((d * d).sum(axis=-1))
             ne = np.sqrt((e * e).sum(axis=-1))
             om = half[:, 0] * nx[rows] - half[:, 1] * nd[:, None, :] - half[:, 2] * ne[:, None, :]
-            m = mult_values(t, om)
+            m = mult_values(t_rows, om)
             abs_om = np.abs(om)
-            resonant = abs_om <= res_thr
+            resonant = abs_om <= res_thr[rows]
             # min(t, 2/|omega|) where nonresonant, 0 where resonant
-            bound = np.where(resonant, 0.0, np.minimum(t, 2.0 / np.where(resonant, 1.0, abs_om)))
+            bound = np.where(
+                resonant, 0.0, np.minimum(t_rows, 2.0 / np.where(resonant, 1.0, abs_om))
+            )
             # (C, grids, nodes): each grid's codes broadcast over its nodes
             weights = _weight(codes[rows].T[..., None], e, d, nx_weight, nd, ne)
             weights *= wq[rows, start : start + width]

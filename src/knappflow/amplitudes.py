@@ -9,18 +9,21 @@ taken over each kernel term's admissible eta-box.  Every integral is
 evaluated on tensor Gauss-Legendre grids that start at 2 x 1 x 1 nodes
 and double until the per-term totals of successive grids agree; the
 configured ``grid`` doubled ``REFINE_CAP`` times is the ceiling, where an
-unsettled term is flagged.  The points of one configuration (a window's
-3 x 3 x 3 lattice) are integrated together.  The four kernel terms come
-in two support pairs, and terms on one pair share one node grid per
-point: per refinement level, one node build and one kernel call cover
-every (support pair, point) grid still refining, for both of its terms
-and all 8 sign triples, over fixed-size blocks of nodes, so memory does
-not grow with the grid.  The breakdowns of all points are then
-assembled as (points, sign triples) arrays.  Nodes are classified
-resonant or nonresonant by the empirical cut |omega| <= lam^(3/4); the
-resonant and nonresonant parts of the sum are accumulated separately,
-together with a rigorous pointwise envelope min(t, 2/|omega|) * |weight|
-for the nonresonant part.
+unsettled term is flagged.  A sweep integrates the lattices of all its
+windows (3 x 3 x 3 output frequencies each) in one pass.  The four
+kernel terms come in two support pairs, and terms on one pair share one
+node grid per point, so each (window, support pair, point) is one grid
+with its window's time and resonance cut.  Per refinement level, one
+node build and one kernel call cover every grid still refining, for
+both of its terms and all 8 sign triples, over fixed-size blocks of
+nodes, so memory does not grow with the grid.  The breakdowns of all
+points are then assembled once, as (points, sign triples) arrays.
+``lattice_hats`` is the pass over one window and ``lambda_hat`` over
+one point.  Nodes are classified resonant or nonresonant by the
+empirical cut |omega| <= lam^(3/4); the resonant and nonresonant parts
+of the sum are accumulated separately, together with a rigorous
+pointwise envelope min(t, 2/|omega|) * |weight| for the nonresonant
+part.
 
 All Sobolev norms use the convention
 
@@ -95,44 +98,56 @@ class NormReport:
 
 
 def _term_integrals(
-    p: KnappParams, xis: np.ndarray, kerns: tuple[BilinearKernel, ...]
+    windows: list[tuple[KnappParams, np.ndarray, tuple[BilinearKernel, ...]]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[str]]]:
     """Refined per-triple integrals (total, resonant, envelope) of every term.
 
-    Returns ``(K, P, 8)`` arrays for the K terms of ``kerns`` and the P
-    rows of ``xis``, and each point's flags in kernel order.  Terms on
-    one support pair have the same admissible regions, so each (support
-    pair, point) is one node grid, integrated for all of the pair's
-    terms together.  All grids still refining share one grid shape, so
-    each refinement level is one node build and one ``term_sums`` call.
-    A grid refines while any of its terms is unsettled; each term keeps
-    the sums of the level where its totals settled, and is flagged if
-    that does not happen by the ceiling.  The pairs hold equally many
-    terms and share one surface axis (or none), as those of
-    ``kernels(p)`` do.
+    ``windows`` holds ``(p, xis, kerns)`` triples, integrated in one pass.
+    Returns ``(K, P, 8)`` arrays for the K terms of each window's
+    ``kerns`` and the P rows of all windows' ``xis`` in turn, and each
+    point's flags in kernel order.  Terms on one support pair have the
+    same admissible regions, so each (support pair, point) is one node
+    grid, integrated for all of the pair's terms with its window's time
+    and resonance cut.  All grids still refining share one grid shape,
+    so each refinement level is one node build and one ``term_sums``
+    call for every window.  A grid refines while any of its terms is
+    unsettled; each term keeps the sums of the level where its totals
+    settled, and is flagged if that does not happen by the ceiling.  The
+    windows share one configured grid and one term layout, and the
+    pairs hold equally many terms and share one surface axis (or none),
+    as ``kernels(p)`` gives every window of a sweep.
     """
-    n_pts = len(xis)
-    by_pair: dict[tuple[Box3, Box3], list[int]] = {}
-    for i, k in enumerate(kerns):
-        by_pair.setdefault((k.support_a, k.support_b), []).append(i)
-    pairs, members = list(by_pair), list(by_pair.values())
-    regions = [admissible_eta_region(xis, a, b) for a, b in pairs]
-    lo = np.concatenate([r.lo for r in regions])
-    hi = np.concatenate([r.hi for r in regions])
-    grid_xis = np.concatenate([xis] * len(pairs))
-    codes = np.repeat([[kerns[i].code for i in m] for m in members], n_pts, axis=0)
+    regions, codes = [], []
+    for _, xis, kerns in windows:
+        by_pair: dict[tuple[Box3, Box3], list[int]] = {}
+        for i, k in enumerate(kerns):
+            by_pair.setdefault((k.support_a, k.support_b), []).append(i)
+        members = list(by_pair.values())
+        regions.append([admissible_eta_region(xis, a, b) for a, b in by_pair])
+        codes.append([[kerns[i].code for i in m] for m in members])
+    # Rows are (support pair, point), the points of all windows in turn.
+    lens = [len(xis) for _, xis, _ in windows]
+    n_pts, n_pairs = sum(lens), len(members)
+    by_rows = [r for g in range(n_pairs) for r in (w[g] for w in regions)]
+    lo = np.concatenate([r.lo for r in by_rows])
+    hi = np.concatenate([r.hi for r in by_rows])
+    grid_xis = np.concatenate([xis for _, xis, _ in windows] * n_pairs)
+    t = np.tile(np.repeat([p.t for p, _, _ in windows], lens), n_pairs)
+    cut = np.tile(np.repeat([p.resonance_threshold for p, _, _ in windows], lens), n_pairs)
+    codes = np.concatenate(
+        [np.repeat([w[g]], n, axis=0) for g in range(n_pairs) for w, n in zip(codes, lens)]
+    )
     out = tuple(np.zeros((*codes.shape, 8), dtype) for dtype in (complex, complex, float))
-    pending = np.repeat(np.concatenate([r.found for r in regions])[:, None], codes.shape[1], 1)
+    pending = np.repeat(np.concatenate([r.found for r in by_rows])[:, None], codes.shape[1], 1)
     unsettled = np.zeros(pending.shape, dtype=bool)
     live = np.flatnonzero(pending[:, 0])
-    ceiling = tuple(n << REFINE_CAP for n in p.grid)
+    ceiling = tuple(n << REFINE_CAP for n in windows[0][0].grid)
     counts = tuple(min(b, c) for b, c in zip(BASE_GRID, ceiling))
     prev_tot = None
     while live.size:
-        pts, wq = quadrature_nodes(lo[live], hi[live], counts, regions[0].surface_axis)
+        pts, wq = quadrature_nodes(lo[live], hi[live], counts, by_rows[0].surface_axis)
         sums = _kernels.term_sums(
-            pts.reshape(-1, 3), wq.reshape(-1), grid_xis[live], p.t, codes[live],
-            p.resonance_threshold,
+            pts.reshape(-1, 3), wq.reshape(-1), grid_xis[live], t[live], codes[live], cut[live]
         )
         tot = sums[0]
         if prev_tot is None:
@@ -154,14 +169,14 @@ def _term_integrals(
         counts = tuple(min(2 * n, c) for n, c in zip(counts, ceiling))
     # Back to kernel order: kernel i is term c of pair g's grids.
     slot = {i: (g, c) for g, m in enumerate(members) for c, i in enumerate(m)}
-    g, c = np.array([slot[i] for i in range(len(kerns))]).T
+    g, c = np.array([slot[i] for i in range(len(slot))]).T
     tot, res, env, unsettled = (
-        acc.reshape(len(pairs), n_pts, *acc.shape[1:])[g, :, c] for acc in (*out, unsettled)
+        acc.reshape(n_pairs, n_pts, *acc.shape[1:])[g, :, c] for acc in (*out, unsettled)
     )
-    flags = [
-        [f"nonconverged_quadrature:{k.label}" for k, bad in zip(kerns, unsettled[:, j]) if bad]
-        for j in range(n_pts)
-    ]
+    window = np.repeat(np.arange(len(windows)), lens)
+    flags: list[list[str]] = [[] for _ in range(n_pts)]
+    for j, i in np.argwhere(unsettled.T):
+        flags[j].append(f"nonconverged_quadrature:{windows[window[j]][2][i].label}")
     return tot, res, env, flags
 
 
@@ -178,41 +193,46 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def lattice_hats(
-    p: KnappParams, xis, signs: tuple[SignTriple, ...] | None = None
-) -> tuple[AmplitudeBreakdown, ...]:
-    """``lambda_hat`` at every row of ``xis``, in one pass for all terms.
+def _lattice_pass(
+    windows: list[tuple[KnappParams, np.ndarray]], signs: tuple[SignTriple, ...] | None = None
+) -> list[tuple[AmplitudeBreakdown, ...]]:
+    """``lattice_hats`` of every ``(p, xis)`` window, in one pass.
 
-    Every kernel term is integrated for all points together, with one
+    Every kernel term of every window is integrated together, with one
     ``term_sums`` call per refinement level; the breakdowns are then
-    assembled for all points and sign triples at once.  Every breakdown
-    equals the one-point call's bit for bit.
+    assembled for all points and sign triples at once, and each array is
+    turned into Python numbers by one ``tolist``.  Every breakdown equals
+    the one-point call's bit for bit.
     """
-    xis = np.asarray(xis, dtype=float)
-    if xis.ndim != 2 or xis.shape[1] != 3:
-        raise InvalidParameterError("xis must be an array of 3-vectors")
-    if not np.isfinite(xis).all():
-        raise InvalidParameterError("xi must be finite")
-    norms = np.sqrt(xis[:, None, :] @ xis[:, :, None]).reshape(-1)
-    if (norms == 0.0).any():
-        raise InvalidParameterError("xi must be nonzero")
-    t = p.t
     active = SIGN_TRIPLES if signs is None else tuple(signs)
     if not active or not all(s in SIGN_TRIPLES for s in active) or len(set(active)) < len(active):
         raise InvalidParameterError(f"signs must be distinct sign triples, got {signs!r}")
     active_idx = [SIGN_TRIPLES.index(s) for s in active]
+    lattices = []
+    for p, xis in windows:
+        xis = np.asarray(xis, dtype=float)
+        if xis.ndim != 2 or xis.shape[1] != 3:
+            raise InvalidParameterError("xis must be an array of 3-vectors")
+        if not np.isfinite(xis).all():
+            raise InvalidParameterError("xi must be finite")
+        lattices.append((p, xis, kernels(p)))
+    xis = np.concatenate([pts for _, pts, _ in lattices])
+    norms = np.sqrt(xis[:, None, :] @ xis[:, :, None]).reshape(-1)
+    if (norms == 0.0).any():
+        raise InvalidParameterError("xi must be nonzero")
+    ts = [t for p, pts, _ in lattices for t in [p.t] * len(pts)]
 
     tot_acc = np.zeros((len(xis), 8), dtype=complex)
     res_acc = np.zeros((len(xis), 8), dtype=complex)
     env_acc = np.zeros((len(xis), 8), dtype=float)
-    tot, res, env, flags = _term_integrals(p, xis, kernels(p))
+    tot, res, env, flags = _term_integrals(lattices)
     for k in range(len(tot)):
         tot_acc += tot[k]
         res_acc += res[k]
         env_acc += env[k]
     # (points, active signs) arrays; the sums over signs run in sign order.
     s1 = np.array([SIGN_TRIPLES[j].s1 for j in active_idx])
-    pre_phase = 1.0 / 4.0j * np.exp(-1j * s1 * t * norms[:, None])
+    pre_phase = 1.0 / 4.0j * np.exp(-1j * s1 * np.array(ts)[:, None] * norms[:, None])
     vals = _cmul(pre_phase, tot_acc[:, active_idx])
     resonant_vals = _cmul(pre_phase, res_acc[:, active_idx])
     envelope_vals = 0.25 * env_acc[:, active_idx]
@@ -224,19 +244,35 @@ def lattice_hats(
         resonant += resonant_vals[:, j]
         envelope += envelope_vals[:, j]
     nonresonant = total - resonant
-    return tuple(
+    columns = (total, vals, resonant, nonresonant, envelope, xis)
+    breakdowns = iter([
         AmplitudeBreakdown(
-            total=complex(total[i]),
-            per_sign=dict(zip(active, vals[i].tolist())),
-            resonant_sum=complex(resonant[i]),
-            nonresonant_sum=complex(nonresonant[i]),
-            nonresonant_envelope=float(envelope[i]),
-            eval_point=tuple(xis[i].tolist()),
-            t=t,
-            flags=tuple(flags[i]),
+            total=tot_i,
+            per_sign=dict(zip(active, per_sign)),
+            resonant_sum=res_i,
+            nonresonant_sum=nonres_i,
+            nonresonant_envelope=env_i,
+            eval_point=tuple(xi),
+            t=t_i,
+            flags=tuple(flags_i),
         )
-        for i in range(len(xis))
-    )
+        for tot_i, per_sign, res_i, nonres_i, env_i, xi, t_i, flags_i in zip(
+            *(c.tolist() for c in columns), ts, flags
+        )
+    ])
+    return [tuple(itertools.islice(breakdowns, len(pts))) for _, pts, _ in lattices]
+
+
+def lattice_hats(
+    p: KnappParams, xis, signs: tuple[SignTriple, ...] | None = None
+) -> tuple[AmplitudeBreakdown, ...]:
+    """``lambda_hat`` at every row of ``xis``, in one pass for all terms.
+
+    This is the one-window case of the pass a sweep makes over all of
+    its windows (``_lattice_pass``); every breakdown equals the one-point
+    call's bit for bit.
+    """
+    return _lattice_pass([(p, xis)], signs)[0]
 
 
 def lambda_hat(

@@ -26,8 +26,8 @@ import numpy as np
 from .amplitudes import (
     AmplitudeBreakdown,
     NormReport,
-    lambda_hat,  # noqa: F401  (perfbench/ hooks this name; sweeps use lattice_hats)
-    lattice_hats,
+    _lattice_pass,
+    lambda_hat,  # noqa: F401  (perfbench/ hooks this name; sweeps use _lattice_pass)
     norm_report,
     output_norm_from_samples,
     sample_lattice,
@@ -106,37 +106,36 @@ def sweep_core(
 ) -> list[WindowSamples]:
     """Evaluate the amplitude lattice for each window index.
 
-    The expensive oscillatory quadrature happens here exactly once per
-    k; records for any (s, r) pair are derived from the result without
+    Every window's parameters and sampling lattice are built first; then
+    the lattices of all nonempty windows are integrated in one pass, one
+    ``term_sums`` call per refinement level for all of them.  The
+    expensive oscillatory quadrature happens here exactly once per k;
+    records for any (s, r) pair are derived from the result without
     re-integration.  Every k must be a whole number.
     """
     ks = [window_index(k) for k in k_list]
     if not ks:
         raise InvalidParameterError("k_list must be nonempty")
-    cores: list[WindowSamples] = []
-    n_empty = 0
+    params: list[KnappParams | None] = []
     for k in ks:
         try:
-            p = make_params(eps=eps, rho=rho, k=k, mode=mode, grid=grid)
+            params.append(make_params(eps=eps, rho=rho, k=k, mode=mode, grid=grid))
         except WindowEmptyError:
-            n_empty += 1
-            cores.append(WindowSamples(k=k, params=None, lattice_axes=(), breakdowns=()))
-            continue
-        axes, pts = sample_lattice(p.samp_box)
-        breakdowns = lattice_hats(p, pts)
-        cores.append(
-            WindowSamples(
-                k=k,
-                params=p,
-                lattice_axes=tuple(axes),
-                breakdowns=breakdowns,
-            )
-        )
-    if n_empty == len(ks):
+            params.append(None)
+    live = [p for p in params if p is not None]
+    if not live:
         raise InvalidParameterError(
             f"every window k={ks} is empty at rho={rho}; decrease rho"
         )
-    return cores
+    lattices = [sample_lattice(p.samp_box) for p in live]
+    hats = iter(_lattice_pass([(p, pts) for p, (_, pts) in zip(live, lattices)]))
+    axes = iter(axes for axes, _ in lattices)
+    return [
+        WindowSamples(k=k, params=None, lattice_axes=(), breakdowns=())
+        if p is None
+        else WindowSamples(k=k, params=p, lattice_axes=tuple(next(axes)), breakdowns=next(hats))
+        for k, p in zip(ks, params)
+    ]
 
 
 def records_from_core(

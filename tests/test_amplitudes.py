@@ -138,6 +138,78 @@ def fixed_grid_total(p, xi, counts):
     return complex((phases * tot).sum() / 4j)
 
 
+# The 8 sign triples in ``SIGNS_ARRAY`` order: lexicographic, + before -.
+ORACLE_SIGNS = tuple(itertools.product((1, -1), repeat=3))
+# Each code's weight numerator from (d, eta) = (xi - eta, eta), written
+# out as the kernel terms are defined; the denominator is |xi| |d|^2 |eta|^2.
+ORACLE_NUMERATORS = {
+    0: lambda d, e: d[0] * d[0] * e[0] * e[0] * e[1],
+    1: lambda d, e: -(d[0] * d[1] * e[0] * e[0] * e[0]),
+    2: lambda d, e: d[0] * d[0] * e[0] * e[0] * e[2],
+    3: lambda d, e: -(d[0] * d[2] * e[0] * e[0] * e[0]),
+}
+
+
+def mp_term_sums(pts, wq, xi, t, codes, res_thr):
+    """One grid's ``term_sums`` at 30 digits in mpmath, sharing no code with it.
+
+    From the exact float inputs, each node's weight is written out per
+    code, omega is taken per sign triple, and the multiplier is
+    ``t exp(i x/2) sinc(x/2)`` with ``x = t omega`` (no branch at small
+    ``x``).  A node counts as resonant where its float omega, formed as
+    ``term_sums`` forms it, is within the cut, so a node on the cut falls
+    on the same side.  Returns ``(C, 8)`` arrays of the total, resonant
+    and envelope sums, rounded to floats once at the end.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    xi = np.asarray(xi, dtype=float)
+    tot = [[0] * 8 for _ in codes]
+    res = [[0] * 8 for _ in codes]
+    env = [[0] * 8 for _ in codes]
+    with mpmath.workdps(30):
+        mt = mpmath.mpf(t)
+        x = [mpmath.mpf(v) for v in xi]
+        nx = mpmath.sqrt(sum(v * v for v in x))
+        nx_float = np.sqrt(xi @ xi)
+        for node, q in zip(np.asarray(pts, dtype=float), wq):
+            e = [mpmath.mpf(v) for v in node]
+            d = [a - b for a, b in zip(x, e)]
+            nd = mpmath.sqrt(sum(v * v for v in d))
+            ne = mpmath.sqrt(sum(v * v for v in e))
+            d_float = xi - node
+            nd_float, ne_float = np.sqrt((d_float * d_float).sum()), np.sqrt((node * node).sum())
+            w = [ORACLE_NUMERATORS[int(c)](d, e) / (nx * nd**2 * ne**2) * q for c in codes]
+            for j, (s1, s2, s3) in enumerate(ORACLE_SIGNS):
+                om = s1 * nx - s2 * nd - s3 * ne
+                m = mt * mpmath.expj(mt * om / 2) * mpmath.sinc(mt * om / 2)
+                resonant = abs(s1 * nx_float - s2 * nd_float - s3 * ne_float) <= res_thr
+                bound = 0 if resonant else min(mt, 2 / abs(om))
+                for c, wc in enumerate(w):
+                    tot[c][j] += m * wc
+                    res[c][j] += m * wc if resonant else 0
+                    env[c][j] += bound * abs(wc)
+        return (
+            np.array([[complex(v) for v in row] for row in tot]),
+            np.array([[complex(v) for v in row] for row in res]),
+            np.array([[float(v) for v in row] for row in env]),
+        )
+
+
+# Agreement of term_sums with the oracle, relative to the largest total
+# (or envelope) of the term: about 45 roundings of 2**-53, where each
+# node's value takes about 20 and the sums run over at most 120 nodes.
+# The float path measures at most 5.1e-16 on these grids.
+ORACLE_RTOL = 1e-14
+
+
+def assert_near_oracle(got, want):
+    """``term_sums``' (tot, res, env) of one term against ``mp_term_sums``'."""
+    scale = np.abs(want[0]).max()
+    assert np.abs(got[0] - want[0]).max() <= ORACLE_RTOL * scale
+    assert np.abs(got[1] - want[1]).max() <= ORACLE_RTOL * scale
+    assert np.abs(got[2] - want[2]).max() <= ORACLE_RTOL * want[2].max()
+
+
 def resonant_set(p, xi, eta):
     """The triples ``term_sums`` counts as resonant at one (xi, eta) pair."""
     oms = np.abs(omega_all(xi, eta))
@@ -307,7 +379,7 @@ def test_wide_boxes_refine_to_fixed_grid_reference(monkeypatch, mode):
     spent = count_term_sums(monkeypatch)
     for kern in kernels(p):
         spent.clear()
-        tot, res, env, flags = _term_integrals(p, xi[None, :], (kern,))
+        tot, res, env, flags = _term_integrals([(p, xi[None, :], (kern,))])
         tot, res, env = tot[0, 0], res[0, 0], env[0, 0]
         assert flags == [[]]
         assert len(spent) > 2  # more than one comparison of successive grids
@@ -336,12 +408,107 @@ def test_lowered_cap_flags_only_the_wide_boxes(monkeypatch, mode, cap, grid):
 
 @pytest.mark.parametrize("mode, nodes", [("slab", 972), ("surface", 540)])
 def test_window_is_one_term_sums_call_per_level(monkeypatch, mode, nodes):
-    # 2 levels, each call covering 2 support pairs x 27 lattice points
+    # 2 levels, each call covering 2 support pairs x 27 lattice points of
+    # every window: a 3-window sweep is one pass, not one per window
     spent = count_term_sums(monkeypatch)
     (core,) = sweep_core(EPS, RHO, [1], mode=mode)
     assert len(core.breakdowns) == 27
     assert len(spent) == 2
     assert sum(spent) == nodes
+    spent.clear()
+    cores = sweep_core(EPS, RHO, [2, 5, 9], mode=mode)
+    assert [len(core.breakdowns) for core in cores] == [27] * 3
+    assert len(spent) == 2
+    assert sum(spent) == 3 * nodes
+
+
+@pytest.mark.parametrize("counts", [(6, 5, 4), (3, 1, 1)])
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_per_grid_time_and_cut_equal_one_call_per_grid(monkeypatch, mode, counts):
+    # both support pairs' grids at 2 points of each of 3 windows, each
+    # grid with its window's t, the windows taking turns; with 7-node
+    # blocks, two 3-node grids of different windows share a block.  The
+    # cuts split the nodes three ways: at the window's own cut, at 0 (so
+    # the envelope takes t on the near-resonant triples) and at infinity.
+    windows = [make_params(EPS, RHO, k, mode=mode) for k in (1, 2, 3)]
+    assert len({p.t for p in windows}) == 3
+    window_cuts = (windows[0].resonance_threshold, 0.0, math.inf)
+    lo, hi, xis, codes, ts, cuts = [], [], [], [], [], []
+    for pair, j in itertools.product(((0, 2), (1, 3)), (4, 22)):
+        for p, cut in zip(windows, window_cuts):
+            xi = sample_lattice(p.samp_box)[1][j]
+            a, b = (kernels(p)[i] for i in pair)
+            regions = admissible_eta_region(xi[None, :], a.support_a, a.support_b)
+            assert regions.found.all()
+            lo.append(regions.lo[0])
+            hi.append(regions.hi[0])
+            xis.append(xi)
+            codes.append([a.code, b.code])
+            ts.append(p.t)
+            cuts.append(cut)
+    nodes, weights = quadrature_nodes(np.array(lo), np.array(hi), counts, regions.surface_axis)
+    xis = np.array(xis)
+    monkeypatch.setattr(_kernels, "TERM_SUMS_BLOCK", 7)
+    together = _kernels.term_sums(
+        nodes.reshape(-1, 3), weights.reshape(-1), xis, np.array(ts), codes, np.array(cuts)
+    )
+    assert together[0].shape == (12, 2, 8)
+    for j in range(len(xis)):
+        alone = _kernels.term_sums(nodes[j], weights[j], xis[[j]], ts[j], codes[j:j + 1], cuts[j])
+        for got, want in zip(together, alone):
+            assert got[j].tobytes() == want[0].tobytes()
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_pass_equals_one_window_at_a_time_where_windows_settle_apart(monkeypatch, cap):
+    # three windows of one pass on the wide boxes and the (4,2,2) grid of
+    # test_lowered_cap_flags_only_unsettled_points: that test's spread
+    # points, the lattice at the acceptance eps and rho (k=1), and the
+    # lattice at eps=0.02, rho=1e-3, k=2 (about the same lam, twice the
+    # time).  At a (4,2,2) ceiling the first is flagged on all 4 terms at
+    # some points, the second nowhere, the third on 2 terms everywhere; at
+    # an (8,4,4) ceiling all settle, the second a level before the others
+    wide_boxes(monkeypatch)
+    monkeypatch.setattr(amplitudes, "REFINE_CAP", cap)
+    params = [
+        make_params(eps, rho, k, grid=(4, 2, 2))
+        for eps, rho, k in ((WIDE_EPS, WIDE_RHO, 1), (EPS, RHO, 1), (0.02, 1e-3, 2))
+    ]
+    windows = [(params[0], spread_points(params[0]))] + [
+        (p, sample_lattice(p.samp_box)[1]) for p in params[1:]
+    ]
+    served = record_grid_rows(monkeypatch)
+    together = amplitudes._lattice_pass(windows)
+    # the calls that served some point of each window
+    levels = [
+        sum(any((rows == xi).all(axis=1).any() for xi in xis) for rows in served)
+        for _, xis in windows
+    ]
+    served.clear()
+    alone = [lattice_hats(p, xis) for p, xis in windows]
+    assert repr(together) == repr(alone)
+    flagged = [{len(b.flags) for b in hats} for hats in together]
+    if cap == 0:
+        assert levels == [2, 2, 2]
+        assert flagged == [{0, 4}, {0}, {2}]
+    else:
+        assert levels == [3, 2, 3]
+        assert flagged == [{0}, {0}, {0}]
+
+
+def test_pass_with_a_window_outside_the_support():
+    # a window whose every point has empty admissible regions, between
+    # live ones: exact zero breakdowns, and the live windows' bits
+    first, last = (make_params(EPS, RHO, k, grid=SMALL_GRID) for k in (1, 2))
+    windows = [
+        (first, sample_lattice(first.samp_box)[1]),
+        (first, np.array([(7.0 * first.lam, 0.0, 0.0), (-first.lam, 0.0, 0.0)])),
+        (last, sample_lattice(last.samp_box)[1]),
+    ]
+    together = amplitudes._lattice_pass(windows)
+    assert [len(hats) for hats in together] == [27, 2, 27]
+    assert all(b.total == 0.0 and b.nonresonant_envelope == 0.0 for b in together[1])
+    assert repr(together) == repr([lattice_hats(p, xis) for p, xis in windows])
 
 
 @pytest.mark.parametrize("mode", ["slab", "surface"])
@@ -393,12 +560,12 @@ def test_shared_grids_equal_one_term_runs_where_pair_terms_settle_apart(
     xis = axis2_edge_points(p)
     kerns = kernels(p)
     served = record_grid_rows(monkeypatch)
-    shared = _term_integrals(p, xis, kerns)
+    shared = _term_integrals([(p, xis, kerns)])
     assert len(served[0]) == 2 * len(xis)
     levels, alone_flags = [], []
     for i, kern in enumerate(kerns):
         served.clear()
-        tot, res, env, flags = _term_integrals(p, xis, (kern,))
+        tot, res, env, flags = _term_integrals([(p, xis, (kern,))])
         for got, want in zip(shared[:3], (tot, res, env)):
             assert got[i].tobytes() == want[0].tobytes()
         alone_flags.append([bool(f) for f in flags])
@@ -439,18 +606,13 @@ def test_backend_paths_agree(monkeypatch):
     region = one_region(xi, kern.support_a, kern.support_b)
     grid = quadrature_grid(region, (6, 5, 4))
     thr = p.resonance_threshold
-    tot_py, res_py, env_py = _kernels._term_sums_loop(
-        grid.points, grid.weights, xi, p.t, kern.code, thr
-    )
+    want = [part[0] for part in mp_term_sums(grid.points, grid.weights, xi, p.t, [kern.code], thr)]
+    assert np.any(want[1] != 0.0) and np.any(want[2] != 0.0)  # both kinds of node
     # one block, then 18 blocks of 7 nodes with a partial last one
     for block in (_kernels.TERM_SUMS_BLOCK, 7):
         monkeypatch.setattr(_kernels, "TERM_SUMS_BLOCK", block)
         sums = _kernels.term_sums(grid.points, grid.weights, xi[None, :], p.t, [[kern.code]], thr)
-        tot_np, res_np, env_np = (part[0, 0] for part in sums)
-        scale = np.abs(tot_np).max()
-        assert np.abs(tot_np - tot_py).max() <= 1e-12 * scale
-        assert np.abs(res_np - res_py).max() <= 1e-12 * scale
-        assert np.abs(env_np - env_py).max() <= 1e-12 * env_np.max()
+        assert_near_oracle([part[0, 0] for part in sums], want)
 
 
 @pytest.mark.parametrize("counts", [(6, 5, 4), (3, 1, 1), (2, 1, 1)])
@@ -471,13 +633,8 @@ def test_several_points_per_call_agree_with_scalar_reference(monkeypatch, counts
     )
     assert tot.shape == res.shape == env.shape == (4, 1, 8)
     for j, xi in enumerate(xis):
-        tot_py, res_py, env_py = _kernels._term_sums_loop(
-            nodes[j], weights[j], xi, p.t, kern.code, thr
-        )
-        scale = np.abs(tot[j, 0]).max()
-        assert np.abs(tot[j, 0] - tot_py).max() <= 1e-12 * scale
-        assert np.abs(res[j, 0] - res_py).max() <= 1e-12 * scale
-        assert np.abs(env[j, 0] - env_py).max() <= 1e-12 * env[j, 0].max()
+        want = mp_term_sums(nodes[j], weights[j], xi, p.t, [kern.code], thr)
+        assert_near_oracle([part[j, 0] for part in (tot, res, env)], [part[0] for part in want])
 
 
 @pytest.mark.parametrize("counts", [(6, 5, 4), (3, 1, 1)])
@@ -505,15 +662,14 @@ def test_mixed_terms_per_call_agree_with_scalar_reference(monkeypatch, mode, cou
         nodes.reshape(-1, 3), weights.reshape(-1), grid_xis, p.t, codes, p.resonance_threshold
     )
     assert tot.shape == res.shape == env.shape == (4, 2, 8)
-    for (grid, term), code in np.ndenumerate(codes):
-        tot_py, res_py, env_py = _kernels._term_sums_loop(
-            nodes[grid], weights[grid], grid_xis[grid], p.t, code, p.resonance_threshold
+    for grid, row in enumerate(codes):
+        want = mp_term_sums(
+            nodes[grid], weights[grid], grid_xis[grid], p.t, row, p.resonance_threshold
         )
-        at = (grid, term)
-        scale = np.abs(tot[at]).max()
-        assert np.abs(tot[at] - tot_py).max() <= 1e-12 * scale
-        assert np.abs(res[at] - res_py).max() <= 1e-12 * scale
-        assert np.abs(env[at] - env_py).max() <= 1e-12 * env[at].max()
+        for term in range(len(row)):
+            assert_near_oracle(
+                [part[grid, term] for part in (tot, res, env)], [part[term] for part in want]
+            )
 
 
 def test_several_points_per_call_memory_is_bounded():

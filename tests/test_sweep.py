@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from knappflow import sweep
+from knappflow import _kernels
+from knappflow.amplitudes import lattice_hats, sample_lattice
 from knappflow.errors import FitDataError, InvalidParameterError
 from knappflow.sweep import (
     CSV_COLUMNS,
@@ -146,11 +147,33 @@ def test_sweep_validation():
 
 def test_sweep_needs_three_distinct_windows_before_integrating(monkeypatch):
     integrated = []
-    monkeypatch.setattr(sweep, "lattice_hats", lambda p, pts: integrated.append(p.k))
+    monkeypatch.setattr(_kernels, "term_sums", lambda *args: integrated.append(len(args[0])))
     for ks in ([2, 2, 2], [1, 2, 2.0, np.int64(1)]):
         with pytest.raises(InvalidParameterError, match="3 distinct window indices"):
             run_sweep(EPS, RHO, 0.5, -0.25, ks, grid=SMALL_GRID)
     assert integrated == []
+
+
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_sweep_core_equals_lattice_hats_per_window(mode):
+    # one pass over 4 windows, a repeated one among them, gives each
+    # window's one-window breakdowns and flags bit for bit
+    cores = sweep_core(EPS, RHO, [3, 1, 7, 3], mode=mode, grid=SMALL_GRID)
+    assert [c.k for c in cores] == [3, 1, 7, 3]
+    for core in cores:
+        axes, pts = sample_lattice(core.params.samp_box)
+        assert all(np.array_equal(a, b) for a, b in zip(core.lattice_axes, axes))
+        assert repr(core.breakdowns) == repr(lattice_hats(core.params, pts))
+
+
+def test_sweep_core_with_an_empty_window_among_live_ones():
+    # rho=4.5e-4 admits k = 1..3 only
+    cores = sweep_core(EPS, 4.5e-4, [1, 4, 2, 3], grid=SMALL_GRID)
+    assert [c.k for c in cores] == [1, 4, 2, 3]
+    assert (cores[1].params, cores[1].lattice_axes, cores[1].breakdowns) == (None, (), ())
+    for core in cores[:1] + cores[2:]:
+        pts = sample_lattice(core.params.samp_box)[1]
+        assert repr(core.breakdowns) == repr(lattice_hats(core.params, pts))
 
 
 def test_fractional_window_index_is_rejected_not_truncated():
