@@ -140,7 +140,8 @@ def term_sums(pts, wq, xis, t, codes, res_thr):
     ``(tot, res, env)``, each of shape ``(P, C, 8)``: for each grid, term
     and sign triple (in ``SIGNS_ARRAY`` order) the full complex sum, the
     sum over resonant nodes (|omega| <= the grid's cut), and a pointwise
-    envelope ``min(t, 2/|omega|) * |weight|`` over the rest.
+    envelope ``min(t, 2/|omega|) * |weight|`` over the rest.  A cut
+    below 0 or nan raises ``ValueError``: it would divide by a zero omega.
 
     The nodes go in blocks of at most ``TERM_SUMS_BLOCK``: whole grids
     while a grid fits in a block, else consecutive slices of one grid.
@@ -164,6 +165,9 @@ def term_sums(pts, wq, xis, t, codes, res_thr):
     t, res_thr = (
         np.broadcast_to(np.asarray(v, dtype=float), (n_pts,))[:, None, None] for v in (t, res_thr)
     )
+    bad_cut = ~(res_thr >= 0.0)
+    if bad_cut.any():
+        raise ValueError(f"resonance cut must be >= 0, got {res_thr[bad_cut][0]}")
     per = len(pts) // n_pts
     eta = pts.reshape(n_pts, per, 3)
     wq = wq.reshape(n_pts, per)

@@ -36,7 +36,12 @@ distance about ``lam`` along axis 1 with transverse sides of order
 ``lam^1/2``, the transverse squares round away in ``1 + |xi|^2`` at
 every node; where a per-axis check shows this, ``<xi>^{2r}`` is taken
 once per axis-1 node instead of once per tensor node, with the same
-bits.
+bits.  A cell's weight, bracket and product tensors are each one
+contiguous operation on two vectors built once per norm (an axis-3
+vector tiled, an axis-1 x axis-2 product repeated), not an outer
+product whose inner loop runs over the few axis-3 nodes; a lone cell,
+with nothing to reuse, stays that outer product.  Every element is the
+same operation on the same operands, so the bits are unchanged.
 """
 
 from __future__ import annotations
@@ -296,49 +301,86 @@ def lambda_hat(
 # Norms
 # ---------------------------------------------------------------------------
 
-def _tensor(op: np.ufunc, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``op`` over three per-axis vectors on their tensor grid: ``(a op b) op c``."""
-    return op.outer(op.outer(a, b), c)
+def _cell_tensors(op: np.ufunc, a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """``(a[c1] op b[c2]) op c[c3]`` of every tensor cell, flat, in ``c1, c2, c3`` order.
+
+    ``a``, ``b`` and ``c`` hold each axis's per-cell vectors, shape
+    ``(cells, n)``.  Each axis-3 vector is tiled once and each ``(c1,
+    c2)`` outer product is repeated once, so a cell is one contiguous
+    ``op`` of two ``n1 * n2 * n3`` vectors.  Every cell is written into
+    one buffer, so a cell must be used before the next is taken.  A lone
+    cell (one per axis, as in a monomial norm) reuses nothing, so it is
+    the outer product ``op.outer(op.outer(a[0], b[0]), c[0])`` itself.
+    Each element is ``op`` of the same operands in the same order as in
+    that outer product, so the bits are the same either way.
+    """
+    if len(a) * len(b) * len(c) == 1:
+        yield op.outer(op.outer(a[0], b[0]), c[0]).reshape(-1)
+        return
+    n12 = a.shape[1] * b.shape[1]
+    tiles = [w[None, :].repeat(n12, axis=0).reshape(-1) for w in c]
+    out = np.empty(n12 * c.shape[1])
+    for u in a:
+        for v in b:
+            rep = op.outer(u, v).repeat(c.shape[1])
+            for tile in tiles:
+                yield op(rep, tile, out=out)
 
 
 def _transverse_rounds_away(sq1: np.ndarray, sq2: np.ndarray, sq3: np.ndarray) -> bool:
     """Whether ``1 + ((sq1 + sq2) + sq3)`` equals ``1 + sq1`` at every node.
 
     Float addition is monotone and squares are ``>= 0``, so if adding the
-    largest of ``sq2`` and the largest of ``sq3`` leaves every ``sq1``
-    unchanged, every smaller addend does too.
+    largest transverse square leaves every ``sq1`` unchanged, every
+    smaller addend does too.  ``np.maximum`` keeps a nan, which fails.
     """
-    return bool(np.all(sq1 + sq2.max() == sq1) and np.all(sq1 + sq3.max() == sq1))
+    return bool(np.all(sq1 + np.maximum(sq2.max(), sq3.max()) == sq1))
 
 
-def _cell_integral(axis_cells, r: float, integrand) -> float:
+def _raised(brackets, r: float):
+    """``(1 + b) ** r`` of each bracket sum ``b``, taken in place."""
+    for b in brackets:
+        b += 1.0
+        b **= r
+        yield b
+
+
+def _cell_integral(axis_cells, r: float, integrands) -> float:
     """``∫ <xi>^{2r} |F|^2`` over a tensor product of per-axis cells.
 
     ``axis_cells[i]`` is axis i's ``(nodes, weights)``, both of shape
-    ``(cells, n)``; ``integrand(c1, c2, c3)`` returns ``|F|^2`` at the
-    ``(n1, n2, n3)`` nodes of that cell.  Squared coordinates are formed
-    once per axis; each cell's weighted integrand is summed by one dot,
+    ``(cells, n)``; ``integrands`` yields ``|F|^2`` of each cell in
+    ``c1, c2, c3`` order, flat and contiguous as ``_cell_tensors`` gives
+    it.  Squared coordinates are formed once per axis, and every cell's
+    weights (and 3-D bracket) come from ``_cell_tensors``.  Each cell's
+    weighted integrand is summed by one dot of two contiguous vectors,
     and the cells are added in ``c1, c2, c3`` order.  Every Sobolev norm
     of the package is this integral.
 
     Where every transverse square rounds away against every axis-1
     square (``_transverse_rounds_away``), the bracket is ``1 + sq1`` bit
     for bit, so ``<xi>^{2r}`` is one array power per axis-1 node,
-    broadcast over each cell; every norm on the Knapp boxes is such a
+    repeated over each cell; every norm on the Knapp boxes is such a
     case.  Otherwise the 3-D bracket is formed and raised per cell.
     """
     (x1, w1), (x2, w2), (x3, w3) = axis_cells
     sq1, sq2, sq3 = x1 * x1, x2 * x2, x3 * x3
-    axial_pow = (1.0 + sq1) ** r if _transverse_rounds_away(sq1, sq2, sq3) else None
+    if _transverse_rounds_away(sq1, sq2, sq3):
+        # one power per axis-1 node, repeated over the n2 * n3 nodes that
+        # share it, built once per axis-1 cell for all of its (c2, c3) cells
+        n23 = x2.shape[1] * x3.shape[1]
+        brackets = (
+            rep
+            for pw in (1.0 + sq1) ** r
+            for rep in itertools.repeat(pw.repeat(n23), len(x2) * len(x3))
+        )
+    else:
+        brackets = _raised(_cell_tensors(np.add, sq1, sq2, sq3), r)
+    vals = np.empty(x1.shape[1] * x2.shape[1] * x3.shape[1])
     integral = 0.0
-    for c1, c2, c3 in itertools.product(range(len(x1)), range(len(x2)), range(len(x3))):
-        if axial_pow is None:
-            bracket_pow = (1.0 + _tensor(np.add, sq1[c1], sq2[c2], sq3[c3])) ** r
-        else:
-            bracket_pow = axial_pow[c1][:, None, None]
-        weights = _tensor(np.multiply, w1[c1], w2[c2], w3[c3])
-        vals = bracket_pow * integrand(c1, c2, c3)
-        integral += float(weights.ravel() @ vals.ravel())
+    cells = zip(_cell_tensors(np.multiply, w1, w2, w3), brackets, integrands, strict=True)
+    for weights, bracket_pow, f_sq in cells:
+        integral += float(weights @ np.multiply(bracket_pow, f_sq, out=vals))
     return integral
 
 
@@ -364,9 +406,9 @@ def sobolev_norms_monomials(
     ]
     norms = []
     for monomial in monomials:
-        g = [x[0] ** int(m) for (x, _), m in zip(axis_cells, monomial)]
-        f_sq = _tensor(np.multiply, *g) ** 2
-        integral = _cell_integral(axis_cells, r, lambda *cell: f_sq)
+        g = [x ** int(m) for (x, _), m in zip(axis_cells, monomial)]
+        f_sq = next(_cell_tensors(np.multiply, *g)) ** 2
+        integral = _cell_integral(axis_cells, r, [f_sq])
         norms.append(math.sqrt(integral / TWO_PI_CUBED))
     return norms
 
@@ -427,7 +469,7 @@ def product_norm_boxes(
     over the cells between the per-axis kink points of the convolution.
     Nodes, weights and convolution factors are computed once per axis for
     all of its cells; each cell's ``|F|^2`` is the tensor product of its
-    factors.
+    factors from ``_cell_tensors``, divided and squared in place.
     """
     counts = _node_counts(nodes_per_axis)
     axis_cells, factors = [], []
@@ -439,11 +481,13 @@ def product_norm_boxes(
         axis_cells.append((x, w))
         factors.append(_conv_factor(x, a, b, i))
 
-    def conv_sq(*cell):
-        conv = _tensor(np.multiply, *(f[c] for f, c in zip(factors, cell)))
-        return (conv / TWO_PI_CUBED) ** 2
+    def conv_sq():
+        for conv in _cell_tensors(np.multiply, *factors):
+            conv /= TWO_PI_CUBED
+            conv **= 2
+            yield conv
 
-    return math.sqrt(_cell_integral(axis_cells, r, conv_sq) / TWO_PI_CUBED)
+    return math.sqrt(_cell_integral(axis_cells, r, conv_sq()) / TWO_PI_CUBED)
 
 
 def product_norm(p: KnappParams, r: float) -> float:
@@ -525,5 +569,7 @@ def output_norm_from_samples(
         axis_cells.append((x, w))
         ys.append((x - lo[:, None]) / (hi - lo)[:, None])
     interp = _trilinear(amps.reshape(shape), ys)
-    integral = _cell_integral(axis_cells, s, lambda *cell: interp[cell] ** 2)
+    # one row per cell, in c1, c2, c3 order
+    f_sq = interp.reshape(math.prod(interp.shape[:3]), -1) ** 2
+    integral = _cell_integral(axis_cells, s, f_sq)
     return math.sqrt(integral / TWO_PI_CUBED)

@@ -275,6 +275,13 @@ def smoothness_verdict(
         )
     f_out = fit_exponent([(r.lam, r.output_norm) for r in usable])
     f_tot = fit_exponent([(r.lam, r.norms.norm_total) for r in usable])
+    return _verdict(s_exp, r_exp, records, f_out, f_tot)
+
+
+def _verdict(
+    s_exp: float, r_exp: float, records: list[SweepRecord], f_out: FitResult, f_tot: FitResult
+) -> Verdict:
+    """The verdict from the fits of ``output_norm`` and ``norm_total``."""
     measured = f_out.slope - 2.0 * f_tot.slope
     analytic = s_exp - 1.0 - 2.0 * r_exp
     notes = []
@@ -352,9 +359,13 @@ def build_report(
     r_exp: float,
     params: dict,
 ) -> dict:
-    """JSON-ready sweep report: params, records, fits, verdict."""
+    """JSON-ready sweep report: params, records, fits, verdict.
+
+    The verdict is ``smoothness_verdict``'s, from the report's own fits
+    of the same records, so each series is fitted once.
+    """
     fits = standard_fits(records)
-    verdict = smoothness_verdict(s_exp, r_exp, records)
+    verdict = _verdict(s_exp, r_exp, records, fits["output_norm"], fits["norm_total"])
     return {
         "schema": 1,
         "params": params,

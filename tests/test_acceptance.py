@@ -8,6 +8,8 @@ so the suite pays for them once per mode.
 
 from dataclasses import replace
 
+import pytest
+
 from knappflow import acceptance, boxes
 from knappflow.construction import make_params
 
@@ -26,7 +28,21 @@ def test_criterion_02_curl_identity():
 
 
 def test_criterion_03_quadrature_closed_forms():
-    _check(acceptance.criterion_quadrature_closed_forms())
+    result = acceptance.criterion_quadrature_closed_forms()
+    _check(result)
+    assert "(tol 4.6e-13)" in result.detail and "(tol 3.6e-12)" in result.detail
+
+
+@pytest.mark.parametrize("grid, passed", [((2, 2, 2), False), ((3, 2, 2), True)])
+def test_criterion_03_fails_where_the_rule_is_not_exact(monkeypatch, grid, passed):
+    # 2 nodes integrate exactly only to degree 3, and the xi1 monomial at
+    # r = 1 has degree 4 along axis 1; 3 nodes along axis 1 are exact again,
+    # and so is every doubled grid
+    monkeypatch.setattr(acceptance, "DEFAULT_GRID", grid)
+    result = acceptance.criterion_quadrature_closed_forms()
+    assert result.passed == passed
+    if not passed:
+        assert result.detail.startswith("max relative error 3.683e-03 at default grids")
 
 
 def test_criterion_04_kernel_nonnegativity():

@@ -459,6 +459,22 @@ def test_per_grid_time_and_cut_equal_one_call_per_grid(monkeypatch, mode, counts
             assert got[j].tobytes() == want[0].tobytes()
 
 
+@pytest.mark.parametrize("cut", [-1.0, math.nan, [0.0, -1.0]])
+def test_negative_or_nan_cut_is_rejected(cut):
+    # a cut below 0 calls no node resonant, so a node with omega exactly 0
+    # would divide 2 / 0; the cut is rejected by its value instead
+    p = small_params()
+    xi = p.samp_box.center()
+    kern = kernels(p)[0]
+    grid = quadrature_grid(one_region(xi, kern.support_a, kern.support_b), (2, 1, 1))
+    n = np.size(cut)
+    with pytest.raises(ValueError, match=r"resonance cut must be >= 0, got (-1\.0|nan)"):
+        _kernels.term_sums(
+            np.tile(grid.points, (n, 1)), np.tile(grid.weights, n), np.tile(xi, (n, 1)),
+            p.t, [[kern.code]] * n, cut,
+        )
+
+
 @pytest.mark.parametrize("cap", [0, 1])
 def test_pass_equals_one_window_at_a_time_where_windows_settle_apart(monkeypatch, cap):
     # three windows of one pass on the wide boxes and the (4,2,2) grid of
@@ -896,6 +912,89 @@ def test_monomial_norm_of_zero_length_axis_is_zero():
         assert monomial_norm_reference(flat, m, 12.0) == 0.0
     with pytest.raises(InvalidParameterError):
         sobolev_norm_monomial(flat, (1, 0, 0), 0.0, (8, 0, 4))
+
+
+def outer_tensor(op, a, b, c):
+    """``(a op b) op c`` of three vectors on their tensor grid, as an outer product."""
+    return op.outer(op.outer(a, b), c)
+
+
+@pytest.mark.parametrize("op", [np.multiply, np.add])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        ((3, 5), (2, 4), (4, 3)),
+        ((2, 7), (1, 1), (3, 6)),
+        ((1, 4), (3, 2), (2, 1)),
+        ((1, 6), (1, 5), (1, 1)),
+    ],
+)
+def test_cell_tensors_equal_outer_products_byte_for_byte(op, shape):
+    # uneven cell counts, a 1-node (surface) axis in each position, and a
+    # lone cell; values spread over 7 decades, with signed zeros
+    rng = np.random.default_rng(sum(n * m for n, m in shape))
+    a, b, c = (rng.standard_normal(s) * 10.0 ** rng.integers(-3, 4, s) for s in shape)
+    a[0, 0], c[-1, -1] = -0.0, 0.0
+    got = [cell.tobytes() for cell in amplitudes._cell_tensors(op, a, b, c)]
+    want = [outer_tensor(op, u, v, w).tobytes() for u in a for v in b for w in c]
+    assert got == want
+
+
+def outer_cell_integral(axis_cells, r, integrand):
+    """``_cell_integral`` with the 3-D bracket, cell by cell from outer
+    products: ``integrand(c1, c2, c3)`` gives the cell's ``(n1, n2, n3)``
+    values of ``|F|^2``."""
+    (x1, w1), (x2, w2), (x3, w3) = axis_cells
+    sq1, sq2, sq3 = x1 * x1, x2 * x2, x3 * x3
+    integral = 0.0
+    for c1, c2, c3 in itertools.product(range(len(x1)), range(len(x2)), range(len(x3))):
+        bracket_pow = (1.0 + outer_tensor(np.add, sq1[c1], sq2[c2], sq3[c3])) ** r
+        weights = outer_tensor(np.multiply, w1[c1], w2[c2], w3[c3])
+        vals = bracket_pow * integrand(c1, c2, c3)
+        integral += float(weights.ravel() @ vals.ravel())
+    return integral
+
+
+def outer_monomial_norm(b, monomial, r, nodes_per_axis):
+    """``sobolev_norm_monomial`` on a volume box through ``outer_cell_integral``."""
+    axis_cells = [
+        gauss_legendre_cells([lo], [hi], n) for (lo, hi), n in zip(b.axes, nodes_per_axis)
+    ]
+    f_sq = outer_tensor(np.multiply, *(x[0] ** m for (x, _), m in zip(axis_cells, monomial))) ** 2
+    return math.sqrt(outer_cell_integral(axis_cells, r, lambda *cell: f_sq) / TWO_PI_CUBED)
+
+
+def outer_product_norm(a, b, r, nodes_per_axis):
+    """``product_norm_boxes`` of two volume boxes through ``outer_cell_integral``."""
+    axis_cells, factors = [], []
+    for i, n in enumerate(nodes_per_axis):
+        cuts = _axis_breakpoints(a.axes[i], b.axes[i])
+        x, w = gauss_legendre_cells(cuts[:-1], cuts[1:], n)
+        axis_cells.append((x, w))
+        factors.append(_conv_factor(x, a, b, i))
+
+    def conv_sq(*cell):
+        conv = outer_tensor(np.multiply, *(f[c] for f, c in zip(factors, cell)))
+        return (conv / TWO_PI_CUBED) ** 2
+
+    return math.sqrt(outer_cell_integral(axis_cells, r, conv_sq) / TWO_PI_CUBED)
+
+
+def test_three_d_bracket_keeps_the_outer_product_bits(monkeypatch):
+    # criterion 3's unit-cube r = 1 monomial norm and tent product norm,
+    # and a seeded pair of boxes at a steep weight, on the default grid:
+    # all take the 3-D bracket, each cell built by _cell_tensors
+    taken = log_fast_path(monkeypatch)
+    cube = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.0, 1.0))
+    rng = np.random.default_rng(2024)
+    a, b = random_box(rng), random_box(rng)
+    monomials = [(cube, (1, 0, 0), 1.0), (a, (0, 1, 0), 17.5)]
+    products = [(cube, cube, 0.0), (cube, cube, 1.0), (a, b, 17.5)]
+    for args in monomials:
+        assert sobolev_norm_monomial(*args) == outer_monomial_norm(*args, DEFAULT_GRID)
+    for args in products:
+        assert product_norm_boxes(*args) == outer_product_norm(*args, DEFAULT_GRID)
+    assert taken == [False] * (len(monomials) + len(products))
 
 
 def test_product_norm_working_set_is_one_cell():

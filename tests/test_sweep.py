@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from knappflow import _kernels
+from knappflow import _kernels, sweep
 from knappflow.amplitudes import lattice_hats, sample_lattice
 from knappflow.errors import FitDataError, InvalidParameterError
 from knappflow.sweep import (
@@ -220,6 +220,27 @@ def test_verdict_notes_list_exclusions(partial_records):
 def test_verdict_needs_three_usable(records):
     with pytest.raises(FitDataError, match="3 unflagged"):
         smoothness_verdict(0.5, -0.25, records[:2])
+
+
+@pytest.mark.parametrize("which", ["records", "partial_records"])
+def test_report_fits_each_series_once(monkeypatch, request, which):
+    # the report's verdict reads the report's own fits of output_norm and
+    # norm_total: 3 fits, and the verdict smoothness_verdict gives
+    recs = request.getfixturevalue(which)
+    want = smoothness_verdict(0.5, -0.25, recs)
+    fits = []
+    fit_exponent = sweep.fit_exponent
+    monkeypatch.setattr(sweep, "fit_exponent", lambda pts: fits.append(pts) or fit_exponent(pts))
+    report = build_report(recs, 0.5, -0.25, params={})
+    assert len(fits) == 3
+    assert report["verdict"] == {
+        "s": want.s_exp,
+        "r": want.r_exp,
+        "measured_ratio_exponent": want.measured_ratio_exponent,
+        "analytic_ratio_exponent": want.analytic_ratio_exponent,
+        "smooth_bound_fails": want.smooth_bound_fails,
+        "notes": list(want.notes),
+    }
 
 
 def test_csv_shape_and_determinism(records, partial_records, tmp_path):
