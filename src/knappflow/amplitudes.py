@@ -36,12 +36,12 @@ distance about ``lam`` along axis 1 with transverse sides of order
 ``lam^1/2``, the transverse squares round away in ``1 + |xi|^2`` at
 every node; where a per-axis check shows this, ``<xi>^{2r}`` is taken
 once per axis-1 node instead of once per tensor node, with the same
-bits.  A cell's weight, bracket and product tensors are each one
-contiguous operation on two vectors built once per norm (an axis-3
-vector tiled, an axis-1 x axis-2 product repeated), not an outer
-product whose inner loop runs over the few axis-3 nodes; a lone cell,
-with nothing to reuse, stays that outer product.  Every element is the
-same operation on the same operands, so the bits are unchanged.
+bits.  A cell's weight and integrand tensors (and a 3-D bracket) are
+each one contiguous operation on two vectors built once per norm (an
+axis-3 vector tiled, an axis-1 x axis-2 product repeated), not an
+outer product whose inner loop runs over the few axis-3 nodes.  Every
+element is the same operation on the same operands, so the bits are
+unchanged.
 """
 
 from __future__ import annotations
@@ -308,15 +308,11 @@ def _cell_tensors(op: np.ufunc, a: np.ndarray, b: np.ndarray, c: np.ndarray):
     ``(cells, n)``.  Each axis-3 vector is tiled once and each ``(c1,
     c2)`` outer product is repeated once, so a cell is one contiguous
     ``op`` of two ``n1 * n2 * n3`` vectors.  Every cell is written into
-    one buffer, so a cell must be used before the next is taken.  A lone
-    cell (one per axis, as in a monomial norm) reuses nothing, so it is
-    the outer product ``op.outer(op.outer(a[0], b[0]), c[0])`` itself.
-    Each element is ``op`` of the same operands in the same order as in
-    that outer product, so the bits are the same either way.
+    one buffer, so a cell must be used before the next is taken.  Each
+    element is ``op`` of the same operands in the same order as in the
+    outer product ``op.outer(op.outer(a[c1], b[c2]), c[c3])``, so the
+    bits are the same.
     """
-    if len(a) * len(b) * len(c) == 1:
-        yield op.outer(op.outer(a[0], b[0]), c[0]).reshape(-1)
-        return
     n12 = a.shape[1] * b.shape[1]
     tiles = [w[None, :].repeat(n12, axis=0).reshape(-1) for w in c]
     out = np.empty(n12 * c.shape[1])
@@ -331,18 +327,10 @@ def _transverse_rounds_away(sq1: np.ndarray, sq2: np.ndarray, sq3: np.ndarray) -
     """Whether ``1 + ((sq1 + sq2) + sq3)`` equals ``1 + sq1`` at every node.
 
     Float addition is monotone and squares are ``>= 0``, so if adding the
-    largest transverse square leaves every ``sq1`` unchanged, every
-    smaller addend does too.  ``np.maximum`` keeps a nan, which fails.
+    largest of ``sq2`` and the largest of ``sq3`` leaves every ``sq1``
+    unchanged, every smaller addend does too.
     """
-    return bool(np.all(sq1 + np.maximum(sq2.max(), sq3.max()) == sq1))
-
-
-def _raised(brackets, r: float):
-    """``(1 + b) ** r`` of each bracket sum ``b``, taken in place."""
-    for b in brackets:
-        b += 1.0
-        b **= r
-        yield b
+    return bool(np.all(sq1 + sq2.max() == sq1) and np.all(sq1 + sq3.max() == sq1))
 
 
 def _cell_integral(axis_cells, r: float, integrands) -> float:
@@ -352,35 +340,33 @@ def _cell_integral(axis_cells, r: float, integrands) -> float:
     ``(cells, n)``; ``integrands`` yields ``|F|^2`` of each cell in
     ``c1, c2, c3`` order, flat and contiguous as ``_cell_tensors`` gives
     it.  Squared coordinates are formed once per axis, and every cell's
-    weights (and 3-D bracket) come from ``_cell_tensors``.  Each cell's
-    weighted integrand is summed by one dot of two contiguous vectors,
-    and the cells are added in ``c1, c2, c3`` order.  Every Sobolev norm
-    of the package is this integral.
+    weights come from ``_cell_tensors``.  Each cell's weighted integrand
+    is summed by one dot of two contiguous vectors, and the cells are
+    added in ``c1, c2, c3`` order.  Every Sobolev norm of the package is
+    this integral.
 
     Where every transverse square rounds away against every axis-1
     square (``_transverse_rounds_away``), the bracket is ``1 + sq1`` bit
     for bit, so ``<xi>^{2r}`` is one array power per axis-1 node,
-    repeated over each cell; every norm on the Knapp boxes is such a
-    case.  Otherwise the 3-D bracket is formed and raised per cell.
+    broadcast over each cell; every norm on the Knapp boxes is such a
+    case.  Otherwise the 3-D bracket is formed by ``_cell_tensors`` and
+    raised per cell.
     """
     (x1, w1), (x2, w2), (x3, w3) = axis_cells
     sq1, sq2, sq3 = x1 * x1, x2 * x2, x3 * x3
+    n1 = x1.shape[1]
     if _transverse_rounds_away(sq1, sq2, sq3):
-        # one power per axis-1 node, repeated over the n2 * n3 nodes that
-        # share it, built once per axis-1 cell for all of its (c2, c3) cells
-        n23 = x2.shape[1] * x3.shape[1]
-        brackets = (
-            rep
-            for pw in (1.0 + sq1) ** r
-            for rep in itertools.repeat(pw.repeat(n23), len(x2) * len(x3))
-        )
+        # one power per axis-1 node, broadcast over the n2 * n3 nodes that
+        # share it: a column per cell, in c1, c2, c3 order
+        brackets = ((1.0 + sq1) ** r)[:, :, None].repeat(len(x2) * len(x3), axis=0)
     else:
-        brackets = _raised(_cell_tensors(np.add, sq1, sq2, sq3), r)
-    vals = np.empty(x1.shape[1] * x2.shape[1] * x3.shape[1])
+        brackets = (((1.0 + b) ** r).reshape(n1, -1) for b in _cell_tensors(np.add, sq1, sq2, sq3))
+    vals = np.empty((n1, x2.shape[1] * x3.shape[1]))
     integral = 0.0
     cells = zip(_cell_tensors(np.multiply, w1, w2, w3), brackets, integrands, strict=True)
     for weights, bracket_pow, f_sq in cells:
-        integral += float(weights @ np.multiply(bracket_pow, f_sq, out=vals))
+        np.multiply(bracket_pow, f_sq.reshape(n1, -1), out=vals)
+        integral += float(weights @ vals.reshape(-1))
     return integral
 
 
