@@ -30,17 +30,24 @@ All Sobolev norms use the convention
     ||u||_{H^r} = ( (2 pi)^-3 * ∫ <xi>^{2r} |u_hat(xi)|^2 d xi )^(1/2),
 
 and a product of physical-side data transforms to ``(2 pi)^-3`` times
-the convolution of the transforms.  Every norm is one ``_cell_integral``
-over per-axis Gauss-Legendre cells.  On the Knapp boxes, which lie at
-distance about ``lam`` along axis 1 with transverse sides of order
-``lam^1/2``, the transverse squares round away in ``1 + |xi|^2`` at
-every node; where a per-axis check shows this, ``<xi>^{2r}`` is taken
-once per axis-1 node instead of once per tensor node, with the same
-bits.  A cell's weight and integrand tensors (and a 3-D bracket) are
-each one contiguous operation on two vectors built once per norm (an
-axis-3 vector tiled, an axis-1 x axis-2 product repeated), not an
-outer product whose inner loop runs over the few axis-3 nodes.  Every
-element is the same operation on the same operands, so the bits are
+the convolution of the transforms.  Every norm integrates
+``<xi>^{2r} |F|^2`` over per-axis Gauss-Legendre cells.  On the Knapp
+boxes, which lie at distance about ``lam`` along axis 1 with transverse
+sides of order ``lam^1/2``, the transverse squares round away in
+``1 + |xi|^2`` at every node; where a per-axis check shows this for a
+box, ``<xi>^{2r}`` is taken once per axis-1 node instead of once per
+tensor node, with the same bits.  The product norm's large cells are
+integrated one at a time (``_cell_integral``): each cell's weight and
+integrand tensors (and a 3-D bracket) are one contiguous operation on
+two vectors built once per norm (an axis-3 vector tiled, an axis-1 x
+axis-2 product repeated), not an outer product whose inner loop runs
+over the few axis-3 nodes, and the axis-1 bracket is repeated to cell
+length once per axis-1 cell.  Small cells are integrated all at once
+(``_stacked_integrals``): the output norms of every window of a sweep
+in one pass, and the monomial norms of one box with one weight tensor
+and one bracket; the tensors are broadcast and every cell's dot is one
+row of a stacked matmul.  Every element is the same operation on the
+same operands, and every dot the same BLAS dot, so the bits are
 unchanged.
 """
 
@@ -323,50 +330,111 @@ def _cell_tensors(op: np.ufunc, a: np.ndarray, b: np.ndarray, c: np.ndarray):
                 yield op(rep, tile, out=out)
 
 
-def _transverse_rounds_away(sq1: np.ndarray, sq2: np.ndarray, sq3: np.ndarray) -> bool:
-    """Whether ``1 + ((sq1 + sq2) + sq3)`` equals ``1 + sq1`` at every node.
+def _outer_cells(op: np.ufunc, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``(a[c1] op b[c2]) op c[c3]`` of every tensor cell at once, by broadcasting.
 
-    Float addition is monotone and squares are ``>= 0``, so if adding the
-    largest of ``sq2`` and the largest of ``sq3`` leaves every ``sq1``
-    unchanged, every smaller addend does too.
+    ``a``, ``b`` and ``c`` have shape ``(..., cells, n)``, leading axes
+    stacking boxes; the result has shape ``(..., cells1, cells2, cells3,
+    n1, n2, n3)``.  Each element is the operation of ``_cell_tensors``
+    on the same operands, so the bits are the same; this form suits
+    small cells, where one call over every cell beats a loop over them.
     """
-    return bool(np.all(sq1 + sq2.max() == sq1) and np.all(sq1 + sq3.max() == sq1))
+    return op(
+        op(a[..., :, None, None, :, None, None], b[..., None, :, None, None, :, None]),
+        c[..., None, None, :, None, None, :],
+    )
+
+
+def _transverse_rounds_away(sq1: np.ndarray, sq2: np.ndarray, sq3: np.ndarray) -> np.ndarray:
+    """Per box, whether ``1 + ((sq1 + sq2) + sq3)`` equals ``1 + sq1`` at every node.
+
+    The squares have shape ``(..., cells, n)``, leading axes stacking
+    boxes; each box's axis-1 squares are checked against that box's own
+    transverse maxima only.  Float addition is monotone and squares are
+    ``>= 0``, so if adding the largest of ``sq2`` and the largest of
+    ``sq3`` leaves every ``sq1`` unchanged, every smaller addend does too.
+    """
+    kept = [sq1 + sq.max(axis=(-2, -1), keepdims=True) == sq1 for sq in (sq2, sq3)]
+    return (kept[0] & kept[1]).all(axis=(-2, -1))
+
+
+def _stacked_integrals(axis_cells, r: float, f_sq: np.ndarray) -> list[float]:
+    """``∫ <xi>^{2r} |F|^2`` over the tensor cells of a stack of boxes, all cells at once.
+
+    ``axis_cells[i]`` is axis i's ``(nodes, weights)``, both of shape
+    ``(boxes, cells_i, n_i)``.  ``f_sq`` holds ``|F|^2`` with shape
+    ``(N, cells1, cells2, cells3, n1, n2, n3)``: one integrand per box,
+    or with one box, N integrands on it.  It is multiplied by the
+    bracket in place.  Returns the N integrals.  Each box's weights and
+    bracket are built once for all of its cells and integrands, each
+    cell is summed by one dot of two contiguous vectors (one stacked
+    matmul for all of them, the same bits as one dot each) and the cells
+    are added in ``c1, c2, c3`` order, as ``_cell_integral`` does.
+
+    Per box, where the transverse squares round away
+    (``_transverse_rounds_away``), ``<xi>^{2r}`` is one array power per
+    axis-1 node, broadcast; otherwise the 3-D bracket is raised node by
+    node.
+    """
+    (x1, w1), (x2, w2), (x3, w3) = axis_cells
+    sq1, sq2, sq3 = x1 * x1, x2 * x2, x3 * x3
+    weights = _outer_cells(np.multiply, w1, w2, w3)
+    bracket = ((1.0 + sq1) ** r)[:, :, None, None, :, None, None]
+    slow = np.logical_not(_transverse_rounds_away(sq1, sq2, sq3))
+    if slow.any():
+        slow = np.broadcast_to(slow, len(x1))
+        bracket = np.broadcast_to(bracket, weights.shape).copy()
+        bracket[slow] = (1.0 + _outer_cells(np.add, sq1[slow], sq2[slow], sq3[slow])) ** r
+    f_sq *= bracket
+    cells, n = math.prod(weights.shape[1:4]), math.prod(weights.shape[4:])
+    dots = weights.reshape(-1, cells, 1, n) @ f_sq.reshape(-1, cells, n, 1)
+    integrals = []
+    for row in dots.reshape(-1, cells).tolist():
+        integral = 0.0
+        for dot in row:
+            integral += dot
+        integrals.append(integral)
+    return integrals
 
 
 def _cell_integral(axis_cells, r: float, integrands) -> float:
-    """``∫ <xi>^{2r} |F|^2`` over a tensor product of per-axis cells.
+    """``∫ <xi>^{2r} |F|^2`` over a tensor product of per-axis cells, one cell at a time.
 
     ``axis_cells[i]`` is axis i's ``(nodes, weights)``, both of shape
     ``(cells, n)``; ``integrands`` yields ``|F|^2`` of each cell in
     ``c1, c2, c3`` order, flat and contiguous as ``_cell_tensors`` gives
-    it.  Squared coordinates are formed once per axis, and every cell's
-    weights come from ``_cell_tensors``.  Each cell's weighted integrand
+    it, and each is multiplied by the bracket in place.  Only one cell
+    is held at a time, so this is the form for large cells (the product
+    norm).  Every cell's weights come from ``_cell_tensors``; each cell
     is summed by one dot of two contiguous vectors, and the cells are
-    added in ``c1, c2, c3`` order.  Every Sobolev norm of the package is
-    this integral.
+    added in ``c1, c2, c3`` order.
 
-    Where every transverse square rounds away against every axis-1
-    square (``_transverse_rounds_away``), the bracket is ``1 + sq1`` bit
-    for bit, so ``<xi>^{2r}`` is one array power per axis-1 node,
-    broadcast over each cell; every norm on the Knapp boxes is such a
-    case.  Otherwise the 3-D bracket is formed by ``_cell_tensors`` and
-    raised per cell.
+    Where the transverse squares round away (``_transverse_rounds_away``),
+    the bracket is ``1 + sq1`` bit for bit, so ``<xi>^{2r}`` is one array
+    power per axis-1 node, repeated to cell length once per axis-1 cell
+    into one buffer; every norm on the Knapp boxes is such a case.
+    Otherwise the 3-D bracket is formed by ``_cell_tensors`` and raised
+    per cell.
     """
     (x1, w1), (x2, w2), (x3, w3) = axis_cells
     sq1, sq2, sq3 = x1 * x1, x2 * x2, x3 * x3
-    n1 = x1.shape[1]
     if _transverse_rounds_away(sq1, sq2, sq3):
-        # one power per axis-1 node, broadcast over the n2 * n3 nodes that
-        # share it: a column per cell, in c1, c2, c3 order
-        brackets = ((1.0 + sq1) ** r)[:, :, None].repeat(len(x2) * len(x3), axis=0)
+        per_row = len(x2) * len(x3)
+        bracket = np.empty((x1.shape[1], x2.shape[1] * x3.shape[1]))
+
+        def brackets():
+            for row in (1.0 + sq1) ** r:
+                np.copyto(bracket, row[:, None])
+                yield from itertools.repeat(bracket.reshape(-1), per_row)
+
+        brackets = brackets()
     else:
-        brackets = (((1.0 + b) ** r).reshape(n1, -1) for b in _cell_tensors(np.add, sq1, sq2, sq3))
-    vals = np.empty((n1, x2.shape[1] * x3.shape[1]))
+        brackets = ((1.0 + b) ** r for b in _cell_tensors(np.add, sq1, sq2, sq3))
     integral = 0.0
     cells = zip(_cell_tensors(np.multiply, w1, w2, w3), brackets, integrands, strict=True)
     for weights, bracket_pow, f_sq in cells:
-        np.multiply(bracket_pow, f_sq.reshape(n1, -1), out=vals)
-        integral += float(weights @ vals.reshape(-1))
+        f_sq *= bracket_pow
+        integral += float(weights @ f_sq)
     return integral
 
 
@@ -376,10 +444,11 @@ def sobolev_norms_monomials(
     r: float,
     nodes_per_axis: tuple[int, int, int] = DEFAULT_GRID,
 ) -> list[float]:
-    """``sobolev_norm_monomial`` for several monomials on one box.
+    """``sobolev_norm_monomial`` for several monomials on one box, in one pass.
 
     The box is one cell per axis; a surface axis is its single point
-    with weight 1.  The nodes are built once for all of the monomials.
+    with weight 1.  The nodes, the weight tensor, the transverse check
+    and ``<xi>^{2r}`` are built once for all of the monomials.
     """
     powers = [m for monomial in monomials for m in monomial]
     if not all(float(m).is_integer() and m >= 0 for m in powers):
@@ -387,16 +456,15 @@ def sobolev_norms_monomials(
     counts = _node_counts(nodes_per_axis)
     if b.has_null_axis:
         return [0.0] * len(monomials)
+    # one box of one cell per axis: shape (1, 1, n) per axis
     axis_cells = [
-        axis_rule([lo], [hi], counts[i], i == b.surface_axis) for i, (lo, hi) in enumerate(b.axes)
+        axis_rule([[lo]], [[hi]], counts[i], i == b.surface_axis)
+        for i, (lo, hi) in enumerate(b.axes)
     ]
-    norms = []
-    for monomial in monomials:
-        g = [x ** int(m) for (x, _), m in zip(axis_cells, monomial)]
-        f_sq = next(_cell_tensors(np.multiply, *g)) ** 2
-        integral = _cell_integral(axis_cells, r, [f_sq])
-        norms.append(math.sqrt(integral / TWO_PI_CUBED))
-    return norms
+    # each monomial as a box of its own for _outer_cells: (monomials, 1, n) per axis
+    g = [np.concatenate([x ** int(m[i]) for m in monomials]) for i, (x, _) in enumerate(axis_cells)]
+    f_sq = _outer_cells(np.multiply, *g) ** 2
+    return [math.sqrt(v / TWO_PI_CUBED) for v in _stacked_integrals(axis_cells, r, f_sq)]
 
 
 def sobolev_norm_monomial(
@@ -514,25 +582,53 @@ def sample_lattice(b: Box3) -> tuple[list[np.ndarray], np.ndarray]:
 def _trilinear(vals: np.ndarray, ys: list[np.ndarray]) -> np.ndarray:
     """Trilinear interpolant of lattice values at tensor nodes in every cell.
 
-    ``vals`` has shape ``(n1, n2, n3)``; ``ys[i]`` has shape
-    ``(n_i - 1, m_i)`` and holds each cell's node positions along axis i,
-    normalised to [0, 1] within the cell.  Returns shape
-    ``(n1-1, n2-1, n3-1, m1, m2, m3)``: cell indices, then nodes.  The
-    per-element operation order is that of scipy's linear
-    ``RegularGridInterpolator``, so the two agree bit for bit.
+    ``vals`` has shape ``(..., n1, n2, n3)``; ``ys[i]`` has shape
+    ``(..., n_i - 1, m_i)`` and holds each cell's node positions along
+    axis i, normalised to [0, 1] within the cell; leading axes stack
+    lattices.  Returns shape ``(..., n1-1, n2-1, n3-1, m1, m2, m3)``:
+    cell indices, then nodes.  The per-element operation order is that
+    of scipy's linear ``RegularGridInterpolator``, so the two agree bit
+    for bit.
     """
-    cells = tuple(len(y) for y in ys)
-    factors = []
-    for axis, y in enumerate(ys):
-        shape = [1] * 6
-        shape[axis], shape[3 + axis] = y.shape
-        factors.append((np.reshape(1 - y, shape), np.reshape(y, shape)))
-    out = np.zeros(cells + tuple(y.shape[1] for y in ys))
+    cells = tuple(y.shape[-2] for y in ys)
+    hats = [(1 - y, y) for y in ys]
+    out = np.zeros(vals.shape[:-3] + cells + tuple(y.shape[-1] for y in ys))
     for corner in itertools.product((0, 1), repeat=3):
-        w = (factors[0][corner[0]] * factors[1][corner[1]]) * factors[2][corner[2]]
-        at_corner = vals[tuple(slice(c, c + n) for c, n in zip(corner, cells))]
+        w = _outer_cells(np.multiply, *(h[c] for h, c in zip(hats, corner)))
+        at_corner = vals[(..., *(slice(c, c + n) for c, n in zip(corner, cells)))]
         out = out + at_corner[..., None, None, None] * w
     return out
+
+
+def _output_norms(s: float, windows) -> list[float]:
+    """``output_norm_from_samples`` of every ``(lattice_axes, amps)`` window, in one pass.
+
+    The lattices must share one shape.  One ``_trilinear`` call covers
+    every cell of every window and ``_stacked_integrals`` integrates
+    them all; every norm equals the one-window call's bit for bit.
+    """
+    if not windows:
+        return []
+    shape = tuple(len(ax) for ax in windows[0][0])
+    for axes, amps in windows:
+        if tuple(len(ax) for ax in axes) != shape:
+            raise InvalidParameterError(
+                f"lattices of one pass must share a shape: {shape} and {tuple(map(len, axes))}"
+            )
+        if np.size(amps) != math.prod(shape):
+            raise InvalidParameterError(
+                f"a {shape} lattice needs {math.prod(shape)} amplitudes, got {np.size(amps)}"
+            )
+    axis_cells, ys = [], []
+    for i in range(3):
+        ax = np.array([axes[i] for axes, _ in windows], dtype=float)
+        lo, hi = ax[:, :-1], ax[:, 1:]
+        x, w = gauss_legendre_cells(lo, hi, 6)
+        axis_cells.append((x, w))
+        ys.append((x - lo[..., None]) / (hi - lo)[..., None])
+    vals = np.array([np.reshape(amps, shape) for _, amps in windows], dtype=float)
+    integrals = _stacked_integrals(axis_cells, s, _trilinear(vals, ys) ** 2)
+    return [math.sqrt(v / TWO_PI_CUBED) for v in integrals]
 
 
 def output_norm_from_samples(
@@ -545,17 +641,7 @@ def output_norm_from_samples(
     Interpolates |amplitude| trilinearly within each lattice cell and
     integrates ``(2 pi)^-3 <xi>^{2s} |amp|^2`` over the sampling box by
     per-cell Gauss-Legendre (the interpolant is smooth within cells).
-    Nodes and weights are built per axis for all cells.
+    ``amps`` holds one value per lattice point, in C order.  This is the
+    one-window case of the pass a sweep makes over all of its windows.
     """
-    shape = tuple(len(ax) for ax in lattice_axes)
-    axis_cells, ys = [], []
-    for ax in lattice_axes:
-        lo, hi = ax[:-1], ax[1:]
-        x, w = gauss_legendre_cells(lo, hi, 6)
-        axis_cells.append((x, w))
-        ys.append((x - lo[:, None]) / (hi - lo)[:, None])
-    interp = _trilinear(amps.reshape(shape), ys)
-    # one row per cell, in c1, c2, c3 order
-    f_sq = interp.reshape(math.prod(interp.shape[:3]), -1) ** 2
-    integral = _cell_integral(axis_cells, s, f_sq)
-    return math.sqrt(integral / TWO_PI_CUBED)
+    return _output_norms(s, [(lattice_axes, amps)])[0]

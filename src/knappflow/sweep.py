@@ -27,9 +27,10 @@ from .amplitudes import (
     AmplitudeBreakdown,
     NormReport,
     _lattice_pass,
+    _output_norms,
     lambda_hat,  # noqa: F401  (perfbench/ hooks this name; sweeps use _lattice_pass)
     norm_report,
-    output_norm_from_samples,
+    output_norm_from_samples,  # noqa: F401  (perfbench/ hooks this name; sweeps use _output_norms)
     sample_lattice,
 )
 from .construction import DEFAULT_GRID, KnappParams, make_params, window_index
@@ -141,7 +142,14 @@ def sweep_core(
 def records_from_core(
     cores: list[WindowSamples], s_exp: float, r_exp: float
 ) -> list[SweepRecord]:
-    """Derive sweep records for one (s, r) pair from cached lattices."""
+    """Derive sweep records for one (s, r) pair from cached lattices.
+
+    The output norms of all nonempty windows are taken in one pass.
+    """
+    live = [core for core in cores if core.params is not None]
+    amps = [np.array([abs(b.total) for b in core.breakdowns]) for core in live]
+    outs = _output_norms(s_exp, [(core.lattice_axes, a) for core, a in zip(live, amps)])
+    samples = iter(zip(amps, outs))
     records: list[SweepRecord] = []
     for core in cores:
         if core.params is None:
@@ -162,20 +170,19 @@ def records_from_core(
             )
             continue
         p = core.params
-        amps = np.array([abs(b.total) for b in core.breakdowns])
-        j = int(np.argmax(amps))
+        window_amps, out = next(samples)
+        j = int(np.argmax(window_amps))
         top = core.breakdowns[j]
         flags = list(dict.fromkeys(f for b in core.breakdowns for f in b.flags))
         if p.mode == "surface":
             flags.append("surface_norm_formal")
-        out = output_norm_from_samples(s_exp, list(core.lattice_axes), amps)
         norms = norm_report(p, r_exp)
         records.append(
             SweepRecord(
                 k=core.k,
                 lam=p.lam,
                 t=p.t,
-                sup_amp=float(amps[j]),
+                sup_amp=float(window_amps[j]),
                 res_amp=abs(top.resonant_sum),
                 nonres_amp=abs(top.nonresonant_sum),
                 nonres_envelope=top.nonresonant_envelope,

@@ -84,14 +84,16 @@ def record_grid_rows(monkeypatch) -> list[np.ndarray]:
 
 
 def log_fast_path(monkeypatch) -> list[bool]:
-    """Record, per ``_cell_integral`` call from now on, whether it takes
-    the one-power-per-axis-1-node path."""
+    """Record, per box of every norm integral from now on (per window of
+    a stacked output-norm pass), whether it takes the
+    one-power-per-axis-1-node path."""
     taken: list[bool] = []
     rounds_away = amplitudes._transverse_rounds_away
 
     def logging(*squares):
-        taken.append(rounds_away(*squares))
-        return taken[-1]
+        decided = rounds_away(*squares)
+        taken.extend(np.ravel(decided).tolist())
+        return decided
 
     monkeypatch.setattr(amplitudes, "_transverse_rounds_away", logging)
     return taken
@@ -901,8 +903,24 @@ def test_monomial_norm_at_steep_weight_equals_point_grid_reference(monkeypatch, 
     # multiplying the powers in one by one: equal to rounding
     got = sobolev_norm_monomial(b, (2, 1, 1), r, SMALL_GRID)
     assert got == pytest.approx(monomial_norm_reference(b, (2, 1, 1), r, SMALL_GRID))
-    # unit-scale boxes: the transverse squares count, so the 3-D bracket ran
-    assert taken == [False] * (2 * len(MONOMIALS) + 1)
+    # unit-scale boxes: the transverse squares count, so the 3-D bracket
+    # ran: once per single-monomial call and once for the shared pass
+    assert taken == [False] * (len(MONOMIALS) + 2)
+
+
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_monomial_pass_equals_one_monomial_calls(monkeypatch, mode):
+    # one pass per box builds the weights, the check and <xi>^{2r} once
+    # for every monomial: each norm is its own call's, bit for bit
+    taken = log_fast_path(monkeypatch)
+    for k in (1, 10):
+        p = make_params(EPS, RHO, k, mode=mode)
+        for box in (p.w2_box, p.neg_wprime_box):
+            for r in R_GRID:
+                want = [sobolev_norm_monomial(box, m, r, p.grid) for m in MONOMIALS]
+                assert sobolev_norms_monomials(box, MONOMIALS, r, p.grid) == want
+    # one decision per call: the single-monomial calls and the pass
+    assert taken == [True] * (2 * 2 * len(R_GRID) * (len(MONOMIALS) + 1))
 
 
 def test_monomial_norm_of_zero_length_axis_is_zero():
@@ -1261,6 +1279,80 @@ def test_output_norm_at_steep_weight_equals_per_cell_reference(monkeypatch, seed
     assert taken == [False]
 
 
+def sweep_windows(cores):
+    """Each window's ``(lattice_axes, amps)``, as ``records_from_core`` passes them."""
+    return [
+        (core.lattice_axes, np.array([abs(b.total) for b in core.breakdowns])) for core in cores
+    ]
+
+
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_output_norm_pass_equals_one_window_calls(monkeypatch, mode):
+    windows = sweep_windows(sweep_core(EPS, RHO, (1, 10), mode=mode))
+    taken = log_fast_path(monkeypatch)
+    for s in S_GRID + R_GRID:
+        want = [output_norm_from_samples(s, list(axes), amps) for axes, amps in windows]
+        assert amplitudes._output_norms(s, windows) == want
+    # both windows take the fast path, in their own calls and in the pass
+    assert taken == [True] * (4 * len(S_GRID + R_GRID))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_output_norm_pass_at_steep_weight_equals_one_window_calls(monkeypatch, seed):
+    # unit-scale lattices of one shape: the 3-D bracket runs in every
+    # window, and at a large s the last bit of each node's bracket shows
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(2, 6, 3)
+    windows = [
+        ([np.sort(rng.uniform(-5.0, 5.0, n)) for n in counts], rng.random(math.prod(counts)))
+        for _ in range(3)
+    ]
+    s = float(rng.uniform(30.0, 80.0))
+    taken = log_fast_path(monkeypatch)
+    want = [output_norm_from_samples(s, axes, amps) for axes, amps in windows]
+    assert amplitudes._output_norms(s, windows) == want
+    assert want == [output_norm_reference(s, axes, amps) for axes, amps in windows]
+    assert taken == [False] * 6
+
+
+def test_output_norm_pass_decides_the_bracket_per_window(monkeypatch):
+    # Knapp windows far apart in lam, with a unit-scale lattice between
+    # them: each window's axis-1 squares are checked against its own
+    # transverse squares only
+    cores = sweep_core(EPS, RHO, (1, 5, 10))
+    knapp = sweep_windows(cores)
+    unit_axes = [np.linspace(3.8, 6.2, 3), np.linspace(0.0, 1.0, 3), np.linspace(-0.1, 0.05, 3)]
+    unit = (unit_axes, np.random.default_rng(3).random(27))
+    windows = [knapp[0], knapp[1], unit, knapp[2]]
+    taken = log_fast_path(monkeypatch)
+    for s in S_GRID:
+        taken.clear()
+        got = amplitudes._output_norms(s, windows)
+        assert taken == [True, True, False, True]
+        assert got == [output_norm_from_samples(s, list(axes), amps) for axes, amps in windows]
+    # the windows' squares taken as one box, against one global maximum,
+    # would send all three Knapp windows to the 3-D bracket: the largest
+    # transverse square at k=10 (3.8e-5) is above half an ulp of the
+    # smallest axis-1 square at k=1 (1.5e-5)
+    squares = []
+    for i in range(3):
+        ax = np.array([core.lattice_axes[i] for core in cores])
+        x, _ = gauss_legendre_cells(ax[:, :-1], ax[:, 1:], 6)
+        squares.append(x * x)
+    assert amplitudes._transverse_rounds_away(*squares).tolist() == [True] * 3
+    assert not amplitudes._transverse_rounds_away(*(sq.reshape(1, -1, 6) for sq in squares))
+
+
+def test_output_norm_needs_one_amplitude_per_lattice_point():
+    axes, _ = sample_lattice(small_params().samp_box)
+    with pytest.raises(InvalidParameterError, match="needs 27 amplitudes, got 26"):
+        output_norm_from_samples(0.5, axes, np.ones(26))
+    good = (axes, np.ones(27))
+    for bad in [(axes, np.ones(28)), ([*axes[:2], axes[2][:2]], np.ones(18))]:
+        with pytest.raises(InvalidParameterError):
+            amplitudes._output_norms(0.5, [good, bad, good])
+
+
 def test_sample_lattice_shape():
     p = small_params()
     axes, pts = sample_lattice(p.samp_box)
@@ -1370,8 +1462,9 @@ def test_every_sweep_norm_at_the_acceptance_geometry_takes_the_fast_path(monkeyp
     taken = log_fast_path(monkeypatch)
     for s, r in zip(S_GRID, R_GRID):
         records_from_core(cores, s, r)
-    # per window: the output norm, three monomial norms and the product norm
-    assert taken == [True] * (5 * 10 * len(S_GRID))
+    # per window: the output norm (one stacked pass decides each window on
+    # its own), the shared nd2/nd3 pass, nd1a2 and the product norm
+    assert taken == [True] * (4 * 10 * len(S_GRID))
 
 
 def sweep_norms(cores):
