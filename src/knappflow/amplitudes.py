@@ -37,12 +37,11 @@ sides of order ``lam^1/2``, the transverse squares round away in
 ``1 + |xi|^2`` at every node; where a per-axis check shows this for a
 box, ``<xi>^{2r}`` is taken once per axis-1 node instead of once per
 tensor node, with the same bits.  The product norm's large cells are
-integrated one at a time (``_cell_integral``): each cell's weight and
-integrand tensors (and a 3-D bracket) are one contiguous operation on
-two vectors built once per norm (an axis-3 vector tiled, an axis-1 x
-axis-2 product repeated), not an outer product whose inner loop runs
-over the few axis-3 nodes, and the axis-1 bracket is repeated to cell
-length once per axis-1 cell.  Small cells are integrated all at once
+integrated one at a time, in one loop (``product_norm_boxes``): each
+cell's weights and convolution are one contiguous multiply of two
+vectors built once per norm (an axis-3 vector tiled, an axis-1 x axis-2
+product repeated), not an outer product whose inner loop runs over the
+few axis-3 nodes.  Small cells are integrated all at once
 (``_stacked_integrals``): the output norms of every window of a sweep
 in one pass, and the monomial norms of one box with one weight tensor
 and one bracket; the tensors are broadcast and every cell's dot is one
@@ -308,36 +307,14 @@ def lambda_hat(
 # Norms
 # ---------------------------------------------------------------------------
 
-def _cell_tensors(op: np.ufunc, a: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """``(a[c1] op b[c2]) op c[c3]`` of every tensor cell, flat, in ``c1, c2, c3`` order.
-
-    ``a``, ``b`` and ``c`` hold each axis's per-cell vectors, shape
-    ``(cells, n)``.  Each axis-3 vector is tiled once and each ``(c1,
-    c2)`` outer product is repeated once, so a cell is one contiguous
-    ``op`` of two ``n1 * n2 * n3`` vectors.  Every cell is written into
-    one buffer, so a cell must be used before the next is taken.  Each
-    element is ``op`` of the same operands in the same order as in the
-    outer product ``op.outer(op.outer(a[c1], b[c2]), c[c3])``, so the
-    bits are the same.
-    """
-    n12 = a.shape[1] * b.shape[1]
-    tiles = [w[None, :].repeat(n12, axis=0).reshape(-1) for w in c]
-    out = np.empty(n12 * c.shape[1])
-    for u in a:
-        for v in b:
-            rep = op.outer(u, v).repeat(c.shape[1])
-            for tile in tiles:
-                yield op(rep, tile, out=out)
-
-
 def _outer_cells(op: np.ufunc, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """``(a[c1] op b[c2]) op c[c3]`` of every tensor cell at once, by broadcasting.
 
     ``a``, ``b`` and ``c`` have shape ``(..., cells, n)``, leading axes
     stacking boxes; the result has shape ``(..., cells1, cells2, cells3,
-    n1, n2, n3)``.  Each element is the operation of ``_cell_tensors``
-    on the same operands, so the bits are the same; this form suits
-    small cells, where one call over every cell beats a loop over them.
+    n1, n2, n3)``.  Each element is ``op`` of the same operands as in
+    ``product_norm_boxes``'s cell loop, so the bits are the same; this
+    form suits small cells, where one call over every cell beats a loop.
     """
     return op(
         op(a[..., :, None, None, :, None, None], b[..., None, :, None, None, :, None]),
@@ -369,7 +346,7 @@ def _stacked_integrals(axis_cells, r: float, f_sq: np.ndarray) -> list[float]:
     bracket are built once for all of its cells and integrands, each
     cell is summed by one dot of two contiguous vectors (one stacked
     matmul for all of them, the same bits as one dot each) and the cells
-    are added in ``c1, c2, c3`` order, as ``_cell_integral`` does.
+    are added in ``c1, c2, c3`` order, as in ``product_norm_boxes``.
 
     Per box, where the transverse squares round away
     (``_transverse_rounds_away``), ``<xi>^{2r}`` is one array power per
@@ -395,47 +372,6 @@ def _stacked_integrals(axis_cells, r: float, f_sq: np.ndarray) -> list[float]:
             integral += dot
         integrals.append(integral)
     return integrals
-
-
-def _cell_integral(axis_cells, r: float, integrands) -> float:
-    """``∫ <xi>^{2r} |F|^2`` over a tensor product of per-axis cells, one cell at a time.
-
-    ``axis_cells[i]`` is axis i's ``(nodes, weights)``, both of shape
-    ``(cells, n)``; ``integrands`` yields ``|F|^2`` of each cell in
-    ``c1, c2, c3`` order, flat and contiguous as ``_cell_tensors`` gives
-    it, and each is multiplied by the bracket in place.  Only one cell
-    is held at a time, so this is the form for large cells (the product
-    norm).  Every cell's weights come from ``_cell_tensors``; each cell
-    is summed by one dot of two contiguous vectors, and the cells are
-    added in ``c1, c2, c3`` order.
-
-    Where the transverse squares round away (``_transverse_rounds_away``),
-    the bracket is ``1 + sq1`` bit for bit, so ``<xi>^{2r}`` is one array
-    power per axis-1 node, repeated to cell length once per axis-1 cell
-    into one buffer; every norm on the Knapp boxes is such a case.
-    Otherwise the 3-D bracket is formed by ``_cell_tensors`` and raised
-    per cell.
-    """
-    (x1, w1), (x2, w2), (x3, w3) = axis_cells
-    sq1, sq2, sq3 = x1 * x1, x2 * x2, x3 * x3
-    if _transverse_rounds_away(sq1, sq2, sq3):
-        per_row = len(x2) * len(x3)
-        bracket = np.empty((x1.shape[1], x2.shape[1] * x3.shape[1]))
-
-        def brackets():
-            for row in (1.0 + sq1) ** r:
-                np.copyto(bracket, row[:, None])
-                yield from itertools.repeat(bracket.reshape(-1), per_row)
-
-        brackets = brackets()
-    else:
-        brackets = ((1.0 + b) ** r for b in _cell_tensors(np.add, sq1, sq2, sq3))
-    integral = 0.0
-    cells = zip(_cell_tensors(np.multiply, w1, w2, w3), brackets, integrands, strict=True)
-    for weights, bracket_pow, f_sq in cells:
-        f_sq *= bracket_pow
-        integral += float(weights @ f_sq)
-    return integral
 
 
 def sobolev_norms_monomials(
@@ -522,8 +458,15 @@ def product_norm_boxes(
     over the Minkowski-sum support is done by Gauss-Legendre composite
     over the cells between the per-axis kink points of the convolution.
     Nodes, weights and convolution factors are computed once per axis for
-    all of its cells; each cell's ``|F|^2`` is the tensor product of its
-    factors from ``_cell_tensors``, divided and squared in place.
+    all of its cells; the cells are integrated one at a time, in ``c1,
+    c2, c3`` order, each by one dot of two contiguous vectors.  A cell's
+    weights and convolution are each one multiply of an axis-1 x axis-2
+    outer product, repeated once per ``(c1, c2)``, by an axis-3 vector
+    tiled once per norm: the outer product's ``(u * v) * w``, bit for
+    bit, without a broadcast whose inner loop runs over few nodes.
+    Where the transverse squares round away (``_transverse_rounds_away``),
+    ``<xi>^{2r}`` is one array power per axis-1 node, repeated once per
+    axis-1 cell; otherwise the 3-D bracket is raised per cell.
     """
     counts = _node_counts(nodes_per_axis)
     axis_cells, factors = [], []
@@ -534,14 +477,35 @@ def product_norm_boxes(
         x, w = gauss_legendre_cells(cuts[:-1], cuts[1:], counts[i])
         axis_cells.append((x, w))
         factors.append(_conv_factor(x, a, b, i))
-
-    def conv_sq():
-        for conv in _cell_tensors(np.multiply, *factors):
-            conv /= TWO_PI_CUBED
-            conv **= 2
-            yield conv
-
-    return math.sqrt(_cell_integral(axis_cells, r, conv_sq()) / TWO_PI_CUBED)
+    (x1, w1), (x2, w2), (x3, w3) = axis_cells
+    f1, f2, f3 = factors
+    sq1, sq2, sq3 = x1 * x1, x2 * x2, x3 * x3
+    n12, n3 = x1.shape[1] * x2.shape[1], x3.shape[1]
+    fast = _transverse_rounds_away(sq1, sq2, sq3)
+    # row c3 of a tile is axis-3 cell c3's vector, repeated n12 times
+    w_tiles, f_tiles = (v[:, None, :].repeat(n12, axis=1).reshape(len(v), -1) for v in (w3, f3))
+    if fast:
+        pows = (1.0 + sq1) ** r
+    else:
+        sq_tiles = sq3[:, None, :].repeat(n12, axis=1).reshape(len(sq3), -1)
+    weights, conv = np.empty(n12 * n3), np.empty(n12 * n3)
+    integral = 0.0
+    for c1 in range(len(x1)):
+        if fast:
+            bracket = pows[c1].repeat(x2.shape[1] * n3)
+        for c2 in range(len(x2)):
+            w12 = np.multiply.outer(w1[c1], w2[c2]).repeat(n3)
+            f12 = np.multiply.outer(f1[c1], f2[c2]).repeat(n3)
+            if not fast:
+                sq12 = np.add.outer(sq1[c1], sq2[c2]).repeat(n3)
+            for c3 in range(len(x3)):
+                np.multiply(w12, w_tiles[c3], out=weights)
+                np.multiply(f12, f_tiles[c3], out=conv)
+                conv /= TWO_PI_CUBED
+                conv **= 2
+                conv *= bracket if fast else (1.0 + (sq12 + sq_tiles[c3])) ** r
+                integral += float(weights @ conv)
+    return math.sqrt(integral / TWO_PI_CUBED)
 
 
 def product_norm(p: KnappParams, r: float) -> float:

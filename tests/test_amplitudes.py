@@ -840,6 +840,10 @@ def random_box(rng, surface_axis=None):
     return Box3(*map(tuple, ends), surface_axis=surface_axis)
 
 
+# Beside SMALL_GRID, grids with a 1-node axis and uneven node counts.
+PRODUCT_GRIDS = (SMALL_GRID, (4, 1, 3), (1, 1, 1), (3, 5, 2))
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_product_norm_at_steep_weight_equals_per_cell_reference(monkeypatch, seed):
     # At a large r the few nodes of largest |xi| decide the sum, so a
@@ -849,19 +853,20 @@ def test_product_norm_at_steep_weight_equals_per_cell_reference(monkeypatch, see
     a = random_box(rng, surface_axis=2 if seed % 3 == 0 else None)
     b = random_box(rng, surface_axis=2 if seed % 3 == 1 else None)
     r = float(rng.uniform(8.0, 30.0))
-    got = product_norm_boxes(a, b, r, SMALL_GRID)
-    assert got == product_norm_reference(a, b, r, SMALL_GRID)
+    for grid in PRODUCT_GRIDS:
+        assert product_norm_boxes(a, b, r, grid) == product_norm_reference(a, b, r, grid)
     # unit-scale boxes: the transverse squares count, so the 3-D bracket ran
-    assert taken == [False]
+    assert taken == [False] * len(PRODUCT_GRIDS)
 
 
 def test_product_norm_of_separated_boxes_equals_per_cell_reference():
     # two volume boxes apart: the convolution still lives on the Minkowski sum
     a = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.0, 1.0))
     b = Box3(ax1=(5.0, 6.0), ax2=(5.5, 6.0), ax3=(5.0, 7.0))
-    got = product_norm_boxes(a, b, 0.3, SMALL_GRID)
-    assert got > 0.0
-    assert got == product_norm_reference(a, b, 0.3, SMALL_GRID)
+    for grid in PRODUCT_GRIDS:
+        got = product_norm_boxes(a, b, 0.3, grid)
+        assert got > 0.0
+        assert got == product_norm_reference(a, b, 0.3, grid)
     # two parallel sheets: the product carries no 2-D measure
     low = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.2, 0.2), surface_axis=2)
     high = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.5, 0.5), surface_axis=2)
@@ -937,29 +942,8 @@ def outer_tensor(op, a, b, c):
     return op.outer(op.outer(a, b), c)
 
 
-@pytest.mark.parametrize("op", [np.multiply, np.add])
-@pytest.mark.parametrize(
-    "shape",
-    [
-        ((3, 5), (2, 4), (4, 3)),
-        ((2, 7), (1, 1), (3, 6)),
-        ((1, 4), (3, 2), (2, 1)),
-        ((1, 6), (1, 5), (1, 1)),
-    ],
-)
-def test_cell_tensors_equal_outer_products_byte_for_byte(op, shape):
-    # uneven cell counts, a 1-node (surface) axis in each position, and a
-    # lone cell; values spread over 7 decades, with signed zeros
-    rng = np.random.default_rng(sum(n * m for n, m in shape))
-    a, b, c = (rng.standard_normal(s) * 10.0 ** rng.integers(-3, 4, s) for s in shape)
-    a[0, 0], c[-1, -1] = -0.0, 0.0
-    got = [cell.tobytes() for cell in amplitudes._cell_tensors(op, a, b, c)]
-    want = [outer_tensor(op, u, v, w).tobytes() for u in a for v in b for w in c]
-    assert got == want
-
-
 def outer_cell_integral(axis_cells, r, integrand):
-    """``_cell_integral`` with the 3-D bracket, cell by cell from outer
+    """``∫ <xi>^{2r} |F|^2`` with the 3-D bracket, cell by cell from outer
     products: ``integrand(c1, c2, c3)`` gives the cell's ``(n1, n2, n3)``
     values of ``|F|^2``."""
     (x1, w1), (x2, w2), (x3, w3) = axis_cells
@@ -1001,7 +985,7 @@ def outer_product_norm(a, b, r, nodes_per_axis):
 def test_three_d_bracket_keeps_the_outer_product_bits(monkeypatch):
     # criterion 3's unit-cube r = 1 monomial norm and tent product norm,
     # and a seeded pair of boxes at a steep weight, on the default grid:
-    # all take the 3-D bracket, each cell built by _cell_tensors
+    # all take the 3-D bracket, each cell built from tiled axis-3 vectors
     taken = log_fast_path(monkeypatch)
     cube = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.0, 1.0))
     rng = np.random.default_rng(2024)
