@@ -48,6 +48,18 @@ and one bracket; the tensors are broadcast and every cell's dot is one
 row of a stacked matmul.  Every element is the same operation on the
 same operands, and every dot the same BLAS dot, so the bits are
 unchanged.
+
+Every norm runs in two steps.  The prepare step builds what depends on
+neither s nor r: each axis's cells, their squares and the transverse
+check, a monomial norm's per-axis powers, the product norm's
+convolution factors, and a window's squared interpolant and weight
+tensor.  The evaluate step raises the bracket at one index, builds the
+per-call tiles and buffers and takes the dots; it writes to no prepared
+array, so one preparation serves any number of indices.  A sweep
+prepares each window once (``sweep.sweep_core``) and its records for
+each (s, r) only evaluate; the public norm functions do both steps in
+one call.  The per-node tensors of the data norms are built per call,
+so a window holds about 44 KB.
 """
 
 from __future__ import annotations
@@ -55,6 +67,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -335,34 +348,54 @@ def _transverse_rounds_away(sq1: np.ndarray, sq2: np.ndarray, sq3: np.ndarray) -
     return (kept[0] & kept[1]).all(axis=(-2, -1))
 
 
-def _stacked_integrals(axis_cells, r: float, f_sq: np.ndarray) -> list[float]:
+class _Cells(NamedTuple):
+    """The part of ``∫ <xi>^{2r} |F|^2`` over tensor cells that does not depend on r.
+
+    ``squares[i]`` and ``weights[i]`` are axis i's squared nodes and its
+    weights, of shape ``(..., cells_i, n_i)``, leading axes stacking
+    boxes; ``fast`` holds each box's ``_transverse_rounds_away``.
+    """
+
+    squares: tuple[np.ndarray, np.ndarray, np.ndarray]
+    weights: tuple[np.ndarray, np.ndarray, np.ndarray]
+    fast: np.ndarray
+
+
+def _cells(axis_cells) -> _Cells:
+    """``_Cells`` of per-axis ``(nodes, weights)`` cells."""
+    squares = tuple(x * x for x, _ in axis_cells)
+    fast = np.broadcast_to(_transverse_rounds_away(*squares), squares[0].shape[:-2])
+    return _Cells(squares, tuple(w for _, w in axis_cells), fast)
+
+
+def _stacked_integrals(
+    squares, fast: np.ndarray, weights: np.ndarray, r: float, f_sq: np.ndarray
+) -> list[float]:
     """``∫ <xi>^{2r} |F|^2`` over the tensor cells of a stack of boxes, all cells at once.
 
-    ``axis_cells[i]`` is axis i's ``(nodes, weights)``, both of shape
-    ``(boxes, cells_i, n_i)``.  ``f_sq`` holds ``|F|^2`` with shape
-    ``(N, cells1, cells2, cells3, n1, n2, n3)``: one integrand per box,
-    or with one box, N integrands on it.  It is multiplied by the
-    bracket in place.  Returns the N integrals.  Each box's weights and
-    bracket are built once for all of its cells and integrands, each
+    ``squares[i]`` holds axis i's squared nodes, of shape ``(boxes,
+    cells_i, n_i)``, ``fast`` each box's ``_transverse_rounds_away`` and
+    ``weights`` the boxes' weight tensors ``_outer_cells(np.multiply,
+    w1, w2, w3)``.  ``f_sq`` holds ``|F|^2`` with shape ``(N, cells1,
+    cells2, cells3, n1, n2, n3)``: one integrand per box, or with one
+    box, N integrands on it.  No argument is written to, so prepared
+    data can be evaluated again.  Returns the N integrals.  Each box's
+    bracket is built once for all of its cells and integrands, each
     cell is summed by one dot of two contiguous vectors (one stacked
     matmul for all of them, the same bits as one dot each) and the cells
     are added in ``c1, c2, c3`` order, as in ``product_norm_boxes``.
 
-    Per box, where the transverse squares round away
-    (``_transverse_rounds_away``), ``<xi>^{2r}`` is one array power per
-    axis-1 node, broadcast; otherwise the 3-D bracket is raised node by
-    node.
+    Per box, where the transverse squares round away, ``<xi>^{2r}`` is
+    one array power per axis-1 node, broadcast; otherwise the 3-D
+    bracket is raised node by node.
     """
-    (x1, w1), (x2, w2), (x3, w3) = axis_cells
-    sq1, sq2, sq3 = x1 * x1, x2 * x2, x3 * x3
-    weights = _outer_cells(np.multiply, w1, w2, w3)
+    sq1, sq2, sq3 = squares
     bracket = ((1.0 + sq1) ** r)[:, :, None, None, :, None, None]
-    slow = np.logical_not(_transverse_rounds_away(sq1, sq2, sq3))
+    slow = np.logical_not(fast)
     if slow.any():
-        slow = np.broadcast_to(slow, len(x1))
         bracket = np.broadcast_to(bracket, weights.shape).copy()
         bracket[slow] = (1.0 + _outer_cells(np.add, sq1[slow], sq2[slow], sq3[slow])) ** r
-    f_sq *= bracket
+    f_sq = f_sq * bracket
     cells, n = math.prod(weights.shape[1:4]), math.prod(weights.shape[4:])
     dots = weights.reshape(-1, cells, 1, n) @ f_sq.reshape(-1, cells, n, 1)
     integrals = []
@@ -372,6 +405,50 @@ def _stacked_integrals(axis_cells, r: float, f_sq: np.ndarray) -> list[float]:
             integral += dot
         integrals.append(integral)
     return integrals
+
+
+class _MonomialData(NamedTuple):
+    """Prepared monomial norms on one box: its cells and per-axis powers.
+
+    ``powers[i]`` has shape ``(monomials, 1, n_i)``, each monomial's
+    axis-i factor; ``cells`` is None where a volume axis has length 0.
+    """
+
+    count: int
+    cells: _Cells | None
+    powers: tuple[np.ndarray, ...]
+
+
+def _monomial_data(
+    b: Box3, monomials: tuple[tuple[int, int, int], ...], nodes_per_axis
+) -> _MonomialData:
+    """The part of ``sobolev_norms_monomials`` that does not depend on r."""
+    exponents = [m for monomial in monomials for m in monomial]
+    if not all(float(m).is_integer() and m >= 0 for m in exponents):
+        raise InvalidParameterError(f"monomial powers must be whole numbers >= 0, got {monomials}")
+    counts = _node_counts(nodes_per_axis)
+    if b.has_null_axis:
+        return _MonomialData(len(monomials), None, ())
+    # one box of one cell per axis: shape (1, 1, n) per axis
+    axis_cells = [
+        axis_rule([[lo]], [[hi]], counts[i], i == b.surface_axis)
+        for i, (lo, hi) in enumerate(b.axes)
+    ]
+    # each monomial as a box of its own for _outer_cells: (monomials, 1, n) per axis
+    g = tuple(
+        np.concatenate([x ** int(m[i]) for m in monomials]) for i, (x, _) in enumerate(axis_cells)
+    )
+    return _MonomialData(len(monomials), _cells(axis_cells), g)
+
+
+def _monomial_norms(data: _MonomialData, r: float) -> list[float]:
+    """The prepared monomial norms at Sobolev index ``r``."""
+    if data.cells is None:
+        return [0.0] * data.count
+    squares, weights, fast = data.cells
+    f_sq = _outer_cells(np.multiply, *data.powers) ** 2
+    integrals = _stacked_integrals(squares, fast, _outer_cells(np.multiply, *weights), r, f_sq)
+    return [math.sqrt(v / TWO_PI_CUBED) for v in integrals]
 
 
 def sobolev_norms_monomials(
@@ -386,21 +463,7 @@ def sobolev_norms_monomials(
     with weight 1.  The nodes, the weight tensor, the transverse check
     and ``<xi>^{2r}`` are built once for all of the monomials.
     """
-    powers = [m for monomial in monomials for m in monomial]
-    if not all(float(m).is_integer() and m >= 0 for m in powers):
-        raise InvalidParameterError(f"monomial powers must be whole numbers >= 0, got {monomials}")
-    counts = _node_counts(nodes_per_axis)
-    if b.has_null_axis:
-        return [0.0] * len(monomials)
-    # one box of one cell per axis: shape (1, 1, n) per axis
-    axis_cells = [
-        axis_rule([[lo]], [[hi]], counts[i], i == b.surface_axis)
-        for i, (lo, hi) in enumerate(b.axes)
-    ]
-    # each monomial as a box of its own for _outer_cells: (monomials, 1, n) per axis
-    g = [np.concatenate([x ** int(m[i]) for m in monomials]) for i, (x, _) in enumerate(axis_cells)]
-    f_sq = _outer_cells(np.multiply, *g) ** 2
-    return [math.sqrt(v / TWO_PI_CUBED) for v in _stacked_integrals(axis_cells, r, f_sq)]
+    return _monomial_norms(_monomial_data(b, monomials, nodes_per_axis), r)
 
 
 def sobolev_norm_monomial(
@@ -424,7 +487,7 @@ def _axis_breakpoints(a: tuple[float, float], b: tuple[float, float]) -> np.ndar
     A point interval (a surface axis) leaves the two ends of the other
     interval, shifted by the point.
     """
-    return np.unique(np.array([a[0] + b[0], a[0] + b[1], a[1] + b[0], a[1] + b[1]]))
+    return np.array(sorted({a[0] + b[0], a[0] + b[1], a[1] + b[0], a[1] + b[1]}), dtype=float)
 
 
 def _conv_factor(vals: np.ndarray, a: Box3, b: Box3, axis: int) -> np.ndarray:
@@ -445,6 +508,63 @@ def _conv_factor(vals: np.ndarray, a: Box3, b: Box3, axis: int) -> np.ndarray:
     return np.maximum(hi - lo, 0.0)
 
 
+class _ProductData(NamedTuple):
+    """A prepared product norm: its cells and per-axis convolution factors."""
+
+    cells: _Cells
+    factors: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _product_data(a: Box3, b: Box3, nodes_per_axis) -> _ProductData | None:
+    """The part of ``product_norm_boxes`` that does not depend on r.
+
+    None where an axis of the support is one point: the norm is 0.
+    """
+    counts = _node_counts(nodes_per_axis)
+    axis_cells, factors = [], []
+    for i in range(3):
+        cuts = _axis_breakpoints(a.axes[i], b.axes[i])
+        if len(cuts) < 2:
+            return None
+        x, w = gauss_legendre_cells(cuts[:-1], cuts[1:], counts[i])
+        axis_cells.append((x, w))
+        factors.append(_conv_factor(x, a, b, i))
+    return _ProductData(_cells(axis_cells), tuple(factors))
+
+
+def _product_norm(data: _ProductData | None, r: float) -> float:
+    """The prepared product norm at Sobolev index ``r``: ``product_norm_boxes``' cell loop."""
+    if data is None:
+        return 0.0
+    (sq1, sq2, sq3), (w1, w2, w3), fast = data.cells
+    f1, f2, f3 = data.factors
+    n12, n3 = sq1.shape[1] * sq2.shape[1], sq3.shape[1]
+    # row c3 of a tile is axis-3 cell c3's vector, repeated n12 times
+    w_tiles, f_tiles = (v[:, None, :].repeat(n12, axis=1).reshape(len(v), -1) for v in (w3, f3))
+    if fast:
+        pows = (1.0 + sq1) ** r
+    else:
+        sq_tiles = sq3[:, None, :].repeat(n12, axis=1).reshape(len(sq3), -1)
+    weights, conv = np.empty(n12 * n3), np.empty(n12 * n3)
+    integral = 0.0
+    for c1 in range(len(sq1)):
+        if fast:
+            bracket = pows[c1].repeat(sq2.shape[1] * n3)
+        for c2 in range(len(sq2)):
+            w12 = np.multiply.outer(w1[c1], w2[c2]).repeat(n3)
+            f12 = np.multiply.outer(f1[c1], f2[c2]).repeat(n3)
+            if not fast:
+                sq12 = np.add.outer(sq1[c1], sq2[c2]).repeat(n3)
+            for c3 in range(len(sq3)):
+                np.multiply(w12, w_tiles[c3], out=weights)
+                np.multiply(f12, f_tiles[c3], out=conv)
+                conv /= TWO_PI_CUBED
+                conv **= 2
+                conv *= bracket if fast else (1.0 + (sq12 + sq_tiles[c3])) ** r
+                integral += float(weights @ conv)
+    return math.sqrt(integral / TWO_PI_CUBED)
+
+
 def product_norm_boxes(
     a: Box3,
     b: Box3,
@@ -462,55 +582,13 @@ def product_norm_boxes(
     c2, c3`` order, each by one dot of two contiguous vectors.  A cell's
     weights and convolution are each one multiply of an axis-1 x axis-2
     outer product, repeated once per ``(c1, c2)``, by an axis-3 vector
-    tiled once per norm: the outer product's ``(u * v) * w``, bit for
+    tiled once per call: the outer product's ``(u * v) * w``, bit for
     bit, without a broadcast whose inner loop runs over few nodes.
     Where the transverse squares round away (``_transverse_rounds_away``),
     ``<xi>^{2r}`` is one array power per axis-1 node, repeated once per
     axis-1 cell; otherwise the 3-D bracket is raised per cell.
     """
-    counts = _node_counts(nodes_per_axis)
-    axis_cells, factors = [], []
-    for i in range(3):
-        cuts = _axis_breakpoints(a.axes[i], b.axes[i])
-        if len(cuts) < 2:
-            return 0.0
-        x, w = gauss_legendre_cells(cuts[:-1], cuts[1:], counts[i])
-        axis_cells.append((x, w))
-        factors.append(_conv_factor(x, a, b, i))
-    (x1, w1), (x2, w2), (x3, w3) = axis_cells
-    f1, f2, f3 = factors
-    sq1, sq2, sq3 = x1 * x1, x2 * x2, x3 * x3
-    n12, n3 = x1.shape[1] * x2.shape[1], x3.shape[1]
-    fast = _transverse_rounds_away(sq1, sq2, sq3)
-    # row c3 of a tile is axis-3 cell c3's vector, repeated n12 times
-    w_tiles, f_tiles = (v[:, None, :].repeat(n12, axis=1).reshape(len(v), -1) for v in (w3, f3))
-    if fast:
-        pows = (1.0 + sq1) ** r
-    else:
-        sq_tiles = sq3[:, None, :].repeat(n12, axis=1).reshape(len(sq3), -1)
-    weights, conv = np.empty(n12 * n3), np.empty(n12 * n3)
-    integral = 0.0
-    for c1 in range(len(x1)):
-        if fast:
-            bracket = pows[c1].repeat(x2.shape[1] * n3)
-        for c2 in range(len(x2)):
-            w12 = np.multiply.outer(w1[c1], w2[c2]).repeat(n3)
-            f12 = np.multiply.outer(f1[c1], f2[c2]).repeat(n3)
-            if not fast:
-                sq12 = np.add.outer(sq1[c1], sq2[c2]).repeat(n3)
-            for c3 in range(len(x3)):
-                np.multiply(w12, w_tiles[c3], out=weights)
-                np.multiply(f12, f_tiles[c3], out=conv)
-                conv /= TWO_PI_CUBED
-                conv **= 2
-                conv *= bracket if fast else (1.0 + (sq12 + sq_tiles[c3])) ** r
-                integral += float(weights @ conv)
-    return math.sqrt(integral / TWO_PI_CUBED)
-
-
-def product_norm(p: KnappParams, r: float) -> float:
-    """H^r norm of the product datum a1 * a2 for a configuration."""
-    return product_norm_boxes(p.w2_box, p.neg_wprime_box, r, nodes_per_axis=p.grid)
+    return _product_norm(_product_data(a, b, nodes_per_axis), r)
 
 
 def norm_report(p: KnappParams, r: float) -> NormReport:
@@ -522,12 +600,34 @@ def norm_report(p: KnappParams, r: float) -> NormReport:
     datum's block is lower order on this geometry) and is what the
     smoothness verdict divides by.
     """
-    nd2, nd3 = sobolev_norms_monomials(p.w2_box, ((0, 1, 0), (0, 0, 1)), r, p.grid)
-    nd1a2 = sobolev_norm_monomial(p.neg_wprime_box, (1, 0, 0), r, p.grid)
+    return _norms_at(_norm_data(p), r)
+
+
+class _NormData(NamedTuple):
+    """A configuration's data norms, prepared: ``norm_report`` but for r."""
+
+    curl: _MonomialData  # d2 a1 and d3 a1, on w2_box
+    d1a2: _MonomialData
+    product: _ProductData | None
+
+
+def _norm_data(p: KnappParams) -> _NormData:
+    """The part of ``norm_report`` that does not depend on r."""
+    return _NormData(
+        _monomial_data(p.w2_box, ((0, 1, 0), (0, 0, 1)), p.grid),
+        _monomial_data(p.neg_wprime_box, ((1, 0, 0),), p.grid),
+        _product_data(p.w2_box, p.neg_wprime_box, p.grid),
+    )
+
+
+def _norms_at(data: _NormData, r: float) -> NormReport:
+    """The prepared data norms at Sobolev index ``r``."""
+    nd2, nd3 = _monomial_norms(data.curl, r)
+    (nd1a2,) = _monomial_norms(data.d1a2, r)
     return NormReport(
         norm_d2a1=nd2,
         norm_d1a2=nd1a2,
-        norm_product=product_norm(p, r),
+        norm_product=_product_norm(data.product, r),
         norm_total=math.hypot(nd2, nd3),
     )
 
@@ -538,9 +638,13 @@ def norm_report(p: KnappParams, r: float) -> NormReport:
 
 def sample_lattice(b: Box3) -> tuple[list[np.ndarray], np.ndarray]:
     """Regular 3 x 3 x 3 lattice over a volume box, including its corners."""
-    axes = [np.linspace(lo, hi, SAMPLE_POINTS_PER_AXIS) for lo, hi in b.axes]
-    g1, g2, g3 = np.meshgrid(*axes, indexing="ij")
-    return axes, np.column_stack([g1.ravel(), g2.ravel(), g3.ravel()])
+    n = SAMPLE_POINTS_PER_AXIS
+    axes = [np.linspace(lo, hi, n) for lo, hi in b.axes]
+    points = np.empty((n, n, n, 3))
+    points[..., 0] = axes[0][:, None, None]
+    points[..., 1] = axes[1][:, None]
+    points[..., 2] = axes[2]
+    return axes, points.reshape(-1, 3)
 
 
 def _trilinear(vals: np.ndarray, ys: list[np.ndarray]) -> np.ndarray:
@@ -564,12 +668,26 @@ def _trilinear(vals: np.ndarray, ys: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _output_norms(s: float, windows) -> list[float]:
-    """``output_norm_from_samples`` of every ``(lattice_axes, amps)`` window, in one pass.
+class _OutputData(NamedTuple):
+    """One window's prepared output norm: a stack of one box of 8 cells.
 
-    The lattices must share one shape.  One ``_trilinear`` call covers
-    every cell of every window and ``_stacked_integrals`` integrates
-    them all; every norm equals the one-window call's bit for bit.
+    ``squares`` and ``fast`` are the ``_Cells`` fields, ``weights`` the
+    weight tensor and ``f_sq`` the squared trilinear interpolant, both
+    of shape ``(1, cells1, cells2, cells3, n1, n2, n3)``.
+    """
+
+    squares: tuple[np.ndarray, np.ndarray, np.ndarray]
+    fast: np.ndarray
+    weights: np.ndarray
+    f_sq: np.ndarray
+
+
+def _output_data(windows) -> list[_OutputData]:
+    """The part of ``_output_norms`` that does not depend on s, per window.
+
+    The lattices must share one shape.  One ``_trilinear`` call and one
+    transverse check cover every cell of every window; each window
+    holds its slice of the result.
     """
     if not windows:
         return []
@@ -591,8 +709,33 @@ def _output_norms(s: float, windows) -> list[float]:
         axis_cells.append((x, w))
         ys.append((x - lo[..., None]) / (hi - lo)[..., None])
     vals = np.array([np.reshape(amps, shape) for _, amps in windows], dtype=float)
-    integrals = _stacked_integrals(axis_cells, s, _trilinear(vals, ys) ** 2)
+    squares, weights, fast = _cells(axis_cells)
+    weights = _outer_cells(np.multiply, *weights)
+    f_sq = _trilinear(vals, ys) ** 2
+    return [
+        _OutputData(tuple(sq[row] for sq in squares), fast[row], weights[row], f_sq[row])
+        for row in (slice(j, j + 1) for j in range(len(windows)))
+    ]
+
+
+def _output_norms_at(s: float, windows: list[_OutputData]) -> list[float]:
+    """The prepared output norms at Sobolev index ``s``, in one stacked pass."""
+    if not windows:
+        return []
+    squares = tuple(np.concatenate(sq) for sq in zip(*(w.squares for w in windows)))
+    fast = np.concatenate([w.fast for w in windows])
+    weights = np.concatenate([w.weights for w in windows])
+    f_sq = np.concatenate([w.f_sq for w in windows])
+    integrals = _stacked_integrals(squares, fast, weights, s, f_sq)
     return [math.sqrt(v / TWO_PI_CUBED) for v in integrals]
+
+
+def _output_norms(s: float, windows) -> list[float]:
+    """``output_norm_from_samples`` of every ``(lattice_axes, amps)`` window, in one pass.
+
+    Every norm equals the one-window call's bit for bit.
+    """
+    return _output_norms_at(s, _output_data(windows))
 
 
 def output_norm_from_samples(

@@ -11,6 +11,7 @@ per-axis interval arithmetic and is kept exact here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -48,11 +49,11 @@ class Box3:
 
     def __post_init__(self) -> None:
         for lo, hi in self.axes:
-            if not (np.isfinite(lo) and np.isfinite(hi)):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise InvalidParameterError("box endpoints must be finite")
             if lo > hi:
                 raise InvalidParameterError(f"empty axis interval ({lo}, {hi})")
-        if not (np.isfinite(self.surface_tol) and self.surface_tol >= 0.0):
+        if not (math.isfinite(self.surface_tol) and self.surface_tol >= 0.0):
             raise InvalidParameterError(
                 f"surface_tol must be finite and nonnegative, got {self.surface_tol}"
             )

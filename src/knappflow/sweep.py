@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,10 +28,15 @@ from .amplitudes import (
     AmplitudeBreakdown,
     NormReport,
     _lattice_pass,
-    _output_norms,
+    _norm_data,
+    _NormData,
+    _norms_at,
+    _output_data,
+    _OutputData,
+    _output_norms_at,
     lambda_hat,  # noqa: F401  (perfbench/ hooks this name; sweeps use _lattice_pass)
-    norm_report,
-    output_norm_from_samples,  # noqa: F401  (perfbench/ hooks this name; sweeps use _output_norms)
+    norm_report,  # noqa: F401  (perfbench/ hooks this name; sweeps use _norms_at)
+    output_norm_from_samples,  # noqa: F401  (perfbench/ hooks this name; sweeps use _output_norms_at)
     sample_lattice,
 )
 from .construction import DEFAULT_GRID, KnappParams, make_params, window_index
@@ -88,14 +94,32 @@ class Verdict:
     notes: tuple[str, ...] = ()
 
 
+class _Prepared(NamedTuple):
+    """A live window's record data that no (s, r) pair changes."""
+
+    amps: np.ndarray  # |amplitude| at each lattice point
+    output: _OutputData
+    norms: _NormData
+
+
 @dataclass(frozen=True)
 class WindowSamples:
-    """One window's cached lattice evaluation, reusable across (s, r)."""
+    """One window's cached lattice evaluation, reusable across (s, r).
+
+    Besides the lattice, a live window holds its norms prepared
+    (``_prepared``): the output norm's squared interpolant, weights and
+    transverse check, and the data norms' per-axis cells, monomial
+    powers and convolution factors.  A record for any (s, r) only
+    raises the brackets ``<xi>^{2s}`` and ``<xi>^{2r}`` and takes the
+    dots.  The held arrays are per axis or per window, about 44 KB a
+    window; the per-node tensors of the data norms are built per call.
+    """
 
     k: int
     params: KnappParams | None
     lattice_axes: tuple[np.ndarray, ...]
     breakdowns: tuple[AmplitudeBreakdown, ...]
+    _prepared: _Prepared | None = field(compare=False, repr=False)
 
 
 def sweep_core(
@@ -109,10 +133,11 @@ def sweep_core(
 
     Every window's parameters and sampling lattice are built first; then
     the lattices of all nonempty windows are integrated in one pass, one
-    ``term_sums`` call per refinement level for all of them.  The
-    expensive oscillatory quadrature happens here exactly once per k;
-    records for any (s, r) pair are derived from the result without
-    re-integration.  Every k must be a whole number.
+    ``term_sums`` call per refinement level for all of them, and their
+    norms are prepared, the output norms in one pass.  The expensive
+    oscillatory quadrature happens here exactly once per k; records for
+    any (s, r) pair are derived from the result without re-integration.
+    Every k must be a whole number.
     """
     ks = [window_index(k) for k in k_list]
     if not ks:
@@ -123,18 +148,21 @@ def sweep_core(
             params.append(make_params(eps=eps, rho=rho, k=k, mode=mode, grid=grid))
         except WindowEmptyError:
             params.append(None)
-    live = [p for p in params if p is not None]
+    live = [(k, p) for k, p in zip(ks, params) if p is not None]
     if not live:
         raise InvalidParameterError(
             f"every window k={ks} is empty at rho={rho}; decrease rho"
         )
-    lattices = [sample_lattice(p.samp_box) for p in live]
-    hats = iter(_lattice_pass([(p, pts) for p, (_, pts) in zip(live, lattices)]))
-    axes = iter(axes for axes, _ in lattices)
+    lattices = [sample_lattice(p.samp_box) for _, p in live]
+    hats = _lattice_pass([(p, pts) for (_, p), (_, pts) in zip(live, lattices)])
+    amps = [np.array([abs(b.total) for b in window]) for window in hats]
+    outputs = _output_data([(axes, a) for (axes, _), a in zip(lattices, amps)])
+    samples = iter(
+        WindowSamples(k, p, tuple(axes), window, _Prepared(a, output, _norm_data(p)))
+        for (k, p), (axes, _), window, a, output in zip(live, lattices, hats, amps, outputs)
+    )
     return [
-        WindowSamples(k=k, params=None, lattice_axes=(), breakdowns=())
-        if p is None
-        else WindowSamples(k=k, params=p, lattice_axes=tuple(next(axes)), breakdowns=next(hats))
+        WindowSamples(k, None, (), (), None) if p is None else next(samples)
         for k, p in zip(ks, params)
     ]
 
@@ -144,12 +172,12 @@ def records_from_core(
 ) -> list[SweepRecord]:
     """Derive sweep records for one (s, r) pair from cached lattices.
 
-    The output norms of all nonempty windows are taken in one pass.
+    Only the (s, r)-dependent steps of the windows' prepared norms run
+    here; the output norms of all nonempty windows are taken in one
+    pass.
     """
-    live = [core for core in cores if core.params is not None]
-    amps = [np.array([abs(b.total) for b in core.breakdowns]) for core in live]
-    outs = _output_norms(s_exp, [(core.lattice_axes, a) for core, a in zip(live, amps)])
-    samples = iter(zip(amps, outs))
+    live = [core._prepared for core in cores if core.params is not None]
+    outs = iter(_output_norms_at(s_exp, [prepared.output for prepared in live]))
     records: list[SweepRecord] = []
     for core in cores:
         if core.params is None:
@@ -169,14 +197,12 @@ def records_from_core(
                 )
             )
             continue
-        p = core.params
-        window_amps, out = next(samples)
+        p, (window_amps, _, norm_data) = core.params, core._prepared
         j = int(np.argmax(window_amps))
         top = core.breakdowns[j]
         flags = list(dict.fromkeys(f for b in core.breakdowns for f in b.flags))
         if p.mode == "surface":
             flags.append("surface_norm_formal")
-        norms = norm_report(p, r_exp)
         records.append(
             SweepRecord(
                 k=core.k,
@@ -186,8 +212,8 @@ def records_from_core(
                 res_amp=abs(top.resonant_sum),
                 nonres_amp=abs(top.nonresonant_sum),
                 nonres_envelope=top.nonresonant_envelope,
-                output_norm=out,
-                norms=norms,
+                output_norm=next(outs),
+                norms=_norms_at(norm_data, r_exp),
                 mode=p.mode,
                 flags=tuple(flags),
             )

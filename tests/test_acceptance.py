@@ -8,10 +8,12 @@ so the suite pays for them once per mode.
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from knappflow import acceptance, boxes
 from knappflow.construction import make_params
+from knappflow.sweep import VERDICT_MARGIN, records_from_core, smoothness_verdict
 
 
 def _check(result):
@@ -111,6 +113,29 @@ def test_criterion_09_output_norm_scaling():
 
 def test_criterion_10_verdict_consistency():
     _check(acceptance.criterion_verdict_consistency())
+
+
+def test_verdict_over_the_s_r_plane():
+    # criterion 10 checks four (s, r) pairs; the same cached slab lattice,
+    # scored over a 7 x 11 grid, measures s - 1 - 2r at every pair, its
+    # least-squares plane is (1, -2, -1), and off the margin the verdict
+    # is the sign of the prediction
+    cores, _ = acceptance._core("slab")
+    pairs = [(s, r) for s in np.linspace(0.0, 1.5, 7) for r in np.linspace(-1.0, 0.5, 11)]
+    measured, skipped = [], 0
+    for s, r in pairs:
+        verdict = smoothness_verdict(s, r, records_from_core(list(cores), s, r))
+        analytic = s - 1.0 - 2.0 * r
+        assert abs(verdict.measured_ratio_exponent - analytic) <= 1e-8, (s, r)
+        measured.append(verdict.measured_ratio_exponent)
+        if abs(analytic) > VERDICT_MARGIN:
+            assert verdict.smooth_bound_fails == (analytic > VERDICT_MARGIN), (s, r)
+        else:
+            skipped += 1
+    assert skipped == 2
+    design = np.array([(s, r, 1.0) for s, r in pairs])
+    plane = np.linalg.lstsq(design, np.array(measured), rcond=None)[0]
+    assert np.abs(plane - (1.0, -2.0, -1.0)).max() <= 1e-8
 
 
 def test_criterion_11_nonresonant_envelope():

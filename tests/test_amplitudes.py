@@ -16,7 +16,6 @@ from knappflow.amplitudes import (
     lattice_hats,
     norm_report,
     output_norm_from_samples,
-    product_norm,
     product_norm_boxes,
     sample_lattice,
     sobolev_norm_monomial,
@@ -818,7 +817,7 @@ def test_product_norm_equals_per_cell_reference(mode, k):
     p = make_params(EPS, RHO, k, mode=mode)
     a, b = p.w2_box, p.neg_wprime_box
     for r in R_GRID:
-        assert product_norm(p, r) == product_norm_reference(a, b, r, p.grid)
+        assert product_norm_boxes(a, b, r, p.grid) == product_norm_reference(a, b, r, p.grid)
         got = product_norm_boxes(a, b, r, SMALL_GRID)
         assert got == product_norm_reference(a, b, r, SMALL_GRID)
 
@@ -829,7 +828,7 @@ def test_product_norm_slope_is_derived_from_the_box_sides(mode, offset):
     # overlap volume on a lam^2 support; a surface loses the lam^1/2 side
     ps = [make_params(EPS, RHO, k, mode=mode) for k in range(1, 11)]
     for r in R_GRID:
-        fit = fit_exponent([(p.lam, product_norm(p, r)) for p in ps])
+        fit = fit_exponent([(p.lam, norm_report(p, r).norm_product) for p in ps])
         assert fit.slope == pytest.approx(r + offset, abs=1e-6)
 
 
@@ -1005,14 +1004,51 @@ def test_product_norm_working_set_is_one_cell():
     p = make_params(EPS, RHO, 5)
     assert p.grid == (32, 16, 16)
     whole_window = 27 * 8192 * 8
-    product_norm(p, -0.25)
+    product_norm_boxes(p.w2_box, p.neg_wprime_box, -0.25, p.grid)
     tracemalloc.start()
     try:
-        product_norm(p, -0.25)
+        product_norm_boxes(p.w2_box, p.neg_wprime_box, -0.25, p.grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < whole_window
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_prepared_norms_at_several_r_equal_one_call_norms(monkeypatch, seed):
+    # a product and a monomial norm prepared once and evaluated at several
+    # r, in a shuffled order with a repeat, equal one-call norms bit for
+    # bit; unit-scale boxes, so every evaluation raises the 3-D bracket
+    taken = log_fast_path(monkeypatch)
+    rng = np.random.default_rng(100 + seed)
+    a = random_box(rng, surface_axis=2 if seed % 3 == 0 else None)
+    b = random_box(rng, surface_axis=2 if seed % 3 == 1 else None)
+    product = amplitudes._product_data(a, b, SMALL_GRID)
+    monomials = amplitudes._monomial_data(a, MONOMIALS, SMALL_GRID)
+    assert taken == [False, False]
+    rs = [float(r) for r in rng.uniform(-2.0, 30.0, 4)]
+    rs = [rs[i] for i in rng.permutation(4)] + rs[:2]
+    for r in rs:
+        assert amplitudes._product_norm(product, r) == product_norm_boxes(a, b, r, SMALL_GRID)
+        want = sobolev_norms_monomials(a, MONOMIALS, r, SMALL_GRID)
+        assert amplitudes._monomial_norms(monomials, r) == want
+    assert set(taken) == {False}
+
+
+def test_norm_data_a_window_holds_is_small():
+    # everything a default-grid window keeps for its records: the output
+    # norm's interpolant and weights, the data norms' per-axis cells
+    (core,) = sweep_core(EPS, RHO, [5])
+    assert core.params.grid == DEFAULT_GRID
+    window = [(core.lattice_axes, core._prepared.amps)]
+    tracemalloc.start()
+    try:
+        held = (amplitudes._norm_data(core.params), amplitudes._output_data(window))
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(held[1]) == 1
+    assert size < 128 * 1024
 
 
 def test_norm_report_structure():
@@ -1096,7 +1132,7 @@ def test_knapp_norms_are_products_of_three_axis_sums(mode, r):
                 separable_monomial_integral(p.neg_wprime_box, (1, 0, 0), r, p.grid),
             ),
             (
-                product_norm(p, r),
+                product_norm_boxes(p.w2_box, p.neg_wprime_box, r, p.grid),
                 separable_product_integral(p.w2_box, p.neg_wprime_box, r, p.grid)
                 / TWO_PI_CUBED**2,
             ),
@@ -1442,13 +1478,16 @@ def test_fast_path_equals_reference_on_both_sides_of_its_boundary(monkeypatch, c
 
 @pytest.mark.parametrize("mode", ["slab", "surface"])
 def test_every_sweep_norm_at_the_acceptance_geometry_takes_the_fast_path(monkeypatch, mode):
-    cores = sweep_core(EPS, RHO, range(1, 11), mode=mode)
     taken = log_fast_path(monkeypatch)
+    cores = sweep_core(EPS, RHO, range(1, 11), mode=mode)
+    # per window: the output norm (one stacked pass decides each window on
+    # its own), the shared nd2/nd3 pass, nd1a2 and the product norm, each
+    # decided once, when sweep_core prepares the norms
+    assert taken == [True] * (4 * 10)
     for s, r in zip(S_GRID, R_GRID):
         records_from_core(cores, s, r)
-    # per window: the output norm (one stacked pass decides each window on
-    # its own), the shared nd2/nd3 pass, nd1a2 and the product norm
-    assert taken == [True] * (4 * 10 * len(S_GRID))
+    # the records reuse the held decisions
+    assert taken == [True] * (4 * 10)
 
 
 def sweep_norms(cores):
@@ -1457,7 +1496,7 @@ def sweep_norms(cores):
     for core in cores:
         amps = np.array([abs(b.total) for b in core.breakdowns])
         for r in R_GRID:
-            out += [product_norm(core.params, r), norm_report(core.params, r)]
+            out.append(norm_report(core.params, r))
         for s in S_GRID + R_GRID:
             out.append(output_norm_from_samples(s, list(core.lattice_axes), amps))
     return out

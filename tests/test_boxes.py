@@ -48,8 +48,12 @@ def test_box_w_prime_surface_and_slab():
 def test_box_validation():
     with pytest.raises(InvalidParameterError):
         Box3(ax1=(1.0, 0.0), ax2=(0.0, 1.0), ax3=(0.0, 1.0))
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="box endpoints must be finite"):
         Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.0, np.inf))
+    # every comparison with nan is false, so only the finiteness check stops it
+    for nan_axis in ((np.nan, 1.0), (0.0, np.nan)):
+        with pytest.raises(InvalidParameterError, match="box endpoints must be finite"):
+            Box3(ax1=(0.0, 1.0), ax2=nan_axis, ax3=(0.0, 1.0))
     # surface axis must be degenerate and the others must not be
     with pytest.raises(InvalidParameterError):
         Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.0, 1.0), surface_axis=2)

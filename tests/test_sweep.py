@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from knappflow import _kernels, sweep
-from knappflow.amplitudes import lattice_hats, sample_lattice
+from knappflow.amplitudes import lattice_hats, norm_report, output_norm_from_samples, sample_lattice
 from knappflow.errors import FitDataError, InvalidParameterError
 from knappflow.sweep import (
     CSV_COLUMNS,
@@ -174,6 +174,45 @@ def test_sweep_core_with_an_empty_window_among_live_ones():
     for core in cores[:1] + cores[2:]:
         pts = sample_lattice(core.params.samp_box)[1]
         assert repr(core.breakdowns) == repr(lattice_hats(core.params, pts))
+
+
+@pytest.mark.parametrize(
+    "mode, rho, ks",
+    [
+        ("slab", RHO, (1, 5, 10)),
+        ("surface", RHO, (1, 5, 10)),
+        # rho=4.5e-4 admits k = 1..3 only: an empty window among live ones
+        ("slab", 4.5e-4, (1, 4, 2, 3)),
+        ("slab", RHO, (7,)),
+    ],
+)
+def test_records_from_prepared_norms_equal_standalone_norms(mode, rho, ks):
+    # sweep_core prepares each window's norms once; records for a 4 x 4
+    # (s, r) grid, in a shuffled order with repeats, equal records built
+    # from standalone norm calls field for field, and a pair taken again
+    # after others reads the same bits (no held array is written to)
+    cores = sweep_core(EPS, rho, ks, mode=mode)
+    grid = [(s, r) for s in (0.0, 0.5, 1.0, 1.5) for r in (-1.0, -0.25, 0.0, 0.5)]
+    rng = np.random.default_rng(len(ks))
+    order = [grid[i] for i in rng.permutation(len(grid))]
+    order += [grid[i] for i in rng.integers(len(grid), size=6)]
+    seen = {}
+    for s, r in order:
+        records = records_from_core(cores, s, r)
+        for core, rec in zip(cores, records):
+            if core.params is None:
+                assert rec.flags == ("window_empty",)
+                continue
+            amps = np.array([abs(b.total) for b in core.breakdowns])
+            want = dataclasses.replace(
+                rec,
+                sup_amp=float(amps.max()),
+                output_norm=output_norm_from_samples(s, list(core.lattice_axes), amps),
+                norms=norm_report(core.params, r),
+            )
+            assert repr(rec) == repr(want)
+        assert repr(records) == seen.setdefault((s, r), repr(records))
+    assert len(seen) == len(grid) < len(order)
 
 
 def test_fractional_window_index_is_rejected_not_truncated():
