@@ -260,7 +260,7 @@ def fit_exponent(points) -> FitResult:
                 f"(lambda={lam!r}, value={v!r})"
             )
     x = np.log(np.array([p[0] for p in pts]))
-    if np.unique(x).size < 2:
+    if len(set(x.tolist())) < 2:
         raise FitDataError("exponent fit needs at least 2 distinct lambdas")
     y = np.log(np.array([p[1] for p in pts]))
     slope, intercept = np.polyfit(x, y, 1)

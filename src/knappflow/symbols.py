@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -106,28 +105,30 @@ def duhamel_multiplier(t: float, om: float) -> MultiplierValue:
     return MultiplierValue(value=_mult_py(t, om))
 
 
-@lru_cache(maxsize=64)
-def _simpson_weights(n_panels: int) -> np.ndarray:
-    w = np.ones(2 * n_panels + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w
-
-
 def duhamel_multiplier_oracle(t: float, om: float, n_steps: int = 2048) -> complex:
     """Composite-Simpson evaluation of the defining integral of m(t, omega).
 
     Integrates ``exp(i t' omega)`` over [0, t] with ``n_steps`` Simpson
-    panels (2 * n_steps subintervals), independent of the closed form;
-    the error decays like n^-4.
+    panels (2 * n_steps subintervals of width h), independent of the
+    closed form; the error decays like n^-4.  The cosine and sine of the
+    n + 1 even nodes ``tau_2j`` come from one ``np.cos`` and one
+    ``np.sin`` of their phases; each odd node ``tau_2j+1 = tau_2j + h``
+    takes one angle addition with ``cos(omega h)`` and ``sin(omega h)``.
+    The real and imaginary parts are summed apart with Simpson's weights
+    1, 4, 2, ..., 4, 1.
     """
     if t < 0.0:
         raise InvalidParameterError(f"t must be nonnegative, got {t}")
     if n_steps < 8:
         raise InvalidParameterError(f"n_steps must be at least 8, got {n_steps}")
     n_steps = int(n_steps)
-    tau = np.linspace(0.0, t, 2 * n_steps + 1)
     h = t / (2 * n_steps)
-    vals = np.exp(1j * om * tau)
-    return complex((h / 3.0) * (_simpson_weights(n_steps) @ vals))
-
+    phase = om * np.linspace(0.0, t, n_steps + 1)
+    c = np.cos(phase)
+    s = np.sin(phase)
+    c1, s1 = math.cos(om * h), math.sin(om * h)
+    c_odd = c[:-1] * c1 - s[:-1] * s1
+    s_odd = s[:-1] * c1 + c[:-1] * s1
+    re = (c[0] + c[-1]) + 4.0 * c_odd.sum() + 2.0 * c[1:-1].sum()
+    im = (s[0] + s[-1]) + 4.0 * s_odd.sum() + 2.0 * s[1:-1].sum()
+    return complex(re * (h / 3.0), im * (h / 3.0))

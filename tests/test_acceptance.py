@@ -13,7 +13,7 @@ import pytest
 
 from knappflow import acceptance, boxes
 from knappflow.construction import make_params
-from knappflow.sweep import VERDICT_MARGIN, records_from_core, smoothness_verdict
+from knappflow.sweep import VERDICT_MARGIN, fit_exponent, records_from_core, smoothness_verdict
 
 
 def _check(result):
@@ -22,7 +22,11 @@ def _check(result):
 
 
 def test_criterion_01_multiplier_oracle():
-    _check(acceptance.criterion_multiplier_oracle())
+    result = acceptance.criterion_multiplier_oracle()
+    _check(result)
+    # Simpson's own error at n_steps = 4096: a changed rule or multiplier
+    # moves it
+    assert result.detail.startswith("max deviation 2.283e-12 ")
 
 
 def test_criterion_02_curl_identity():
@@ -105,6 +109,19 @@ def test_criterion_08_checks_the_product_norm_slope(monkeypatch):
     result = acceptance.criterion_norm_scaling()
     assert not result.passed
     assert "product r=-0.25: slope 3.2500 vs 2.75" in result.detail
+
+
+@pytest.mark.parametrize("mode, d1a2_slope", [("slab", 2.0), ("surface", 1.75)])
+def test_second_datum_norm_outgrows_the_verdict_norm(mode, d1a2_slope):
+    # the verdict divides by norm_total, the first datum's curl block; the
+    # second datum's norm_d1a2 grows faster, not slower, on this geometry
+    r_exp = -0.25
+    recs = acceptance._records(mode, 0.5, r_exp)
+    d1a2 = fit_exponent([(r.lam, r.norms.norm_d1a2) for r in recs])
+    total = fit_exponent([(r.lam, r.norms.norm_total) for r in recs])
+    assert d1a2.slope == pytest.approx(r_exp + d1a2_slope, abs=1e-6)
+    assert total.slope == pytest.approx(r_exp + 1.5, abs=1e-6)
+    assert all(r.norms.norm_d1a2 > 1e8 * r.norms.norm_total for r in recs)
 
 
 def test_criterion_09_output_norm_scaling():

@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +83,24 @@ def test_fit_needs_two_distinct_lambdas():
     # repeats are fine once two lambdas differ
     fit = fit_exponent([(10.0, 100.0), (10.0, 100.0), (100.0, 1e4)])
     assert fit.slope == pytest.approx(2.0, rel=1e-12)
+
+
+def test_fit_exponent_leaves_numpy_ma_unimported():
+    # numpy's first np.unique call imports numpy.ma (about 12 ms), which
+    # the first sweep of a run would pay inside its fits
+    code = (
+        "import sys\n"
+        "from knappflow.sweep import fit_exponent\n"
+        "fit_exponent([(10.0, 100.0), (100.0, 1e4), (1000.0, 1e6)])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(sweep.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_record_invariants(records):

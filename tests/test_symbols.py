@@ -228,6 +228,54 @@ def test_oracle_agreement():
         assert abs(m - o) <= 1e-9 * t
 
 
+def _complex_simpson(t, om, n_steps):
+    # the composite-Simpson sum as one complex dot: every node's
+    # exponential taken directly, weights 1, 4, 2, ..., 4, 1
+    tau = np.linspace(0.0, t, 2 * n_steps + 1)
+    w = np.ones(2 * n_steps + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return complex((t / (2 * n_steps) / 3.0) * (w @ np.exp(1j * om * tau)))
+
+
+def _oracle_pairs(seed, n):
+    rng = np.random.default_rng(seed)
+    ts = 1.0 - rng.random(n)
+    xs = rng.uniform(-100.0, 100.0, n)
+    return [(float(t), float(x / t)) for t, x in zip(ts, xs)]
+
+
+@pytest.mark.parametrize("n_steps", [8, 64, 4096])
+def test_oracle_equals_the_complex_exponential_sum(n_steps):
+    # even nodes by cos/sin and odd nodes by one angle addition give the
+    # same Simpson sum to rounding; at n = 8 and |t omega| = 100 Simpson's
+    # own error is of order t, so a different rule would fail
+    pairs = _oracle_pairs(21, 300) + [(0.7, 0.0), (0.7, 1e-300), (0.7, -1e-300)]
+    for t, om in pairs:
+        got = duhamel_multiplier_oracle(t, om, n_steps)
+        assert abs(got - _complex_simpson(t, om, n_steps)) <= 1e-14 * t, (t, om)
+
+
+def test_oracle_against_a_30_digit_simpson_sum():
+    mpmath = pytest.importorskip("mpmath")
+
+    def simpson_mp(t, om, n_steps):
+        with mpmath.workdps(30):
+            h = mpmath.mpf(t) / (2 * n_steps)
+            om_mp = mpmath.mpf(om)
+            total = mpmath.mpc(0)
+            for k in range(2 * n_steps + 1):
+                w = 1 if k in (0, 2 * n_steps) else 4 if k % 2 else 2
+                total += w * mpmath.expj(om_mp * (k * h))
+            return complex(total * h / 3)
+
+    pairs = _oracle_pairs(22, 20)
+    for n_steps, subset in ((8, pairs), (64, pairs), (4096, pairs[:2])):
+        for t, om in subset:
+            got = duhamel_multiplier_oracle(t, om, n_steps)
+            assert abs(got - simpson_mp(t, om, n_steps)) <= 1e-14 * t, (n_steps, t, om)
+
+
 def test_oracle_fourth_order_convergence():
     t, om = 1.0, 40.0
     exact = duhamel_multiplier(t, om).value
