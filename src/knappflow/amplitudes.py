@@ -36,30 +36,36 @@ boxes, which lie at distance about ``lam`` along axis 1 with transverse
 sides of order ``lam^1/2``, the transverse squares round away in
 ``1 + |xi|^2`` at every node; where a per-axis check shows this for a
 box, ``<xi>^{2r}`` is taken once per axis-1 node instead of once per
-tensor node, with the same bits.  The product norm's large cells are
-integrated one at a time, in one loop (``product_norm_boxes``): each
-cell's weights and convolution are one contiguous multiply of two
-vectors built once per norm (an axis-3 vector tiled, an axis-1 x axis-2
-product repeated), not an outer product whose inner loop runs over the
-few axis-3 nodes.  Small cells are integrated all at once
-(``_stacked_integrals``): the output norms of every window of a sweep
-in one pass, and the monomial norms of one box with one weight tensor
-and one bracket; the tensors are broadcast and every cell's dot is one
-row of a stacked matmul.  Every element is the same operation on the
-same operands, and every dot the same BLAS dot, so the bits are
-unchanged.
+tensor node, with the same bits.  The norms take two forms:
+
+* every data norm -- the two monomial norms of the curl block, the
+  second datum's monomial norm and the product norm -- has an integrand
+  ``F = f1 f2 f3 / scale``, one factor per axis, and runs through one
+  cell loop (``_separable_norm``).  A monomial's box is one cell per
+  axis with factors ``x_i ** m_i``; the product's cells lie between the
+  kinks of the convolution, with its per-axis factors.  Each cell's
+  weights and integrand are one contiguous multiply of two vectors
+  built once per norm (an axis-3 vector tiled, an axis-1 x axis-2
+  product repeated), not an outer product whose inner loop runs over
+  the few axis-3 nodes;
+* the output norms of every window of a sweep are one stacked pass
+  (``_output_norms_at``): the tensors are broadcast and every cell's
+  dot is one row of a stacked matmul.
+
+In both forms every element is the same operation on the same operands
+as in a cell-by-cell outer product, and every dot the same BLAS dot, so
+both give that product's bits.
 
 Every norm runs in two steps.  The prepare step builds what depends on
 neither s nor r: each axis's cells, their squares and the transverse
-check, a monomial norm's per-axis powers, the product norm's
-convolution factors, and a window's squared interpolant and weight
-tensor.  The evaluate step raises the bracket at one index, builds the
-per-call tiles and buffers and takes the dots; it writes to no prepared
-array, so one preparation serves any number of indices.  A sweep
-prepares each window once (``sweep.sweep_core``) and its records for
-each (s, r) only evaluate; the public norm functions do both steps in
-one call.  The per-node tensors of the data norms are built per call,
-so a window holds about 44 KB.
+check, a data norm's per-axis factors, and a window's squared
+interpolant and weight tensor.  The evaluate step raises the bracket at
+one index, builds the per-call tiles and buffers and takes the dots; it
+writes to no prepared array, so one preparation serves any number of
+indices.  A sweep prepares each window once (``sweep.sweep_core``) and
+its records for each (s, r) only evaluate; the public norm functions do
+both steps in one call.  The per-node tensors of the data norms are
+built per call, so a window holds about 44 KB.
 """
 
 from __future__ import annotations
@@ -326,8 +332,8 @@ def _outer_cells(op: np.ufunc, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> n
     ``a``, ``b`` and ``c`` have shape ``(..., cells, n)``, leading axes
     stacking boxes; the result has shape ``(..., cells1, cells2, cells3,
     n1, n2, n3)``.  Each element is ``op`` of the same operands as in
-    ``product_norm_boxes``'s cell loop, so the bits are the same; this
-    form suits small cells, where one call over every cell beats a loop.
+    ``_separable_norm``'s cell loop, so the bits are the same; this form
+    suits small cells, where one call over every cell beats a loop.
     """
     return op(
         op(a[..., :, None, None, :, None, None], b[..., None, :, None, None, :, None]),
@@ -348,122 +354,99 @@ def _transverse_rounds_away(sq1: np.ndarray, sq2: np.ndarray, sq3: np.ndarray) -
     return (kept[0] & kept[1]).all(axis=(-2, -1))
 
 
-class _Cells(NamedTuple):
-    """The part of ``∫ <xi>^{2r} |F|^2`` over tensor cells that does not depend on r.
+def _cells(axis_cells) -> tuple[tuple, tuple, np.ndarray]:
+    """``(squares, weights, fast)`` of per-axis ``(nodes, weights)`` cells.
 
     ``squares[i]`` and ``weights[i]`` are axis i's squared nodes and its
     weights, of shape ``(..., cells_i, n_i)``, leading axes stacking
     boxes; ``fast`` holds each box's ``_transverse_rounds_away``.
     """
-
-    squares: tuple[np.ndarray, np.ndarray, np.ndarray]
-    weights: tuple[np.ndarray, np.ndarray, np.ndarray]
-    fast: np.ndarray
-
-
-def _cells(axis_cells) -> _Cells:
-    """``_Cells`` of per-axis ``(nodes, weights)`` cells."""
     squares = tuple(x * x for x, _ in axis_cells)
     fast = np.broadcast_to(_transverse_rounds_away(*squares), squares[0].shape[:-2])
-    return _Cells(squares, tuple(w for _, w in axis_cells), fast)
+    return squares, tuple(w for _, w in axis_cells), fast
 
 
-def _stacked_integrals(
-    squares, fast: np.ndarray, weights: np.ndarray, r: float, f_sq: np.ndarray
-) -> list[float]:
-    """``∫ <xi>^{2r} |F|^2`` over the tensor cells of a stack of boxes, all cells at once.
+class _SeparableData(NamedTuple):
+    """A prepared data norm, the integrand ``F = f1 f2 f3 / scale`` on one box's cells.
 
-    ``squares[i]`` holds axis i's squared nodes, of shape ``(boxes,
-    cells_i, n_i)``, ``fast`` each box's ``_transverse_rounds_away`` and
-    ``weights`` the boxes' weight tensors ``_outer_cells(np.multiply,
-    w1, w2, w3)``.  ``f_sq`` holds ``|F|^2`` with shape ``(N, cells1,
-    cells2, cells3, n1, n2, n3)``: one integrand per box, or with one
-    box, N integrands on it.  No argument is written to, so prepared
-    data can be evaluated again.  Returns the N integrals.  Each box's
-    bracket is built once for all of its cells and integrands, each
-    cell is summed by one dot of two contiguous vectors (one stacked
-    matmul for all of them, the same bits as one dot each) and the cells
-    are added in ``c1, c2, c3`` order, as in ``product_norm_boxes``.
-
-    Per box, where the transverse squares round away, ``<xi>^{2r}`` is
-    one array power per axis-1 node, broadcast; otherwise the 3-D
-    bracket is raised node by node.
-    """
-    sq1, sq2, sq3 = squares
-    bracket = ((1.0 + sq1) ** r)[:, :, None, None, :, None, None]
-    slow = np.logical_not(fast)
-    if slow.any():
-        bracket = np.broadcast_to(bracket, weights.shape).copy()
-        bracket[slow] = (1.0 + _outer_cells(np.add, sq1[slow], sq2[slow], sq3[slow])) ** r
-    f_sq = f_sq * bracket
-    cells, n = math.prod(weights.shape[1:4]), math.prod(weights.shape[4:])
-    dots = weights.reshape(-1, cells, 1, n) @ f_sq.reshape(-1, cells, n, 1)
-    integrals = []
-    for row in dots.reshape(-1, cells).tolist():
-        integral = 0.0
-        for dot in row:
-            integral += dot
-        integrals.append(integral)
-    return integrals
-
-
-class _MonomialData(NamedTuple):
-    """Prepared monomial norms on one box: its cells and per-axis powers.
-
-    ``powers[i]`` has shape ``(monomials, 1, n_i)``, each monomial's
-    axis-i factor; ``cells`` is None where a volume axis has length 0.
+    ``cells`` is ``_cells`` of the box's per-axis cells and ``factors[i]``
+    holds ``f_i`` at axis i's nodes, both of shape ``(cells_i, n_i)``.
+    The product norm's factors are the per-axis convolution factors, with
+    scale ``(2 pi)^3``; a monomial norm's box is one cell per axis, its
+    factors ``x_i ** m_i`` and its scale 1.
     """
 
-    count: int
-    cells: _Cells | None
-    powers: tuple[np.ndarray, ...]
+    cells: tuple[tuple, tuple, np.ndarray]
+    factors: tuple[np.ndarray, np.ndarray, np.ndarray]
+    scale: float
+
+
+def _separable_norm(data: _SeparableData | None, r: float) -> float:
+    """The prepared data norm at Sobolev index ``r``; None is the norm 0.
+
+    The cells are integrated one at a time, in ``c1, c2, c3`` order, each
+    by one dot of two contiguous vectors.  A cell's weights and integrand
+    are each one multiply of an axis-1 x axis-2 outer product, repeated
+    once per ``(c1, c2)``, by an axis-3 vector tiled once per call: the
+    outer product's ``(u * v) * w``, bit for bit, without a broadcast
+    whose inner loop runs over few nodes.  Where the transverse squares
+    round away (``_transverse_rounds_away``), ``<xi>^{2r}`` is one array
+    power per axis-1 node, repeated once per axis-1 cell; otherwise the
+    3-D bracket is raised per cell.
+    """
+    if data is None:
+        return 0.0
+    (sq1, sq2, sq3), (w1, w2, w3), fast = data.cells
+    f1, f2, f3 = data.factors
+    n12, n3 = sq1.shape[1] * sq2.shape[1], sq3.shape[1]
+    # row c3 of a tile is axis-3 cell c3's vector, repeated n12 times
+    w_tiles, f_tiles = (v[:, None, :].repeat(n12, axis=1).reshape(len(v), -1) for v in (w3, f3))
+    if fast:
+        pows = (1.0 + sq1) ** r
+    else:
+        sq_tiles = sq3[:, None, :].repeat(n12, axis=1).reshape(len(sq3), -1)
+    weights, vals = np.empty(n12 * n3), np.empty(n12 * n3)
+    integral = 0.0
+    for c1 in range(len(sq1)):
+        if fast:
+            bracket = pows[c1].repeat(sq2.shape[1] * n3)
+        for c2 in range(len(sq2)):
+            w12 = np.multiply.outer(w1[c1], w2[c2]).repeat(n3)
+            f12 = np.multiply.outer(f1[c1], f2[c2]).repeat(n3)
+            if not fast:
+                sq12 = np.add.outer(sq1[c1], sq2[c2]).repeat(n3)
+            for c3 in range(len(sq3)):
+                np.multiply(w12, w_tiles[c3], out=weights)
+                np.multiply(f12, f_tiles[c3], out=vals)
+                vals /= data.scale
+                vals **= 2
+                vals *= bracket if fast else (1.0 + (sq12 + sq_tiles[c3])) ** r
+                integral += float(weights @ vals)
+    return math.sqrt(integral / TWO_PI_CUBED)
 
 
 def _monomial_data(
     b: Box3, monomials: tuple[tuple[int, int, int], ...], nodes_per_axis
-) -> _MonomialData:
-    """The part of ``sobolev_norms_monomials`` that does not depend on r."""
+) -> list[_SeparableData | None]:
+    """The part of ``sobolev_norm_monomial`` that does not depend on r, per monomial.
+
+    The box is one cell per axis, shared by the monomials: one node set
+    and one transverse check.  None where a volume axis has length 0.
+    """
     exponents = [m for monomial in monomials for m in monomial]
     if not all(float(m).is_integer() and m >= 0 for m in exponents):
         raise InvalidParameterError(f"monomial powers must be whole numbers >= 0, got {monomials}")
     counts = _node_counts(nodes_per_axis)
     if b.has_null_axis:
-        return _MonomialData(len(monomials), None, ())
-    # one box of one cell per axis: shape (1, 1, n) per axis
+        return [None] * len(monomials)
     axis_cells = [
-        axis_rule([[lo]], [[hi]], counts[i], i == b.surface_axis)
-        for i, (lo, hi) in enumerate(b.axes)
+        axis_rule([lo], [hi], counts[i], i == b.surface_axis) for i, (lo, hi) in enumerate(b.axes)
     ]
-    # each monomial as a box of its own for _outer_cells: (monomials, 1, n) per axis
-    g = tuple(
-        np.concatenate([x ** int(m[i]) for m in monomials]) for i, (x, _) in enumerate(axis_cells)
-    )
-    return _MonomialData(len(monomials), _cells(axis_cells), g)
-
-
-def _monomial_norms(data: _MonomialData, r: float) -> list[float]:
-    """The prepared monomial norms at Sobolev index ``r``."""
-    if data.cells is None:
-        return [0.0] * data.count
-    squares, weights, fast = data.cells
-    f_sq = _outer_cells(np.multiply, *data.powers) ** 2
-    integrals = _stacked_integrals(squares, fast, _outer_cells(np.multiply, *weights), r, f_sq)
-    return [math.sqrt(v / TWO_PI_CUBED) for v in integrals]
-
-
-def sobolev_norms_monomials(
-    b: Box3,
-    monomials: tuple[tuple[int, int, int], ...],
-    r: float,
-    nodes_per_axis: tuple[int, int, int] = DEFAULT_GRID,
-) -> list[float]:
-    """``sobolev_norm_monomial`` for several monomials on one box, in one pass.
-
-    The box is one cell per axis; a surface axis is its single point
-    with weight 1.  The nodes, the weight tensor, the transverse check
-    and ``<xi>^{2r}`` are built once for all of the monomials.
-    """
-    return _monomial_norms(_monomial_data(b, monomials, nodes_per_axis), r)
+    cells = _cells(axis_cells)
+    return [
+        _SeparableData(cells, tuple(x ** int(m) for (x, _), m in zip(axis_cells, monomial)), 1.0)
+        for monomial in monomials
+    ]
 
 
 def sobolev_norm_monomial(
@@ -474,11 +457,13 @@ def sobolev_norm_monomial(
 ) -> float:
     """H^r norm of data whose transform is ``xi^monomial`` on ``b``.
 
-    On a surface box the integral carries the box's 2-D measure; such
-    values are formal (a genuine 3-D norm of surface-supported data does
-    not exist) and are flagged by callers.
+    The box is one cell per axis; a surface axis is its single point
+    with weight 1.  On a surface box the integral carries the box's 2-D
+    measure; such values are formal (a genuine 3-D norm of
+    surface-supported data does not exist) and are flagged by callers.
     """
-    return sobolev_norms_monomials(b, (monomial,), r, nodes_per_axis)[0]
+    (data,) = _monomial_data(b, (monomial,), nodes_per_axis)
+    return _separable_norm(data, r)
 
 
 def _axis_breakpoints(a: tuple[float, float], b: tuple[float, float]) -> np.ndarray:
@@ -508,14 +493,7 @@ def _conv_factor(vals: np.ndarray, a: Box3, b: Box3, axis: int) -> np.ndarray:
     return np.maximum(hi - lo, 0.0)
 
 
-class _ProductData(NamedTuple):
-    """A prepared product norm: its cells and per-axis convolution factors."""
-
-    cells: _Cells
-    factors: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _product_data(a: Box3, b: Box3, nodes_per_axis) -> _ProductData | None:
+def _product_data(a: Box3, b: Box3, nodes_per_axis) -> _SeparableData | None:
     """The part of ``product_norm_boxes`` that does not depend on r.
 
     None where an axis of the support is one point: the norm is 0.
@@ -529,40 +507,7 @@ def _product_data(a: Box3, b: Box3, nodes_per_axis) -> _ProductData | None:
         x, w = gauss_legendre_cells(cuts[:-1], cuts[1:], counts[i])
         axis_cells.append((x, w))
         factors.append(_conv_factor(x, a, b, i))
-    return _ProductData(_cells(axis_cells), tuple(factors))
-
-
-def _product_norm(data: _ProductData | None, r: float) -> float:
-    """The prepared product norm at Sobolev index ``r``: ``product_norm_boxes``' cell loop."""
-    if data is None:
-        return 0.0
-    (sq1, sq2, sq3), (w1, w2, w3), fast = data.cells
-    f1, f2, f3 = data.factors
-    n12, n3 = sq1.shape[1] * sq2.shape[1], sq3.shape[1]
-    # row c3 of a tile is axis-3 cell c3's vector, repeated n12 times
-    w_tiles, f_tiles = (v[:, None, :].repeat(n12, axis=1).reshape(len(v), -1) for v in (w3, f3))
-    if fast:
-        pows = (1.0 + sq1) ** r
-    else:
-        sq_tiles = sq3[:, None, :].repeat(n12, axis=1).reshape(len(sq3), -1)
-    weights, conv = np.empty(n12 * n3), np.empty(n12 * n3)
-    integral = 0.0
-    for c1 in range(len(sq1)):
-        if fast:
-            bracket = pows[c1].repeat(sq2.shape[1] * n3)
-        for c2 in range(len(sq2)):
-            w12 = np.multiply.outer(w1[c1], w2[c2]).repeat(n3)
-            f12 = np.multiply.outer(f1[c1], f2[c2]).repeat(n3)
-            if not fast:
-                sq12 = np.add.outer(sq1[c1], sq2[c2]).repeat(n3)
-            for c3 in range(len(sq3)):
-                np.multiply(w12, w_tiles[c3], out=weights)
-                np.multiply(f12, f_tiles[c3], out=conv)
-                conv /= TWO_PI_CUBED
-                conv **= 2
-                conv *= bracket if fast else (1.0 + (sq12 + sq_tiles[c3])) ** r
-                integral += float(weights @ conv)
-    return math.sqrt(integral / TWO_PI_CUBED)
+    return _SeparableData(_cells(axis_cells), tuple(factors), TWO_PI_CUBED)
 
 
 def product_norm_boxes(
@@ -578,17 +523,9 @@ def product_norm_boxes(
     over the Minkowski-sum support is done by Gauss-Legendre composite
     over the cells between the per-axis kink points of the convolution.
     Nodes, weights and convolution factors are computed once per axis for
-    all of its cells; the cells are integrated one at a time, in ``c1,
-    c2, c3`` order, each by one dot of two contiguous vectors.  A cell's
-    weights and convolution are each one multiply of an axis-1 x axis-2
-    outer product, repeated once per ``(c1, c2)``, by an axis-3 vector
-    tiled once per call: the outer product's ``(u * v) * w``, bit for
-    bit, without a broadcast whose inner loop runs over few nodes.
-    Where the transverse squares round away (``_transverse_rounds_away``),
-    ``<xi>^{2r}`` is one array power per axis-1 node, repeated once per
-    axis-1 cell; otherwise the 3-D bracket is raised per cell.
+    all of its cells, and the cells are integrated by ``_separable_norm``.
     """
-    return _product_norm(_product_data(a, b, nodes_per_axis), r)
+    return _separable_norm(_product_data(a, b, nodes_per_axis), r)
 
 
 def norm_report(p: KnappParams, r: float) -> NormReport:
@@ -611,28 +548,28 @@ def norm_report(p: KnappParams, r: float) -> NormReport:
 class _NormData(NamedTuple):
     """A configuration's data norms, prepared: ``norm_report`` but for r."""
 
-    curl: _MonomialData  # d2 a1 and d3 a1, on w2_box
-    d1a2: _MonomialData
-    product: _ProductData | None
+    d2a1: _SeparableData | None  # d2a1 and d3a1 share w2_box's cells
+    d3a1: _SeparableData | None
+    d1a2: _SeparableData | None
+    product: _SeparableData | None
 
 
 def _norm_data(p: KnappParams) -> _NormData:
     """The part of ``norm_report`` that does not depend on r."""
     return _NormData(
-        _monomial_data(p.w2_box, ((0, 1, 0), (0, 0, 1)), p.grid),
-        _monomial_data(p.neg_wprime_box, ((1, 0, 0),), p.grid),
+        *_monomial_data(p.w2_box, ((0, 1, 0), (0, 0, 1)), p.grid),
+        *_monomial_data(p.neg_wprime_box, ((1, 0, 0),), p.grid),
         _product_data(p.w2_box, p.neg_wprime_box, p.grid),
     )
 
 
 def _norms_at(data: _NormData, r: float) -> NormReport:
     """The prepared data norms at Sobolev index ``r``."""
-    nd2, nd3 = _monomial_norms(data.curl, r)
-    (nd1a2,) = _monomial_norms(data.d1a2, r)
+    nd2, nd3, nd1a2, product = (_separable_norm(d, r) for d in data)
     return NormReport(
         norm_d2a1=nd2,
         norm_d1a2=nd1a2,
-        norm_product=_product_norm(data.product, r),
+        norm_product=product,
         norm_total=math.hypot(nd2, nd3),
     )
 
@@ -676,9 +613,9 @@ def _trilinear(vals: np.ndarray, ys: list[np.ndarray]) -> np.ndarray:
 class _OutputData(NamedTuple):
     """One window's prepared output norm: a stack of one box of 8 cells.
 
-    ``squares`` and ``fast`` are the ``_Cells`` fields, ``weights`` the
-    weight tensor and ``f_sq`` the squared trilinear interpolant, both
-    of shape ``(1, cells1, cells2, cells3, n1, n2, n3)``.
+    ``squares`` and ``fast`` are as ``_cells`` gives them, ``weights``
+    the weight tensor and ``f_sq`` the squared trilinear interpolant,
+    both of shape ``(1, cells1, cells2, cells3, n1, n2, n3)``.
     """
 
     squares: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -724,15 +661,35 @@ def _output_data(windows) -> list[_OutputData]:
 
 
 def _output_norms_at(s: float, windows: list[_OutputData]) -> list[float]:
-    """The prepared output norms at Sobolev index ``s``, in one stacked pass."""
+    """The prepared output norms at Sobolev index ``s``, in one stacked pass.
+
+    No prepared array is written to.  Each window's bracket is built once
+    for all of its cells, each cell is summed by one dot of two
+    contiguous vectors (one stacked matmul for all of them, the same bits
+    as one dot each) and the cells are added in ``c1, c2, c3`` order, as
+    in ``_separable_norm``.  Per window, where the transverse squares
+    round away, ``<xi>^{2s}`` is one array power per axis-1 node,
+    broadcast; otherwise the 3-D bracket is raised node by node.
+    """
     if not windows:
         return []
-    squares = tuple(np.concatenate(sq) for sq in zip(*(w.squares for w in windows)))
-    fast = np.concatenate([w.fast for w in windows])
+    sq1, sq2, sq3 = (np.concatenate(sq) for sq in zip(*(w.squares for w in windows)))
+    slow = np.logical_not(np.concatenate([w.fast for w in windows]))
     weights = np.concatenate([w.weights for w in windows])
-    f_sq = np.concatenate([w.f_sq for w in windows])
-    integrals = _stacked_integrals(squares, fast, weights, s, f_sq)
-    return [math.sqrt(v / TWO_PI_CUBED) for v in integrals]
+    bracket = ((1.0 + sq1) ** s)[:, :, None, None, :, None, None]
+    if slow.any():
+        bracket = np.broadcast_to(bracket, weights.shape).copy()
+        bracket[slow] = (1.0 + _outer_cells(np.add, sq1[slow], sq2[slow], sq3[slow])) ** s
+    f_sq = np.concatenate([w.f_sq for w in windows]) * bracket
+    cells, n = math.prod(weights.shape[1:4]), math.prod(weights.shape[4:])
+    dots = weights.reshape(-1, cells, 1, n) @ f_sq.reshape(-1, cells, n, 1)
+    norms = []
+    for row in dots.reshape(-1, cells).tolist():
+        integral = 0.0
+        for dot in row:
+            integral += dot
+        norms.append(math.sqrt(integral / TWO_PI_CUBED))
+    return norms
 
 
 def _output_norms(s: float, windows) -> list[float]:

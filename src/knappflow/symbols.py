@@ -117,10 +117,12 @@ def duhamel_multiplier_oracle(t: float, om: float, n_steps: int = 2048) -> compl
     The real and imaginary parts are summed apart with Simpson's weights
     1, 4, 2, ..., 4, 1.
     """
-    if t < 0.0:
-        raise InvalidParameterError(f"t must be nonnegative, got {t}")
-    if n_steps < 8:
-        raise InvalidParameterError(f"n_steps must be at least 8, got {n_steps}")
+    if t < 0.0 or not math.isfinite(t):
+        raise InvalidParameterError(f"t must be finite and nonnegative, got {t}")
+    if not math.isfinite(om):
+        raise InvalidParameterError(f"omega must be finite, got {om}")
+    if not (n_steps >= 8 and float(n_steps).is_integer()):
+        raise InvalidParameterError(f"n_steps must be a whole number >= 8, got {n_steps}")
     n_steps = int(n_steps)
     h = t / (2 * n_steps)
     phase = om * np.linspace(0.0, t, n_steps + 1)

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from knappflow import acceptance, boxes
+from knappflow._kernels import mult_values
 from knappflow.construction import make_params
 from knappflow.sweep import VERDICT_MARGIN, fit_exponent, records_from_core, smoothness_verdict
+from knappflow.symbols import duhamel_multiplier
 
 
 def _check(result):
@@ -27,6 +29,20 @@ def test_criterion_01_multiplier_oracle():
     # Simpson's own error at n_steps = 4096: a changed rule or multiplier
     # moves it
     assert result.detail.startswith("max deviation 2.283e-12 ")
+
+
+def test_criterion_01_pairs_take_the_sweeps_multiplier_bit_for_bit():
+    # criterion 1 checks the scalar duhamel_multiplier; term_sums takes
+    # the vectorized mult_values.  On criterion 1's own pairs the two are
+    # one function, so the oracle's check covers the sweeps' multiplier.
+    # This rests on numpy's sin and cos rounding as libm's do here.
+    rng = np.random.default_rng(101)
+    n = 10_000
+    ts = 1.0 - rng.random(n)
+    oms = rng.uniform(-100.0, 100.0, n) / ts
+    want = np.array([duhamel_multiplier(t, om).value for t, om in zip(ts.tolist(), oms.tolist())])
+    got = mult_values(ts, oms)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_criterion_02_curl_identity():

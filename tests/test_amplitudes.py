@@ -19,11 +19,11 @@ from knappflow.amplitudes import (
     product_norm_boxes,
     sample_lattice,
     sobolev_norm_monomial,
-    sobolev_norms_monomials,
 )
 from knappflow.boxes import (
     Box3,
     admissible_eta_region,
+    axis_rule,
     gauss_legendre_cells,
     quadrature_grid,
     quadrature_nodes,
@@ -740,7 +740,7 @@ def test_monomial_powers_must_be_whole_numbers(power):
     with pytest.raises(InvalidParameterError):
         sobolev_norm_monomial(cube, (power, 0, 0), 0.0)
     with pytest.raises(InvalidParameterError):
-        sobolev_norms_monomials(cube, ((0, 0, 0), (0, power, 0)), 0.0)
+        amplitudes._monomial_data(cube, ((0, 0, 0), (0, power, 0)), DEFAULT_GRID)
 
 
 def test_sobolev_norm_surface_is_formal_area_integral():
@@ -892,6 +892,12 @@ def monomial_norm_reference(b, monomial, r, nodes_per_axis=DEFAULT_GRID):
 MONOMIALS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
+def shared_monomial_norms(b, monomials, r, nodes_per_axis):
+    """The monomial norms of one box from one shared-cell preparation."""
+    data = amplitudes._monomial_data(b, monomials, nodes_per_axis)
+    return [amplitudes._separable_norm(d, r) for d in data]
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_monomial_norm_at_steep_weight_equals_point_grid_reference(monkeypatch, seed):
     # At a large r the few nodes of largest |xi| decide the sum, so a
@@ -902,29 +908,87 @@ def test_monomial_norm_at_steep_weight_equals_point_grid_reference(monkeypatch, 
     r = float(rng.uniform(8.0, 30.0))
     want = [monomial_norm_reference(b, m, r, SMALL_GRID) for m in MONOMIALS]
     assert [sobolev_norm_monomial(b, m, r, SMALL_GRID) for m in MONOMIALS] == want
-    assert sobolev_norms_monomials(b, MONOMIALS, r, SMALL_GRID) == want
+    assert shared_monomial_norms(b, MONOMIALS, r, SMALL_GRID) == want
     # a monomial with several powers squares their product instead of
     # multiplying the powers in one by one: equal to rounding
     got = sobolev_norm_monomial(b, (2, 1, 1), r, SMALL_GRID)
     assert got == pytest.approx(monomial_norm_reference(b, (2, 1, 1), r, SMALL_GRID))
     # unit-scale boxes: the transverse squares count, so the 3-D bracket
-    # ran: once per single-monomial call and once for the shared pass
+    # ran: once per single-monomial call and once for the shared cells
     assert taken == [False] * (len(MONOMIALS) + 2)
 
 
 @pytest.mark.parametrize("mode", ["slab", "surface"])
-def test_monomial_pass_equals_one_monomial_calls(monkeypatch, mode):
-    # one pass per box builds the weights, the check and <xi>^{2r} once
-    # for every monomial: each norm is its own call's, bit for bit
+def test_shared_cell_preparation_equals_one_monomial_calls(monkeypatch, mode):
+    # one preparation per box builds the nodes and the transverse check
+    # once for every monomial, and serves every r: each norm is its own
+    # call's, bit for bit
     taken = log_fast_path(monkeypatch)
     for k in (1, 10):
         p = make_params(EPS, RHO, k, mode=mode)
         for box in (p.w2_box, p.neg_wprime_box):
+            data = amplitudes._monomial_data(box, MONOMIALS, p.grid)
             for r in R_GRID:
                 want = [sobolev_norm_monomial(box, m, r, p.grid) for m in MONOMIALS]
-                assert sobolev_norms_monomials(box, MONOMIALS, r, p.grid) == want
-    # one decision per call: the single-monomial calls and the pass
-    assert taken == [True] * (2 * 2 * len(R_GRID) * (len(MONOMIALS) + 1))
+                assert [amplitudes._separable_norm(d, r) for d in data] == want
+    # one decision per preparation: the shared one and each single call
+    assert taken == [True] * (2 * 2 * (1 + len(R_GRID) * len(MONOMIALS)))
+
+
+def shared_pass_monomial_norms(b, monomials, r, nodes_per_axis):
+    """The monomial norms of one box as one broadcast pass over all of
+    them: one Gauss cell per axis, the weight tensor ``(w1*w2)*w3`` and
+    each monomial's ``((p1*p2)*p3)**2`` as outer products, ``<xi>^{2r}``
+    once for every monomial (from axis 1 alone where the transverse
+    squares round away), and each monomial's dot one row of a stacked
+    matmul."""
+    if b.has_null_axis:
+        return [0.0] * len(monomials)
+    (x1, w1), (x2, w2), (x3, w3) = (
+        axis_rule(lo, hi, n, i == b.surface_axis)
+        for i, ((lo, hi), n) in enumerate(zip(b.axes, nodes_per_axis))
+    )
+    weights = outer_tensor(np.multiply, w1, w2, w3)
+    f_sq = np.array([outer_tensor(np.multiply, x1**m1, x2**m2, x3**m3) for m1, m2, m3 in monomials])
+    f_sq = f_sq**2
+    sq1, sq2, sq3 = x1 * x1, x2 * x2, x3 * x3
+    if (sq1 + sq2.max() == sq1).all() and (sq1 + sq3.max() == sq1).all():
+        bracket = ((1.0 + sq1) ** r)[:, None, None]
+    else:
+        bracket = (1.0 + outer_tensor(np.add, sq1, sq2, sq3)) ** r
+    f_sq = f_sq * bracket
+    dots = weights.reshape(-1, 1, 1, weights.size) @ f_sq.reshape(-1, 1, weights.size, 1)
+    return [math.sqrt((0.0 + dot) / TWO_PI_CUBED) for dot in dots.ravel().tolist()]
+
+
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_separable_monomial_norms_equal_a_shared_broadcast_pass(monkeypatch, mode):
+    # every k, both data boxes, the scans' r and one steep r
+    taken = log_fast_path(monkeypatch)
+    for k in range(1, 11):
+        p = make_params(EPS, RHO, k, mode=mode)
+        for box in (p.w2_box, p.neg_wprime_box):
+            data = amplitudes._monomial_data(box, MONOMIALS, p.grid)
+            for r in (*R_GRID, 7.5):
+                want = shared_pass_monomial_norms(box, MONOMIALS, r, p.grid)
+                assert [amplitudes._separable_norm(d, r) for d in data] == want
+    assert taken == [True] * (10 * 2)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_separable_monomial_norms_at_steep_weight_equal_a_shared_broadcast_pass(
+    monkeypatch, seed
+):
+    taken = log_fast_path(monkeypatch)
+    rng = np.random.default_rng(300 + seed)
+    b = random_box(rng, surface_axis=(None, 2, 0, None)[seed % 4])
+    r = float(rng.uniform(8.0, 30.0))
+    monomials = (*MONOMIALS, (2, 1, 1))
+    for grid in PRODUCT_GRIDS:
+        want = shared_pass_monomial_norms(b, monomials, r, grid)
+        assert shared_monomial_norms(b, monomials, r, grid) == want
+    # unit-scale boxes: the transverse squares count, so the 3-D bracket ran
+    assert taken == [False] * len(PRODUCT_GRIDS)
 
 
 def test_monomial_norm_of_zero_length_axis_is_zero():
@@ -1016,9 +1080,10 @@ def test_product_norm_working_set_is_one_cell():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_prepared_norms_at_several_r_equal_one_call_norms(monkeypatch, seed):
-    # a product and a monomial norm prepared once and evaluated at several
-    # r, in a shuffled order with a repeat, equal one-call norms bit for
-    # bit; unit-scale boxes, so every evaluation raises the 3-D bracket
+    # a product norm and a box's monomial norms prepared once and
+    # evaluated at several r, in a shuffled order with a repeat, equal
+    # one-call norms bit for bit; unit-scale boxes, so every evaluation
+    # raises the 3-D bracket
     taken = log_fast_path(monkeypatch)
     rng = np.random.default_rng(100 + seed)
     a = random_box(rng, surface_axis=2 if seed % 3 == 0 else None)
@@ -1029,9 +1094,9 @@ def test_prepared_norms_at_several_r_equal_one_call_norms(monkeypatch, seed):
     rs = [float(r) for r in rng.uniform(-2.0, 30.0, 4)]
     rs = [rs[i] for i in rng.permutation(4)] + rs[:2]
     for r in rs:
-        assert amplitudes._product_norm(product, r) == product_norm_boxes(a, b, r, SMALL_GRID)
-        want = sobolev_norms_monomials(a, MONOMIALS, r, SMALL_GRID)
-        assert amplitudes._monomial_norms(monomials, r) == want
+        assert amplitudes._separable_norm(product, r) == product_norm_boxes(a, b, r, SMALL_GRID)
+        want = [sobolev_norm_monomial(a, m, r, SMALL_GRID) for m in MONOMIALS]
+        assert [amplitudes._separable_norm(d, r) for d in monomials] == want
     assert set(taken) == {False}
 
 
@@ -1123,7 +1188,7 @@ def test_knapp_norms_are_products_of_three_axis_sums(mode, r):
     # product norms of norm_report, each as its integral.
     for k in range(1, 11):
         p = make_params(EPS, RHO, k, mode=mode)
-        nd2, nd3 = sobolev_norms_monomials(p.w2_box, ((0, 1, 0), (0, 0, 1)), r, p.grid)
+        nd2, nd3 = shared_monomial_norms(p.w2_box, ((0, 1, 0), (0, 0, 1)), r, p.grid)
         cases = [
             (nd2, separable_monomial_integral(p.w2_box, (0, 1, 0), r, p.grid)),
             (nd3, separable_monomial_integral(p.w2_box, (0, 0, 1), r, p.grid)),
@@ -1407,7 +1472,7 @@ def monomial_case(h, binding):
     ax2, ax3 = transverse_axes(binding, (0.0, h), (-0.1 * h, 0.05 * h))
     b = Box3(ax1=(3.8, 5.8), ax2=ax2, ax3=ax3)
     return (
-        lambda: sobolev_norms_monomials(b, MONOMIALS, BOUNDARY_R, SMALL_GRID),
+        lambda: shared_monomial_norms(b, MONOMIALS, BOUNDARY_R, SMALL_GRID),
         lambda: [monomial_norm_reference(b, m, BOUNDARY_R, SMALL_GRID) for m in MONOMIALS],
     )
 
@@ -1481,7 +1546,7 @@ def test_every_sweep_norm_at_the_acceptance_geometry_takes_the_fast_path(monkeyp
     taken = log_fast_path(monkeypatch)
     cores = sweep_core(EPS, RHO, range(1, 11), mode=mode)
     # per window: the output norm (one stacked pass decides each window on
-    # its own), the shared nd2/nd3 pass, nd1a2 and the product norm, each
+    # its own), the shared nd2/nd3 cells, nd1a2 and the product norm, each
     # decided once, when sweep_core prepares the norms
     assert taken == [True] * (4 * 10)
     for s, r in zip(S_GRID, R_GRID):

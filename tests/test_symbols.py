@@ -287,3 +287,26 @@ def test_oracle_fourth_order_convergence():
     with pytest.raises(InvalidParameterError):
         duhamel_multiplier_oracle(-1.0, 1.0, 16)
 
+
+@pytest.mark.parametrize(
+    "t, om, n_steps",
+    [
+        (1.0, math.inf, 64),
+        (1.0, -math.inf, 64),
+        (math.inf, 1.0, 64),
+        (math.nan, 1.0, 64),
+        (1.0, math.nan, 64),
+        (1.0, 1.0, 8.5),
+        (1.0, 1.0, math.inf),
+        (1.0, 1.0, math.nan),
+    ],
+)
+def test_oracle_rejects_non_finite_pairs_and_fractional_steps(t, om, n_steps):
+    # as duhamel_multiplier does for t and omega
+    with pytest.raises(InvalidParameterError):
+        duhamel_multiplier_oracle(t, om, n_steps)
+
+
+def test_oracle_takes_a_whole_float_step_count():
+    assert duhamel_multiplier_oracle(0.7, 3.0, 8.0) == duhamel_multiplier_oracle(0.7, 3.0, 8)
+
