@@ -48,9 +48,11 @@ tensor node, with the same bits.  The norms take two forms:
   built once per norm (an axis-3 vector tiled, an axis-1 x axis-2
   product repeated), not an outer product whose inner loop runs over
   the few axis-3 nodes;
-* the output norms of every window of a sweep are one stacked pass
-  (``_output_norms_at``): the tensors are broadcast and every cell's
-  dot is one row of a stacked matmul.
+* the output norms of a sweep's windows are prepared in one stacked
+  pass (``_output_data``: one trilinear interpolation and one
+  transverse check for every window) and evaluated per window
+  (``_output_norm_at``): the window's tensors are broadcast and every
+  cell's dot is one row of a stacked matmul.
 
 In both forms every element is the same operation on the same operands
 as in a cell-by-cell outer product, and every dot the same BLAS dot, so
@@ -59,13 +61,14 @@ both give that product's bits.
 Every norm runs in two steps.  The prepare step builds what depends on
 neither s nor r: each axis's cells, their squares and the transverse
 check, a data norm's per-axis factors, and a window's squared
-interpolant and weight tensor.  The evaluate step raises the bracket at
-one index, builds the per-call tiles and buffers and takes the dots; it
-writes to no prepared array, so one preparation serves any number of
-indices.  A sweep prepares each window once (``sweep.sweep_core``) and
-its records for each (s, r) only evaluate; the public norm functions do
-both steps in one call.  The per-node tensors of the data norms are
-built per call, so a window holds about 44 KB.
+interpolant and weight tensor.  The evaluate step rejects an index that
+is not finite, raises the bracket at that index, builds the per-call
+tiles and buffers and takes the dots; it writes to no prepared array,
+so one preparation serves any number of indices.  A sweep prepares
+each window once (``sweep.sweep_core``) and its records for each (s, r)
+only evaluate; the public norm functions do both steps in one call.
+The per-node tensors of the data norms are built per call, so a window
+holds about 44 KB.
 """
 
 from __future__ import annotations
@@ -326,6 +329,12 @@ def lambda_hat(
 # Norms
 # ---------------------------------------------------------------------------
 
+def _check_index(name: str, x: float) -> None:
+    """Reject a Sobolev index that is not a finite number."""
+    if not math.isfinite(x):
+        raise InvalidParameterError(f"Sobolev index {name} must be finite, got {x!r}")
+
+
 def _outer_cells(op: np.ufunc, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """``(a[c1] op b[c2]) op c[c3]`` of every tensor cell at once, by broadcasting.
 
@@ -394,6 +403,7 @@ def _separable_norm(data: _SeparableData | None, r: float) -> float:
     power per axis-1 node, repeated once per axis-1 cell; otherwise the
     3-D bracket is raised per cell.
     """
+    _check_index("r", r)
     if data is None:
         return 0.0
     (sq1, sq2, sq3), (w1, w2, w3), fast = data.cells
@@ -611,29 +621,34 @@ def _trilinear(vals: np.ndarray, ys: list[np.ndarray]) -> np.ndarray:
 
 
 class _OutputData(NamedTuple):
-    """One window's prepared output norm: a stack of one box of 8 cells.
+    """One window's prepared output norm: one box of 8 cells.
 
-    ``squares`` and ``fast`` are as ``_cells`` gives them, ``weights``
-    the weight tensor and ``f_sq`` the squared trilinear interpolant,
-    both of shape ``(1, cells1, cells2, cells3, n1, n2, n3)``.
+    ``squares`` and ``fast`` are the window's part of what ``_cells``
+    gives, ``weights`` the weight tensor and ``f_sq`` the squared
+    trilinear interpolant, both of shape ``(cells1, cells2, cells3, n1,
+    n2, n3)``.
     """
 
     squares: tuple[np.ndarray, np.ndarray, np.ndarray]
-    fast: np.ndarray
+    fast: bool
     weights: np.ndarray
     f_sq: np.ndarray
 
 
 def _output_data(windows) -> list[_OutputData]:
-    """The part of ``_output_norms`` that does not depend on s, per window.
+    """The part of ``output_norm_from_samples`` that does not depend on s, per window.
 
-    The lattices must share one shape.  One ``_trilinear`` call and one
-    transverse check cover every cell of every window; each window
-    holds its slice of the result.
+    The lattices must share one shape of 3 axes; every axis must be
+    1-D, finite and strictly increasing, with at least 2 points, and
+    every amplitude finite.  One ``_trilinear`` call and one transverse
+    check cover every cell of every window; each window holds its slice
+    of the result.
     """
     if not windows:
         return []
     shape = tuple(len(ax) for ax in windows[0][0])
+    if len(shape) != 3:
+        raise InvalidParameterError(f"a lattice needs 3 axes, got {len(shape)}")
     for axes, amps in windows:
         if tuple(len(ax) for ax in axes) != shape:
             raise InvalidParameterError(
@@ -646,58 +661,50 @@ def _output_data(windows) -> list[_OutputData]:
     axis_cells, ys = [], []
     for i in range(3):
         ax = np.array([axes[i] for axes, _ in windows], dtype=float)
+        if ax.ndim != 2 or ax.shape[1] < 2 or not (
+            np.isfinite(ax).all() and (ax[:, 1:] > ax[:, :-1]).all()
+        ):
+            raise InvalidParameterError(
+                f"lattice axes must be 1-D, finite and strictly increasing, with at least "
+                f"2 points; axis {i} is not"
+            )
         lo, hi = ax[:, :-1], ax[:, 1:]
         x, w = gauss_legendre_cells(lo, hi, 6)
         axis_cells.append((x, w))
         ys.append((x - lo[..., None]) / (hi - lo)[..., None])
     vals = np.array([np.reshape(amps, shape) for _, amps in windows], dtype=float)
+    if not np.isfinite(vals).all():
+        raise InvalidParameterError("lattice amplitudes must be finite")
     squares, weights, fast = _cells(axis_cells)
     weights = _outer_cells(np.multiply, *weights)
     f_sq = _trilinear(vals, ys) ** 2
     return [
-        _OutputData(tuple(sq[row] for sq in squares), fast[row], weights[row], f_sq[row])
-        for row in (slice(j, j + 1) for j in range(len(windows)))
+        _OutputData(tuple(sq[j] for sq in squares), bool(fast[j]), weights[j], f_sq[j])
+        for j in range(len(windows))
     ]
 
 
-def _output_norms_at(s: float, windows: list[_OutputData]) -> list[float]:
-    """The prepared output norms at Sobolev index ``s``, in one stacked pass.
+def _output_norm_at(s: float, data: _OutputData) -> float:
+    """The prepared output norm at Sobolev index ``s``.
 
-    No prepared array is written to.  Each window's bracket is built once
-    for all of its cells, each cell is summed by one dot of two
-    contiguous vectors (one stacked matmul for all of them, the same bits
-    as one dot each) and the cells are added in ``c1, c2, c3`` order, as
-    in ``_separable_norm``.  Per window, where the transverse squares
-    round away, ``<xi>^{2s}`` is one array power per axis-1 node,
-    broadcast; otherwise the 3-D bracket is raised node by node.
+    No prepared array is written to.  Where the transverse squares round
+    away, ``<xi>^{2s}`` is one array power per axis-1 node, broadcast;
+    otherwise the 3-D bracket is raised node by node.  Each cell is
+    summed by one dot of two contiguous vectors (one stacked matmul for
+    all of them, the same bits as one dot each) and the cells are added
+    in ``c1, c2, c3`` order, as in ``_separable_norm``.
     """
-    if not windows:
-        return []
-    sq1, sq2, sq3 = (np.concatenate(sq) for sq in zip(*(w.squares for w in windows)))
-    slow = np.logical_not(np.concatenate([w.fast for w in windows]))
-    weights = np.concatenate([w.weights for w in windows])
-    bracket = ((1.0 + sq1) ** s)[:, :, None, None, :, None, None]
-    if slow.any():
-        bracket = np.broadcast_to(bracket, weights.shape).copy()
-        bracket[slow] = (1.0 + _outer_cells(np.add, sq1[slow], sq2[slow], sq3[slow])) ** s
-    f_sq = np.concatenate([w.f_sq for w in windows]) * bracket
-    cells, n = math.prod(weights.shape[1:4]), math.prod(weights.shape[4:])
-    dots = weights.reshape(-1, cells, 1, n) @ f_sq.reshape(-1, cells, n, 1)
-    norms = []
-    for row in dots.reshape(-1, cells).tolist():
-        integral = 0.0
-        for dot in row:
-            integral += dot
-        norms.append(math.sqrt(integral / TWO_PI_CUBED))
-    return norms
-
-
-def _output_norms(s: float, windows) -> list[float]:
-    """``output_norm_from_samples`` of every ``(lattice_axes, amps)`` window, in one pass.
-
-    Every norm equals the one-window call's bit for bit.
-    """
-    return _output_norms_at(s, _output_data(windows))
+    _check_index("s", s)
+    if data.fast:
+        bracket = ((1.0 + data.squares[0]) ** s)[:, None, None, :, None, None]
+    else:
+        bracket = (1.0 + _outer_cells(np.add, *data.squares)) ** s
+    cells, n = math.prod(data.weights.shape[:3]), math.prod(data.weights.shape[3:])
+    dots = data.weights.reshape(cells, 1, n) @ (data.f_sq * bracket).reshape(cells, n, 1)
+    integral = 0.0
+    for dot in dots.ravel().tolist():
+        integral += dot
+    return math.sqrt(integral / TWO_PI_CUBED)
 
 
 def output_norm_from_samples(
@@ -711,6 +718,8 @@ def output_norm_from_samples(
     integrates ``(2 pi)^-3 <xi>^{2s} |amp|^2`` over the sampling box by
     per-cell Gauss-Legendre (the interpolant is smooth within cells).
     ``amps`` holds one value per lattice point, in C order.  This is the
-    one-window case of the pass a sweep makes over all of its windows.
+    one-window case of the preparation a sweep makes for all of its
+    windows.
     """
-    return _output_norms(s, [(lattice_axes, amps)])[0]
+    (data,) = _output_data([(lattice_axes, amps)])
+    return _output_norm_at(s, data)

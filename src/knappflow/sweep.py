@@ -27,16 +27,17 @@ import numpy as np
 from .amplitudes import (
     AmplitudeBreakdown,
     NormReport,
+    _check_index,
     _lattice_pass,
     _norm_data,
     _NormData,
     _norms_at,
     _output_data,
+    _output_norm_at,
     _OutputData,
-    _output_norms_at,
     lambda_hat,  # noqa: F401  (perfbench/ hooks this name; sweeps use _lattice_pass)
     norm_report,  # noqa: F401  (perfbench/ hooks this name; sweeps use _norms_at)
-    output_norm_from_samples,  # noqa: F401  (perfbench/ hooks this name; sweeps use _output_norms_at)
+    output_norm_from_samples,  # noqa: F401  (perfbench/ hooks this name; sweeps use _output_norm_at)
     sample_lattice,
 )
 from .construction import DEFAULT_GRID, KnappParams, make_params, window_index
@@ -172,12 +173,9 @@ def records_from_core(
 ) -> list[SweepRecord]:
     """Derive sweep records for one (s, r) pair from cached lattices.
 
-    Only the (s, r)-dependent steps of the windows' prepared norms run
-    here; the output norms of all nonempty windows are taken in one
-    pass.
+    Only the (s, r)-dependent steps of each window's prepared norms run
+    here; they reject a non-finite s or r.
     """
-    live = [core._prepared for core in cores if core.params is not None]
-    outs = iter(_output_norms_at(s_exp, [prepared.output for prepared in live]))
     records: list[SweepRecord] = []
     for core in cores:
         if core.params is None:
@@ -197,7 +195,7 @@ def records_from_core(
                 )
             )
             continue
-        p, (window_amps, _, norm_data) = core.params, core._prepared
+        p, (window_amps, output, norm_data) = core.params, core._prepared
         j = int(np.argmax(window_amps))
         top = core.breakdowns[j]
         flags = list(dict.fromkeys(f for b in core.breakdowns for f in b.flags))
@@ -212,7 +210,7 @@ def records_from_core(
                 res_amp=abs(top.resonant_sum),
                 nonres_amp=abs(top.nonresonant_sum),
                 nonres_envelope=top.nonresonant_envelope,
-                output_norm=next(outs),
+                output_norm=_output_norm_at(s_exp, output),
                 norms=_norms_at(norm_data, r_exp),
                 mode=p.mode,
                 flags=tuple(flags),
@@ -233,8 +231,11 @@ def run_sweep(
     """Full sweep over the window indices for one (s, r) pair.
 
     The fits need at least 3 distinct windows, so fewer distinct
-    indices are rejected before any lattice is integrated.
+    indices, like a non-finite s or r, are rejected before any lattice
+    is integrated.
     """
+    _check_index("s", s_exp)
+    _check_index("r", r_exp)
     ks = [window_index(k) for k in k_list]
     if len(set(ks)) < 3:
         raise InvalidParameterError(

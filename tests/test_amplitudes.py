@@ -1365,9 +1365,17 @@ def test_output_norm_at_steep_weight_equals_per_cell_reference(monkeypatch, seed
 
 
 def sweep_windows(cores):
-    """Each window's ``(lattice_axes, amps)``, as ``records_from_core`` passes them."""
+    """Each window's ``(lattice_axes, amps)``, as ``sweep_core`` prepares them."""
     return [
         (core.lattice_axes, np.array([abs(b.total) for b in core.breakdowns])) for core in cores
+    ]
+
+
+def unit_scale_windows(rng, counts, size):
+    """``size`` seeded unit-scale lattices with ``counts`` points per axis."""
+    return [
+        ([np.sort(rng.uniform(-5.0, 5.0, n)) for n in counts], rng.random(math.prod(counts)))
+        for _ in range(size)
     ]
 
 
@@ -1375,11 +1383,13 @@ def sweep_windows(cores):
 def test_output_norm_pass_equals_one_window_calls(monkeypatch, mode):
     windows = sweep_windows(sweep_core(EPS, RHO, (1, 10), mode=mode))
     taken = log_fast_path(monkeypatch)
+    prepared = amplitudes._output_data(windows)
     for s in S_GRID + R_GRID:
         want = [output_norm_from_samples(s, list(axes), amps) for axes, amps in windows]
-        assert amplitudes._output_norms(s, windows) == want
-    # both windows take the fast path, in their own calls and in the pass
-    assert taken == [True] * (4 * len(S_GRID + R_GRID))
+        assert [amplitudes._output_norm_at(s, data) for data in prepared] == want
+    # both windows take the fast path, in the stacked preparation and in
+    # their own calls
+    assert taken == [True] * (2 + 2 * len(S_GRID + R_GRID))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -1387,15 +1397,12 @@ def test_output_norm_pass_at_steep_weight_equals_one_window_calls(monkeypatch, s
     # unit-scale lattices of one shape: the 3-D bracket runs in every
     # window, and at a large s the last bit of each node's bracket shows
     rng = np.random.default_rng(seed)
-    counts = rng.integers(2, 6, 3)
-    windows = [
-        ([np.sort(rng.uniform(-5.0, 5.0, n)) for n in counts], rng.random(math.prod(counts)))
-        for _ in range(3)
-    ]
+    windows = unit_scale_windows(rng, rng.integers(2, 6, 3), 3)
     s = float(rng.uniform(30.0, 80.0))
     taken = log_fast_path(monkeypatch)
     want = [output_norm_from_samples(s, axes, amps) for axes, amps in windows]
-    assert amplitudes._output_norms(s, windows) == want
+    got = [amplitudes._output_norm_at(s, data) for data in amplitudes._output_data(windows)]
+    assert got == want
     assert want == [output_norm_reference(s, axes, amps) for axes, amps in windows]
     assert taken == [False] * 6
 
@@ -1410,10 +1417,10 @@ def test_output_norm_pass_decides_the_bracket_per_window(monkeypatch):
     unit = (unit_axes, np.random.default_rng(3).random(27))
     windows = [knapp[0], knapp[1], unit, knapp[2]]
     taken = log_fast_path(monkeypatch)
+    prepared = amplitudes._output_data(windows)
+    assert taken == [data.fast for data in prepared] == [True, True, False, True]
     for s in S_GRID:
-        taken.clear()
-        got = amplitudes._output_norms(s, windows)
-        assert taken == [True, True, False, True]
+        got = [amplitudes._output_norm_at(s, data) for data in prepared]
         assert got == [output_norm_from_samples(s, list(axes), amps) for axes, amps in windows]
     # the windows' squares taken as one box, against one global maximum,
     # would send all three Knapp windows to the 3-D bracket: the largest
@@ -1428,6 +1435,87 @@ def test_output_norm_pass_decides_the_bracket_per_window(monkeypatch):
     assert not amplitudes._transverse_rounds_away(*(sq.reshape(1, -1, 6) for sq in squares))
 
 
+def stacked_output_norms(s, prepared):
+    """Output norms of prepared windows in one stacked pass.
+
+    This is how a sweep took its records' output norms before each
+    window was evaluated on its own: every window's arrays stacked on a
+    leading axis, one broadcast bracket for all windows with the 3-D
+    bracket written over the windows that need it, one stacked matmul,
+    and each window's cells added in ``c1, c2, c3`` order.
+    """
+    sq1, sq2, sq3 = (np.stack(sq) for sq in zip(*(data.squares for data in prepared)))
+    slow = np.logical_not([data.fast for data in prepared])
+    weights = np.stack([data.weights for data in prepared])
+    bracket = ((1.0 + sq1) ** s)[:, :, None, None, :, None, None]
+    if slow.any():
+        bracket = np.broadcast_to(bracket, weights.shape).copy()
+        sq_sums = amplitudes._outer_cells(np.add, sq1[slow], sq2[slow], sq3[slow])
+        bracket[slow] = (1.0 + sq_sums) ** s
+    f_sq = np.stack([data.f_sq for data in prepared]) * bracket
+    cells, n = math.prod(weights.shape[1:4]), math.prod(weights.shape[4:])
+    dots = weights.reshape(-1, cells, 1, n) @ f_sq.reshape(-1, cells, n, 1)
+    norms = []
+    for row in dots.reshape(-1, cells).tolist():
+        integral = 0.0
+        for dot in row:
+            integral += dot
+        norms.append(math.sqrt(integral / TWO_PI_CUBED))
+    return norms
+
+
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_knapp_output_norms_equal_the_stacked_pass(monkeypatch, mode):
+    # every window of a k = 1..10 sweep takes the fast path; at the
+    # scans' s and at a steep s, where the largest |xi| decide the sum
+    windows = sweep_windows(sweep_core(EPS, RHO, range(1, 11), mode=mode))
+    taken = log_fast_path(monkeypatch)
+    prepared = amplitudes._output_data(windows)
+    assert taken == [True] * 10
+    for s in S_GRID + (17.5,):
+        got = [amplitudes._output_norm_at(s, data) for data in prepared]
+        assert all(math.isfinite(norm) and norm > 0.0 for norm in got)
+        assert got == stacked_output_norms(s, prepared)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_unit_scale_output_norms_equal_the_stacked_pass(monkeypatch, seed):
+    # the 3-D bracket in every window, at s up to 80
+    rng = np.random.default_rng(200 + seed)
+    windows = unit_scale_windows(rng, rng.integers(2, 6, 3), 4)
+    taken = log_fast_path(monkeypatch)
+    prepared = amplitudes._output_data(windows)
+    assert taken == [False] * 4
+    for s in [float(s) for s in rng.uniform(0.0, 80.0, 3)]:
+        got = [amplitudes._output_norm_at(s, data) for data in prepared]
+        assert got == stacked_output_norms(s, prepared)
+
+
+@pytest.fixture(scope="module")
+def knapp_windows():
+    return [
+        window
+        for mode in ("slab", "surface")
+        for window in sweep_windows(sweep_core(EPS, RHO, range(1, 11), mode=mode))
+    ]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_mixed_output_norms_equal_the_stacked_pass(knapp_windows, seed):
+    # shuffled stacks of Knapp windows of both modes and unit-scale
+    # lattices of the same 3 x 3 x 3 shape: fast and 3-D brackets side
+    # by side, in every order
+    rng = np.random.default_rng(300 + seed)
+    picked = [knapp_windows[i] for i in rng.choice(len(knapp_windows), 5, replace=False)]
+    windows = picked + unit_scale_windows(rng, (3, 3, 3), int(rng.integers(1, 4)))
+    windows = [windows[i] for i in rng.permutation(len(windows))]
+    prepared = amplitudes._output_data(windows)
+    assert {data.fast for data in prepared} == {True, False}
+    for s in S_GRID + (float(rng.uniform(2.0, 15.0)),):
+        got = [amplitudes._output_norm_at(s, data) for data in prepared]
+        assert got == stacked_output_norms(s, prepared)
+
+
 def test_output_norm_needs_one_amplitude_per_lattice_point():
     axes, _ = sample_lattice(small_params().samp_box)
     with pytest.raises(InvalidParameterError, match="needs 27 amplitudes, got 26"):
@@ -1435,7 +1523,67 @@ def test_output_norm_needs_one_amplitude_per_lattice_point():
     good = (axes, np.ones(27))
     for bad in [(axes, np.ones(28)), ([*axes[:2], axes[2][:2]], np.ones(18))]:
         with pytest.raises(InvalidParameterError):
-            amplitudes._output_norms(0.5, [good, bad, good])
+            amplitudes._output_data([good, bad, good])
+
+
+@pytest.mark.parametrize(
+    "axis",
+    [
+        np.array([1.0, 0.5, 0.0]),  # decreasing: a negative weight
+        np.array([0.0, 0.0, 1.0]),  # a repeated point: a cell of width 0
+        np.array([0.0, 0.5, math.inf]),
+        np.array([0.0, math.nan, 1.0]),
+    ],
+)
+def test_output_norm_rejects_an_axis_that_does_not_increase(axis):
+    good = [np.array([0.0, 0.5, 1.0])] * 3
+    for axes in ([axis] * 3, [good[0], good[1], axis]):
+        with pytest.raises(InvalidParameterError, match="strictly increasing"):
+            output_norm_from_samples(0.5, axes, np.ones(27))
+    with pytest.raises(InvalidParameterError, match="strictly increasing"):
+        amplitudes._output_data([(good, np.ones(27)), ([axis] * 3, np.ones(27))])
+
+
+def test_output_norm_rejects_a_lattice_that_is_not_three_1d_axes():
+    axis = np.array([0.0, 0.5, 1.0])
+    with pytest.raises(InvalidParameterError, match="at least 2 points"):
+        output_norm_from_samples(0.5, [axis, axis, np.array([0.5])], np.ones(9))
+    with pytest.raises(InvalidParameterError, match="1-D"):
+        output_norm_from_samples(0.5, [axis, axis, axis[:, None]], np.ones(27))
+    for count in (2, 4):
+        with pytest.raises(InvalidParameterError, match=f"needs 3 axes, got {count}"):
+            output_norm_from_samples(0.5, [axis] * count, np.ones(3**count))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_output_norm_rejects_non_finite_amplitudes(bad):
+    axes = [np.array([0.0, 0.5, 1.0])] * 3
+    amps = np.ones(27)
+    amps[13] = bad
+    with pytest.raises(InvalidParameterError, match="amplitudes must be finite"):
+        output_norm_from_samples(0.5, axes, amps)
+    with pytest.raises(InvalidParameterError, match="amplitudes must be finite"):
+        amplitudes._output_data([(axes, np.ones(27)), (axes, amps)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_public_norms_reject_a_non_finite_sobolev_index(bad):
+    p = small_params()
+    axes, _ = sample_lattice(p.samp_box)
+    calls = {
+        "r": [
+            lambda: norm_report(p, bad),
+            lambda: sobolev_norm_monomial(p.w2_box, (0, 1, 0), bad, SMALL_GRID),
+            lambda: product_norm_boxes(p.w2_box, p.neg_wprime_box, bad, SMALL_GRID),
+            # a box with an axis of length 0 has norm 0, but not at a bad r
+            lambda: sobolev_norm_monomial(Box3((0.0, 1.0), (0.0, 1.0), (1.0, 1.0)), (0, 0, 0), bad),
+        ],
+        "s": [lambda: output_norm_from_samples(bad, axes, np.ones(27))],
+    }
+    for name, fns in calls.items():
+        for fn in fns:
+            with pytest.raises(InvalidParameterError, match=f"Sobolev index {name} must be finite"):
+                fn()
 
 
 def test_sample_lattice_shape():

@@ -132,6 +132,16 @@ def test_sweep_rejects_bad_ranges(tmp_path, capsys):
     assert rv == 2 and "at least 3" in err
 
 
+@pytest.mark.parametrize("index", [["--s", "nan"], ["--r", "inf"], ["--s=-inf"]])
+def test_sweep_non_finite_index_exits_2_and_writes_nothing(tmp_path, capsys, index):
+    csv_path, json_path = tmp_path / "x.csv", tmp_path / "x.json"
+    args = ["sweep", "--kmin", "1", "--kmax", "3", "--grid", "8,4,4", *index]
+    rv, _, err = run_cli(args + ["--out", str(csv_path), "--json", str(json_path)], capsys)
+    assert rv == 2
+    assert err.startswith("error:") and "must be finite" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flag", ["--out", "--json"])
 def test_sweep_unwritable_output_exits_2(tmp_path, capsys, flag):
     # exit code 1 is the failed acceptance suite's; a traceback is not an answer

@@ -176,6 +176,17 @@ def test_sweep_needs_three_distinct_windows_before_integrating(monkeypatch):
     assert integrated == []
 
 
+@pytest.mark.parametrize("s, r", [(math.nan, -0.25), (0.5, math.inf), (-math.inf, math.nan)])
+def test_sweep_rejects_a_non_finite_sobolev_index_before_integrating(monkeypatch, cores, s, r):
+    with pytest.raises(InvalidParameterError, match="must be finite"):
+        records_from_core(cores, s, r)
+    integrated = []
+    monkeypatch.setattr(_kernels, "term_sums", lambda *args: integrated.append(len(args[0])))
+    with pytest.raises(InvalidParameterError, match="must be finite"):
+        run_sweep(EPS, RHO, s, r, [1, 2, 3], grid=SMALL_GRID)
+    assert integrated == []
+
+
 @pytest.mark.parametrize("mode", ["slab", "surface"])
 def test_sweep_core_equals_lattice_hats_per_window(mode):
     # one pass over 4 windows, a repeated one among them, gives each
