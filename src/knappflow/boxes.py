@@ -219,9 +219,42 @@ def admissible_eta_region(xi, a: Box3, b: Box3) -> EtaRegions:
     return EtaRegions(lo, hi, found, surface_axis, tol)
 
 
+def _legval(x: np.ndarray, c) -> np.ndarray:
+    """The Legendre series ``sum(c[k] P_k(x))`` by numpy's Clenshaw recursion."""
+    c0, c1 = (c[0], 0.0) if len(c) == 1 else (c[-2], c[-1])
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @lru_cache(maxsize=None)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+    """n-point Gauss-Legendre nodes and weights on ``[-1, 1]``.
+
+    The Golub-Welsch construction: the nodes are the eigenvalues of the
+    symmetric tridiagonal Jacobi matrix of the Legendre recurrence, then
+    one Newton step on ``P_n``; each weight is ``1 / (P_{n-1} P_n')`` at
+    its node, scaled to sum to 2.  Every step and its operation order
+    follow numpy's ``leggauss`` (BSD-3) for the coefficient vector
+    ``e_n``, so every node and weight has its bits; a test pins them.
+    """
+    c = np.zeros(n + 1)
+    c[n] = 1.0
+    k = np.arange(n)
+    scl = 1.0 / np.sqrt(2 * k + 1)
+    off = k[1:] * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    # P_n' = sum of (2k + 1) P_k over k = n - 1, n - 3, ...
+    df = _legval(x, (2 * k + 1.0) * ((n - 1 - k) % 2 == 0))
+    x -= _legval(x, c) / df
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
 
 
 def gauss_legendre_cells(lo, hi, n: int) -> tuple[np.ndarray, np.ndarray]:

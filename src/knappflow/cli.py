@@ -91,24 +91,27 @@ def cmd_sweep(args) -> int:
         mode=args.mode,
         grid=args.grid,
     )
+    # the report is built first, so a fit that fails leaves no file behind
+    report = None
+    if args.json:
+        report = build_report(
+            records,
+            args.s,
+            args.r,
+            params={
+                "eps": args.eps,
+                "rho": args.rho,
+                "s": args.s,
+                "r": args.r,
+                "k_list": ks,
+                "mode": args.mode,
+                "grid": list(args.grid),
+            },
+        )
     try:
         write_csv(records, args.out)
         print(f"wrote {args.out} ({len(records)} records)")
-        if args.json:
-            report = build_report(
-                records,
-                args.s,
-                args.r,
-                params={
-                    "eps": args.eps,
-                    "rho": args.rho,
-                    "s": args.s,
-                    "r": args.r,
-                    "k_list": ks,
-                    "mode": args.mode,
-                    "grid": list(args.grid),
-                },
-            )
+        if report is not None:
             write_report(report, args.json)
             print(f"wrote {args.json}")
     except OSError as exc:

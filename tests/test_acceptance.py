@@ -171,5 +171,84 @@ def test_verdict_over_the_s_r_plane():
     assert np.abs(plane - (1.0, -2.0, -1.0)).max() <= 1e-8
 
 
+# Each series' predicted exponent of lam as (s coefficient, r coefficient,
+# constant), derived in test_exponent_ledger's docstring.
+LEDGER = {
+    "slab": {
+        "sup_amp": (0, 0, 1.0),
+        "res_amp": (0, 0, 1.0),
+        "norm_d2a1": (0, 1, 1.5),
+        "norm_total": (0, 1, 1.5),
+        "norm_d1a2": (0, 1, 2.0),
+        "norm_product": (0, 1, 3.0),
+        "output_norm": (1, 0, 2.0),
+        "ratio": (1, -2, -1.0),
+    },
+    "surface": {
+        "sup_amp": (0, 0, 0.5),
+        "res_amp": (0, 0, 0.5),
+        "norm_d2a1": (0, 1, 1.5),
+        "norm_total": (0, 1, 1.5),
+        "norm_d1a2": (0, 1, 1.75),
+        "norm_product": (0, 1, 2.5),
+        "output_norm": (1, 0, 1.5),
+        "ratio": (1, -2, -1.5),
+    },
+}
+SERIES = {
+    "sup_amp": lambda rec: rec.sup_amp,
+    "res_amp": lambda rec: rec.res_amp,
+    "norm_d2a1": lambda rec: rec.norms.norm_d2a1,
+    "norm_total": lambda rec: rec.norms.norm_total,
+    "norm_d1a2": lambda rec: rec.norms.norm_d1a2,
+    "norm_product": lambda rec: rec.norms.norm_product,
+    "output_norm": lambda rec: rec.output_norm,
+}
+
+
+@pytest.mark.parametrize("s_exp, r_exp", [(0.5, -0.25), (1.0, -0.5), (0.5, 0.0)])
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_exponent_ledger(mode, s_exp, r_exp):
+    """Every k = 1..10 fit against the exponent the box sides predict.
+
+    The volume boxes W and W2 have sides of order ``(lam, lam^1/2,
+    lam^1/2)``, so measure ``lam^2``.  The planar box W' has the same
+    first two sides; in slab mode its thickness is of order ``lam^1/2``
+    (measure ``lam^2``), in surface mode it carries the 2-D measure
+    ``lam^3/2``.  On every box ``<xi>`` is of order ``lam``.
+
+    - Amplitudes (``sup_amp``, ``res_amp``): the time is ``t = eps
+      lam^-1/2``, so the resonant multiplier is of order ``lam^-1/2``;
+      the kernel weight is 5 frequency factors over 5 norms, one of them
+      transverse, so ``lam^-1/2``; and the admissible region is a box of
+      W's sides cut by W', so ``lam^2`` (slab) or ``lam^3/2`` (surface).
+      Exponent 1 (slab), 1/2 (surface).
+    - First datum (``norm_d2a1``, ``norm_total``): ``lam^r`` times the
+      transverse ``xi2`` or ``xi3``, ``lam^1/2``, times the square root
+      of W2's measure, ``lam``.  Exponent ``r + 3/2`` in both modes.
+    - Second datum (``norm_d1a2``): ``lam^r`` times ``xi1``, ``lam``,
+      times the square root of the measure of W'.  Exponent ``r + 2``
+      (slab), ``r + 7/4`` (surface).
+    - Product norm: the convolution of W2 with -W' is as high as the
+      measure of their overlap, ``lam^2`` (slab) or ``lam^3/2``
+      (surface), on a support of measure ``lam^2``.  Exponent ``r + 3``
+      (slab), ``r + 5/2`` (surface).
+    - Output norm: the amplitude's exponent, plus s, plus 1 from the
+      square root of the sampling box's measure ``lam^2``.  Exponent
+      ``s + 2`` (slab), ``s + 3/2`` (surface).
+    - The verdict's ratio, output over ``norm_total`` squared: ``s - 1 -
+      2r`` (slab), and ``s - 3/2 - 2r`` (surface).
+    """
+    recs = acceptance._records(mode, s_exp, r_exp)
+    assert len(recs) == 10 and not any(rec.is_excluded() for rec in recs)
+    slopes = {
+        name: fit_exponent([(rec.lam, get(rec)) for rec in recs]).slope
+        for name, get in SERIES.items()
+    }
+    slopes["ratio"] = smoothness_verdict(s_exp, r_exp, list(recs)).measured_ratio_exponent
+    for name, (a, b, c) in LEDGER[mode].items():
+        assert slopes[name] == pytest.approx(a * s_exp + b * r_exp + c, abs=1e-6), name
+
+
 def test_criterion_11_nonresonant_envelope():
     _check(acceptance.criterion_envelope())

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from knappflow.boxes import (
     Box3,
+    _leggauss,
     admissible_eta_region,
     box_scale,
     box_w,
@@ -309,6 +310,20 @@ def _meshgrid_grid(b, counts):
     g = np.meshgrid(*nodes, indexing="ij")
     w1, w2, w3 = np.meshgrid(*weights, indexing="ij")
     return np.column_stack([x.ravel() for x in g]), (w1 * w2 * w3).ravel()
+
+
+def test_leggauss_has_the_bits_of_numpys_leggauss():
+    # numpy.polynomial is the reference here only; the package never imports
+    # it.  The uncached function keeps 512 rules out of the shared cache, and
+    # bytes tell signed zeros apart.
+    from numpy.polynomial.legendre import leggauss
+
+    for n in range(1, 513):
+        x, w = _leggauss.__wrapped__(n)
+        want_x, want_w = leggauss(n)
+        assert x.dtype == w.dtype == np.float64 and x.shape == w.shape == (n,)
+        assert x.tobytes() == want_x.tobytes(), n
+        assert w.tobytes() == want_w.tobytes(), n
 
 
 def test_axis_rule_is_a_point_on_a_surface_axis_and_gauss_legendre_otherwise():

@@ -121,6 +121,26 @@ def test_sweep_writes_deterministic_files(tmp_path, capsys):
     assert report["verdict"]["smooth_bound_fails"] is False
 
 
+# two of windows 2..5 are nonempty at this rho: too few points for a fit
+FIT_FAILS = ["sweep", "--kmin", "2", "--kmax", "5", "--rho", "4.5e-4", "--grid", "8,4,4"]
+
+
+def test_sweep_whose_fit_fails_exits_2_and_writes_nothing(tmp_path, capsys):
+    csv_path, json_path = tmp_path / "f.csv", tmp_path / "f.json"
+    rv, out, err = run_cli(FIT_FAILS + ["--out", str(csv_path), "--json", str(json_path)], capsys)
+    assert rv == 2
+    assert err.startswith("error:") and "at least 3 points, got 2" in err
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_sweep_without_json_needs_no_fit(tmp_path, capsys):
+    csv_path = tmp_path / "f.csv"
+    rv, out, _ = run_cli(FIT_FAILS + ["--out", str(csv_path)], capsys)
+    assert rv == 0
+    assert out == f"wrote {csv_path} (4 records)\n"
+    assert len(csv_path.read_text().splitlines()) == 5
+
+
 def test_sweep_rejects_bad_ranges(tmp_path, capsys):
     rv, _, err = run_cli(
         ["sweep", "--kmin", "5", "--kmax", "2", "--out", str(tmp_path / "x.csv")], capsys
@@ -239,6 +259,23 @@ def test_import_needs_no_optional_dependency():
     code = (
         "import sys, knappflow, knappflow.cli\n"
         "print(sorted(m for m in ('scipy', 'numba') if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_a_sweep_and_its_report_never_import_numpy_polynomial():
+    # every Gauss-Legendre rule comes from boxes._leggauss, so a process that
+    # builds grids, fits and serializes never loads numpy.polynomial
+    code = (
+        "import sys\n"
+        "from knappflow.sweep import build_report, report_json, run_sweep\n"
+        "records = run_sweep(0.01, 2e-6, 0.5, -0.25, [1, 2, 3], grid=(8, 4, 4))\n"
+        "report_json(build_report(records, 0.5, -0.25, params={}))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=child_env()

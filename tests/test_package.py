@@ -6,6 +6,7 @@ from pathlib import Path
 import knappflow
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(knappflow.__file__).resolve().parent
 
 PUBLIC = {
     "make_params",
@@ -38,3 +39,11 @@ def test_readme_library_example_runs(capsys):
     measured, fails = capsys.readouterr().out.split()
     assert abs(float(measured)) < 0.05
     assert fails == "False"
+
+
+def test_package_source_never_names_numpy_polynomial():
+    # its Gauss-Legendre rule is boxes._leggauss; numpy.polynomial is a
+    # test-only reference (tests/test_boxes.py)
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text()
+        assert "np.polynomial" not in text and "numpy.polynomial" not in text, path.name

@@ -10,7 +10,10 @@ script runs the golden tests in a fresh interpreter once per setting:
 - ``OPENBLAS_CORETYPE=Haswell`` and ``OPENBLAS_CORETYPE=Prescott``
   (older OpenBLAS kernels);
 - ``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"`` (numpy's
-  AVX-512 loops off).
+  AVX-512 loops off);
+- ``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4 X86_V3"``
+  (numpy's dispatch down to its ``X86_V2`` baseline: ``show_runtime()``
+  then finds no SIMD level above it).
 
 It prints, per setting, which of the digests match.  It is a report,
 not a gate: it exits 0 whatever it finds.  Run it from anywhere:
@@ -33,6 +36,10 @@ SETTINGS = (
     ("OPENBLAS_CORETYPE=Haswell", {"OPENBLAS_CORETYPE": "Haswell"}),
     ("OPENBLAS_CORETYPE=Prescott", {"OPENBLAS_CORETYPE": "Prescott"}),
     ("AVX-512 dispatch off", {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}),
+    (
+        "dispatch at X86_V2",
+        {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"},
+    ),
 )
 OUTCOME = re.compile(r"^(PASSED|FAILED|ERROR) \S+::(\S+)", re.MULTILINE)
 
