@@ -97,34 +97,41 @@ def mult_values(t, om: np.ndarray) -> np.ndarray:
 # slot 1 so that each weight is nonnegative on its own admissible set.
 # ---------------------------------------------------------------------------
 
+def _norm3(c):
+    """``sqrt((c0*c0 + c1*c1) + c2*c2)`` from the coordinate columns ``c``.
+
+    This is numpy's own order for ``np.sqrt((v * v).sum(axis=-1))`` of
+    3-vectors, so the two agree bit for bit, without a reduction whose
+    inner loop runs over 3 coordinates.
+    """
+    return np.sqrt((c[0] * c[0] + c[1] * c[1]) + c[2] * c[2])
+
+
 def _weight(code, eta, d, nx, nd, ne):
     """Kernel weight from ``eta``, ``d = xi - eta`` and the three norms.
 
     This is the one weight formula: ``term_weight`` forms its arguments
     from ``(xi, eta)``, and ``term_sums`` shares them with omega.
-    ``code`` is one code or an array of codes that broadcasts against
-    the nodes.
+    ``eta`` and ``d`` are coordinate columns: ``eta[i]`` holds coordinate
+    i of every node.  ``code`` is one code or an array of codes that
+    broadcasts against the nodes.
     """
     code = np.asarray(code)
     if np.any((code < 0) | (code > 3)):
         raise ValueError(f"unknown kernel code {code}")
     slot = code & 1
-    d1, e1 = d[..., 0], eta[..., 0]
-    d_axis = np.where(code >> 1, d[..., 2], d[..., 1])
-    e_axis = np.where(code >> 1, eta[..., 2], eta[..., 1])
+    d1, e1 = d[0], eta[0]
+    d_axis = np.where(code >> 1, d[2], d[1])
+    e_axis = np.where(code >> 1, eta[2], eta[1])
     num = (((d1 * np.where(slot, d_axis, d1)) * e1) * e1) * np.where(slot, e1, e_axis)
     return (1 - 2 * slot) * num / (nx * nd * nd * ne * ne)
 
 
 def term_weight(code, xi, eta) -> np.ndarray:
     """Kernel weight w(xi, eta); broadcasts over leading axes of eta and code."""
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    d = xi - eta
-    nx = np.sqrt((xi * xi).sum(axis=-1))
-    nd = np.sqrt((d * d).sum(axis=-1))
-    ne = np.sqrt((eta * eta).sum(axis=-1))
-    return _weight(code, eta, d, nx, nd, ne)
+    xi, eta = np.asarray(xi, dtype=float), np.asarray(eta, dtype=float)
+    xi, eta, d = (np.moveaxis(v, -1, 0) for v in (xi, eta, xi - eta))
+    return _weight(code, eta, d, _norm3(xi), _norm3(d), _norm3(eta))
 
 
 def term_sums(pts, wq, xis, t, codes, res_thr):
@@ -146,8 +153,10 @@ def term_sums(pts, wq, xis, t, codes, res_thr):
     The nodes go in blocks of at most ``TERM_SUMS_BLOCK``: whole grids
     while a grid fits in a block, else consecutive slices of one grid.
     Per block, ``xi - eta``, ``|xi - eta|``, ``|eta|``, omega and the
-    multiplier are formed once for all C terms, and only for the four
-    ``s1 = +1`` triples: triple ``7 - j`` has omega negated exactly, so
+    multiplier are formed once for all C terms, the norms over
+    contiguous coordinate columns (``_norm3``), and only for the four
+    ``s1 = +1`` triples, from the two partial sums ``|xi| -+ |xi - eta|``
+    that they share: triple ``7 - j`` has omega negated exactly, so
     its multiplier, its products with the real weights and their sums
     are the conjugates of triple j's, and its envelope is triple j's.
     One ``_weight`` call weights the block for all C terms; then each
@@ -169,13 +178,13 @@ def term_sums(pts, wq, xis, t, codes, res_thr):
     if bad_cut.any():
         raise ValueError(f"resonance cut must be >= 0, got {res_thr[bad_cut][0]}")
     per = len(pts) // n_pts
-    eta = pts.reshape(n_pts, per, 3)
+    # (3, grids, nodes): coordinate columns, each node axis contiguous
+    eta = np.ascontiguousarray(pts.reshape(n_pts, per, 3).transpose(2, 0, 1))
     wq = wq.reshape(n_pts, per)
     # |xi| per grid for omega: numpy takes each stacked (1x3) @ (3x1)
     # product with the dot routine of ``x @ x``, so a grid's norm has the
     # one-point bits.  The weight takes |xi| as ``term_weight`` does.
-    nx = np.sqrt(xis[:, None, :] @ xis[:, :, None])
-    half = SIGNS_ARRAY[:4, :, None]
+    nx = np.sqrt(xis[:, None, :] @ xis[:, :, None])[:, 0]
     tot = np.zeros((n_pts, n_terms, 8), dtype=np.complex128)
     res = np.zeros((n_pts, n_terms, 8), dtype=np.complex128)
     env = np.zeros((n_pts, n_terms, 8), dtype=np.float64)
@@ -183,15 +192,18 @@ def term_sums(pts, wq, xis, t, codes, res_thr):
     step = max(TERM_SUMS_BLOCK // width, 1)
     for first in range(0, n_pts, step):
         rows = slice(first, first + step)
-        x = xis[rows, None, :]
-        nx_weight = np.sqrt((x * x).sum(axis=-1))
+        x = xis[rows].T[:, :, None]
+        nx_weight = _norm3(x)
         t_rows = t[rows]
         for start in range(0, per, width):
-            e = eta[rows, start : start + width]
+            e = eta[:, rows, start : start + width]
             d = x - e
-            nd = np.sqrt((d * d).sum(axis=-1))
-            ne = np.sqrt((e * e).sum(axis=-1))
-            om = half[:, 0] * nx[rows] - half[:, 1] * nd[:, None, :] - half[:, 2] * ne[:, None, :]
+            nd = _norm3(d)
+            ne = _norm3(e)
+            # the s1 = +1 triples' omegas (nx - s2 nd) - s3 ne, in
+            # SIGNS_ARRAY order; a - (-b) is a + b exactly
+            near, far = nx[rows] - nd, nx[rows] + nd
+            om = np.stack([near - ne, near + ne, far - ne, far + ne], axis=1)
             m = mult_values(t_rows, om)
             abs_om = np.abs(om)
             resonant = abs_om <= res_thr[rows]

@@ -16,14 +16,18 @@ node grid per point, so each (window, support pair, point) is one grid
 with its window's time and resonance cut.  Per refinement level, one
 node build and one kernel call cover every grid still refining, for
 both of its terms and all 8 sign triples, over fixed-size blocks of
-nodes, so memory does not grow with the grid.  The breakdowns of all
-points are then assembled once, as (points, sign triples) arrays.
-``lattice_hats`` is the pass over one window and ``lambda_hat`` over
-one point.  Nodes are classified resonant or nonresonant by the
-empirical cut |omega| <= lam^(3/4); the resonant and nonresonant parts
-of the sum are accumulated separately, together with a rigorous
-pointwise envelope min(t, 2/|omega|) * |weight| for the nonresonant
-part.
+nodes, so memory does not grow with the grid.  The sums over sign
+triples are then taken once for all points, as (points, sign triples)
+arrays, and each window keeps its rows as columns (``_Lattice``: per
+point the total, per-sign, resonant and nonresonant sums, envelope,
+point and flags).  A sweep reads its records from the columns;
+``_breakdowns`` turns a window's columns into ``AmplitudeBreakdown``s
+when they are asked for.  ``lattice_hats`` is the pass over one window
+and ``lambda_hat`` over one point.  Nodes are classified resonant or
+nonresonant by the empirical cut |omega| <= lam^(3/4); the resonant and
+nonresonant parts of the sum are accumulated separately, together with
+a rigorous pointwise envelope min(t, 2/|omega|) * |weight| for the
+nonresonant part.
 
 All Sobolev norms use the convention
 
@@ -65,10 +69,13 @@ interpolant and weight tensor.  The evaluate step rejects an index that
 is not finite, raises the bracket at that index, builds the per-call
 tiles and buffers and takes the dots; it writes to no prepared array,
 so one preparation serves any number of indices.  A sweep prepares
-each window once (``sweep.sweep_core``) and its records for each (s, r)
-only evaluate; the public norm functions do both steps in one call.
-The per-node tensors of the data norms are built per call, so a window
-holds about 44 KB.
+every window once (``sweep.sweep_core``), the output norms in one
+stacked pass and the data norms in another (``_stacked_norm_data``:
+one stack per data box for the monomial norms, one per cut count for
+the product norms), and its records for each (s, r) only evaluate; the
+public norm functions are the one-window case of the same preparation,
+followed by the evaluation.  The per-node tensors of the data norms are
+built per call, so a window's prepared norms hold about 43 KB.
 """
 
 from __future__ import annotations
@@ -226,16 +233,35 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Lattice(NamedTuple):
+    """One window's lattice pass as columns, one row per point.
+
+    ``per_sign`` has one column per sign triple of ``signs``; ``t`` is
+    the window's time.  ``_breakdowns`` turns the columns into
+    ``lattice_hats``' breakdowns; a sweep reads them directly.
+    """
+
+    total: np.ndarray
+    per_sign: np.ndarray
+    resonant: np.ndarray
+    nonresonant: np.ndarray
+    envelope: np.ndarray
+    points: np.ndarray
+    t: float
+    flags: list[tuple[str, ...]]
+    signs: tuple[SignTriple, ...]
+
+
 def _lattice_pass(
     windows: list[tuple[KnappParams, np.ndarray]], signs: tuple[SignTriple, ...] | None = None
-) -> list[tuple[AmplitudeBreakdown, ...]]:
-    """``lattice_hats`` of every ``(p, xis)`` window, in one pass.
+) -> list[_Lattice]:
+    """The columns of every ``(p, xis)`` window's lattice, in one pass.
 
     Every kernel term of every window is integrated together, with one
-    ``term_sums`` call per refinement level; the breakdowns are then
-    assembled for all points and sign triples at once, and each array is
-    turned into Python numbers by one ``tolist``.  Every breakdown equals
-    the one-point call's bit for bit.
+    ``term_sums`` call per refinement level; the sums over sign triples
+    are then taken for all points at once, and each window holds its
+    rows of the resulting arrays.  The breakdowns ``_breakdowns`` builds
+    from them equal the one-point call's bit for bit.
     """
     active = SIGN_TRIPLES if signs is None else tuple(signs)
     if not active or not all(s in SIGN_TRIPLES for s in active) or len(set(active)) < len(active):
@@ -253,7 +279,7 @@ def _lattice_pass(
     norms = np.sqrt(xis[:, None, :] @ xis[:, :, None]).reshape(-1)
     if (norms == 0.0).any():
         raise InvalidParameterError("xi must be nonzero")
-    ts = [t for p, pts, _ in lattices for t in [p.t] * len(pts)]
+    ts = np.repeat([p.t for p, _, _ in lattices], [len(pts) for _, pts, _ in lattices])
 
     tot_acc = np.zeros((len(xis), 8), dtype=complex)
     res_acc = np.zeros((len(xis), 8), dtype=complex)
@@ -265,7 +291,7 @@ def _lattice_pass(
         env_acc += env[k]
     # (points, active signs) arrays; the sums over signs run in sign order.
     s1 = np.array([SIGN_TRIPLES[j].s1 for j in active_idx])
-    pre_phase = 1.0 / 4.0j * np.exp(-1j * s1 * np.array(ts)[:, None] * norms[:, None])
+    pre_phase = 1.0 / 4.0j * np.exp(-1j * s1 * ts[:, None] * norms[:, None])
     vals = _cmul(pre_phase, tot_acc[:, active_idx])
     resonant_vals = _cmul(pre_phase, res_acc[:, active_idx])
     envelope_vals = 0.25 * env_acc[:, active_idx]
@@ -277,23 +303,33 @@ def _lattice_pass(
         resonant += resonant_vals[:, j]
         envelope += envelope_vals[:, j]
     nonresonant = total - resonant
-    columns = (total, vals, resonant, nonresonant, envelope, xis)
-    breakdowns = iter([
+    out, first = [], 0
+    for p, pts, _ in lattices:
+        rows = slice(first, first + len(pts))
+        first += len(pts)
+        arrays = (a[rows] for a in (total, vals, resonant, nonresonant, envelope, xis))
+        out.append(_Lattice(*arrays, p.t, [tuple(f) for f in flags[rows]], active))
+    return out
+
+
+def _breakdowns(lattice: _Lattice) -> tuple[AmplitudeBreakdown, ...]:
+    """A window's ``AmplitudeBreakdown``s from its columns, one ``tolist`` per column."""
+    columns = lattice[:6]  # the arrays, total to points
+    return tuple(
         AmplitudeBreakdown(
             total=tot_i,
-            per_sign=dict(zip(active, per_sign)),
+            per_sign=dict(zip(lattice.signs, per_sign)),
             resonant_sum=res_i,
             nonresonant_sum=nonres_i,
             nonresonant_envelope=env_i,
             eval_point=tuple(xi),
-            t=t_i,
-            flags=tuple(flags_i),
+            t=lattice.t,
+            flags=flags_i,
         )
-        for tot_i, per_sign, res_i, nonres_i, env_i, xi, t_i, flags_i in zip(
-            *(c.tolist() for c in columns), ts, flags
+        for tot_i, per_sign, res_i, nonres_i, env_i, xi, flags_i in zip(
+            *(c.tolist() for c in columns), lattice.flags
         )
-    ])
-    return [tuple(itertools.islice(breakdowns, len(pts))) for _, pts, _ in lattices]
+    )
 
 
 def lattice_hats(
@@ -302,10 +338,11 @@ def lattice_hats(
     """``lambda_hat`` at every row of ``xis``, in one pass for all terms.
 
     This is the one-window case of the pass a sweep makes over all of
-    its windows (``_lattice_pass``); every breakdown equals the one-point
+    its windows (``_lattice_pass``), with its columns turned into
+    breakdowns (``_breakdowns``); every breakdown equals the one-point
     call's bit for bit.
     """
-    return _lattice_pass([(p, xis)], signs)[0]
+    return _breakdowns(_lattice_pass([(p, xis)], signs)[0])
 
 
 def lambda_hat(
@@ -428,35 +465,64 @@ def _separable_norm(data: _SeparableData | None, r: float) -> float:
             for c3 in range(len(sq3)):
                 np.multiply(w12, w_tiles[c3], out=weights)
                 np.multiply(f12, f_tiles[c3], out=vals)
-                vals /= data.scale
+                if data.scale != 1.0:
+                    vals /= data.scale
                 vals **= 2
                 vals *= bracket if fast else (1.0 + (sq12 + sq_tiles[c3])) ** r
                 integral += float(weights @ vals)
     return math.sqrt(integral / TWO_PI_CUBED)
 
 
-def _monomial_data(
-    b: Box3, monomials: tuple[tuple[int, int, int], ...], nodes_per_axis
-) -> list[_SeparableData | None]:
-    """The part of ``sobolev_norm_monomial`` that does not depend on r, per monomial.
+def _stacks(indices, key) -> list[list[int]]:
+    """``indices`` grouped by ``key``, each group in order, in order of first appearance."""
+    groups: dict = {}
+    for j in indices:
+        groups.setdefault(key(j), []).append(j)
+    return list(groups.values())
 
-    The box is one cell per axis, shared by the monomials: one node set
-    and one transverse check.  None where a volume axis has length 0.
+
+def _rows(cells, factors, scale: float) -> list[_SeparableData]:
+    """Each stacked box's ``_SeparableData``: its rows of the stacked cells and factors."""
+    squares, weights, fast = cells
+    return [
+        _SeparableData(
+            (tuple(sq[row] for sq in squares), tuple(w[row] for w in weights), bool(fast[row])),
+            tuple(f[row] for f in factors),
+            scale,
+        )
+        for row in range(len(fast))
+    ]
+
+
+def _stacked_monomial_data(
+    boxes: list[Box3], monomials: tuple[tuple[int, int, int], ...], nodes_per_axis
+) -> list[list[_SeparableData | None]]:
+    """The part of ``sobolev_norm_monomial`` that does not depend on r, per box and monomial.
+
+    Each box is one cell per axis, shared by its monomials.  Boxes with
+    the same surface axis (or none) are one stack: per axis one
+    ``axis_rule`` call and one power per monomial for all of them, and
+    one transverse check.  None where a volume axis has length 0.
     """
     exponents = [m for monomial in monomials for m in monomial]
     if not all(float(m).is_integer() and m >= 0 for m in exponents):
         raise InvalidParameterError(f"monomial powers must be whole numbers >= 0, got {monomials}")
     counts = _node_counts(nodes_per_axis)
-    if b.has_null_axis:
-        return [None] * len(monomials)
-    axis_cells = [
-        axis_rule([lo], [hi], counts[i], i == b.surface_axis) for i, (lo, hi) in enumerate(b.axes)
-    ]
-    cells = _cells(axis_cells)
-    return [
-        _SeparableData(cells, tuple(x ** int(m) for (x, _), m in zip(axis_cells, monomial)), 1.0)
-        for monomial in monomials
-    ]
+    out: list[list[_SeparableData | None]] = [[None] * len(monomials) for _ in boxes]
+    live = [j for j, b in enumerate(boxes) if not b.has_null_axis]
+    for stack in _stacks(live, lambda j: boxes[j].surface_axis):
+        bounds = np.array([boxes[j].axes for j in stack])  # (boxes, axis, end)
+        surface = boxes[stack[0]].surface_axis
+        axis_cells = [
+            axis_rule(bounds[:, i, :1], bounds[:, i, 1:], counts[i], i == surface)
+            for i in range(3)
+        ]
+        cells = _cells(axis_cells)
+        for m, monomial in enumerate(monomials):
+            powers = [x ** int(e) for (x, _), e in zip(axis_cells, monomial)]
+            for j, data in zip(stack, _rows(cells, powers, 1.0)):
+                out[j][m] = data
+    return out
 
 
 def sobolev_norm_monomial(
@@ -472,7 +538,7 @@ def sobolev_norm_monomial(
     measure; such values are formal (a genuine 3-D norm of
     surface-supported data does not exist) and are flagged by callers.
     """
-    (data,) = _monomial_data(b, (monomial,), nodes_per_axis)
+    ((data,),) = _stacked_monomial_data([b], (monomial,), nodes_per_axis)
     return _separable_norm(data, r)
 
 
@@ -485,12 +551,13 @@ def _axis_breakpoints(a: tuple[float, float], b: tuple[float, float]) -> np.ndar
     return np.array(sorted({a[0] + b[0], a[0] + b[1], a[1] + b[0], a[1] + b[1]}), dtype=float)
 
 
-def _conv_factor(vals: np.ndarray, a: Box3, b: Box3, axis: int) -> np.ndarray:
+def _conv_factor(vals: np.ndarray, a, b, axis: int) -> np.ndarray:
     """1-D factor of the box convolution along one axis.
 
     Volume/volume axes give the interval-overlap length; a surface axis
     pins the coordinate and contributes an indicator (the degenerate
-    direction carries no length).
+    direction carries no length).  ``a`` and ``b`` are ``Box3``s or
+    ``_BoxStack``s, whose bounds broadcast against ``vals``.
     """
     a_lo, a_hi = a.axes[axis]
     b_lo, b_hi = b.axes[axis]
@@ -503,21 +570,52 @@ def _conv_factor(vals: np.ndarray, a: Box3, b: Box3, axis: int) -> np.ndarray:
     return np.maximum(hi - lo, 0.0)
 
 
-def _product_data(a: Box3, b: Box3, nodes_per_axis) -> _SeparableData | None:
-    """The part of ``product_norm_boxes`` that does not depend on r.
+class _BoxStack(NamedTuple):
+    """Boxes with one surface axis, as per-axis ``(lo, hi)`` arrays of shape ``(boxes, 1, 1)``.
 
+    The bounds broadcast against a stack's ``(boxes, cells, n)`` nodes,
+    so ``_conv_factor`` reads a stack as it reads one ``Box3``.
+    """
+
+    axes: tuple[tuple[np.ndarray, np.ndarray], ...]
+    surface_axis: int | None
+
+    @classmethod
+    def of(cls, boxes: list[Box3]) -> _BoxStack:
+        bounds = np.array([b.axes for b in boxes])[..., None, None]  # (boxes, axis, end, 1, 1)
+        ends = tuple((bounds[:, i, 0], bounds[:, i, 1]) for i in range(3))
+        return cls(ends, boxes[0].surface_axis)
+
+
+def _stacked_product_data(
+    pairs: list[tuple[Box3, Box3]], nodes_per_axis
+) -> list[_SeparableData | None]:
+    """The part of ``product_norm_boxes`` that does not depend on r, per box pair.
+
+    Pairs with equally many cuts on each axis and the same surface axes
+    are one stack: per axis one ``gauss_legendre_cells`` call and one
+    ``_conv_factor`` call for all of them, and one transverse check.
     None where an axis of the support is one point: the norm is 0.
     """
     counts = _node_counts(nodes_per_axis)
-    axis_cells, factors = [], []
-    for i in range(3):
-        cuts = _axis_breakpoints(a.axes[i], b.axes[i])
-        if len(cuts) < 2:
-            return None
-        x, w = gauss_legendre_cells(cuts[:-1], cuts[1:], counts[i])
-        axis_cells.append((x, w))
-        factors.append(_conv_factor(x, a, b, i))
-    return _SeparableData(_cells(axis_cells), tuple(factors), TWO_PI_CUBED)
+    cuts = [[_axis_breakpoints(a.axes[i], b.axes[i]) for i in range(3)] for a, b in pairs]
+    out: list[_SeparableData | None] = [None] * len(pairs)
+    live = [j for j, c in enumerate(cuts) if all(len(x) >= 2 for x in c)]
+
+    def key(j):
+        return (tuple(map(len, cuts[j])), pairs[j][0].surface_axis, pairs[j][1].surface_axis)
+
+    for stack in _stacks(live, key):
+        a, b = (_BoxStack.of([pairs[j][side] for j in stack]) for side in (0, 1))
+        axis_cells, factors = [], []
+        for i in range(3):
+            ends = np.array([cuts[j][i] for j in stack])
+            x, w = gauss_legendre_cells(ends[:, :-1], ends[:, 1:], counts[i])
+            axis_cells.append((x, w))
+            factors.append(_conv_factor(x, a, b, i))
+        for j, data in zip(stack, _rows(_cells(axis_cells), factors, TWO_PI_CUBED)):
+            out[j] = data
+    return out
 
 
 def product_norm_boxes(
@@ -535,7 +633,7 @@ def product_norm_boxes(
     Nodes, weights and convolution factors are computed once per axis for
     all of its cells, and the cells are integrated by ``_separable_norm``.
     """
-    return _separable_norm(_product_data(a, b, nodes_per_axis), r)
+    return _separable_norm(_stacked_product_data([(a, b)], nodes_per_axis)[0], r)
 
 
 def norm_report(p: KnappParams, r: float) -> NormReport:
@@ -552,7 +650,7 @@ def norm_report(p: KnappParams, r: float) -> NormReport:
     indicators of amplitude 1, so the verdict rests on normalizing by
     the first datum alone.
     """
-    return _norms_at(_norm_data(p), r)
+    return _norms_at(_stacked_norm_data([p])[0], r)
 
 
 class _NormData(NamedTuple):
@@ -564,13 +662,23 @@ class _NormData(NamedTuple):
     product: _SeparableData | None
 
 
-def _norm_data(p: KnappParams) -> _NormData:
-    """The part of ``norm_report`` that does not depend on r."""
-    return _NormData(
-        *_monomial_data(p.w2_box, ((0, 1, 0), (0, 0, 1)), p.grid),
-        *_monomial_data(p.neg_wprime_box, ((1, 0, 0),), p.grid),
-        _product_data(p.w2_box, p.neg_wprime_box, p.grid),
-    )
+def _stacked_norm_data(ps: list[KnappParams]) -> list[_NormData]:
+    """The part of ``norm_report`` that does not depend on r, per configuration.
+
+    The configurations share one grid, as a sweep's windows do; their
+    monomial norms are two stacks (one per data box) and their product
+    norms one stack per cut count.
+    """
+    grid = ps[0].grid
+    w2, nwp = [p.w2_box for p in ps], [p.neg_wprime_box for p in ps]
+    return [
+        _NormData(*curl, *second, product)
+        for curl, second, product in zip(
+            _stacked_monomial_data(w2, ((0, 1, 0), (0, 0, 1)), grid),
+            _stacked_monomial_data(nwp, ((1, 0, 0),), grid),
+            _stacked_product_data(list(zip(w2, nwp)), grid),
+        )
+    ]
 
 
 def _norms_at(data: _NormData, r: float) -> NormReport:

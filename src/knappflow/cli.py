@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -81,6 +82,9 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     if args.kmax < args.kmin:
         raise InvalidParameterError(f"kmax ({args.kmax}) must be >= kmin ({args.kmin})")
+    # the JSON would overwrite the CSV
+    if args.json and Path(args.json).resolve() == Path(args.out).resolve():
+        raise InvalidParameterError(f"--out and --json name one file: {args.out}")
     ks = list(range(args.kmin, args.kmax + 1))
     records = run_sweep(
         eps=args.eps,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,25 +69,27 @@ class KnappParams:
         """Evaluation time eps / sqrt(lam)."""
         return self.eps / math.sqrt(self.lam)
 
-    @property
+    # The boxes are built on first read and kept on the instance, outside
+    # the fields: equality, hash and repr see the fields alone.
+    @cached_property
     def w_box(self) -> Box3:
         return box_w(self.lam)
 
-    @property
+    @cached_property
     def w2_box(self) -> Box3:
         """Support of the first datum: the dilate 2W."""
-        return box_scale(box_w(self.lam), 2.0)
+        return box_scale(self.w_box, 2.0)
 
-    @property
+    @cached_property
     def wprime_box(self) -> Box3:
         return box_w_prime(self.lam, self.thickness)
 
-    @property
+    @cached_property
     def neg_wprime_box(self) -> Box3:
         """Support of the second datum: the reflection -W'."""
         return box_scale(self.wprime_box, -1.0)
 
-    @property
+    @cached_property
     def samp_box(self) -> Box3:
         """Output sampling sub-box of W where all four terms are active.
 

@@ -423,6 +423,23 @@ def test_window_is_one_term_sums_call_per_level(monkeypatch, mode, nodes):
     assert sum(spent) == 3 * nodes
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_column_norms_equal_numpys_summed_squares(seed):
+    # term_sums takes |xi|, |xi - eta| and |eta| as (c0^2 + c1^2) + c2^2
+    # over coordinate columns; numpy's length-3 sum(axis=-1) adds in that
+    # order, so the bits are the same.  Coordinates of mixed scales,
+    # signs and zeros, in the shapes term_sums uses
+    rng = np.random.default_rng(seed)
+    for shape in ((6, 50, 3), (5, 1, 3), (2000, 3)):
+        d = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+        d[rng.random(shape) < 0.05] = 0.0
+        want = np.sqrt((d * d).sum(axis=-1))
+        got = _kernels._norm3(np.moveaxis(d, -1, 0))
+        assert got.tobytes() == want.tobytes()
+        cols = np.ascontiguousarray(np.moveaxis(d, -1, 0))
+        assert _kernels._norm3(cols).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("counts", [(6, 5, 4), (3, 1, 1)])
 @pytest.mark.parametrize("mode", ["slab", "surface"])
 def test_per_grid_time_and_cut_equal_one_call_per_grid(monkeypatch, mode, counts):
@@ -495,7 +512,7 @@ def test_pass_equals_one_window_at_a_time_where_windows_settle_apart(monkeypatch
         (p, sample_lattice(p.samp_box)[1]) for p in params[1:]
     ]
     served = record_grid_rows(monkeypatch)
-    together = amplitudes._lattice_pass(windows)
+    together = [amplitudes._breakdowns(c) for c in amplitudes._lattice_pass(windows)]
     # the calls that served some point of each window
     levels = [
         sum(any((rows == xi).all(axis=1).any() for xi in xis) for rows in served)
@@ -522,7 +539,7 @@ def test_pass_with_a_window_outside_the_support():
         (first, np.array([(7.0 * first.lam, 0.0, 0.0), (-first.lam, 0.0, 0.0)])),
         (last, sample_lattice(last.samp_box)[1]),
     ]
-    together = amplitudes._lattice_pass(windows)
+    together = [amplitudes._breakdowns(c) for c in amplitudes._lattice_pass(windows)]
     assert [len(hats) for hats in together] == [27, 2, 27]
     assert all(b.total == 0.0 and b.nonresonant_envelope == 0.0 for b in together[1])
     assert repr(together) == repr([lattice_hats(p, xis) for p, xis in windows])
@@ -740,7 +757,7 @@ def test_monomial_powers_must_be_whole_numbers(power):
     with pytest.raises(InvalidParameterError):
         sobolev_norm_monomial(cube, (power, 0, 0), 0.0)
     with pytest.raises(InvalidParameterError):
-        amplitudes._monomial_data(cube, ((0, 0, 0), (0, power, 0)), DEFAULT_GRID)
+        amplitudes._stacked_monomial_data([cube], ((0, 0, 0), (0, power, 0)), DEFAULT_GRID)
 
 
 def test_sobolev_norm_surface_is_formal_area_integral():
@@ -894,7 +911,7 @@ MONOMIALS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 def shared_monomial_norms(b, monomials, r, nodes_per_axis):
     """The monomial norms of one box from one shared-cell preparation."""
-    data = amplitudes._monomial_data(b, monomials, nodes_per_axis)
+    (data,) = amplitudes._stacked_monomial_data([b], monomials, nodes_per_axis)
     return [amplitudes._separable_norm(d, r) for d in data]
 
 
@@ -927,7 +944,7 @@ def test_shared_cell_preparation_equals_one_monomial_calls(monkeypatch, mode):
     for k in (1, 10):
         p = make_params(EPS, RHO, k, mode=mode)
         for box in (p.w2_box, p.neg_wprime_box):
-            data = amplitudes._monomial_data(box, MONOMIALS, p.grid)
+            (data,) = amplitudes._stacked_monomial_data([box], MONOMIALS, p.grid)
             for r in R_GRID:
                 want = [sobolev_norm_monomial(box, m, r, p.grid) for m in MONOMIALS]
                 assert [amplitudes._separable_norm(d, r) for d in data] == want
@@ -968,7 +985,7 @@ def test_separable_monomial_norms_equal_a_shared_broadcast_pass(monkeypatch, mod
     for k in range(1, 11):
         p = make_params(EPS, RHO, k, mode=mode)
         for box in (p.w2_box, p.neg_wprime_box):
-            data = amplitudes._monomial_data(box, MONOMIALS, p.grid)
+            (data,) = amplitudes._stacked_monomial_data([box], MONOMIALS, p.grid)
             for r in (*R_GRID, 7.5):
                 want = shared_pass_monomial_norms(box, MONOMIALS, r, p.grid)
                 assert [amplitudes._separable_norm(d, r) for d in data] == want
@@ -1088,8 +1105,8 @@ def test_prepared_norms_at_several_r_equal_one_call_norms(monkeypatch, seed):
     rng = np.random.default_rng(100 + seed)
     a = random_box(rng, surface_axis=2 if seed % 3 == 0 else None)
     b = random_box(rng, surface_axis=2 if seed % 3 == 1 else None)
-    product = amplitudes._product_data(a, b, SMALL_GRID)
-    monomials = amplitudes._monomial_data(a, MONOMIALS, SMALL_GRID)
+    (product,) = amplitudes._stacked_product_data([(a, b)], SMALL_GRID)
+    (monomials,) = amplitudes._stacked_monomial_data([a], MONOMIALS, SMALL_GRID)
     assert taken == [False, False]
     rs = [float(r) for r in rng.uniform(-2.0, 30.0, 4)]
     rs = [rs[i] for i in rng.permutation(4)] + rs[:2]
@@ -1100,6 +1117,84 @@ def test_prepared_norms_at_several_r_equal_one_call_norms(monkeypatch, seed):
     assert set(taken) == {False}
 
 
+def assert_same_prepared_data(got, want):
+    """Two prepared data norms (``_SeparableData`` or None) are equal bit for bit."""
+    assert (got is None) == (want is None)
+    if want is None:
+        return
+    (g_sq, g_w, g_fast), (w_sq, w_w, w_fast) = got.cells, want.cells
+    assert (g_fast, got.scale) == (w_fast, want.scale)
+    for g, w in zip((*g_sq, *g_w, *got.factors), (*w_sq, *w_w, *want.factors)):
+        assert (g.shape, g.tobytes()) == (w.shape, w.tobytes())
+
+
+# The norm grids of the sweeps, and grids with a 1-node axis.
+STACK_GRIDS = (DEFAULT_GRID, SMALL_GRID, (4, 1, 3), (1, 1, 1))
+
+
+@pytest.mark.parametrize("grid", STACK_GRIDS)
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_stacked_norm_data_equals_one_window_preparation(mode, grid):
+    # the data norms of k = 1..10 prepared in one stacked pass: every
+    # array of every window equals its own one-window preparation's bits
+    ps = [make_params(EPS, RHO, k, mode=mode, grid=grid) for k in range(1, 11)]
+    stacked = amplitudes._stacked_norm_data(ps)
+    assert len(stacked) == len(ps)
+    for p, together in zip(ps, stacked):
+        (alone,) = amplitudes._stacked_norm_data([p])
+        for got, want in zip(together, alone):
+            assert got is not None
+            assert_same_prepared_data(got, want)
+        assert amplitudes._norms_at(together, -0.25) == norm_report(p, -0.25)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_preparation_of_unit_scale_boxes_equals_one_box_preparation(monkeypatch, seed):
+    # seeded unit-scale boxes of every surface convention, which fail
+    # the transverse check, stacked in a shuffled order with two boxes
+    # far out along axis 1, which pass it; among the product pairs,
+    # equal-length axes (one cut fewer), a pair of sheets (no product)
+    # and a null axis (no monomial norm), so pairs with other cut counts
+    # or surface axes form their own stacks
+    taken = log_fast_path(monkeypatch)
+    rng = np.random.default_rng(500 + seed)
+    boxes_ = [random_box(rng, surface_axis=(None, 2, 0, None)[j % 4]) for j in range(8)]
+    cube = Box3(ax1=(0.0, 1.0), ax2=(0.5, 1.5), ax3=(-1.0, 0.0))
+    sheet = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.5, 0.5), surface_axis=2)
+    flat = Box3(ax1=(0.0, 1.0), ax2=(0.5, 0.5), ax3=(-2.0, 1.0))
+    far = [
+        Box3(ax1=(1e10, 1e10 + 2.0), ax2=(0.0, 1.0), ax3=(-1.0, 0.5)),
+        Box3(ax1=(1e10, 1e10 + 3.0), ax2=(0.0, 1.0), ax3=(0.5, 0.5), surface_axis=2),
+    ]
+    boxes_ += [cube, sheet, flat, *far]
+    boxes_ = [boxes_[j] for j in rng.permutation(len(boxes_))]
+    pairs = list(zip(boxes_, boxes_[1:] + boxes_[:1]))
+    pairs += [(cube, far[1]), (far[1], cube), (cube, cube), (boxes_[0], boxes_[0])]
+    pairs += [(sheet, sheet), (cube, sheet)]
+    cut_counts = {
+        tuple(len(_axis_breakpoints(a.axes[i], b.axes[i])) for i in range(3)) for a, b in pairs
+    }
+    assert len(cut_counts) >= 3
+    monomials = (*MONOMIALS, (2, 1, 1))
+    for grid in PRODUCT_GRIDS:
+        taken.clear()
+        stacked = amplitudes._stacked_monomial_data(boxes_, monomials, grid)
+        for b, together in zip(boxes_, stacked):
+            (alone,) = amplitudes._stacked_monomial_data([b], monomials, grid)
+            assert (together[0] is None) == b.has_null_axis
+            for got, want in zip(together, alone):
+                assert_same_prepared_data(got, want)
+        stacked = amplitudes._stacked_product_data(pairs, grid)
+        for (a, b), together in zip(pairs, stacked):
+            (alone,) = amplitudes._stacked_product_data([(a, b)], grid)
+            assert_same_prepared_data(together, alone)
+            r = float(rng.uniform(0.5, 3.0))
+            assert amplitudes._separable_norm(together, r) == product_norm_boxes(a, b, r, grid)
+        assert stacked[-2] is None and stacked[-1] is not None
+        # stacks mix boxes that pass the transverse check and boxes that fail it
+        assert set(taken) == {False, True}
+
+
 def test_norm_data_a_window_holds_is_small():
     # everything a default-grid window keeps for its records: the output
     # norm's interpolant and weights, the data norms' per-axis cells
@@ -1108,7 +1203,7 @@ def test_norm_data_a_window_holds_is_small():
     window = [(core.lattice_axes, core._prepared.amps)]
     tracemalloc.start()
     try:
-        held = (amplitudes._norm_data(core.params), amplitudes._output_data(window))
+        held = (amplitudes._stacked_norm_data([core.params]), amplitudes._output_data(window))
         size = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

@@ -141,6 +141,26 @@ def test_sweep_without_json_needs_no_fit(tmp_path, capsys):
     assert len(csv_path.read_text().splitlines()) == 5
 
 
+@pytest.mark.parametrize("json_name", ["f.out", "./d/../f.out", "{tmp}/f.out"])
+def test_sweep_with_one_file_for_out_and_json_exits_2_before_integrating(
+    tmp_path, capsys, monkeypatch, json_name
+):
+    # the JSON would overwrite the CSV; the same file under another
+    # spelling is caught too, and nothing is integrated or written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+
+    def integrating(**kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_sweep", integrating)
+    json_path = json_name.format(tmp=tmp_path)
+    rv, out, err = run_cli(["sweep", "--out", "f.out", "--json", json_path], capsys)
+    assert rv == 2
+    assert err == "error: --out and --json name one file: f.out\n"
+    assert out == "" and [p.name for p in tmp_path.iterdir()] == ["d"]
+
+
 def test_sweep_rejects_bad_ranges(tmp_path, capsys):
     rv, _, err = run_cli(
         ["sweep", "--kmin", "5", "--kmax", "2", "--out", str(tmp_path / "x.csv")], capsys

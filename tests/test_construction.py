@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from knappflow._kernels import term_weight
-from knappflow.boxes import admissible_eta_region, box_w
+from knappflow.boxes import admissible_eta_region, box_scale, box_w, box_w_prime
 from knappflow.construction import (
     RHO_MIN,
     KnappParams,
@@ -271,3 +272,26 @@ def test_whole_float_grid_is_stored_as_ints():
     assert p.grid == (8, 4, 4)
     assert all(type(n) is int for n in p.grid)
     assert p == make_params(EPS, RHO, 1, grid=(8, 4, 4))
+
+
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_boxes_are_built_once_per_configuration(mode):
+    # each box read twice is one object, equal to a box built afresh;
+    # the cached boxes change neither equality, hash nor repr
+    p = make_params(EPS, RHO, 3, mode=mode)
+    before = (hash(p), repr(p))
+    fresh = {
+        "w_box": box_w(p.lam),
+        "w2_box": box_scale(box_w(p.lam), 2.0),
+        "wprime_box": box_w_prime(p.lam, p.thickness),
+        "neg_wprime_box": box_scale(box_w_prime(p.lam, p.thickness), -1.0),
+    }
+    for name, want in fresh.items():
+        assert getattr(p, name) is getattr(p, name)
+        assert getattr(p, name) == want
+    assert p.samp_box is p.samp_box
+    assert p.samp_box.ax1 == p.w_box.ax1
+    assert (hash(p), repr(p)) == before
+    unread = make_params(EPS, RHO, 3, mode=mode)
+    assert p == unread and hash(p) == hash(unread)
+    assert p == dataclasses.replace(p) and p != dataclasses.replace(p, k=4)

@@ -199,6 +199,27 @@ def test_sweep_core_equals_lattice_hats_per_window(mode):
         assert repr(core.breakdowns) == repr(lattice_hats(core.params, pts))
 
 
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_records_build_no_breakdowns(monkeypatch, mode):
+    # a sweep that only writes records reads the lattice columns: no
+    # window builds its breakdowns until they are read, and then once
+    cores = sweep_core(EPS, RHO, [2, 5, 9], mode=mode, grid=SMALL_GRID)
+    records = records_from_core(cores, 0.5, -0.25)
+    assert all("breakdowns" not in vars(core) for core in cores)
+    for core, rec in zip(cores, records):
+        hats = core.breakdowns
+        assert "breakdowns" in vars(core) and core.breakdowns is hats
+        top = max(hats, key=lambda b: abs(b.total))
+        assert rec.sup_amp == abs(top.total)
+        assert (rec.res_amp, rec.nonres_amp) == (abs(top.resonant_sum), abs(top.nonresonant_sum))
+        assert rec.nonres_envelope == top.nonresonant_envelope
+    # run_sweep builds none either
+    built = []
+    monkeypatch.setattr(sweep, "_breakdowns", lambda lattice: built.append(lattice))
+    run_sweep(EPS, RHO, 0.5, -0.25, [2, 5, 9], mode=mode, grid=SMALL_GRID)
+    assert built == []
+
+
 def test_sweep_core_with_an_empty_window_among_live_ones():
     # rho=4.5e-4 admits k = 1..3 only
     cores = sweep_core(EPS, 4.5e-4, [1, 4, 2, 3], grid=SMALL_GRID)
