@@ -3,14 +3,15 @@
 A sweep walks the window indices k, builds the configuration for each
 nonempty window (its boxes built once, on first read), evaluates the
 amplitude on the 3x3x3 sampling lattices of all windows in one pass,
-and prepares their norms in stacked passes.  Its records hold
-per-window scalars (sup amplitude, resonant/nonresonant parts at the
-argmax, data norms, output-norm lower bound), read from the lattice
-columns; a window's ``AmplitudeBreakdown``s are built only when they
-are read.  Ordinary least squares on (log lambda, log value) turns the
-scalars into measured exponents, and the verdict compares the measured
-ratio exponent against the analytic prediction s - 1 - 2r, which is
-the slab ledger's (see ``smoothness_verdict``).
+settles each window's record but for its norms, and prepares the norms
+in stacked passes.  A record holds per-window scalars (sup amplitude,
+resonant/nonresonant parts at the argmax, data norms, output-norm
+estimate); the record for one (s, r) pair is the settled record with
+its two norms evaluated.  A window's ``AmplitudeBreakdown``s are built
+only when they are read.  Ordinary least squares on (log lambda, log
+value) turns the scalars into measured exponents, and the verdict
+compares the measured ratio exponent against the analytic prediction
+s - 1 - 2r, which is the slab ledger's (see ``smoothness_verdict``).
 
 Windows that are empty at the requested rho are skipped with a
 ``window_empty`` flag rather than aborting the sweep; flagged records
@@ -21,11 +22,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -56,13 +56,6 @@ EXCLUDING_FLAG_PREFIXES = ("window_empty", "nonconverged")
 
 VERDICT_MARGIN = 0.05
 
-_NAN_NORMS = NormReport(
-    norm_d2a1=math.nan,
-    norm_d1a2=math.nan,
-    norm_product=math.nan,
-    norm_total=math.nan,
-)
-
 
 @dataclass(frozen=True)
 class SweepRecord:
@@ -84,6 +77,25 @@ class SweepRecord:
         return any(f.startswith(EXCLUDING_FLAG_PREFIXES) for f in self.flags)
 
 
+# An empty window's record at k = 0; a live window's settled record
+# keeps its nan norms until an (s, r) pair evaluates them.
+_NAN_RECORD = SweepRecord(
+    k=0,
+    lam=math.nan,
+    t=math.nan,
+    sup_amp=math.nan,
+    res_amp=math.nan,
+    nonres_amp=math.nan,
+    nonres_envelope=math.nan,
+    output_norm=math.nan,
+    norms=NormReport(
+        norm_d2a1=math.nan, norm_d1a2=math.nan, norm_product=math.nan, norm_total=math.nan
+    ),
+    mode="none",
+    flags=("window_empty",),
+)
+
+
 @dataclass(frozen=True)
 class FitResult:
     slope: float
@@ -102,42 +114,54 @@ class Verdict:
     notes: tuple[str, ...] = ()
 
 
-class _Prepared(NamedTuple):
-    """A live window's record data that no (s, r) pair changes."""
-
-    lattice: _Lattice
-    amps: np.ndarray  # |amplitude| at each lattice point
-    output: _OutputData
-    norms: _NormData
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WindowSamples:
     """One window's cached lattice evaluation, reusable across (s, r).
 
-    A live window holds its lattice as columns (``_prepared.lattice``:
-    per point the total, per-sign, resonant and nonresonant sums, the
-    envelope, the point and its flags) and its norms prepared: the
-    output norm's squared interpolant, weights and transverse check,
-    and the data norms' per-axis cells, monomial powers and convolution
-    factors.  A record for any (s, r) reads the columns, raises the
-    brackets ``<xi>^{2s}`` and ``<xi>^{2r}`` and takes the dots.  The
-    held arrays are per point, per axis or per window: about 50 KB a
-    window at the default grid, 43 KB of them prepared norms and 7 KB
-    lattice columns; the per-node tensors of the data norms are built
-    per call.  ``breakdowns`` is built from the columns on first read
-    (about 28 KB more), then kept.
+    ``sweep_core`` settles every record field that no (s, r) pair
+    changes (``_record``, whose norms are nan) and prepares the norms:
+    the output norm's squared interpolant, weights and transverse check
+    (``_output``) and the data norms' per-axis cells and factors
+    (``_norms``).  A record for one (s, r) is ``_record`` with the two
+    norms evaluated.  Only ``breakdowns`` reads the lattice columns
+    (``_lattice``), building the breakdowns on first read (about 27 KB
+    more) and keeping them.  A default-grid window holds about 54 KB:
+    35 KB of prepared-norm arrays, 5.5 KB of columns, the rest its
+    parameters, boxes and record.  Windows compare by identity.
     """
 
     k: int
     params: KnappParams | None
     lattice_axes: tuple[np.ndarray, ...]
-    _prepared: _Prepared | None = field(compare=False, repr=False)
+    _record: SweepRecord = field(repr=False)
+    _output: _OutputData | None = field(default=None, repr=False)
+    _norms: _NormData | None = field(default=None, repr=False)
+    _lattice: _Lattice | None = field(default=None, repr=False)
 
     @cached_property
     def breakdowns(self) -> tuple[AmplitudeBreakdown, ...]:
         """The lattice's ``lattice_hats`` breakdowns, bit for bit; () for an empty window."""
-        return () if self._prepared is None else _breakdowns(self._prepared.lattice)
+        return () if self._lattice is None else _breakdowns(self._lattice)
+
+
+def _settled_record(k: int, p: KnappParams, lattice: _Lattice, amps: np.ndarray) -> SweepRecord:
+    """A live window's record but for its norms, which stay nan."""
+    j = int(np.argmax(amps))
+    flags = list(dict.fromkeys(f for point in lattice.flags for f in point))
+    if p.mode == "surface":
+        flags.append("surface_norm_formal")
+    return replace(
+        _NAN_RECORD,
+        k=k,
+        lam=p.lam,
+        t=p.t,
+        sup_amp=float(amps[j]),
+        res_amp=abs(lattice.resonant[j].item()),
+        nonres_amp=abs(lattice.nonresonant[j].item()),
+        nonres_envelope=lattice.envelope[j].item(),
+        mode=p.mode,
+        flags=tuple(flags),
+    )
 
 
 def sweep_core(
@@ -151,11 +175,12 @@ def sweep_core(
 
     Every window's parameters and sampling lattice are built first; then
     the lattices of all nonempty windows are integrated in one pass, one
-    ``term_sums`` call per refinement level for all of them, and their
-    norms are prepared in one stacked pass each for the output norms and
-    the data norms.  The expensive oscillatory quadrature happens here
-    exactly once per k; records for any (s, r) pair are derived from the
-    result without re-integration.  Every k must be a whole number.
+    ``term_sums`` call per refinement level for all of them, each
+    window's record is settled but for its norms, and the norms are
+    prepared in one stacked pass each for the output norms and the data
+    norms.  The expensive oscillatory quadrature happens here exactly
+    once per k; records for any (s, r) pair are derived from the result
+    without re-integration.  Every k must be a whole number.
     """
     ks = [window_index(k) for k in k_list]
     if not ks:
@@ -175,14 +200,15 @@ def sweep_core(
     columns = _lattice_pass([(p, pts) for (_, p), (_, pts) in zip(live, lattices)])
     # Python's complex abs: numpy's can differ in the last bit
     amps = [np.array([abs(z) for z in c.total.tolist()]) for c in columns]
+    records = [_settled_record(k, p, c, a) for (k, p), c, a in zip(live, columns, amps)]
     outputs = _output_data([(axes, a) for (axes, _), a in zip(lattices, amps)])
     norms = _stacked_norm_data([p for _, p in live])
     samples = iter(
-        WindowSamples(k, p, tuple(axes), _Prepared(*prepared))
-        for (k, p), (axes, _), *prepared in zip(live, lattices, columns, amps, outputs, norms)
+        WindowSamples(k, p, tuple(axes), *prepared)
+        for (k, p), (axes, _), *prepared in zip(live, lattices, records, outputs, norms, columns)
     )
     return [
-        WindowSamples(k, None, (), None) if p is None else next(samples)
+        WindowSamples(k, None, (), replace(_NAN_RECORD, k=k)) if p is None else next(samples)
         for k, p in zip(ks, params)
     ]
 
@@ -192,51 +218,20 @@ def records_from_core(
 ) -> list[SweepRecord]:
     """Derive sweep records for one (s, r) pair from cached lattices.
 
-    The top point's sums and envelope and the flags come from the
-    lattice columns, so no breakdown is built.  Only the (s, r)-dependent
-    steps of each window's prepared norms run here; they reject a
-    non-finite s or r.
+    Each window's settled record is copied with its two norms, the
+    (s, r)-dependent steps of its prepared norms; they reject a
+    non-finite s or r.  An empty window's record is its settled one.
     """
-    records: list[SweepRecord] = []
-    for core in cores:
-        if core.params is None:
-            records.append(
-                SweepRecord(
-                    k=core.k,
-                    lam=math.nan,
-                    t=math.nan,
-                    sup_amp=math.nan,
-                    res_amp=math.nan,
-                    nonres_amp=math.nan,
-                    nonres_envelope=math.nan,
-                    output_norm=math.nan,
-                    norms=_NAN_NORMS,
-                    mode="none",
-                    flags=("window_empty",),
-                )
-            )
-            continue
-        p, (lattice, window_amps, output, norm_data) = core.params, core._prepared
-        j = int(np.argmax(window_amps))
-        flags = list(dict.fromkeys(f for point in lattice.flags for f in point))
-        if p.mode == "surface":
-            flags.append("surface_norm_formal")
-        records.append(
-            SweepRecord(
-                k=core.k,
-                lam=p.lam,
-                t=p.t,
-                sup_amp=float(window_amps[j]),
-                res_amp=abs(lattice.resonant[j].item()),
-                nonres_amp=abs(lattice.nonresonant[j].item()),
-                nonres_envelope=lattice.envelope[j].item(),
-                output_norm=_output_norm_at(s_exp, output),
-                norms=_norms_at(norm_data, r_exp),
-                mode=p.mode,
-                flags=tuple(flags),
-            )
+    return [
+        core._record
+        if core.params is None
+        else replace(
+            core._record,
+            output_norm=_output_norm_at(s_exp, core._output),
+            norms=_norms_at(core._norms, r_exp),
         )
-    return records
+        for core in cores
+    ]
 
 
 def run_sweep(

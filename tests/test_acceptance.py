@@ -6,15 +6,24 @@ heavy k = 1..10 lattice sweeps are cached inside the acceptance module,
 so the suite pays for them once per mode.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from knappflow import acceptance, boxes
+from knappflow import acceptance, amplitudes, boxes, construction
 from knappflow._kernels import mult_values
-from knappflow.construction import make_params
-from knappflow.sweep import VERDICT_MARGIN, fit_exponent, records_from_core, smoothness_verdict
+from knappflow.construction import KnappParams, make_params
+from knappflow.sweep import (
+    VERDICT_MARGIN,
+    csv_lines,
+    fit_exponent,
+    records_from_core,
+    run_sweep,
+    smoothness_verdict,
+    sweep_core,
+)
 from knappflow.symbols import duhamel_multiplier
 
 
@@ -248,6 +257,103 @@ def test_exponent_ledger(mode, s_exp, r_exp):
     slopes["ratio"] = smoothness_verdict(s_exp, r_exp, list(recs)).measured_ratio_exponent
     for name, (a, b, c) in LEDGER[mode].items():
         assert slopes[name] == pytest.approx(a * s_exp + b * r_exp + c, abs=1e-6), name
+
+
+# The 27-point output norm over the 729-point one, at (0.5, -0.25).
+OUTPUT_NORM_OVERESTIMATE = {"slab": 1.013512567, "surface": 1.008878256}
+
+
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_output_norm_is_an_estimate_above_the_finer_lattice_value(monkeypatch, mode):
+    """The 3 x 3 x 3 output norm over-estimates, by one factor at every k.
+
+    A 9-point lattice per axis puts k = 1..10 at (0.5, -0.25) below the
+    acceptance records' 27-point values by a factor of 1.013512567
+    (slab) and 1.008878256 (surface).  The factor spreads over k by
+    3.3e-10 relative in both modes; the tolerance, 1e-9, is about three
+    times that, so a k-dependent error of the trilinear estimate would
+    move the output exponent and fail here.
+    """
+    coarse = acceptance._records(mode, 0.5, -0.25)
+    monkeypatch.setattr(amplitudes, "SAMPLE_POINTS_PER_AXIS", 9)
+    args = (acceptance.ACCEPT_EPS, acceptance.ACCEPT_RHO, 0.5, -0.25, acceptance.ACCEPT_KS)
+    fine = run_sweep(*args, mode=mode)
+    ratios = [a.output_norm / b.output_norm for a, b in zip(coarse, fine)]
+    assert len(ratios) == 10 and min(ratios) > 1.0
+    assert max(ratios) - min(ratios) <= 1e-9 * min(ratios)
+    assert ratios[0] == pytest.approx(OUTPUT_NORM_OVERESTIMATE[mode], abs=1e-9)
+
+
+@pytest.mark.parametrize("factor", [1e-8, 1e-10])
+def test_surface_mode_is_the_thin_slab_limit(monkeypatch, factor):
+    """Slab mode at a vanishing thickness against surface mode, k = 1 and 5.
+
+    Divided by the thickness (the norm by its square root), the slab
+    ``sup_amp``, ``norm_d1a2`` and the 18 lattice amplitudes off the
+    lowest axis-3 layer equal the surface values: measured within
+    5.2e-13, 2.3e-16 and 5.2e-13 relative at factor 1e-10, held here to
+    1e-12, 1e-15 and 1e-12.  The lowest layer sits at ``samp_box``'s
+    floor, where only the slab's ``eta3 <= 0`` half is admissible while
+    the surface plane counts whole: it reads 1/2 plus 1.25e5 to 2.5e5
+    times the factor (0.5012-0.5025 at 1e-8, 0.500012-0.500025 at
+    1e-10).  Through that layer the output norm stays off the surface
+    one: 0.95057 (1e-8) and 0.95044 (1e-10) of it.
+    """
+    eps, rho = acceptance.ACCEPT_EPS, acceptance.ACCEPT_RHO
+    surface = sweep_core(eps, rho, [1, 5], mode="surface")
+    monkeypatch.setattr(construction, "DEFAULT_SLAB_FACTOR", factor)
+    slab = sweep_core(eps, rho, [1, 5], mode="slab")
+    output_ratio = {1e-8: 0.95057, 1e-10: 0.95044}[factor]
+    slab_recs = records_from_core(slab, 0.5, -0.25)
+    surface_recs = records_from_core(surface, 0.5, -0.25)
+    for thin, flat, rec, want in zip(slab, surface, slab_recs, surface_recs):
+        th = thin.params.thickness
+        assert th == factor * math.sqrt(thin.params.lam)
+        assert rec.sup_amp / th == pytest.approx(want.sup_amp, rel=1e-12, abs=0.0)
+        norm = rec.norms.norm_d1a2 / math.sqrt(th)
+        assert norm == pytest.approx(want.norms.norm_d1a2, rel=1e-15, abs=0.0)
+        ratio = np.array(
+            [abs(a.total) / th / abs(b.total) for a, b in zip(thin.breakdowns, flat.breakdowns)]
+        )
+        floor = np.arange(27) % 3 == 0  # C order: axis 3 runs fastest
+        assert np.abs(ratio[~floor] - 1.0).max() <= 1e-12
+        excess = (ratio[floor] - 0.5) / factor
+        assert excess.min() >= 1.2e5 and excess.max() <= 2.5e5
+        assert rec.output_norm / th / want.output_norm == pytest.approx(output_ratio, abs=1e-5)
+
+
+RESONANCE_CUTS = {
+    "1": lambda lam: 1.0,
+    "1e-6 lam": lambda lam: 1e-6 * lam,
+    "lam^0.5": lambda lam: lam**0.5,
+    "lam^0.75": lambda lam: lam**0.75,
+    "lam^0.95": lambda lam: lam**0.95,
+    "lam": lambda lam: lam,
+    "1.9 lam": lambda lam: 1.9 * lam,
+}
+
+
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_resonance_cut_is_not_load_bearing(monkeypatch, mode):
+    """The k = 1..10 sweep bytes do not move over the resonance gap.
+
+    Criterion 6 measures the gap: a resonant ``|omega|`` is at most 0.5
+    ulp of ``2 lam``, a nonresonant one at least ``2 lam``.  Any cut
+    inside it, from 1 to ``1.9 lam``, leaves every CSV byte of both
+    modes as at ``lam^(3/4)``; a cut of 0 or ``2.1 lam`` moves them, so
+    the check can fail.
+    """
+    args = (acceptance.ACCEPT_EPS, acceptance.ACCEPT_RHO, 0.5, -0.25, acceptance.ACCEPT_KS)
+    want = csv_lines(run_sweep(*args, mode=mode))
+
+    def lines_at(cut):
+        monkeypatch.setattr(KnappParams, "resonance_threshold", property(lambda p: cut(p.lam)))
+        return csv_lines(run_sweep(*args, mode=mode))
+
+    for name, cut in RESONANCE_CUTS.items():
+        assert lines_at(cut) == want, name
+    for cut in (lambda lam: 0.0, lambda lam: 2.1 * lam):
+        assert lines_at(cut) != want
 
 
 def test_criterion_11_nonresonant_envelope():

@@ -802,6 +802,12 @@ def test_axis_breakpoints_of_a_point_interval_are_the_shifted_ends():
     assert product_norm_boxes(sheet, sheet, 0.0, SMALL_GRID) == 0.0
 
 
+def box_conv_factor(vals, a, b, axis):
+    """``_conv_factor`` of two ``Box3``s along ``axis``."""
+    points = (axis == a.surface_axis, axis == b.surface_axis)
+    return _conv_factor(vals, a.axes[axis], b.axes[axis], *points)
+
+
 def product_norm_reference(a, b, r, nodes_per_axis=DEFAULT_GRID):
     """``product_norm_boxes`` one cell at a time: a ``Box3`` and a
     ``quadrature_grid`` per cell, convolution factors on its (n, 3) points."""
@@ -819,9 +825,9 @@ def product_norm_reference(a, b, r, nodes_per_axis=DEFAULT_GRID):
         grid = quadrature_grid(Box3(*cell), nodes_per_axis)
         pts = grid.points
         conv = (
-            _conv_factor(pts[:, 0], a, b, 0)
-            * _conv_factor(pts[:, 1], a, b, 1)
-            * _conv_factor(pts[:, 2], a, b, 2)
+            box_conv_factor(pts[:, 0], a, b, 0)
+            * box_conv_factor(pts[:, 1], a, b, 1)
+            * box_conv_factor(pts[:, 2], a, b, 2)
         )
         bracket = 1.0 + (pts * pts).sum(axis=-1)
         integral += float(grid.weights @ (bracket**r * (conv / TWO_PI_CUBED) ** 2))
@@ -1053,7 +1059,7 @@ def outer_product_norm(a, b, r, nodes_per_axis):
         cuts = _axis_breakpoints(a.axes[i], b.axes[i])
         x, w = gauss_legendre_cells(cuts[:-1], cuts[1:], n)
         axis_cells.append((x, w))
-        factors.append(_conv_factor(x, a, b, i))
+        factors.append(box_conv_factor(x, a, b, i))
 
     def conv_sq(*cell):
         conv = outer_tensor(np.multiply, *(f[c] for f, c in zip(factors, cell)))
@@ -1200,7 +1206,7 @@ def test_norm_data_a_window_holds_is_small():
     # norm's interpolant and weights, the data norms' per-axis cells
     (core,) = sweep_core(EPS, RHO, [5])
     assert core.params.grid == DEFAULT_GRID
-    window = [(core.lattice_axes, core._prepared.amps)]
+    window = sweep_windows([core])
     tracemalloc.start()
     try:
         held = (amplitudes._stacked_norm_data([core.params]), amplitudes._output_data(window))

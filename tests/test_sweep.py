@@ -230,6 +230,14 @@ def test_sweep_core_with_an_empty_window_among_live_ones():
         assert repr(core.breakdowns) == repr(lattice_hats(core.params, pts))
 
 
+def test_windows_compare_by_identity():
+    # two sweeps of one window hold equal but distinct arrays; comparing
+    # them neither raises nor walks the arrays
+    a, b = (sweep_core(EPS, RHO, [1], grid=SMALL_GRID)[0] for _ in range(2))
+    assert a == a and a != b and not (a == b)
+    assert records_from_core([a], 0.5, -0.25) == records_from_core([b], 0.5, -0.25)
+
+
 @pytest.mark.parametrize(
     "mode, rho, ks",
     [
