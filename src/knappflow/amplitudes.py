@@ -55,8 +55,8 @@ tensor node, with the same bits.  The norms take two forms:
   the few axis-3 nodes;
 * the output norms of a sweep's windows, estimates from their
   lattices (``output_norm_from_samples``), are prepared in one stacked
-  pass (``_output_data``: one trilinear interpolation and one
-  transverse check for every window) and evaluated per window
+  pass (``_output_data``: one ``_stack_cells`` call and one trilinear
+  interpolation for every window) and evaluated per window
   (``_output_norm_at``): the window's tensors are broadcast and every
   cell's dot is one row of a stacked matmul.
 
@@ -74,7 +74,7 @@ so one preparation serves any number of indices.  A sweep prepares
 every window once (``sweep.sweep_core``), the output norms in one
 stacked pass and the data norms in another (``_stacked_norm_data``:
 one stack per data box for the monomial norms, one per cut count for
-the product norms, each stack's cells from one ``_stack_cells`` call),
+the product norms), each stack's cells from one ``_stack_cells`` call,
 and its records for each (s, r) only evaluate; the public norm
 functions are the one-window case of the same preparation, followed by
 the evaluation.  The per-node tensors of the data norms are built per
@@ -96,7 +96,6 @@ from .boxes import (
     _node_counts,
     admissible_eta_region,
     axis_rule,
-    gauss_legendre_cells,
     quadrature_nodes,
 )
 from .boxes import quadrature_grid  # noqa: F401  (perfbench/ hooks this name)
@@ -279,7 +278,11 @@ def _lattice_pass(
             raise InvalidParameterError("xi must be finite")
         lattices.append((p, xis, kernels(p)))
     xis = np.concatenate([pts for _, pts, _ in lattices])
-    norms = np.sqrt(xis[:, None, :] @ xis[:, :, None]).reshape(-1)
+    with np.errstate(over="ignore"):  # an overflowing square is rejected next
+        squares = xis[:, None, :] @ xis[:, :, None]
+    if not np.isfinite(squares).all():
+        raise InvalidParameterError("|xi|^2 must not overflow (|xi| up to about 1.3e154)")
+    norms = np.sqrt(squares).reshape(-1)
     if (norms == 0.0).any():
         raise InvalidParameterError("xi must be nonzero")
     ts = np.repeat([p.t for p, _, _ in lattices], [len(pts) for _, pts, _ in lattices])
@@ -355,7 +358,9 @@ def lambda_hat(
 
     ``t`` is the configuration's time ``p.t = eps / sqrt(lam)``; ``signs``
     restricts the sign triples (default: all 8).  Points outside the
-    interaction support return an exact zero breakdown.  Non-convergence
+    interaction support return an exact zero breakdown; xi = 0, or a
+    point whose ``|xi|^2`` overflows (``|xi|`` above about 1.3e154),
+    raises ``InvalidParameterError``.  Non-convergence
     of a term's quadrature at the refinement cap is flagged, not raised.
     This is ``lattice_hats`` at one point.
     """
@@ -403,23 +408,11 @@ def _transverse_rounds_away(sq1: np.ndarray, sq2: np.ndarray, sq3: np.ndarray) -
     return (kept[0] & kept[1]).all(axis=(-2, -1))
 
 
-def _cells(axis_cells) -> tuple[tuple, tuple, np.ndarray]:
-    """``(squares, weights, fast)`` of per-axis ``(nodes, weights)`` cells.
-
-    ``squares[i]`` and ``weights[i]`` are axis i's squared nodes and its
-    weights, of shape ``(..., cells_i, n_i)``, leading axes stacking
-    boxes; ``fast`` holds each box's ``_transverse_rounds_away``.
-    """
-    squares = tuple(x * x for x, _ in axis_cells)
-    fast = np.broadcast_to(_transverse_rounds_away(*squares), squares[0].shape[:-2])
-    return squares, tuple(w for _, w in axis_cells), fast
-
-
 class _SeparableData(NamedTuple):
     """A prepared data norm, the integrand ``F = f1 f2 f3 / scale`` on one box's cells.
 
-    ``cells`` is ``_cells`` of the box's per-axis cells and ``factors[i]``
-    holds ``f_i`` at axis i's nodes, both of shape ``(cells_i, n_i)``.
+    ``cells`` is the box's ``_stack_cells`` row and ``factors[i]`` holds
+    ``f_i`` at axis i's nodes, of shape ``(cells_i, n_i)``.
     The product norm's factors are the per-axis convolution factors, with
     scale ``(2 pi)^3``; a monomial norm's box is one cell per axis, its
     factors ``x_i ** m_i`` and its scale 1.
@@ -485,20 +478,22 @@ def _stacks(indices, key) -> list[list[int]]:
 
 
 def _stack_cells(ends, surface: int | None, counts) -> tuple[list[np.ndarray], list[tuple]]:
-    """Per-axis nodes of a stack of boxes, and each box's ``_cells`` row.
+    """Per-axis nodes of a stack of boxes, and each box's cells.
 
     ``ends[i]`` holds axis i's cell ends, of shape ``(boxes, cells_i +
     1)``; axis ``surface`` (or none) is each cell's single point ``lo``
     with weight 1 (``axis_rule``).  The nodes have shape ``(boxes,
-    cells_i, n_i)``.
+    cells_i, n_i)``; box j's row is ``(squares, weights, fast)``: per
+    axis ``(cells_i, n_i)`` arrays, and its ``_transverse_rounds_away``.
     """
     axis_cells = [
         axis_rule(e[:, :-1], e[:, 1:], n, i == surface)
         for i, (e, n) in enumerate(zip(ends, counts))
     ]
-    squares, weights, fast = _cells(axis_cells)
+    squares = [x * x for x, _ in axis_cells]
+    fast = np.broadcast_to(_transverse_rounds_away(*squares), len(squares[0]))
     rows = [
-        (tuple(sq[j] for sq in squares), tuple(w[j] for w in weights), bool(fast[j]))
+        (tuple(sq[j] for sq in squares), tuple(w[j] for _, w in axis_cells), bool(fast[j]))
         for j in range(len(fast))
     ]
     return [x for x, _ in axis_cells], rows
@@ -725,10 +720,9 @@ def _trilinear(vals: np.ndarray, ys: list[np.ndarray]) -> np.ndarray:
 class _OutputData(NamedTuple):
     """One window's prepared output norm: one box of 8 cells.
 
-    ``squares`` and ``fast`` are the window's part of what ``_cells``
-    gives, ``weights`` the weight tensor and ``f_sq`` the squared
-    trilinear interpolant, both of shape ``(cells1, cells2, cells3, n1,
-    n2, n3)``.
+    ``squares`` and ``fast`` are from the window's ``_stack_cells`` row,
+    ``weights`` the weight tensor and ``f_sq`` the squared trilinear
+    interpolant, both of shape ``(cells1, cells2, cells3, n1, n2, n3)``.
     """
 
     squares: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -742,9 +736,9 @@ def _output_data(windows) -> list[_OutputData]:
 
     The lattices must share one shape of 3 axes; every axis must be
     1-D, finite and strictly increasing, with at least 2 points, and
-    every amplitude finite.  One ``_trilinear`` call and one transverse
-    check cover every cell of every window; each window holds its slice
-    of the result.
+    every amplitude real and finite.  One ``_stack_cells`` call and one
+    ``_trilinear`` call cover every cell of every window; each window
+    holds its slice of the result.
     """
     if not windows:
         return []
@@ -760,7 +754,9 @@ def _output_data(windows) -> list[_OutputData]:
             raise InvalidParameterError(
                 f"a {shape} lattice needs {math.prod(shape)} amplitudes, got {np.size(amps)}"
             )
-    axis_cells, ys = [], []
+        if np.iscomplexobj(amps):
+            raise InvalidParameterError("lattice amplitudes must be real, got complex values")
+    ends = []
     for i in range(3):
         ax = np.array([axes[i] for axes, _ in windows], dtype=float)
         if ax.ndim != 2 or ax.shape[1] < 2 or not (
@@ -770,19 +766,16 @@ def _output_data(windows) -> list[_OutputData]:
                 f"lattice axes must be 1-D, finite and strictly increasing, with at least "
                 f"2 points; axis {i} is not"
             )
-        lo, hi = ax[:, :-1], ax[:, 1:]
-        x, w = gauss_legendre_cells(lo, hi, 6)
-        axis_cells.append((x, w))
-        ys.append((x - lo[..., None]) / (hi - lo)[..., None])
+        ends.append(ax)
     vals = np.array([np.reshape(amps, shape) for _, amps in windows], dtype=float)
     if not np.isfinite(vals).all():
         raise InvalidParameterError("lattice amplitudes must be finite")
-    squares, weights, fast = _cells(axis_cells)
-    weights = _outer_cells(np.multiply, *weights)
+    nodes, rows = _stack_cells(ends, None, (6, 6, 6))
+    ys = [(x - e[:, :-1, None]) / (e[:, 1:] - e[:, :-1])[..., None] for x, e in zip(nodes, ends)]
     f_sq = _trilinear(vals, ys) ** 2
     return [
-        _OutputData(tuple(sq[j] for sq in squares), bool(fast[j]), weights[j], f_sq[j])
-        for j in range(len(windows))
+        _OutputData(squares, fast, _outer_cells(np.multiply, *weights), f_sq[j])
+        for j, (squares, weights, fast) in enumerate(rows)
     ]
 
 
@@ -822,7 +815,8 @@ def output_norm_from_samples(
     The value is an estimate, not a lower bound: at s = 1/2 on the
     k = 1..10 Knapp windows the 3 x 3 x 3 value exceeds the 9 x 9 x 9
     one by 1.35% (slab) and 0.89% (surface), by one factor at every k.
-    ``amps`` holds one value per lattice point, in C order.  This is the
+    ``amps`` holds one real value per lattice point, in C order; complex
+    amplitudes raise ``InvalidParameterError``.  This is the
     one-window case of the preparation a sweep makes for all of its
     windows.
     """

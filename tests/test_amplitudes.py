@@ -327,6 +327,23 @@ def test_lambda_hat_validation():
         lambda_hat(p, (0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("xi", [(1e160, 0.0, 0.0), (1e300, 1e300, 1e300), (0.0, 0.0, -1e155)])
+def test_lambda_hat_rejects_a_frequency_whose_square_overflows(xi):
+    # |xi|^2 was inf: every sum read nan, with no error
+    p = small_params()
+    with pytest.raises(InvalidParameterError, match="must not overflow"):
+        lambda_hat(p, xi)
+    with pytest.raises(InvalidParameterError, match="must not overflow"):
+        lattice_hats(p, [p.samp_box.center(), xi])
+
+
+@pytest.mark.parametrize("x", [1e150, 1.3e154])
+def test_lambda_hat_is_an_exact_zero_far_outside_the_support(x):
+    bd = lambda_hat(small_params(), (x, 0.0, 0.0))
+    assert bd.total == 0j and bd.nonresonant_envelope == 0.0
+    assert all(v == 0j for v in bd.per_sign.values())
+
+
 def test_sign_subsets_partition_total():
     p = small_params()
     xi = p.samp_box.center()
@@ -1665,6 +1682,16 @@ def test_output_norm_rejects_non_finite_amplitudes(bad):
         output_norm_from_samples(0.5, axes, amps)
     with pytest.raises(InvalidParameterError, match="amplitudes must be finite"):
         amplitudes._output_data([(axes, np.ones(27)), (axes, amps)])
+
+
+def test_output_norm_rejects_complex_amplitudes():
+    # they were cast to float, keeping the real part, with a ComplexWarning
+    axes = [np.array([0.0, 0.5, 1.0])] * 3
+    for amps in (np.full(27, 1.0 + 1.0j), np.ones(27, dtype=complex), [1j] * 27):
+        with pytest.raises(InvalidParameterError, match="amplitudes must be real"):
+            output_norm_from_samples(0.5, axes, amps)
+        with pytest.raises(InvalidParameterError, match="amplitudes must be real"):
+            amplitudes._output_data([(axes, np.ones(27)), (axes, amps)])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

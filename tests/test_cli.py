@@ -86,6 +86,14 @@ def test_eval_bad_inputs_exit_2(capsys):
     assert rv == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("xi_arg", ["1e160,0,0", "1e300,1e300,1e300"])
+def test_eval_rejects_a_frequency_whose_square_overflows(xi_arg, capsys):
+    # it printed nan sums as NaN tokens, which are not JSON, and exited 0
+    rv, out, err = run_cli(["eval", "--k", "1", "--xi", xi_arg], capsys)
+    assert rv == 2 and "error:" in err
+    assert out == ""
+
+
 def test_sweep_writes_deterministic_files(tmp_path, capsys):
     args = [
         "sweep",

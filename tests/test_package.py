@@ -47,3 +47,11 @@ def test_package_source_never_names_numpy_polynomial():
     for path in sorted(PACKAGE.glob("*.py")):
         text = path.read_text()
         assert "np.polynomial" not in text and "numpy.polynomial" not in text, path.name
+
+
+def test_amplitudes_source_never_names_gauss_legendre_cells():
+    # every norm takes its per-axis cells from amplitudes._stack_cells,
+    # whose rule is boxes.axis_rule; a second cell builder would bypass it
+    text = (PACKAGE / "amplitudes.py").read_text()
+    assert "gauss_legendre_cells" not in text
+    assert "def _cells(" not in text
