@@ -282,9 +282,10 @@ def _lattice_pass(
         squares = xis[:, None, :] @ xis[:, :, None]
     if not np.isfinite(squares).all():
         raise InvalidParameterError("|xi|^2 must not overflow (|xi| up to about 1.3e154)")
-    norms = np.sqrt(squares).reshape(-1)
-    if (norms == 0.0).any():
+    # a nonzero xi whose square underflows to 0 is still a valid point
+    if (xis == 0.0).all(axis=1).any():
         raise InvalidParameterError("xi must be nonzero")
+    norms = np.sqrt(squares).reshape(-1)
     ts = np.repeat([p.t for p, _, _ in lattices], [len(pts) for _, pts, _ in lattices])
 
     tot_acc = np.zeros((len(xis), 8), dtype=complex)
@@ -358,9 +359,10 @@ def lambda_hat(
 
     ``t`` is the configuration's time ``p.t = eps / sqrt(lam)``; ``signs``
     restricts the sign triples (default: all 8).  Points outside the
-    interaction support return an exact zero breakdown; xi = 0, or a
-    point whose ``|xi|^2`` overflows (``|xi|`` above about 1.3e154),
-    raises ``InvalidParameterError``.  Non-convergence
+    interaction support return an exact zero breakdown, a nonzero xi
+    whose ``|xi|^2`` underflows to 0 among them; xi = 0, or a point
+    whose ``|xi|^2`` overflows (``|xi|`` above about 1.3e154), raises
+    ``InvalidParameterError``.  Non-convergence
     of a term's quadrature at the refinement cap is flagged, not raised.
     This is ``lattice_hats`` at one point.
     """
@@ -736,9 +738,9 @@ def _output_data(windows) -> list[_OutputData]:
 
     The lattices must share one shape of 3 axes; every axis must be
     1-D, finite and strictly increasing, with at least 2 points, and
-    every amplitude real and finite.  One ``_stack_cells`` call and one
-    ``_trilinear`` call cover every cell of every window; each window
-    holds its slice of the result.
+    every amplitude real and finite, with a finite square.  One
+    ``_stack_cells`` call and one ``_trilinear`` call cover every cell
+    of every window; each window holds its slice of the result.
     """
     if not windows:
         return []
@@ -772,7 +774,10 @@ def _output_data(windows) -> list[_OutputData]:
         raise InvalidParameterError("lattice amplitudes must be finite")
     nodes, rows = _stack_cells(ends, None, (6, 6, 6))
     ys = [(x - e[:, :-1, None]) / (e[:, 1:] - e[:, :-1])[..., None] for x, e in zip(nodes, ends)]
-    f_sq = _trilinear(vals, ys) ** 2
+    with np.errstate(over="ignore"):  # an overflowing square is rejected next
+        f_sq = _trilinear(vals, ys) ** 2
+    if not np.isfinite(f_sq).all():
+        raise InvalidParameterError("squared lattice amplitudes must not overflow")
     return [
         _OutputData(squares, fast, _outer_cells(np.multiply, *weights), f_sq[j])
         for j, (squares, weights, fast) in enumerate(rows)

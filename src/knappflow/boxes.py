@@ -1,12 +1,12 @@
 """Axis-aligned frequency boxes and tensor-product Gauss-Legendre grids.
 
-The construction lives on three anisotropic boxes in frequency space: a
-thin volume box ``W`` near ``lam * e1`` with transverse width of order
-``sqrt(lam)``, a planar companion ``W'`` in the ``xi3 = 0`` plane, and
-their dilates/reflections.  ``W'`` comes in two conventions: a true
-2-D surface box (one axis degenerate, carrying 2-D measure) or a thin
-slab of finite thickness.  All set algebra needed downstream reduces to
-per-axis interval arithmetic and is kept exact here.
+A box is a volume box or a surface box: one degenerate axis carrying
+2-D measure.  All set algebra needed downstream -- dilation, reflection
+and the admissible eta-regions of a support pair -- reduces to per-axis
+interval arithmetic and is kept exact here, beside the Gauss-Legendre
+rules every grid of the package takes.  This module knows no Knapp
+number: the boxes ``W`` and ``W'`` and their widths live in
+``construction``.
 """
 
 from __future__ import annotations
@@ -19,16 +19,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameterError
-
-# Relative half-width of the boxes along axis 1, and the transverse
-# window [TRANSVERSE_LO, TRANSVERSE_HI] * sqrt(lam) along axes 2 and 3.
-AXIAL_HALF_WIDTH = 1e-6
-TRANSVERSE_LO = 1e-9
-TRANSVERSE_HI = 1e-6
-# Absolute tolerance for membership on a degenerate (surface) axis is
-# SURFACE_TOL_FACTOR * sqrt(lam): far below the transverse box scale.
-SURFACE_TOL_FACTOR = 1e-9
-
 
 @dataclass(frozen=True)
 class Box3:
@@ -97,45 +87,6 @@ class QuadratureGrid:
     points: np.ndarray  # (n, 3) float64
     weights: np.ndarray  # (n,) float64
     total_measure: float
-
-
-def box_w(lam: float) -> Box3:
-    """Main volume box near ``lam * e1`` with positive transverse window."""
-    if lam <= 1.0:
-        raise InvalidParameterError(f"lam must exceed 1, got {lam}")
-    rt = np.sqrt(lam)
-    trans = (TRANSVERSE_LO * rt, TRANSVERSE_HI * rt)
-    return Box3(
-        ax1=(lam - AXIAL_HALF_WIDTH * lam, lam + AXIAL_HALF_WIDTH * lam),
-        ax2=trans,
-        ax3=trans,
-    )
-
-
-def box_w_prime(lam: float, thickness: float | None = None) -> Box3:
-    """Planar companion box in the ``xi3 = 0`` plane.
-
-    ``thickness=None`` gives the surface convention (axis 3 degenerate at
-    0, carrying 2-D measure); a positive ``thickness`` gives a volume slab
-    centered on the plane.
-    """
-    if lam <= 1.0:
-        raise InvalidParameterError(f"lam must exceed 1, got {lam}")
-    rt = np.sqrt(lam)
-    ax1 = (lam - AXIAL_HALF_WIDTH * lam, lam + AXIAL_HALF_WIDTH * lam)
-    ax2 = (-TRANSVERSE_HI * rt, TRANSVERSE_HI * rt)
-    if thickness is None:
-        return Box3(
-            ax1=ax1,
-            ax2=ax2,
-            ax3=(0.0, 0.0),
-            surface_axis=2,
-            surface_tol=SURFACE_TOL_FACTOR * rt,
-        )
-    if thickness <= 0.0:
-        raise InvalidParameterError(f"slab thickness must be positive, got {thickness}")
-    half = thickness / 2.0
-    return Box3(ax1=ax1, ax2=ax2, ax3=(-half, half))
 
 
 def box_scale(b: Box3, c: float) -> Box3:

@@ -10,6 +10,11 @@ interactions then add coherently while every nonresonant phase is small.
 The bilinear interaction splits into four admissible-support terms (two
 per transverse axis).  Their weights are written with all signs folded
 in, so each weight is nonnegative on its own support pair.
+
+Every Knapp number lives here: the widths of ``W`` and ``W'``, the
+surface tolerance, the slab thickness and the sampling window, each as
+a multiple of a power of ``lam``.  ``boxes`` holds only box algebra and
+quadrature.
 """
 
 from __future__ import annotations
@@ -20,12 +25,20 @@ from functools import cached_property
 
 import numpy as np
 
-from .boxes import Box3, _node_counts, box_scale, box_w, box_w_prime
+from .boxes import Box3, _node_counts, box_scale
 from .errors import InvalidParameterError, WindowEmptyError
 
-# rho must cover the spread of |xi|/lam over W: 1e-6 per side along
-# axis 1 plus transverse corrections bounded by 1e-12.
-RHO_MIN = 1e-6 + 1e-12
+# Relative half-width of W and W' along axis 1, and W's transverse
+# window [TRANSVERSE_LO, TRANSVERSE_HI] * sqrt(lam) along axes 2 and 3.
+AXIAL_HALF_WIDTH = 1e-6
+TRANSVERSE_LO = 1e-9
+TRANSVERSE_HI = 1e-6
+# Absolute tolerance for membership on a degenerate (surface) axis is
+# SURFACE_TOL_FACTOR * sqrt(lam): far below the transverse box scale.
+SURFACE_TOL_FACTOR = 1e-9
+# rho must cover the spread of |xi|/lam over W: AXIAL_HALF_WIDTH per
+# side along axis 1 plus transverse corrections bounded by TRANSVERSE_HI**2.
+RHO_MIN = AXIAL_HALF_WIDTH + TRANSVERSE_HI**2
 DEFAULT_RHO = 2e-6
 DEFAULT_GRID = (32, 16, 16)
 # Default slab thickness as a multiple of sqrt(lam).
@@ -73,7 +86,11 @@ class KnappParams:
     # the fields: equality, hash and repr see the fields alone.
     @cached_property
     def w_box(self) -> Box3:
-        return box_w(self.lam)
+        """Main volume box near ``lam * e1`` with positive transverse window."""
+        lam, rt = self.lam, np.sqrt(self.lam)
+        axial = (lam - AXIAL_HALF_WIDTH * lam, lam + AXIAL_HALF_WIDTH * lam)
+        trans = (TRANSVERSE_LO * rt, TRANSVERSE_HI * rt)
+        return Box3(ax1=axial, ax2=trans, ax3=trans)
 
     @cached_property
     def w2_box(self) -> Box3:
@@ -82,7 +99,23 @@ class KnappParams:
 
     @cached_property
     def wprime_box(self) -> Box3:
-        return box_w_prime(self.lam, self.thickness)
+        """Planar companion box in the ``xi3 = 0`` plane.
+
+        In the surface convention axis 3 is degenerate at 0 and the box
+        carries 2-D measure; a slab is centered on the plane.
+        """
+        ax1, rt = self.w_box.ax1, np.sqrt(self.lam)
+        ax2 = (-TRANSVERSE_HI * rt, TRANSVERSE_HI * rt)
+        if self.thickness is None:
+            return Box3(
+                ax1=ax1,
+                ax2=ax2,
+                ax3=(0.0, 0.0),
+                surface_axis=2,
+                surface_tol=SURFACE_TOL_FACTOR * rt,
+            )
+        half = self.thickness / 2.0
+        return Box3(ax1=ax1, ax2=ax2, ax3=(-half, half))
 
     @cached_property
     def neg_wprime_box(self) -> Box3:
@@ -94,7 +127,10 @@ class KnappParams:
         """Output sampling sub-box of W where all four terms are active.
 
         The floor of axis 3 is doubled so the planar constraint can be
-        met from both operand orders at every sampled point.
+        met from both operand orders at every sampled point.  The window
+        is written out rather than read from ``TRANSVERSE_LO`` and
+        ``TRANSVERSE_HI``: the wide-box tests widen ``W`` alone and pin
+        figures of this sampling window.
         """
         w = self.w_box
         rt = math.sqrt(self.lam)

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from knappflow import acceptance, amplitudes, boxes, construction
+from knappflow import acceptance, amplitudes, construction
 from knappflow._kernels import mult_values
 from knappflow.construction import KnappParams, make_params
 from knappflow.sweep import (
@@ -97,8 +97,8 @@ def test_criterion_06_fails_where_transverse_squares_count(monkeypatch):
     # on boxes 5e3 times wider along axis 1 and 1e6 times wider
     # transversally the transverse squares no longer round away, and the
     # resonant corners sit 1.7e7 to 2.2e9 ulp(2 lam) from zero
-    monkeypatch.setattr(boxes, "AXIAL_HALF_WIDTH", 5e-3)
-    monkeypatch.setattr(boxes, "TRANSVERSE_HI", 1.0)
+    monkeypatch.setattr(construction, "AXIAL_HALF_WIDTH", 5e-3)
+    monkeypatch.setattr(construction, "TRANSVERSE_HI", 1.0)
     configs = [
         make_params(acceptance.ACCEPT_EPS, acceptance.ACCEPT_RHO, k, mode="slab")
         for k in acceptance.ACCEPT_KS

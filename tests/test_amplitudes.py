@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from knappflow import _kernels, amplitudes, boxes
+from knappflow import _kernels, amplitudes, construction
 from knappflow.amplitudes import (
     TWO_PI_CUBED,
     _axis_breakpoints,
@@ -52,8 +52,8 @@ def small_params(**kw):
 
 
 def wide_boxes(monkeypatch):
-    monkeypatch.setattr(boxes, "AXIAL_HALF_WIDTH", 5e-3)
-    monkeypatch.setattr(boxes, "TRANSVERSE_HI", 1.0)
+    monkeypatch.setattr(construction, "AXIAL_HALF_WIDTH", 5e-3)
+    monkeypatch.setattr(construction, "TRANSVERSE_HI", 1.0)
 
 
 def count_term_sums(monkeypatch) -> list[int]:
@@ -335,6 +335,19 @@ def test_lambda_hat_rejects_a_frequency_whose_square_overflows(xi):
         lambda_hat(p, xi)
     with pytest.raises(InvalidParameterError, match="must not overflow"):
         lattice_hats(p, [p.samp_box.center(), xi])
+
+
+@pytest.mark.parametrize("xi", [(1e-170, 0.0, 0.0), (0.0, 1e-200, 0.0), (1e-161, 0.0, 0.0)])
+def test_lambda_hat_is_an_exact_zero_where_the_square_underflows(xi):
+    # |xi|^2 is 0 here, and was read as xi = 0: "xi must be nonzero"
+    p = small_params()
+    for bd in (lambda_hat(p, xi), lattice_hats(p, [p.samp_box.center(), xi])[1]):
+        assert bd.total == 0j and bd.nonresonant_envelope == 0.0
+        assert bd.resonant_sum == 0j and bd.nonresonant_sum == 0j
+        assert all(v == 0j for v in bd.per_sign.values())
+        assert bd.eval_point == xi and bd.flags == ()
+    with pytest.raises(InvalidParameterError, match="xi must be nonzero"):
+        lattice_hats(p, [xi, (0.0, 0.0, 0.0)])
 
 
 @pytest.mark.parametrize("x", [1e150, 1.3e154])
@@ -1682,6 +1695,17 @@ def test_output_norm_rejects_non_finite_amplitudes(bad):
         output_norm_from_samples(0.5, axes, amps)
     with pytest.raises(InvalidParameterError, match="amplitudes must be finite"):
         amplitudes._output_data([(axes, np.ones(27)), (axes, amps)])
+
+
+def test_output_norm_rejects_amplitudes_whose_square_overflows():
+    # squaring the interpolant overflowed with a RuntimeWarning, and
+    # without warnings the norm read inf
+    axes = [np.array([0.0, 0.5, 1.0])] * 3
+    with pytest.raises(InvalidParameterError, match="must not overflow"):
+        output_norm_from_samples(0.5, axes, np.full(27, 1e200))
+    with pytest.raises(InvalidParameterError, match="must not overflow"):
+        amplitudes._output_data([(axes, np.ones(27)), (axes, np.full(27, -1e200))])
+    assert output_norm_from_samples(0.5, axes, np.full(27, 1e150)) == 7.519036692747647e148
 
 
 def test_output_norm_rejects_complex_amplitudes():

@@ -7,13 +7,12 @@ from knappflow.boxes import (
     _leggauss,
     admissible_eta_region,
     box_scale,
-    box_w,
-    box_w_prime,
     axis_rule,
     gauss_legendre_cells,
     quadrature_grid,
     quadrature_nodes,
 )
+from knappflow.construction import KnappParams
 from knappflow.errors import InvalidParameterError
 from regions import one_region
 
@@ -21,29 +20,10 @@ LAM = 4.0e5
 RT = np.sqrt(LAM)
 
 
-def test_box_w_geometry():
-    w = box_w(LAM)
-    assert w.ax1 == (LAM - 1e-6 * LAM, LAM + 1e-6 * LAM)
-    assert w.ax2 == (1e-9 * RT, 1e-6 * RT)
-    assert w.ax3 == w.ax2
-    assert w.measure == pytest.approx(2e-6 * LAM * (0.999e-6 * RT) ** 2, rel=1e-12)
-
-
-def test_box_w_prime_surface_and_slab():
-    surf = box_w_prime(LAM)
-    assert surf.surface_axis == 2
-    assert surf.ax3 == (0.0, 0.0)
-    assert surf.surface_tol == pytest.approx(1e-9 * RT)
-    # 2D measure: axial times transverse
-    assert surf.measure == pytest.approx(2e-6 * LAM * 2e-6 * RT, rel=1e-12)
-
-    slab = box_w_prime(LAM, thickness=1e-6 * RT)
-    assert slab.surface_axis is None
-    assert slab.ax3 == (-0.5e-6 * RT, 0.5e-6 * RT)
-    with pytest.raises(InvalidParameterError):
-        box_w_prime(LAM, thickness=-1.0)
-    with pytest.raises(InvalidParameterError):
-        box_w(0.5)
+def knapp(lam=LAM, thickness=None):
+    """W and W' at ``lam`` as ``construction`` builds them: Knapp-scale
+    operands for the box algebra."""
+    return KnappParams(lam=lam, eps=0.01, rho=2e-6, k=1, thickness=thickness)
 
 
 def test_box_validation():
@@ -79,13 +59,13 @@ def test_box_scale_round_trip_powers_of_two(e: int, neg: bool):
     # exact in floating point only for powers of two; the general case
     # is covered approximately below
     c = float(2.0**e) * (-1.0 if neg else 1.0)
-    b = box_w(LAM)
+    b = knapp().w_box
     assert box_scale(box_scale(b, c), 1.0 / c) == b
 
 
 def test_box_scale_round_trip_general():
     rng = np.random.default_rng(7)
-    b = box_w_prime(LAM)
+    b = knapp().wprime_box
     for _ in range(50):
         c = float(rng.uniform(0.1, 10.0)) * float(rng.choice([-1.0, 1.0]))
         rt = box_scale(box_scale(b, c), 1.0 / c)
@@ -118,8 +98,7 @@ def test_admissible_region_volume_case():
 
 
 def test_admissible_region_surface_pinning():
-    surf = box_w_prime(LAM)
-    w2 = box_scale(box_w(LAM), 2.0)
+    surf, w2 = knapp().wprime_box, knapp().w2_box
     # xi3 far below the doubled transverse floor of 2W: axis-3 constraint fails
     xi_bad = np.array([3.0 * LAM, 3e-7 * RT, 5e-10 * RT])
     assert one_region(xi_bad, surf, w2) is None
@@ -183,10 +162,10 @@ def _region_reference(xi, a, b):
 
 def _support_pairs():
     """The kernel terms' (a, b) support pairs in surface and slab mode."""
-    w2 = box_scale(box_w(LAM), 2.0)
+    w2 = knapp().w2_box
     pairs = []
     for thickness in (None, 1e-6 * RT):
-        neg_wp = box_scale(box_w_prime(LAM, thickness), -1.0)
+        neg_wp = knapp(thickness=thickness).neg_wprime_box
         pairs += [(neg_wp, w2), (w2, neg_wp)]
     return pairs
 
@@ -248,9 +227,8 @@ def test_minkowski_coverage():
     # every sampled xi in W with xi3 above the doubled floor admits
     # eta with xi - eta in -W' and eta in 2W
     rng = np.random.default_rng(11)
-    w = box_w(LAM)
-    neg_wp = box_scale(box_w_prime(LAM), -1.0)
-    w2 = box_scale(box_w(LAM), 2.0)
+    p = knapp()
+    w, neg_wp, w2 = p.w_box, p.neg_wprime_box, p.w2_box
     lo = np.array([w.ax1[0], w.ax2[0], 2e-9 * RT])
     hi = np.array([w.ax1[1], w.ax2[1], w.ax3[1]])
     for _ in range(1000):
@@ -271,7 +249,7 @@ def test_quadrature_unit_cube():
 
 
 def test_quadrature_membership_consistency():
-    b = box_w(LAM)
+    b = knapp().w_box
     g = quadrature_grid(b, (5, 3, 2))
     assert g.points.shape == (30, 3)
     bounds = np.array(b.axes)
@@ -342,8 +320,9 @@ def test_axis_rule_is_a_point_on_a_surface_axis_and_gauss_legendre_otherwise():
 
 @pytest.mark.parametrize("counts", [(2, 1, 1), (5, 3, 2), (6, 6, 6)])
 def test_quadrature_nodes_match_meshgrid_construction(counts):
-    volume = [box_w(LAM), box_scale(box_w(LAM), -2.0), Box3((0.0, 1.0), (-3.0, 2.0), (1.0, 1.5))]
-    surface = [box_w_prime(LAM), box_w_prime(4.0 * LAM)]
+    w = knapp().w_box
+    volume = [w, box_scale(w, -2.0), Box3((0.0, 1.0), (-3.0, 2.0), (1.0, 1.5))]
+    surface = [knapp().wprime_box, knapp(4.0 * LAM).wprime_box]
     for group in (volume, surface):
         bounds = np.array([b.axes for b in group])
         points, weights = quadrature_nodes(

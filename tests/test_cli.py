@@ -94,6 +94,19 @@ def test_eval_rejects_a_frequency_whose_square_overflows(xi_arg, capsys):
     assert out == ""
 
 
+def test_eval_reads_an_exact_zero_where_the_square_underflows(capsys):
+    # (1e-170)^2 is 0: eval read it as xi = 0 and exited 2
+    rv, out, _ = run_cli(["eval", "--k", "1", "--xi", "1e-170,0,0"], capsys)
+    assert rv == 0
+    payload = json.loads(out)
+    zero = {"re": 0.0, "im": 0.0}
+    assert payload["total"] == zero
+    assert all(v == zero for v in payload["per_sign"].values())
+    rv, out, err = run_cli(["eval", "--k", "1", "--xi", "0,0,0"], capsys)
+    assert rv == 2 and "xi must be nonzero" in err
+    assert out == ""
+
+
 def test_sweep_writes_deterministic_files(tmp_path, capsys):
     args = [
         "sweep",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from knappflow._kernels import term_weight
-from knappflow.boxes import admissible_eta_region, box_scale, box_w, box_w_prime
+from knappflow.boxes import admissible_eta_region, box_scale
 from knappflow.construction import (
     RHO_MIN,
     KnappParams,
@@ -19,6 +19,8 @@ from knappflow.errors import InvalidParameterError, WindowEmptyError
 from regions import one_region
 
 EPS, RHO = 0.01, 2e-6
+LAM = 4.0e5
+RT = np.sqrt(LAM)
 
 
 def test_window_k1_interval():
@@ -133,7 +135,7 @@ def window_points(draw):
     assume(window is not None)
     lo, hi = window
     root = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
-    return eps, k, root
+    return eps, rho, k, root
 
 
 @settings(max_examples=300, deadline=None)
@@ -142,8 +144,8 @@ def test_window_sound_at_every_lambda(case):
     # W lies in the open positive octant, so |xi| over W is smallest at
     # its low corner and largest at its high corner; the bound on
     # |t|xi| - 2 k pi| at both covers every xi in W
-    eps, k, root = case
-    w = box_w(root * root)
+    eps, rho, k, root = case
+    w = KnappParams(lam=root * root, eps=eps, rho=rho, k=k, thickness=None).w_box
     t = eps / root
     for corner in (0, 1):
         xi = np.array([ax[corner] for ax in w.axes])
@@ -274,17 +276,52 @@ def test_whole_float_grid_is_stored_as_ints():
     assert p == make_params(EPS, RHO, 1, grid=(8, 4, 4))
 
 
+def at_lam(thickness=None, lam=LAM):
+    return KnappParams(lam=lam, eps=EPS, rho=RHO, k=1, thickness=thickness)
+
+
+def test_box_w_geometry():
+    # W is the same box in both conventions
+    for thickness in (None, 1e-6 * RT):
+        w = at_lam(thickness).w_box
+        assert w.ax1 == (LAM - 1e-6 * LAM, LAM + 1e-6 * LAM)
+        assert w.ax2 == (1e-9 * RT, 1e-6 * RT)
+        assert w.ax3 == w.ax2
+        assert w.measure == pytest.approx(2e-6 * LAM * (0.999e-6 * RT) ** 2, rel=1e-12)
+
+
+def test_box_w_prime_surface_and_slab():
+    surf = at_lam().wprime_box
+    assert surf.surface_axis == 2
+    assert surf.ax3 == (0.0, 0.0)
+    assert surf.surface_tol == pytest.approx(1e-9 * RT)
+    # 2D measure: axial times transverse
+    assert surf.measure == pytest.approx(2e-6 * LAM * 2e-6 * RT, rel=1e-12)
+
+    slab = at_lam(1e-6 * RT).wprime_box
+    assert slab.surface_axis is None
+    assert slab.ax3 == (-0.5e-6 * RT, 0.5e-6 * RT)
+    for b in (surf, slab):
+        assert b.ax1 == (LAM - 1e-6 * LAM, LAM + 1e-6 * LAM)
+        assert b.ax2 == (-1e-6 * RT, 1e-6 * RT)
+    with pytest.raises(InvalidParameterError):
+        at_lam(-1.0)
+    with pytest.raises(InvalidParameterError):
+        at_lam(lam=0.5)
+
+
 @pytest.mark.parametrize("mode", ["slab", "surface"])
 def test_boxes_are_built_once_per_configuration(mode):
     # each box read twice is one object, equal to a box built afresh;
     # the cached boxes change neither equality, hash nor repr
     p = make_params(EPS, RHO, 3, mode=mode)
     before = (hash(p), repr(p))
+    other = make_params(EPS, RHO, 3, mode=mode)
     fresh = {
-        "w_box": box_w(p.lam),
-        "w2_box": box_scale(box_w(p.lam), 2.0),
-        "wprime_box": box_w_prime(p.lam, p.thickness),
-        "neg_wprime_box": box_scale(box_w_prime(p.lam, p.thickness), -1.0),
+        "w_box": other.w_box,
+        "w2_box": box_scale(other.w_box, 2.0),
+        "wprime_box": other.wprime_box,
+        "neg_wprime_box": box_scale(other.wprime_box, -1.0),
     }
     for name, want in fresh.items():
         assert getattr(p, name) is getattr(p, name)

@@ -55,3 +55,15 @@ def test_amplitudes_source_never_names_gauss_legendre_cells():
     text = (PACKAGE / "amplitudes.py").read_text()
     assert "gauss_legendre_cells" not in text
     assert "def _cells(" not in text
+
+
+def test_boxes_holds_no_knapp_geometry():
+    # W, W' and their widths live in construction alone; boxes keeps the
+    # box algebra and the quadrature
+    from knappflow import boxes, construction
+
+    geometry = ("AXIAL_HALF_WIDTH", "TRANSVERSE_LO", "TRANSVERSE_HI", "SURFACE_TOL_FACTOR")
+    for name in geometry + ("box_w", "box_w_prime"):
+        assert not hasattr(boxes, name), name
+    for name in geometry:
+        assert isinstance(getattr(construction, name), float), name
