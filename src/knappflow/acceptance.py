@@ -366,12 +366,14 @@ def criterion_norm_scaling() -> CriterionResult:
     fails = []
     slopes = {}
     for r_exp in (-0.5, -0.25, 0.0):
-        fit = fit_exponent([(r.lam, r.norms.norm_d2a1) for r in _records("slab", 0.5, r_exp)])
+        recs = [r for r in _records("slab", 0.5, r_exp) if not r.is_excluded()]
+        fit = fit_exponent([(r.lam, r.norms.norm_d2a1) for r in recs])
         slopes[r_exp] = fit.slope
         if abs(fit.slope - (r_exp + 1.5)) > 0.05:
             fails.append(f"r={r_exp}: slope {fit.slope:.4f} vs {r_exp + 1.5}")
     r_prod = -0.25
-    f_prod = fit_exponent([(r.lam, r.norms.norm_product) for r in _records("slab", 0.5, r_prod)])
+    recs = [r for r in _records("slab", 0.5, r_prod) if not r.is_excluded()]
+    f_prod = fit_exponent([(r.lam, r.norms.norm_product) for r in recs])
     if abs(f_prod.slope - (r_prod + 3.0)) > 0.05:
         fails.append(f"product r={r_prod}: slope {f_prod.slope:.4f} vs {r_prod + 3.0}")
     passed = not fails

@@ -70,15 +70,26 @@ check, a data norm's per-axis factors, and a window's squared
 interpolant and weight tensor.  The evaluate step rejects an index that
 is not finite, raises the bracket at that index, builds the per-call
 tiles and buffers and takes the dots; it writes to no prepared array,
-so one preparation serves any number of indices.  A sweep prepares
-every window once (``sweep.sweep_core``), the output norms in one
-stacked pass and the data norms in another (``_stacked_norm_data``:
-one stack per data box for the monomial norms, one per cut count for
-the product norms), each stack's cells from one ``_stack_cells`` call,
-and its records for each (s, r) only evaluate; the public norm
-functions are the one-window case of the same preparation, followed by
-the evaluation.  The per-node tensors of the data norms are built per
-call, so a window's prepared norms hold about 35 KB of arrays.
+so one preparation serves any number of indices.  A norm whose integral
+overflows (inf, or nan where a zero integrand meets an infinite
+bracket) raises ``InvalidParameterError`` instead of reading inf.  A
+sweep prepares every window once (``sweep.sweep_core``), the output
+norms in one stacked pass and the data norms in another
+(``_stacked_norm_data``: one stack per data box for the monomial norms
+and one for the product norms), each stack's cells from one
+``_stack_cells`` call, and its records for each (s, r) only evaluate;
+the public norm functions are the one-window case of the same
+preparation, followed by the evaluation.  The per-node tensors of the
+data norms are built per call, so a window's prepared norms hold about
+35 KB of arrays.
+
+Every pass over several windows holds one layout, as the windows of a
+Knapp sweep share one: the lattice pass one configured grid and one
+surface axis, a monomial stack one surface axis, a product stack one
+count of cuts per axis and one surface axis per side, the output norms
+one lattice shape.  ``_shared`` is the one check: a pass whose windows
+differ raises ``InvalidParameterError`` naming what differs, rather
+than evaluating every window on the first window's layout.
 """
 
 from __future__ import annotations
@@ -139,6 +150,19 @@ class NormReport:
     norm_total: float
 
 
+def _shared(values, what: str):
+    """The value every window of a pass shares: the pass's one layout.
+
+    Raises ``InvalidParameterError`` naming ``what`` where a window's
+    value differs from the first window's.
+    """
+    first, *rest = values
+    for v in rest:
+        if v != first:
+            raise InvalidParameterError(f"windows of one pass differ in {what}: {first!r}, {v!r}")
+    return first
+
+
 def _term_integrals(
     windows: list[tuple[KnappParams, np.ndarray, tuple[BilinearKernel, ...]]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[str]]]:
@@ -155,39 +179,41 @@ def _term_integrals(
     call for every window.  A grid refines while any of its terms is
     unsettled; each term keeps the sums of the level where its totals
     settled, and is flagged if that does not happen by the ceiling.  The
-    windows share one configured grid and one term layout, and the
-    pairs hold equally many terms and share one surface axis (or none),
-    as ``kernels(p)`` gives every window of a sweep.
+    windows share one term layout, as ``kernels(p)`` gives every window:
+    the support pairs are grouped once, from the first window's terms,
+    and hold equally many terms.  They must share one configured grid
+    and one surface axis (or none), or ``_shared`` raises.
     """
-    regions, codes = [], []
-    for _, xis, kerns in windows:
-        by_pair: dict[tuple[Box3, Box3], list[int]] = {}
-        for i, k in enumerate(kerns):
-            by_pair.setdefault((k.support_a, k.support_b), []).append(i)
-        members = list(by_pair.values())
-        regions.append([admissible_eta_region(xis, a, b) for a, b in by_pair])
-        codes.append([[kerns[i].code for i in m] for m in members])
+    terms = windows[0][2]
+    by_pair: dict[tuple[Box3, Box3], list[int]] = {}
+    for i, k in enumerate(terms):
+        by_pair.setdefault((k.support_a, k.support_b), []).append(i)
+    members = list(by_pair.values())
+    regions = [
+        [admissible_eta_region(xis, kerns[m[0]].support_a, kerns[m[0]].support_b) for m in members]
+        for _, xis, kerns in windows
+    ]
     # Rows are (support pair, point), the points of all windows in turn.
     lens = [len(xis) for _, xis, _ in windows]
     n_pts, n_pairs = sum(lens), len(members)
     by_rows = [r for g in range(n_pairs) for r in (w[g] for w in regions)]
+    surface = _shared((r.surface_axis for r in by_rows), "surface axis")
+    grid = _shared((p.grid for p, _, _ in windows), "grid")
     lo = np.concatenate([r.lo for r in by_rows])
     hi = np.concatenate([r.hi for r in by_rows])
     grid_xis = np.concatenate([xis for _, xis, _ in windows] * n_pairs)
     t = np.tile(np.repeat([p.t for p, _, _ in windows], lens), n_pairs)
     cut = np.tile(np.repeat([p.resonance_threshold for p, _, _ in windows], lens), n_pairs)
-    codes = np.concatenate(
-        [np.repeat([w[g]], n, axis=0) for g in range(n_pairs) for w, n in zip(codes, lens)]
-    )
+    codes = np.repeat([[terms[i].code for i in m] for m in members], n_pts, axis=0)
     out = tuple(np.zeros((*codes.shape, 8), dtype) for dtype in (complex, complex, float))
     pending = np.repeat(np.concatenate([r.found for r in by_rows])[:, None], codes.shape[1], 1)
     unsettled = np.zeros(pending.shape, dtype=bool)
     live = np.flatnonzero(pending[:, 0])
-    ceiling = tuple(n << REFINE_CAP for n in windows[0][0].grid)
+    ceiling = tuple(n << REFINE_CAP for n in grid)
     counts = tuple(min(b, c) for b, c in zip(BASE_GRID, ceiling))
     prev_tot = None
     while live.size:
-        pts, wq = quadrature_nodes(lo[live], hi[live], counts, by_rows[0].surface_axis)
+        pts, wq = quadrature_nodes(lo[live], hi[live], counts, surface)
         sums = _kernels.term_sums(
             pts.reshape(-1, 3), wq.reshape(-1), grid_xis[live], t[live], codes[live], cut[live]
         )
@@ -215,10 +241,9 @@ def _term_integrals(
     tot, res, env, unsettled = (
         acc.reshape(n_pairs, n_pts, *acc.shape[1:])[g, :, c] for acc in (*out, unsettled)
     )
-    window = np.repeat(np.arange(len(windows)), lens)
     flags: list[list[str]] = [[] for _ in range(n_pts)]
     for j, i in np.argwhere(unsettled.T):
-        flags[j].append(f"nonconverged_quadrature:{windows[window[j]][2][i].label}")
+        flags[j].append(f"nonconverged_quadrature:{terms[i].label}")
     return tot, res, env, flags
 
 
@@ -263,7 +288,8 @@ def _lattice_pass(
     ``term_sums`` call per refinement level; the sums over sign triples
     are then taken for all points at once, and each window holds its
     rows of the resulting arrays.  The breakdowns ``_breakdowns`` builds
-    from them equal the one-point call's bit for bit.
+    from them equal the one-point call's bit for bit.  The windows must
+    share one grid and one surface convention (``_term_integrals``).
     """
     active = SIGN_TRIPLES if signs is None else tuple(signs)
     if not active or not all(s in SIGN_TRIPLES for s in active) or len(set(active)) < len(active):
@@ -382,6 +408,17 @@ def _check_index(name: str, x: float) -> None:
         raise InvalidParameterError(f"Sobolev index {name} must be finite, got {x!r}")
 
 
+def _root(integral: float, name: str, x: float) -> float:
+    """The norm ``sqrt(integral / (2 pi)^3)`` at Sobolev index ``name = x``.
+
+    An integral that overflowed, which is not finite, raises
+    ``InvalidParameterError`` rather than giving an infinite norm.
+    """
+    if not math.isfinite(integral):
+        raise InvalidParameterError(f"the norm at Sobolev index {name} = {x!r} overflows")
+    return math.sqrt(integral / TWO_PI_CUBED)
+
+
 def _outer_cells(op: np.ufunc, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """``(a[c1] op b[c2]) op c[c3]`` of every tensor cell at once, by broadcasting.
 
@@ -425,6 +462,7 @@ class _SeparableData(NamedTuple):
     scale: float
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _root rejects inf and 0 * inf = nan
 def _separable_norm(data: _SeparableData | None, r: float) -> float:
     """The prepared data norm at Sobolev index ``r``; None is the norm 0.
 
@@ -436,7 +474,8 @@ def _separable_norm(data: _SeparableData | None, r: float) -> float:
     whose inner loop runs over few nodes.  Where the transverse squares
     round away (``_transverse_rounds_away``), ``<xi>^{2r}`` is one array
     power per axis-1 node, repeated once per axis-1 cell; otherwise the
-    3-D bracket is raised per cell.
+    3-D bracket is raised per cell.  An integral that overflows raises
+    ``InvalidParameterError`` (``_root``).
     """
     _check_index("r", r)
     if data is None:
@@ -468,15 +507,7 @@ def _separable_norm(data: _SeparableData | None, r: float) -> float:
                 vals **= 2
                 vals *= bracket if fast else (1.0 + (sq12 + sq_tiles[c3])) ** r
                 integral += float(weights @ vals)
-    return math.sqrt(integral / TWO_PI_CUBED)
-
-
-def _stacks(indices, key) -> list[list[int]]:
-    """``indices`` grouped by ``key``, each group in order, in order of first appearance."""
-    groups: dict = {}
-    for j in indices:
-        groups.setdefault(key(j), []).append(j)
-    return list(groups.values())
+    return _root(integral, "r", r)
 
 
 def _stack_cells(ends, surface: int | None, counts) -> tuple[list[np.ndarray], list[tuple]]:
@@ -506,11 +537,11 @@ def _stacked_monomial_data(
 ) -> list[list[_SeparableData | None]]:
     """The part of ``sobolev_norm_monomial`` that does not depend on r, per box and monomial.
 
-    Each box is one cell per axis, shared by its monomials.  Boxes with
-    the same surface axis (or none) are one stack: one ``_stack_cells``
-    call (per axis one ``axis_rule`` call, and one transverse check) and
-    per axis one power per monomial for all of them.  None where a
-    volume axis has length 0.
+    Each box is one cell per axis, shared by its monomials.  The boxes
+    are one stack: one ``_stack_cells`` call (per axis one ``axis_rule``
+    call, and one transverse check) and per axis one power per monomial
+    for all of them.  None where a volume axis has length 0; the other
+    boxes must share one surface axis (or none), or ``_shared`` raises.
     """
     exponents = [m for monomial in monomials for m in monomial]
     if not all(float(m).is_integer() and m >= 0 for m in exponents):
@@ -518,13 +549,15 @@ def _stacked_monomial_data(
     counts = _node_counts(nodes_per_axis)
     out: list[list[_SeparableData | None]] = [[None] * len(monomials) for _ in boxes]
     live = [j for j, b in enumerate(boxes) if not b.has_null_axis]
-    for stack in _stacks(live, lambda j: boxes[j].surface_axis):
-        bounds = np.array([boxes[j].axes for j in stack])  # (boxes, axis, end)
-        nodes, rows = _stack_cells(bounds.transpose(1, 0, 2), boxes[stack[0]].surface_axis, counts)
-        for m, monomial in enumerate(monomials):
-            powers = [x ** int(e) for x, e in zip(nodes, monomial)]
-            for row, (j, cells) in enumerate(zip(stack, rows)):
-                out[j][m] = _SeparableData(cells, tuple(f[row] for f in powers), 1.0)
+    if not live:
+        return out
+    surface = _shared((boxes[j].surface_axis for j in live), "surface axis")
+    bounds = np.array([boxes[j].axes for j in live])  # (boxes, axis, end)
+    nodes, rows = _stack_cells(bounds.transpose(1, 0, 2), surface, counts)
+    for m, monomial in enumerate(monomials):
+        powers = [x ** int(e) for x, e in zip(nodes, monomial)]
+        for row, (j, cells) in enumerate(zip(live, rows)):
+            out[j][m] = _SeparableData(cells, tuple(f[row] for f in powers), 1.0)
     return out
 
 
@@ -580,32 +613,31 @@ def _stacked_product_data(
 ) -> list[_SeparableData | None]:
     """The part of ``product_norm_boxes`` that does not depend on r, per box pair.
 
-    Pairs with equally many cuts on each axis and the same surface axes
-    are one stack: one ``_stack_cells`` call (per axis one Gauss rule,
-    and one transverse check) and per axis one ``_conv_factor`` call
-    for all of them.
-    None where an axis of the support is one point: the norm is 0.
+    The pairs are one stack: one ``_stack_cells`` call (per axis one
+    Gauss rule, and one transverse check) and per axis one
+    ``_conv_factor`` call for all of them.  None where an axis of the
+    support is one point: the norm is 0; the other pairs must share
+    their count of cuts on each axis and each side's surface axis, or
+    ``_shared`` raises.
     """
     counts = _node_counts(nodes_per_axis)
     cuts = [[_axis_breakpoints(a.axes[i], b.axes[i]) for i in range(3)] for a, b in pairs]
     out: list[_SeparableData | None] = [None] * len(pairs)
     live = [j for j, c in enumerate(cuts) if all(len(x) >= 2 for x in c)]
-
-    def key(j):
-        return (tuple(map(len, cuts[j])), pairs[j][0].surface_axis, pairs[j][1].surface_axis)
-
-    for stack in _stacks(live, key):
-        ends = [np.array([cuts[j][i] for j in stack]) for i in range(3)]
-        nodes, rows = _stack_cells(ends, None, counts)
-        # per axis, each side's (lo, hi) of shape (boxes, 1, 1)
-        a, b = (
-            np.array([pairs[j][side].axes for j in stack]).transpose(1, 2, 0)[..., None, None]
-            for side in (0, 1)
-        )
-        sa, sb = (pairs[stack[0]][side].surface_axis for side in (0, 1))
-        factors = [_conv_factor(x, a[i], b[i], i == sa, i == sb) for i, x in enumerate(nodes)]
-        for row, (j, cells) in enumerate(zip(stack, rows)):
-            out[j] = _SeparableData(cells, tuple(f[row] for f in factors), TWO_PI_CUBED)
+    if not live:
+        return out
+    layouts = [(*map(len, cuts[j]), *(box.surface_axis for box in pairs[j])) for j in live]
+    *_, sa, sb = _shared(layouts, "cut counts and surface axes")
+    ends = [np.array([cuts[j][i] for j in live]) for i in range(3)]
+    nodes, rows = _stack_cells(ends, None, counts)
+    # per axis, each side's (lo, hi) of shape (boxes, 1, 1)
+    a, b = (
+        np.array([pairs[j][side].axes for j in live]).transpose(1, 2, 0)[..., None, None]
+        for side in (0, 1)
+    )
+    factors = [_conv_factor(x, a[i], b[i], i == sa, i == sb) for i, x in enumerate(nodes)]
+    for row, (j, cells) in enumerate(zip(live, rows)):
+        out[j] = _SeparableData(cells, tuple(f[row] for f in factors), TWO_PI_CUBED)
     return out
 
 
@@ -656,11 +688,11 @@ class _NormData(NamedTuple):
 def _stacked_norm_data(ps: list[KnappParams]) -> list[_NormData]:
     """The part of ``norm_report`` that does not depend on r, per configuration.
 
-    The configurations share one grid, as a sweep's windows do; their
-    monomial norms are two stacks (one per data box) and their product
-    norms one stack per cut count.
+    The configurations must share one grid, as a sweep's windows do, or
+    ``_shared`` raises; their monomial norms are two stacks (one per
+    data box) and their product norms one, each of one layout.
     """
-    grid = ps[0].grid
+    grid = _shared((p.grid for p in ps), "grid")
     w2, nwp = [p.w2_box for p in ps], [p.neg_wprime_box for p in ps]
     return [
         _NormData(*curl, *second, product)
@@ -736,22 +768,16 @@ class _OutputData(NamedTuple):
 def _output_data(windows) -> list[_OutputData]:
     """The part of ``output_norm_from_samples`` that does not depend on s, per window.
 
-    The lattices must share one shape of 3 axes; every axis must be
-    1-D, finite and strictly increasing, with at least 2 points, and
-    every amplitude real and finite, with a finite square.  One
-    ``_stack_cells`` call and one ``_trilinear`` call cover every cell
-    of every window; each window holds its slice of the result.
+    The lattices must share one shape of 3 axes (``_shared``); every
+    axis must be 1-D, finite and strictly increasing, with at least 2
+    points, and every amplitude real and finite, with a finite square.
+    One ``_stack_cells`` call and one ``_trilinear`` call cover every
+    cell of every window; each window holds its slice of the result.
     """
-    if not windows:
-        return []
-    shape = tuple(len(ax) for ax in windows[0][0])
+    shape = _shared((tuple(map(len, axes)) for axes, _ in windows), "lattice shape")
     if len(shape) != 3:
         raise InvalidParameterError(f"a lattice needs 3 axes, got {len(shape)}")
-    for axes, amps in windows:
-        if tuple(len(ax) for ax in axes) != shape:
-            raise InvalidParameterError(
-                f"lattices of one pass must share a shape: {shape} and {tuple(map(len, axes))}"
-            )
+    for _, amps in windows:
         if np.size(amps) != math.prod(shape):
             raise InvalidParameterError(
                 f"a {shape} lattice needs {math.prod(shape)} amplitudes, got {np.size(amps)}"
@@ -784,6 +810,7 @@ def _output_data(windows) -> list[_OutputData]:
     ]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _root rejects inf and 0 * inf = nan
 def _output_norm_at(s: float, data: _OutputData) -> float:
     """The prepared output norm at Sobolev index ``s``.
 
@@ -792,7 +819,8 @@ def _output_norm_at(s: float, data: _OutputData) -> float:
     otherwise the 3-D bracket is raised node by node.  Each cell is
     summed by one dot of two contiguous vectors (one stacked matmul for
     all of them, the same bits as one dot each) and the cells are added
-    in ``c1, c2, c3`` order, as in ``_separable_norm``.
+    in ``c1, c2, c3`` order, as in ``_separable_norm``.  An integral
+    that overflows raises ``InvalidParameterError`` (``_root``).
     """
     _check_index("s", s)
     if data.fast:
@@ -804,7 +832,7 @@ def _output_norm_at(s: float, data: _OutputData) -> float:
     integral = 0.0
     for dot in dots.ravel().tolist():
         integral += dot
-    return math.sqrt(integral / TWO_PI_CUBED)
+    return _root(integral, "s", s)
 
 
 def output_norm_from_samples(

@@ -136,6 +136,24 @@ def test_criterion_08_checks_the_product_norm_slope(monkeypatch):
     assert "product r=-0.25: slope 3.2500 vs 2.75" in result.detail
 
 
+def test_criterion_08_fits_only_unflagged_records(monkeypatch):
+    # criteria 7, 9 and 11 and the sweep's own fits drop flagged records;
+    # criterion 8 fitted every record, and an empty window's NaN norms
+    # raised FitDataError
+    want = acceptance.criterion_norm_scaling()
+    cores = sweep_core(acceptance.ACCEPT_EPS, acceptance.ACCEPT_RHO, [1, 796], grid=(8, 4, 4))
+    _, empty = records_from_core(cores, 0.5, -0.25)
+    assert empty.is_excluded() and math.isnan(empty.norms.norm_product)
+    records = acceptance._records
+
+    def with_an_empty_window(mode, s_exp, r_exp):
+        return (*records(mode, s_exp, r_exp), empty)
+
+    monkeypatch.setattr(acceptance, "_records", with_an_empty_window)
+    got = acceptance.criterion_norm_scaling()
+    assert (got.passed, got.detail) == (want.passed, want.detail)
+
+
 @pytest.mark.parametrize("mode, d1a2_slope", [("slab", 2.0), ("surface", 1.75)])
 def test_second_datum_norm_outgrows_the_verdict_norm(mode, d1a2_slope):
     # the verdict divides by norm_total, the first datum's curl block; the

@@ -575,6 +575,25 @@ def test_pass_with_a_window_outside_the_support():
     assert repr(together) == repr([lattice_hats(p, xis) for p, xis in windows])
 
 
+@pytest.mark.parametrize("order", [("slab", "surface"), ("surface", "slab")])
+def test_pass_rejects_windows_of_two_conventions(order):
+    # the pass integrated every grid with the first window's surface
+    # axis: slab-then-surface read exact zeros for the surface windows,
+    # surface-then-slab gave the slab windows 1.04e-16 for 2.13e-19
+    ps = [make_params(EPS, RHO, 1, mode=mode, grid=SMALL_GRID) for mode in order]
+    windows = [(p, sample_lattice(p.samp_box)[1]) for p in ps]
+    with pytest.raises(InvalidParameterError, match="differ in surface axis: (None, 2|2, None)$"):
+        amplitudes._lattice_pass(windows)
+
+
+def test_pass_rejects_windows_of_two_grids():
+    # the pass refined every grid up to the first window's ceiling
+    ps = [make_params(EPS, RHO, k, grid=grid) for k, grid in ((1, DEFAULT_GRID), (2, SMALL_GRID))]
+    windows = [(p, sample_lattice(p.samp_box)[1]) for p in ps]
+    with pytest.raises(InvalidParameterError, match=r"grid: \(32, 16, 16\), \(8, 4, 4\)$"):
+        amplitudes._lattice_pass(windows)
+
+
 @pytest.mark.parametrize("mode", ["slab", "surface"])
 def test_lattice_hats_equal_lambda_hat_per_point(mode):
     p = make_params(EPS, RHO, 1, mode=mode)
@@ -1184,14 +1203,62 @@ def test_stacked_norm_data_equals_one_window_preparation(mode, grid):
         assert amplitudes._norms_at(together, -0.25) == norm_report(p, -0.25)
 
 
+def test_stacked_norm_data_rejects_two_grids():
+    # the pass prepared every window on the first window's grid
+    ps = [make_params(EPS, RHO, k, grid=grid) for k, grid in ((1, DEFAULT_GRID), (2, SMALL_GRID))]
+    with pytest.raises(InvalidParameterError, match="differ in grid"):
+        amplitudes._stacked_norm_data(ps)
+
+
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_stacked_norm_data_of_every_nonempty_window_is_one_stack(mode):
+    # every window k = 1..795 that is nonempty at (EPS, RHO) shares one
+    # layout, so one pass prepares them all
+    assert 2 * 795 * math.pi * RHO < EPS < 2 * 796 * math.pi * RHO
+    ps = [make_params(EPS, RHO, k, mode=mode) for k in range(1, 796)]
+    prepared = amplitudes._stacked_norm_data(ps)
+    assert len(prepared) == len(ps)
+    assert all(d is not None for data in prepared for d in data)
+
+
+def test_stacked_monomial_data_rejects_two_surface_conventions():
+    volume = Box3(ax1=(0.0, 1.0), ax2=(0.5, 1.5), ax3=(-1.0, 0.0))
+    sheet = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.5, 0.5), surface_axis=2)
+    for boxes_ in ([volume, sheet], [sheet, volume]):
+        with pytest.raises(InvalidParameterError, match="differ in surface axis"):
+            amplitudes._stacked_monomial_data(boxes_, MONOMIALS, SMALL_GRID)
+
+
+def test_stacked_product_data_rejects_two_layouts():
+    cube = Box3(ax1=(0.0, 1.0), ax2=(0.5, 1.5), ax3=(-1.0, 0.0))
+    other = Box3(ax1=(0.0, 2.0), ax2=(0.5, 1.0), ax3=(-1.0, 0.5))
+    sheet = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.5, 0.5), surface_axis=2)
+    # (cube, cube) has 3 cuts per axis, (cube, other) 4
+    for pairs in ([(cube, cube), (cube, other)], [(cube, other), (cube, cube)]):
+        with pytest.raises(InvalidParameterError, match="differ in cut counts"):
+            amplitudes._stacked_product_data(pairs, SMALL_GRID)
+    # (cube, sheet) and (sheet, cube) have equal cut counts
+    with pytest.raises(InvalidParameterError, match="differ in cut counts and surface axes"):
+        amplitudes._stacked_product_data([(cube, sheet), (sheet, cube)], SMALL_GRID)
+
+
+def one_layout_stacks(indices, layout) -> list[list[int]]:
+    """``indices`` grouped by ``layout``, in order: one layout per stacked call."""
+    stacks: dict = {}
+    for j in indices:
+        stacks.setdefault(layout(j), []).append(j)
+    return list(stacks.values())
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_stacked_preparation_of_unit_scale_boxes_equals_one_box_preparation(monkeypatch, seed):
     # seeded unit-scale boxes of every surface convention, which fail
-    # the transverse check, stacked in a shuffled order with two boxes
-    # far out along axis 1, which pass it; among the product pairs,
-    # equal-length axes (one cut fewer), a pair of sheets (no product)
-    # and a null axis (no monomial norm), so pairs with other cut counts
-    # or surface axes form their own stacks
+    # the transverse check, in a shuffled order with two boxes far out
+    # along axis 1, which pass it; among the product pairs, equal-length
+    # axes (one cut fewer), a pair of sheets (no product) and a null
+    # axis (no monomial norm).  A pass holds one layout, so the boxes
+    # are stacked per surface axis and the pairs per cut counts and
+    # surface axes
     taken = log_fast_path(monkeypatch)
     rng = np.random.default_rng(500 + seed)
     boxes_ = [random_box(rng, surface_axis=(None, 2, 0, None)[j % 4]) for j in range(8)]
@@ -1207,28 +1274,42 @@ def test_stacked_preparation_of_unit_scale_boxes_equals_one_box_preparation(monk
     pairs = list(zip(boxes_, boxes_[1:] + boxes_[:1]))
     pairs += [(cube, far[1]), (far[1], cube), (cube, cube), (boxes_[0], boxes_[0])]
     pairs += [(sheet, sheet), (cube, sheet)]
-    cut_counts = {
-        tuple(len(_axis_breakpoints(a.axes[i], b.axes[i])) for i in range(3)) for a, b in pairs
-    }
-    assert len(cut_counts) >= 3
+
+    def pair_layout(j):
+        a, b = pairs[j]
+        cuts = tuple(len(_axis_breakpoints(a.axes[i], b.axes[i])) for i in range(3))
+        return cuts, a.surface_axis, b.surface_axis
+
+    box_stacks = one_layout_stacks(range(len(boxes_)), lambda j: boxes_[j].surface_axis)
+    pair_stacks = one_layout_stacks(range(len(pairs)), pair_layout)
     monomials = (*MONOMIALS, (2, 1, 1))
     for grid in PRODUCT_GRIDS:
-        taken.clear()
-        stacked = amplitudes._stacked_monomial_data(boxes_, monomials, grid)
-        for b, together in zip(boxes_, stacked):
-            (alone,) = amplitudes._stacked_monomial_data([b], monomials, grid)
-            assert (together[0] is None) == b.has_null_axis
-            for got, want in zip(together, alone):
-                assert_same_prepared_data(got, want)
-        stacked = amplitudes._stacked_product_data(pairs, grid)
-        for (a, b), together in zip(pairs, stacked):
+        mixed = []  # per stacked call, whether it mixes both transverse paths
+        for stack in box_stacks:
+            taken.clear()
+            stack = [boxes_[j] for j in stack]
+            stacked = amplitudes._stacked_monomial_data(stack, monomials, grid)
+            mixed.append(set(taken) == {False, True})
+            for b, together in zip(stack, stacked):
+                (alone,) = amplitudes._stacked_monomial_data([b], monomials, grid)
+                assert (together[0] is None) == b.has_null_axis
+                for got, want in zip(together, alone):
+                    assert_same_prepared_data(got, want)
+        prepared = [None] * len(pairs)
+        for stack in pair_stacks:
+            taken.clear()
+            stacked = amplitudes._stacked_product_data([pairs[j] for j in stack], grid)
+            mixed.append(set(taken) == {False, True})
+            for j, together in zip(stack, stacked):
+                prepared[j] = together
+        for (a, b), together in zip(pairs, prepared):
             (alone,) = amplitudes._stacked_product_data([(a, b)], grid)
             assert_same_prepared_data(together, alone)
             r = float(rng.uniform(0.5, 3.0))
             assert amplitudes._separable_norm(together, r) == product_norm_boxes(a, b, r, grid)
-        assert stacked[-2] is None and stacked[-1] is not None
-        # stacks mix boxes that pass the transverse check and boxes that fail it
-        assert set(taken) == {False, True}
+        assert prepared[-2] is None and prepared[-1] is not None
+        # a stack mixes boxes that pass the transverse check and boxes that fail it
+        assert any(mixed)
 
 
 def test_norm_data_a_window_holds_is_small():
@@ -1706,6 +1787,28 @@ def test_output_norm_rejects_amplitudes_whose_square_overflows():
     with pytest.raises(InvalidParameterError, match="must not overflow"):
         amplitudes._output_data([(axes, np.ones(27)), (axes, np.full(27, -1e200))])
     assert output_norm_from_samples(0.5, axes, np.full(27, 1e150)) == 7.519036692747647e148
+
+
+def test_norms_that_overflow_are_rejected():
+    # a finite squared interpolant times the bracket overflowed with a
+    # RuntimeWarning, and without warnings the norm read inf; where the
+    # interpolant is 0 the product read nan
+    axes = [np.array([0.0, 0.5, 1.0])] * 3
+    with pytest.raises(InvalidParameterError, match="index s = 0.5 overflows"):
+        output_norm_from_samples(0.5, axes, np.full(27, 1e154))
+    far = [np.array([1e10, 2e10, 3e10])] * 3
+    corner = np.zeros(27)
+    corner[0] = 1.0
+    assert output_norm_from_samples(0.5, far, corner) == pytest.approx(1.8048385083e18)
+    with pytest.raises(InvalidParameterError, match="index s = 30.0 overflows"):
+        output_norm_from_samples(30.0, far, corner)
+    box = Box3(ax1=(1e10, 2e10), ax2=(0.0, 1.0), ax3=(0.0, 1.0))
+    assert product_norm_boxes(box, box, 0.5) == pytest.approx(2.4133167721e16)
+    for r in (40.0, 400.0):
+        with pytest.raises(InvalidParameterError, match=f"index r = {r} overflows"):
+            product_norm_boxes(box, box, r)
+        with pytest.raises(InvalidParameterError, match=f"index r = {r} overflows"):
+            sobolev_norm_monomial(box, (1, 0, 0), r)
 
 
 def test_output_norm_rejects_complex_amplitudes():

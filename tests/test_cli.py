@@ -203,6 +203,19 @@ def test_sweep_non_finite_index_exits_2_and_writes_nothing(tmp_path, capsys, ind
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("index", [["--s", "30"], ["--r", "30"]])
+@pytest.mark.parametrize("with_json", [False, True])
+def test_sweep_whose_norm_overflows_exits_2_and_writes_nothing(tmp_path, capsys, index, with_json):
+    # it wrote inf in every output_norm (--s 30) or data-norm column (--r 30)
+    csv_path, json_path = tmp_path / "x.csv", tmp_path / "x.json"
+    args = ["sweep", "--kmin", "1", "--kmax", "3", "--grid", "8,4,4", *index]
+    args += ["--out", str(csv_path), *(["--json", str(json_path)] if with_json else [])]
+    rv, out, err = run_cli(args, capsys)
+    assert rv == 2
+    assert err == f"error: the norm at Sobolev index {index[0][2:]} = 30.0 overflows\n"
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flag", ["--out", "--json"])
 def test_sweep_unwritable_output_exits_2(tmp_path, capsys, flag):
     # exit code 1 is the failed acceptance suite's; a traceback is not an answer

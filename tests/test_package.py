@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import knappflow
+from knappflow import amplitudes
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = Path(knappflow.__file__).resolve().parent
@@ -55,6 +56,13 @@ def test_amplitudes_source_never_names_gauss_legendre_cells():
     text = (PACKAGE / "amplitudes.py").read_text()
     assert "gauss_legendre_cells" not in text
     assert "def _cells(" not in text
+
+
+def test_amplitudes_never_regroups_a_pass():
+    # a pass holds one layout, checked by amplitudes._shared; windows
+    # that differ raise rather than being regrouped into stacks
+    assert not hasattr(amplitudes, "_stacks")
+    assert "def _stacks(" not in (PACKAGE / "amplitudes.py").read_text()
 
 
 def test_boxes_holds_no_knapp_geometry():

@@ -187,6 +187,15 @@ def test_sweep_rejects_a_non_finite_sobolev_index_before_integrating(monkeypatch
     assert integrated == []
 
 
+@pytest.mark.parametrize("s, r", [(30.0, -0.25), (0.5, 30.0)])
+def test_sweep_rejects_a_norm_that_overflows(s, r):
+    # at the windows' |xi| of 4e5 to 4e7, <xi>^60 passes the float range:
+    # a RuntimeWarning, and without warnings inf in every record's norm
+    name, index = ("s", s) if s == 30.0 else ("r", r)
+    with pytest.raises(InvalidParameterError, match=f"index {name} = {index} overflows"):
+        run_sweep(EPS, RHO, s, r, [1, 5, 10])
+
+
 @pytest.mark.parametrize("mode", ["slab", "surface"])
 def test_sweep_core_equals_lattice_hats_per_window(mode):
     # one pass over 4 windows, a repeated one among them, gives each
