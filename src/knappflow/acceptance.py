@@ -26,10 +26,11 @@ from .construction import DEFAULT_GRID, KnappParams, curl_parts, kernels
 from .sweep import (
     SweepRecord,
     WindowSamples,
-    fit_exponent,
+    fit_series,
     records_from_core,
     smoothness_verdict,
     sweep_core,
+    usable,
 )
 from .symbols import duhamel_multiplier, duhamel_multiplier_oracle, omega_all
 
@@ -329,10 +330,9 @@ def criterion_amplitude_scaling() -> CriterionResult:
     slab_cores, slab_secs = _core("slab")
     surf_cores, surf_secs = _core("surface")
     slab_recs = _records("slab", 0.5, -0.25)
-    surf_recs = _records("surface", 0.5, -0.25)
-    f_slab = fit_exponent([(r.lam, r.sup_amp) for r in slab_recs if not r.is_excluded()])
-    f_surf = fit_exponent([(r.lam, r.sup_amp) for r in surf_recs if not r.is_excluded()])
-    cs = [r.sup_amp / (ACCEPT_EPS * r.lam) for r in slab_recs if not r.is_excluded()]
+    f_slab = fit_series(slab_recs, "sup_amp")
+    f_surf = fit_series(_records("surface", 0.5, -0.25), "sup_amp")
+    cs = [r.sup_amp / (ACCEPT_EPS * r.lam) for r in usable(slab_recs)]
     runtime = slab_secs + surf_secs
     passed = (
         abs(f_slab.slope - 1.0) <= 0.10
@@ -366,14 +366,12 @@ def criterion_norm_scaling() -> CriterionResult:
     fails = []
     slopes = {}
     for r_exp in (-0.5, -0.25, 0.0):
-        recs = [r for r in _records("slab", 0.5, r_exp) if not r.is_excluded()]
-        fit = fit_exponent([(r.lam, r.norms.norm_d2a1) for r in recs])
+        fit = fit_series(_records("slab", 0.5, r_exp), "norm_d2a1")
         slopes[r_exp] = fit.slope
         if abs(fit.slope - (r_exp + 1.5)) > 0.05:
             fails.append(f"r={r_exp}: slope {fit.slope:.4f} vs {r_exp + 1.5}")
     r_prod = -0.25
-    recs = [r for r in _records("slab", 0.5, r_prod) if not r.is_excluded()]
-    f_prod = fit_exponent([(r.lam, r.norms.norm_product) for r in recs])
+    f_prod = fit_series(_records("slab", 0.5, r_prod), "norm_product")
     if abs(f_prod.slope - (r_prod + 3.0)) > 0.05:
         fails.append(f"product r={r_prod}: slope {f_prod.slope:.4f} vs {r_prod + 3.0}")
     passed = not fails
@@ -392,8 +390,7 @@ def criterion_norm_scaling() -> CriterionResult:
 
 def criterion_output_scaling() -> CriterionResult:
     """9: output-norm growth exponent in slab mode at s = 1/2."""
-    recs = _records("slab", 0.5, -0.25)
-    fit = fit_exponent([(r.lam, r.output_norm) for r in recs if not r.is_excluded()])
+    fit = fit_series(_records("slab", 0.5, -0.25), "output_norm")
     want = 0.5 + 2.0
     passed = abs(fit.slope - want) <= 0.15
     return CriterionResult(
@@ -427,8 +424,8 @@ def criterion_verdict_consistency() -> CriterionResult:
 
 def criterion_envelope() -> CriterionResult:
     """11: nonresonant envelope exponent and resonant dominance."""
-    recs = [r for r in _records("slab", 0.5, -0.25) if not r.is_excluded()]
-    fit = fit_exponent([(r.lam, r.nonres_envelope) for r in recs])
+    recs = usable(_records("slab", 0.5, -0.25))
+    fit = fit_series(recs, "nonres_envelope")
     ratios = [
         r.res_amp / r.nonres_amp if r.nonres_amp > 0.0 else math.inf for r in recs
     ]

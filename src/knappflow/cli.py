@@ -2,13 +2,16 @@
 
 Exit codes: 0 on success, 1 when the acceptance suite fails, 2 for
 invalid parameters or an unwritable output path (argparse errors also
-exit 2).
+exit 2).  A sweep that exits 2 has created or replaced no file and
+printed nothing on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -18,28 +21,59 @@ from . import acceptance
 from .amplitudes import lambda_hat
 from .construction import DEFAULT_GRID, DEFAULT_RHO, lambda_window, make_params
 from .errors import FitDataError, InvalidParameterError
-from .sweep import build_report, run_sweep, write_csv, write_report
+from .sweep import build_report, csv_lines, report_json, run_sweep
 from .symbols import SignTriple
 
 
-def _parse_triple_of_ints(text: str) -> tuple[int, int, int]:
+def _split3(text: str, convert, kind: str, what: str) -> list:
+    """The three comma-separated values of ``text``, each through ``convert``."""
     parts = text.split(",")
     if len(parts) != 3:
-        raise InvalidParameterError(f"expected three comma-separated integers, got {text!r}")
+        raise InvalidParameterError(f"expected three comma-separated {kind}, got {text!r}")
     try:
-        return tuple(int(p) for p in parts)  # type: ignore[return-value]
+        return [convert(p) for p in parts]
     except ValueError as exc:
-        raise InvalidParameterError(f"bad grid {text!r}: {exc}") from exc
+        raise InvalidParameterError(f"bad {what} {text!r}: {exc}") from exc
+
+
+def _parse_triple_of_ints(text: str) -> tuple[int, int, int]:
+    # argparse prints an ArgumentTypeError's own text; for any other
+    # ValueError it prints the type function's name instead
+    try:
+        return tuple(_split3(text, int, "integers", "grid"))  # type: ignore[return-value]
+    except InvalidParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _parse_vec3(text: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise InvalidParameterError(f"expected three comma-separated floats, got {text!r}")
+    return np.array(_split3(text, float, "floats", "vector"))
+
+
+def _write_all(texts: dict[str, str]) -> None:
+    """Write each text to its path, or write none.
+
+    Each text goes to a temporary file beside its target, and the targets
+    are replaced only once every text is written, so a text that cannot
+    be written leaves no new or replaced target; no temporary file is
+    left either way.
+    """
+    temps: dict[Path, str] = {}
     try:
-        return np.array([float(p) for p in parts])
-    except ValueError as exc:
-        raise InvalidParameterError(f"bad vector {text!r}: {exc}") from exc
+        for path, text in texts.items():
+            try:
+                if Path(path).is_dir():
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+                with open(tmp, "x", newline="") as fh:
+                    temps[tmp] = path
+                    fh.write(text)
+            except OSError as exc:  # named by its target, not its temporary file
+                raise OSError(exc.errno, exc.strerror, path) from exc
+        for tmp, path in temps.items():
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
 
 
 def _cplx(z: complex) -> dict:
@@ -95,8 +129,9 @@ def cmd_sweep(args) -> int:
         mode=args.mode,
         grid=args.grid,
     )
-    # the report is built first, so a fit that fails leaves no file behind
-    report = None
+    # the report is built before anything is written, so a fit that
+    # fails leaves no file behind
+    texts = {args.out: "\n".join(csv_lines(records)) + "\n"}
     if args.json:
         report = build_report(
             records,
@@ -112,14 +147,14 @@ def cmd_sweep(args) -> int:
                 "grid": list(args.grid),
             },
         )
+        texts[args.json] = report_json(report)
     try:
-        write_csv(records, args.out)
-        print(f"wrote {args.out} ({len(records)} records)")
-        if report is not None:
-            write_report(report, args.json)
-            print(f"wrote {args.json}")
+        _write_all(texts)
     except OSError as exc:
         raise InvalidParameterError(f"cannot write output: {exc}") from exc
+    print(f"wrote {args.out} ({len(records)} records)")
+    if args.json:
+        print(f"wrote {args.json}")
     return 0
 
 

@@ -14,8 +14,11 @@ compares the measured ratio exponent against the analytic prediction
 s - 1 - 2r, which is the slab ledger's (see ``smoothness_verdict``).
 
 Windows that are empty at the requested rho are skipped with a
-``window_empty`` flag rather than aborting the sweep; flagged records
-are excluded from fits and listed in the verdict notes.
+``window_empty`` flag rather than aborting the sweep.  A record flagged
+``window_empty`` or ``nonconverged`` is excluded by ``usable``, the one
+filter every fit and the verdict read through, and listed in the verdict
+notes.  Every fit, here and in the acceptance suite, is ``fit_series``:
+a record field, named as its CSV/JSON column, over the usable records.
 """
 
 from __future__ import annotations
@@ -291,18 +294,26 @@ def fit_exponent(points) -> FitResult:
     )
 
 
-def _usable(records: list[SweepRecord]) -> list[SweepRecord]:
+def usable(records: list[SweepRecord]) -> list[SweepRecord]:
+    """The records that fits and the verdict read: those no flag excludes."""
     return [r for r in records if not r.is_excluded()]
+
+
+def fit_series(records: list[SweepRecord], name: str) -> FitResult:
+    """The exponent fit of the record field ``name`` over the usable records.
+
+    ``name`` is a float field's CSV/JSON column (``"sup_amp"``,
+    ``"norm_total"``, ``"output_norm"``, ...); its value is read by the
+    getter the CSV and JSON use, and fitted against lambda by
+    ``fit_exponent``.
+    """
+    get = _SERIES[name]
+    return fit_exponent([(r.lam, get(r)) for r in usable(records)])
 
 
 def standard_fits(records: list[SweepRecord]) -> dict[str, FitResult]:
     """The three exponent fits reported with every sweep."""
-    usable = _usable(records)
-    return {
-        "sup_amp": fit_exponent([(r.lam, r.sup_amp) for r in usable]),
-        "output_norm": fit_exponent([(r.lam, r.output_norm) for r in usable]),
-        "norm_total": fit_exponent([(r.lam, r.norms.norm_total) for r in usable]),
-    }
+    return {name: fit_series(records, name) for name in ("sup_amp", "output_norm", "norm_total")}
 
 
 def smoothness_verdict(
@@ -324,26 +335,28 @@ def smoothness_verdict(
     verdict is formal, like the surface norms it is read from; the
     scaling conclusions are drawn in slab mode.
     """
-    usable = _usable(records)
-    if len(usable) < 3:
-        raise FitDataError(
-            f"verdict needs at least 3 unflagged records, got {len(usable)}"
-        )
-    f_out = fit_exponent([(r.lam, r.output_norm) for r in usable])
-    f_tot = fit_exponent([(r.lam, r.norms.norm_total) for r in usable])
-    return _verdict(s_exp, r_exp, records, f_out, f_tot)
+    n = len(usable(records))
+    if n < 3:
+        raise FitDataError(f"verdict needs at least 3 unflagged records, got {n}")
+    fits = [fit_series(records, name) for name in ("output_norm", "norm_total")]
+    return _verdict(s_exp, r_exp, records, *fits)
 
 
 def _verdict(
     s_exp: float, r_exp: float, records: list[SweepRecord], f_out: FitResult, f_tot: FitResult
 ) -> Verdict:
-    """The verdict from the fits of ``output_norm`` and ``norm_total``."""
+    """The verdict from the fits of ``output_norm`` and ``norm_total``.
+
+    It rejects a non-finite s or r, for ``smoothness_verdict`` and
+    ``build_report`` alike.
+    """
+    _check_index("s", s_exp)
+    _check_index("r", r_exp)
     measured = f_out.slope - 2.0 * f_tot.slope
     analytic = s_exp - 1.0 - 2.0 * r_exp
-    notes = []
-    for r in records:
-        if r.is_excluded():
-            notes.append(f"k={r.k} excluded from fits: {';'.join(r.flags)}")
+    notes = [
+        f"k={r.k} excluded from fits: {';'.join(r.flags)}" for r in records if r.is_excluded()
+    ]
     if abs(measured - analytic) > 0.1:
         notes.append(
             f"measured ratio exponent {measured:.4f} deviates from analytic "
@@ -392,6 +405,7 @@ _RECORD_FIELDS = (
     ("flags", attrgetter("flags"), _FLAGS, True),
 )
 CSV_COLUMNS = tuple(name for name, _, _, in_csv in _RECORD_FIELDS if in_csv)
+_SERIES = {name: get for name, get, fmt, _ in _RECORD_FIELDS if fmt is _FLOAT}
 
 
 def csv_lines(records: list[SweepRecord]) -> list[str]:

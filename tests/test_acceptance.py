@@ -18,7 +18,7 @@ from knappflow.construction import KnappParams, make_params
 from knappflow.sweep import (
     VERDICT_MARGIN,
     csv_lines,
-    fit_exponent,
+    fit_series,
     records_from_core,
     run_sweep,
     smoothness_verdict,
@@ -136,21 +136,34 @@ def test_criterion_08_checks_the_product_norm_slope(monkeypatch):
     assert "product r=-0.25: slope 3.2500 vs 2.75" in result.detail
 
 
-def test_criterion_08_fits_only_unflagged_records(monkeypatch):
-    # criteria 7, 9 and 11 and the sweep's own fits drop flagged records;
-    # criterion 8 fitted every record, and an empty window's NaN norms
-    # raised FitDataError
-    want = acceptance.criterion_norm_scaling()
+@pytest.mark.parametrize("number", [7, 8, 9, 10, 11])
+def test_scaling_criteria_fit_only_unflagged_records(monkeypatch, number):
+    # every fit reads sweep.usable's records through fit_series; criterion
+    # 8 once fitted every record, and an empty window's NaN norms raised
+    # FitDataError
+    criterion = acceptance.CRITERIA[number - 1]
+    want = criterion()
     cores = sweep_core(acceptance.ACCEPT_EPS, acceptance.ACCEPT_RHO, [1, 796], grid=(8, 4, 4))
     _, empty = records_from_core(cores, 0.5, -0.25)
     assert empty.is_excluded() and math.isnan(empty.norms.norm_product)
     records = acceptance._records
 
-    def with_an_empty_window(mode, s_exp, r_exp):
-        return (*records(mode, s_exp, r_exp), empty)
+    # the empty window first and last, so that a min or max over
+    # unfiltered records meets its NaN whichever way it scans; and a
+    # nonconverged record whose lambda and res/nonres ratio, read, would
+    # move every detail (an empty window's ratio reads inf)
+    def with_flagged_records(mode, s_exp, r_exp):
+        recs = records(mode, s_exp, r_exp)
+        nonconverged = replace(
+            recs[0],
+            lam=2.0 * recs[0].lam,
+            res_amp=recs[0].nonres_amp,
+            flags=("nonconverged_quadrature:t1",),
+        )
+        return (empty, *recs, nonconverged, empty)
 
-    monkeypatch.setattr(acceptance, "_records", with_an_empty_window)
-    got = acceptance.criterion_norm_scaling()
+    monkeypatch.setattr(acceptance, "_records", with_flagged_records)
+    got = criterion()
     assert (got.passed, got.detail) == (want.passed, want.detail)
 
 
@@ -160,8 +173,8 @@ def test_second_datum_norm_outgrows_the_verdict_norm(mode, d1a2_slope):
     # second datum's norm_d1a2 grows faster, not slower, on this geometry
     r_exp = -0.25
     recs = acceptance._records(mode, 0.5, r_exp)
-    d1a2 = fit_exponent([(r.lam, r.norms.norm_d1a2) for r in recs])
-    total = fit_exponent([(r.lam, r.norms.norm_total) for r in recs])
+    d1a2 = fit_series(recs, "norm_d1a2")
+    total = fit_series(recs, "norm_total")
     assert d1a2.slope == pytest.approx(r_exp + d1a2_slope, abs=1e-6)
     assert total.slope == pytest.approx(r_exp + 1.5, abs=1e-6)
     assert all(r.norms.norm_d1a2 > 1e8 * r.norms.norm_total for r in recs)
@@ -199,7 +212,9 @@ def test_verdict_over_the_s_r_plane():
 
 
 # Each series' predicted exponent of lam as (s coefficient, r coefficient,
-# constant), derived in test_exponent_ledger's docstring.
+# constant), derived in test_exponent_ledger's docstring.  A series is
+# named by its CSV/JSON column, which sweep.fit_series reads; "ratio" is
+# the verdict's measured ratio exponent.
 LEDGER = {
     "slab": {
         "sup_amp": (0, 0, 1.0),
@@ -221,15 +236,6 @@ LEDGER = {
         "output_norm": (1, 0, 1.5),
         "ratio": (1, -2, -1.5),
     },
-}
-SERIES = {
-    "sup_amp": lambda rec: rec.sup_amp,
-    "res_amp": lambda rec: rec.res_amp,
-    "norm_d2a1": lambda rec: rec.norms.norm_d2a1,
-    "norm_total": lambda rec: rec.norms.norm_total,
-    "norm_d1a2": lambda rec: rec.norms.norm_d1a2,
-    "norm_product": lambda rec: rec.norms.norm_product,
-    "output_norm": lambda rec: rec.output_norm,
 }
 
 
@@ -268,10 +274,7 @@ def test_exponent_ledger(mode, s_exp, r_exp):
     """
     recs = acceptance._records(mode, s_exp, r_exp)
     assert len(recs) == 10 and not any(rec.is_excluded() for rec in recs)
-    slopes = {
-        name: fit_exponent([(rec.lam, get(rec)) for rec in recs]).slope
-        for name, get in SERIES.items()
-    }
+    slopes = {name: fit_series(recs, name).slope for name in LEDGER[mode] if name != "ratio"}
     slopes["ratio"] = smoothness_verdict(s_exp, r_exp, list(recs)).measured_ratio_exponent
     for name, (a, b, c) in LEDGER[mode].items():
         assert slopes[name] == pytest.approx(a * s_exp + b * r_exp + c, abs=1e-6), name

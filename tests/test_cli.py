@@ -11,6 +11,7 @@ import pytest
 import knappflow
 from knappflow import acceptance, cli
 from knappflow.construction import make_params
+from knappflow.sweep import run_sweep, write_csv
 
 EPS, RHO = 0.01, 2e-6
 
@@ -225,6 +226,64 @@ def test_sweep_unwritable_output_exits_2(tmp_path, capsys, flag):
     rv, _, err = run_cli(args + [arg for item in paths.items() for arg in item], capsys)
     assert rv == 2
     assert err.startswith("error:") and "missing_dir" in err
+
+
+SWEEP3 = ["sweep", "--kmin", "1", "--kmax", "3", "--grid", "8,4,4"]
+
+
+@pytest.mark.parametrize(
+    "case", ["json unwritable", "json unwritable, out exists", "json a directory", "out unwritable"]
+)
+def test_sweep_that_cannot_write_leaves_every_file_as_it_was(tmp_path, capsys, case):
+    # an unwritable --json printed "wrote x.csv" and left x.csv behind
+    # while exiting 2; a failed sweep now creates or replaces no file,
+    # leaves no temporary file and prints nothing on stdout
+    csv_path, json_path = tmp_path / "x.csv", tmp_path / "missing_dir" / "x.json"
+    if case == "json unwritable, out exists":
+        csv_path.write_bytes(b"earlier bytes\n")
+    elif case == "json a directory":
+        json_path = tmp_path / "x.json"
+        json_path.mkdir()
+    elif case == "out unwritable":
+        csv_path, json_path = tmp_path / "missing_dir" / "x.csv", tmp_path / "x.json"
+    before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.iterdir()}
+    rv, out, err = run_cli(SWEEP3 + ["--out", str(csv_path), "--json", str(json_path)], capsys)
+    assert rv == 2
+    assert err.startswith("error: cannot write output:")
+    assert out == ""
+    assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.iterdir()} == before
+    if case == "json a directory":
+        assert list(json_path.iterdir()) == []
+
+
+def test_sweep_replaces_an_existing_output_with_the_library_bytes(tmp_path, capsys):
+    csv_path, json_path = tmp_path / "x.csv", tmp_path / "x.json"
+    csv_path.write_bytes(b"earlier bytes\n")
+    rv, out, _ = run_cli(SWEEP3 + ["--out", str(csv_path), "--json", str(json_path)], capsys)
+    assert rv == 0
+    assert out == f"wrote {csv_path} (3 records)\nwrote {json_path}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.json"]
+    records = run_sweep(EPS, RHO, 0.5, -0.25, [1, 2, 3], grid=(8, 4, 4))
+    write_csv(records, tmp_path / "want.csv")
+    assert csv_path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("8,4", "expected three comma-separated integers, got '8,4'"),
+        ("8,4,x", "bad grid '8,4,x': invalid literal for int() with base 10: 'x'"),
+    ],
+)
+def test_sweep_bad_grid_names_the_problem(tmp_path, capsys, grid, message):
+    # argparse printed "invalid _parse_triple_of_ints value: '8,4'"
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(["sweep", "--grid", grid, "--out", str(tmp_path / "x.csv")])
+    assert exc_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"error: argument --grid: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_bad_grid_is_argparse_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """The package root's public names, and the README's library example."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -75,3 +76,24 @@ def test_boxes_holds_no_knapp_geometry():
         assert not hasattr(boxes, name), name
     for name in geometry:
         assert isinstance(getattr(construction, name), float), name
+
+
+def test_every_exponent_fit_goes_through_fit_series():
+    # one exclusion policy: sweep.fit_series is the only caller of
+    # fit_exponent, and it reads sweep.usable's records; the acceptance
+    # suite never filters records itself
+    callers, mentions = [], 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text()
+        mentions += text.count("fit_exponent(")
+        for fn in ast.walk(ast.parse(text)):
+            if isinstance(fn, ast.FunctionDef):
+                callers += [
+                    (path.name, fn.name)
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "fit_exponent"
+                ]
+    assert callers == [("sweep.py", "fit_series")]
+    assert mentions == 2  # its definition and its one call
+    assert "is_excluded" not in (PACKAGE / "acceptance.py").read_text()

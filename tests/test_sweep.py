@@ -353,6 +353,45 @@ def test_report_fits_each_series_once(monkeypatch, request, which):
     }
 
 
+FLOAT_FIELDS = [name for name, _, fmt, _ in sweep._RECORD_FIELDS if fmt is sweep._FLOAT]
+
+
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_fit_series_fits_the_named_field_over_unflagged_records(records, partial_records, name):
+    # the inline fit, over the three unflagged records, with each value
+    # read by its JSON name; a window_empty record (nan) and a
+    # nonconverged one (whose lambda would move every slope) are dropped
+    nonconverged = dataclasses.replace(
+        records[0], lam=2.0 * records[0].lam, flags=("nonconverged_quadrature:t1",)
+    )
+    mixed = [partial_records[3], records[0], nonconverged, records[1], records[2]]
+    assert [r.is_excluded() for r in mixed] == [True, False, True, False, False]
+    want = fit_exponent([(r.lam, record_to_dict(r)[name]) for r in records])
+    got = sweep.fit_series(mixed, name)
+    assert dataclasses.astuple(got) == dataclasses.astuple(want)
+    assert got.n_points == 3
+    assert sweep.usable(mixed) == list(records)
+
+
+@pytest.mark.parametrize("s_exp, r_exp", [(math.nan, -0.25), (0.5, math.inf), (-math.inf, 0.0)])
+def test_verdict_and_report_reject_a_non_finite_index(records, s_exp, r_exp):
+    # smoothness_verdict gave analytic_ratio_exponent nan (or -inf) and no
+    # note; build_report's JSON carried NaN tokens, which are not JSON
+    with pytest.raises(InvalidParameterError, match="must be finite"):
+        smoothness_verdict(s_exp, r_exp, records)
+    with pytest.raises(InvalidParameterError, match="must be finite"):
+        build_report(records, s_exp, r_exp, params={})
+
+
+@pytest.mark.parametrize("which", ["records", "partial_records"])
+def test_report_json_is_strict_json(request, which):
+    def reject(token):
+        raise AssertionError(f"non-JSON constant {token}")
+
+    text = report_json(build_report(request.getfixturevalue(which), 0.5, -0.25, params={}))
+    assert json.loads(text, parse_constant=reject)["schema"] == 1
+
+
 def test_csv_shape_and_determinism(records, partial_records, tmp_path):
     lines = csv_lines(records)
     assert lines[0] == ",".join(CSV_COLUMNS)
