@@ -2,9 +2,10 @@
 
 ``term_sums`` is the one evaluation path.  One call integrates every
 grid of a refinement level: the grids of all output frequencies, support
-pairs and windows of a sweep, each with its own time ``t`` and resonance
-cut.  The tests check it against a 30-digit mpmath evaluation of one
-grid's sums, which shares no code with it.
+pairs and windows of a sweep, each with its own time ``t``.  The tests
+check it against a 30-digit mpmath evaluation of one grid's sums, which
+shares no code with it.  Resonance belongs to a term's sign triples, not
+to a node: ``resonant_triples`` writes the rule once.
 """
 
 from __future__ import annotations
@@ -134,21 +135,34 @@ def term_weight(code, xi, eta) -> np.ndarray:
     return _weight(code, eta, d, _norm3(xi), _norm3(d), _norm3(eta))
 
 
-def term_sums(pts, wq, xis, t, codes, res_thr):
+def resonant_triples(codes) -> np.ndarray:
+    """Mask ``(..., 8)`` of the sign triples where each term of ``codes`` resonates.
+
+    A term resonates on the two triples where the factor in ``-W'`` (the
+    planar datum: ``xi - eta`` for slot 0, ``eta`` for slot 1) carries
+    the sign opposite to ``s1`` and the other factor the sign of ``s1``;
+    on the Knapp boxes omega cancels there, and is about ``2 lam`` or
+    more on the other six.  Slot 0 resonates on ``+-+`` and ``-+-`` (rows
+    2 and 5), slot 1 on ``++-`` and ``--+`` (rows 1 and 6).
+    """
+    slot = (np.asarray(codes) & 1)[..., None]
+    s1, s2, s3 = SIGNS_ARRAY.T
+    return (np.where(slot, s3, s2) == -s1) & (np.where(slot, s2, s3) == s1)
+
+
+def term_sums(pts, wq, xis, t, codes):
     """Per-term, per-sign-triple sums of m(t, omega) * weight over grids.
 
     ``xis`` holds P output frequencies, shape ``(P, 3)``; ``pts``
     ``(N, 3)`` and ``wq`` ``(N,)`` hold P grids of N / P nodes each, grid
-    j's in rows ``j*N/P`` to ``(j+1)*N/P``.  ``t`` and ``res_thr`` are
-    each grid's time and resonance cut, shape ``(P,)``, or one value for
-    every grid.  ``codes`` ``(P, C)`` holds the codes of the C kernel
-    terms integrated over each grid (terms on one support pair share its
-    grid), so a call may mix terms, points and windows.  Returns
-    ``(tot, res, env)``, each of shape ``(P, C, 8)``: for each grid, term
-    and sign triple (in ``SIGNS_ARRAY`` order) the full complex sum, the
-    sum over resonant nodes (|omega| <= the grid's cut), and a pointwise
-    envelope ``min(t, 2/|omega|) * |weight|`` over the rest.  A cut
-    below 0 or nan raises ``ValueError``: it would divide by a zero omega.
+    j's in rows ``j*N/P`` to ``(j+1)*N/P``.  ``t`` is each grid's time,
+    shape ``(P,)``, or one time for every grid.  ``codes`` ``(P, C)``
+    holds the codes of the C kernel terms integrated over each grid
+    (terms on one support pair share its grid), so a call may mix terms,
+    points and windows.  Returns ``(tot, env)``, each ``(P, C, 8)``: for
+    each grid, term and sign triple (in ``SIGNS_ARRAY`` order) the full
+    complex sum and the envelope ``min(t, 2/|omega|) * |weight|`` (``t``
+    at omega = 0), which is 0 on the term's two ``resonant_triples``.
 
     The nodes go in blocks of at most ``TERM_SUMS_BLOCK``: whole grids
     while a grid fits in a block, else consecutive slices of one grid.
@@ -170,13 +184,8 @@ def term_sums(pts, wq, xis, t, codes, res_thr):
     xis = np.asarray(xis, dtype=float)
     codes = np.asarray(codes)
     n_pts, n_terms = codes.shape
-    # (grids, 1, 1): each grid's value broadcasts over its triples and nodes
-    t, res_thr = (
-        np.broadcast_to(np.asarray(v, dtype=float), (n_pts,))[:, None, None] for v in (t, res_thr)
-    )
-    bad_cut = ~(res_thr >= 0.0)
-    if bad_cut.any():
-        raise ValueError(f"resonance cut must be >= 0, got {res_thr[bad_cut][0]}")
+    # (grids, 1, 1): each grid's time broadcasts over its triples and nodes
+    t = np.broadcast_to(np.asarray(t, dtype=float), (n_pts,))[:, None, None]
     per = len(pts) // n_pts
     # (3, grids, nodes): coordinate columns, each node axis contiguous
     eta = np.ascontiguousarray(pts.reshape(n_pts, per, 3).transpose(2, 0, 1))
@@ -186,7 +195,6 @@ def term_sums(pts, wq, xis, t, codes, res_thr):
     # one-point bits.  The weight takes |xi| as ``term_weight`` does.
     nx = np.sqrt(xis[:, None, :] @ xis[:, :, None])[:, 0]
     tot = np.zeros((n_pts, n_terms, 8), dtype=np.complex128)
-    res = np.zeros((n_pts, n_terms, 8), dtype=np.complex128)
     env = np.zeros((n_pts, n_terms, 8), dtype=np.float64)
     width = max(min(per, TERM_SUMS_BLOCK), 1)
     step = max(TERM_SUMS_BLOCK // width, 1)
@@ -205,21 +213,15 @@ def term_sums(pts, wq, xis, t, codes, res_thr):
             near, far = nx[rows] - nd, nx[rows] + nd
             om = np.stack([near - ne, near + ne, far - ne, far + ne], axis=1)
             m = mult_values(t_rows, om)
-            abs_om = np.abs(om)
-            resonant = abs_om <= res_thr[rows]
-            # min(t, 2/|omega|) where nonresonant, 0 where resonant
-            bound = np.where(
-                resonant, 0.0, np.minimum(t_rows, 2.0 / np.where(resonant, 1.0, abs_om))
-            )
+            with np.errstate(divide="ignore"):  # 2 / 0 is inf, so min(t, inf) is t
+                bound = np.minimum(t_rows, 2.0 / np.abs(om))
             # (C, grids, nodes): each grid's codes broadcast over its nodes
             weights = _weight(codes[rows].T[..., None], e, d, nx_weight, nd, ne)
             weights *= wq[rows, start : start + width]
             for c, w in enumerate(weights):
-                contrib = m * w[:, None, :]
-                part = contrib.sum(axis=-1)
+                part = (m * w[:, None, :]).sum(axis=-1)
                 tot[rows, c] += np.concatenate([part, np.conj(part[:, ::-1])], axis=1)
-                part = np.where(resonant, contrib, 0.0).sum(axis=-1)
-                res[rows, c] += np.concatenate([part, np.conj(part[:, ::-1])], axis=1)
                 part = (bound * np.abs(w)[:, None, :]).sum(axis=-1)
                 env[rows, c] += np.concatenate([part, part[:, ::-1]], axis=1)
-    return tot, res, env
+    env[resonant_triples(codes)] = 0.0
+    return tot, env

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import term_weight
+from ._kernels import resonant_triples, term_weight
 from .amplitudes import product_norm_boxes, sobolev_norm_monomial
 from .boxes import Box3, admissible_eta_region
 from .construction import DEFAULT_GRID, KnappParams, curl_parts, kernels
@@ -292,16 +292,17 @@ def criterion_resonance_separation() -> CriterionResult:
 
     For each k and kernel term, ``omega`` of every sign triple is taken at
     the 8 corners of the eta-region admissible at the sampling-box centre
-    and split as ``term_sums`` splits nodes: resonant where ``|omega| <=
-    p.resonance_threshold``.  Each side has its own bound: a nonresonant
-    ``|omega|`` is at least ``lam / 2``, a resonant one at most 2 ulp of
-    ``2 lam`` (``np.spacing(2 lam)``).  On these boxes the transverse
-    squares round away, so ``|xi|``, ``|xi - eta|`` and ``|eta|`` are
-    exactly their axis-1 magnitudes.  A resonant omega then cancels
-    (``xi1 = d1 + eta1``) but for the rounding of ``d1 = xi1 - eta1`` and
-    of the two additions forming omega, each at most half an ulp of a
-    number up to about ``2 lam``: ``|omega| <= 1.5 ulp(2 lam)``, or 2 if
-    one such number passes the next power of two.
+    and split as the amplitudes split the term's sums: resonant on the
+    term's two ``resonant_triples``, nonresonant on the other six.  Each
+    side has its own bound: a nonresonant ``|omega|`` is at least
+    ``lam / 2``, a resonant one at most 2 ulp of ``2 lam``
+    (``np.spacing(2 lam)``).  On these boxes the transverse squares round
+    away, so ``|xi|``, ``|xi - eta|`` and ``|eta|`` are exactly their
+    axis-1 magnitudes.  A resonant omega then cancels (``xi1 = d1 +
+    eta1``) but for the rounding of ``d1 = xi1 - eta1`` and of the two
+    additions forming omega, each at most half an ulp of a number up to
+    about ``2 lam``: ``|omega| <= 1.5 ulp(2 lam)``, or 2 if one such
+    number passes the next power of two.
     """
     max_res = 0.0
     min_nonres = math.inf
@@ -310,8 +311,8 @@ def criterion_resonance_separation() -> CriterionResult:
         for kern in kernels(p):
             region = admissible_eta_region(xi[None, :], kern.support_a, kern.support_b)
             for eta in itertools.product(*zip(region.lo[0], region.hi[0])):
-                for om in np.abs(omega_all(xi, eta)):
-                    if om <= p.resonance_threshold:
+                for om, resonant in zip(np.abs(omega_all(xi, eta)), resonant_triples(kern.code)):
+                    if resonant:
                         max_res = max(max_res, float(om / np.spacing(2.0 * p.lam)))
                     else:
                         min_nonres = min(min_nonres, float(om) / p.lam)

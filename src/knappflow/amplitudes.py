@@ -13,22 +13,21 @@ unsettled term is flagged.  A sweep integrates the lattices of all its
 windows (3 x 3 x 3 output frequencies each) in one pass.  The four
 kernel terms come in two support pairs, and terms on one pair share one
 node grid per point, so each (window, support pair, point) is one grid
-with its window's time and resonance cut.  Per refinement level, one
-node build and one kernel call cover every grid still refining, for
-both of its terms and all 8 sign triples, over fixed-size blocks of
-nodes, so memory does not grow with the grid.  The sums over sign
-triples are then taken once for all points, as (points, sign triples)
-arrays, and each window keeps its rows as columns (``_Lattice``: per
-point the total, per-sign, resonant and nonresonant sums, envelope,
-point and flags).  A sweep settles each window's record from the
+with its window's time.  Per refinement level, one node build and one
+kernel call cover every grid still refining, for both of its terms and
+all 8 sign triples, over fixed-size blocks of nodes, so memory does not
+grow with the grid.  The sums over sign triples are then taken once for
+all points, as (points, sign triples) arrays, and each window keeps its
+rows as columns (``_Lattice``: per point the total, per-sign, resonant
+and nonresonant sums, envelope, point and flags).  A sweep settles each window's record from the
 columns once (``sweep.sweep_core``); ``_breakdowns`` turns a window's
 columns into ``AmplitudeBreakdown``s when they are asked for.
 ``lattice_hats`` is the pass over one window and ``lambda_hat`` over
-one point.  Nodes are classified resonant or nonresonant by the
-empirical cut |omega| <= lam^(3/4); the resonant and nonresonant parts
-of the sum are accumulated separately, together with a rigorous
-pointwise envelope min(t, 2/|omega|) * |weight| for the nonresonant
-part.
+one point.  A term resonates on the two sign triples where its planar
+datum's factor has the sign opposite to ``s1``
+(``_kernels.resonant_triples``); its resonant sum is its total there,
+and a rigorous pointwise envelope min(t, 2/|omega|) * |weight| over its
+other six triples bounds the nonresonant rest.
 
 All Sobolev norms use the convention
 
@@ -165,24 +164,24 @@ def _shared(values, what: str):
 
 def _term_integrals(
     windows: list[tuple[KnappParams, np.ndarray, tuple[BilinearKernel, ...]]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[str]]]:
-    """Refined per-triple integrals (total, resonant, envelope) of every term.
+) -> tuple[np.ndarray, np.ndarray, list[list[str]]]:
+    """Refined per-triple integrals (total, envelope) of every term.
 
     ``windows`` holds ``(p, xis, kerns)`` triples, integrated in one pass.
     Returns ``(K, P, 8)`` arrays for the K terms of each window's
     ``kerns`` and the P rows of all windows' ``xis`` in turn, and each
     point's flags in kernel order.  Terms on one support pair have the
     same admissible regions, so each (support pair, point) is one node
-    grid, integrated for all of the pair's terms with its window's time
-    and resonance cut.  All grids still refining share one grid shape,
-    so each refinement level is one node build and one ``term_sums``
-    call for every window.  A grid refines while any of its terms is
-    unsettled; each term keeps the sums of the level where its totals
-    settled, and is flagged if that does not happen by the ceiling.  The
-    windows share one term layout, as ``kernels(p)`` gives every window:
-    the support pairs are grouped once, from the first window's terms,
-    and hold equally many terms.  They must share one configured grid
-    and one surface axis (or none), or ``_shared`` raises.
+    grid, integrated for all of the pair's terms with its window's time.
+    All grids still refining share one grid shape, so each refinement
+    level is one node build and one ``term_sums`` call for every window.
+    A grid refines while any of its terms is unsettled; each term keeps
+    the sums of the level where its totals settled, and is flagged if
+    that does not happen by the ceiling.  The windows share one term
+    layout, as ``kernels(p)`` gives every window: the support pairs are
+    grouped once, from the first window's terms, and hold equally many
+    terms.  They must share one configured grid and one surface axis (or
+    none), or ``_shared`` raises.
     """
     terms = windows[0][2]
     by_pair: dict[tuple[Box3, Box3], list[int]] = {}
@@ -203,9 +202,8 @@ def _term_integrals(
     hi = np.concatenate([r.hi for r in by_rows])
     grid_xis = np.concatenate([xis for _, xis, _ in windows] * n_pairs)
     t = np.tile(np.repeat([p.t for p, _, _ in windows], lens), n_pairs)
-    cut = np.tile(np.repeat([p.resonance_threshold for p, _, _ in windows], lens), n_pairs)
     codes = np.repeat([[terms[i].code for i in m] for m in members], n_pts, axis=0)
-    out = tuple(np.zeros((*codes.shape, 8), dtype) for dtype in (complex, complex, float))
+    out = tuple(np.zeros((*codes.shape, 8), dtype) for dtype in (complex, float))
     pending = np.repeat(np.concatenate([r.found for r in by_rows])[:, None], codes.shape[1], 1)
     unsettled = np.zeros(pending.shape, dtype=bool)
     live = np.flatnonzero(pending[:, 0])
@@ -215,7 +213,7 @@ def _term_integrals(
     while live.size:
         pts, wq = quadrature_nodes(lo[live], hi[live], counts, surface)
         sums = _kernels.term_sums(
-            pts.reshape(-1, 3), wq.reshape(-1), grid_xis[live], t[live], codes[live], cut[live]
+            pts.reshape(-1, 3), wq.reshape(-1), grid_xis[live], t[live], codes[live]
         )
         tot = sums[0]
         if prev_tot is None:
@@ -238,13 +236,13 @@ def _term_integrals(
     # Back to kernel order: kernel i is term c of pair g's grids.
     slot = {i: (g, c) for g, m in enumerate(members) for c, i in enumerate(m)}
     g, c = np.array([slot[i] for i in range(len(slot))]).T
-    tot, res, env, unsettled = (
+    tot, env, unsettled = (
         acc.reshape(n_pairs, n_pts, *acc.shape[1:])[g, :, c] for acc in (*out, unsettled)
     )
     flags: list[list[str]] = [[] for _ in range(n_pts)]
     for j, i in np.argwhere(unsettled.T):
         flags[j].append(f"nonconverged_quadrature:{terms[i].label}")
-    return tot, res, env, flags
+    return tot, env, flags
 
 
 def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -317,10 +315,12 @@ def _lattice_pass(
     tot_acc = np.zeros((len(xis), 8), dtype=complex)
     res_acc = np.zeros((len(xis), 8), dtype=complex)
     env_acc = np.zeros((len(xis), 8), dtype=float)
-    tot, res, env, flags = _term_integrals(lattices)
+    tot, env, flags = _term_integrals(lattices)
+    # a term's resonant sums are its totals on its two resonant triples
+    res_mask = _kernels.resonant_triples([k.code for k in lattices[0][2]])
     for k in range(len(tot)):
         tot_acc += tot[k]
-        res_acc += res[k]
+        res_acc += np.where(res_mask[k], tot[k], 0.0)
         env_acc += env[k]
     # (points, active signs) arrays; the sums over signs run in sign order.
     s1 = np.array([SIGN_TRIPLES[j].s1 for j in active_idx])

@@ -140,11 +140,6 @@ class KnappParams:
             ax3=(2e-9 * rt, 1e-6 * rt),
         )
 
-    @property
-    def resonance_threshold(self) -> float:
-        """Empirical resonance cut |omega| <= lam^(3/4)."""
-        return self.lam ** 0.75
-
 
 def window_index(k) -> int:
     """``k`` as an int; a window index is a finite whole number >= 1."""

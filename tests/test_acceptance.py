@@ -14,10 +14,9 @@ import pytest
 
 from knappflow import acceptance, amplitudes, construction
 from knappflow._kernels import mult_values
-from knappflow.construction import KnappParams, make_params
+from knappflow.construction import make_params
 from knappflow.sweep import (
     VERDICT_MARGIN,
-    csv_lines,
     fit_series,
     records_from_core,
     run_sweep,
@@ -341,40 +340,6 @@ def test_surface_mode_is_the_thin_slab_limit(monkeypatch, factor):
         excess = (ratio[floor] - 0.5) / factor
         assert excess.min() >= 1.2e5 and excess.max() <= 2.5e5
         assert rec.output_norm / th / want.output_norm == pytest.approx(output_ratio, abs=1e-5)
-
-
-RESONANCE_CUTS = {
-    "1": lambda lam: 1.0,
-    "1e-6 lam": lambda lam: 1e-6 * lam,
-    "lam^0.5": lambda lam: lam**0.5,
-    "lam^0.75": lambda lam: lam**0.75,
-    "lam^0.95": lambda lam: lam**0.95,
-    "lam": lambda lam: lam,
-    "1.9 lam": lambda lam: 1.9 * lam,
-}
-
-
-@pytest.mark.parametrize("mode", ["slab", "surface"])
-def test_resonance_cut_is_not_load_bearing(monkeypatch, mode):
-    """The k = 1..10 sweep bytes do not move over the resonance gap.
-
-    Criterion 6 measures the gap: a resonant ``|omega|`` is at most 0.5
-    ulp of ``2 lam``, a nonresonant one at least ``2 lam``.  Any cut
-    inside it, from 1 to ``1.9 lam``, leaves every CSV byte of both
-    modes as at ``lam^(3/4)``; a cut of 0 or ``2.1 lam`` moves them, so
-    the check can fail.
-    """
-    args = (acceptance.ACCEPT_EPS, acceptance.ACCEPT_RHO, 0.5, -0.25, acceptance.ACCEPT_KS)
-    want = csv_lines(run_sweep(*args, mode=mode))
-
-    def lines_at(cut):
-        monkeypatch.setattr(KnappParams, "resonance_threshold", property(lambda p: cut(p.lam)))
-        return csv_lines(run_sweep(*args, mode=mode))
-
-    for name, cut in RESONANCE_CUTS.items():
-        assert lines_at(cut) == want, name
-    for cut in (lambda lam: 0.0, lambda lam: 2.1 * lam):
-        assert lines_at(cut) != want
 
 
 def test_criterion_11_nonresonant_envelope():

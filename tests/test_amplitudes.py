@@ -1,11 +1,12 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from knappflow import _kernels, amplitudes, construction
+from knappflow import _kernels, acceptance, amplitudes, construction
 from knappflow.amplitudes import (
     TWO_PI_CUBED,
     _axis_breakpoints,
@@ -122,12 +123,10 @@ def spread_points(p):
 
 
 def fixed_grid_sums(p, xi, kern, counts):
-    """One term's (tot, res, env) on a single fixed grid, without refinement."""
+    """One term's (tot, env) on a single fixed grid, without refinement."""
     region = one_region(xi, kern.support_a, kern.support_b)
     grid = quadrature_grid(region, counts)
-    sums = _kernels.term_sums(
-        grid.points, grid.weights, xi[None, :], p.t, [[kern.code]], p.resonance_threshold
-    )
+    sums = _kernels.term_sums(grid.points, grid.weights, xi[None, :], p.t, [[kern.code]])
     return tuple(part[0, 0] for part in sums)
 
 
@@ -203,37 +202,37 @@ def mp_term_sums(pts, wq, xi, t, codes, res_thr):
 ORACLE_RTOL = 1e-14
 
 
-def assert_near_oracle(got, want):
-    """``term_sums``' (tot, res, env) of one term against ``mp_term_sums``'."""
-    scale = np.abs(want[0]).max()
-    assert np.abs(got[0] - want[0]).max() <= ORACLE_RTOL * scale
-    assert np.abs(got[1] - want[1]).max() <= ORACLE_RTOL * scale
-    assert np.abs(got[2] - want[2]).max() <= ORACLE_RTOL * want[2].max()
+def assert_near_oracle(got, want, code):
+    """``term_sums``' (tot, env) of one term against ``mp_term_sums``'.
+
+    The oracle splits the nodes at its own cut, ``lam ** 0.75`` as the
+    callers pass it.  Its resonant sums must be its totals on the term's
+    two ``resonant_triples`` and 0 on the other six: the split by node
+    and the split by sign triple agree on the grid.
+    """
+    tot, res, env = want
+    scale = np.abs(tot).max()
+    assert np.abs(got[0] - tot).max() <= ORACLE_RTOL * scale
+    assert np.abs(got[1] - env).max() <= ORACLE_RTOL * env.max()
+    rows = _kernels.resonant_triples(code)
+    assert np.array_equal(res[rows], tot[rows])
+    assert np.all(res[~rows] == 0.0)
 
 
-def resonant_set(p, xi, eta):
-    """The triples ``term_sums`` counts as resonant at one (xi, eta) pair."""
-    oms = np.abs(omega_all(xi, eta))
-    return {s for s, om in zip(SIGN_TRIPLES, oms) if om <= p.resonance_threshold}
+def resonant_set(kern):
+    """The triples on which ``kern`` resonates, from ``resonant_triples``."""
+    return {s for s, on in zip(SIGN_TRIPLES, _kernels.resonant_triples(kern.code)) if on}
 
 
 def test_resonance_classification_by_slot_order():
-    p = small_params()
-    xi = p.samp_box.center()
-    by_label = {kern.label: kern for kern in kernels(p)}
+    by_label = {kern.label: kern for kern in kernels(small_params())}
     # planar datum on the eta slot: |xi - eta| ~ 2 lam, |eta| ~ lam
-    region = one_region(
-        xi, by_label["axis2.t2"].support_a, by_label["axis2.t2"].support_b
-    )
-    assert resonant_set(p, xi, region.center()) == {
+    assert resonant_set(by_label["axis2.t2"]) == {
         SignTriple.from_string("++-"),
         SignTriple.from_string("--+"),
     }
     # slots swapped: |xi - eta| ~ lam, |eta| ~ 2 lam
-    region = one_region(
-        xi, by_label["axis2.t1"].support_a, by_label["axis2.t1"].support_b
-    )
-    assert resonant_set(p, xi, region.center()) == {
+    assert resonant_set(by_label["axis2.t1"]) == {
         SignTriple.from_string("+-+"),
         SignTriple.from_string("-+-"),
     }
@@ -244,11 +243,82 @@ def test_resonance_gap_sizes():
     xi = p.samp_box.center()
     kern = kernels(p)[0]
     region = one_region(xi, kern.support_a, kern.support_b)
-    for om in np.abs(omega_all(xi, region.center())):
-        if om <= p.resonance_threshold:
+    oms = np.abs(omega_all(xi, region.center()))
+    for om, resonant in zip(oms, _kernels.resonant_triples(kern.code)):
+        if resonant:
             assert om < 1e-2 * p.lam
         else:
             assert om > 0.5 * p.lam
+
+
+def node_omegas(pts, xis):
+    """``|omega|`` of every sign triple at every node of one ``term_sums``
+    call's grids, shape ``(8, grids, nodes)``."""
+    nodes = pts.reshape(len(xis), -1, 3)
+    nx = np.linalg.norm(xis, axis=-1)[:, None]
+    nd = np.linalg.norm(xis[:, None, :] - nodes, axis=-1)
+    ne = np.linalg.norm(nodes, axis=-1)
+    s1, s2, s3 = SIGNS_ARRAY.T[..., None, None]
+    return np.abs(s1 * nx - s2 * nd - s3 * ne)
+
+
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_resonant_triples_separate_at_every_node(monkeypatch, mode):
+    # every grid that term_sums receives in the k = 1..10 sweep and on
+    # the wide-box lattice, spread and edge points: at each node, each
+    # term's two resonant triples have |omega| below lam^(3/4) and its
+    # other six above, so the split by triple is the split by node
+    calls = []
+    term_sums = _kernels.term_sums
+
+    def recording(pts, wq, xis, t, codes):
+        calls.append((np.array(pts), np.array(xis), np.broadcast_to(t, len(xis)), codes))
+        return term_sums(pts, wq, xis, t, codes)
+
+    monkeypatch.setattr(_kernels, "term_sums", recording)
+    args = (acceptance.ACCEPT_EPS, acceptance.ACCEPT_RHO)
+    windows = [make_params(*args, k, mode=mode) for k in acceptance.ACCEPT_KS]
+    sweep_core(*args, acceptance.ACCEPT_KS, mode=mode)
+    wide_boxes(monkeypatch)
+    wide = make_params(WIDE_EPS, WIDE_RHO, 1, mode=mode)
+    lattice_hats(
+        wide,
+        np.concatenate(
+            [sample_lattice(wide.samp_box)[1], spread_points(wide), axis2_edge_points(wide)]
+        ),
+    )
+    lam_at = {p.t: p.lam for p in [*windows, wide]}
+    assert len(lam_at) == 11
+    seen = set()
+    for pts, xis, t, codes in calls:
+        om = node_omegas(pts, xis)
+        cut = np.array([lam_at[v] for v in t])[:, None] ** 0.75
+        # per term: (8, grids, 1), each grid's triples broadcast over its nodes
+        for mask in _kernels.resonant_triples(codes).transpose(1, 2, 0)[..., None]:
+            assert np.all(np.where(mask, om < cut, om > cut))
+        seen.update(np.ravel(codes).tolist())
+    assert seen == {0, 1, 2, 3}
+
+
+def test_envelope_takes_t_where_a_nonresonant_omega_is_zero():
+    # a slot-1 term integrated over a slot-0 term's grid: on +-+, which is
+    # not one of its resonant triples, omega cancels, exactly at some
+    # nodes, so the envelope takes min(t, 2/0) = t there, with no warning
+    p = small_params()
+    xi = p.samp_box.center()
+    by_code = {kern.code: kern for kern in kernels(p)}
+    grid = quadrature_grid(one_region(xi, by_code[0].support_a, by_code[0].support_b), SMALL_GRID)
+    row = SIGN_TRIPLES.index(SignTriple.from_string("+-+"))
+    assert not _kernels.resonant_triples(1)[row]
+    # that triple's omega (|xi| + |xi - eta|) - |eta|, formed as term_sums forms it
+    d = xi - grid.points
+    om = (np.sqrt(xi @ xi) + _kernels._norm3(d.T)) - _kernels._norm3(grid.points.T)
+    assert np.any(om == 0.0) and np.abs(om).max() < 1e-9 * p.lam
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, env = _kernels.term_sums(grid.points, grid.weights, xi[None, :], p.t, [[1]])
+    want = p.t * np.abs(_kernels.term_weight(1, xi, grid.points) * grid.weights).sum()
+    assert env[0, 0, row] == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_breakdown_sum_invariants():
@@ -310,12 +380,10 @@ def test_time_zero_vanishes():
         grid = quadrature_grid(one_region(xi, kern.support_a, kern.support_b), SMALL_GRID)
 
         def sums(t):
-            return _kernels.term_sums(
-                grid.points, grid.weights, xi[None, :], t, [[kern.code]], p.resonance_threshold
-            )
+            return _kernels.term_sums(grid.points, grid.weights, xi[None, :], t, [[kern.code]])
 
         assert all(np.all(part == 0.0) for part in sums(0.0))
-        tot, _, env = sums(p.t)
+        tot, env = sums(p.t)
         assert np.any(tot != 0.0) and np.any(env != 0.0)
 
 
@@ -410,14 +478,13 @@ def test_wide_boxes_refine_to_fixed_grid_reference(monkeypatch, mode):
     spent = count_term_sums(monkeypatch)
     for kern in kernels(p):
         spent.clear()
-        tot, res, env, flags = _term_integrals([(p, xi[None, :], (kern,))])
-        tot, res, env = tot[0, 0], res[0, 0], env[0, 0]
+        tot, env, flags = _term_integrals([(p, xi[None, :], (kern,))])
+        tot, env = tot[0, 0], env[0, 0]
         assert flags == [[]]
         assert len(spent) > 2  # more than one comparison of successive grids
-        want_tot, want_res, want_env = fixed_grid_sums(p, xi, kern, FINE_GRID)
+        want_tot, want_env = fixed_grid_sums(p, xi, kern, FINE_GRID)
         scale = np.abs(want_tot).max()
         assert np.abs(tot - want_tot).max() <= 1e-9 * scale
-        assert np.abs(res - want_res).max() <= 1e-9 * scale
         assert np.abs(env - want_env).max() <= 1e-9 * want_env.max()
 
 
@@ -475,15 +542,12 @@ def test_column_norms_equal_numpys_summed_squares(seed):
 def test_per_grid_time_and_cut_equal_one_call_per_grid(monkeypatch, mode, counts):
     # both support pairs' grids at 2 points of each of 3 windows, each
     # grid with its window's t, the windows taking turns; with 7-node
-    # blocks, two 3-node grids of different windows share a block.  The
-    # cuts split the nodes three ways: at the window's own cut, at 0 (so
-    # the envelope takes t on the near-resonant triples) and at infinity.
+    # blocks, two 3-node grids of different windows share a block
     windows = [make_params(EPS, RHO, k, mode=mode) for k in (1, 2, 3)]
     assert len({p.t for p in windows}) == 3
-    window_cuts = (windows[0].resonance_threshold, 0.0, math.inf)
-    lo, hi, xis, codes, ts, cuts = [], [], [], [], [], []
+    lo, hi, xis, codes, ts = [], [], [], [], []
     for pair, j in itertools.product(((0, 2), (1, 3)), (4, 22)):
-        for p, cut in zip(windows, window_cuts):
+        for p in windows:
             xi = sample_lattice(p.samp_box)[1][j]
             a, b = (kernels(p)[i] for i in pair)
             regions = admissible_eta_region(xi[None, :], a.support_a, a.support_b)
@@ -493,34 +557,17 @@ def test_per_grid_time_and_cut_equal_one_call_per_grid(monkeypatch, mode, counts
             xis.append(xi)
             codes.append([a.code, b.code])
             ts.append(p.t)
-            cuts.append(cut)
     nodes, weights = quadrature_nodes(np.array(lo), np.array(hi), counts, regions.surface_axis)
     xis = np.array(xis)
     monkeypatch.setattr(_kernels, "TERM_SUMS_BLOCK", 7)
     together = _kernels.term_sums(
-        nodes.reshape(-1, 3), weights.reshape(-1), xis, np.array(ts), codes, np.array(cuts)
+        nodes.reshape(-1, 3), weights.reshape(-1), xis, np.array(ts), codes
     )
     assert together[0].shape == (12, 2, 8)
     for j in range(len(xis)):
-        alone = _kernels.term_sums(nodes[j], weights[j], xis[[j]], ts[j], codes[j:j + 1], cuts[j])
+        alone = _kernels.term_sums(nodes[j], weights[j], xis[[j]], ts[j], codes[j:j + 1])
         for got, want in zip(together, alone):
             assert got[j].tobytes() == want[0].tobytes()
-
-
-@pytest.mark.parametrize("cut", [-1.0, math.nan, [0.0, -1.0]])
-def test_negative_or_nan_cut_is_rejected(cut):
-    # a cut below 0 calls no node resonant, so a node with omega exactly 0
-    # would divide 2 / 0; the cut is rejected by its value instead
-    p = small_params()
-    xi = p.samp_box.center()
-    kern = kernels(p)[0]
-    grid = quadrature_grid(one_region(xi, kern.support_a, kern.support_b), (2, 1, 1))
-    n = np.size(cut)
-    with pytest.raises(ValueError, match=r"resonance cut must be >= 0, got (-1\.0|nan)"):
-        _kernels.term_sums(
-            np.tile(grid.points, (n, 1)), np.tile(grid.weights, n), np.tile(xi, (n, 1)),
-            p.t, [[kern.code]] * n, cut,
-        )
 
 
 @pytest.mark.parametrize("cap", [0, 1])
@@ -648,13 +695,13 @@ def test_shared_grids_equal_one_term_runs_where_pair_terms_settle_apart(
     levels, alone_flags = [], []
     for i, kern in enumerate(kerns):
         served.clear()
-        tot, res, env, flags = _term_integrals([(p, xis, (kern,))])
-        for got, want in zip(shared[:3], (tot, res, env)):
+        tot, env, flags = _term_integrals([(p, xis, (kern,))])
+        for got, want in zip(shared[:2], (tot, env)):
             assert got[i].tobytes() == want[0].tobytes()
         alone_flags.append([bool(f) for f in flags])
         # the level a point's term settled at: the calls that served it
         levels.append([sum(any((rows == xi).all(axis=1)) for rows in served) for xi in xis])
-    assert shared[3] == [
+    assert shared[2] == [
         [f"nonconverged_quadrature:{k.label}" for k, bad in zip(kerns, row) if bad]
         for row in zip(*alone_flags)
     ]
@@ -682,20 +729,22 @@ def test_lattice_hats_validation():
         lattice_hats(p, [p.samp_box.center(), (np.nan, 0.0, 0.0)])
 
 
-def test_backend_paths_agree(monkeypatch):
+def test_one_grid_in_one_block_or_many_agrees_with_oracle(monkeypatch):
     p = small_params()
     xi = np.asarray(p.samp_box.center())
     kern = kernels(p)[0]
     region = one_region(xi, kern.support_a, kern.support_b)
     grid = quadrature_grid(region, (6, 5, 4))
-    thr = p.resonance_threshold
-    want = [part[0] for part in mp_term_sums(grid.points, grid.weights, xi, p.t, [kern.code], thr)]
+    want = [
+        part[0]
+        for part in mp_term_sums(grid.points, grid.weights, xi, p.t, [kern.code], p.lam ** 0.75)
+    ]
     assert np.any(want[1] != 0.0) and np.any(want[2] != 0.0)  # both kinds of node
     # one block, then 18 blocks of 7 nodes with a partial last one
     for block in (_kernels.TERM_SUMS_BLOCK, 7):
         monkeypatch.setattr(_kernels, "TERM_SUMS_BLOCK", block)
-        sums = _kernels.term_sums(grid.points, grid.weights, xi[None, :], p.t, [[kern.code]], thr)
-        assert_near_oracle([part[0, 0] for part in sums], want)
+        sums = _kernels.term_sums(grid.points, grid.weights, xi[None, :], p.t, [[kern.code]])
+        assert_near_oracle([part[0, 0] for part in sums], want, kern.code)
 
 
 @pytest.mark.parametrize("counts", [(6, 5, 4), (3, 1, 1), (2, 1, 1)])
@@ -709,15 +758,16 @@ def test_several_points_per_call_agree_with_scalar_reference(monkeypatch, counts
     kern = kernels(p)[1]
     regions = admissible_eta_region(xis, kern.support_a, kern.support_b)
     nodes, weights = quadrature_nodes(regions.lo, regions.hi, counts, regions.surface_axis)
-    thr = p.resonance_threshold
     monkeypatch.setattr(_kernels, "TERM_SUMS_BLOCK", 7)
-    tot, res, env = _kernels.term_sums(
-        nodes.reshape(-1, 3), weights.reshape(-1), xis, p.t, [[kern.code]] * len(xis), thr
+    tot, env = _kernels.term_sums(
+        nodes.reshape(-1, 3), weights.reshape(-1), xis, p.t, [[kern.code]] * len(xis)
     )
-    assert tot.shape == res.shape == env.shape == (4, 1, 8)
+    assert tot.shape == env.shape == (4, 1, 8)
     for j, xi in enumerate(xis):
-        want = mp_term_sums(nodes[j], weights[j], xi, p.t, [kern.code], thr)
-        assert_near_oracle([part[j, 0] for part in (tot, res, env)], [part[0] for part in want])
+        want = mp_term_sums(nodes[j], weights[j], xi, p.t, [kern.code], p.lam ** 0.75)
+        assert_near_oracle(
+            [part[j, 0] for part in (tot, env)], [part[0] for part in want], kern.code
+        )
 
 
 @pytest.mark.parametrize("counts", [(6, 5, 4), (3, 1, 1)])
@@ -741,17 +791,13 @@ def test_mixed_terms_per_call_agree_with_scalar_reference(monkeypatch, mode, cou
     grid_xis = xis[[j for j, _ in order]]
     codes = np.array([[k.code for k in pair_terms[g]] for _, g in order])
     monkeypatch.setattr(_kernels, "TERM_SUMS_BLOCK", 7)
-    tot, res, env = _kernels.term_sums(
-        nodes.reshape(-1, 3), weights.reshape(-1), grid_xis, p.t, codes, p.resonance_threshold
-    )
-    assert tot.shape == res.shape == env.shape == (4, 2, 8)
+    tot, env = _kernels.term_sums(nodes.reshape(-1, 3), weights.reshape(-1), grid_xis, p.t, codes)
+    assert tot.shape == env.shape == (4, 2, 8)
     for grid, row in enumerate(codes):
-        want = mp_term_sums(
-            nodes[grid], weights[grid], grid_xis[grid], p.t, row, p.resonance_threshold
-        )
-        for term in range(len(row)):
+        want = mp_term_sums(nodes[grid], weights[grid], grid_xis[grid], p.t, row, p.lam ** 0.75)
+        for term, code in enumerate(row):
             assert_near_oracle(
-                [part[grid, term] for part in (tot, res, env)], [part[term] for part in want]
+                [part[grid, term] for part in (tot, env)], [part[term] for part in want], code
             )
 
 
@@ -766,10 +812,10 @@ def test_several_points_per_call_memory_is_bounded():
     assert (twin.support_a, twin.support_b) == (kern.support_a, kern.support_b)
     regions = admissible_eta_region(xis, kern.support_a, kern.support_b)
     nodes, weights = quadrature_nodes(regions.lo, regions.hi, FINE_GRID, regions.surface_axis)
-    args = (p.t, [[kern.code, twin.code]] * len(xis), p.resonance_threshold)
+    args = (p.t, [[kern.code, twin.code]] * len(xis))
     tracemalloc.start()
     try:
-        tot, _, _ = _kernels.term_sums(nodes.reshape(-1, 3), weights.reshape(-1), xis, *args)
+        tot, _ = _kernels.term_sums(nodes.reshape(-1, 3), weights.reshape(-1), xis, *args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.metadata
 import json
 import os
@@ -78,6 +79,25 @@ def test_eval_sign_restriction(capsys):
     payload = json.loads(out)
     assert list(payload["per_sign"]) == ["++-"]
     assert payload["total"] == payload["per_sign"]["++-"]
+
+
+# sha256 of the ``knappflow eval --k 1`` JSON at the sampling-box centre,
+# recorded while the resonant sums were still split node by node at
+# |omega| <= lam^(3/4).  Each output frequency's lattice breakdown is
+# pinned elsewhere, but not the resonant sum of a subset of triples.
+EVAL_DIGESTS = {
+    "all": "d7f8d8701a9ff545b11b9724304815a689931078f4c8ea95b745fb57c3e459ab",
+    "++-": "f0a154e0df6ad6eeff5292e7b22a49441d6577ecb502ca3abba40421df550f3e",
+}
+
+
+@pytest.mark.parametrize("signs", sorted(EVAL_DIGESTS))
+def test_eval_json_matches_recorded_digest(signs, capsys):
+    p = make_params(EPS, RHO, 1)
+    xi_arg = ",".join(format(x, ".17g") for x in p.samp_box.center())
+    rv, out, _ = run_cli(["eval", "--k", "1", "--xi", xi_arg, "--signs", signs], capsys)
+    assert rv == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EVAL_DIGESTS[signs]
 
 
 def test_eval_bad_inputs_exit_2(capsys):
