@@ -666,9 +666,9 @@ def norm_report(p: KnappParams, r: float) -> NormReport:
     first datum, (0, d3 a1, -d2 a1): the quadrature sum of its two
     component norms.  It is what the smoothness verdict divides by.  The
     second datum's block is not smaller: over k = 1..10, ``norm_d1a2``
-    grows as ``lam^(r + 2)`` in slab mode and ``lam^(r + 7/4)`` in surface
-    mode, against ``lam^(r + 3/2)`` for ``norm_total`` in both, and at
-    r = -1/4 the ratio ``norm_d1a2 / norm_total`` runs from 2.3e8 to
+    grows faster than ``norm_total`` in both modes (their rows of
+    ``sweep.LEDGER``), and at r = -1/4 the ratio
+    ``norm_d1a2 / norm_total`` runs from 2.3e8 to
     2.3e9 (slab) and from 9.1e9 to 2.9e10 (surface).  Both data are
     indicators of amplitude 1, so the verdict rests on normalizing by
     the first datum alone.

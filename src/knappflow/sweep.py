@@ -10,8 +10,9 @@ estimate); the record for one (s, r) pair is the settled record with
 its two norms evaluated.  A window's ``AmplitudeBreakdown``s are built
 only when they are read.  Ordinary least squares on (log lambda, log
 value) turns the scalars into measured exponents, and the verdict
-compares the measured ratio exponent against the analytic prediction
-s - 1 - 2r, which is the slab ledger's (see ``smoothness_verdict``).
+compares the measured ratio exponent against the analytic prediction,
+the slab row of ``LEDGER``, the one table of predicted exponents (see
+``predicted_exponent`` and ``smoothness_verdict``).
 
 Windows that are empty at the requested rho are skipped with a
 ``window_empty`` flag rather than aborting the sweep.  A record flagged
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
@@ -328,12 +329,11 @@ def smoothness_verdict(
     value above ``VERDICT_MARGIN`` means the quadratic flow-map bound
     cannot hold with constants uniform in lambda.
 
-    The analytic exponent ``s - 1 - 2r`` is the slab ledger's (output
-    norm ``lam^(s + 2)``, ``norm_total`` ``lam^(r + 3/2)``).  The surface
-    ledger measures ``s - 3/2 - 2r`` (output norm ``lam^(s + 3/2)``), so
-    on surface records the "deviates" note always appears and the
-    verdict is formal, like the surface norms it is read from; the
-    scaling conclusions are drawn in slab mode.
+    The analytic exponent is ``LEDGER``'s slab ratio row in both modes.
+    Surface records measure the surface row, which differs, so on them
+    the "deviates" note always appears and the verdict is formal, like
+    the surface norms it is read from; the scaling conclusions are drawn
+    in slab mode.
     """
     n = len(usable(records))
     if n < 3:
@@ -353,7 +353,7 @@ def _verdict(
     _check_index("s", s_exp)
     _check_index("r", r_exp)
     measured = f_out.slope - 2.0 * f_tot.slope
-    analytic = s_exp - 1.0 - 2.0 * r_exp
+    analytic = predicted_exponent("slab", "ratio", s_exp, r_exp)
     notes = [
         f"k={r.k} excluded from fits: {';'.join(r.flags)}" for r in records if r.is_excluded()
     ]
@@ -407,6 +407,56 @@ _RECORD_FIELDS = (
 CSV_COLUMNS = tuple(name for name, _, _, in_csv in _RECORD_FIELDS if in_csv)
 _SERIES = {name: get for name, get, fmt, _ in _RECORD_FIELDS if fmt is _FLOAT}
 
+# The exponent ledger: each series' predicted exponent of lam per mode,
+# as (s coefficient, r coefficient, constant), derived from the box
+# sides in ``predicted_exponent``.  A series is named by its CSV/JSON
+# column, as ``fit_series`` takes it; "ratio" is the verdict's ratio
+# of the output norm over ``norm_total`` squared.
+LEDGER = {
+    "sup_amp": {"slab": (0, 0, 1.0), "surface": (0, 0, 0.5)},
+    "res_amp": {"slab": (0, 0, 1.0), "surface": (0, 0, 0.5)},
+    "norm_d2a1": {"slab": (0, 1, 1.5), "surface": (0, 1, 1.5)},
+    "norm_total": {"slab": (0, 1, 1.5), "surface": (0, 1, 1.5)},
+    "norm_d1a2": {"slab": (0, 1, 2.0), "surface": (0, 1, 1.75)},
+    "norm_product": {"slab": (0, 1, 3.0), "surface": (0, 1, 2.5)},
+    "output_norm": {"slab": (1, 0, 2.0), "surface": (1, 0, 1.5)},
+    "ratio": {"slab": (1, -2, -1.0), "surface": (1, -2, -1.5)},
+}
+
+
+def predicted_exponent(mode: str, name: str, s: float, r: float) -> float:
+    """The exponent of lam that ``LEDGER`` predicts for series ``name``.
+
+    It is ``(c + a*s) + b*r`` for the row ``(a, b, c)``, in that order,
+    so the slab ratio is ``s - 1.0 - 2.0*r`` bit for bit at every finite
+    (s, r).  The rows follow from the box sides.  The volume boxes W and
+    W2 have sides of order ``(lam, lam^1/2, lam^1/2)``, so measure
+    ``lam^2``.  The planar box W' has the same first two sides; in slab
+    mode its thickness is of order ``lam^1/2`` (measure ``lam^2``), in
+    surface mode it carries the 2-D measure ``lam^3/2``.  On every box
+    ``<xi>`` is of order ``lam``.
+
+    - Amplitudes (``sup_amp``, ``res_amp``): the time is ``t = eps
+      lam^-1/2``, so the resonant multiplier is of order ``lam^-1/2``;
+      the kernel weight is 5 frequency factors over 5 norms, one of them
+      transverse, so ``lam^-1/2``; and the admissible region is a box of
+      W's sides cut by W', so ``lam^2`` (slab) or ``lam^3/2`` (surface).
+    - First datum (``norm_d2a1``, ``norm_total``): ``lam^r`` times the
+      transverse ``xi2`` or ``xi3``, ``lam^1/2``, times the square root
+      of W2's measure, ``lam``.
+    - Second datum (``norm_d1a2``): ``lam^r`` times ``xi1``, ``lam``,
+      times the square root of the measure of W'.
+    - Product norm: the convolution of W2 with -W' is as high as the
+      measure of their overlap, ``lam^2`` (slab) or ``lam^3/2``
+      (surface), on a support of measure ``lam^2``; the square root of
+      ``lam^{2r}`` times the height squared times the support.
+    - Output norm: the amplitude's exponent, plus s, plus 1 from the
+      square root of the sampling box's measure ``lam^2``.
+    - Ratio: the output norm's exponent minus twice ``norm_total``'s.
+    """
+    a, b, c = LEDGER[name][mode]
+    return (c + a * s) + b * r
+
 
 def csv_lines(records: list[SweepRecord]) -> list[str]:
     cells = [(get, fmt[0]) for _, get, fmt, in_csv in _RECORD_FIELDS if in_csv]
@@ -440,15 +490,7 @@ def build_report(
         "schema": 1,
         "params": params,
         "records": [record_to_dict(r) for r in records],
-        "fits": {
-            name: {
-                "slope": f.slope,
-                "intercept": f.intercept,
-                "r_squared": f.r_squared,
-                "n_points": f.n_points,
-            }
-            for name, f in fits.items()
-        },
+        "fits": {name: asdict(f) for name, f in fits.items()},
         "verdict": {
             "s": verdict.s_exp,
             "r": verdict.r_exp,

@@ -7,17 +7,20 @@ so the suite pays for them once per mode.
 """
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from knappflow import acceptance, amplitudes, construction
+from knappflow import acceptance, amplitudes, construction, sweep
 from knappflow._kernels import mult_values
 from knappflow.construction import make_params
 from knappflow.sweep import (
+    LEDGER,
     VERDICT_MARGIN,
     fit_series,
+    predicted_exponent,
     records_from_core,
     run_sweep,
     smoothness_verdict,
@@ -26,17 +29,21 @@ from knappflow.sweep import (
 from knappflow.symbols import duhamel_multiplier
 
 
-def _check(result):
+def _check(result, detail):
+    """Pass, with the ``verify`` detail line pinned but for its runtime."""
     print(result.line())
     assert result.passed, result.line()
+    assert re.sub(r"runtime \d+\.\d+s", "runtime <t>s", result.detail) == detail
 
 
 def test_criterion_01_multiplier_oracle():
-    result = acceptance.criterion_multiplier_oracle()
-    _check(result)
     # Simpson's own error at n_steps = 4096: a changed rule or multiplier
     # moves it
-    assert result.detail.startswith("max deviation 2.283e-12 ")
+    _check(
+        acceptance.criterion_multiplier_oracle(),
+        "max deviation 2.283e-12 relative to scale t (tol 1e-09) over 10^4 pairs with "
+        "|t*omega| <= 100; runtime <t>s (limit 5s)",
+    )
 
 
 def test_criterion_01_pairs_take_the_sweeps_multiplier_bit_for_bit():
@@ -54,13 +61,18 @@ def test_criterion_01_pairs_take_the_sweeps_multiplier_bit_for_bit():
 
 
 def test_criterion_02_curl_identity():
-    _check(acceptance.criterion_curl_identity())
+    _check(
+        acceptance.criterion_curl_identity(),
+        "max relative deviation 2.217e-16 (tol 1e-12) at 1000 support points",
+    )
 
 
 def test_criterion_03_quadrature_closed_forms():
-    result = acceptance.criterion_quadrature_closed_forms()
-    _check(result)
-    assert "(tol 4.6e-13)" in result.detail and "(tol 3.6e-12)" in result.detail
+    _check(
+        acceptance.criterion_quadrature_closed_forms(),
+        "max relative error 2.515e-16 at default grids (tol 4.6e-13), 3.772e-16 at doubled "
+        "grids (tol 3.6e-12), 6 closed forms",
+    )
 
 
 @pytest.mark.parametrize("grid, passed", [((2, 2, 2), False), ((3, 2, 2), True)])
@@ -76,19 +88,24 @@ def test_criterion_03_fails_where_the_rule_is_not_exact(monkeypatch, grid, passe
 
 
 def test_criterion_04_kernel_nonnegativity():
-    _check(acceptance.criterion_kernel_nonnegativity())
+    _check(
+        acceptance.criterion_kernel_nonnegativity(),
+        "0 negative weights over 4 x 10^5 admissible pairs (minimum weight 1.593e-12)",
+    )
 
 
 def test_criterion_05_amplitude_realness():
-    _check(acceptance.criterion_realness())
+    _check(
+        acceptance.criterion_realness(),
+        "max |Im(4i*F)| / |4i*F| = 1.364e-21 (tol 1e-08) at 100 (xi, k) pairs",
+    )
 
 
 def test_criterion_06_resonance_separation():
-    result = acceptance.criterion_resonance_separation()
-    _check(result)
-    assert result.detail == (
+    _check(
+        acceptance.criterion_resonance_separation(),
         "resonant max |omega| = 0.5 ulp(2 lam) (need <= 2), "
-        "nonresonant min |omega|/lam = 2.000 (need >= 0.5), k = 1..10"
+        "nonresonant min |omega|/lam = 2.000 (need >= 0.5), k = 1..10",
     )
 
 
@@ -112,27 +129,21 @@ def test_criterion_06_fails_where_transverse_squares_count(monkeypatch):
 
 
 def test_criterion_07_amplitude_scaling():
-    _check(acceptance.criterion_amplitude_scaling())
+    _check(
+        acceptance.criterion_amplitude_scaling(),
+        "slab slope 1.0000 (want 1.00 +/- 0.10), surface slope 0.5000 (want 0.50 +/- 0.10); "
+        "sup_amp/(eps*lam) in [5.997e-24, 5.997e-24]; sweep runtime <t>s (limit 600s)",
+    )
 
 
 def test_criterion_08_data_norm_scaling():
-    _check(acceptance.criterion_norm_scaling())
-
-
-def test_criterion_08_checks_the_product_norm_slope(monkeypatch):
-    # a product norm half a power of lam off its derived slope must fail
-    records = acceptance._records
-
-    def scaled(mode, s_exp, r_exp):
-        return tuple(
-            replace(rec, norms=replace(rec.norms, norm_product=rec.norms.norm_product * rec.lam**0.5))
-            for rec in records(mode, s_exp, r_exp)
-        )
-
-    monkeypatch.setattr(acceptance, "_records", scaled)
-    result = acceptance.criterion_norm_scaling()
-    assert not result.passed
-    assert "product r=-0.25: slope 3.2500 vs 2.75" in result.detail
+    _check(
+        acceptance.criterion_norm_scaling(),
+        "derivative-norm slopes {r=-0.5: 1.0000, r=-0.25: 1.2500, r=0.0: 1.5000} (want r + "
+        "1.5 +/- 0.05); product-norm slope 2.7500 at r=-0.25 (want r + 3 = 2.75 +/- 0.05: "
+        "lam^2 overlap volume on a lam^2 support, derived in "
+        "acceptance.criterion_norm_scaling)",
+    )
 
 
 @pytest.mark.parametrize("number", [7, 8, 9, 10, 11])
@@ -166,7 +177,10 @@ def test_scaling_criteria_fit_only_unflagged_records(monkeypatch, number):
     assert (got.passed, got.detail) == (want.passed, want.detail)
 
 
-@pytest.mark.parametrize("mode, d1a2_slope", [("slab", 2.0), ("surface", 1.75)])
+@pytest.mark.parametrize(
+    "mode, d1a2_slope",
+    [(m, predicted_exponent(m, "norm_d1a2", 0.0, 0.0)) for m in ("slab", "surface")],
+)
 def test_second_datum_norm_outgrows_the_verdict_norm(mode, d1a2_slope):
     # the verdict divides by norm_total, the first datum's curl block; the
     # second datum's norm_d1a2 grows faster, not slower, on this geometry
@@ -175,29 +189,41 @@ def test_second_datum_norm_outgrows_the_verdict_norm(mode, d1a2_slope):
     d1a2 = fit_series(recs, "norm_d1a2")
     total = fit_series(recs, "norm_total")
     assert d1a2.slope == pytest.approx(r_exp + d1a2_slope, abs=1e-6)
-    assert total.slope == pytest.approx(r_exp + 1.5, abs=1e-6)
+    want = predicted_exponent(mode, "norm_total", 0.5, r_exp)
+    assert total.slope == pytest.approx(want, abs=1e-6)
     assert all(r.norms.norm_d1a2 > 1e8 * r.norms.norm_total for r in recs)
 
 
 def test_criterion_09_output_norm_scaling():
-    _check(acceptance.criterion_output_scaling())
+    _check(
+        acceptance.criterion_output_scaling(),
+        "slope 2.5000 (want 2.5 +/- 0.15, r^2 = 1.000000)",
+    )
 
 
 def test_criterion_10_verdict_consistency():
-    _check(acceptance.criterion_verdict_consistency())
+    _check(
+        acceptance.criterion_verdict_consistency(),
+        "(s=0.5, r=-0.5): measured +0.500, fails=True (want True); "
+        "(s=1.0, r=-0.25): measured +0.500, fails=True (want True); "
+        "(s=0.75, r=-0.375): measured +0.500, fails=True (want True); "
+        "(s=0.5, r=-0.25): measured +0.000, fails=False (want False)",
+    )
 
 
 def test_verdict_over_the_s_r_plane():
     # criterion 10 checks four (s, r) pairs; the same cached slab lattice,
-    # scored over a 7 x 11 grid, measures s - 1 - 2r at every pair, its
-    # least-squares plane is (1, -2, -1), and off the margin the verdict
-    # is the sign of the prediction
+    # scored over a 7 x 11 grid, measures the ledger's slab ratio at every
+    # pair, its least-squares plane is the ledger's, and off the margin
+    # the verdict is the sign of the prediction.  The prediction keeps
+    # the bits of the formula the ledger replaced.
     cores, _ = acceptance._core("slab")
     pairs = [(s, r) for s in np.linspace(0.0, 1.5, 7) for r in np.linspace(-1.0, 0.5, 11)]
     measured, skipped = [], 0
     for s, r in pairs:
         verdict = smoothness_verdict(s, r, records_from_core(list(cores), s, r))
-        analytic = s - 1.0 - 2.0 * r
+        analytic = predicted_exponent("slab", "ratio", s, r)
+        assert verdict.analytic_ratio_exponent == analytic == s - 1.0 - 2.0 * r, (s, r)
         assert abs(verdict.measured_ratio_exponent - analytic) <= 1e-8, (s, r)
         measured.append(verdict.measured_ratio_exponent)
         if abs(analytic) > VERDICT_MARGIN:
@@ -207,76 +233,53 @@ def test_verdict_over_the_s_r_plane():
     assert skipped == 2
     design = np.array([(s, r, 1.0) for s, r in pairs])
     plane = np.linalg.lstsq(design, np.array(measured), rcond=None)[0]
-    assert np.abs(plane - (1.0, -2.0, -1.0)).max() <= 1e-8
-
-
-# Each series' predicted exponent of lam as (s coefficient, r coefficient,
-# constant), derived in test_exponent_ledger's docstring.  A series is
-# named by its CSV/JSON column, which sweep.fit_series reads; "ratio" is
-# the verdict's measured ratio exponent.
-LEDGER = {
-    "slab": {
-        "sup_amp": (0, 0, 1.0),
-        "res_amp": (0, 0, 1.0),
-        "norm_d2a1": (0, 1, 1.5),
-        "norm_total": (0, 1, 1.5),
-        "norm_d1a2": (0, 1, 2.0),
-        "norm_product": (0, 1, 3.0),
-        "output_norm": (1, 0, 2.0),
-        "ratio": (1, -2, -1.0),
-    },
-    "surface": {
-        "sup_amp": (0, 0, 0.5),
-        "res_amp": (0, 0, 0.5),
-        "norm_d2a1": (0, 1, 1.5),
-        "norm_total": (0, 1, 1.5),
-        "norm_d1a2": (0, 1, 1.75),
-        "norm_product": (0, 1, 2.5),
-        "output_norm": (1, 0, 1.5),
-        "ratio": (1, -2, -1.5),
-    },
-}
+    want = [predicted_exponent("slab", "ratio", s, r) for s, r in pairs]
+    assert np.abs(plane - np.linalg.lstsq(design, np.array(want), rcond=None)[0]).max() <= 1e-8
 
 
 @pytest.mark.parametrize("s_exp, r_exp", [(0.5, -0.25), (1.0, -0.5), (0.5, 0.0)])
 @pytest.mark.parametrize("mode", ["slab", "surface"])
 def test_exponent_ledger(mode, s_exp, r_exp):
-    """Every k = 1..10 fit against the exponent the box sides predict.
+    """Every k = 1..10 fit against ``sweep.LEDGER``'s prediction.
 
-    The volume boxes W and W2 have sides of order ``(lam, lam^1/2,
-    lam^1/2)``, so measure ``lam^2``.  The planar box W' has the same
-    first two sides; in slab mode its thickness is of order ``lam^1/2``
-    (measure ``lam^2``), in surface mode it carries the 2-D measure
-    ``lam^3/2``.  On every box ``<xi>`` is of order ``lam``.
-
-    - Amplitudes (``sup_amp``, ``res_amp``): the time is ``t = eps
-      lam^-1/2``, so the resonant multiplier is of order ``lam^-1/2``;
-      the kernel weight is 5 frequency factors over 5 norms, one of them
-      transverse, so ``lam^-1/2``; and the admissible region is a box of
-      W's sides cut by W', so ``lam^2`` (slab) or ``lam^3/2`` (surface).
-      Exponent 1 (slab), 1/2 (surface).
-    - First datum (``norm_d2a1``, ``norm_total``): ``lam^r`` times the
-      transverse ``xi2`` or ``xi3``, ``lam^1/2``, times the square root
-      of W2's measure, ``lam``.  Exponent ``r + 3/2`` in both modes.
-    - Second datum (``norm_d1a2``): ``lam^r`` times ``xi1``, ``lam``,
-      times the square root of the measure of W'.  Exponent ``r + 2``
-      (slab), ``r + 7/4`` (surface).
-    - Product norm: the convolution of W2 with -W' is as high as the
-      measure of their overlap, ``lam^2`` (slab) or ``lam^3/2``
-      (surface), on a support of measure ``lam^2``.  Exponent ``r + 3``
-      (slab), ``r + 5/2`` (surface).
-    - Output norm: the amplitude's exponent, plus s, plus 1 from the
-      square root of the sampling box's measure ``lam^2``.  Exponent
-      ``s + 2`` (slab), ``s + 3/2`` (surface).
-    - The verdict's ratio, output over ``norm_total`` squared: ``s - 1 -
-      2r`` (slab), and ``s - 3/2 - 2r`` (surface).
+    Each row is derived from the box sides in ``predicted_exponent``;
+    "ratio" is the verdict's measured ratio exponent.
     """
     recs = acceptance._records(mode, s_exp, r_exp)
     assert len(recs) == 10 and not any(rec.is_excluded() for rec in recs)
-    slopes = {name: fit_series(recs, name).slope for name in LEDGER[mode] if name != "ratio"}
+    assert set(LEDGER) - {"ratio"} <= set(sweep._SERIES)
+    slopes = {name: fit_series(recs, name).slope for name in LEDGER if name != "ratio"}
     slopes["ratio"] = smoothness_verdict(s_exp, r_exp, list(recs)).measured_ratio_exponent
-    for name, (a, b, c) in LEDGER[mode].items():
-        assert slopes[name] == pytest.approx(a * s_exp + b * r_exp + c, abs=1e-6), name
+    for name, slope in slopes.items():
+        assert slope == pytest.approx(predicted_exponent(mode, name, s_exp, r_exp), abs=1e-6), name
+
+
+# Each row of sweep.LEDGER that a criterion reads: the criterion, and
+# what its detail says once the row is raised by half a power of lam.
+LEDGER_READERS = {
+    ("sup_amp", "slab"): (7, "slab slope 1.0000 (want 1.50 +/- 0.10)"),
+    ("sup_amp", "surface"): (7, "surface slope 0.5000 (want 1.00 +/- 0.10)"),
+    ("norm_d2a1", "slab"): (8, "slope 1.2500 vs 1.75"),
+    ("norm_product", "slab"): (8, "product r=-0.25: slope 2.7500 vs 3.25"),
+    ("output_norm", "slab"): (9, "slope 2.5000 (want 3.0 +/- 0.15"),
+    ("ratio", "slab"): (10, "measured +0.000, fails=False (want True)"),
+}
+
+
+@pytest.mark.parametrize("name, mode", list(LEDGER_READERS))
+def test_criteria_read_the_ledger(monkeypatch, name, mode):
+    # the raised row fails the criterion that reads it; with the slab
+    # ratio row raised, criterion 10 wants (0.5, -0.25) to fail, and the
+    # verdict's analytic exponent follows the row in both modes
+    number, moved = LEDGER_READERS[name, mode]
+    a, b, c = LEDGER[name][mode]
+    monkeypatch.setitem(LEDGER[name], mode, (a, b, c + 0.5))
+    result = acceptance.CRITERIA[number - 1]()
+    assert not result.passed and moved in result.detail
+    if name == "ratio":
+        for m in ("slab", "surface"):
+            verdict = smoothness_verdict(0.5, -0.25, list(acceptance._records(m, 0.5, -0.25)))
+            assert verdict.analytic_ratio_exponent == 0.5
 
 
 # The 27-point output norm over the 729-point one, at (0.5, -0.25).
@@ -343,4 +346,8 @@ def test_surface_mode_is_the_thin_slab_limit(monkeypatch, factor):
 
 
 def test_criterion_11_nonresonant_envelope():
-    _check(acceptance.criterion_envelope())
+    _check(
+        acceptance.criterion_envelope(),
+        "envelope slope 0.5000 (need <= 0.6); resonant dominance min |res|/|nonres| = "
+        "667086.7 (need >= 5)",
+    )

@@ -31,7 +31,7 @@ from knappflow.boxes import (
 )
 from knappflow.construction import DEFAULT_GRID, kernels, make_params
 from knappflow.errors import InvalidParameterError
-from knappflow.sweep import fit_exponent, records_from_core, sweep_core
+from knappflow.sweep import fit_exponent, predicted_exponent, records_from_core, sweep_core
 from knappflow.symbols import SIGN_TRIPLES, SIGNS_ARRAY, SignTriple, omega_all
 from regions import one_region
 
@@ -539,7 +539,7 @@ def test_column_norms_equal_numpys_summed_squares(seed):
 
 @pytest.mark.parametrize("counts", [(6, 5, 4), (3, 1, 1)])
 @pytest.mark.parametrize("mode", ["slab", "surface"])
-def test_per_grid_time_and_cut_equal_one_call_per_grid(monkeypatch, mode, counts):
+def test_per_grid_time_equals_one_call_per_grid(monkeypatch, mode, counts):
     # both support pairs' grids at 2 points of each of 3 windows, each
     # grid with its window's t, the windows taking turns; with 7-node
     # blocks, two 3-node grids of different windows share a block
@@ -940,10 +940,14 @@ def test_product_norm_equals_per_cell_reference(mode, k):
         assert got == product_norm_reference(a, b, r, SMALL_GRID)
 
 
-@pytest.mark.parametrize("mode, offset", [("slab", 3.0), ("surface", 2.5)])
+@pytest.mark.parametrize(
+    "mode, offset",
+    [(m, predicted_exponent(m, "norm_product", 0.0, 0.0)) for m in ("slab", "surface")],
+)
 def test_product_norm_slope_is_derived_from_the_box_sides(mode, offset):
-    # acceptance.criterion_norm_scaling derives lam^(r + 3) from a lam^2
-    # overlap volume on a lam^2 support; a surface loses the lam^1/2 side
+    # sweep.LEDGER's norm_product rows, derived in
+    # acceptance.criterion_norm_scaling from a lam^2 overlap volume on a
+    # lam^2 support; a surface loses the lam^1/2 side
     ps = [make_params(EPS, RHO, k, mode=mode) for k in range(1, 11)]
     for r in R_GRID:
         fit = fit_exponent([(p.lam, norm_report(p, r).norm_product) for p in ps])

@@ -1,13 +1,16 @@
-"""The package root's public names, and the README's library example."""
+"""The package root's public names, the README's library example, and
+checks on the package source and the CI workflow."""
 
 import ast
+import json
 import re
 from pathlib import Path
 
 import knappflow
 from knappflow import amplitudes
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+REPO = Path(__file__).resolve().parents[1]
+README = REPO / "README.md"
 PACKAGE = Path(knappflow.__file__).resolve().parent
 
 PUBLIC = {
@@ -97,3 +100,35 @@ def test_every_exponent_fit_goes_through_fit_series():
     assert callers == [("sweep.py", "fit_series")]
     assert mentions == 2  # its definition and its one call
     assert "is_excluded" not in (PACKAGE / "acceptance.py").read_text()
+
+
+def test_ci_runs_every_benchmark_workload_untraced():
+    # the workflow's benchmark loop runs one "<workload> <trace>" pair per
+    # run; a workload added to BENCHMARK.json must be run there with
+    # --trace 0 at least once, so that its "correct" check gates CI
+    workflow = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
+    (loop,) = re.findall(r"^ *for run in (.*); do$", workflow, flags=re.M)
+    assert '--workload "$1"' in workflow and '--trace "$2"' in workflow
+    runs = [run.split() for run in re.findall(r'"([^"]*)"', loop)]
+    untraced = {name for name, trace in runs if trace == "0"}
+    benchmark = json.loads((REPO / "BENCHMARK.json").read_text())
+    assert {w["name"] for w in benchmark["workloads"]} <= untraced
+
+
+def test_readme_ledger_table_is_sweep_ledger():
+    # the README's field x mode table restates sweep.LEDGER for readers;
+    # each cell, evaluated at two (s, r) pairs, is the row's prediction
+    from knappflow.sweep import LEDGER, predicted_exponent
+
+    header = r"^\| series \| slab \| surface \|\n\|.*\n"
+    (table,) = re.findall(header + r"((?:\|.*\n)+)", README.read_text(), flags=re.M)
+    seen = set()
+    for names, *cells in (row.strip("| ").split(" | ") for row in table.splitlines()):
+        for name in re.findall(r"`(\w+)`", names):
+            seen.add(name)
+            for mode, cell in zip(("slab", "surface"), cells):
+                for s, r in ((0.5, -0.25), (1.25, 0.75)):
+                    expr = re.sub(r"(\d)([sr])", r"\1*\2", cell)
+                    got = eval(expr, {"__builtins__": {}, "s": s, "r": r})
+                    assert got == predicted_exponent(mode, name, s, r), (name, mode)
+    assert seen == set(LEDGER)
