@@ -28,14 +28,14 @@ class Box3:
     such a box carries 2-D measure on its two non-degenerate axes.  A
     volume box may still have zero-length axes (then its measure is 0 --
     degeneracy does not silently promote it to a surface).  Membership
-    tests on a surface axis allow an absolute slack of ``surface_tol``.
+    on a surface axis is exact: a coordinate lies on the surface only
+    when it equals the axis's point.
     """
 
     ax1: tuple[float, float]
     ax2: tuple[float, float]
     ax3: tuple[float, float]
     surface_axis: int | None = None
-    surface_tol: float = 0.0
 
     def __post_init__(self) -> None:
         for lo, hi in self.axes:
@@ -43,10 +43,6 @@ class Box3:
                 raise InvalidParameterError("box endpoints must be finite")
             if lo > hi:
                 raise InvalidParameterError(f"empty axis interval ({lo}, {hi})")
-        if not (math.isfinite(self.surface_tol) and self.surface_tol >= 0.0):
-            raise InvalidParameterError(
-                f"surface_tol must be finite and nonnegative, got {self.surface_tol}"
-            )
         if self.surface_axis is not None:
             if self.surface_axis not in (0, 1, 2):
                 raise InvalidParameterError("surface_axis must be 0, 1 or 2")
@@ -97,20 +93,14 @@ def box_scale(b: Box3, c: float) -> Box3:
     for lo, hi in b.axes:
         a, z = c * lo, c * hi
         axes.append((a, z) if a <= z else (z, a))
-    return Box3(
-        ax1=axes[0],
-        ax2=axes[1],
-        ax3=axes[2],
-        surface_axis=b.surface_axis,
-        surface_tol=abs(c) * b.surface_tol,
-    )
+    return Box3(*axes, surface_axis=b.surface_axis)
 
 
 class EtaRegions(NamedTuple):
     """Admissible eta-regions of P output frequencies against one support pair.
 
     Row j is the box with per-axis bounds ``lo[j]``, ``hi[j]`` (shape
-    ``(P, 3)`` each), sharing ``surface_axis`` and ``surface_tol``.
+    ``(P, 3)`` each), sharing ``surface_axis``.
     ``found[j]`` is True exactly when the row carries measure; where it
     is False the row's bounds are meaningless.
     """
@@ -119,15 +109,15 @@ class EtaRegions(NamedTuple):
     hi: np.ndarray
     found: np.ndarray
     surface_axis: int | None
-    surface_tol: float
 
 
 def admissible_eta_region(xi, a: Box3, b: Box3) -> EtaRegions:
     """The eta-sets where ``xi - eta`` lies in ``a`` and ``eta`` lies in ``b``.
 
     For P output frequencies ``xi`` (shape ``(P, 3)``) returns each row's
-    ``(xi - a) ∩ b`` as ``EtaRegions`` bounds arrays.  A surface axis of
-    either operand pins that coordinate; the region then carries 2-D
+    ``(xi - a) ∩ b`` as ``EtaRegions`` bounds arrays.  At most one
+    operand may be a surface box.  Its surface axis pins that coordinate,
+    tested by exact interval arithmetic, and the region then carries 2-D
     measure on the remaining axes.  A row is found exactly when it
     carries measure: every other axis must have ``lo < hi``, so a region
     that is a single point along a volume axis, in a volume or a surface
@@ -136,14 +126,9 @@ def admissible_eta_region(xi, a: Box3, b: Box3) -> EtaRegions:
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 2 or xi.shape[1] != 3:
         raise InvalidParameterError("xi must be an array of 3-vectors")
-    if (
-        a.surface_axis is not None
-        and b.surface_axis is not None
-        and a.surface_axis != b.surface_axis
-    ):
-        raise InvalidParameterError("operands with distinct surface axes are unsupported")
+    if a.surface_axis is not None and b.surface_axis is not None:
+        raise InvalidParameterError("at most one operand may be a surface box")
     surface_axis = a.surface_axis if a.surface_axis is not None else b.surface_axis
-    tol = max(a.surface_tol, b.surface_tol)
     lo = np.empty_like(xi)
     hi = np.empty_like(xi)
     found = np.ones(len(xi), dtype=bool)
@@ -152,22 +137,19 @@ def admissible_eta_region(xi, a: Box3, b: Box3) -> EtaRegions:
         b_lo, b_hi = b.axes[i]
         x = xi[:, i]
         if i == surface_axis:
-            if i == a.surface_axis and i == b.surface_axis:
-                found &= ~(np.abs((x - a_lo) - b_lo) > tol)
-                point = np.full(len(xi), b_lo)
-            elif i == a.surface_axis:
+            if i == a.surface_axis:
                 point = x - a_lo
-                found &= (b_lo - tol <= point) & (point <= b_hi + tol)
+                found &= (b_lo <= point) & (point <= b_hi)
             else:
                 point = np.full(len(xi), b_lo)
-                found &= (x - a_hi - tol <= point) & (point <= x - a_lo + tol)
+                found &= (x - a_hi <= point) & (point <= x - a_lo)
             lo[:, i] = hi[:, i] = point
         else:
             # xi - a reverses the interval: [xi_i - a_hi, xi_i - a_lo].
             lo[:, i] = np.maximum(x - a_hi, b_lo)
             hi[:, i] = np.minimum(x - a_lo, b_hi)
             found &= lo[:, i] < hi[:, i]
-    return EtaRegions(lo, hi, found, surface_axis, tol)
+    return EtaRegions(lo, hi, found, surface_axis)
 
 
 def _legval(x: np.ndarray, c) -> np.ndarray:

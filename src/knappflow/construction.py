@@ -11,10 +11,10 @@ The bilinear interaction splits into four admissible-support terms (two
 per transverse axis).  Their weights are written with all signs folded
 in, so each weight is nonnegative on its own support pair.
 
-Every Knapp number lives here: the widths of ``W`` and ``W'``, the
-surface tolerance, the slab thickness and the sampling window, each as
-a multiple of a power of ``lam``.  ``boxes`` holds only box algebra and
-quadrature.
+Every Knapp number lives here: the widths of ``W`` and ``W'`` and the
+slab thickness, each as a multiple of a power of ``lam``.  Every box of
+a configuration, the sampling window included, derives from ``W``.
+``boxes`` holds only box algebra and quadrature.
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ from .errors import InvalidParameterError, WindowEmptyError
 AXIAL_HALF_WIDTH = 1e-6
 TRANSVERSE_LO = 1e-9
 TRANSVERSE_HI = 1e-6
-# Absolute tolerance for membership on a degenerate (surface) axis is
-# SURFACE_TOL_FACTOR * sqrt(lam): far below the transverse box scale.
-SURFACE_TOL_FACTOR = 1e-9
 # rho must cover the spread of |xi|/lam over W: AXIAL_HALF_WIDTH per
 # side along axis 1 plus transverse corrections bounded by TRANSVERSE_HI**2.
 RHO_MIN = AXIAL_HALF_WIDTH + TRANSVERSE_HI**2
@@ -107,13 +104,7 @@ class KnappParams:
         ax1, rt = self.w_box.ax1, np.sqrt(self.lam)
         ax2 = (-TRANSVERSE_HI * rt, TRANSVERSE_HI * rt)
         if self.thickness is None:
-            return Box3(
-                ax1=ax1,
-                ax2=ax2,
-                ax3=(0.0, 0.0),
-                surface_axis=2,
-                surface_tol=SURFACE_TOL_FACTOR * rt,
-            )
+            return Box3(ax1=ax1, ax2=ax2, ax3=(0.0, 0.0), surface_axis=2)
         half = self.thickness / 2.0
         return Box3(ax1=ax1, ax2=ax2, ax3=(-half, half))
 
@@ -126,19 +117,14 @@ class KnappParams:
     def samp_box(self) -> Box3:
         """Output sampling sub-box of W where all four terms are active.
 
-        The floor of axis 3 is doubled so the planar constraint can be
-        met from both operand orders at every sampled point.  The window
-        is written out rather than read from ``TRANSVERSE_LO`` and
-        ``TRANSVERSE_HI``: the wide-box tests widen ``W`` alone and pin
-        figures of this sampling window.
+        It is ``W`` with its axis-3 floor doubled.  A planar term pins
+        the planar operand's axis-3 coordinate to 0, so the operand in
+        ``2W`` carries all of ``xi3``; the doubled floor keeps every
+        sampled ``xi3`` in ``2W``'s axis-3 interval, in both operand
+        orders.
         """
         w = self.w_box
-        rt = math.sqrt(self.lam)
-        return Box3(
-            ax1=w.ax1,
-            ax2=(1e-9 * rt, 1e-6 * rt),
-            ax3=(2e-9 * rt, 1e-6 * rt),
-        )
+        return Box3(w.ax1, w.ax2, (2.0 * w.ax3[0], w.ax3[1]))
 
 
 def window_index(k) -> int:

@@ -29,7 +29,6 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from operator import attrgetter
-from pathlib import Path
 
 import numpy as np
 
@@ -464,11 +463,6 @@ def csv_lines(records: list[SweepRecord]) -> list[str]:
     return [",".join(CSV_COLUMNS), *rows]
 
 
-def write_csv(records: list[SweepRecord], path) -> None:
-    """Write records as CSV to ``path``; identical records give identical bytes."""
-    Path(path).write_text("\n".join(csv_lines(records)) + "\n", newline="")
-
-
 def record_to_dict(r: SweepRecord) -> dict:
     return {name: fmt[1](get(r)) for name, get, fmt, _ in _RECORD_FIELDS}
 
@@ -504,7 +498,3 @@ def build_report(
 
 def report_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
-def write_report(report: dict, path) -> None:
-    Path(path).write_text(report_json(report), newline="")

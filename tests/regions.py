@@ -11,8 +11,4 @@ def one_region(xi, a: Box3, b: Box3) -> Box3 | None:
     rows = admissible_eta_region(np.asarray(xi, dtype=float)[None, :], a, b)
     if not rows.found[0]:
         return None
-    return Box3(
-        *zip(rows.lo[0].tolist(), rows.hi[0].tolist()),
-        surface_axis=rows.surface_axis,
-        surface_tol=rows.surface_tol,
-    )
+    return Box3(*zip(rows.lo[0].tolist(), rows.hi[0].tolist()), surface_axis=rows.surface_axis)

@@ -570,24 +570,55 @@ def test_per_grid_time_equals_one_call_per_grid(monkeypatch, mode, counts):
             assert got[j].tobytes() == want[0].tobytes()
 
 
+@pytest.mark.parametrize("counts", [(2, 1, 1), (4, 2, 2), (32, 16, 16)])
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_term_sums_are_exactly_dilation_covariant(mode, k, counts):
+    # dilating the nodes and output frequencies by mu = 2^j, the weights
+    # by mu^3 (slab) or mu^2 (surface) and dividing t by mu multiplies
+    # every total and envelope by mu^2 (slab) or mu (surface), bit for
+    # bit: the kernel weight has degree 0, m(t/mu, mu omega) is
+    # m(t, omega) / mu, and a power of two scales every float exactly.
+    # The lattice's two extreme corners and its centre
+    p = make_params(EPS, RHO, k, mode=mode)
+    xis = sample_lattice(p.samp_box)[1][::13]
+    dim = 3 if mode == "slab" else 2
+    for pair in ((0, 2), (1, 3)):
+        a, b = (kernels(p)[i] for i in pair)
+        rows = admissible_eta_region(xis, a.support_a, a.support_b)
+        assert rows.found.all()
+        nodes, weights = quadrature_nodes(rows.lo, rows.hi, counts, rows.surface_axis)
+        nodes, weights = nodes.reshape(-1, 3), weights.reshape(-1)
+        codes = [[a.code, b.code]] * len(xis)
+        tot, env = _kernels.term_sums(nodes, weights, xis, p.t, codes)
+        for j in (-40, -3, 1, 7, 60):
+            mu = 2.0**j
+            got = _kernels.term_sums(
+                mu * nodes, mu**dim * weights, mu * xis, p.t / mu, codes
+            )
+            scale = mu ** (dim - 1)
+            assert got[0].tobytes() == (scale * tot).tobytes(), j
+            assert got[1].tobytes() == (scale * env).tobytes(), j
+
+
 @pytest.mark.parametrize("cap", [0, 1])
 def test_pass_equals_one_window_at_a_time_where_windows_settle_apart(monkeypatch, cap):
     # three windows of one pass on the wide boxes and the (4,2,2) grid of
     # test_lowered_cap_flags_only_unsettled_points: that test's spread
-    # points, the lattice at the acceptance eps and rho (k=1), and the
-    # lattice at eps=0.02, rho=1e-3, k=2 (about the same lam, twice the
-    # time).  At a (4,2,2) ceiling the first is flagged on all 4 terms at
-    # some points, the second nowhere, the third on 2 terms everywhere; at
-    # an (8,4,4) ceiling all settle, the second a level before the others
+    # points, and the lattices of the default-width sampling window at the
+    # acceptance eps and rho (k=1) and at eps=0.02, rho=1e-3, k=2 (about
+    # the same lam, twice the time).  The lattices are taken before the
+    # boxes widen: the wide sampling window reaches regions that need
+    # another level, and no window would settle apart.  At a (4,2,2)
+    # ceiling the first is flagged on all 4 terms at some points, the
+    # second nowhere, the third on 2 terms everywhere; at an (8,4,4)
+    # ceiling all settle, the second a level before the others
+    configs = ((WIDE_EPS, WIDE_RHO, 1), (EPS, RHO, 1), (0.02, 1e-3, 2))
+    lattices = [sample_lattice(make_params(*c).samp_box)[1] for c in configs[1:]]
     wide_boxes(monkeypatch)
     monkeypatch.setattr(amplitudes, "REFINE_CAP", cap)
-    params = [
-        make_params(eps, rho, k, grid=(4, 2, 2))
-        for eps, rho, k in ((WIDE_EPS, WIDE_RHO, 1), (EPS, RHO, 1), (0.02, 1e-3, 2))
-    ]
-    windows = [(params[0], spread_points(params[0]))] + [
-        (p, sample_lattice(p.samp_box)[1]) for p in params[1:]
-    ]
+    params = [make_params(*c, grid=(4, 2, 2)) for c in configs]
+    windows = [(params[0], spread_points(params[0]))] + list(zip(params[1:], lattices))
     served = record_grid_rows(monkeypatch)
     together = [amplitudes._breakdowns(c) for c in amplitudes._lattice_pass(windows)]
     # the calls that served some point of each window
@@ -856,7 +887,7 @@ def test_monomial_powers_must_be_whole_numbers(power):
 
 
 def test_sobolev_norm_surface_is_formal_area_integral():
-    sheet = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.0, 0.0), surface_axis=2, surface_tol=1e-9)
+    sheet = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.0, 0.0), surface_axis=2)
     c = (2.0 * math.pi) ** -1.5
     assert sobolev_norm_monomial(sheet, (0, 0, 0), 0.0) == pytest.approx(c, rel=1e-12)
 
@@ -872,9 +903,7 @@ def test_product_norm_tent_closed_form():
 def test_product_norm_surface_factor_is_indicator():
     # surface sheet against a unit cube: the degenerate axis contributes
     # a shifted indicator instead of an overlap length
-    sheet = Box3(
-        ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.5, 0.5), surface_axis=2, surface_tol=1e-9
-    )
+    sheet = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.5, 0.5), surface_axis=2)
     cube = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.0, 1.0))
     want = (2.0 * math.pi) ** -4.5 * (2.0 / 3.0)  # two tent axes, one indicator axis
     got = product_norm_boxes(sheet, cube, 0.0, nodes_per_axis=(8, 8, 8))

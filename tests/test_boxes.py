@@ -42,18 +42,6 @@ def test_box_validation():
         Box3(ax1=(0.0, 0.0), ax2=(0.0, 1.0), ax3=(0.0, 0.0), surface_axis=2)
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
-def test_surface_tol_must_be_finite_and_nonnegative(tol):
-    # xi - a on the sheet xi3 = 0 never meets the sheet xi3 = 5, but a
-    # nan or infinite slack used to admit a region between the two
-    def sheet(x3, **kw):
-        return Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(x3, x3), surface_axis=2, **kw)
-
-    assert one_region((1.0, 1.0, 0.0), sheet(0.0, surface_tol=1e-9), sheet(5.0)) is None
-    with pytest.raises(InvalidParameterError):
-        sheet(0.0, surface_tol=tol)
-
-
 @given(st.integers(min_value=-6, max_value=6), st.booleans())
 def test_box_scale_round_trip_powers_of_two(e: int, neg: bool):
     # exact in floating point only for powers of two; the general case
@@ -72,7 +60,7 @@ def test_box_scale_round_trip_general():
         for got, want in zip(rt.axes, b.axes):
             assert got[0] == pytest.approx(want[0], rel=1e-12, abs=1e-300)
             assert got[1] == pytest.approx(want[1], rel=1e-12, abs=1e-300)
-    assert box_scale(b, -1.0).surface_tol == b.surface_tol
+    assert box_scale(b, -1.0).surface_axis == b.surface_axis
     with pytest.raises(InvalidParameterError):
         box_scale(b, 0.0)
 
@@ -102,9 +90,6 @@ def test_admissible_region_surface_pinning():
     # xi3 far below the doubled transverse floor of 2W: axis-3 constraint fails
     xi_bad = np.array([3.0 * LAM, 3e-7 * RT, 5e-10 * RT])
     assert one_region(xi_bad, surf, w2) is None
-    # the surface tolerance is an inclusive slack on the pinned value
-    xi_edge = np.array([3.0 * LAM, 3e-7 * RT, 1e-9 * RT])
-    assert one_region(xi_edge, surf, w2) is not None
     xi = np.array([3.0 * LAM, 3e-7 * RT, 5e-7 * RT])
     region = one_region(xi, surf, w2)
     assert region is not None
@@ -116,9 +101,11 @@ def test_admissible_region_surface_pinning():
     region2 = one_region(xi_b, w2, box_scale(surf, -1.0))
     assert region2 is not None
     assert region2.ax3 == (0.0, 0.0)
-    with pytest.raises(InvalidParameterError):
-        bad = Box3(ax1=(0.0, 0.0), ax2=(0.0, 1.0), ax3=(0.0, 1.0), surface_axis=0)
-        one_region((0.0, 0.0, 0.0), bad, surf)
+    # at most one operand may be a surface box, on one axis or two
+    other_axis = Box3(ax1=(0.0, 0.0), ax2=(0.0, 1.0), ax3=(0.0, 1.0), surface_axis=0)
+    for a, b in ((surf, box_scale(surf, -1.0)), (other_axis, surf)):
+        with pytest.raises(InvalidParameterError, match="at most one operand"):
+            one_region((0.0, 0.0, 0.0), a, b)
 
 
 def test_admissible_region_surface_with_collapsed_axis_is_empty():
@@ -138,18 +125,17 @@ def test_admissible_region_surface_with_collapsed_axis_is_empty():
 def _region_reference(xi, a, b):
     """``(xi - a) ∩ b`` for one xi, axis by axis with scalar max/min."""
     surface_axis = a.surface_axis if a.surface_axis is not None else b.surface_axis
-    tol = max(a.surface_tol, b.surface_tol)
     axes = []
     for i in range(3):
         (a_lo, a_hi), (b_lo, b_hi) = a.axes[i], b.axes[i]
         if i == surface_axis:
             if i == a.surface_axis:
                 point = xi[i] - a_lo
-                if not (b_lo - tol <= point <= b_hi + tol):
+                if not (b_lo <= point <= b_hi):
                     return None
             else:
                 point = b_lo
-                if not (xi[i] - a_hi - tol <= point <= xi[i] - a_lo + tol):
+                if not (xi[i] - a_hi <= point <= xi[i] - a_lo):
                     return None
             axes.append((point, point))
             continue
@@ -157,7 +143,7 @@ def _region_reference(xi, a, b):
         if not lo < hi:
             return None
         axes.append((lo, hi))
-    return Box3(*axes, surface_axis=surface_axis, surface_tol=tol)
+    return Box3(*axes, surface_axis=surface_axis)
 
 
 def _support_pairs():
@@ -171,16 +157,11 @@ def _support_pairs():
 
 
 def _axis_values(a, b, i):
-    """xi_i near the region's edges along axis i: the four endpoint sums,
-    the surface tolerance boundaries with their neighbours, and anything
-    in between."""
+    """xi_i near the region's edges along axis i: the four endpoint sums
+    (on a surface axis, the ends of the pinned interval) with their
+    neighbours, and anything in between."""
     (a_lo, a_hi), (b_lo, b_hi) = a.axes[i], b.axes[i]
-    tol = max(a.surface_tol, b.surface_tol)
     edges = [a_lo + b_lo, a_lo + b_hi, a_hi + b_lo, a_hi + b_hi]
-    if i == a.surface_axis:
-        edges += [b_lo - tol, b_hi + tol]
-    if i == b.surface_axis:
-        edges += [a_lo - tol, a_hi + tol]
     edges += [np.nextafter(x, s) for x in list(edges) for s in (-np.inf, np.inf)]
     span = max(edges) - min(edges)
     return st.one_of(
@@ -204,23 +185,24 @@ def test_region_rows_match_one_point_regions(pair, data):
         if region is not None:
             assert tuple(zip(rows.lo[j], rows.hi[j])) == region.axes
             assert rows.surface_axis == region.surface_axis
-            assert rows.surface_tol == region.surface_tol
             assert region.measure > 0.0
 
 
-def test_region_rows_cover_collapse_and_tolerance_edges():
+def test_region_rows_cover_collapse_and_surface_edges():
     # the cases the property above must meet: a volume axis collapsed to
-    # one point (measure 0, no region, in surface and in slab mode) and
-    # xi3 exactly on the inclusive surface tolerance boundary
-    surf_pair, _, slab_pair, _ = _support_pairs()
+    # one point (measure 0, no region, in surface and in slab mode) and,
+    # in either operand order, xi3 exactly on 2W's axis-3 floor: the
+    # surface axis is tested exactly, so the next float below is out
+    surf_pair, surf_swapped, slab_pair, _ = _support_pairs()
     for a, b in (surf_pair, slab_pair):
         xi = np.array([a.ax1[0] + b.ax1[0], 3e-7 * RT, 5e-7 * RT])
         rows = admissible_eta_region(xi[None, :], a, b)
         assert rows.lo[0, 0] == rows.hi[0, 0] and not rows.found[0]
-    a, b = surf_pair
-    edge = b.ax3[0] - a.surface_tol
-    xis = np.array([[LAM, 3e-7 * RT, x] for x in (edge, np.nextafter(edge, -np.inf))])
-    assert admissible_eta_region(xis, a, b).found.tolist() == [True, False]
+    floor = knapp().w2_box.ax3[0]
+    assert floor == 2e-9 * RT
+    xis = np.array([[LAM, 3e-7 * RT, x] for x in (floor, np.nextafter(floor, -np.inf))])
+    for a, b in (surf_pair, surf_swapped):
+        assert admissible_eta_region(xis, a, b).found.tolist() == [True, False]
 
 
 def test_minkowski_coverage():

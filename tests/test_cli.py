@@ -12,7 +12,7 @@ import pytest
 import knappflow
 from knappflow import acceptance, cli
 from knappflow.construction import make_params
-from knappflow.sweep import run_sweep, write_csv
+from knappflow.sweep import csv_lines, run_sweep
 
 EPS, RHO = 0.01, 2e-6
 
@@ -284,8 +284,7 @@ def test_sweep_replaces_an_existing_output_with_the_library_bytes(tmp_path, caps
     assert out == f"wrote {csv_path} (3 records)\nwrote {json_path}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.json"]
     records = run_sweep(EPS, RHO, 0.5, -0.25, [1, 2, 3], grid=(8, 4, 4))
-    write_csv(records, tmp_path / "want.csv")
-    assert csv_path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert csv_path.read_bytes() == ("\n".join(csv_lines(records)) + "\n").encode()
 
 
 @pytest.mark.parametrize(

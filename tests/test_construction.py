@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from knappflow import construction
 from knappflow._kernels import term_weight
-from knappflow.boxes import admissible_eta_region, box_scale
+from knappflow.boxes import Box3, admissible_eta_region, box_scale
 from knappflow.construction import (
     RHO_MIN,
     KnappParams,
@@ -294,7 +295,6 @@ def test_box_w_prime_surface_and_slab():
     surf = at_lam().wprime_box
     assert surf.surface_axis == 2
     assert surf.ax3 == (0.0, 0.0)
-    assert surf.surface_tol == pytest.approx(1e-9 * RT)
     # 2D measure: axial times transverse
     assert surf.measure == pytest.approx(2e-6 * LAM * 2e-6 * RT, rel=1e-12)
 
@@ -332,3 +332,34 @@ def test_boxes_are_built_once_per_configuration(mode):
     unread = make_params(EPS, RHO, 3, mode=mode)
     assert p == unread and hash(p) == hash(unread)
     assert p == dataclasses.replace(p) and p != dataclasses.replace(p, k=4)
+
+
+def bits(box):
+    return np.array(box.axes).tobytes(), box.surface_axis
+
+
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_sampling_box_follows_the_widths_of_w(monkeypatch, mode):
+    # the sampling window is W with its axis-3 floor doubled, whatever
+    # widths W is built with
+    monkeypatch.setattr(construction, "AXIAL_HALF_WIDTH", 5e-3)
+    monkeypatch.setattr(construction, "TRANSVERSE_LO", 3e-8)
+    monkeypatch.setattr(construction, "TRANSVERSE_HI", 1.0)
+    p = make_params(0.1, 1.2e-2, 1, mode=mode)
+    w = p.w_box
+    assert w.ax2 == (3e-8 * math.sqrt(p.lam), 1.0 * math.sqrt(p.lam))
+    assert bits(p.samp_box) == bits(Box3(w.ax1, w.ax2, (2.0 * w.ax3[0], w.ax3[1])))
+
+
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_sampling_box_has_the_bits_of_the_written_out_window(mode):
+    # at the default widths the derived window is the one once written
+    # out as multiples of sqrt(lam), bit for bit, in every resonance
+    # window of the acceptance eps and rho (k = 1..795)
+    for k in range(1, 796):
+        p = make_params(EPS, RHO, k, mode=mode)
+        rt = math.sqrt(p.lam)
+        want = Box3(p.w_box.ax1, (1e-9 * rt, 1e-6 * rt), (2e-9 * rt, 1e-6 * rt))
+        assert bits(p.samp_box) == bits(want), k
+    with pytest.raises(WindowEmptyError):
+        make_params(EPS, RHO, 796, mode=mode)

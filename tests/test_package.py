@@ -2,8 +2,11 @@
 checks on the package source and the CI workflow."""
 
 import ast
+import dataclasses
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import knappflow
@@ -71,14 +74,18 @@ def test_amplitudes_never_regroups_a_pass():
 
 def test_boxes_holds_no_knapp_geometry():
     # W, W' and their widths live in construction alone; boxes keeps the
-    # box algebra and the quadrature
+    # box algebra and the quadrature, and a surface axis has no slack
     from knappflow import boxes, construction
 
-    geometry = ("AXIAL_HALF_WIDTH", "TRANSVERSE_LO", "TRANSVERSE_HI", "SURFACE_TOL_FACTOR")
-    for name in geometry + ("box_w", "box_w_prime"):
+    geometry = ("AXIAL_HALF_WIDTH", "TRANSVERSE_LO", "TRANSVERSE_HI")
+    for name in geometry + ("box_w", "box_w_prime", "SURFACE_TOL_FACTOR"):
         assert not hasattr(boxes, name), name
     for name in geometry:
         assert isinstance(getattr(construction, name), float), name
+    assert not hasattr(construction, "SURFACE_TOL_FACTOR")
+    fields = tuple(f.name for f in dataclasses.fields(boxes.Box3))
+    assert fields == ("ax1", "ax2", "ax3", "surface_axis")
+    assert boxes.EtaRegions._fields == ("lo", "hi", "found", "surface_axis")
 
 
 def test_every_exponent_fit_goes_through_fit_series():
@@ -113,6 +120,32 @@ def test_ci_runs_every_benchmark_workload_untraced():
     untraced = {name for name, trace in runs if trace == "0"}
     benchmark = json.loads((REPO / "BENCHMARK.json").read_text())
     assert {w["name"] for w in benchmark["workloads"]} <= untraced
+
+
+def test_a_failing_hypothesis_test_does_not_abort_the_run(tmp_path):
+    # on a failing @given test Hypothesis's pytest plugin imports libcst,
+    # which warns that mypy_extensions.TypedDict is deprecated; under the
+    # project's filterwarnings = error that became an INTERNALERROR that
+    # stopped the run before every later test
+    (tmp_path / "test_probe.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n\n\n"
+        "def test_passes():\n"
+        "    pass\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+        + ["-c", str(REPO / "pyproject.toml"), "test_probe.py"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=tmp_path,
+    )
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert proc.returncode == 1
+    assert "1 failed, 1 passed" in proc.stdout.splitlines()[-1]
 
 
 def test_readme_ledger_table_is_sweep_ledger():
