@@ -12,9 +12,12 @@ per transverse axis).  Their weights are written with all signs folded
 in, so each weight is nonnegative on its own support pair.
 
 Every Knapp number lives here: the widths of ``W`` and ``W'`` and the
-slab thickness, each as a multiple of a power of ``lam``.  Every box of
-a configuration, the sampling window included, derives from ``W``.
-``boxes`` holds only box algebra and quadrature.
+slab thickness, each as a multiple of a power of ``lam``.  A
+configuration, ``KnappParams``, is ``(lam, eps, mode, grid)``: the slab
+thickness derives from ``lam`` and ``mode``, and every box, the
+sampling window included, from ``W``.  The resonance window ``(rho, k)``
+only chooses ``lam`` (``make_params``).  ``boxes`` holds only box
+algebra and quadrature.
 """
 
 from __future__ import annotations
@@ -44,18 +47,19 @@ DEFAULT_SLAB_FACTOR = 1e-6
 
 @dataclass(frozen=True)
 class KnappParams:
-    """Resolved parameters of one counterexample configuration.
+    """One member of the Knapp family: ``(lam, eps, mode, grid)``.
 
-    ``thickness=None`` selects the surface convention for the planar box
-    (2-D measure); otherwise the box is a volume slab of the given
-    thickness, centered on the plane.
+    ``lam`` is the frequency scale and ``t = eps / sqrt(lam)`` the
+    evaluation time.  ``mode`` is the planar-box convention:
+    ``"surface"`` gives W' 2-D measure, ``"slab"`` makes it a volume slab
+    of thickness ``DEFAULT_SLAB_FACTOR * sqrt(lam)`` centered on the
+    plane.  ``grid`` is the quadrature grid.  The window ``(rho, k)``
+    that chose ``lam`` is not kept: no evaluation reads it.
     """
 
     lam: float
     eps: float
-    rho: float
-    k: int
-    thickness: float | None
+    mode: str
     grid: tuple[int, int, int] = DEFAULT_GRID
 
     def __post_init__(self) -> None:
@@ -63,24 +67,23 @@ class KnappParams:
             raise InvalidParameterError(f"lam must exceed 1e3 and be finite, got {self.lam}")
         if not (0.0 < self.eps <= 0.1):
             raise InvalidParameterError(f"eps must lie in (0, 0.1], got {self.eps}")
-        if not (0.0 < self.rho < 1.0):
-            raise InvalidParameterError(f"rho must lie in (0, 1), got {self.rho}")
-        window_index(self.k)
-        if self.thickness is not None and not 0.0 < self.thickness < math.inf:
-            raise InvalidParameterError("slab thickness must be positive and finite")
+        if self.mode not in ("slab", "surface"):
+            raise InvalidParameterError(f"mode must be 'slab' or 'surface', got {self.mode!r}")
         object.__setattr__(self, "grid", _node_counts(self.grid))
-
-    @property
-    def mode(self) -> str:
-        return "surface" if self.thickness is None else "slab"
 
     @property
     def t(self) -> float:
         """Evaluation time eps / sqrt(lam)."""
         return self.eps / math.sqrt(self.lam)
 
-    # The boxes are built on first read and kept on the instance, outside
-    # the fields: equality, hash and repr see the fields alone.
+    # The thickness and the boxes are built on first read and kept on the
+    # instance, outside the fields: equality, hash and repr see the fields
+    # alone.
+    @cached_property
+    def thickness(self) -> float | None:
+        """The slab's thickness ``DEFAULT_SLAB_FACTOR * sqrt(lam)``; None in surface mode."""
+        return None if self.mode == "surface" else DEFAULT_SLAB_FACTOR * math.sqrt(self.lam)
+
     @cached_property
     def w_box(self) -> Box3:
         """Main volume box near ``lam * e1`` with positive transverse window."""
@@ -160,11 +163,13 @@ def make_params(
     mode: str = "slab",
     grid: tuple[int, int, int] = DEFAULT_GRID,
 ) -> KnappParams:
-    """Resolve a configuration with lam at the window midpoint.
+    """The configuration with lam at the midpoint of window ``(rho, k)``.
 
-    ``mode`` is ``"slab"`` (thickness ``1e-6 sqrt(lam)``) or
-    ``"surface"``.  Raises ``WindowEmptyError`` when no admissible lam
-    exists, carrying the largest rho that would have worked.
+    ``rho`` and ``k`` choose ``lam`` and are checked here; the result
+    keeps neither.  ``mode`` is ``"slab"`` or ``"surface"``, and
+    ``KnappParams`` derives the slab thickness from it.  Raises
+    ``WindowEmptyError`` when no admissible lam exists, carrying the
+    largest rho that would have worked.
     """
     if rho < RHO_MIN:
         raise InvalidParameterError(
@@ -179,14 +184,7 @@ def make_params(
             rho_max=rho_max,
         )
     root = (window[0] + window[1]) / 2.0
-    lam = root * root
-    if mode == "slab":
-        thickness = DEFAULT_SLAB_FACTOR * math.sqrt(lam)
-    elif mode == "surface":
-        thickness = None
-    else:
-        raise InvalidParameterError(f"mode must be 'slab' or 'surface', got {mode!r}")
-    return KnappParams(lam=lam, eps=eps, rho=rho, k=int(k), thickness=thickness, grid=grid)
+    return KnappParams(lam=root * root, eps=eps, mode=mode, grid=grid)
 
 
 def curl_parts(xi, a1_val: complex, a2_val: complex) -> tuple[np.ndarray, np.ndarray]:

@@ -135,7 +135,6 @@ class WindowSamples:
 
     k: int
     params: KnappParams | None
-    lattice_axes: tuple[np.ndarray, ...]
     _record: SweepRecord = field(repr=False)
     _output: _OutputData | None = field(default=None, repr=False)
     _norms: _NormData | None = field(default=None, repr=False)
@@ -207,11 +206,11 @@ def sweep_core(
     outputs = _output_data([(axes, a) for (axes, _), a in zip(lattices, amps)])
     norms = _stacked_norm_data([p for _, p in live])
     samples = iter(
-        WindowSamples(k, p, tuple(axes), *prepared)
-        for (k, p), (axes, _), *prepared in zip(live, lattices, records, outputs, norms, columns)
+        WindowSamples(k, p, *prepared)
+        for (k, p), *prepared in zip(live, records, outputs, norms, columns)
     )
     return [
-        WindowSamples(k, None, (), replace(_NAN_RECORD, k=k)) if p is None else next(samples)
+        WindowSamples(k, None, replace(_NAN_RECORD, k=k)) if p is None else next(samples)
         for k, p in zip(ks, params)
     ]
 

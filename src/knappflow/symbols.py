@@ -29,11 +29,7 @@ from .errors import InvalidParameterError
 
 @dataclass(frozen=True)
 class SignTriple:
-    """One of the 8 half-wave sign assignments; components are +1 or -1.
-
-    The hash is the generated one, ``hash((s1, s2, s3))``, computed once:
-    every breakdown's ``per_sign`` dict is keyed by these.
-    """
+    """One of the 8 half-wave sign assignments; components are +1 or -1."""
 
     s1: int
     s2: int
@@ -42,10 +38,6 @@ class SignTriple:
     def __post_init__(self) -> None:
         if any(s not in (1, -1) for s in (self.s1, self.s2, self.s3)):
             raise InvalidParameterError("sign components must be +1 or -1")
-        object.__setattr__(self, "_hash", hash((self.s1, self.s2, self.s3)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return "".join("+" if s > 0 else "-" for s in (self.s1, self.s2, self.s3))

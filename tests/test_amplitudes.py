@@ -25,6 +25,7 @@ from knappflow.boxes import (
     Box3,
     admissible_eta_region,
     axis_rule,
+    box_scale,
     gauss_legendre_cells,
     quadrature_grid,
     quadrature_nodes,
@@ -599,6 +600,43 @@ def test_term_sums_are_exactly_dilation_covariant(mode, k, counts):
             scale = mu ** (dim - 1)
             assert got[0].tobytes() == (scale * tot).tobytes(), j
             assert got[1].tobytes() == (scale * env).tobytes(), j
+
+
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_norms_have_their_dilation_degrees(mode):
+    # Under box_scale by mu each norm is mu^degree times the undilated
+    # one: |xi^m|^2 has degree 2|m|, a volume measure 3 and a surface
+    # measure 2, a box convolution the measure of its second box, and the
+    # output amplitudes the degree of term_sums (2 slab, 1 surface).  Only
+    # <xi>^(2 sigma) is inhomogeneous: dilated, it is mu^(2 sigma) times
+    # the undilated value and a factor within 1 -+ |sigma| / |xi|^2, and a
+    # norm, a square root, moves half as much.  Every box here lies at
+    # |xi| >= lam (1 - 1e-6), so |sigma| / lam^2 bounds the deviation
+    # with a factor of 2 left for rounding; a degree off by 1/2 moves the
+    # ratio by mu^(1/2) >= 4.
+    r, s = -0.25, 0.5
+    p = make_params(EPS, RHO, 3, mode=mode)
+    slab = mode == "slab"
+    w2, nwp = p.w2_box, p.neg_wprime_box
+    axes, pts = sample_lattice(p.samp_box)
+    amps = np.array([abs(b.total) for b in lattice_hats(p, pts)])
+    norms = [
+        # (norm of the data dilated by mu, its degree, its Sobolev index)
+        (lambda mu: sobolev_norm_monomial(box_scale(w2, mu), (0, 1, 0), r), r + 2.5, r),
+        (lambda mu: sobolev_norm_monomial(box_scale(w2, mu), (0, 0, 1), r), r + 2.5, r),
+        (lambda mu: sobolev_norm_monomial(box_scale(nwp, mu), (1, 0, 0), r), r + 2.0 + slab / 2, r),
+        (lambda mu: product_norm_boxes(box_scale(w2, mu), box_scale(nwp, mu), r), r + 3.5 + slab, r),
+        (
+            lambda mu: output_norm_from_samples(s, [mu * a for a in axes], mu ** (1 + slab) * amps),
+            s + 2.5 + slab,
+            s,
+        ),
+    ]
+    for i, (norm, degree, sigma) in enumerate(norms):
+        base = norm(1.0)
+        for mu in (2.0**4, 2.0**10):
+            deviation = norm(mu) / (mu**degree * base) - 1.0
+            assert abs(deviation) <= abs(sigma) / p.lam**2, (i, mu, deviation)
 
 
 @pytest.mark.parametrize("cap", [0, 1])
@@ -1526,9 +1564,10 @@ def test_knapp_output_norms_are_sums_of_separable_terms(mode):
     # s, against its 64 separable terms per lattice cell.
     for core in sweep_core(EPS, RHO, range(1, 11), mode=mode):
         amps = np.array([abs(b.total) for b in core.breakdowns])
+        axes = sample_lattice(core.params.samp_box)[0]
         for s in S_GRID:
-            norm = output_norm_from_samples(s, list(core.lattice_axes), amps)
-            want = separable_output_integral(s, core.lattice_axes, amps)
+            norm = output_norm_from_samples(s, axes, amps)
+            want = separable_output_integral(s, axes, amps)
             assert want > 0.0
             assert abs(norm**2 * TWO_PI_CUBED - want) <= 1e-14 * want
 
@@ -1658,7 +1697,8 @@ def test_output_norm_at_steep_weight_equals_per_cell_reference(monkeypatch, seed
 def sweep_windows(cores):
     """Each window's ``(lattice_axes, amps)``, as ``sweep_core`` prepares them."""
     return [
-        (core.lattice_axes, np.array([abs(b.total) for b in core.breakdowns])) for core in cores
+        (sample_lattice(core.params.samp_box)[0], np.array([abs(b.total) for b in core.breakdowns]))
+        for core in cores
     ]
 
 
@@ -1719,7 +1759,7 @@ def test_output_norm_pass_decides_the_bracket_per_window(monkeypatch):
     # smallest axis-1 square at k=1 (1.5e-5)
     squares = []
     for i in range(3):
-        ax = np.array([core.lattice_axes[i] for core in cores])
+        ax = np.array([sample_lattice(core.params.samp_box)[0][i] for core in cores])
         x, _ = gauss_legendre_cells(ax[:, :-1], ax[:, 1:], 6)
         squares.append(x * x)
     assert amplitudes._transverse_rounds_away(*squares).tolist() == [True] * 3
@@ -2045,7 +2085,7 @@ def sweep_norms(cores):
         for r in R_GRID:
             out.append(norm_report(core.params, r))
         for s in S_GRID + R_GRID:
-            out.append(output_norm_from_samples(s, list(core.lattice_axes), amps))
+            out.append(output_norm_from_samples(s, sample_lattice(core.params.samp_box)[0], amps))
     return out
 
 

@@ -20,10 +20,10 @@ LAM = 4.0e5
 RT = np.sqrt(LAM)
 
 
-def knapp(lam=LAM, thickness=None):
+def knapp(lam=LAM, mode="surface"):
     """W and W' at ``lam`` as ``construction`` builds them: Knapp-scale
     operands for the box algebra."""
-    return KnappParams(lam=lam, eps=0.01, rho=2e-6, k=1, thickness=thickness)
+    return KnappParams(lam=lam, eps=0.01, mode=mode)
 
 
 def test_box_validation():
@@ -150,8 +150,8 @@ def _support_pairs():
     """The kernel terms' (a, b) support pairs in surface and slab mode."""
     w2 = knapp().w2_box
     pairs = []
-    for thickness in (None, 1e-6 * RT):
-        neg_wp = knapp(thickness=thickness).neg_wprime_box
+    for mode in ("surface", "slab"):
+        neg_wp = knapp(mode=mode).neg_wprime_box
         pairs += [(neg_wp, w2), (w2, neg_wp)]
     return pairs
 

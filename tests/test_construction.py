@@ -58,7 +58,7 @@ def test_make_params_midpoint():
     assert 3.9e5 < p.lam < 4.0e5
     assert p.t * math.sqrt(p.lam) == pytest.approx(EPS, rel=1e-15)
     assert p.mode == "slab"
-    assert p.thickness == pytest.approx(1e-6 * math.sqrt(p.lam))
+    assert p.thickness == construction.DEFAULT_SLAB_FACTOR * math.sqrt(p.lam) == 1e-6 * math.sqrt(p.lam)
     surface = make_params(EPS, RHO, 1, mode="surface")
     assert surface.mode == "surface"
     assert surface.thickness is None
@@ -77,21 +77,22 @@ def test_make_params_validation():
     with pytest.raises(InvalidParameterError):
         make_params(EPS, 1e-9, 1)  # cannot cover the box spread
     assert RHO_MIN > 1e-6
-    with pytest.raises(InvalidParameterError):
+    bad_mode = "mode must be 'slab' or 'surface', got 'ball'"
+    with pytest.raises(InvalidParameterError, match=bad_mode):
         make_params(EPS, RHO, 1, mode="ball")
+    with pytest.raises(InvalidParameterError, match=bad_mode):
+        KnappParams(lam=4e5, eps=EPS, mode="ball")
     with pytest.raises(InvalidParameterError):
-        KnappParams(lam=4e5, eps=EPS, rho=RHO, k=1, thickness=0.0)
-    with pytest.raises(InvalidParameterError):
-        KnappParams(lam=10.0, eps=EPS, rho=RHO, k=1, thickness=None)
+        KnappParams(lam=10.0, eps=EPS, mode="surface")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_parameters_are_rejected(bad):
     # each would otherwise give nan or inf norms
     with pytest.raises(InvalidParameterError):
-        KnappParams(lam=4e5, eps=EPS, rho=RHO, k=1, thickness=bad)
+        KnappParams(lam=4e5, eps=bad, mode="slab")
     with pytest.raises(InvalidParameterError):
-        KnappParams(lam=bad, eps=EPS, rho=RHO, k=1, thickness=None)
+        KnappParams(lam=bad, eps=EPS, mode="surface")
 
 
 @pytest.mark.parametrize("bad", [1.5, 0.999, math.nan, math.inf, 0, -2])
@@ -102,12 +103,9 @@ def test_window_index_must_be_a_positive_whole_number(bad):
         lambda_window(EPS, RHO, bad)
     with pytest.raises(InvalidParameterError, match="k must be a positive integer"):
         make_params(EPS, RHO, bad)
-    with pytest.raises(InvalidParameterError, match="k must be a positive integer"):
-        KnappParams(lam=4e5, eps=EPS, rho=RHO, k=bad, thickness=None)
     # a whole number of another type is accepted as that int
     p = make_params(EPS, RHO, 2)
     assert make_params(EPS, RHO, 2.0) == make_params(EPS, RHO, np.int64(2)) == p
-    assert type(p.k) is int
 
 
 def test_window_soundness():
@@ -146,7 +144,7 @@ def test_window_sound_at_every_lambda(case):
     # its low corner and largest at its high corner; the bound on
     # |t|xi| - 2 k pi| at both covers every xi in W
     eps, rho, k, root = case
-    w = KnappParams(lam=root * root, eps=eps, rho=rho, k=k, thickness=None).w_box
+    w = KnappParams(lam=root * root, eps=eps, mode="surface").w_box
     t = eps / root
     for corner in (0, 1):
         xi = np.array([ax[corner] for ax in w.axes])
@@ -267,7 +265,7 @@ def test_grid_entries_must_be_finite_whole_numbers(bad):
     with pytest.raises(InvalidParameterError, match="grid must be"):
         make_params(EPS, RHO, 1, grid=(bad, 4, 4))
     with pytest.raises(InvalidParameterError, match="grid must be"):
-        KnappParams(lam=4e5, eps=EPS, rho=RHO, k=1, thickness=None, grid=(bad, 4, 4))
+        KnappParams(lam=4e5, eps=EPS, mode="surface", grid=(bad, 4, 4))
 
 
 def test_whole_float_grid_is_stored_as_ints():
@@ -277,14 +275,14 @@ def test_whole_float_grid_is_stored_as_ints():
     assert p == make_params(EPS, RHO, 1, grid=(8, 4, 4))
 
 
-def at_lam(thickness=None, lam=LAM):
-    return KnappParams(lam=lam, eps=EPS, rho=RHO, k=1, thickness=thickness)
+def at_lam(mode="surface", lam=LAM):
+    return KnappParams(lam=lam, eps=EPS, mode=mode)
 
 
 def test_box_w_geometry():
     # W is the same box in both conventions
-    for thickness in (None, 1e-6 * RT):
-        w = at_lam(thickness).w_box
+    for mode in ("surface", "slab"):
+        w = at_lam(mode).w_box
         assert w.ax1 == (LAM - 1e-6 * LAM, LAM + 1e-6 * LAM)
         assert w.ax2 == (1e-9 * RT, 1e-6 * RT)
         assert w.ax3 == w.ax2
@@ -298,14 +296,12 @@ def test_box_w_prime_surface_and_slab():
     # 2D measure: axial times transverse
     assert surf.measure == pytest.approx(2e-6 * LAM * 2e-6 * RT, rel=1e-12)
 
-    slab = at_lam(1e-6 * RT).wprime_box
+    slab = at_lam("slab").wprime_box
     assert slab.surface_axis is None
     assert slab.ax3 == (-0.5e-6 * RT, 0.5e-6 * RT)
     for b in (surf, slab):
         assert b.ax1 == (LAM - 1e-6 * LAM, LAM + 1e-6 * LAM)
         assert b.ax2 == (-1e-6 * RT, 1e-6 * RT)
-    with pytest.raises(InvalidParameterError):
-        at_lam(-1.0)
     with pytest.raises(InvalidParameterError):
         at_lam(lam=0.5)
 
@@ -318,6 +314,7 @@ def test_boxes_are_built_once_per_configuration(mode):
     before = (hash(p), repr(p))
     other = make_params(EPS, RHO, 3, mode=mode)
     fresh = {
+        "thickness": other.thickness,
         "w_box": other.w_box,
         "w2_box": box_scale(other.w_box, 2.0),
         "wprime_box": other.wprime_box,
@@ -331,7 +328,7 @@ def test_boxes_are_built_once_per_configuration(mode):
     assert (hash(p), repr(p)) == before
     unread = make_params(EPS, RHO, 3, mode=mode)
     assert p == unread and hash(p) == hash(unread)
-    assert p == dataclasses.replace(p) and p != dataclasses.replace(p, k=4)
+    assert p == dataclasses.replace(p) and p != dataclasses.replace(p, eps=EPS / 2)
 
 
 def bits(box):

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import knappflow
-from knappflow import amplitudes
+from knappflow import amplitudes, cli
 
 REPO = Path(__file__).resolve().parents[1]
 README = REPO / "README.md"
@@ -47,6 +47,16 @@ def test_readme_library_example_runs(capsys):
     measured, fails = capsys.readouterr().out.split()
     assert abs(float(measured)) < 0.05
     assert fails == "False"
+
+
+def test_readme_window_example_prints_its_line(capsys):
+    # the Quick start's window line, run through the CLI, prints the
+    # interval the README shows under it
+    command, shown = re.search(
+        r"```sh\n\$ knappflow (window .*)\n(.*)\n```", README.read_text()
+    ).groups()
+    assert cli.main(command.split()) == 0
+    assert capsys.readouterr().out == shown + "\n"
 
 
 def test_package_source_never_names_numpy_polynomial():
@@ -86,6 +96,51 @@ def test_boxes_holds_no_knapp_geometry():
     fields = tuple(f.name for f in dataclasses.fields(boxes.Box3))
     assert fields == ("ax1", "ax2", "ax3", "surface_axis")
     assert boxes.EtaRegions._fields == ("lo", "hi", "found", "surface_axis")
+
+
+def knapp_params_reads(tree):
+    """Attribute names read from a ``KnappParams`` in a module's ``tree``.
+
+    A read is ``self.<name>`` in a ``KnappParams`` method other than
+    ``__post_init__`` (whose reads are the field checks), or ``<x>.<name>``
+    for a plain name ``x`` in a function whose signature mentions
+    ``KnappParams``.
+    """
+    names = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, (ast.Module, ast.ClassDef)):
+            continue
+        for fn in cls.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "__post_init__":
+                continue
+            if isinstance(cls, ast.ClassDef) and cls.name == "KnappParams":
+                receivers = {"self"}
+            elif "KnappParams" in ast.unparse(fn.args) + ast.unparse(fn.returns or ast.Constant(None)):
+                receivers = None
+            else:
+                continue
+            names.update(
+                node.attr
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name)
+                and (receivers is None or node.value.id in receivers)
+            )
+    return names
+
+
+def test_every_knapp_params_field_is_read():
+    # KnappParams holds only what the evaluation reads: a field that only
+    # __post_init__ checks is set by its callers and read by no one
+    from knappflow.construction import KnappParams
+
+    fields = [f.name for f in dataclasses.fields(KnappParams)]
+    assert fields == ["lam", "eps", "mode", "grid"]
+    read = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        read |= knapp_params_reads(ast.parse(path.read_text()))
+    assert [name for name in fields if name not in read] == []
 
 
 def test_every_exponent_fit_goes_through_fit_series():

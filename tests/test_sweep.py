@@ -201,8 +201,7 @@ def test_sweep_core_equals_lattice_hats_per_window(mode):
     cores = sweep_core(EPS, RHO, [3, 1, 7, 3], mode=mode, grid=SMALL_GRID)
     assert [c.k for c in cores] == [3, 1, 7, 3]
     for core in cores:
-        axes, pts = sample_lattice(core.params.samp_box)
-        assert all(np.array_equal(a, b) for a, b in zip(core.lattice_axes, axes))
+        pts = sample_lattice(core.params.samp_box)[1]
         assert repr(core.breakdowns) == repr(lattice_hats(core.params, pts))
 
 
@@ -231,7 +230,7 @@ def test_sweep_core_with_an_empty_window_among_live_ones():
     # rho=4.5e-4 admits k = 1..3 only
     cores = sweep_core(EPS, 4.5e-4, [1, 4, 2, 3], grid=SMALL_GRID)
     assert [c.k for c in cores] == [1, 4, 2, 3]
-    assert (cores[1].params, cores[1].lattice_axes, cores[1].breakdowns) == (None, (), ())
+    assert (cores[1].params, cores[1].breakdowns) == (None, ())
     for core in cores[:1] + cores[2:]:
         pts = sample_lattice(core.params.samp_box)[1]
         assert repr(core.breakdowns) == repr(lattice_hats(core.params, pts))
@@ -276,7 +275,7 @@ def test_records_from_prepared_norms_equal_standalone_norms(mode, rho, ks):
             want = dataclasses.replace(
                 rec,
                 sup_amp=float(amps.max()),
-                output_norm=output_norm_from_samples(s, list(core.lattice_axes), amps),
+                output_norm=output_norm_from_samples(s, sample_lattice(core.params.samp_box)[0], amps),
                 norms=norm_report(core.params, r),
             )
             assert repr(rec) == repr(want)

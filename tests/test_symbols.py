@@ -31,7 +31,7 @@ def test_sign_triple_enumeration():
         SignTriple(1, 0, 1)
 
 
-def test_sign_triple_cached_hash_keeps_fields_and_equality():
+def test_sign_triple_hash_keeps_fields_and_equality():
     s = SignTriple(1, -1, 1)
     assert hash(s) == hash((1, -1, 1)) == hash(SIGN_TRIPLES[2])
     assert [f.name for f in dataclasses.fields(SignTriple)] == ["s1", "s2", "s3"]
