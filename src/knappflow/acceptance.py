@@ -177,7 +177,10 @@ def criterion_quadrature_closed_forms() -> CriterionResult:
     - a dot of N positive terms is within N u of its exact sum, whatever
       order the BLAS adds them in (Higham's gamma_N), and adding the C
       cells' dots costs C u more.  N is the nodes of one cell, C = 8 (the
-      tent's cells; a monomial norm has 1);
+      tent's cells; a monomial norm has 1).  A cell of more than 8,192
+      nodes is dotted in slices of 8,192, each added to the integral:
+      8,192 u for a slice's dot and C N / 8,192 u for the additions, at
+      most 8,256 u at the doubled grids, below the N + C u allowed;
     - the root halves the integral's relative error; the division by
       ``(2 pi)^3``, the root and the closed forms' own constants add at
       most 8 u.

@@ -51,7 +51,8 @@ tensor node, with the same bits.  The norms take two forms:
   weights and integrand are one contiguous multiply of two vectors
   built once per norm (an axis-3 vector tiled, an axis-1 x axis-2
   product repeated), not an outer product whose inner loop runs over
-  the few axis-3 nodes;
+  the few axis-3 nodes.  A cell is one BLAS dot, or one per slice of
+  at most 8,192 nodes where it holds more;
 * the output norms of a sweep's windows, estimates from their
   lattices (``output_norm_from_samples``), are prepared in one stacked
   pass (``_output_data``: one ``_stack_cells`` call and one trilinear
@@ -60,8 +61,12 @@ tensor node, with the same bits.  The norms take two forms:
   cell's dot is one row of a stacked matmul.
 
 In both forms every element is the same operation on the same operands
-as in a cell-by-cell outer product, and every dot the same BLAS dot, so
-both give that product's bits.
+as in a cell-by-cell outer product, and the 3-D bracket is the same
+``_outer_cells`` expression, over one cell or over all of them.  No
+dot is longer than 8,192 elements (a default-grid data cell is one dot,
+an output cell 216); OpenBLAS splits a dot of more than 10,000 across
+its threads, so the slices keep every norm's bits the same under any
+``OPENBLAS_NUM_THREADS`` at every grid.
 
 Every norm runs in two steps.  The prepare step builds what depends on
 neither s nor r: each axis's cells, their squares and the transverse
@@ -424,9 +429,9 @@ def _outer_cells(op: np.ufunc, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> n
 
     ``a``, ``b`` and ``c`` have shape ``(..., cells, n)``, leading axes
     stacking boxes; the result has shape ``(..., cells1, cells2, cells3,
-    n1, n2, n3)``.  Each element is ``op`` of the same operands as in
-    ``_separable_norm``'s cell loop, so the bits are the same; this form
-    suits small cells, where one call over every cell beats a loop.
+    n1, n2, n3)``.  The output norm takes every cell in one call, and
+    ``_separable_norm``'s 3-D bracket one cell per call (``a``, ``b``
+    and ``c`` of one cell each).
     """
     return op(
         op(a[..., :, None, None, :, None, None], b[..., None, :, None, None, :, None]),
@@ -467,14 +472,17 @@ def _separable_norm(data: _SeparableData | None, r: float) -> float:
     """The prepared data norm at Sobolev index ``r``; None is the norm 0.
 
     The cells are integrated one at a time, in ``c1, c2, c3`` order, each
-    by one dot of two contiguous vectors.  A cell's weights and integrand
-    are each one multiply of an axis-1 x axis-2 outer product, repeated
-    once per ``(c1, c2)``, by an axis-3 vector tiled once per call: the
-    outer product's ``(u * v) * w``, bit for bit, without a broadcast
-    whose inner loop runs over few nodes.  Where the transverse squares
-    round away (``_transverse_rounds_away``), ``<xi>^{2r}`` is one array
-    power per axis-1 node, repeated once per axis-1 cell; otherwise the
-    3-D bracket is raised per cell.  An integral that overflows raises
+    by one dot of two contiguous vectors, or where a cell holds more than
+    8,192 nodes by one dot per slice of 8,192, each added to the integral
+    in order.  A cell's weights and integrand are each one multiply of an
+    axis-1 x axis-2 outer product, repeated once per ``(c1, c2)``, by an
+    axis-3 vector tiled once per call: the outer product's ``(u * v) *
+    w``, bit for bit, without a broadcast whose inner loop runs over few
+    nodes.  Where the transverse squares round away
+    (``_transverse_rounds_away``), ``<xi>^{2r}`` is one array power per
+    axis-1 node, repeated once per axis-1 cell; otherwise the 3-D bracket
+    is raised per cell, as ``_output_norm_at`` raises it
+    (``_outer_cells``).  An integral that overflows raises
     ``InvalidParameterError`` (``_root``).
     """
     _check_index("r", r)
@@ -487,9 +495,10 @@ def _separable_norm(data: _SeparableData | None, r: float) -> float:
     w_tiles, f_tiles = (v[:, None, :].repeat(n12, axis=1).reshape(len(v), -1) for v in (w3, f3))
     if fast:
         pows = (1.0 + sq1) ** r
-    else:
-        sq_tiles = sq3[:, None, :].repeat(n12, axis=1).reshape(len(sq3), -1)
     weights, vals = np.empty(n12 * n3), np.empty(n12 * n3)
+    # OpenBLAS splits a dot of more than 10,000 elements across its threads,
+    # which moves its last bits; a default-grid cell is one slice
+    slices = [(weights[i : i + 8192], vals[i : i + 8192]) for i in range(0, n12 * n3, 8192)]
     integral = 0.0
     for c1 in range(len(sq1)):
         if fast:
@@ -497,16 +506,18 @@ def _separable_norm(data: _SeparableData | None, r: float) -> float:
         for c2 in range(len(sq2)):
             w12 = np.multiply.outer(w1[c1], w2[c2]).repeat(n3)
             f12 = np.multiply.outer(f1[c1], f2[c2]).repeat(n3)
-            if not fast:
-                sq12 = np.add.outer(sq1[c1], sq2[c2]).repeat(n3)
             for c3 in range(len(sq3)):
                 np.multiply(w12, w_tiles[c3], out=weights)
                 np.multiply(f12, f_tiles[c3], out=vals)
                 if data.scale != 1.0:
                     vals /= data.scale
                 vals **= 2
-                vals *= bracket if fast else (1.0 + (sq12 + sq_tiles[c3])) ** r
-                integral += float(weights @ vals)
+                if not fast:
+                    cell = (sq1[c1 : c1 + 1], sq2[c2 : c2 + 1], sq3[c3 : c3 + 1])
+                    bracket = ((1.0 + _outer_cells(np.add, *cell)) ** r).ravel()
+                vals *= bracket
+                for w, v in slices:
+                    integral += float(w @ v)
     return _root(integral, "r", r)
 
 

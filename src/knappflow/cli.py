@@ -82,10 +82,7 @@ def _cplx(z: complex) -> dict:
 
 def cmd_window(args) -> int:
     win = lambda_window(args.eps, args.rho, args.k)
-    if win is None:
-        print("EMPTY")
-    else:
-        print(f"({win[0]:.17g}, {win[1]:.17g})")
+    print("EMPTY" if win is None else f"({win[0]:.17g}, {win[1]:.17g})")
     return 0
 
 

@@ -142,12 +142,17 @@ def lambda_window(eps: float, rho: float, k: int) -> tuple[float, float] | None:
 
     The window guarantees ``t |xi|`` within ``eps`` of ``2 k pi`` for all
     ``|xi|`` within relative ``rho`` of ``lam``; it is nonempty exactly
-    when ``2 k pi rho < eps``.
+    when ``2 k pi rho < eps``.  ``rho`` below ``RHO_MIN`` cannot cover the
+    spread of ``|xi| / lam`` over ``W`` and raises ``InvalidParameterError``.
     """
     if not (0.0 < eps <= 0.1):
         raise InvalidParameterError(f"eps must lie in (0, 0.1], got {eps}")
     if not (0.0 < rho < 1.0):
         raise InvalidParameterError(f"rho must lie in (0, 1), got {rho}")
+    if rho < RHO_MIN:
+        raise InvalidParameterError(
+            f"rho={rho} cannot cover the box spread of |xi|/lam; need rho >= {RHO_MIN}"
+        )
     k = window_index(k)
     lo = (2.0 * k * math.pi - eps) / (eps * (1.0 - rho))
     hi = (2.0 * k * math.pi + eps) / (eps * (1.0 + rho))
@@ -165,16 +170,12 @@ def make_params(
 ) -> KnappParams:
     """The configuration with lam at the midpoint of window ``(rho, k)``.
 
-    ``rho`` and ``k`` choose ``lam`` and are checked here; the result
-    keeps neither.  ``mode`` is ``"slab"`` or ``"surface"``, and
+    ``rho`` and ``k`` choose ``lam`` and are checked by ``lambda_window``;
+    the result keeps neither.  ``mode`` is ``"slab"`` or ``"surface"``, and
     ``KnappParams`` derives the slab thickness from it.  Raises
     ``WindowEmptyError`` when no admissible lam exists, carrying the
     largest rho that would have worked.
     """
-    if rho < RHO_MIN:
-        raise InvalidParameterError(
-            f"rho={rho} cannot cover the box spread of |xi|/lam; need rho >= {RHO_MIN}"
-        )
     window = lambda_window(eps, rho, k)
     if window is None:
         rho_max = eps / (2.0 * k * math.pi)

@@ -70,7 +70,7 @@ def test_criterion_02_curl_identity():
 def test_criterion_03_quadrature_closed_forms():
     _check(
         acceptance.criterion_quadrature_closed_forms(),
-        "max relative error 2.515e-16 at default grids (tol 4.6e-13), 3.772e-16 at doubled "
+        "max relative error 2.515e-16 at default grids (tol 4.6e-13), 5.029e-16 at doubled "
         "grids (tol 3.6e-12), 6 closed forms",
     )
 

@@ -1,11 +1,16 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import knappflow
 from knappflow import _kernels, acceptance, amplitudes, construction
 from knappflow.amplitudes import (
     TWO_PI_CUBED,
@@ -1203,9 +1208,11 @@ def outer_cell_integral(axis_cells, r, integrand):
     integral = 0.0
     for c1, c2, c3 in itertools.product(range(len(x1)), range(len(x2)), range(len(x3))):
         bracket_pow = (1.0 + outer_tensor(np.add, sq1[c1], sq2[c2], sq3[c3])) ** r
-        weights = outer_tensor(np.multiply, w1[c1], w2[c2], w3[c3])
-        vals = bracket_pow * integrand(c1, c2, c3)
-        integral += float(weights.ravel() @ vals.ravel())
+        weights = outer_tensor(np.multiply, w1[c1], w2[c2], w3[c3]).ravel()
+        vals = (bracket_pow * integrand(c1, c2, c3)).ravel()
+        # a cell of more than 8,192 nodes is one dot per 8,192-node slice
+        for i in range(0, len(vals), 8192):
+            integral += float(weights[i : i + 8192] @ vals[i : i + 8192])
     return integral
 
 
@@ -1249,6 +1256,52 @@ def test_three_d_bracket_keeps_the_outer_product_bits(monkeypatch):
     for args in products:
         assert product_norm_boxes(*args) == outer_product_norm(*args, DEFAULT_GRID)
     assert taken == [False] * (len(monomials) + len(products))
+
+
+def test_long_cells_keep_the_sliced_outer_product_bits(monkeypatch):
+    # criterion 3's doubled grid: a monomial norm's one cell and the tent's
+    # 8 cells hold 65,536 nodes each, so each is dotted in 8 slices
+    taken = log_fast_path(monkeypatch)
+    cube = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.0, 1.0))
+    grid = tuple(2 * n for n in DEFAULT_GRID)
+    assert math.prod(grid) == 8 * 8192
+    assert sobolev_norm_monomial(cube, (1, 0, 0), 1.0, grid) == outer_monomial_norm(
+        cube, (1, 0, 0), 1.0, grid
+    )
+    assert product_norm_boxes(cube, cube, 1.0, grid) == outer_product_norm(cube, cube, 1.0, grid)
+    assert taken == [False, False]
+
+
+# Criterion 3's detail line and the data norms of both modes at a grid
+# whose cells all exceed OpenBLAS's 10,000-element threading bound.
+THREAD_PROBE = """
+import dataclasses
+from knappflow.acceptance import criterion_quadrature_closed_forms
+from knappflow.amplitudes import norm_report
+from knappflow.construction import make_params
+print(criterion_quadrature_closed_forms().detail)
+for mode in ("slab", "surface"):
+    p = make_params(0.01, 2e-6, 1, mode=mode, grid=(64, 32, 32))
+    print(mode, [x.hex() for x in dataclasses.astuple(norm_report(p, -0.25))])
+"""
+
+
+def test_norms_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a longer dot across its threads, which moves its last
+    # bits; the norms dot each cell in slices below that bound
+    src = str(Path(knappflow.__file__).resolve().parents[1])
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", THREAD_PROBE],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert outs[0] == outs[1]
+    assert "5.029e-16 at doubled grids" in outs[0]
 
 
 def test_product_norm_working_set_is_one_cell():

@@ -51,6 +51,17 @@ def test_window_invalid_rho_exits_2(capsys):
     assert "error:" in err
 
 
+def test_window_rho_below_rho_min_exits_2(capsys):
+    # the rule eval and sweep keep: no configuration can be built from this window
+    argv = ["--eps", "0.01", "--rho", "1e-9", "--k", "1"]
+    rv, out, err = run_cli(["window", *argv], capsys)
+    assert (rv, out) == (2, "")
+    assert err == (
+        "error: rho=1e-09 cannot cover the box spread of |xi|/lam; need rho >= 1.000001e-06\n"
+    )
+    assert run_cli(["eval", *argv, "--xi", "1,0,0"], capsys) == (2, "", err)
+
+
 def test_eval_json_payload(capsys):
     p = make_params(EPS, RHO, 1)
     xi = p.samp_box.center()

@@ -48,6 +48,9 @@ def test_window_validation():
         lambda_window(0.5, RHO, 1)
     with pytest.raises(InvalidParameterError):
         lambda_window(EPS, RHO, 0)
+    with pytest.raises(InvalidParameterError, match="cannot cover the box spread"):
+        lambda_window(EPS, 1e-9, 1)
+    assert lambda_window(EPS, RHO_MIN, 1) is not None
 
 
 def test_make_params_midpoint():

@@ -6,7 +6,10 @@ and both follow the CPU: OpenBLAS picks its kernel at start-up and
 numpy dispatches its loops to the widest SIMD level the CPU has.  This
 script runs the golden tests in a fresh interpreter once per setting:
 
-- the defaults;
+- the defaults (one BLAS thread);
+- ``OPENBLAS_NUM_THREADS=2`` (two BLAS threads: OpenBLAS splits a dot
+  of more than 10,000 elements across them, and no norm takes a dot
+  that long);
 - ``OPENBLAS_CORETYPE=Haswell`` and ``OPENBLAS_CORETYPE=Prescott``
   (older OpenBLAS kernels);
 - ``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"`` (numpy's
@@ -33,6 +36,7 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = "tests/test_golden_sweeps.py"
 SETTINGS = (
     ("defaults", {}),
+    ("two BLAS threads", {"OPENBLAS_NUM_THREADS": "2"}),
     ("OPENBLAS_CORETYPE=Haswell", {"OPENBLAS_CORETYPE": "Haswell"}),
     ("OPENBLAS_CORETYPE=Prescott", {"OPENBLAS_CORETYPE": "Prescott"}),
     ("AVX-512 dispatch off", {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}),
@@ -46,7 +50,8 @@ OUTCOME = re.compile(r"^(PASSED|FAILED|ERROR) \S+::(\S+)", re.MULTILINE)
 
 def run_golden(extra: dict[str, str]) -> tuple[dict[str, bool], int]:
     """Each golden test's pass or fail under ``extra``, and pytest's exit code."""
-    # one BLAS thread, as in CI and perfbench: the digests assume it
+    # one BLAS thread unless a setting says otherwise, as in CI and
+    # perfbench; the digests hold under two as well (the second setting)
     env = {"OPENBLAS_NUM_THREADS": "1", **os.environ, **extra}
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider", GOLDEN],
