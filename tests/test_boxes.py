@@ -1,6 +1,7 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from knappflow.boxes import (
     Box3,
@@ -42,11 +43,10 @@ def test_box_validation():
         Box3(ax1=(0.0, 0.0), ax2=(0.0, 1.0), ax3=(0.0, 0.0), surface_axis=2)
 
 
-@given(st.integers(min_value=-6, max_value=6), st.booleans())
-def test_box_scale_round_trip_powers_of_two(e: int, neg: bool):
+@pytest.mark.parametrize("c", [sign * 2.0**e for e in range(-6, 7) for sign in (1.0, -1.0)])
+def test_box_scale_round_trip_powers_of_two(c: float):
     # exact in floating point only for powers of two; the general case
     # is covered approximately below
-    c = float(2.0**e) * (-1.0 if neg else 1.0)
     b = knapp().w_box
     assert box_scale(box_scale(b, c), 1.0 / c) == b
 
@@ -156,36 +156,51 @@ def _support_pairs():
     return pairs
 
 
-def _axis_values(a, b, i):
-    """xi_i near the region's edges along axis i: the four endpoint sums
-    (on a surface axis, the ends of the pinned interval) with their
-    neighbours, and anything in between."""
+def _axis_edges(a, b, i):
+    """xi_i at the region's edges along axis i: the four endpoint sums
+    (on a surface axis, the ends of the pinned interval) and their
+    neighbours, deduplicated and sorted."""
     (a_lo, a_hi), (b_lo, b_hi) = a.axes[i], b.axes[i]
     edges = [a_lo + b_lo, a_lo + b_hi, a_hi + b_lo, a_hi + b_hi]
     edges += [np.nextafter(x, s) for x in list(edges) for s in (-np.inf, np.inf)]
-    span = max(edges) - min(edges)
-    return st.one_of(
-        st.sampled_from(edges),
-        st.floats(min(edges) - 0.1 * span, max(edges) + 0.1 * span),
-    )
+    return np.unique(edges)
 
 
-@settings(deadline=None)
-@given(st.sampled_from(range(4)), st.data())
-def test_region_rows_match_one_point_regions(pair, data):
-    a, b = _support_pairs()[pair]
-    point = st.tuples(*(_axis_values(a, b, i) for i in range(3)))
-    xis = np.array(data.draw(st.lists(point, min_size=1, max_size=6)))
+def _check_rows(xis, a, b):
+    """One multi-row region call agrees, row by row, with the one-point
+    regions and with the scalar reference; returns the found count."""
     rows = admissible_eta_region(xis, a, b)
     assert rows.lo.shape == rows.hi.shape == xis.shape
     for j, xi in enumerate(xis):
         region = one_region(xi, a, b)
-        assert region == _region_reference(xi, a, b)
-        assert bool(rows.found[j]) == (region is not None)
+        assert region == _region_reference(xi, a, b), xi
+        assert bool(rows.found[j]) == (region is not None), xi
         if region is not None:
-            assert tuple(zip(rows.lo[j], rows.hi[j])) == region.axes
+            assert tuple(zip(rows.lo[j], rows.hi[j])) == region.axes, xi
             assert rows.surface_axis == region.surface_axis
             assert region.measure > 0.0
+    return int(rows.found.sum())
+
+
+def test_region_rows_match_one_point_regions():
+    # every combination of the axes' edge values, one region call per
+    # support pair; then 32 seeded lists per pair of 1-6 points mixing
+    # edges with uniform values in the span padded by a tenth each side
+    rng = np.random.default_rng(17)
+    points = found = 0
+    for a, b in _support_pairs():
+        edges = [_axis_edges(a, b, i) for i in range(3)]
+        xis = np.array(list(itertools.product(*edges)))
+        points += len(xis)
+        found += _check_rows(xis, a, b)
+        span = [(e[0] - 0.1 * (e[-1] - e[0]), e[-1] + 0.1 * (e[-1] - e[0])) for e in edges]
+        for _ in range(32):
+            xis = [
+                [rng.choice(e) if rng.random() < 0.5 else rng.uniform(*s) for e, s in zip(edges, span)]
+                for _ in range(rng.integers(1, 7))
+            ]
+            _check_rows(np.array(xis), a, b)
+    assert (points, found) == (5184, 1344)
 
 
 def test_region_rows_cover_collapse_and_surface_edges():

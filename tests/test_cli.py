@@ -398,10 +398,10 @@ def test_module_entry_point():
 
 def test_import_needs_no_optional_dependency():
     # numpy is the only runtime dependency: importing the package and its
-    # CLI must not pull in scipy (a test-only oracle) or numba.
+    # CLI must not pull in scipy or mpmath, the test extra's two oracles.
     code = (
         "import sys, knappflow, knappflow.cli\n"
-        "print(sorted(m for m in ('scipy', 'numba') if m in sys.modules))\n"
+        "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=child_env()

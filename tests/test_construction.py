@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
 
 from knappflow import construction
 from knappflow._kernels import term_weight
@@ -127,31 +126,50 @@ def test_window_soundness():
             assert math.cos(phase) >= math.cos(EPS)
 
 
-@st.composite
-def window_points(draw):
-    """(eps, rho, k) with a nonempty window, and any sqrt(lam) in it."""
-    eps = draw(st.floats(1e-3, 0.1))
-    k = draw(st.integers(1, math.ceil(eps / (2 * math.pi * RHO_MIN)) - 1))
-    rho = draw(st.floats(RHO_MIN, eps / (2 * math.pi * k), exclude_max=True))
-    window = lambda_window(eps, rho, k)
-    assume(window is not None)
-    lo, hi = window
-    root = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
-    return eps, rho, k, root
+def _k_max(eps):
+    """The largest k whose window can be nonempty at some rho >= RHO_MIN."""
+    return math.ceil(eps / (2 * math.pi * RHO_MIN)) - 1
 
 
-@settings(max_examples=300, deadline=None)
-@given(window_points())
-def test_window_sound_at_every_lambda(case):
+def _window_cases():
+    """(eps, rho, k, root) with a nonempty window and sqrt(lam) = root in
+    it: 300 seeded draws, then the 16 corners of the domain, eps at either
+    end, k = 1 and k_max(eps), rho at RHO_MIN and just below eps/(2 pi k),
+    and root at either end of the window.  Empty windows are skipped."""
+    rng = np.random.default_rng(23)
+    seeded = []
+    while len(seeded) < 300:
+        eps = rng.uniform(1e-3, 0.1)
+        k = int(rng.integers(1, _k_max(eps), endpoint=True))
+        rho = rng.uniform(RHO_MIN, eps / (2 * math.pi * k))
+        window = lambda_window(eps, rho, k)
+        if window is not None:
+            lo, hi = window
+            seeded.append((eps, rho, k, lo + rng.uniform() * (hi - lo)))
+    corners = []
+    for eps in (1e-3, 0.1):
+        for k in (1, _k_max(eps)):
+            for rho in (RHO_MIN, np.nextafter(eps / (2 * math.pi * k), 0.0)):
+                window = lambda_window(eps, rho, k)
+                if window is not None:
+                    corners += [(eps, rho, k, root) for root in window]
+    return seeded, corners
+
+
+def test_window_sound_at_every_lambda():
     # W lies in the open positive octant, so |xi| over W is smallest at
     # its low corner and largest at its high corner; the bound on
     # |t|xi| - 2 k pi| at both covers every xi in W
-    eps, rho, k, root = case
-    w = KnappParams(lam=root * root, eps=eps, mode="surface").w_box
-    t = eps / root
-    for corner in (0, 1):
-        xi = np.array([ax[corner] for ax in w.axes])
-        assert abs(t * np.linalg.norm(xi) - 2 * k * math.pi) <= eps
+    seeded, corners = _window_cases()
+    # at rho just below eps / (2 pi k) every window rounds to empty, so 8
+    # of the 16 corners remain
+    assert len(corners) == 8
+    for eps, rho, k, root in seeded + corners:
+        w = KnappParams(lam=root * root, eps=eps, mode="surface").w_box
+        t = eps / root
+        for corner in (0, 1):
+            xi = np.array([ax[corner] for ax in w.axes])
+            assert abs(t * np.linalg.norm(xi) - 2 * k * math.pi) <= eps, (eps, rho, k, root)
 
 
 def test_curl_parts_displayed_example():
