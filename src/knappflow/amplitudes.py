@@ -115,7 +115,7 @@ from .boxes import (
 )
 from .boxes import quadrature_grid  # noqa: F401  (perfbench/ hooks this name)
 from .construction import DEFAULT_GRID, BilinearKernel, KnappParams, kernels
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, is_whole
 from .symbols import SIGN_TRIPLES, SignTriple
 
 # Per-term quadrature refinement: start from BASE_GRID and double nodes
@@ -555,7 +555,7 @@ def _stacked_monomial_data(
     boxes must share one surface axis (or none), or ``_shared`` raises.
     """
     exponents = [m for monomial in monomials for m in monomial]
-    if not all(float(m).is_integer() and m >= 0 for m in exponents):
+    if not all(is_whole(m, 0) for m in exponents):
         raise InvalidParameterError(f"monomial powers must be whole numbers >= 0, got {monomials}")
     counts = _node_counts(nodes_per_axis)
     out: list[list[_SeparableData | None]] = [[None] * len(monomials) for _ in boxes]

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import acceptance
 from .amplitudes import lambda_hat
-from .construction import DEFAULT_GRID, DEFAULT_RHO, lambda_window, make_params
+from .construction import DEFAULT_GRID, DEFAULT_RHO, lambda_window, make_params, window_index
 from .errors import FitDataError, InvalidParameterError
 from .sweep import build_report, csv_lines, report_json, run_sweep
 from .symbols import SignTriple
@@ -116,7 +116,7 @@ def cmd_sweep(args) -> int:
     # the JSON would overwrite the CSV
     if args.json and Path(args.json).resolve() == Path(args.out).resolve():
         raise InvalidParameterError(f"--out and --json name one file: {args.out}")
-    ks = list(range(args.kmin, args.kmax + 1))
+    ks = list(range(window_index(args.kmin), window_index(args.kmax) + 1))
     records = run_sweep(
         eps=args.eps,
         rho=args.rho,

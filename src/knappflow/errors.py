@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one whole-number rule."""
 
 
 class InvalidParameterError(ValueError):
@@ -8,14 +8,25 @@ class InvalidParameterError(ValueError):
 class WindowEmptyError(InvalidParameterError):
     """The resonance window for (eps, rho, k) is empty.
 
-    ``rho_max`` carries the largest box-spread tolerance for which the
-    window would have been nonempty, so callers can report a fix.
+    ``construction.lambda_window`` decides emptiness; the error names
+    eps, rho and k and carries no bound on rho, since rounding closes
+    windows slightly below the exact edge ``rho = eps / (2 k pi)``.
     """
-
-    def __init__(self, message: str, rho_max: float):
-        super().__init__(message)
-        self.rho_max = rho_max
 
 
 class FitDataError(ValueError):
     """Log-log fitting was attempted on unusable data (nonpositive values)."""
+
+
+def is_whole(x, least: int) -> bool:
+    """Whether ``x`` is a finite whole number ``>= least``.
+
+    A whole number of any real type passes (``8``, ``8.0``,
+    ``np.int64(8)``); a fraction, nan or inf does not, nor does an int
+    too large for a float, for which ``float`` raises ``OverflowError``.
+    Each caller raises its own error with its own bound.
+    """
+    try:
+        return float(x).is_integer() and x >= least
+    except OverflowError:
+        return False

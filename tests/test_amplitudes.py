@@ -919,9 +919,12 @@ def test_sobolev_norm_closed_forms():
     )
 
 
-@pytest.mark.parametrize("power", [0.5, -0.5, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "power", [0.5, -0.5, math.nan, math.inf, pytest.param(10**400, id="10**400")]
+)
 def test_monomial_powers_must_be_whole_numbers(power):
-    # 0.5 and -0.5 used to truncate to the indicator's norm, nan to raise ValueError
+    # 0.5 and -0.5 used to truncate to the indicator's norm, nan to raise
+    # ValueError, and an int a float cannot hold OverflowError
     cube = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.0, 1.0))
     with pytest.raises(InvalidParameterError):
         sobolev_norm_monomial(cube, (power, 0, 0), 0.0)

@@ -174,6 +174,30 @@ def test_sweep_writes_deterministic_files(tmp_path, capsys):
     assert report["verdict"]["smooth_bound_fails"] is False
 
 
+HUGE = str(10**400)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["window", "--eps", "0.01", "--rho", "2e-6", "--k", HUGE],
+        ["eval", "--k", HUGE, "--xi", "1,0,0"],
+        ["sweep", "--kmin", HUGE, "--kmax", HUGE, "--out", "x.csv", "--json", "x.json"],
+        ["sweep", "--kmax", HUGE, "--out", "x.csv", "--json", "x.json"],
+        ["sweep", "--grid", f"{HUGE},1,1", "--out", "x.csv", "--json", "x.json"],
+    ],
+    ids=["window-k", "eval-k", "sweep-kmin-kmax", "sweep-kmax", "sweep-grid"],
+)
+def test_an_int_a_float_cannot_hold_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # a 401-digit index or node count used to end in an OverflowError
+    # traceback (exit 1)
+    monkeypatch.chdir(tmp_path)
+    rv, out, err = run_cli(argv, capsys)
+    assert (rv, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 # two of windows 2..5 are nonempty at this rho: too few points for a fit
 FIT_FAILS = ["sweep", "--kmin", "2", "--kmax", "5", "--rho", "4.5e-4", "--grid", "8,4,4"]
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from knappflow import construction
+from knappflow import cli, construction
 from knappflow._kernels import term_weight
 from knappflow.boxes import Box3, admissible_eta_region, box_scale
 from knappflow.construction import (
@@ -16,6 +16,7 @@ from knappflow.construction import (
     make_params,
 )
 from knappflow.errors import InvalidParameterError, WindowEmptyError
+from knappflow.sweep import records_from_core, sweep_core
 from regions import one_region
 
 EPS, RHO = 0.01, 2e-6
@@ -66,13 +67,53 @@ def test_make_params_midpoint():
     assert surface.thickness is None
 
 
-def test_make_params_window_empty_carries_rho_max():
-    with pytest.raises(WindowEmptyError) as exc_info:
-        make_params(EPS, 1e-3, 7)
-    rho_max = exc_info.value.rho_max
-    assert rho_max == pytest.approx(EPS / (14 * math.pi), rel=1e-12)
-    # any rho below the carried bound succeeds
-    make_params(EPS, rho_max * 0.9, 7)
+EDGE_WINDOWS = [
+    (eps, k) for eps in (1e-3, 0.01, 0.1) for k in (1, 7) if eps / (2 * math.pi * k) >= RHO_MIN
+]
+
+
+def test_window_edge_is_lambda_windows_alone(capsys):
+    # rounding closes a window a little below the exact edge
+    # rho = eps / (2 pi k), so make_params, knappflow window and
+    # sweep_core take emptiness from lambda_window alone, and no error
+    # names a bound on rho
+    empty_cases = set()
+    for eps, k in EDGE_WINDOWS:
+        edge = eps / (2 * math.pi * k)
+        for below, rho in (("ulp", math.nextafter(edge, 0.0)), ("1e-13", edge * (1 - 1e-13))):
+            case = (eps, k, rho)
+            empty = lambda_window(eps, rho, k) is None
+            if empty:
+                empty_cases.add((eps, k, below))
+            try:
+                make_params(eps, rho, k)
+            except WindowEmptyError as exc:
+                assert empty and "rho <" not in str(exc), case
+            else:
+                assert not empty, case
+            argv = ["window", "--eps", repr(eps), "--rho", repr(rho), "--k", str(k)]
+            assert cli.main(argv) == 0, case
+            assert (capsys.readouterr().out == "EMPTY\n") == empty, case
+            # window 1 keeps the sweep alive for k = 7; for k = 1 an empty
+            # window leaves the sweep none, which sweep_core rejects
+            ks = sorted({1, k})
+            try:
+                cores = sweep_core(eps, rho, ks, mode="surface", grid=(1, 1, 1))
+            except InvalidParameterError as exc:
+                assert ks == [1] and empty and "every window" in str(exc), case
+                continue
+            flags = records_from_core(cores, 0.5, -0.25)[-1].flags
+            assert (flags == ("window_empty",)) == empty, case
+    # every window is closed one ulp below its edge, and 1e-13 relative
+    # below it only where the band is wider than that: 1.1e-13, 5.0e-13
+    # and 4.6e-12 relative at eps 1e-3 k 1, eps 0.01 k 7 and eps 1e-3 k 7,
+    # against 8e-14 and 1e-14 elsewhere; so both sides of the band are
+    # reached
+    closed_at_1e13 = {(1e-3, 1), (1e-3, 7), (0.01, 7)}
+    assert empty_cases == {(eps, k, "ulp") for eps, k in EDGE_WINDOWS} | {
+        (eps, k, "1e-13") for eps, k in closed_at_1e13
+    }
+    make_params(EPS, 0.9 * EPS / (14 * math.pi), 7)
 
 
 def test_make_params_validation():
@@ -97,10 +138,13 @@ def test_non_finite_parameters_are_rejected(bad):
         KnappParams(lam=bad, eps=EPS, mode="surface")
 
 
-@pytest.mark.parametrize("bad", [1.5, 0.999, math.nan, math.inf, 0, -2])
+@pytest.mark.parametrize(
+    "bad", [1.5, 0.999, math.nan, math.inf, 0, -2, pytest.param(10**400, id="10**400")]
+)
 def test_window_index_must_be_a_positive_whole_number(bad):
     # a fractional k would take lam from the anti-resonant window between
-    # two resonant ones
+    # two resonant ones; an int a float cannot hold used to raise
+    # OverflowError
     with pytest.raises(InvalidParameterError, match="k must be a positive integer"):
         lambda_window(EPS, RHO, bad)
     with pytest.raises(InvalidParameterError, match="k must be a positive integer"):
@@ -279,10 +323,11 @@ def test_kernel_codes_are_axis_and_slot():
             term_weight(bad, xi, eta)
 
 
-@pytest.mark.parametrize("bad", [8.5, math.nan, math.inf])
+@pytest.mark.parametrize("bad", [8.5, math.nan, math.inf, pytest.param(10**400, id="10**400")])
 def test_grid_entries_must_be_finite_whole_numbers(bad):
     # a fractional count would be truncated by the norms; nan and inf
-    # would fail inside int() with a bare ValueError or OverflowError
+    # would fail inside int() with a bare ValueError or OverflowError,
+    # and an int a float cannot hold inside float()
     with pytest.raises(InvalidParameterError, match="grid must be"):
         make_params(EPS, RHO, 1, grid=(bad, 4, 4))
     with pytest.raises(InvalidParameterError, match="grid must be"):

@@ -299,10 +299,12 @@ def test_oracle_fourth_order_convergence():
         (1.0, 1.0, 8.5),
         (1.0, 1.0, math.inf),
         (1.0, 1.0, math.nan),
+        pytest.param(1.0, 1.0, 10**400, id="1.0-1.0-10**400"),
     ],
 )
 def test_oracle_rejects_non_finite_pairs_and_fractional_steps(t, om, n_steps):
-    # as duhamel_multiplier does for t and omega
+    # as duhamel_multiplier does for t and omega; a step count a float
+    # cannot hold used to raise OverflowError
     with pytest.raises(InvalidParameterError):
         duhamel_multiplier_oracle(t, om, n_steps)
 
