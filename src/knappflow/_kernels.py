@@ -1,8 +1,9 @@
 """Hot numerical kernels, vectorized with numpy.
 
 ``term_sums`` is the one evaluation path.  One call integrates every
-grid of a refinement level: the grids of all output frequencies, support
-pairs and windows of a sweep, each with its own time ``t``.  The tests
+grid of a refinement level, or of the first two levels as two runs of
+nodes per grid: the grids of all output frequencies, support pairs and
+windows of a sweep, each with its own time ``t``.  The tests
 check it against a 30-digit mpmath evaluation of one grid's sums, which
 shares no code with it.  Resonance belongs to a term's sign triples, not
 to a node: ``resonant_triples`` writes the rule once.
@@ -81,8 +82,10 @@ def mult_values(t, om: np.ndarray) -> np.ndarray:
     big = ~small
     half = 0.5 * x[big]
     s = np.sin(half)
-    c = np.cos(half)
-    out[big] = (2.0 * s / om[big]) * (c + 1j * s)
+    a = 2.0 * s / om[big]
+    # real products: the bits of a * (c + 1j * s), whose other products are 0
+    out.real[big] = a * np.cos(half)
+    out.imag[big] = a * s
     return out
 
 
@@ -150,7 +153,7 @@ def resonant_triples(codes) -> np.ndarray:
     return (np.where(slot, s3, s2) == -s1) & (np.where(slot, s2, s3) == s1)
 
 
-def term_sums(pts, wq, xis, t, codes):
+def term_sums(pts, wq, xis, t, codes, runs=None):
     """Per-term, per-sign-triple sums of m(t, omega) * weight over grids.
 
     ``xis`` holds P output frequencies, shape ``(P, 3)``; ``pts``
@@ -164,6 +167,12 @@ def term_sums(pts, wq, xis, t, codes):
     complex sum and the envelope ``min(t, 2/|omega|) * |weight|`` (``t``
     at omega = 0), which is 0 on the term's two ``resonant_triples``.
 
+    ``runs`` splits each grid's nodes into consecutive runs of the given
+    lengths, such as two refinement levels of one grid; the call then
+    returns one ``(tot, env)`` per run, each with the bits of a call over
+    that run's nodes alone.  A grid of more than one run must fit in one
+    block.
+
     The nodes go in blocks of at most ``TERM_SUMS_BLOCK``: whole grids
     while a grid fits in a block, else consecutive slices of one grid.
     Per block, ``xi - eta``, ``|xi - eta|``, ``|eta|``, omega and the
@@ -175,9 +184,9 @@ def term_sums(pts, wq, xis, t, codes):
     are the conjugates of triple j's, and its envelope is triple j's.
     One ``_weight`` call weights the block for all C terms; then each
     term's products and sums are taken as ``(grids, 4, nodes)`` arrays,
-    one term at a time.  Each grid's nodes are summed along a contiguous
-    axis, so its sums do not depend on the other grids or terms of the
-    call.
+    one term at a time.  Each run's nodes are summed along a contiguous
+    axis, so its sums do not depend on the other runs, grids or terms of
+    the call.
     """
     pts = np.asarray(pts, dtype=float)
     wq = np.asarray(wq, dtype=float)
@@ -187,6 +196,10 @@ def term_sums(pts, wq, xis, t, codes):
     # (grids, 1, 1): each grid's time broadcasts over its triples and nodes
     t = np.broadcast_to(np.asarray(t, dtype=float), (n_pts,))[:, None, None]
     per = len(pts) // n_pts
+    lengths = (per,) if runs is None else tuple(runs)
+    if sum(lengths) != per or (len(lengths) > 1 and per > TERM_SUMS_BLOCK):
+        raise ValueError(f"runs {lengths} must split {per} nodes within one block")
+    cuts = [slice(end - n, end) for n, end in zip(lengths, np.cumsum(lengths))]
     # (3, grids, nodes): coordinate columns, each node axis contiguous
     eta = np.ascontiguousarray(pts.reshape(n_pts, per, 3).transpose(2, 0, 1))
     wq = wq.reshape(n_pts, per)
@@ -194,8 +207,8 @@ def term_sums(pts, wq, xis, t, codes):
     # product with the dot routine of ``x @ x``, so a grid's norm has the
     # one-point bits.  The weight takes |xi| as ``term_weight`` does.
     nx = np.sqrt(xis[:, None, :] @ xis[:, :, None])[:, 0]
-    tot = np.zeros((n_pts, n_terms, 8), dtype=np.complex128)
-    env = np.zeros((n_pts, n_terms, 8), dtype=np.float64)
+    tot = np.zeros((len(cuts), n_pts, n_terms, 8), dtype=np.complex128)
+    env = np.zeros((len(cuts), n_pts, n_terms, 8), dtype=np.float64)
     width = max(min(per, TERM_SUMS_BLOCK), 1)
     step = max(TERM_SUMS_BLOCK // width, 1)
     for first in range(0, n_pts, step):
@@ -219,9 +232,10 @@ def term_sums(pts, wq, xis, t, codes):
             weights = _weight(codes[rows].T[..., None], e, d, nx_weight, nd, ne)
             weights *= wq[rows, start : start + width]
             for c, w in enumerate(weights):
-                part = (m * w[:, None, :]).sum(axis=-1)
-                tot[rows, c] += np.concatenate([part, np.conj(part[:, ::-1])], axis=1)
-                part = (bound * np.abs(w)[:, None, :]).sum(axis=-1)
-                env[rows, c] += np.concatenate([part, part[:, ::-1]], axis=1)
-    env[resonant_triples(codes)] = 0.0
-    return tot, env
+                prods = m * w[:, None, :], bound * np.abs(w)[:, None, :]
+                for run, cut in enumerate(cuts):
+                    part, bound_part = (p[..., cut].sum(axis=-1) for p in prods)
+                    tot[run, rows, c] += np.concatenate([part, np.conj(part[:, ::-1])], axis=1)
+                    env[run, rows, c] += np.concatenate([bound_part, bound_part[:, ::-1]], axis=1)
+    env[:, resonant_triples(codes)] = 0.0
+    return (tot[0], env[0]) if runs is None else list(zip(tot, env))

@@ -13,13 +13,14 @@ unsettled term is flagged.  A sweep integrates the lattices of all its
 windows (3 x 3 x 3 output frequencies each) in one pass.  The four
 kernel terms come in two support pairs, and terms on one pair share one
 node grid per point, so each (window, support pair, point) is one grid
-with its window's time.  Per refinement level, one node build and one
-kernel call cover every grid still refining, for both of its terms and
-all 8 sign triples, over fixed-size blocks of nodes, so memory does not
-grow with the grid.  The sums over sign triples are then taken once for
-all points, as (points, sign triples) arrays, and each window keeps its
-rows as columns (``_Lattice``: per point the total, per-sign, resonant
-and nonresonant sums, envelope, point and flags).  A sweep settles each window's record from the
+with its window's time.  One node build and one kernel call cover every
+grid still refining, for both of its terms and all 8 sign triples, over
+fixed-size blocks of nodes, so memory does not grow with the grid: one
+for the first comparison, whose two levels are two runs of each grid's
+nodes, and one per later level.  The sums over sign triples are then
+taken once for all points, as (points, sign triples) arrays, and each
+window keeps its rows as columns (``_Lattice``: per point the total,
+per-sign, resonant and nonresonant sums, envelope, point and flags).  A sweep settles each window's record from the
 columns once (``sweep.sweep_core``); ``_breakdowns`` turns a window's
 columns into ``AmplitudeBreakdown``s when they are asked for.
 ``lattice_hats`` is the pass over one window and ``lambda_hat`` over
@@ -115,7 +116,7 @@ from .boxes import (
 )
 from .boxes import quadrature_grid  # noqa: F401  (perfbench/ hooks this name)
 from .construction import DEFAULT_GRID, BilinearKernel, KnappParams, kernels
-from .errors import InvalidParameterError, is_whole
+from .errors import InvalidParameterError, is_whole, shown
 from .symbols import SIGN_TRIPLES, SignTriple
 
 # Per-term quadrature refinement: start from BASE_GRID and double nodes
@@ -179,10 +180,15 @@ def _term_integrals(
     same admissible regions, so each (support pair, point) is one node
     grid, integrated for all of the pair's terms with its window's time.
     All grids still refining share one grid shape, so each refinement
-    level is one node build and one ``term_sums`` call for every window.
-    A grid refines while any of its terms is unsettled; each term keeps
-    the sums of the level where its totals settled, and is flagged if
-    that does not happen by the ceiling.  The windows share one term
+    level is one node build and one ``term_sums`` call for every window,
+    except that the first level, which settles no term, is built and
+    integrated with the second in one call whenever it is below the
+    ceiling (always at the default ``REFINE_CAP``, whose ceiling has at
+    least 8 nodes per axis): each grid's nodes are the two levels' runs,
+    and each run's sums have a one-level call's bits.  A grid refines
+    while any of its terms is unsettled; each term keeps the sums of the
+    level where its totals settled, and is flagged if that does not
+    happen by the ceiling.  The windows share one term
     layout, as ``kernels(p)`` gives every window: the support pairs are
     grouped once, from the first window's terms, and hold equally many
     terms.  They must share one configured grid and one surface axis (or
@@ -216,10 +222,18 @@ def _term_integrals(
     counts = tuple(min(b, c) for b, c in zip(BASE_GRID, ceiling))
     prev_tot = None
     while live.size:
-        pts, wq = quadrature_nodes(lo[live], hi[live], counts, surface)
-        sums = _kernels.term_sums(
-            pts.reshape(-1, 3), wq.reshape(-1), grid_xis[live], t[live], codes[live]
+        levels = [counts]
+        if prev_tot is None and counts != ceiling:
+            # the first level settles nothing: integrate it with the next
+            counts = tuple(min(2 * n, c) for n, c in zip(counts, ceiling))
+            levels.append(counts)
+        built = [quadrature_nodes(lo[live], hi[live], c, surface) for c in levels]
+        pts, wq = (np.concatenate(parts, axis=1) for parts in zip(*built))
+        *first, sums = _kernels.term_sums(
+            pts.reshape(-1, 3), wq.reshape(-1), grid_xis[live], t[live], codes[live],
+            runs=[w.shape[1] for _, w in built],
         )
+        prev_tot = first[0][0] if first else prev_tot
         tot = sums[0]
         if prev_tot is None:
             settled = np.zeros(tot.shape[:2], dtype=bool)
@@ -288,7 +302,8 @@ def _lattice_pass(
     """The columns of every ``(p, xis)`` window's lattice, in one pass.
 
     Every kernel term of every window is integrated together, with one
-    ``term_sums`` call per refinement level; the sums over sign triples
+    ``term_sums`` call for the first two refinement levels and one per
+    later level (``_term_integrals``); the sums over sign triples
     are then taken for all points at once, and each window holds its
     rows of the resulting arrays.  The breakdowns ``_breakdowns`` builds
     from them equal the one-point call's bit for bit.  The windows must
@@ -556,7 +571,9 @@ def _stacked_monomial_data(
     """
     exponents = [m for monomial in monomials for m in monomial]
     if not all(is_whole(m, 0) for m in exponents):
-        raise InvalidParameterError(f"monomial powers must be whole numbers >= 0, got {monomials}")
+        raise InvalidParameterError(
+            f"monomial powers must be whole numbers >= 0, got {shown(monomials)}"
+        )
     counts = _node_counts(nodes_per_axis)
     out: list[list[_SeparableData | None]] = [[None] * len(monomials) for _ in boxes]
     live = [j for j, b in enumerate(boxes) if not b.has_null_axis]

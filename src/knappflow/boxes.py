@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError, is_whole
+from .errors import InvalidParameterError, is_whole, shown
 
 @dataclass(frozen=True)
 class Box3:
@@ -218,7 +218,9 @@ def axis_rule(lo, hi, n: int, surface: bool) -> tuple[np.ndarray, np.ndarray]:
 def _node_counts(nodes_per_axis) -> tuple[int, int, int]:
     """A grid as 3 ints; each entry must be a finite whole number >= 1."""
     if len(nodes_per_axis) != 3 or not all(is_whole(n, 1) for n in nodes_per_axis):
-        raise InvalidParameterError(f"grid must be 3 whole numbers >= 1, got {nodes_per_axis}")
+        raise InvalidParameterError(
+            f"grid must be 3 whole numbers >= 1, got {shown(nodes_per_axis)}"
+        )
     return tuple(int(n) for n in nodes_per_axis)
 
 

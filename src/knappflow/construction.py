@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .boxes import Box3, _node_counts, box_scale
-from .errors import InvalidParameterError, WindowEmptyError, is_whole
+from .errors import InvalidParameterError, WindowEmptyError, is_whole, shown
 
 # Relative half-width of W and W' along axis 1, and W's transverse
 # window [TRANSVERSE_LO, TRANSVERSE_HI] * sqrt(lam) along axes 2 and 3.
@@ -135,7 +135,7 @@ class KnappParams:
 def window_index(k) -> int:
     """``k`` as an int; a window index is a finite whole number >= 1."""
     if not is_whole(k, 1):
-        raise InvalidParameterError(f"k must be a positive integer, got {k}")
+        raise InvalidParameterError(f"k must be a positive integer, got {shown(k)}")
     return int(k)
 
 

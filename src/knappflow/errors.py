@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and its one whole-number rule."""
+"""Exception types shared across the package, its one whole-number rule,
+and the one way an error message shows a rejected value."""
 
 
 class InvalidParameterError(ValueError):
@@ -30,3 +31,16 @@ def is_whole(x, least: int) -> bool:
         return float(x).is_integer() and x >= least
     except OverflowError:
         return False
+
+
+def shown(x) -> str:
+    """``str(x)`` for an error message, but an int too long for decimal
+    conversion (Python's ``int_max_str_digits``), alone or in a tuple or
+    list, is named by its size: ``bit_length`` converts nothing."""
+    try:
+        return str(x)
+    except ValueError:
+        if isinstance(x, int):
+            return f"an int of {x.bit_length()} bits"
+        inner = ", ".join(shown(v) for v in x)
+        return f"[{inner}]" if isinstance(x, list) else f"({inner})"

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import SIGNS_ARRAY, _mult_py
-from .errors import InvalidParameterError, is_whole
+from .errors import InvalidParameterError, is_whole, shown
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ def duhamel_multiplier_oracle(t: float, om: float, n_steps: int = 2048) -> compl
     if not math.isfinite(om):
         raise InvalidParameterError(f"omega must be finite, got {om}")
     if not is_whole(n_steps, 8):
-        raise InvalidParameterError(f"n_steps must be a whole number >= 8, got {n_steps}")
+        raise InvalidParameterError(f"n_steps must be a whole number >= 8, got {shown(n_steps)}")
     n_steps = int(n_steps)
     h = t / (2 * n_steps)
     phase = om * np.linspace(0.0, t, n_steps + 1)

@@ -63,27 +63,36 @@ def wide_boxes(monkeypatch):
     monkeypatch.setattr(construction, "TRANSVERSE_HI", 1.0)
 
 
+def run_lengths(pts, xis, runs) -> list[int]:
+    """Each run's node count over all grids of one ``term_sums`` call:
+    one run per refinement level that the call integrates."""
+    per = len(pts) // len(xis)
+    return [len(xis) * n for n in ((per,) if runs is None else runs)]
+
+
 def count_term_sums(monkeypatch) -> list[int]:
-    """Record the node count of every ``term_sums`` call from now on."""
+    """Record the node count of every refinement level that ``term_sums``
+    integrates from now on; a call with R runs serves R levels."""
     nodes: list[int] = []
     term_sums = _kernels.term_sums
 
-    def counting(pts, *args):
-        nodes.append(len(pts))
-        return term_sums(pts, *args)
+    def counting(pts, wq, xis, *args, runs=None):
+        nodes.extend(run_lengths(pts, xis, runs))
+        return term_sums(pts, wq, xis, *args, runs=runs)
 
     monkeypatch.setattr(_kernels, "term_sums", counting)
     return nodes
 
 
 def record_grid_rows(monkeypatch) -> list[np.ndarray]:
-    """Record the output frequencies of every ``term_sums`` call's grids."""
+    """Record the output frequencies of every refinement level's grids,
+    once per run of each ``term_sums`` call."""
     served: list[np.ndarray] = []
     term_sums = _kernels.term_sums
 
-    def recording(pts, wq, xis, *args):
-        served.append(np.array(xis))
-        return term_sums(pts, wq, xis, *args)
+    def recording(pts, wq, xis, *args, runs=None):
+        served.extend(np.array(xis) for _ in run_lengths(pts, xis, runs))
+        return term_sums(pts, wq, xis, *args, runs=runs)
 
     monkeypatch.setattr(_kernels, "term_sums", recording)
     return served
@@ -277,9 +286,9 @@ def test_resonant_triples_separate_at_every_node(monkeypatch, mode):
     calls = []
     term_sums = _kernels.term_sums
 
-    def recording(pts, wq, xis, t, codes):
+    def recording(pts, wq, xis, t, codes, runs=None):
         calls.append((np.array(pts), np.array(xis), np.broadcast_to(t, len(xis)), codes))
-        return term_sums(pts, wq, xis, t, codes)
+        return term_sums(pts, wq, xis, t, codes, runs=runs)
 
     monkeypatch.setattr(_kernels, "term_sums", recording)
     args = (acceptance.ACCEPT_EPS, acceptance.ACCEPT_RHO)
@@ -473,7 +482,7 @@ def test_default_geometry_node_budget(monkeypatch, mode, nodes):
     spent = count_term_sums(monkeypatch)
     p = make_params(EPS, RHO, 1, mode=mode)
     assert lambda_hat(p, p.samp_box.center()).flags == ()
-    assert sum(spent) == nodes
+    assert spent == [4, nodes - 4]
 
 
 @pytest.mark.parametrize("mode", ["slab", "surface"])
@@ -511,19 +520,30 @@ def test_lowered_cap_flags_only_the_wide_boxes(monkeypatch, mode, cap, grid):
 
 
 @pytest.mark.parametrize("mode, nodes", [("slab", 972), ("surface", 540)])
-def test_window_is_one_term_sums_call_per_level(monkeypatch, mode, nodes):
-    # 2 levels, each call covering 2 support pairs x 27 lattice points of
-    # every window: a 3-window sweep is one pass, not one per window
+def test_window_first_comparison_is_one_term_sums_call(monkeypatch, mode, nodes):
+    # 2 levels, (2,1,1) and (4,2,2), integrated in one call over 2 support
+    # pairs x 27 lattice points of every window: 54 x 2 nodes, then
+    # 54 x 16 (54 x 8 in surface mode).  A 3-window sweep is one call,
+    # not one per level or per window
     spent = count_term_sums(monkeypatch)
+    calls = []
+    counting = _kernels.term_sums
+
+    def once(pts, *args, **kwargs):
+        calls.append(len(pts))
+        return counting(pts, *args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "term_sums", once)
     (core,) = sweep_core(EPS, RHO, [1], mode=mode)
     assert len(core.breakdowns) == 27
-    assert len(spent) == 2
-    assert sum(spent) == nodes
+    assert spent == [108, nodes - 108]
+    assert calls == [nodes]
     spent.clear()
+    calls.clear()
     cores = sweep_core(EPS, RHO, [2, 5, 9], mode=mode)
     assert [len(core.breakdowns) for core in cores] == [27] * 3
-    assert len(spent) == 2
-    assert sum(spent) == 3 * nodes
+    assert spent == [3 * 108, 3 * (nodes - 108)]
+    assert calls == [3 * nodes]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -574,6 +594,58 @@ def test_per_grid_time_equals_one_call_per_grid(monkeypatch, mode, counts):
         alone = _kernels.term_sums(nodes[j], weights[j], xis[[j]], ts[j], codes[j:j + 1])
         for got, want in zip(together, alone):
             assert got[j].tobytes() == want[0].tobytes()
+
+
+@pytest.mark.parametrize(
+    "runs", [(2, 16), (2, 8), (1, 8), (1, 1)], ids=lambda runs: "+".join(map(str, runs))
+)
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_each_run_has_the_bits_of_a_call_over_its_nodes(monkeypatch, mode, runs):
+    # seeded nodes in the admissible regions of both support pairs at 9
+    # lattice points, a surface mode's axis 3 on its point, each grid
+    # with its own t: every run's sums are those of a one-run call over
+    # that run's nodes alone, and runs=(n,) is the default call
+    rng = np.random.default_rng(sum(runs) + (mode == "surface"))
+    p = make_params(EPS, RHO, 1, mode=mode)
+    xis = sample_lattice(p.samp_box)[1][::3]
+    lo, hi, codes = [], [], []
+    for pair in ((0, 2), (1, 3)):
+        a, b = (kernels(p)[i] for i in pair)
+        rows = admissible_eta_region(xis, a.support_a, a.support_b)
+        assert rows.found.all()
+        lo.append(rows.lo)
+        hi.append(rows.hi)
+        codes += [[a.code, b.code]] * len(xis)
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    per = sum(runs)
+    nodes = lo[:, None, :] + (hi - lo)[:, None, :] * rng.random((len(lo), per, 3))
+    weights = rng.uniform(0.5, 2.0, (len(lo), per)) * 1e-20
+    grid_xis = np.concatenate([xis, xis])
+    ts = p.t * rng.uniform(0.5, 2.0, len(lo))
+    args = nodes.reshape(-1, 3), weights.reshape(-1), grid_xis, ts, codes
+    together = _kernels.term_sums(*args, runs=runs)
+    assert len(together) == len(runs)
+    first = 0
+    for run, n in zip(together, runs):
+        cut = slice(first, first + n)
+        first += n
+        alone = _kernels.term_sums(
+            nodes[:, cut].reshape(-1, 3), weights[:, cut].reshape(-1), grid_xis, ts, codes
+        )
+        for got, want in zip(run, alone):
+            assert got.shape == (len(lo), 2, 8)
+            assert got.tobytes() == want.tobytes()
+    (whole,) = _kernels.term_sums(*args, runs=(per,))
+    for got, want in zip(whole, _kernels.term_sums(*args)):
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="must split"):
+        _kernels.term_sums(*args, runs=(per, 1))
+    # more than one run per grid only where a grid fits in one block
+    monkeypatch.setattr(_kernels, "TERM_SUMS_BLOCK", per - 1)
+    with pytest.raises(ValueError, match="within one block"):
+        _kernels.term_sums(*args, runs=runs)
+    (whole,) = _kernels.term_sums(*args, runs=(per,))
+    assert whole[0].shape == (len(lo), 2, 8)
 
 
 @pytest.mark.parametrize("counts", [(2, 1, 1), (4, 2, 2), (32, 16, 16)])
@@ -920,7 +992,11 @@ def test_sobolev_norm_closed_forms():
 
 
 @pytest.mark.parametrize(
-    "power", [0.5, -0.5, math.nan, math.inf, pytest.param(10**400, id="10**400")]
+    "power",
+    [
+        0.5, -0.5, math.nan, math.inf,
+        pytest.param(10**400, id="10**400"), pytest.param(10**5000, id="10**5000"),
+    ],
 )
 def test_monomial_powers_must_be_whole_numbers(power):
     # 0.5 and -0.5 used to truncate to the indicator's norm, nan to raise

@@ -15,7 +15,7 @@ from knappflow.construction import (
     lambda_window,
     make_params,
 )
-from knappflow.errors import InvalidParameterError, WindowEmptyError
+from knappflow.errors import InvalidParameterError, WindowEmptyError, shown
 from knappflow.sweep import records_from_core, sweep_core
 from regions import one_region
 
@@ -139,7 +139,11 @@ def test_non_finite_parameters_are_rejected(bad):
 
 
 @pytest.mark.parametrize(
-    "bad", [1.5, 0.999, math.nan, math.inf, 0, -2, pytest.param(10**400, id="10**400")]
+    "bad",
+    [
+        1.5, 0.999, math.nan, math.inf, 0, -2,
+        pytest.param(10**400, id="10**400"), pytest.param(10**5000, id="10**5000"),
+    ],
 )
 def test_window_index_must_be_a_positive_whole_number(bad):
     # a fractional k would take lam from the anti-resonant window between
@@ -323,7 +327,25 @@ def test_kernel_codes_are_axis_and_slot():
             term_weight(bad, xi, eta)
 
 
-@pytest.mark.parametrize("bad", [8.5, math.nan, math.inf, pytest.param(10**400, id="10**400")])
+def test_messages_name_an_int_too_long_to_print_by_its_size():
+    # Python converts at most 4300 digits of an int to decimal, so a
+    # message that formats 10**5000 raised a plain ValueError instead
+    big = 10**5000
+    with pytest.raises(InvalidParameterError, match=r"got an int of 16610 bits$"):
+        make_params(EPS, RHO, big)
+    with pytest.raises(InvalidParameterError, match=r"got \(an int of 16610 bits, 4, 4\)$"):
+        make_params(EPS, RHO, 1, grid=(big, 4, 4))
+    assert shown([(0, 1.5), [big]]) == "[(0, 1.5), [an int of 16610 bits]]"
+    assert shown((2, 10**400)) == str((2, 10**400))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        8.5, math.nan, math.inf,
+        pytest.param(10**400, id="10**400"), pytest.param(10**5000, id="10**5000"),
+    ],
+)
 def test_grid_entries_must_be_finite_whole_numbers(bad):
     # a fractional count would be truncated by the norms; nan and inf
     # would fail inside int() with a bare ValueError or OverflowError,

@@ -57,12 +57,13 @@ def test_values_read_by_the_harness():
 
 @pytest.mark.parametrize("mode, nodes", [("slab", 972), ("surface", 540)])
 def test_traced_window_counts(mode, nodes):
-    # one window: two refinement levels, each one term_sums call over one
-    # grid per support pair at each of the 27 lattice points
+    # one window: one term_sums call integrates the first two refinement
+    # levels together, over one grid per support pair at each of the 27
+    # lattice points
     tracing = load_tracing()
     sweep = importlib.import_module("knappflow.sweep")
     with tracing.Tracer() as tracer:
         sweep.sweep_core(0.01, 2e-6, [3], mode)
     metrics = tracing.layer_metrics(tracer.spans, 1)
-    assert metrics["kernels.term_sums.calls"] == (2, "count/item")
+    assert metrics["kernels.term_sums.calls"] == (1, "count/item")
     assert metrics["kernels.term_sums.nodes"] == (nodes, "count/item")

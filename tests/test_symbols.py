@@ -213,6 +213,31 @@ def test_mult_values_is_conjugate_symmetric_bit_for_bit(t):
     ))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_closed_form_branch_has_the_complex_products_bits(seed):
+    # mult_values forms the closed-form branch as the real products
+    # a * cos and a * sin, a = 2 sin(x/2) / omega: the bits of the complex
+    # product a * (cos + 1j * sin), sign bits included, over the domain
+    # the lattice pass admits (|t omega| from 1e-4 to 1e6, |omega| up to
+    # 1e155, both signs), for one t and for a t per element
+    rng = np.random.default_rng(40 + seed)
+    n = 4000
+    sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    x = 10.0 ** rng.uniform(-4.0, 6.0, n)
+    om = sign * 10.0 ** rng.uniform(-6.0, 155.0, n)
+    t0 = 10.0 ** rng.uniform(-9.0, 0.0)
+    for t, om in ((x / np.abs(om), om), (t0, sign * x / t0)):
+        tx = t * om
+        half = 0.5 * tx
+        s = np.sin(half)
+        want = (2.0 * s / om) * (np.cos(half) + 1j * s)
+        got = mult_values(t, om)
+        big = np.abs(tx) >= MULT_SERIES_THRESHOLD
+        assert big.mean() > 0.99
+        assert np.all(_bits(got[big]) == _bits(want[big]))
+        assert np.all(_bits(mult_values(t, -om)) == _bits(np.conj(got)))
+
+
 def test_oracle_constant_integrand():
     assert duhamel_multiplier_oracle(1.0, 0.0, 8) == pytest.approx(1.0, rel=1e-15)
 
@@ -300,6 +325,7 @@ def test_oracle_fourth_order_convergence():
         (1.0, 1.0, math.inf),
         (1.0, 1.0, math.nan),
         pytest.param(1.0, 1.0, 10**400, id="1.0-1.0-10**400"),
+        pytest.param(1.0, 1.0, 10**5000, id="1.0-1.0-10**5000"),
     ],
 )
 def test_oracle_rejects_non_finite_pairs_and_fractional_steps(t, om, n_steps):
