@@ -1,8 +1,8 @@
 """Hot numerical kernels, vectorized with numpy.
 
 ``term_sums`` is the one evaluation path.  One call integrates every
-grid of a refinement level, or of the first two levels as two runs of
-nodes per grid: the grids of all output frequencies, support pairs and
+grid of a refinement comparison, each grid's two levels as two runs of
+its nodes: the grids of all output frequencies, support pairs and
 windows of a sweep, each with its own time ``t``.  The tests
 check it against a 30-digit mpmath evaluation of one grid's sums, which
 shares no code with it.  Resonance belongs to a term's sign triples, not
@@ -29,8 +29,9 @@ NUMBA_ENABLED = False
 # size or the number of grids, so a ceiling grid of 256 x 128 x 128
 # nodes needs no more memory than a small one.  The weights take one
 # float per node and term: within that bound for up to 8 terms per grid
-# (``kernels(p)`` puts 2 on each).  A grid's node sums are cut at the
-# block bounds, so they fix the last bits of a large grid's sums.
+# (``kernels(p)`` puts 2 on each).  A grid larger than a block is cut
+# per run, each run from its own start, and a run's node sums are cut at
+# those bounds, so they fix the last bits of a large run's sums.
 TERM_SUMS_BLOCK = 1 << 12
 
 # The 8 half-wave sign triples (s1, s2, s3), lexicographic with + before
@@ -153,7 +154,7 @@ def resonant_triples(codes) -> np.ndarray:
     return (np.where(slot, s3, s2) == -s1) & (np.where(slot, s2, s3) == s1)
 
 
-def term_sums(pts, wq, xis, t, codes, runs=None):
+def term_sums(pts, wq, xis, t, codes, runs):
     """Per-term, per-sign-triple sums of m(t, omega) * weight over grids.
 
     ``xis`` holds P output frequencies, shape ``(P, 3)``; ``pts``
@@ -162,19 +163,19 @@ def term_sums(pts, wq, xis, t, codes, runs=None):
     shape ``(P,)``, or one time for every grid.  ``codes`` ``(P, C)``
     holds the codes of the C kernel terms integrated over each grid
     (terms on one support pair share its grid), so a call may mix terms,
-    points and windows.  Returns ``(tot, env)``, each ``(P, C, 8)``: for
-    each grid, term and sign triple (in ``SIGNS_ARRAY`` order) the full
-    complex sum and the envelope ``min(t, 2/|omega|) * |weight|`` (``t``
-    at omega = 0), which is 0 on the term's two ``resonant_triples``.
+    points and windows.  ``runs`` splits each grid's nodes into
+    consecutive runs of the given lengths, such as two refinement levels
+    of one grid, and must add up to a grid.  Returns one ``(tot, env)``
+    per run, each ``(P, C, 8)``: for each grid, term and sign triple (in
+    ``SIGNS_ARRAY`` order) the run's full complex sum and its envelope
+    ``min(t, 2/|omega|) * |weight|`` (``t`` at omega = 0), which is 0 on
+    the term's two ``resonant_triples``.  Each run's sums have the bits
+    of a call over that run's nodes alone, at any size.
 
-    ``runs`` splits each grid's nodes into consecutive runs of the given
-    lengths, such as two refinement levels of one grid; the call then
-    returns one ``(tot, env)`` per run, each with the bits of a call over
-    that run's nodes alone.  A grid of more than one run must fit in one
-    block.
-
-    The nodes go in blocks of at most ``TERM_SUMS_BLOCK``: whole grids
-    while a grid fits in a block, else consecutive slices of one grid.
+    The nodes go in blocks of at most ``TERM_SUMS_BLOCK``: whole grids,
+    every run of them, while a grid fits in a block, else consecutive
+    slices of one run, counted from that run's start, as a call over the
+    run alone cuts them.
     Per block, ``xi - eta``, ``|xi - eta|``, ``|eta|``, omega and the
     multiplier are formed once for all C terms, the norms over
     contiguous coordinate columns (``_norm3``), and only for the four
@@ -196,10 +197,16 @@ def term_sums(pts, wq, xis, t, codes, runs=None):
     # (grids, 1, 1): each grid's time broadcasts over its triples and nodes
     t = np.broadcast_to(np.asarray(t, dtype=float), (n_pts,))[:, None, None]
     per = len(pts) // n_pts
-    lengths = (per,) if runs is None else tuple(runs)
-    if sum(lengths) != per or (len(lengths) > 1 and per > TERM_SUMS_BLOCK):
-        raise ValueError(f"runs {lengths} must split {per} nodes within one block")
-    cuts = [slice(end - n, end) for n, end in zip(lengths, np.cumsum(lengths))]
+    edges = np.cumsum((0, *runs)).tolist()
+    if edges[-1] != per:
+        raise ValueError(f"runs {tuple(runs)} must split {per} nodes")
+    spans = list(enumerate(zip(edges, edges[1:])))
+    # (start, stop, [(run, cut)]): whole grids while a grid fits in a
+    # block, else slices of one run, each counted from the run's start
+    blocks = [(0, per, [(run, slice(*span)) for run, span in spans])]
+    if per > TERM_SUMS_BLOCK:
+        blocks = [(i, min(i + TERM_SUMS_BLOCK, b), [(run, slice(None))])
+                  for run, (a, b) in spans for i in range(a, b, TERM_SUMS_BLOCK)]
     # (3, grids, nodes): coordinate columns, each node axis contiguous
     eta = np.ascontiguousarray(pts.reshape(n_pts, per, 3).transpose(2, 0, 1))
     wq = wq.reshape(n_pts, per)
@@ -207,17 +214,16 @@ def term_sums(pts, wq, xis, t, codes, runs=None):
     # product with the dot routine of ``x @ x``, so a grid's norm has the
     # one-point bits.  The weight takes |xi| as ``term_weight`` does.
     nx = np.sqrt(xis[:, None, :] @ xis[:, :, None])[:, 0]
-    tot = np.zeros((len(cuts), n_pts, n_terms, 8), dtype=np.complex128)
-    env = np.zeros((len(cuts), n_pts, n_terms, 8), dtype=np.float64)
-    width = max(min(per, TERM_SUMS_BLOCK), 1)
-    step = max(TERM_SUMS_BLOCK // width, 1)
+    tot = np.zeros((len(spans), n_pts, n_terms, 8), dtype=np.complex128)
+    env = np.zeros((len(spans), n_pts, n_terms, 8), dtype=np.float64)
+    step = max(TERM_SUMS_BLOCK // max(per, 1), 1)
     for first in range(0, n_pts, step):
         rows = slice(first, first + step)
         x = xis[rows].T[:, :, None]
         nx_weight = _norm3(x)
         t_rows = t[rows]
-        for start in range(0, per, width):
-            e = eta[:, rows, start : start + width]
+        for start, stop, cuts in blocks:
+            e = eta[:, rows, start:stop]
             d = x - e
             nd = _norm3(d)
             ne = _norm3(e)
@@ -230,12 +236,12 @@ def term_sums(pts, wq, xis, t, codes, runs=None):
                 bound = np.minimum(t_rows, 2.0 / np.abs(om))
             # (C, grids, nodes): each grid's codes broadcast over its nodes
             weights = _weight(codes[rows].T[..., None], e, d, nx_weight, nd, ne)
-            weights *= wq[rows, start : start + width]
+            weights *= wq[rows, start:stop]
             for c, w in enumerate(weights):
                 prods = m * w[:, None, :], bound * np.abs(w)[:, None, :]
-                for run, cut in enumerate(cuts):
+                for run, cut in cuts:
                     part, bound_part = (p[..., cut].sum(axis=-1) for p in prods)
                     tot[run, rows, c] += np.concatenate([part, np.conj(part[:, ::-1])], axis=1)
                     env[run, rows, c] += np.concatenate([bound_part, bound_part[:, ::-1]], axis=1)
     env[:, resonant_triples(codes)] = 0.0
-    return (tot[0], env[0]) if runs is None else list(zip(tot, env))
+    return list(zip(tot, env))

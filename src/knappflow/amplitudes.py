@@ -13,11 +13,12 @@ unsettled term is flagged.  A sweep integrates the lattices of all its
 windows (3 x 3 x 3 output frequencies each) in one pass.  The four
 kernel terms come in two support pairs, and terms on one pair share one
 node grid per point, so each (window, support pair, point) is one grid
-with its window's time.  One node build and one kernel call cover every
-grid still refining, for both of its terms and all 8 sign triples, over
-fixed-size blocks of nodes, so memory does not grow with the grid: one
-for the first comparison, whose two levels are two runs of each grid's
-nodes, and one per later level.  The sums over sign triples are then
+with its window's time.  Each comparison of two successive levels is
+one node build and one kernel call over every grid still refining, for
+both of its terms and all 8 sign triples, over fixed-size blocks of
+nodes, so memory does not grow with the grid: the two levels are two
+runs of each grid's nodes, and nothing is carried from one comparison
+to the next.  The sums over sign triples are then
 taken once for all points, as (points, sign triples) arrays, and each
 window keeps its rows as columns (``_Lattice``: per point the total,
 per-sign, resonant and nonresonant sums, envelope, point and flags).  A sweep settles each window's record from the
@@ -180,15 +181,17 @@ def _term_integrals(
     same admissible regions, so each (support pair, point) is one node
     grid, integrated for all of the pair's terms with its window's time.
     All grids still refining share one grid shape, so each refinement
-    level is one node build and one ``term_sums`` call for every window,
-    except that the first level, which settles no term, is built and
-    integrated with the second in one call whenever it is below the
-    ceiling (always at the default ``REFINE_CAP``, whose ceiling has at
-    least 8 nodes per axis): each grid's nodes are the two levels' runs,
-    and each run's sums have a one-level call's bits.  A grid refines
-    while any of its terms is unsettled; each term keeps the sums of the
-    level where its totals settled, and is flagged if that does not
-    happen by the ceiling.  The windows share one term
+    step is one node build and one ``term_sums`` call for every window:
+    each grid's nodes are two runs, the level ``counts`` and the next,
+    ``finer``, and each run's sums have a one-level call's bits.  The
+    step compares the two runs' totals, keeps the finer run's sums for
+    the terms that settle, and moves on to ``finer``; no sums are carried
+    from one call to the next.  A grid refines while any of its terms is
+    unsettled; each term keeps the sums of the level where its totals
+    settled, and is flagged if that does not happen by the ceiling.  A
+    first level that is already the ceiling is compared with itself,
+    which settles nothing, so its terms are flagged with its sums.  The
+    windows share one term
     layout, as ``kernels(p)`` gives every window: the support pairs are
     grouped once, from the first window's terms, and hold equally many
     terms.  They must share one configured grid and one surface axis (or
@@ -220,38 +223,28 @@ def _term_integrals(
     live = np.flatnonzero(pending[:, 0])
     ceiling = tuple(n << REFINE_CAP for n in grid)
     counts = tuple(min(b, c) for b, c in zip(BASE_GRID, ceiling))
-    prev_tot = None
     while live.size:
-        levels = [counts]
-        if prev_tot is None and counts != ceiling:
-            # the first level settles nothing: integrate it with the next
-            counts = tuple(min(2 * n, c) for n, c in zip(counts, ceiling))
-            levels.append(counts)
-        built = [quadrature_nodes(lo[live], hi[live], c, surface) for c in levels]
+        finer = tuple(min(2 * n, c) for n, c in zip(counts, ceiling))
+        built = [quadrature_nodes(lo[live], hi[live], c, surface) for c in (counts, finer)]
         pts, wq = (np.concatenate(parts, axis=1) for parts in zip(*built))
-        *first, sums = _kernels.term_sums(
+        (coarse, _), (tot, env) = _kernels.term_sums(
             pts.reshape(-1, 3), wq.reshape(-1), grid_xis[live], t[live], codes[live],
             runs=[w.shape[1] for _, w in built],
         )
-        prev_tot = first[0][0] if first else prev_tot
-        tot = sums[0]
-        if prev_tot is None:
-            settled = np.zeros(tot.shape[:2], dtype=bool)
-        else:
-            scale = np.abs(tot).max(axis=-1)
-            delta = np.abs(tot - prev_tot).max(axis=-1)
-            settled = (scale == 0.0) | (delta <= REFINE_RELTOL * scale)
+        scale = np.abs(tot).max(axis=-1)
+        delta = np.abs(tot - coarse).max(axis=-1)
+        # a level compared with itself proves nothing
+        settled = ((scale == 0.0) | (delta <= REFINE_RELTOL * scale)) & (finer != counts)
         waiting = pending[live]
-        if counts == ceiling:
+        if finer == ceiling:
             unsettled[live] = waiting & ~settled
             settled = waiting
         grid, term = np.nonzero(waiting & settled)
-        for acc, part in zip(out, sums):
+        for acc, part in zip(out, (tot, env)):
             acc[live[grid], term] = part[grid, term]
         pending[live[grid], term] = False
-        keep = pending[live].any(axis=1)
-        live, prev_tot = live[keep], tot[keep]
-        counts = tuple(min(2 * n, c) for n, c in zip(counts, ceiling))
+        live = live[pending[live].any(axis=1)]
+        counts = finer
     # Back to kernel order: kernel i is term c of pair g's grids.
     slot = {i: (g, c) for g, m in enumerate(members) for c, i in enumerate(m)}
     g, c = np.array([slot[i] for i in range(len(slot))]).T
@@ -302,8 +295,8 @@ def _lattice_pass(
     """The columns of every ``(p, xis)`` window's lattice, in one pass.
 
     Every kernel term of every window is integrated together, with one
-    ``term_sums`` call for the first two refinement levels and one per
-    later level (``_term_integrals``); the sums over sign triples
+    ``term_sums`` call per comparison of two successive refinement
+    levels (``_term_integrals``); the sums over sign triples
     are then taken for all points at once, and each window holds its
     rows of the resulting arrays.  The breakdowns ``_breakdowns`` builds
     from them equal the one-point call's bit for bit.  The windows must
@@ -570,9 +563,9 @@ def _stacked_monomial_data(
     boxes must share one surface axis (or none), or ``_shared`` raises.
     """
     exponents = [m for monomial in monomials for m in monomial]
-    if not all(is_whole(m, 0) for m in exponents):
+    if any(len(m) != 3 for m in monomials) or not all(is_whole(m, 0) for m in exponents):
         raise InvalidParameterError(
-            f"monomial powers must be whole numbers >= 0, got {shown(monomials)}"
+            f"monomials must be 3 powers, each a whole number >= 0, got {shown(monomials)}"
         )
     counts = _node_counts(nodes_per_axis)
     out: list[list[_SeparableData | None]] = [[None] * len(monomials) for _ in boxes]

@@ -177,8 +177,8 @@ def sweep_core(
 
     Every window's parameters and sampling lattice are built first; then
     the lattices of all nonempty windows are integrated in one pass, one
-    ``term_sums`` call for the first comparison of (2,1,1) and (4,2,2)
-    grids and one per later refinement level, for all of them; each
+    ``term_sums`` call per comparison of two successive refinement
+    levels, the first of (2,1,1) and (4,2,2) grids, for all of them; each
     window's record is settled but for its norms, and the norms are
     prepared in one stacked pass each for the output norms and the data
     norms.  The expensive oscillatory quadrature happens here exactly

@@ -80,8 +80,20 @@ def omega_all(xi, eta) -> np.ndarray:
     )
 
 
+def _check_pair(t: float, om: float) -> None:
+    """Reject a pair outside the multiplier's domain: ``t`` finite and
+    nonnegative, ``omega`` finite, and their product finite, since both
+    evaluations take the phase ``t * omega``."""
+    if t < 0.0 or not math.isfinite(t):
+        raise InvalidParameterError(f"t must be finite and nonnegative, got {t}")
+    if not math.isfinite(om):
+        raise InvalidParameterError(f"omega must be finite, got {om}")
+    if not math.isfinite(t * om):
+        raise InvalidParameterError(f"t * omega must be finite, got t = {t}, omega = {om}")
+
+
 def duhamel_multiplier(t: float, om: float) -> MultiplierValue:
-    """Evaluate m(t, omega) for one finite pair with ``t >= 0``.
+    """Evaluate m(t, omega) for one finite pair with ``t >= 0`` and finite ``t * omega``.
 
     The closed form is used when |t*omega| >= 1e-4, written as
     ``2 sin(t omega / 2) exp(i t omega / 2) / omega`` to avoid the
@@ -90,10 +102,7 @@ def duhamel_multiplier(t: float, om: float) -> MultiplierValue:
     under 1e-23 relative at the switch, continuous to ~1e-12).
     ``m(t, 0) = t`` exactly.
     """
-    if t < 0.0 or not math.isfinite(t):
-        raise InvalidParameterError(f"t must be finite and nonnegative, got {t}")
-    if not math.isfinite(om):
-        raise InvalidParameterError(f"omega must be finite, got {om}")
+    _check_pair(t, om)
     return MultiplierValue(value=_mult_py(t, om))
 
 
@@ -109,10 +118,7 @@ def duhamel_multiplier_oracle(t: float, om: float, n_steps: int = 2048) -> compl
     The real and imaginary parts are summed apart with Simpson's weights
     1, 4, 2, ..., 4, 1.
     """
-    if t < 0.0 or not math.isfinite(t):
-        raise InvalidParameterError(f"t must be finite and nonnegative, got {t}")
-    if not math.isfinite(om):
-        raise InvalidParameterError(f"omega must be finite, got {om}")
+    _check_pair(t, om)
     if not is_whole(n_steps, 8):
         raise InvalidParameterError(f"n_steps must be a whole number >= 8, got {shown(n_steps)}")
     n_steps = int(n_steps)

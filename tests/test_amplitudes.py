@@ -63,35 +63,30 @@ def wide_boxes(monkeypatch):
     monkeypatch.setattr(construction, "TRANSVERSE_HI", 1.0)
 
 
-def run_lengths(pts, xis, runs) -> list[int]:
-    """Each run's node count over all grids of one ``term_sums`` call:
-    one run per refinement level that the call integrates."""
-    per = len(pts) // len(xis)
-    return [len(xis) * n for n in ((per,) if runs is None else runs)]
-
-
-def count_term_sums(monkeypatch) -> list[int]:
-    """Record the node count of every refinement level that ``term_sums``
-    integrates from now on; a call with R runs serves R levels."""
-    nodes: list[int] = []
+def count_term_sums(monkeypatch) -> list[tuple[int, ...]]:
+    """Record, for every ``term_sums`` call from now on, each run's node
+    count over all of the call's grids.  A call is one comparison, of a
+    level and the next, so a term that settles at level L spans L - 1
+    calls."""
+    calls: list[tuple[int, ...]] = []
     term_sums = _kernels.term_sums
 
-    def counting(pts, wq, xis, *args, runs=None):
-        nodes.extend(run_lengths(pts, xis, runs))
+    def counting(pts, wq, xis, *args, runs):
+        calls.append(tuple(len(xis) * n for n in runs))
         return term_sums(pts, wq, xis, *args, runs=runs)
 
     monkeypatch.setattr(_kernels, "term_sums", counting)
-    return nodes
+    return calls
 
 
 def record_grid_rows(monkeypatch) -> list[np.ndarray]:
-    """Record the output frequencies of every refinement level's grids,
-    once per run of each ``term_sums`` call."""
+    """Record the output frequencies of every ``term_sums`` call's grids,
+    one entry per comparison."""
     served: list[np.ndarray] = []
     term_sums = _kernels.term_sums
 
-    def recording(pts, wq, xis, *args, runs=None):
-        served.extend(np.array(xis) for _ in run_lengths(pts, xis, runs))
+    def recording(pts, wq, xis, *args, runs):
+        served.append(np.array(xis))
         return term_sums(pts, wq, xis, *args, runs=runs)
 
     monkeypatch.setattr(_kernels, "term_sums", recording)
@@ -141,7 +136,9 @@ def fixed_grid_sums(p, xi, kern, counts):
     """One term's (tot, env) on a single fixed grid, without refinement."""
     region = one_region(xi, kern.support_a, kern.support_b)
     grid = quadrature_grid(region, counts)
-    sums = _kernels.term_sums(grid.points, grid.weights, xi[None, :], p.t, [[kern.code]])
+    [sums] = _kernels.term_sums(
+        grid.points, grid.weights, xi[None, :], p.t, [[kern.code]], runs=[len(grid.points)]
+    )
     return tuple(part[0, 0] for part in sums)
 
 
@@ -286,7 +283,7 @@ def test_resonant_triples_separate_at_every_node(monkeypatch, mode):
     calls = []
     term_sums = _kernels.term_sums
 
-    def recording(pts, wq, xis, t, codes, runs=None):
+    def recording(pts, wq, xis, t, codes, runs):
         calls.append((np.array(pts), np.array(xis), np.broadcast_to(t, len(xis)), codes))
         return term_sums(pts, wq, xis, t, codes, runs=runs)
 
@@ -331,7 +328,9 @@ def test_envelope_takes_t_where_a_nonresonant_omega_is_zero():
     assert np.any(om == 0.0) and np.abs(om).max() < 1e-9 * p.lam
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, env = _kernels.term_sums(grid.points, grid.weights, xi[None, :], p.t, [[1]])
+        [(_, env)] = _kernels.term_sums(
+            grid.points, grid.weights, xi[None, :], p.t, [[1]], runs=[len(grid.points)]
+        )
     want = p.t * np.abs(_kernels.term_weight(1, xi, grid.points) * grid.weights).sum()
     assert env[0, 0, row] == pytest.approx(want, rel=1e-14, abs=0.0)
 
@@ -395,7 +394,10 @@ def test_time_zero_vanishes():
         grid = quadrature_grid(one_region(xi, kern.support_a, kern.support_b), SMALL_GRID)
 
         def sums(t):
-            return _kernels.term_sums(grid.points, grid.weights, xi[None, :], t, [[kern.code]])
+            [sums] = _kernels.term_sums(
+                grid.points, grid.weights, xi[None, :], t, [[kern.code]], runs=[len(grid.points)]
+            )
+            return sums
 
         assert all(np.all(part == 0.0) for part in sums(0.0))
         tot, env = sums(p.t)
@@ -478,11 +480,11 @@ def test_grid_doubling_converges():
 def test_default_geometry_node_budget(monkeypatch, mode, nodes):
     # every term settles at the first comparison, (2,1,1) against (4,2,2),
     # on one grid per support pair: 2 grids x (2 + 16) nodes, or
-    # 2 x (2 + 8) when one axis is a surface
+    # 2 x (2 + 8) when one axis is a surface, in one call
     spent = count_term_sums(monkeypatch)
     p = make_params(EPS, RHO, 1, mode=mode)
     assert lambda_hat(p, p.samp_box.center()).flags == ()
-    assert spent == [4, nodes - 4]
+    assert spent == [(4, nodes - 4)]
 
 
 @pytest.mark.parametrize("mode", ["slab", "surface"])
@@ -496,7 +498,7 @@ def test_wide_boxes_refine_to_fixed_grid_reference(monkeypatch, mode):
         tot, env, flags = _term_integrals([(p, xi[None, :], (kern,))])
         tot, env = tot[0, 0], env[0, 0]
         assert flags == [[]]
-        assert len(spent) > 2  # more than one comparison of successive grids
+        assert len(spent) > 1  # more than one comparison of successive grids
         want_tot, want_env = fixed_grid_sums(p, xi, kern, FINE_GRID)
         scale = np.abs(want_tot).max()
         assert np.abs(tot - want_tot).max() <= 1e-9 * scale
@@ -519,6 +521,25 @@ def test_lowered_cap_flags_only_the_wide_boxes(monkeypatch, mode, cap, grid):
     )
 
 
+@pytest.mark.parametrize("grid", [(2, 1, 1), (1, 1, 1)])
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_ceiling_at_the_first_level_flags_every_term(monkeypatch, mode, grid):
+    # the first level is the ceiling, and a level compared with itself
+    # proves nothing: every term at every lattice point is flagged, and
+    # keeps that one level's sums
+    monkeypatch.setattr(amplitudes, "REFINE_CAP", 0)
+    p = make_params(EPS, RHO, 1, mode=mode, grid=grid)
+    xis = sample_lattice(p.samp_box)[1]
+    kerns = kernels(p)
+    tot, env, flags = _term_integrals([(p, xis, kerns)])
+    assert flags == [[f"nonconverged_quadrature:{k.label}" for k in kerns]] * len(xis)
+    for i, kern in enumerate(kerns):
+        for j, xi in enumerate(xis):
+            want_tot, want_env = fixed_grid_sums(p, xi, kern, grid)
+            assert tot[i, j].tobytes() == want_tot.tobytes()
+            assert env[i, j].tobytes() == want_env.tobytes()
+
+
 @pytest.mark.parametrize("mode, nodes", [("slab", 972), ("surface", 540)])
 def test_window_first_comparison_is_one_term_sums_call(monkeypatch, mode, nodes):
     # 2 levels, (2,1,1) and (4,2,2), integrated in one call over 2 support
@@ -526,24 +547,13 @@ def test_window_first_comparison_is_one_term_sums_call(monkeypatch, mode, nodes)
     # 54 x 16 (54 x 8 in surface mode).  A 3-window sweep is one call,
     # not one per level or per window
     spent = count_term_sums(monkeypatch)
-    calls = []
-    counting = _kernels.term_sums
-
-    def once(pts, *args, **kwargs):
-        calls.append(len(pts))
-        return counting(pts, *args, **kwargs)
-
-    monkeypatch.setattr(_kernels, "term_sums", once)
     (core,) = sweep_core(EPS, RHO, [1], mode=mode)
     assert len(core.breakdowns) == 27
-    assert spent == [108, nodes - 108]
-    assert calls == [nodes]
+    assert spent == [(108, nodes - 108)]
     spent.clear()
-    calls.clear()
     cores = sweep_core(EPS, RHO, [2, 5, 9], mode=mode)
     assert [len(core.breakdowns) for core in cores] == [27] * 3
-    assert spent == [3 * 108, 3 * (nodes - 108)]
-    assert calls == [3 * nodes]
+    assert spent == [(3 * 108, 3 * (nodes - 108))]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -586,25 +596,32 @@ def test_per_grid_time_equals_one_call_per_grid(monkeypatch, mode, counts):
     nodes, weights = quadrature_nodes(np.array(lo), np.array(hi), counts, regions.surface_axis)
     xis = np.array(xis)
     monkeypatch.setattr(_kernels, "TERM_SUMS_BLOCK", 7)
-    together = _kernels.term_sums(
-        nodes.reshape(-1, 3), weights.reshape(-1), xis, np.array(ts), codes
+    per = nodes.shape[1]
+    [together] = _kernels.term_sums(
+        nodes.reshape(-1, 3), weights.reshape(-1), xis, np.array(ts), codes, runs=[per]
     )
     assert together[0].shape == (12, 2, 8)
     for j in range(len(xis)):
-        alone = _kernels.term_sums(nodes[j], weights[j], xis[[j]], ts[j], codes[j:j + 1])
+        [alone] = _kernels.term_sums(
+            nodes[j], weights[j], xis[[j]], ts[j], codes[j:j + 1], runs=[per]
+        )
         for got, want in zip(together, alone):
             assert got[j].tobytes() == want[0].tobytes()
 
 
 @pytest.mark.parametrize(
-    "runs", [(2, 16), (2, 8), (1, 8), (1, 1)], ids=lambda runs: "+".join(map(str, runs))
+    "runs",
+    [(2, 16), (2, 8), (1, 8), (1, 1), (16, 128), (37, 300), (5, 3, 40)],
+    ids=lambda runs: "+".join(map(str, runs)),
 )
 @pytest.mark.parametrize("mode", ["slab", "surface"])
 def test_each_run_has_the_bits_of_a_call_over_its_nodes(monkeypatch, mode, runs):
     # seeded nodes in the admissible regions of both support pairs at 9
     # lattice points, a surface mode's axis 3 on its point, each grid
     # with its own t: every run's sums are those of a one-run call over
-    # that run's nodes alone, and runs=(n,) is the default call
+    # that run's nodes alone, with whole grids in a block and, at 40-node
+    # blocks, with grids of more nodes than a block, whose blocks are
+    # slices of one run, each counted from the run's start
     rng = np.random.default_rng(sum(runs) + (mode == "surface"))
     p = make_params(EPS, RHO, 1, mode=mode)
     xis = sample_lattice(p.samp_box)[1][::3]
@@ -623,29 +640,24 @@ def test_each_run_has_the_bits_of_a_call_over_its_nodes(monkeypatch, mode, runs)
     grid_xis = np.concatenate([xis, xis])
     ts = p.t * rng.uniform(0.5, 2.0, len(lo))
     args = nodes.reshape(-1, 3), weights.reshape(-1), grid_xis, ts, codes
-    together = _kernels.term_sums(*args, runs=runs)
-    assert len(together) == len(runs)
-    first = 0
-    for run, n in zip(together, runs):
-        cut = slice(first, first + n)
-        first += n
-        alone = _kernels.term_sums(
-            nodes[:, cut].reshape(-1, 3), weights[:, cut].reshape(-1), grid_xis, ts, codes
-        )
-        for got, want in zip(run, alone):
-            assert got.shape == (len(lo), 2, 8)
-            assert got.tobytes() == want.tobytes()
-    (whole,) = _kernels.term_sums(*args, runs=(per,))
-    for got, want in zip(whole, _kernels.term_sums(*args)):
-        assert got.tobytes() == want.tobytes()
-    with pytest.raises(ValueError, match="must split"):
-        _kernels.term_sums(*args, runs=(per, 1))
-    # more than one run per grid only where a grid fits in one block
-    monkeypatch.setattr(_kernels, "TERM_SUMS_BLOCK", per - 1)
-    with pytest.raises(ValueError, match="within one block"):
-        _kernels.term_sums(*args, runs=runs)
-    (whole,) = _kernels.term_sums(*args, runs=(per,))
-    assert whole[0].shape == (len(lo), 2, 8)
+    for block in (_kernels.TERM_SUMS_BLOCK, 40):
+        monkeypatch.setattr(_kernels, "TERM_SUMS_BLOCK", block)
+        together = _kernels.term_sums(*args, runs=runs)
+        assert len(together) == len(runs)
+        first = 0
+        for run, n in zip(together, runs):
+            cut = slice(first, first + n)
+            first += n
+            [alone] = _kernels.term_sums(
+                nodes[:, cut].reshape(-1, 3), weights[:, cut].reshape(-1), grid_xis, ts, codes,
+                runs=[n],
+            )
+            for got, want in zip(run, alone):
+                assert got.shape == (len(lo), 2, 8)
+                assert got.tobytes() == want.tobytes(), block
+        for wrong in ((per, 1), (per - 1,)):
+            with pytest.raises(ValueError, match="must split"):
+                _kernels.term_sums(*args, runs=wrong)
 
 
 @pytest.mark.parametrize("counts", [(2, 1, 1), (4, 2, 2), (32, 16, 16)])
@@ -668,11 +680,12 @@ def test_term_sums_are_exactly_dilation_covariant(mode, k, counts):
         nodes, weights = quadrature_nodes(rows.lo, rows.hi, counts, rows.surface_axis)
         nodes, weights = nodes.reshape(-1, 3), weights.reshape(-1)
         codes = [[a.code, b.code]] * len(xis)
-        tot, env = _kernels.term_sums(nodes, weights, xis, p.t, codes)
+        runs = [len(nodes) // len(xis)]
+        [(tot, env)] = _kernels.term_sums(nodes, weights, xis, p.t, codes, runs=runs)
         for j in (-40, -3, 1, 7, 60):
             mu = 2.0**j
-            got = _kernels.term_sums(
-                mu * nodes, mu**dim * weights, mu * xis, p.t / mu, codes
+            [got] = _kernels.term_sums(
+                mu * nodes, mu**dim * weights, mu * xis, p.t / mu, codes, runs=runs
             )
             scale = mu ** (dim - 1)
             assert got[0].tobytes() == (scale * tot).tobytes(), j
@@ -736,9 +749,10 @@ def test_pass_equals_one_window_at_a_time_where_windows_settle_apart(monkeypatch
     windows = [(params[0], spread_points(params[0]))] + list(zip(params[1:], lattices))
     served = record_grid_rows(monkeypatch)
     together = [amplitudes._breakdowns(c) for c in amplitudes._lattice_pass(windows)]
-    # the calls that served some point of each window
+    # the last level of each window: one more than the comparisons that
+    # served some point of it
     levels = [
-        sum(any((rows == xi).all(axis=1).any() for xi in xis) for rows in served)
+        1 + sum(any((rows == xi).all(axis=1).any() for xi in xis) for rows in served)
         for _, xis in windows
     ]
     served.clear()
@@ -807,7 +821,7 @@ def test_lattice_hats_equal_lambda_hat_where_points_settle_apart(monkeypatch, mo
     batched = lattice_hats(p, xis)
     points = [len(rows) for rows in served]
     # some (support pair, point) grids leave after the second level while
-    # the rest refine on; the first calls cover both pairs at every point
+    # the rest refine on; the first call covers both pairs at every point
     assert min(points) < max(points) == 2 * len(xis)
     assert batched == tuple(lambda_hat(p, xi) for xi in xis)
 
@@ -845,8 +859,9 @@ def test_shared_grids_equal_one_term_runs_where_pair_terms_settle_apart(
         for got, want in zip(shared[:2], (tot, env)):
             assert got[i].tobytes() == want[0].tobytes()
         alone_flags.append([bool(f) for f in flags])
-        # the level a point's term settled at: the calls that served it
-        levels.append([sum(any((rows == xi).all(axis=1)) for rows in served) for xi in xis])
+        # the level a point's term settled at: one more than the
+        # comparisons that served it
+        levels.append([1 + sum(any((rows == xi).all(axis=1)) for rows in served) for xi in xis])
     assert shared[2] == [
         [f"nonconverged_quadrature:{k.label}" for k, bad in zip(kerns, row) if bad]
         for row in zip(*alone_flags)
@@ -857,7 +872,7 @@ def test_shared_grids_equal_one_term_runs_where_pair_terms_settle_apart(
         kerns[axis3].support_a, kerns[axis3].support_b
     )
     if cap == 1:
-        # 2 calls: settled at (4,2,2); 3 calls: at (8,4,4)
+        # level 2: settled at (4,2,2); level 3: at (8,4,4)
         assert not any(any(row) for row in alone_flags)
         assert levels[axis2] == [3] * 9 + [2] * 3
         assert levels[axis3] == [3] * 3 + [2] * 9
@@ -889,7 +904,9 @@ def test_one_grid_in_one_block_or_many_agrees_with_oracle(monkeypatch):
     # one block, then 18 blocks of 7 nodes with a partial last one
     for block in (_kernels.TERM_SUMS_BLOCK, 7):
         monkeypatch.setattr(_kernels, "TERM_SUMS_BLOCK", block)
-        sums = _kernels.term_sums(grid.points, grid.weights, xi[None, :], p.t, [[kern.code]])
+        [sums] = _kernels.term_sums(
+            grid.points, grid.weights, xi[None, :], p.t, [[kern.code]], runs=[len(grid.points)]
+        )
         assert_near_oracle([part[0, 0] for part in sums], want, kern.code)
 
 
@@ -905,8 +922,9 @@ def test_several_points_per_call_agree_with_scalar_reference(monkeypatch, counts
     regions = admissible_eta_region(xis, kern.support_a, kern.support_b)
     nodes, weights = quadrature_nodes(regions.lo, regions.hi, counts, regions.surface_axis)
     monkeypatch.setattr(_kernels, "TERM_SUMS_BLOCK", 7)
-    tot, env = _kernels.term_sums(
-        nodes.reshape(-1, 3), weights.reshape(-1), xis, p.t, [[kern.code]] * len(xis)
+    [(tot, env)] = _kernels.term_sums(
+        nodes.reshape(-1, 3), weights.reshape(-1), xis, p.t, [[kern.code]] * len(xis),
+        runs=[nodes.shape[1]],
     )
     assert tot.shape == env.shape == (4, 1, 8)
     for j, xi in enumerate(xis):
@@ -937,7 +955,9 @@ def test_mixed_terms_per_call_agree_with_scalar_reference(monkeypatch, mode, cou
     grid_xis = xis[[j for j, _ in order]]
     codes = np.array([[k.code for k in pair_terms[g]] for _, g in order])
     monkeypatch.setattr(_kernels, "TERM_SUMS_BLOCK", 7)
-    tot, env = _kernels.term_sums(nodes.reshape(-1, 3), weights.reshape(-1), grid_xis, p.t, codes)
+    [(tot, env)] = _kernels.term_sums(
+        nodes.reshape(-1, 3), weights.reshape(-1), grid_xis, p.t, codes, runs=[nodes.shape[1]]
+    )
     assert tot.shape == env.shape == (4, 2, 8)
     for grid, row in enumerate(codes):
         want = mp_term_sums(nodes[grid], weights[grid], grid_xis[grid], p.t, row, p.lam ** 0.75)
@@ -961,7 +981,9 @@ def test_several_points_per_call_memory_is_bounded():
     args = (p.t, [[kern.code, twin.code]] * len(xis))
     tracemalloc.start()
     try:
-        tot, _ = _kernels.term_sums(nodes.reshape(-1, 3), weights.reshape(-1), xis, *args)
+        [(tot, _)] = _kernels.term_sums(
+            nodes.reshape(-1, 3), weights.reshape(-1), xis, *args, runs=[nodes.shape[1]]
+        )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -992,20 +1014,29 @@ def test_sobolev_norm_closed_forms():
 
 
 @pytest.mark.parametrize(
-    "power",
+    "monomial",
     [
-        0.5, -0.5, math.nan, math.inf,
-        pytest.param(10**400, id="10**400"), pytest.param(10**5000, id="10**5000"),
+        *(
+            pytest.param((power, 0, 0), id=name)
+            for name, power in [
+                ("0.5", 0.5), ("-0.5", -0.5), ("nan", math.nan), ("inf", math.inf),
+                ("10**400", 10**400), ("10**5000", 10**5000),
+            ]
+        ),
+        pytest.param((0, 0, 0, 5), id="4 powers"),
+        pytest.param((1, 0), id="2 powers"),
     ],
 )
-def test_monomial_powers_must_be_whole_numbers(power):
+def test_monomial_powers_must_be_whole_numbers(monomial):
     # 0.5 and -0.5 used to truncate to the indicator's norm, nan to raise
-    # ValueError, and an int a float cannot hold OverflowError
+    # ValueError, and an int a float cannot hold OverflowError; a 4th
+    # power was dropped (zip stops at the 3 axes), and 2 powers raised
+    # a bare ValueError from unpacking
     cube = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.0, 1.0))
     with pytest.raises(InvalidParameterError):
-        sobolev_norm_monomial(cube, (power, 0, 0), 0.0)
+        sobolev_norm_monomial(cube, monomial, 0.0)
     with pytest.raises(InvalidParameterError):
-        amplitudes._stacked_monomial_data([cube], ((0, 0, 0), (0, power, 0)), DEFAULT_GRID)
+        amplitudes._stacked_monomial_data([cube], ((0, 0, 0), monomial[::-1]), DEFAULT_GRID)
 
 
 def test_sobolev_norm_surface_is_formal_area_integral():

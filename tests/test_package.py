@@ -3,6 +3,7 @@ checks on the package source and the CI workflow."""
 
 import ast
 import dataclasses
+import importlib.util
 import json
 import re
 from pathlib import Path
@@ -215,3 +216,27 @@ def test_readme_ledger_table_is_sweep_ledger():
                     got = eval(expr, {"__builtins__": {}, "s": s, "r": r})
                     assert got == predicted_exponent(mode, name, s, r), (name, mode)
     assert seen == set(LEDGER)
+
+
+def test_code_lines_count_lines_that_hold_code():
+    # a docstring is the first statement of a module, class or function,
+    # however many lines it spans; any other string is code
+    spec = importlib.util.spec_from_file_location("code_lines", REPO / "tools" / "code_lines.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    source = '''"""A module docstring
+over two lines."""
+
+import math  # a comment
+
+# a comment line
+class A:
+    """A class docstring."""
+
+    def f(self):
+        """A function docstring."""
+        text = """a string that is
+        not a docstring"""
+        return text, math.pi
+'''
+    assert tool.code_lines(source) == 6

@@ -94,6 +94,9 @@ def test_multiplier_at_zero_and_branch():
         duhamel_multiplier(-1.0, 0.0)
     with pytest.raises(InvalidParameterError):
         duhamel_multiplier(1.0, math.inf)
+    # t * omega overflows: "math domain error" from math.sin(inf) before
+    with pytest.raises(InvalidParameterError, match="t \\* omega must be finite"):
+        duhamel_multiplier(1e308, 10.0)
 
 
 def test_multiplier_at_pi():
@@ -326,11 +329,13 @@ def test_oracle_fourth_order_convergence():
         (1.0, 1.0, math.nan),
         pytest.param(1.0, 1.0, 10**400, id="1.0-1.0-10**400"),
         pytest.param(1.0, 1.0, 10**5000, id="1.0-1.0-10**5000"),
+        (1e308, 10.0, 64),
     ],
 )
 def test_oracle_rejects_non_finite_pairs_and_fractional_steps(t, om, n_steps):
     # as duhamel_multiplier does for t and omega; a step count a float
-    # cannot hold used to raise OverflowError
+    # cannot hold used to raise OverflowError, and a t * omega that
+    # overflows to returning nan with a RuntimeWarning
     with pytest.raises(InvalidParameterError):
         duhamel_multiplier_oracle(t, om, n_steps)
 
