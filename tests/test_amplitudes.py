@@ -556,6 +556,39 @@ def test_window_first_comparison_is_one_term_sums_call(monkeypatch, mode, nodes)
     assert spent == [(3 * 108, 3 * (nodes - 108))]
 
 
+# The edges of what sweep and eval accept: eps at its largest with the
+# highest window it opens at rho's floor (k = 15,913 is the last), an eps
+# so small that only k = 1 opens, the largest rho any window admits
+# (k = 1 at eps 0.1 closes at rho = 0.1 / 2 pi), and the default sweep's
+# 10 windows.  rho near 1 opens no window at any eps <= 0.1.
+@pytest.mark.parametrize(
+    "eps, rho, ks",
+    [
+        (0.1, 1.0001e-6, [15911, 15912, 15913]),
+        (1e-5, 1.0001e-6, [1]),
+        (0.1, 0.0159, [1]),
+        (EPS, RHO, list(range(1, 11))),
+    ],
+)
+@pytest.mark.parametrize("mode", ["slab", "surface"])
+def test_reachable_inputs_settle_at_the_first_comparison(monkeypatch, mode, eps, rho, ks):
+    # every term of every grid settles at (2,1,1) against (4,2,2), so a
+    # sweep, or eval at any point of W, makes exactly one term_sums call
+    spent = count_term_sums(monkeypatch)
+    cores = sweep_core(eps, rho, ks, mode=mode)
+    assert [len(core.breakdowns) for core in cores] == [27] * len(ks)
+    assert len(spent) == 1
+    p = make_params(eps, rho, ks[-1], mode=mode)
+    lo, hi = np.array([p.w_box.ax1, p.w_box.ax2, p.w_box.ax3]).T
+    corners = np.array(list(itertools.product(*zip(lo, hi))))
+    xis = np.vstack([lo + (hi - lo) * np.random.default_rng(5).random((40, 3)), corners])
+    spent.clear()
+    breakdowns = lattice_hats(p, xis)
+    assert sum(bd.total != 0 for bd in breakdowns) > 40
+    assert all(bd.flags == () for bd in breakdowns)
+    assert len(spent) == 1
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_column_norms_equal_numpys_summed_squares(seed):
     # term_sums takes |xi|, |xi - eta| and |eta| as (c0^2 + c1^2) + c2^2
