@@ -5,11 +5,12 @@ is a sum over the 8 half-wave sign triples of phase-weighted integrals
 
     (1 / 4i) * exp(-i s1 t |xi|) * ∫ m(t, omega) * weight(xi, eta) d eta
 
-taken over each kernel term's admissible eta-box.  Every integral is
-evaluated on tensor Gauss-Legendre grids that start at 2 x 1 x 1 nodes
-and double until the per-term totals of successive grids agree; the
-configured ``grid`` doubled ``REFINE_CAP`` times is the ceiling, where an
-unsettled term is flagged.  A sweep integrates the lattices of all its
+taken over each kernel term's admissible eta-box (``boxes.overlap`` on
+each axis, by the interval rule the product norm reads too).  Every
+integral is evaluated on tensor Gauss-Legendre grids that start at
+2 x 1 x 1 nodes and double until the per-term totals of successive
+grids agree; the configured ``grid`` doubled ``REFINE_CAP`` times is the
+ceiling, where an unsettled term is flagged.  A sweep integrates the lattices of all its
 windows (3 x 3 x 3 output frequencies each) in one pass.  The four
 kernel terms come in two support pairs, and terms on one pair share one
 node grid per point, so each (window, support pair, point) is one grid
@@ -49,7 +50,9 @@ tensor node, with the same bits.  The norms take two forms:
   ``F = f1 f2 f3 / scale``, one factor per axis, and runs through one
   cell loop (``_separable_norm``).  A monomial's box is one cell per
   axis with factors ``x_i ** m_i``; the product's cells lie between the
-  kinks of the convolution, with its per-axis factors.  Each cell's
+  kinks of the convolution, with its per-axis factors, the counts of
+  ``boxes.overlap``'s rule: 1 where a surface axis is found, the
+  overlap length on a volume axis.  Each cell's
   weights and integrand are one contiguous multiply of two vectors
   built once per norm (an axis-3 vector tiled, an axis-1 x axis-2
   product repeated), not an outer product whose inner loop runs over
@@ -113,6 +116,7 @@ from .boxes import (
     _node_counts,
     admissible_eta_region,
     axis_rule,
+    overlap,
     quadrature_nodes,
 )
 from .boxes import quadrature_grid  # noqa: F401  (perfbench/ hooks this name)
@@ -608,27 +612,6 @@ def _axis_breakpoints(a: tuple[float, float], b: tuple[float, float]) -> np.ndar
     return np.array(sorted({a[0] + b[0], a[0] + b[1], a[1] + b[0], a[1] + b[1]}), dtype=float)
 
 
-def _conv_factor(vals: np.ndarray, a, b, a_point: bool, b_point: bool) -> np.ndarray:
-    """1-D factor of the box convolution along one axis.
-
-    ``a`` and ``b`` are the two boxes' ``(lo, hi)`` on this axis: a
-    ``Box3``'s floats, or arrays of shape ``(boxes, 1, 1)`` that
-    broadcast against a stack's ``(boxes, cells, n)`` nodes.
-    Volume/volume axes give the interval-overlap length; an axis where a
-    box is one point (``a_point``, ``b_point``: its surface axis) pins
-    the coordinate and contributes an indicator (the degenerate
-    direction carries no length).
-    """
-    (a_lo, a_hi), (b_lo, b_hi) = a, b
-    if a_point:
-        return ((vals - a_lo >= b_lo) & (vals - a_lo <= b_hi)).astype(float)
-    if b_point:
-        return ((vals - b_lo >= a_lo) & (vals - b_lo <= a_hi)).astype(float)
-    lo = np.maximum(vals - a_hi, b_lo)
-    hi = np.minimum(vals - a_lo, b_hi)
-    return np.maximum(hi - lo, 0.0)
-
-
 def _stacked_product_data(
     pairs: list[tuple[Box3, Box3]], nodes_per_axis
 ) -> list[_SeparableData | None]:
@@ -636,7 +619,10 @@ def _stacked_product_data(
 
     The pairs are one stack: one ``_stack_cells`` call (per axis one
     Gauss rule, and one transverse check) and per axis one
-    ``_conv_factor`` call for all of them.  None where an axis of the
+    ``boxes.overlap`` call for all of them.  Its rule gives the
+    convolution factor at each node: on an axis that is either side's
+    surface axis (a point axis) 1 where it is found, on a volume axis
+    the overlap length, and 0 elsewhere.  None where an axis of the
     support is one point: the norm is 0; the other pairs must share
     their count of cuts on each axis and each side's surface axis, or
     ``_shared`` raises.
@@ -656,7 +642,11 @@ def _stacked_product_data(
         np.array([pairs[j][side].axes for j in live]).transpose(1, 2, 0)[..., None, None]
         for side in (0, 1)
     )
-    factors = [_conv_factor(x, a[i], b[i], i == sa, i == sb) for i, x in enumerate(nodes)]
+    factors = []
+    for i, x in enumerate(nodes):
+        point = i in (sa, sb)
+        lo, hi, found = overlap(x, a[i], b[i], point)
+        factors.append(np.where(found, 1.0 if point else hi - lo, 0.0))
     for row, (j, cells) in enumerate(zip(live, rows)):
         out[j] = _SeparableData(cells, tuple(f[row] for f in factors), TWO_PI_CUBED)
     return out

@@ -1,10 +1,13 @@
 """Axis-aligned frequency boxes and tensor-product Gauss-Legendre grids.
 
 A box is a volume box or a surface box: one degenerate axis carrying
-2-D measure.  All set algebra needed downstream -- dilation, reflection
-and the admissible eta-regions of a support pair -- reduces to per-axis
-interval arithmetic and is kept exact here, beside the Gauss-Legendre
-rules every grid of the package takes.  This module knows no Knapp
+2-D measure.  All set algebra needed downstream -- dilation, reflection,
+the admissible eta-regions of a support pair and the product datum's
+convolution factors -- reduces to per-axis interval arithmetic and is
+kept exact here, beside the Gauss-Legendre rules every grid of the
+package takes.  Every overlap ``(x - a) ∩ b`` of one axis is one
+``overlap`` call, which states the package's one interval rule; a
+surface axis is its one-point case.  This module knows no Knapp
 number: the boxes ``W`` and ``W'`` and their widths live in
 ``construction``.
 """
@@ -28,8 +31,9 @@ class Box3:
     such a box carries 2-D measure on its two non-degenerate axes.  A
     volume box may still have zero-length axes (then its measure is 0 --
     degeneracy does not silently promote it to a surface).  Membership
-    on a surface axis is exact: a coordinate lies on the surface only
-    when it equals the axis's point.
+    on a surface axis is exact, by ``overlap``'s rule for a point axis:
+    an overlap with the surface is found only where its two ends meet
+    at the axis's point.
     """
 
     ax1: tuple[float, float]
@@ -96,13 +100,31 @@ def box_scale(b: Box3, c: float) -> Box3:
     return Box3(*axes, surface_axis=b.surface_axis)
 
 
+def overlap(x, a, b, point: bool):
+    """The ends of ``(x - a) ∩ b`` on one axis, and where it is found.
+
+    ``a`` and ``b`` are ``(lo, hi)`` pairs of floats or of arrays that
+    broadcast against ``x``.  ``x - a`` reverses its interval, so the
+    ends are ``lo = max(x - a_hi, b_lo)`` and ``hi = min(x - a_lo, b_hi)``.
+    The package's one interval rule reads them: an axis where one side is
+    a single point (``point``: a surface axis) is found where
+    ``lo <= hi`` and counts 1 there; any other axis is found where
+    ``lo < hi`` and counts ``max(hi - lo, 0)``, which in floats is
+    positive exactly where ``hi > lo``.  Returns ``(lo, hi, found)``.
+    """
+    (a_lo, a_hi), (b_lo, b_hi) = a, b
+    lo, hi = np.maximum(x - a_hi, b_lo), np.minimum(x - a_lo, b_hi)
+    return lo, hi, (lo <= hi if point else lo < hi)
+
+
 class EtaRegions(NamedTuple):
     """Admissible eta-regions of P output frequencies against one support pair.
 
     Row j is the box with per-axis bounds ``lo[j]``, ``hi[j]`` (shape
     ``(P, 3)`` each), sharing ``surface_axis``.
-    ``found[j]`` is True exactly when the row carries measure; where it
-    is False the row's bounds are meaningless.
+    ``found[j]`` is True exactly when every axis of the row is found by
+    ``overlap``'s rule; where it is False the row's bounds are
+    meaningless.
     """
 
     lo: np.ndarray
@@ -115,13 +137,13 @@ def admissible_eta_region(xi, a: Box3, b: Box3) -> EtaRegions:
     """The eta-sets where ``xi - eta`` lies in ``a`` and ``eta`` lies in ``b``.
 
     For P output frequencies ``xi`` (shape ``(P, 3)``) returns each row's
-    ``(xi - a) ∩ b`` as ``EtaRegions`` bounds arrays.  At most one
-    operand may be a surface box.  Its surface axis pins that coordinate,
-    tested by exact interval arithmetic, and the region then carries 2-D
-    measure on the remaining axes.  A row is found exactly when it
-    carries measure: every other axis must have ``lo < hi``, so a region
-    that is a single point along a volume axis, in a volume or a surface
-    intersection, is not found.
+    ``(xi - a) ∩ b`` as ``EtaRegions`` bounds arrays, one ``overlap``
+    call per axis.  At most one operand may be a surface box.  Its
+    surface axis is a point axis: a found row's ends there are the one
+    pinned coordinate, and the region carries 2-D measure on the
+    remaining axes.  A volume axis must have ``lo < hi``, so a region
+    that is a single point along a volume axis, in a volume or a
+    surface intersection, is not found.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 2 or xi.shape[1] != 3:
@@ -129,26 +151,11 @@ def admissible_eta_region(xi, a: Box3, b: Box3) -> EtaRegions:
     if a.surface_axis is not None and b.surface_axis is not None:
         raise InvalidParameterError("at most one operand may be a surface box")
     surface_axis = a.surface_axis if a.surface_axis is not None else b.surface_axis
-    lo = np.empty_like(xi)
-    hi = np.empty_like(xi)
+    lo, hi = np.empty_like(xi), np.empty_like(xi)
     found = np.ones(len(xi), dtype=bool)
     for i in range(3):
-        a_lo, a_hi = a.axes[i]
-        b_lo, b_hi = b.axes[i]
-        x = xi[:, i]
-        if i == surface_axis:
-            if i == a.surface_axis:
-                point = x - a_lo
-                found &= (b_lo <= point) & (point <= b_hi)
-            else:
-                point = np.full(len(xi), b_lo)
-                found &= (x - a_hi <= point) & (point <= x - a_lo)
-            lo[:, i] = hi[:, i] = point
-        else:
-            # xi - a reverses the interval: [xi_i - a_hi, xi_i - a_lo].
-            lo[:, i] = np.maximum(x - a_hi, b_lo)
-            hi[:, i] = np.minimum(x - a_lo, b_hi)
-            found &= lo[:, i] < hi[:, i]
+        lo[:, i], hi[:, i], on = overlap(xi[:, i], a.axes[i], b.axes[i], i == surface_axis)
+        found &= on
     return EtaRegions(lo, hi, found, surface_axis)
 
 

@@ -67,8 +67,7 @@ class KnappParams:
     def __post_init__(self) -> None:
         if not 1e3 < self.lam < math.inf:
             raise InvalidParameterError(f"lam must exceed 1e3 and be finite, got {self.lam}")
-        if not (0.0 < self.eps <= 0.1):
-            raise InvalidParameterError(f"eps must lie in (0, 0.1], got {self.eps}")
+        _check_eps(self.eps)
         if self.mode not in ("slab", "surface"):
             raise InvalidParameterError(f"mode must be 'slab' or 'surface', got {self.mode!r}")
         object.__setattr__(self, "grid", _node_counts(self.grid))
@@ -132,6 +131,12 @@ class KnappParams:
         return Box3(w.ax1, w.ax2, (2.0 * w.ax3[0], w.ax3[1]))
 
 
+def _check_eps(eps: float) -> None:
+    """The one eps rule, of ``KnappParams`` and ``lambda_window``: eps lies in (0, 0.1]."""
+    if not (0.0 < eps <= 0.1):
+        raise InvalidParameterError(f"eps must lie in (0, 0.1], got {eps}")
+
+
 def window_index(k) -> int:
     """``k`` as an int; a window index is a finite whole number >= 1."""
     if not is_whole(k, 1):
@@ -152,8 +157,7 @@ def lambda_window(eps: float, rho: float, k: int) -> tuple[float, float] | None:
     roundoff over ``rho``).  ``rho`` below ``RHO_MIN`` cannot cover the
     spread of ``|xi| / lam`` over ``W`` and raises ``InvalidParameterError``.
     """
-    if not (0.0 < eps <= 0.1):
-        raise InvalidParameterError(f"eps must lie in (0, 0.1], got {eps}")
+    _check_eps(eps)
     if not (0.0 < rho < 1.0):
         raise InvalidParameterError(f"rho must lie in (0, 1), got {rho}")
     if rho < RHO_MIN:

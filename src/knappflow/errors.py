@@ -25,11 +25,14 @@ def is_whole(x, least: int) -> bool:
     A whole number of any real type passes (``8``, ``8.0``,
     ``np.int64(8)``); a fraction, nan or inf does not, nor does an int
     too large for a float, for which ``float`` raises ``OverflowError``.
-    Each caller raises its own error with its own bound.
+    Nor does anything else ``float`` rejects (``None``, ``"abc"``, a
+    list) or that does not compare with an int (``"3"``): the answer is
+    always True or False, and each caller raises its own error with its
+    own bound.
     """
     try:
         return float(x).is_integer() and x >= least
-    except OverflowError:
+    except (OverflowError, TypeError, ValueError):
         return False
 
 

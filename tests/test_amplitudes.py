@@ -15,7 +15,6 @@ from knappflow import _kernels, acceptance, amplitudes, construction
 from knappflow.amplitudes import (
     TWO_PI_CUBED,
     _axis_breakpoints,
-    _conv_factor,
     _term_integrals,
     _trilinear,
     lambda_hat,
@@ -1054,6 +1053,7 @@ def test_sobolev_norm_closed_forms():
             for name, power in [
                 ("0.5", 0.5), ("-0.5", -0.5), ("nan", math.nan), ("inf", math.inf),
                 ("10**400", 10**400), ("10**5000", 10**5000),
+                ("'1'", "1"), ("'abc'", "abc"), ("None", None),
             ]
         ),
         pytest.param((0, 0, 0, 5), id="4 powers"),
@@ -1064,7 +1064,8 @@ def test_monomial_powers_must_be_whole_numbers(monomial):
     # 0.5 and -0.5 used to truncate to the indicator's norm, nan to raise
     # ValueError, and an int a float cannot hold OverflowError; a 4th
     # power was dropped (zip stops at the 3 axes), and 2 powers raised
-    # a bare ValueError from unpacking
+    # a bare ValueError from unpacking; "1" and None raised a TypeError
+    # and "abc" a bare ValueError
     cube = Box3(ax1=(0.0, 1.0), ax2=(0.0, 1.0), ax3=(0.0, 1.0))
     with pytest.raises(InvalidParameterError):
         sobolev_norm_monomial(cube, monomial, 0.0)
@@ -1113,9 +1114,16 @@ def test_axis_breakpoints_of_a_point_interval_are_the_shifted_ends():
 
 
 def box_conv_factor(vals, a, b, axis):
-    """``_conv_factor`` of two ``Box3``s along ``axis``."""
-    points = (axis == a.surface_axis, axis == b.surface_axis)
-    return _conv_factor(vals, a.axes[axis], b.axes[axis], *points)
+    """The convolution factor of two ``Box3``s along ``axis``, written out
+    here, apart from the package's interval code: on a volume axis the
+    overlap length of ``[x - a_hi, x - a_lo]`` and ``[b_lo, b_hi]``; on an
+    axis where one box is a point, 1 where ``x`` less that point lies in
+    the other box's interval."""
+    (a_lo, a_hi), (b_lo, b_hi) = a.axes[axis], b.axes[axis]
+    if axis in (a.surface_axis, b.surface_axis):
+        pinned, (lo, hi) = (a_lo, (b_lo, b_hi)) if axis == a.surface_axis else (b_lo, (a_lo, a_hi))
+        return ((lo <= vals - pinned) & (vals - pinned <= hi)).astype(float)
+    return np.maximum(np.minimum(vals - a_lo, b_hi) - np.maximum(vals - a_hi, b_lo), 0.0)
 
 
 def product_norm_reference(a, b, r, nodes_per_axis=DEFAULT_GRID):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from knappflow import amplitudes
 from knappflow.boxes import (
     Box3,
     _leggauss,
@@ -218,6 +219,40 @@ def test_region_rows_cover_collapse_and_surface_edges():
     xis = np.array([[LAM, 3e-7 * RT, x] for x in (floor, np.nextafter(floor, -np.inf))])
     for a, b in (surf_pair, surf_swapped):
         assert admissible_eta_region(xis, a, b).found.tolist() == [True, False]
+
+
+def product_factors(monkeypatch, a, b, x):
+    """The product norm's convolution factors of ``(a, b)`` at the nodes
+    ``x[i]`` of each axis i, as ``amplitudes._stacked_product_data``
+    builds them, with its Gauss nodes swapped for ``x``."""
+    nodes = [np.asarray(v, dtype=float)[None, None, :] for v in x]
+    monkeypatch.setattr(amplitudes, "_stack_cells", lambda ends, surface, counts: (nodes, [None]))
+    (data,) = amplitudes._stacked_product_data([(a, b)], (1, 1, 1))
+    return [f[0] for f in data.factors]
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_a_point_axis_is_found_where_its_product_factor_is_one(monkeypatch, side):
+    # seeded pairs of an interval and a point at a plane q != 0, the point
+    # on either side: along that axis an output frequency has an
+    # admissible region exactly where the product's convolution factor is
+    # 1, at the four end sums, at their float neighbours and inside
+    rng = np.random.default_rng(40)
+    transverse = ((-1.0, 1.0), (-1.0, 1.0))
+    for _ in range(500):
+        q = float(rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 3.0))
+        lo, hi = (float(v) for v in np.sort(rng.uniform(-3.0, 3.0, 2)))
+        point = Box3(*transverse, (q, q), surface_axis=2)
+        other = Box3(*transverse, (lo, hi))
+        a, b = (point, other) if side == "a" else (other, point)
+        edges = [e + f for e in (a.ax3[0], a.ax3[1]) for f in (b.ax3[0], b.ax3[1])]
+        x3 = edges + [np.nextafter(e, s) for e in edges for s in (-np.inf, np.inf)]
+        x3 += list(q + rng.uniform(lo, hi, 4))
+        xis = np.column_stack([np.zeros(len(x3)), np.zeros(len(x3)), x3])
+        found = admissible_eta_region(xis, a, b).found
+        factor = product_factors(monkeypatch, a, b, xis.T)[2]
+        assert set(factor.tolist()) <= {0.0, 1.0}
+        assert found.tolist() == (factor == 1.0).tolist(), (a.ax3, b.ax3)
 
 
 def test_minkowski_coverage():

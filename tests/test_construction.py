@@ -138,17 +138,32 @@ def test_non_finite_parameters_are_rejected(bad):
         KnappParams(lam=bad, eps=EPS, mode="surface")
 
 
+@pytest.mark.parametrize("bad", [0, 0.2, math.nan])
+def test_both_entry_points_raise_the_one_eps_message(bad):
+    # KnappParams and lambda_window (so make_params too) share one eps rule
+    entries = [
+        lambda: KnappParams(lam=4e5, eps=bad, mode="slab"),
+        lambda: lambda_window(bad, RHO, 1),
+        lambda: make_params(bad, RHO, 1),
+    ]
+    for entry in entries:
+        with pytest.raises(InvalidParameterError) as exc:
+            entry()
+        assert str(exc.value) == f"eps must lie in (0, 0.1], got {bad}"
+
+
 @pytest.mark.parametrize(
     "bad",
     [
         1.5, 0.999, math.nan, math.inf, 0, -2,
         pytest.param(10**400, id="10**400"), pytest.param(10**5000, id="10**5000"),
+        pytest.param("3", id="'3'"), pytest.param("abc", id="'abc'"), None,
     ],
 )
 def test_window_index_must_be_a_positive_whole_number(bad):
     # a fractional k would take lam from the anti-resonant window between
     # two resonant ones; an int a float cannot hold used to raise
-    # OverflowError
+    # OverflowError, "3" and None a TypeError and "abc" a bare ValueError
     with pytest.raises(InvalidParameterError, match="k must be a positive integer"):
         lambda_window(EPS, RHO, bad)
     with pytest.raises(InvalidParameterError, match="k must be a positive integer"):
@@ -344,12 +359,14 @@ def test_messages_name_an_int_too_long_to_print_by_its_size():
     [
         8.5, math.nan, math.inf,
         pytest.param(10**400, id="10**400"), pytest.param(10**5000, id="10**5000"),
+        pytest.param("3", id="'3'"), pytest.param("abc", id="'abc'"), None,
     ],
 )
 def test_grid_entries_must_be_finite_whole_numbers(bad):
     # a fractional count would be truncated by the norms; nan and inf
     # would fail inside int() with a bare ValueError or OverflowError,
-    # and an int a float cannot hold inside float()
+    # an int a float cannot hold inside float(), and "3", "abc" and None
+    # with a TypeError or a bare ValueError
     with pytest.raises(InvalidParameterError, match="grid must be"):
         make_params(EPS, RHO, 1, grid=(bad, 4, 4))
     with pytest.raises(InvalidParameterError, match="grid must be"):

@@ -330,12 +330,16 @@ def test_oracle_fourth_order_convergence():
         pytest.param(1.0, 1.0, 10**400, id="1.0-1.0-10**400"),
         pytest.param(1.0, 1.0, 10**5000, id="1.0-1.0-10**5000"),
         (1e308, 10.0, 64),
+        pytest.param(1.0, 1.0, "64", id="1.0-1.0-'64'"),
+        pytest.param(1.0, 1.0, "abc", id="1.0-1.0-'abc'"),
+        (1.0, 1.0, None),
     ],
 )
 def test_oracle_rejects_non_finite_pairs_and_fractional_steps(t, om, n_steps):
     # as duhamel_multiplier does for t and omega; a step count a float
-    # cannot hold used to raise OverflowError, and a t * omega that
-    # overflows to returning nan with a RuntimeWarning
+    # cannot hold used to raise OverflowError, "64" and None a TypeError,
+    # "abc" a bare ValueError, and a t * omega that overflows to
+    # returning nan with a RuntimeWarning
     with pytest.raises(InvalidParameterError):
         duhamel_multiplier_oracle(t, om, n_steps)
 
