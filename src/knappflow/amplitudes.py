@@ -121,7 +121,7 @@ from .boxes import (
 )
 from .boxes import quadrature_grid  # noqa: F401  (perfbench/ hooks this name)
 from .construction import DEFAULT_GRID, BilinearKernel, KnappParams, kernels
-from .errors import InvalidParameterError, is_whole, shown
+from .errors import InvalidParameterError, is_real, is_whole, shown
 from .symbols import SIGN_TRIPLES, SignTriple
 
 # Per-term quadrature refinement: start from BASE_GRID and double nodes
@@ -420,9 +420,9 @@ def lambda_hat(
 # ---------------------------------------------------------------------------
 
 def _check_index(name: str, x: float) -> None:
-    """Reject a Sobolev index that is not a finite number."""
-    if not math.isfinite(x):
-        raise InvalidParameterError(f"Sobolev index {name} must be finite, got {x!r}")
+    """Reject a Sobolev index that is not a finite real number."""
+    if not (is_real(x) and math.isfinite(x)):
+        raise InvalidParameterError(f"Sobolev index {name} must be finite, got {shown(x)}")
 
 
 def _root(integral: float, name: str, x: float) -> float:

@@ -20,8 +20,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
-from .errors import InvalidParameterError, is_whole, shown
+from .errors import InvalidParameterError, is_real, is_whole, shown
 
 @dataclass(frozen=True)
 class Box3:
@@ -43,8 +44,8 @@ class Box3:
 
     def __post_init__(self) -> None:
         for lo, hi in self.axes:
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise InvalidParameterError("box endpoints must be finite")
+            if not (is_real(lo) and is_real(hi) and math.isfinite(lo) and math.isfinite(hi)):
+                raise InvalidParameterError(f"box endpoints must be finite, got {shown((lo, hi))}")
             if lo > hi:
                 raise InvalidParameterError(f"empty axis interval ({lo}, {hi})")
         if self.surface_axis is not None:
@@ -159,67 +160,30 @@ def admissible_eta_region(xi, a: Box3, b: Box3) -> EtaRegions:
     return EtaRegions(lo, hi, found, surface_axis)
 
 
-def _legval(x: np.ndarray, c) -> np.ndarray:
-    """The Legendre series ``sum(c[k] P_k(x))`` by numpy's Clenshaw recursion."""
-    c0, c1 = (c[0], 0.0) if len(c) == 1 else (c[-2], c[-1])
-    for nd in range(len(c) - 1, 1, -1):
-        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
-    return c0 + c1 * x
-
-
 @lru_cache(maxsize=None)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes and weights on ``[-1, 1]``.
-
-    The Golub-Welsch construction: the nodes are the eigenvalues of the
-    symmetric tridiagonal Jacobi matrix of the Legendre recurrence, then
-    one Newton step on ``P_n``; each weight is ``1 / (P_{n-1} P_n')`` at
-    its node, scaled to sum to 2.  Every step and its operation order
-    follow numpy's ``leggauss`` (BSD-3) for the coefficient vector
-    ``e_n``, so every node and weight has its bits; a test pins them.
-    """
-    c = np.zeros(n + 1)
-    c[n] = 1.0
-    k = np.arange(n)
-    scl = 1.0 / np.sqrt(2 * k + 1)
-    off = k[1:] * scl[:-1] * scl[1:]
-    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
-    # P_n' = sum of (2k + 1) P_k over k = n - 1, n - 3, ...
-    df = _legval(x, (2 * k + 1.0) * ((n - 1 - k) % 2 == 0))
-    x -= _legval(x, c) / df
-    fm = _legval(x, c[1:])
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1 / (fm * df)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= 2.0 / w.sum()
-    return x, w
-
-
-def gauss_legendre_cells(lo, hi, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes and weights on each interval ``[lo, hi]``.
-
-    ``lo`` and ``hi`` are arrays of interval ends; the nodes and weights
-    gain a trailing axis of length ``n``.  Every Gauss-Legendre grid of the
-    package takes its per-axis rule from here.
-    """
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-    u, w = _leggauss(n)
-    return mid[..., None] + half[..., None] * u, half[..., None] * w
+    """numpy's n-point Gauss-Legendre nodes and weights on ``[-1, 1]``, once per n."""
+    return leggauss(n)
 
 
 def axis_rule(lo, hi, n: int, surface: bool) -> tuple[np.ndarray, np.ndarray]:
     """One axis's nodes and weights on each interval ``[lo, hi]``.
 
-    A surface axis is each interval's single point ``lo`` with weight 1;
-    any other axis takes ``gauss_legendre_cells(lo, hi, n)``.
+    ``lo`` and ``hi`` are arrays of interval ends; the nodes and weights
+    gain a trailing axis.  A surface axis is each interval's single point
+    ``lo`` with weight 1; any other axis takes the n-point Gauss-Legendre
+    rule mapped onto each interval, ``mid + half * u`` with weights
+    ``half * w``.  Every grid of the package takes its per-axis rule from
+    here.
     """
+    lo = np.asarray(lo, dtype=float)
     if surface:
-        point = np.asarray(lo, dtype=float)[..., None]
+        point = lo[..., None]
         return point, np.ones_like(point)
-    return gauss_legendre_cells(lo, hi, n)
+    hi = np.asarray(hi, dtype=float)
+    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+    u, w = _leggauss(n)
+    return mid[..., None] + half[..., None] * u, half[..., None] * w
 
 
 def _node_counts(nodes_per_axis) -> tuple[int, int, int]:

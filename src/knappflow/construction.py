@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .boxes import Box3, _node_counts, box_scale
-from .errors import InvalidParameterError, WindowEmptyError, is_whole, shown
+from .errors import InvalidParameterError, WindowEmptyError, is_real, is_whole, shown
 
 # Relative half-width of W and W' along axis 1, and W's transverse
 # window [TRANSVERSE_LO, TRANSVERSE_HI] * sqrt(lam) along axes 2 and 3.
@@ -65,8 +65,8 @@ class KnappParams:
     grid: tuple[int, int, int] = DEFAULT_GRID
 
     def __post_init__(self) -> None:
-        if not 1e3 < self.lam < math.inf:
-            raise InvalidParameterError(f"lam must exceed 1e3 and be finite, got {self.lam}")
+        if not (is_real(self.lam) and 1e3 < self.lam < math.inf):
+            raise InvalidParameterError(f"lam must exceed 1e3 and be finite, got {shown(self.lam)}")
         _check_eps(self.eps)
         if self.mode not in ("slab", "surface"):
             raise InvalidParameterError(f"mode must be 'slab' or 'surface', got {self.mode!r}")
@@ -133,8 +133,8 @@ class KnappParams:
 
 def _check_eps(eps: float) -> None:
     """The one eps rule, of ``KnappParams`` and ``lambda_window``: eps lies in (0, 0.1]."""
-    if not (0.0 < eps <= 0.1):
-        raise InvalidParameterError(f"eps must lie in (0, 0.1], got {eps}")
+    if not (is_real(eps) and 0.0 < eps <= 0.1):
+        raise InvalidParameterError(f"eps must lie in (0, 0.1], got {shown(eps)}")
 
 
 def window_index(k) -> int:
@@ -158,8 +158,8 @@ def lambda_window(eps: float, rho: float, k: int) -> tuple[float, float] | None:
     spread of ``|xi| / lam`` over ``W`` and raises ``InvalidParameterError``.
     """
     _check_eps(eps)
-    if not (0.0 < rho < 1.0):
-        raise InvalidParameterError(f"rho must lie in (0, 1), got {rho}")
+    if not (is_real(rho) and 0.0 < rho < 1.0):
+        raise InvalidParameterError(f"rho must lie in (0, 1), got {shown(rho)}")
     if rho < RHO_MIN:
         raise InvalidParameterError(
             f"rho={rho} cannot cover the box spread of |xi|/lam; need rho >= {RHO_MIN}"

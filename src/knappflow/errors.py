@@ -1,5 +1,8 @@
 """Exception types shared across the package, its one whole-number rule,
-and the one way an error message shows a rejected value."""
+its one real-number rule, and the one way an error message shows a
+rejected value."""
+
+import numpy as np
 
 
 class InvalidParameterError(ValueError):
@@ -36,12 +39,36 @@ def is_whole(x, least: int) -> bool:
         return False
 
 
+def is_real(x) -> bool:
+    """Whether ``x`` is a real number: ``float`` takes it and it orders
+    against a float.
+
+    Any int, float or numpy real scalar that a float can hold passes,
+    nan and inf included: each caller states its own bounds.  A string,
+    even a numeric one, None, a list, a complex of any type (numpy's
+    included, which ``float`` would truncate) and an int too large for a
+    float do not.  The answer is always True or False, and each caller
+    raises ``InvalidParameterError`` naming its own parameter.
+    """
+    if isinstance(x, float):  # the common case first; numpy's float64 is a float
+        return True
+    if isinstance(x, (complex, np.complexfloating)):
+        return False
+    try:
+        float(x)
+        x < 0.0
+    except (OverflowError, TypeError, ValueError):
+        return False
+    return True
+
+
 def shown(x) -> str:
-    """``str(x)`` for an error message, but an int too long for decimal
+    """``str(x)`` for an error message, but a str is quoted, so that
+    ``"0.5"`` does not read as a number, and an int too long for decimal
     conversion (Python's ``int_max_str_digits``), alone or in a tuple or
     list, is named by its size: ``bit_length`` converts nothing."""
     try:
-        return str(x)
+        return repr(x) if isinstance(x, str) else str(x)
     except ValueError:
         if isinstance(x, int):
             return f"an int of {x.bit_length()} bits"

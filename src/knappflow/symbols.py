@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import SIGNS_ARRAY, _mult_py
-from .errors import InvalidParameterError, is_whole, shown
+from .errors import InvalidParameterError, is_real, is_whole, shown
 
 
 @dataclass(frozen=True)
@@ -81,13 +81,13 @@ def omega_all(xi, eta) -> np.ndarray:
 
 
 def _check_pair(t: float, om: float) -> None:
-    """Reject a pair outside the multiplier's domain: ``t`` finite and
-    nonnegative, ``omega`` finite, and their product finite, since both
-    evaluations take the phase ``t * omega``."""
-    if t < 0.0 or not math.isfinite(t):
-        raise InvalidParameterError(f"t must be finite and nonnegative, got {t}")
-    if not math.isfinite(om):
-        raise InvalidParameterError(f"omega must be finite, got {om}")
+    """Reject a pair outside the multiplier's domain: ``t`` real, finite
+    and nonnegative, ``omega`` real and finite, and their product finite,
+    since both evaluations take the phase ``t * omega``."""
+    if not (is_real(t) and 0.0 <= t < math.inf):
+        raise InvalidParameterError(f"t must be finite and nonnegative, got {shown(t)}")
+    if not (is_real(om) and math.isfinite(om)):
+        raise InvalidParameterError(f"omega must be finite, got {shown(om)}")
     if not math.isfinite(t * om):
         raise InvalidParameterError(f"t * omega must be finite, got t = {t}, omega = {om}")
 

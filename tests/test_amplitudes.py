@@ -30,7 +30,6 @@ from knappflow.boxes import (
     admissible_eta_region,
     axis_rule,
     box_scale,
-    gauss_legendre_cells,
     quadrature_grid,
     quadrature_nodes,
 )
@@ -1370,7 +1369,7 @@ def outer_cell_integral(axis_cells, r, integrand):
 def outer_monomial_norm(b, monomial, r, nodes_per_axis):
     """``sobolev_norm_monomial`` on a volume box through ``outer_cell_integral``."""
     axis_cells = [
-        gauss_legendre_cells([lo], [hi], n) for (lo, hi), n in zip(b.axes, nodes_per_axis)
+        axis_rule([lo], [hi], n, False) for (lo, hi), n in zip(b.axes, nodes_per_axis)
     ]
     f_sq = outer_tensor(np.multiply, *(x[0] ** m for (x, _), m in zip(axis_cells, monomial))) ** 2
     return math.sqrt(outer_cell_integral(axis_cells, r, lambda *cell: f_sq) / TWO_PI_CUBED)
@@ -1381,7 +1380,7 @@ def outer_product_norm(a, b, r, nodes_per_axis):
     axis_cells, factors = [], []
     for i, n in enumerate(nodes_per_axis):
         cuts = _axis_breakpoints(a.axes[i], b.axes[i])
-        x, w = gauss_legendre_cells(cuts[:-1], cuts[1:], n)
+        x, w = axis_rule(cuts[:-1], cuts[1:], n, False)
         axis_cells.append((x, w))
         factors.append(box_conv_factor(x, a, b, i))
 
@@ -1690,7 +1689,7 @@ def separable_monomial_integral(b, monomial, r, counts):
         if i == b.surface_axis:
             x, w = np.array([lo]), np.ones(1)
         else:
-            x, w = (v[0] for v in gauss_legendre_cells([lo], [hi], counts[i]))
+            x, w = (v[0] for v in axis_rule([lo], [hi], counts[i], False))
         total *= axis_sum(x, w, x**m, r if i == 0 else None)
     return total
 
@@ -1704,7 +1703,7 @@ def separable_product_integral(a, b, r, counts):
     total = 1.0
     for i, ((a_lo, a_hi), (b_lo, b_hi)) in enumerate(zip(a.axes, b.axes)):
         cuts = np.unique([a_lo + b_lo, a_lo + b_hi, a_hi + b_lo, a_hi + b_hi])
-        x, w = (v.ravel() for v in gauss_legendre_cells(cuts[:-1], cuts[1:], counts[i]))
+        x, w = (v.ravel() for v in axis_rule(cuts[:-1], cuts[1:], counts[i], False))
         if i in (a.surface_axis, b.surface_axis):
             overlap = np.ones_like(x)
         else:
@@ -1748,7 +1747,7 @@ def separable_output_integral(s, axes, amps):
     per-axis 2x2 moment matrices: on axis 1 the hats' products summed
     against the cell's 6 Gauss-Legendre weights times ``(1 + x1^2)^s``,
     on axes 2 and 3 their exact integrals ``h [[1/3, 1/6], [1/6, 1/3]]``."""
-    x, w = gauss_legendre_cells(axes[0][:-1], axes[0][1:], 6)
+    x, w = axis_rule(axes[0][:-1], axes[0][1:], 6, False)
     y = (x - axes[0][:-1, None]) / np.diff(axes[0])[:, None]
     hats = np.stack([1.0 - y, y], axis=1)
     moments = [np.einsum("can,cbn,cn->cab", hats, hats, w * (1.0 + x * x) ** s)]
@@ -1803,7 +1802,7 @@ def _normalised_cell_nodes(axes):
     """Per axis, every cell's 6 Gauss nodes as fractions of the cell."""
     ys = []
     for ax in axes:
-        x, _ = gauss_legendre_cells(ax[:-1], ax[1:], 6)
+        x, _ = axis_rule(ax[:-1], ax[1:], 6, False)
         ys.append((x - ax[:-1, None]) / (ax[1:] - ax[:-1])[:, None])
     return ys
 
@@ -1964,7 +1963,7 @@ def test_output_norm_pass_decides_the_bracket_per_window(monkeypatch):
     squares = []
     for i in range(3):
         ax = np.array([sample_lattice(core.params.samp_box)[0][i] for core in cores])
-        x, _ = gauss_legendre_cells(ax[:, :-1], ax[:, 1:], 6)
+        x, _ = axis_rule(ax[:, :-1], ax[:, 1:], 6, False)
         squares.append(x * x)
     assert amplitudes._transverse_rounds_away(*squares).tolist() == [True] * 3
     assert not amplitudes._transverse_rounds_away(*(sq.reshape(1, -1, 6) for sq in squares))

@@ -432,20 +432,3 @@ def test_import_needs_no_optional_dependency():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-
-
-def test_a_sweep_and_its_report_never_import_numpy_polynomial():
-    # every Gauss-Legendre rule comes from boxes._leggauss, so a process that
-    # builds grids, fits and serializes never loads numpy.polynomial
-    code = (
-        "import sys\n"
-        "from knappflow.sweep import build_report, report_json, run_sweep\n"
-        "records = run_sweep(0.01, 2e-6, 0.5, -0.25, [1, 2, 3], grid=(8, 4, 4))\n"
-        "report_json(build_report(records, 0.5, -0.25, params={}))\n"
-        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=child_env()
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"

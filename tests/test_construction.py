@@ -15,8 +15,10 @@ from knappflow.construction import (
     lambda_window,
     make_params,
 )
-from knappflow.errors import InvalidParameterError, WindowEmptyError, shown
-from knappflow.sweep import records_from_core, sweep_core
+from knappflow.amplitudes import product_norm_boxes, sobolev_norm_monomial
+from knappflow.errors import InvalidParameterError, WindowEmptyError, is_real, shown
+from knappflow.sweep import records_from_core, run_sweep, smoothness_verdict, sweep_core
+from knappflow.symbols import duhamel_multiplier, duhamel_multiplier_oracle
 from regions import one_region
 
 EPS, RHO = 0.01, 2e-6
@@ -371,6 +373,68 @@ def test_grid_entries_must_be_finite_whole_numbers(bad):
         make_params(EPS, RHO, 1, grid=(bad, 4, 4))
     with pytest.raises(InvalidParameterError, match="grid must be"):
         KnappParams(lam=4e5, eps=EPS, mode="surface", grid=(bad, 4, 4))
+
+
+CUBE = Box3((1.0, 2.0), (1.0, 2.0), (1.0, 2.0))
+
+# each real-valued parameter: its entry point (given the parameter and a
+# three-window core) and the start of the message that names it
+REAL_PARAMETERS = {
+    "make_params eps": (lambda x, c: make_params(x, RHO, 1), "eps must"),
+    "make_params rho": (lambda x, c: make_params(EPS, x, 1), "rho must"),
+    "KnappParams lam": (lambda x, c: KnappParams(lam=x, eps=EPS, mode="slab"), "lam must"),
+    "lambda_window rho": (lambda x, c: lambda_window(EPS, x, 1), "rho must"),
+    "run_sweep s": (lambda x, c: run_sweep(EPS, RHO, x, 0.0, [1, 2, 3]), "Sobolev index s"),
+    "run_sweep r": (lambda x, c: run_sweep(EPS, RHO, 0.5, x, [1, 2, 3]), "Sobolev index r"),
+    "records_from_core s": (lambda x, c: records_from_core(c, x, 0.0), "Sobolev index s"),
+    "records_from_core r": (lambda x, c: records_from_core(c, 0.5, x), "Sobolev index r"),
+    "smoothness_verdict s": (
+        lambda x, c: smoothness_verdict(x, 0.0, records_from_core(c, 0.5, 0.0)),
+        "Sobolev index s",
+    ),
+    "smoothness_verdict r": (
+        lambda x, c: smoothness_verdict(0.5, x, records_from_core(c, 0.5, 0.0)),
+        "Sobolev index r",
+    ),
+    "sobolev_norm_monomial r": (
+        lambda x, c: sobolev_norm_monomial(CUBE, (0, 0, 0), x), "Sobolev index r"
+    ),
+    "product_norm_boxes r": (lambda x, c: product_norm_boxes(CUBE, CUBE, x), "Sobolev index r"),
+    "duhamel_multiplier t": (lambda x, c: duhamel_multiplier(x, 1.0), "t must"),
+    "duhamel_multiplier omega": (lambda x, c: duhamel_multiplier(1.0, x), "omega must"),
+    "duhamel_multiplier_oracle t": (lambda x, c: duhamel_multiplier_oracle(x, 1.0), "t must"),
+    "duhamel_multiplier_oracle omega": (
+        lambda x, c: duhamel_multiplier_oracle(1.0, x), "omega must"
+    ),
+    "Box3 lo": (lambda x, c: Box3((x, 1.0), (0.0, 1.0), (0.0, 1.0)), "box endpoints"),
+    "Box3 hi": (lambda x, c: Box3((0.0, 1.0), (0.0, x), (0.0, 1.0)), "box endpoints"),
+}
+NOT_REAL = {"str": "0.5", "None": None, "list": [0.5], "complex": 0.5 + 0j}
+
+
+def test_a_real_number_is_what_float_takes_and_orders_against_a_float():
+    # nan and inf are real numbers: each caller bounds its own parameter
+    for x in (0, -3, 0.5, math.nan, math.inf, True, np.float64(0.5), np.int64(2), np.array(0.5)):
+        assert is_real(x), x
+    # float() would truncate a numpy complex to its real part with a warning
+    for x in ("0.5", None, [0.5], 0.5 + 0j, np.complex128(0.5), np.array([0.5]), 10**400):
+        assert not is_real(x), shown(x)
+
+
+@pytest.fixture(scope="module")
+def small_cores():
+    return sweep_core(EPS, RHO, [1, 2, 3], grid=(8, 4, 4))
+
+
+@pytest.mark.parametrize("kind", NOT_REAL)
+@pytest.mark.parametrize("parameter", REAL_PARAMETERS)
+def test_real_parameters_reject_what_is_not_a_real_number(small_cores, parameter, kind):
+    # each raised a bare TypeError; a numeric string is no number either,
+    # and its message shows it quoted
+    entry, message = REAL_PARAMETERS[parameter]
+    with pytest.raises(InvalidParameterError, match=f"^{message}") as exc:
+        entry(NOT_REAL[kind], small_cores)
+    assert shown(NOT_REAL[kind]) in str(exc.value)
 
 
 def test_whole_float_grid_is_stored_as_ints():

@@ -58,19 +58,12 @@ def test_readme_window_example_prints_its_line(capsys):
     assert capsys.readouterr().out == shown + "\n"
 
 
-def test_package_source_never_names_numpy_polynomial():
-    # its Gauss-Legendre rule is boxes._leggauss; numpy.polynomial is a
-    # test-only reference (tests/test_boxes.py)
-    for path in sorted(PACKAGE.glob("*.py")):
-        text = path.read_text()
-        assert "np.polynomial" not in text and "numpy.polynomial" not in text, path.name
-
-
 def test_amplitudes_source_never_names_gauss_legendre_cells():
     # every norm takes its per-axis cells from amplitudes._stack_cells,
-    # whose rule is boxes.axis_rule; a second cell builder would bypass it
+    # whose rule is boxes.axis_rule; a second cell builder, or a rule
+    # taken from numpy directly, would bypass it
     text = (PACKAGE / "amplitudes.py").read_text()
-    assert "gauss_legendre_cells" not in text
+    assert "leggauss" not in text
     assert "def _cells(" not in text
 
 
