@@ -1,6 +1,6 @@
-"""Exception types shared across the package, its one whole-number rule,
-its one real-number rule, and the one way an error message shows a
-rejected value."""
+"""Exception types shared across the package, its one real-number rule
+and the whole-number rule written on it, and the one way an error
+message shows a rejected value."""
 
 import numpy as np
 
@@ -23,38 +23,35 @@ class FitDataError(ValueError):
 
 
 def is_whole(x, least: int) -> bool:
-    """Whether ``x`` is a finite whole number ``>= least``.
+    """Whether ``x`` is a finite whole number ``>= least``: a real number
+    by ``is_real`` that ``float`` holds as a whole number.
 
     A whole number of any real type passes (``8``, ``8.0``,
-    ``np.int64(8)``); a fraction, nan or inf does not, nor does an int
-    too large for a float, for which ``float`` raises ``OverflowError``.
-    Nor does anything else ``float`` rejects (``None``, ``"abc"``, a
-    list) or that does not compare with an int (``"3"``): the answer is
-    always True or False, and each caller raises its own error with its
-    own bound.
+    ``np.int64(8)``); a fraction, nan or inf does not, nor does anything
+    ``is_real`` rejects.  The answer is always True or False, and each
+    caller raises its own error with its own bound.
     """
-    try:
-        return float(x).is_integer() and x >= least
-    except (OverflowError, TypeError, ValueError):
-        return False
+    return is_real(x) and float(x).is_integer() and x >= least
 
 
 def is_real(x) -> bool:
-    """Whether ``x`` is a real number: ``float`` takes it and it orders
+    """Whether ``x`` is a real number: a numpy value of a real kind with
+    no axes, or anything else, that ``float`` takes and that orders
     against a float.
 
     Any int, float or numpy real scalar that a float can hold passes,
     nan and inf included: each caller states its own bounds.  A string,
-    even a numeric one, None, a list, a complex of any type (numpy's
-    included, which ``float`` would truncate) and an int too large for a
-    float do not.  The answer is always True or False, and each caller
-    raises ``InvalidParameterError`` naming its own parameter.
+    even a numeric one, None, a list, an array with an axis (which
+    ``float`` takes on numpy before 2.4 if it holds one element), a
+    complex of any type (numpy's included, which ``float`` would
+    truncate) and an int too large for a float do not.  The numpy check
+    comes before ``float``, whose warnings it would otherwise meet.  The
+    answer is always True or False, and each caller raises
+    ``InvalidParameterError`` naming its own parameter.
     """
-    if isinstance(x, float):  # the common case first; numpy's float64 is a float
-        return True
-    if isinstance(x, (complex, np.complexfloating)):
-        return False
     try:
+        if isinstance(x, (np.ndarray, np.generic)) and (x.ndim or x.dtype.kind == "c"):
+            return False
         float(x)
         x < 0.0
     except (OverflowError, TypeError, ValueError):

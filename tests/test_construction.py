@@ -362,13 +362,15 @@ def test_messages_name_an_int_too_long_to_print_by_its_size():
         8.5, math.nan, math.inf,
         pytest.param(10**400, id="10**400"), pytest.param(10**5000, id="10**5000"),
         pytest.param("3", id="'3'"), pytest.param("abc", id="'abc'"), None,
+        pytest.param(np.complex128(8), id="complex128(8)"),
     ],
 )
 def test_grid_entries_must_be_finite_whole_numbers(bad):
     # a fractional count would be truncated by the norms; nan and inf
     # would fail inside int() with a bare ValueError or OverflowError,
     # an int a float cannot hold inside float(), and "3", "abc" and None
-    # with a TypeError or a bare ValueError
+    # with a TypeError or a bare ValueError; float() would take a numpy
+    # complex's real part with a warning
     with pytest.raises(InvalidParameterError, match="grid must be"):
         make_params(EPS, RHO, 1, grid=(bad, 4, 4))
     with pytest.raises(InvalidParameterError, match="grid must be"):
@@ -416,8 +418,10 @@ def test_a_real_number_is_what_float_takes_and_orders_against_a_float():
     # nan and inf are real numbers: each caller bounds its own parameter
     for x in (0, -3, 0.5, math.nan, math.inf, True, np.float64(0.5), np.int64(2), np.array(0.5)):
         assert is_real(x), x
-    # float() would truncate a numpy complex to its real part with a warning
-    for x in ("0.5", None, [0.5], 0.5 + 0j, np.complex128(0.5), np.array([0.5]), 10**400):
+    # float() would truncate a numpy complex to its real part with a warning,
+    # and takes a one-element array on numpy before 2.4 with another
+    junk = ("0.5", None, [0.5], 0.5 + 0j, np.complex128(0.5), np.array(0.5 + 0j), 10**400)
+    for x in junk + (np.array([0.5]), np.array([[8]]), [[1], [1, 2]]):
         assert not is_real(x), shown(x)
 
 
