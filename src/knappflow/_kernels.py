@@ -5,8 +5,16 @@ grid of a refinement comparison, each grid's two levels as two runs of
 its nodes: the grids of all output frequencies, support pairs and
 windows of a sweep, each with its own time ``t``.  The tests
 check it against a 30-digit mpmath evaluation of one grid's sums, which
-shares no code with it.  Resonance belongs to a term's sign triples, not
-to a node: ``resonant_triples`` writes the rule once.
+shares no code with it but the float omega that sorts its nodes at the
+resonance cut.  The resonance function
+
+    omega(xi, eta) = s1 |xi| - s2 |xi - eta| - s3 |eta|
+
+of a sign triple ``(s1, s2, s3)`` is written once, by ``_plus_omegas``:
+``term_sums`` integrates with it, and its one-point form
+``triple_omegas`` serves criterion 6 and the tests.  Resonance belongs
+to a term's sign triples, not to a node: ``resonant_triples`` writes
+the rule once.
 """
 
 from __future__ import annotations
@@ -139,6 +147,35 @@ def term_weight(code, xi, eta) -> np.ndarray:
     return _weight(code, eta, d, _norm3(xi), _norm3(d), _norm3(eta))
 
 
+# ---------------------------------------------------------------------------
+# Resonance function omega(xi, eta) = s1 |xi| - s2 |xi - eta| - s3 |eta|
+# ---------------------------------------------------------------------------
+
+def _plus_omegas(nx, nd, ne):
+    """The omegas ``(nx -+ nd) -+ ne`` of the four ``s1 = +1`` triples.
+
+    ``nx``, ``nd`` and ``ne`` are ``|xi|``, ``|xi - eta|`` and ``|eta|``,
+    broadcast against each other; the omegas are stacked on a new
+    second-to-last axis in ``SIGNS_ARRAY`` order (``a - (-b)`` is
+    ``a + b`` exactly).  Triple ``7 - j`` has exactly minus triple j's
+    omega, so these four give all eight.
+    """
+    near, far = nx - nd, nx + nd
+    return np.stack([near - ne, near + ne, far - ne, far + ne], axis=-2)
+
+
+def triple_omegas(xi, eta) -> np.ndarray:
+    """omega of the 8 sign triples at one ``(xi, eta)``, in ``SIGNS_ARRAY`` order.
+
+    The norms follow ``term_sums``: ``|xi|`` is the root of ``xi @ xi``,
+    ``|xi - eta|`` and ``|eta|`` come from ``_norm3``, so each omega has
+    the bits that ``term_sums`` gives the multiplier at a node ``eta``.
+    """
+    xi, eta = np.asarray(xi, dtype=float), np.asarray(eta, dtype=float)
+    plus = _plus_omegas(np.sqrt(xi @ xi), _norm3((xi - eta)[:, None]), _norm3(eta[:, None]))
+    return np.concatenate([plus[:, 0], -plus[::-1, 0]])
+
+
 def resonant_triples(codes) -> np.ndarray:
     """Mask ``(..., 8)`` of the sign triples where each term of ``codes`` resonates.
 
@@ -179,10 +216,10 @@ def term_sums(pts, wq, xis, t, codes, runs):
     Per block, ``xi - eta``, ``|xi - eta|``, ``|eta|``, omega and the
     multiplier are formed once for all C terms, the norms over
     contiguous coordinate columns (``_norm3``), and only for the four
-    ``s1 = +1`` triples, from the two partial sums ``|xi| -+ |xi - eta|``
-    that they share: triple ``7 - j`` has omega negated exactly, so
-    its multiplier, its products with the real weights and their sums
-    are the conjugates of triple j's, and its envelope is triple j's.
+    ``s1 = +1`` triples (``_plus_omegas``): triple ``7 - j`` has omega
+    negated exactly, so its multiplier, its products with the real
+    weights and their sums are the conjugates of triple j's, and its
+    envelope is triple j's.
     One ``_weight`` call weights the block for all C terms; then each
     term's products and sums are taken as ``(grids, 4, nodes)`` arrays,
     one term at a time.  Each run's nodes are summed along a contiguous
@@ -227,10 +264,7 @@ def term_sums(pts, wq, xis, t, codes, runs):
             d = x - e
             nd = _norm3(d)
             ne = _norm3(e)
-            # the s1 = +1 triples' omegas (nx - s2 nd) - s3 ne, in
-            # SIGNS_ARRAY order; a - (-b) is a + b exactly
-            near, far = nx[rows] - nd, nx[rows] + nd
-            om = np.stack([near - ne, near + ne, far - ne, far + ne], axis=1)
+            om = _plus_omegas(nx[rows], nd, ne)
             m = mult_values(t_rows, om)
             with np.errstate(divide="ignore"):  # 2 / 0 is inf, so min(t, inf) is t
                 bound = np.minimum(t_rows, 2.0 / np.abs(om))

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import resonant_triples, term_weight
+from ._kernels import resonant_triples, term_weight, triple_omegas
 from .amplitudes import product_norm_boxes, sobolev_norm_monomial
 from .boxes import Box3, admissible_eta_region
 from .construction import DEFAULT_GRID, KnappParams, curl_parts, kernels
@@ -34,7 +34,7 @@ from .sweep import (
     sweep_core,
     usable,
 )
-from .symbols import duhamel_multiplier, duhamel_multiplier_oracle, omega_all
+from .symbols import duhamel_multiplier, duhamel_multiplier_oracle
 
 ACCEPT_EPS = 0.01
 ACCEPT_RHO = 2e-6
@@ -316,7 +316,7 @@ def criterion_resonance_separation() -> CriterionResult:
         for kern in kernels(p):
             region = admissible_eta_region(xi[None, :], kern.support_a, kern.support_b)
             for eta in itertools.product(*zip(region.lo[0], region.hi[0])):
-                for om, resonant in zip(np.abs(omega_all(xi, eta)), resonant_triples(kern.code)):
+                for om, resonant in zip(abs(triple_omegas(xi, eta)), resonant_triples(kern.code)):
                     if resonant:
                         max_res = max(max_res, float(om / np.spacing(2.0 * p.lam)))
                     else:

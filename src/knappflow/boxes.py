@@ -43,7 +43,13 @@ class Box3:
     surface_axis: int | None = None
 
     def __post_init__(self) -> None:
-        for lo, hi in self.axes:
+        for i, axis in enumerate(self.axes, 1):
+            try:
+                lo, hi = axis
+            except (TypeError, ValueError):
+                raise InvalidParameterError(
+                    f"box axis ax{i} must be a (lo, hi) pair, got {shown(axis)}"
+                ) from None
             if not (is_real(lo) and is_real(hi) and math.isfinite(lo) and math.isfinite(hi)):
                 raise InvalidParameterError(f"box endpoints must be finite, got {shown((lo, hi))}")
             if lo > hi:
@@ -187,8 +193,12 @@ def axis_rule(lo, hi, n: int, surface: bool) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _node_counts(nodes_per_axis) -> tuple[int, int, int]:
-    """A grid as 3 ints; each entry must be a finite whole number >= 1."""
-    if len(nodes_per_axis) != 3 or not all(is_whole(n, 1) for n in nodes_per_axis):
+    """A grid as 3 ints: a sequence of 3 finite whole numbers >= 1."""
+    try:
+        ok = len(nodes_per_axis) == 3 and all(is_whole(n, 1) for n in nodes_per_axis)
+    except TypeError:  # no len() or no iteration: not a sequence
+        ok = False
+    if not ok:
         raise InvalidParameterError(
             f"grid must be 3 whole numbers >= 1, got {shown(nodes_per_axis)}"
         )

@@ -1,12 +1,9 @@
-"""Half-wave sign triples, the resonance function, and the Duhamel multiplier.
+"""Half-wave sign triples and the Duhamel multiplier.
 
 A free-wave datum splits into half-waves ``exp(∓ i t |D|)``, so each
-factor in a trilinear interaction carries a sign.  For a sign triple
-``(s1, s2, s3)`` the resonance function is
-
-    omega(xi, eta) = s1 |xi| - s2 |xi - eta| - s3 |eta|
-
-and the time-integrated interaction weight is the Duhamel multiplier
+factor in a trilinear interaction carries a sign.  Each sign triple
+``(s1, s2, s3)`` has its own omega (``_kernels`` writes it), and the
+time-integrated interaction weight is the Duhamel multiplier
 
     m(t, omega) = (exp(i t omega) - 1) / (i omega),    m(t, 0) = t,
 
@@ -66,18 +63,6 @@ class MultiplierValue:
     """
 
     value: complex
-
-
-def omega_all(xi, eta) -> np.ndarray:
-    """omega(xi, eta) for every triple in enumeration order, sharing the norms."""
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    nx = math.sqrt(float(xi @ xi))
-    nd = math.sqrt(float((xi - eta) @ (xi - eta)))
-    ne = math.sqrt(float(eta @ eta))
-    return np.array(
-        [s.s1 * nx - s.s2 * nd - s.s3 * ne for s in SIGN_TRIPLES], dtype=float
-    )
 
 
 def _check_pair(t: float, om: float) -> None:

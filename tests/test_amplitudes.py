@@ -36,7 +36,7 @@ from knappflow.boxes import (
 from knappflow.construction import DEFAULT_GRID, kernels, make_params
 from knappflow.errors import InvalidParameterError
 from knappflow.sweep import fit_exponent, predicted_exponent, records_from_core, sweep_core
-from knappflow.symbols import SIGN_TRIPLES, SIGNS_ARRAY, SignTriple, omega_all
+from knappflow.symbols import SIGN_TRIPLES, SIGNS_ARRAY, SignTriple
 from regions import one_region
 
 EPS, RHO = 0.01, 2e-6
@@ -161,15 +161,16 @@ ORACLE_NUMERATORS = {
 
 
 def mp_term_sums(pts, wq, xi, t, codes, res_thr):
-    """One grid's ``term_sums`` at 30 digits in mpmath, sharing no code with it.
+    """One grid's ``term_sums`` at 30 digits in mpmath.
 
     From the exact float inputs, each node's weight is written out per
     code, omega is taken per sign triple, and the multiplier is
     ``t exp(i x/2) sinc(x/2)`` with ``x = t omega`` (no branch at small
-    ``x``).  A node counts as resonant where its float omega, formed as
-    ``term_sums`` forms it, is within the cut, so a node on the cut falls
-    on the same side.  Returns ``(C, 8)`` arrays of the total, resonant
-    and envelope sums, rounded to floats once at the end.
+    ``x``).  The one code shared with ``term_sums`` sorts the nodes: a
+    node counts as resonant where its float omega, from
+    ``triple_omegas``, is within the cut, so a node on the cut falls on
+    the same side.  Returns ``(C, 8)`` arrays of the total, resonant and
+    envelope sums, rounded to floats once at the end.
     """
     mpmath = pytest.importorskip("mpmath")
     xi = np.asarray(xi, dtype=float)
@@ -180,19 +181,17 @@ def mp_term_sums(pts, wq, xi, t, codes, res_thr):
         mt = mpmath.mpf(t)
         x = [mpmath.mpf(v) for v in xi]
         nx = mpmath.sqrt(sum(v * v for v in x))
-        nx_float = np.sqrt(xi @ xi)
         for node, q in zip(np.asarray(pts, dtype=float), wq):
             e = [mpmath.mpf(v) for v in node]
             d = [a - b for a, b in zip(x, e)]
             nd = mpmath.sqrt(sum(v * v for v in d))
             ne = mpmath.sqrt(sum(v * v for v in e))
-            d_float = xi - node
-            nd_float, ne_float = np.sqrt((d_float * d_float).sum()), np.sqrt((node * node).sum())
+            om_float = _kernels.triple_omegas(xi, node)
             w = [ORACLE_NUMERATORS[int(c)](d, e) / (nx * nd**2 * ne**2) * q for c in codes]
             for j, (s1, s2, s3) in enumerate(ORACLE_SIGNS):
                 om = s1 * nx - s2 * nd - s3 * ne
                 m = mt * mpmath.expj(mt * om / 2) * mpmath.sinc(mt * om / 2)
-                resonant = abs(s1 * nx_float - s2 * nd_float - s3 * ne_float) <= res_thr
+                resonant = abs(om_float[j]) <= res_thr
                 bound = 0 if resonant else min(mt, 2 / abs(om))
                 for c, wc in enumerate(w):
                     tot[c][j] += m * wc
@@ -253,12 +252,46 @@ def test_resonance_gap_sizes():
     xi = p.samp_box.center()
     kern = kernels(p)[0]
     region = one_region(xi, kern.support_a, kern.support_b)
-    oms = np.abs(omega_all(xi, region.center()))
+    oms = np.abs(_kernels.triple_omegas(xi, region.center()))
     for om, resonant in zip(oms, _kernels.resonant_triples(kern.code)):
         if resonant:
             assert om < 1e-2 * p.lam
         else:
             assert om > 0.5 * p.lam
+
+
+def test_term_sums_takes_the_one_point_omegas(monkeypatch):
+    # the omegas that term_sums passes to mult_values are the s1 = +1
+    # rows of triple_omegas at its nodes, bit for bit, signed zeros
+    # included: at the nodes of every region that criterion 6 checks
+    # (k = 1..10, each kernel term), and on grids in general position,
+    # where the roots of xi @ xi and of _norm3's sum can differ
+    seen = []
+    mult_values = _kernels.mult_values
+
+    def recording(t, om):
+        seen.append(om)
+        return mult_values(t, om)
+
+    monkeypatch.setattr(_kernels, "mult_values", recording)
+    cases = []
+    for k in acceptance.ACCEPT_KS:
+        p = make_params(acceptance.ACCEPT_EPS, acceptance.ACCEPT_RHO, k)
+        xi = p.samp_box.center()
+        for kern in kernels(p):
+            region = admissible_eta_region(xi[None, :], kern.support_a, kern.support_b)
+            pts, wq = quadrature_nodes(region.lo, region.hi, SMALL_GRID, region.surface_axis)
+            cases.append((xi[None, :], pts, wq, p.t, [[kern.code]]))
+    rng = np.random.default_rng(5)
+    pts = rng.normal(size=(20, 64, 3))
+    cases.append((rng.normal(size=(20, 3)), pts, np.ones((20, 64)), 1.0, np.zeros((20, 1), int)))
+    for xis, pts, wq, t, codes in cases:
+        seen.clear()
+        _kernels.term_sums(pts.reshape(-1, 3), wq.ravel(), xis, t, codes, runs=[pts.shape[1]])
+        [om] = seen
+        for xi, nodes, got in zip(xis, pts, om):
+            want = np.array([_kernels.triple_omegas(xi, eta)[:4] for eta in nodes]).T
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def node_omegas(pts, xis):
@@ -320,9 +353,8 @@ def test_envelope_takes_t_where_a_nonresonant_omega_is_zero():
     grid = quadrature_grid(one_region(xi, by_code[0].support_a, by_code[0].support_b), SMALL_GRID)
     row = SIGN_TRIPLES.index(SignTriple.from_string("+-+"))
     assert not _kernels.resonant_triples(1)[row]
-    # that triple's omega (|xi| + |xi - eta|) - |eta|, formed as term_sums forms it
-    d = xi - grid.points
-    om = (np.sqrt(xi @ xi) + _kernels._norm3(d.T)) - _kernels._norm3(grid.points.T)
+    # that triple's omega (|xi| + |xi - eta|) - |eta|, as term_sums forms it
+    om = np.array([_kernels.triple_omegas(xi, eta)[row] for eta in grid.points])
     assert np.any(om == 0.0) and np.abs(om).max() < 1e-9 * p.lam
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -42,6 +42,24 @@ def test_box_validation():
         Box3(ax1=(0.0, 0.0), ax2=(0.0, 1.0), ax3=(0.0, 0.0), surface_axis=2)
 
 
+@pytest.mark.parametrize(
+    "axis",
+    [
+        5, None, (0.0, 1.0, 2.0), (0.5,),
+        pytest.param(np.array(0.5), id="array(0.5)"),
+        pytest.param(np.array([0.0, 1.0, 2.0]), id="array([0., 1., 2.])"),
+    ],
+)
+@pytest.mark.parametrize("slot", [1, 2, 3])
+def test_box_axes_must_be_pairs(axis, slot):
+    # an axis that does not unpack into two ends raised a bare TypeError
+    # or ValueError
+    axes = [(0.0, 1.0)] * 3
+    axes[slot - 1] = axis
+    with pytest.raises(InvalidParameterError, match=f"^box axis ax{slot} must be a"):
+        Box3(*axes)
+
+
 @pytest.mark.parametrize("c", [sign * 2.0**e for e in range(-6, 7) for sign in (1.0, -1.0)])
 def test_box_scale_round_trip_powers_of_two(c: float):
     # exact in floating point only for powers of two; the general case

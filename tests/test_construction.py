@@ -377,6 +377,21 @@ def test_grid_entries_must_be_finite_whole_numbers(bad):
         KnappParams(lam=4e5, eps=EPS, mode="surface", grid=(bad, 4, 4))
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        5, 8.0, None,
+        pytest.param(np.int64(8), id="int64(8)"), pytest.param(np.array(8), id="array(8)"),
+    ],
+)
+def test_a_grid_must_be_a_sequence_of_three(bad):
+    # len() of a number, None or a 0-d array raised a bare TypeError
+    with pytest.raises(InvalidParameterError, match="^grid must be"):
+        make_params(EPS, RHO, 1, grid=bad)
+    with pytest.raises(InvalidParameterError, match="^grid must be"):
+        KnappParams(lam=4e5, eps=EPS, mode="surface", grid=bad)
+
+
 CUBE = Box3((1.0, 2.0), (1.0, 2.0), (1.0, 2.0))
 
 # each real-valued parameter: its entry point (given the parameter and a
@@ -442,10 +457,11 @@ def test_real_parameters_reject_what_is_not_a_real_number(small_cores, parameter
 
 
 def test_whole_float_grid_is_stored_as_ints():
-    p = make_params(EPS, RHO, 1, grid=(8.0, np.int64(4), 4))
-    assert p.grid == (8, 4, 4)
-    assert all(type(n) is int for n in p.grid)
-    assert p == make_params(EPS, RHO, 1, grid=(8, 4, 4))
+    for grid in ((8.0, np.int64(4), 4), np.array([8, 4, 4]), [8, 4, 4]):
+        p = make_params(EPS, RHO, 1, grid=grid)
+        assert p.grid == (8, 4, 4)
+        assert all(type(n) is int for n in p.grid)
+        assert p == make_params(EPS, RHO, 1, grid=(8, 4, 4))
 
 
 def at_lam(mode="surface", lam=LAM):

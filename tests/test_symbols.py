@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from knappflow._kernels import MULT_SERIES_THRESHOLD, mult_values
+from knappflow._kernels import MULT_SERIES_THRESHOLD, mult_values, triple_omegas
 from knappflow.errors import InvalidParameterError
 from knappflow.symbols import (
     SIGN_TRIPLES,
@@ -13,7 +13,6 @@ from knappflow.symbols import (
     SignTriple,
     duhamel_multiplier,
     duhamel_multiplier_oracle,
-    omega_all,
 )
 
 
@@ -46,17 +45,20 @@ def test_sign_triple_hash_keeps_fields_and_equality():
 
 
 def omega_formula(xi, eta, s):
-    """s1 |xi| - s2 |xi - eta| - s3 |eta|, written out per triple."""
+    """s1 |xi| - s2 |xi - eta| - s3 |eta|, written out per triple, with
+    the norms as ``term_sums`` forms them: ``|xi|`` from ``xi @ xi``, the
+    other two as ``(c0*c0 + c1*c1) + c2*c2``."""
+    d = xi - eta
     nx = math.sqrt(float(xi @ xi))
-    nd = math.sqrt(float((xi - eta) @ (xi - eta)))
-    ne = math.sqrt(float(eta @ eta))
+    nd = math.sqrt((d[0] * d[0] + d[1] * d[1]) + d[2] * d[2])
+    ne = math.sqrt((eta[0] * eta[0] + eta[1] * eta[1]) + eta[2] * eta[2])
     return s.s1 * nx - s.s2 * nd - s.s3 * ne
 
 
 def test_omega_examples():
     xi = np.array([3.0, 0.0, 4.0])
-    assert omega_all(xi, xi)[SIGN_TRIPLES.index(SignTriple(1, 1, 1))] == 0.0
-    val = omega_all(xi, np.array([1.0, 1.0, 1.0]))[SIGN_TRIPLES.index(SignTriple(1, -1, -1))]
+    assert triple_omegas(xi, xi)[SIGN_TRIPLES.index(SignTriple(1, 1, 1))] == 0.0
+    val = triple_omegas(xi, np.array([1.0, 1.0, 1.0]))[SIGN_TRIPLES.index(SignTriple(1, -1, -1))]
     assert val >= np.linalg.norm(xi)
 
 
@@ -67,7 +69,7 @@ def test_omega_antisymmetry_exact():
     for _ in range(200):
         xi = rng.normal(size=3) * 10.0 ** rng.integers(-3, 4)
         eta = rng.normal(size=3) * 10.0 ** rng.integers(-3, 4)
-        oms = omega_all(xi, eta)
+        oms = triple_omegas(xi, eta)
         assert np.all(oms == -oms[flipped])
 
 
@@ -80,12 +82,14 @@ def test_signs_array_is_mirrored():
     assert np.all(SIGNS_ARRAY[:4, 0] == 1.0)
 
 
-def test_omega_all_matches_scalar():
+def test_triple_omegas_match_scalar():
     rng = np.random.default_rng(4)
-    xi, eta = rng.normal(size=3), rng.normal(size=3)
-    oms = omega_all(xi, eta)
-    for s, om in zip(SIGN_TRIPLES, oms):
-        assert om == omega_formula(xi, eta, s)
+    for _ in range(200):
+        xi = rng.normal(size=3) * 10.0 ** rng.integers(-3, 4)
+        eta = rng.normal(size=3) * 10.0 ** rng.integers(-3, 4)
+        oms = triple_omegas(xi, eta)
+        for s, om in zip(SIGN_TRIPLES, oms):
+            assert om == omega_formula(xi, eta, s)
 
 
 def test_multiplier_at_zero_and_branch():
